@@ -10,17 +10,15 @@ from .operators import (DiagonalOperator, apply_diagonal,
                         symbol_L_eps)
 from .bands import (AnsatzDecomposition, BandKernel, decompose, demodulate,
                     make_kernel, modulate, project, project_complement)
-from .noise import (NoiseConfig, OUState, complex_white_increment,
+from .noise import (NoiseConfig, complex_white_increment,
                     ou_increment_variance, ou_mode_step,
                     spectral_variance_rate, stochastic_convolution_path,
                     stochastic_convolution_sample, white_increment)
-from .sh import (BlowupStopped, ModelParams, Trajectory, modulated_carrier_ic,
-                 rescale_from_original, rescale_to_original, simulate,
-                 step_rescaled)
+from .sh import (ModelParams, Trajectory, integrate, modulated_carrier_ic,
+                 rescale_from_original, rescale_to_original, simulate)
 from .reduced import (GLCoefficients, gl5_coefficients, gl_coefficients,
-                      quintic_reduced_step, reduced_quadratic_correction,
-                      simulate_gl, simulate_paired, simulate_reduced, step_gl,
-                      step_reduced)
+                      reduced_quadratic_correction, simulate_gl,
+                      simulate_paired, simulate_reduced)
 from .analysis import (HolderNormConfig, LandauFit, ScalingStudy,
                        approximation_error, averaging_residual,
                        estimate_landau_coefficient, fit_scaling_exponent,

@@ -234,6 +234,10 @@ def _cmd_study(args) -> int:
 
     summary = run_study(cfg, progress=progress)
     print(json.dumps(summary["fits"], indent=2))
+    if summary["gates_not_evaluated"]:
+        print("study gates not evaluated (no slope: fewer than 3 eps values "
+              f"with ok cells): {summary['gates_not_evaluated']}",
+              file=sys.stderr)
     if not summary["ok"]:
         print(f"study gates failed: {summary['acceptance']}", file=sys.stderr)
         return EXIT_GATE

@@ -7,7 +7,7 @@ derive from that single identity.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,22 +113,6 @@ class SpectralNoise:
                        / self.grid.n_points)
 
 
-@dataclass
-class OUState:
-    """Running stochastic convolution in rfft coordinates (Hermitian half)."""
-
-    grid: Grid
-    coeffs: np.ndarray = field(repr=False)
-    elapsed: float = 0.0
-
-    @classmethod
-    def zero(cls, grid: Grid) -> "OUState":
-        return cls(grid, np.zeros(grid.n_points // 2 + 1, dtype=np.complex128))
-
-    def field(self) -> RealField:
-        return RealField.from_spectrum(self.grid, self.coeffs)
-
-
 def stochastic_convolution_path(grid: Grid, eps: float, t_end: float, dt: float,
                                 cfg: NoiseConfig):
     """Exact-in-law sampling of W_{L_eps} at step boundaries.
@@ -143,13 +127,12 @@ def stochastic_convolution_path(grid: Grid, eps: float, t_end: float, dt: float,
     lam = symbol_L_eps(grid.rfft_wavenumbers, eps)
     decay = np.exp(lam * dt)
     scale = src.ou_scale(lam, dt)
-    state = OUState.zero(grid)
-    yield 0.0, state.field()
+    coeffs = np.zeros(grid.n_points // 2 + 1, dtype=np.complex128)
+    yield 0.0, RealField.from_spectrum(grid, coeffs)
     n_steps = int(round(t_end / dt))
     for i in range(1, n_steps + 1):
-        state.coeffs = decay * state.coeffs + src.raw(rng) * scale
-        state.elapsed = i * dt
-        yield state.elapsed, state.field()
+        coeffs = decay * coeffs + src.raw(rng) * scale
+        yield i * dt, RealField.from_spectrum(grid, coeffs)
 
 
 def stochastic_convolution_sample(grid: Grid, eps: float, T: float,

@@ -14,7 +14,7 @@ quintic = -10 (quintic case).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,8 +24,8 @@ from .noise import NoiseConfig, SpectralNoise, ou_increment_variance
 from .operators import (dealiased_powers, dealiased_powers_complex,
                         dealiased_product, inv_symbol_scaled, symbol_L_eps,
                         NEAR_SINGULAR_TOL)
-from .sh import (BlowupStopped, CUBIC, QUINTIC, ModelParams, SHStepper,
-                 Trajectory, _phi1)
+from .sh import (CUBIC, ModelParams, SHStepper, Snapshots, Trajectory, _phi1,
+                 integrate, noise_draw)
 
 GL_DIFFUSION = 4.0
 GL_QUINTIC = -10.0
@@ -115,6 +115,9 @@ class ReducedStepper:
             out = out + raw * self.noise_scale
         return out
 
+    def values(self, wspec: np.ndarray) -> np.ndarray:
+        return np.fft.irfft(wspec, n=self.grid.n_points)
+
 
 def reduced_quadratic_correction(w: RealField, eps: float, nu: float,
                                  delta: float = DEFAULT_DELTA) -> RealField:
@@ -124,59 +127,17 @@ def reduced_quadratic_correction(w: RealField, eps: float, nu: float,
     return RealField.from_spectrum(w.grid, stepper.quadratic_correction(w.spectrum()))
 
 
-def _one_reduced_step(w: RealField, p: ModelParams, rng, intensity, delta) -> RealField:
-    if w.sup_norm() >= p.blowup_threshold:
-        raise BlowupStopped("pre-step sup norm exceeds blow-up threshold")
-    stepper = ReducedStepper(w.grid, p, intensity if rng is not None else 0.0,
-                             delta)
-    raw = stepper.noise.raw(rng) if rng is not None and intensity > 0 else None
-    out = RealField.from_spectrum(w.grid, stepper.step_spec(w.spectrum(), raw))
-    if not np.isfinite(out.values).all() or out.sup_norm() >= p.blowup_threshold:
-        raise BlowupStopped("post-step sup norm exceeds blow-up threshold")
-    return out
-
-
-def step_reduced(w: RealField, eps: float, nu: float, dt: float,
-                 rng: np.random.Generator | None = None, intensity: float = 1.0,
-                 delta: float = DEFAULT_DELTA,
-                 blowup_threshold: float = 1e4) -> RealField:
-    """One ETD1 step of the cubic-case band equation (P1-band noise)."""
-    p = ModelParams(variant=CUBIC, eps=eps, nu=nu, dt=dt,
-                    blowup_threshold=blowup_threshold)
-    return _one_reduced_step(w, p, rng, intensity, delta)
-
-
-def quintic_reduced_step(w: RealField, eps: float, nu2: float, nu3: float,
-                         dt: float, rng: np.random.Generator | None = None,
-                         intensity: float = 1.0, delta: float = DEFAULT_DELTA,
-                         blowup_threshold: float = 1e4) -> RealField:
-    """One ETD1 step of the quintic-case band equation."""
-    p = ModelParams(variant=QUINTIC, eps=eps, nu2=nu2, nu3=nu3, dt=dt,
-                    blowup_threshold=blowup_threshold)
-    return _one_reduced_step(w, p, rng, intensity, delta)
-
-
 def simulate_reduced(w0: RealField, p: ModelParams, cfg: NoiseConfig | None = None,
                      delta: float = DEFAULT_DELTA,
                      snapshot_stride: int = 10) -> Trajectory:
     intensity = cfg.intensity if cfg is not None else 0.0
     stepper = ReducedStepper(w0.grid, p, intensity, delta)
-    rng = cfg.make_rng() if cfg is not None and intensity > 0 else None
     n_steps = int(round(p.t_end / p.dt))
-    times, snaps = [0.0], [w0]
-    wspec = w0.spectrum()
-    status = "completed"
-    for i in range(1, n_steps + 1):
-        raw = stepper.noise.raw(rng) if rng is not None else None
-        wspec = stepper.step_spec(wspec, raw)
-        vals = np.fft.irfft(wspec, n=w0.grid.n_points)
-        if not np.isfinite(vals).all() or np.max(np.abs(vals)) >= p.blowup_threshold:
-            status = "blowup_stopped"
-            break
-        if i % snapshot_stride == 0 or i == n_steps:
-            times.append(i * p.dt)
-            snaps.append(RealField(w0.grid, vals))
-    return Trajectory(times=np.asarray(times), snapshots=snaps, status=status)
+    snaps = Snapshots([w0], p.dt, snapshot_stride, n_steps)
+    status = integrate([stepper], [w0.spectrum()], n_steps,
+                       p.blowup_threshold, noise_draw(stepper.noise, cfg),
+                       [snaps])
+    return snaps.trajectory(0, status)
 
 
 # -- Ginzburg-Landau solver --------------------------------------------------
@@ -195,7 +156,6 @@ class GLStepper:
         self.dt = dt
         K = grid.wavenumbers
         lam = -c.diffusion * K ** 2
-        self.lam = lam
         self.decay = np.exp(lam * dt)
         z = lam * dt
         self.phi1dt = dt * _phi1(z)
@@ -203,9 +163,9 @@ class GLStepper:
         zs = np.where(small, 1.0, z)
         phi2 = np.where(small, 0.5 + z / 6.0, (np.expm1(zs) - zs) / zs ** 2)
         self.phi2dt = dt * phi2
-        self.unit = c.noise_intensity ** 2 * grid.n_points ** 2 / grid.length
+        unit = c.noise_intensity ** 2 * grid.n_points ** 2 / grid.length
         self.noise_scale = np.sqrt(
-            self.unit * ou_increment_variance(lam, dt) / grid.n_points)
+            unit * ou_increment_variance(lam, dt) / grid.n_points)
         self.exponents = (3,) if c.quintic == 0.0 else (3, 5)
         self.pad = 2 if c.quintic == 0.0 else 3
 
@@ -217,66 +177,35 @@ class GLStepper:
             out = out + self.c.quintic * pw[5]
         return out
 
-    def step_spec(self, aspec: np.ndarray, xi: np.ndarray | None) -> np.ndarray:
+    def step_spec(self, aspec: np.ndarray, raw: np.ndarray | None) -> np.ndarray:
         n1 = self.nonlinearity(aspec)
         a1 = self.decay * aspec + self.phi1dt * n1
         out = a1 + self.phi2dt * (self.nonlinearity(a1) - n1)
-        if xi is not None:
-            out = out + xi
+        if raw is not None:
+            out = out + raw * self.noise_scale
         return out
 
-    def noise_increment(self, rng: np.random.Generator) -> np.ndarray:
-        z = (rng.standard_normal(self.grid.n_points)
-             + 1j * rng.standard_normal(self.grid.n_points)) / np.sqrt(2.0)
-        return np.fft.fft(z) * self.noise_scale
-
-
-def step_gl(A: ComplexField, c: GLCoefficients, dt: float,
-            rng: np.random.Generator | None = None,
-            blowup_threshold: float = 1e4) -> ComplexField:
-    """One amplitude-equation step; raises BlowupStopped past the guard."""
-    if A.sup_norm() >= blowup_threshold:
-        raise BlowupStopped("pre-step sup norm exceeds blow-up threshold")
-    stepper = GLStepper(A.grid, c, dt)
-    xi = (stepper.noise_increment(rng)
-          if rng is not None and c.noise_intensity > 0 else None)
-    out = ComplexField.from_spectrum(A.grid, stepper.step_spec(A.spectrum(), xi))
-    if not np.isfinite(out.values).all() or out.sup_norm() >= blowup_threshold:
-        raise BlowupStopped("post-step sup norm exceeds blow-up threshold")
-    return out
-
-
-@dataclass
-class GLTrajectory:
-    times: np.ndarray
-    snapshots: list = field(repr=False)
-    status: str = "completed"
-
-    @property
-    def final(self):
-        return self.snapshots[-1]
+    def values(self, aspec: np.ndarray) -> np.ndarray:
+        return np.fft.ifft(aspec)
 
 
 def simulate_gl(A0: ComplexField, c: GLCoefficients, dt: float, t_end: float,
                 cfg: NoiseConfig | None = None, snapshot_stride: int = 10,
-                blowup_threshold: float = 1e4) -> GLTrajectory:
+                blowup_threshold: float = 1e4) -> Trajectory:
     stepper = GLStepper(A0.grid, c, dt)
-    rng = (cfg.make_rng() if cfg is not None and c.noise_intensity > 0 else None)
+    draw = None
+    if cfg is not None and c.noise_intensity > 0:
+        rng, n = cfg.make_rng(), A0.grid.n_points
+
+        def draw():
+            z = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
+            return np.fft.fft(z)
+
     n_steps = int(round(t_end / dt))
-    times, snaps = [0.0], [A0]
-    aspec = A0.spectrum()
-    status = "completed"
-    for i in range(1, n_steps + 1):
-        xi = stepper.noise_increment(rng) if rng is not None else None
-        aspec = stepper.step_spec(aspec, xi)
-        vals = np.fft.ifft(aspec)
-        if not np.isfinite(vals).all() or np.max(np.abs(vals)) >= blowup_threshold:
-            status = "blowup_stopped"
-            break
-        if i % snapshot_stride == 0 or i == n_steps:
-            times.append(i * dt)
-            snaps.append(ComplexField(A0.grid, vals))
-    return GLTrajectory(times=np.asarray(times), snapshots=snaps, status=status)
+    snaps = Snapshots([A0], dt, snapshot_stride, n_steps)
+    status = integrate([stepper], [A0.spectrum()], n_steps, blowup_threshold,
+                       draw, [snaps])
+    return snaps.trajectory(0, status)
 
 
 # -- paired runs for the approximation studies -------------------------------
@@ -304,6 +233,34 @@ def _demod_spec(rspec: np.ndarray, grid: Grid, pos_mask: np.ndarray) -> np.ndarr
     return np.roll(full * pos_mask, -grid.carrier_index)
 
 
+class _BandGLStepper(GLStepper):
+    """GL stepper driven by the demodulated P1 band of the shared real draw."""
+
+    def __init__(self, grid: Grid, c: GLCoefficients, dt: float,
+                 band_mask: np.ndarray):
+        super().__init__(grid, c, dt)
+        self.band_mask = band_mask
+
+    def step_spec(self, aspec: np.ndarray, raw: np.ndarray | None) -> np.ndarray:
+        if raw is not None:
+            # roll first, then mask, then (in GLStepper) scale: the paired
+            # GL noise depends on this operand order to the last bit
+            raw = (np.roll(_full_from_half(raw, self.grid.n_points),
+                           -self.grid.carrier_index) * self.band_mask)
+        return super().step_spec(aspec, raw)
+
+
+class _RunningMax:
+    """Observer keeping the largest ``gap(specs, values)`` over the steps."""
+
+    def __init__(self, gap):
+        self.gap = gap
+        self.value = 0.0
+
+    def __call__(self, i, specs, values):
+        self.value = max(self.value, self.gap(specs, values))
+
+
 def simulate_paired(v0: RealField, p: ModelParams, cfg: NoiseConfig,
                     delta: float = DEFAULT_DELTA, snapshot_stride: int = 10,
                     with_gl: bool = False) -> PairedResult:
@@ -318,53 +275,30 @@ def simulate_paired(v0: RealField, p: ModelParams, cfg: NoiseConfig,
     n = grid.n_points
     sh = SHStepper(grid, p, cfg.intensity)
     red = ReducedStepper(grid, p, cfg.intensity, delta)
-    rng = cfg.make_rng()
     vspec = v0.spectrum()
     wspec = red.q1 * vspec
-    gl = None
+    steppers, specs = [sh, red], [vspec, wspec]
+    sup_diff = _RunningMax(lambda specs, vals: float(np.max(np.abs(
+        np.fft.irfft(red.q1 * specs[0], n=n) - vals[1]))))
+    observers = [sup_diff]
     if with_gl:
         c = (gl_coefficients(p.nu, cfg.intensity) if p.variant == CUBIC
              else gl5_coefficients(p.nu2, p.nu3, cfg.intensity))
-        gl = GLStepper(grid, c, p.dt)
         q1_signed = make_kernel("P1", delta, p.eps, grid).evaluate(grid.wavenumbers)
         pos_mask = np.where(grid.wavenumbers > 0, q1_signed, 0.0)
         band_mask = np.roll(pos_mask, -grid.carrier_index)
-        gl_scale = np.sqrt(gl.unit * ou_increment_variance(gl.lam, p.dt) / n)
-        aspec = _demod_spec(vspec, grid, pos_mask)
+        steppers.append(_BandGLStepper(grid, c, p.dt, band_mask))
+        specs.append(_demod_spec(vspec, grid, pos_mask))
+        sup_diff_gl = _RunningMax(lambda specs, vals: float(np.max(np.abs(
+            np.fft.ifft(_demod_spec(specs[1], grid, pos_mask)) - vals[2]))))
+        observers.append(sup_diff_gl)
     n_steps = int(round(p.t_end / p.dt))
-    times, snaps_v, snaps_w = [0.0], [v0], [RealField.from_spectrum(grid, wspec)]
-    sup_diff = 0.0
-    sup_diff_gl = 0.0
-    status = "completed"
-    for i in range(1, n_steps + 1):
-        g = rng.standard_normal(n)
-        graw = np.fft.rfft(g)
-        xi_sh = graw * sh.noise_scale if sh.noise_scale is not None else None
-        vspec = sh.step_spec(vspec, xi_sh)
-        wspec = red.step_spec(wspec, graw)
-        if gl is not None:
-            xi_gl = (np.roll(_full_from_half(graw, n), -grid.carrier_index)
-                     * band_mask * gl_scale)
-            aspec = gl.step_spec(aspec, xi_gl)
-        v_vals = np.fft.irfft(vspec, n=n)
-        w_vals = np.fft.irfft(wspec, n=n)
-        if (not np.isfinite(v_vals).all()
-                or np.max(np.abs(v_vals)) >= p.blowup_threshold
-                or np.max(np.abs(w_vals)) >= p.blowup_threshold):
-            status = "blowup_stopped"
-            break
-        p1v = np.fft.irfft(red.q1 * vspec, n=n)
-        sup_diff = max(sup_diff, float(np.max(np.abs(p1v - w_vals))))
-        if gl is not None:
-            a_w = np.fft.ifft(_demod_spec(wspec, grid, pos_mask))
-            a_gl = np.fft.ifft(aspec)
-            sup_diff_gl = max(sup_diff_gl, float(np.max(np.abs(a_w - a_gl))))
-        if i % snapshot_stride == 0 or i == n_steps:
-            times.append(i * p.dt)
-            snaps_v.append(RealField(grid, v_vals))
-            snaps_w.append(RealField(grid, w_vals))
-    traj_v = Trajectory(times=np.asarray(times), snapshots=snaps_v, status=status)
-    traj_w = Trajectory(times=np.asarray(times), snapshots=snaps_w, status=status)
-    return PairedResult(traj_v=traj_v, traj_w=traj_w, sup_diff=sup_diff,
-                        sup_diff_gl=(sup_diff_gl if with_gl else None),
+    snaps = Snapshots([v0, RealField.from_spectrum(grid, wspec)], p.dt,
+                      snapshot_stride, n_steps)
+    status = integrate(steppers, specs, n_steps, p.blowup_threshold,
+                       noise_draw(sh.noise, cfg), observers + [snaps])
+    return PairedResult(traj_v=snaps.trajectory(0, status),
+                        traj_w=snaps.trajectory(1, status),
+                        sup_diff=sup_diff.value,
+                        sup_diff_gl=sup_diff_gl.value if with_gl else None,
                         status=status)

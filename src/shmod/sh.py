@@ -23,10 +23,6 @@ CUBIC = "cubic"
 QUINTIC = "quintic"
 
 
-class BlowupStopped(Exception):
-    """Raised when the sup norm crosses the blow-up guard."""
-
-
 @dataclass(frozen=True)
 class ModelParams:
     variant: str = CUBIC
@@ -100,54 +96,79 @@ class SHStepper:
             return (p.nu / p.eps) * pw[2] - pw[3]
         return (p.nu2 / p.eps) * pw[2] + p.nu3 * pw[3] - pw[5]
 
-    def step_spec(self, vspec: np.ndarray, xi: np.ndarray | None) -> np.ndarray:
+    def step_spec(self, vspec: np.ndarray, raw: np.ndarray | None) -> np.ndarray:
         out = self.decay * vspec + self.phi1dt * self.nonlinearity(vspec)
-        if xi is not None:
-            out = out + xi
+        if raw is not None and self.noise_scale is not None:
+            out = out + raw * self.noise_scale
         return out
 
-    def noise_increment(self, rng: np.random.Generator) -> np.ndarray | None:
-        if self.noise_scale is None:
-            return None
-        return self.noise.raw(rng) * self.noise_scale
+    def values(self, vspec: np.ndarray) -> np.ndarray:
+        return np.fft.irfft(vspec, n=self.grid.n_points)
 
 
-def step_rescaled(v: RealField, p: ModelParams, rng: np.random.Generator | None = None,
-                  intensity: float = 1.0) -> RealField:
-    """One exponential-Euler step; raises BlowupStopped past the guard."""
-    if v.sup_norm() >= p.blowup_threshold:
-        raise BlowupStopped("pre-step sup norm exceeds blow-up threshold")
-    stepper = SHStepper(v.grid, p, intensity if rng is not None else 0.0)
-    xi = stepper.noise_increment(rng) if rng is not None else None
-    out = RealField.from_spectrum(v.grid, stepper.step_spec(v.spectrum(), xi))
-    if not np.isfinite(out.values).all() or out.sup_norm() >= p.blowup_threshold:
-        raise BlowupStopped("post-step sup norm exceeds blow-up threshold")
-    return out
+def integrate(steppers, specs, n_steps: int, threshold: float,
+              draw=None, observers=()) -> str:
+    """Advance the spectra ``specs`` by up to ``n_steps`` steps.
+
+    Each step draws one raw increment shared by all steppers (``draw()``,
+    or None for a noise-free run); every stepper scales it itself in
+    ``step_spec(spec, raw)`` and maps its new spectrum to grid values with
+    ``values(spec)``.  A step on which any field is non-finite or reaches
+    sup norm ``threshold`` ends the run unobserved; otherwise every observer
+    is called as ``observer(i, specs, values)``.  Returns the run status,
+    "completed" or "blowup_stopped".
+    """
+    for i in range(1, n_steps + 1):
+        raw = draw() if draw is not None else None
+        specs = [s.step_spec(spec, raw) for s, spec in zip(steppers, specs)]
+        values = [s.values(spec) for s, spec in zip(steppers, specs)]
+        if any(not np.isfinite(v).all() or np.max(np.abs(v)) >= threshold
+               for v in values):
+            return "blowup_stopped"
+        for observe in observers:
+            observe(i, specs, values)
+    return "completed"
+
+
+def noise_draw(noise: SpectralNoise, cfg: NoiseConfig | None):
+    """Per-step ``noise.raw`` from ``cfg``'s stream; None without noise."""
+    if cfg is None or cfg.intensity == 0:
+        return None
+    rng = cfg.make_rng()
+    return lambda: noise.raw(rng)
+
+
+class Snapshots:
+    """Observer storing every ``stride``-th step, and the last, of the first
+    ``len(initial)`` fields, each started from its field in ``initial``."""
+
+    def __init__(self, initial, dt: float, stride: int, n_steps: int):
+        self.dt, self.stride, self.n_steps = dt, stride, n_steps
+        self.times = [0.0]
+        self.fields = [[f] for f in initial]
+
+    def __call__(self, i, specs, values):
+        if i % self.stride == 0 or i == self.n_steps:
+            self.times.append(i * self.dt)
+            for snaps, vals in zip(self.fields, values):
+                snaps.append(type(snaps[0])(snaps[0].grid, vals))
+
+    def trajectory(self, k: int, status: str) -> Trajectory:
+        return Trajectory(times=np.asarray(self.times),
+                          snapshots=self.fields[k], status=status)
 
 
 def simulate(v0: RealField, p: ModelParams, cfg: NoiseConfig | None = None,
              snapshot_stride: int = 10) -> Trajectory:
     """Integrate to t_end (or blow-up); snapshots every ``snapshot_stride`` steps."""
-    grid = v0.grid
     intensity = cfg.intensity if cfg is not None else 0.0
-    stepper = SHStepper(grid, p, intensity)
-    rng = cfg.make_rng() if cfg is not None and intensity > 0 else None
+    stepper = SHStepper(v0.grid, p, intensity)
     n_steps = int(round(p.t_end / p.dt))
-    times = [0.0]
-    snaps = [v0]
-    vspec = v0.spectrum()
-    status = "completed"
-    for i in range(1, n_steps + 1):
-        xi = stepper.noise_increment(rng) if rng is not None else None
-        vspec = stepper.step_spec(vspec, xi)
-        vals = np.fft.irfft(vspec, n=grid.n_points)
-        if not np.isfinite(vals).all() or np.max(np.abs(vals)) >= p.blowup_threshold:
-            status = "blowup_stopped"
-            break
-        if i % snapshot_stride == 0 or i == n_steps:
-            times.append(i * p.dt)
-            snaps.append(RealField(grid, vals))
-    return Trajectory(times=np.asarray(times), snapshots=snaps, status=status)
+    snaps = Snapshots([v0], p.dt, snapshot_stride, n_steps)
+    status = integrate([stepper], [v0.spectrum()], n_steps,
+                       p.blowup_threshold, noise_draw(stepper.noise, cfg),
+                       [snaps])
+    return snaps.trajectory(0, status)
 
 
 def rescale_to_original(traj: Trajectory, eps: float,

@@ -197,6 +197,12 @@ def _noise_for(cfg: StudyConfig, seed: int) -> NoiseConfig:
     return NoiseConfig(seed=cfg.base_seed + seed, intensity=cfg.intensity)
 
 
+def _require_completed(status: str) -> None:
+    """A cell whose run did not complete has no diagnostics to record."""
+    if status != "completed":
+        raise RuntimeError(f"run ended with status {status!r}")
+
+
 def _paired_cell(cfg: StudyConfig, eps: float, nu: float, seed: int, with_gl: bool) -> dict:
     grid = Grid.for_carrier(eps, cfg.n_points, periods=cfg.periods)
     ncfg = _noise_for(cfg, seed)
@@ -208,6 +214,7 @@ def _paired_cell(cfg: StudyConfig, eps: float, nu: float, seed: int, with_gl: bo
     result = simulate_paired(
         v0, params, ncfg, delta=cfg.delta, snapshot_stride=1, with_gl=with_gl
     )
+    _require_completed(result.status)
     diags = {"sup_diff": result.sup_diff}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -227,6 +234,7 @@ def _attractivity_cell(cfg: StudyConfig, eps: float, nu: float, seed: int) -> di
     )
     params = ModelParams("cubic", eps=grid.eps, nu=nu, dt=cfg.dt, t_end=cfg.t_end)
     traj = simulate(v0, params, ncfg, snapshot_stride=10)
+    _require_completed(traj.status)
     q1 = make_kernel("P1", cfg.delta, grid.eps, grid)
     t_skip = ATTRACTIVITY_SKIP * cfg.t_end
     sup = max(
@@ -385,9 +393,20 @@ def summarize(cfg: StudyConfig, records: list) -> dict:
         "n_failed": sum(1 for r in records if r.status != "ok"),
         "fits": {},
         "acceptance": {},
+        "gates_not_evaluated": [],
     }
     fits = summary["fits"]
     gates = summary["acceptance"]
+    not_evaluated = summary["gates_not_evaluated"]
+
+    def gate(name, slope, passes):
+        # A slope needs medians at 3 eps values; without one, nothing was
+        # measured that could fail.
+        if slope is None:
+            not_evaluated.append(name)
+        else:
+            gates[name] = passes(slope)
+
     if cfg.study in ("theorem2", "averaging", "gl-limit"):
         for diag in ("sup_diff", "res_p0", "res_p2", "sup_diff_gl"):
             med = _median_by_eps(records, diag)
@@ -398,26 +417,23 @@ def summarize(cfg: StudyConfig, records: list) -> dict:
                 "medians": {f"{e:.10g}": m for e, m in med.items()},
                 "slope": None if fit is None else fit.slope,
             }
-        if cfg.study == "theorem2" and "sup_diff" in fits:
-            slope = fits["sup_diff"]["slope"]
-            gates["sup_diff_slope_in_window"] = (
-                slope is not None and 0.7 <= slope <= 1.3
-            )
+        if cfg.study == "theorem2":
+            gate("sup_diff_slope_in_window",
+                 fits.get("sup_diff", {}).get("slope"),
+                 lambda s: 0.7 <= s <= 1.3)
         if cfg.study == "averaging":
             p0 = fits.get("res_p0", {}).get("slope")
             p2 = fits.get("res_p2", {}).get("slope")
             if cfg.intensity == 0:
                 # Every O(eps) drift term of P0/P2 lies outside those bands,
                 # so the residual is O(eps^2) at most: a one-sided gate.
-                gates["res_p0_slope_above_1.7"] = p0 is not None and p0 >= 1.7
-                gates["res_p2_slope_above_1.7"] = p2 is not None and p2 >= 1.7
+                gate("res_p0_slope_above_1.7", p0, lambda s: s >= 1.7)
+                gate("res_p2_slope_above_1.7", p2, lambda s: s >= 1.7)
             else:
                 # Under noise res_p2 is the O(eps^{1/2}) response of the fast
                 # modes to P2 dW; res_p0 crosses over from the deterministic
                 # eps^2 part to the noise part and has no single exponent.
-                gates["res_p2_slope_in_window"] = (
-                    p2 is not None and 0.2 <= p2 <= 0.8
-                )
+                gate("res_p2_slope_in_window", p2, lambda s: 0.2 <= s <= 0.8)
     elif cfg.study == "attractivity":
         med = _median_by_eps(records, "offband_sup")
         fit = _slope_fit(med)
@@ -427,7 +443,8 @@ def summarize(cfg: StudyConfig, records: list) -> dict:
             "slope": None if fit is None else fit.slope,
             "ratio_spread": max(ratios) / min(ratios) if ratios else None,
         }
-        gates["slope_in_window"] = fit is not None and 0.7 <= fit.slope <= 1.3
+        gate("slope_in_window", fits["offband_sup"]["slope"],
+             lambda s: 0.7 <= s <= 1.3)
         gates["ratio_spread_below_2"] = bool(ratios) and max(ratios) / min(ratios) < 2.0
     elif cfg.study == "landau-sweep":
         sweep = {}

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from shmod import (
-    BlowupStopped,
     Grid,
     ModelParams,
     NoiseConfig,
@@ -12,15 +11,16 @@ from shmod import (
     modulate,
     modulated_carrier_ic,
     apply_diagonal,
+    integrate,
     op_semigroup_L_eps,
     project,
     project_complement,
     rescale_from_original,
     rescale_to_original,
     simulate,
-    step_rescaled,
 )
 from shmod.grid import ComplexField
+from shmod.sh import SHStepper
 
 DELTA = 0.125
 
@@ -40,9 +40,10 @@ def test_linear_step_matches_exact_semigroup(grid):
     rng = np.random.default_rng(0)
     v = RealField(grid, 1e-8 * rng.standard_normal(grid.n_points))
     p = ModelParams(eps=grid.eps, nu=0.0, dt=1e-3)
-    out = step_rescaled(v, p)
+    stepper = SHStepper(grid, p, intensity=0.0)
+    out = stepper.values(stepper.step_spec(v.spectrum(), None))
     exact = apply_diagonal(op_semigroup_L_eps(p.dt, grid.eps), v)
-    np.testing.assert_allclose(out.values, exact.values,
+    np.testing.assert_allclose(out, exact.values,
                                rtol=1e-10, atol=1e-22)
 
 
@@ -80,12 +81,42 @@ def test_blowup_is_reported_not_raised_by_simulate():
     assert np.isfinite(traj.final.values).all()
 
 
-def test_step_raises_past_blowup_guard():
+def test_integrate_stops_at_blowup_guard():
     grid = Grid.for_carrier(0.2, 256, periods=16)
     v = RealField(grid, np.full(grid.n_points, 20.0))
     p = ModelParams(eps=grid.eps, blowup_threshold=10.0)
-    with pytest.raises(BlowupStopped):
-        step_rescaled(v, p)
+    seen = []
+    status = integrate([SHStepper(grid, p, intensity=0.0)], [v.spectrum()],
+                       5, p.blowup_threshold,
+                       observers=[lambda i, specs, values: seen.append(i)])
+    assert status == "blowup_stopped"
+    assert seen == []
+
+
+class _FakeStepper:
+    """Adds 1 to every value per step; turns NaN from step ``nan_at`` on."""
+
+    def __init__(self, nan_at=None):
+        self.nan_at = nan_at
+        self.steps = 0
+
+    def step_spec(self, spec, raw):
+        self.steps += 1
+        if self.nan_at is not None and self.steps >= self.nan_at:
+            return np.full_like(spec, np.nan)
+        return spec + 1.0
+
+    def values(self, spec):
+        return spec
+
+
+def test_guard_covers_every_field():
+    seen = []
+    status = integrate([_FakeStepper(), _FakeStepper(nan_at=3)],
+                       [np.zeros(4), np.zeros(4)], 10, 1e4,
+                       observers=[lambda i, specs, values: seen.append(i)])
+    assert status == "blowup_stopped"
+    assert seen == [1, 2]
 
 
 def test_rescale_roundtrip(grid):
