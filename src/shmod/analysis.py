@@ -97,6 +97,18 @@ def averaging_residual(traj: Trajectory, eps: float, nu: float, k_band: str,
     evaluated pointwise on the grid by the trapezoid rule over snapshots;
     returns the sup norm of the sum at the final snapshot time.
     """
+    residual, change = _averaging_integral(traj, eps, nu, k_band, delta)
+    if stride_check and change is not None and change > 0.10:
+        warnings.warn("averaging_residual: snapshot stride too coarse "
+                      "(integral changes >10% under stride halving)")
+    return residual
+
+
+def _averaging_integral(traj: Trajectory, eps: float, nu: float, k_band: str,
+                        delta: float) -> tuple[float, float | None]:
+    """The averaging residual and the relative sup-norm change of its
+    integral under stride halving (None below 5 snapshots or for a zero
+    integral).  Raises no warning, so threads can share it."""
     if k_band not in ("P0", "P2"):
         raise ValueError("k_band must be 'P0' or 'P2'")
     grid = traj.snapshots[0].grid
@@ -118,14 +130,12 @@ def averaging_residual(traj: Trajectory, eps: float, nu: float, k_band: str,
     times = np.asarray(traj.times)
     fields = np.stack([integrand(s) for s in traj.snapshots])
     total = np.trapezoid(fields, x=times, axis=0)
-    if stride_check and len(times) >= 5:
+    residual = float(np.max(np.abs(total)))
+    change = None
+    if len(times) >= 5 and residual > 0:
         coarse = np.trapezoid(fields[::2], x=times[::2], axis=0)
-        num = float(np.max(np.abs(total - coarse)))
-        den = float(np.max(np.abs(total)))
-        if den > 0 and num / den > 0.10:
-            warnings.warn("averaging_residual: snapshot stride too coarse "
-                          "(integral changes >10% under stride halving)")
-    return float(np.max(np.abs(total)))
+        change = float(np.max(np.abs(total - coarse))) / residual
+    return residual, change
 
 
 def approximation_error(a: Trajectory, b: Trajectory, norm: str = "sup",

@@ -239,7 +239,9 @@ def _cmd_study(args) -> int:
               f"with ok cells): {summary['gates_not_evaluated']}",
               file=sys.stderr)
     if not summary["ok"]:
-        print(f"study gates failed: {summary['acceptance']}", file=sys.stderr)
+        print(f"study failed: gates {summary['acceptance']}, "
+              f"{summary['n_failed']} of {summary['n_records']} cells failed",
+              file=sys.stderr)
         return EXIT_GATE
     return EXIT_OK
 

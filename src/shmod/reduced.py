@@ -21,9 +21,9 @@ import numpy as np
 from .bands import DEFAULT_DELTA, make_kernel
 from .grid import ComplexField, Grid, RealField
 from .noise import NoiseConfig, SpectralNoise, ou_increment_variance
-from .operators import (dealiased_powers, dealiased_powers_complex,
-                        dealiased_product, inv_symbol_scaled, symbol_L_eps,
-                        NEAR_SINGULAR_TOL)
+from .operators import (_horner, _pad_to_physical, _truncate_to_spec,
+                        dealiased_powers_complex, inv_symbol_scaled,
+                        symbol_L_eps, NEAR_SINGULAR_TOL)
 from .sh import (CUBIC, ModelParams, SHStepper, Snapshots, Trajectory, _phi1,
                  integrate, noise_draw)
 
@@ -66,8 +66,6 @@ class ReducedStepper:
         if abs(grid.eps - p.eps) > 1e-9 * p.eps:
             raise ValueError("grid carrier does not match params.eps")
         self.grid = grid
-        self.p = p
-        self.delta = delta
         K = grid.rfft_wavenumbers
         lam = symbol_L_eps(K, p.eps)
         self.decay = np.exp(lam * p.dt)
@@ -85,29 +83,28 @@ class ReducedStepper:
         self.noise = SpectralNoise(grid, intensity)
         self.noise_scale = (self.noise.ou_scale(lam, p.dt) * self.q1
                             if intensity > 0 else None)
-        self.pad = 2 if p.variant == CUBIC else 3
+        # padding by 3 is alias-free for w^5 and for the quadratic correction
+        if p.variant == CUBIC:
+            self.pad, self.coeffs, nu_q = 2, {3: -1.0}, p.nu
+        else:
+            self.pad, self.coeffs, nu_q = 3, {3: p.nu3, 5: -1.0}, p.nu2
+        self.corr = -2.0 * nu_q * nu_q
 
-    def quadratic_correction(self, wspec: np.ndarray) -> np.ndarray:
-        """Half-spectrum of -2 nu^2 P1[w * eps^-2 L_eps^-1 (P0+P2) w^2]."""
-        p = self.p
-        nu_q = p.nu if p.variant == CUBIC else p.nu2
-        if nu_q == 0.0:
-            return np.zeros_like(wspec)
-        w2 = dealiased_product(wspec, wspec, self.grid.n_points, 2)
-        mix = dealiased_product(wspec, self.inv02 * w2, self.grid.n_points, 2)
-        return -2.0 * nu_q ** 2 * self.q1 * mix
+    def _padded_correction(self, wp: np.ndarray) -> np.ndarray:
+        """-2 nu^2 w * eps^-2 L_eps^-1 (P0+P2) w^2 on the fine grid of ``wp``."""
+        n = self.grid.n_points
+        w2 = _truncate_to_spec(wp * wp, n)
+        return self.corr * wp * _pad_to_physical(self.inv02 * w2, n, wp.size)
 
     def drift(self, wspec: np.ndarray) -> np.ndarray:
-        p = self.p
+        """P1 of the band polynomial plus the quadratic correction: w padded
+        once, one truncating FFT for the whole sum (4 FFTs, 2 if nu = 0)."""
         n = self.grid.n_points
-        out = self.quadratic_correction(wspec)
-        if p.variant == CUBIC:
-            pw = dealiased_powers(wspec, n, (3,), 2)
-            out = out - self.q1 * pw[3]
-        else:
-            pw = dealiased_powers(wspec, n, (3, 5), 3)
-            out = out + p.nu3 * self.q1 * pw[3] - self.q1 * pw[5]
-        return out
+        wp = _pad_to_physical(wspec, n, self.pad * n)
+        total = _horner(wp, self.coeffs)
+        if self.corr != 0.0:
+            total += self._padded_correction(wp)
+        return self.q1 * _truncate_to_spec(total, n)
 
     def step_spec(self, wspec: np.ndarray, raw: np.ndarray | None) -> np.ndarray:
         out = self.decay * wspec + self.phi1dt * self.drift(wspec)
@@ -124,7 +121,10 @@ def reduced_quadratic_correction(w: RealField, eps: float, nu: float,
     """The averaged quadratic term as a field (diagnostic surface)."""
     p = ModelParams(variant=CUBIC, eps=eps, nu=nu)
     stepper = ReducedStepper(w.grid, p, intensity=0.0, delta=delta)
-    return RealField.from_spectrum(w.grid, stepper.quadratic_correction(w.spectrum()))
+    n = w.grid.n_points
+    wp = _pad_to_physical(w.spectrum(), n, stepper.pad * n)
+    spec = stepper.q1 * _truncate_to_spec(stepper._padded_correction(wp), n)
+    return RealField.from_spectrum(w.grid, spec)
 
 
 def simulate_reduced(w0: RealField, p: ModelParams, cfg: NoiseConfig | None = None,
@@ -152,7 +152,6 @@ class GLStepper:
 
     def __init__(self, grid: Grid, c: GLCoefficients, dt: float):
         self.grid = grid
-        self.c = c
         self.dt = dt
         K = grid.wavenumbers
         lam = -c.diffusion * K ** 2
@@ -166,16 +165,12 @@ class GLStepper:
         unit = c.noise_intensity ** 2 * grid.n_points ** 2 / grid.length
         self.noise_scale = np.sqrt(
             unit * ou_increment_variance(lam, dt) / grid.n_points)
-        self.exponents = (3,) if c.quintic == 0.0 else (3, 5)
+        self.coeffs = {3: c.cubic} if c.quintic == 0.0 else {3: c.cubic, 5: c.quintic}
         self.pad = 2 if c.quintic == 0.0 else 3
 
     def nonlinearity(self, aspec: np.ndarray) -> np.ndarray:
-        pw = dealiased_powers_complex(aspec, self.grid.n_points,
-                                      self.exponents, self.pad)
-        out = self.c.cubic * pw[3]
-        if self.c.quintic != 0.0:
-            out = out + self.c.quintic * pw[5]
-        return out
+        return dealiased_powers_complex(aspec, self.grid.n_points,
+                                        self.coeffs, self.pad)
 
     def step_spec(self, aspec: np.ndarray, raw: np.ndarray | None) -> np.ndarray:
         n1 = self.nonlinearity(aspec)

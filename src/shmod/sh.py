@@ -77,7 +77,6 @@ class SHStepper:
         if abs(grid.eps - p.eps) > 1e-9 * p.eps:
             raise ValueError("grid carrier does not match params.eps")
         self.grid = grid
-        self.p = p
         lam = symbol_L_eps(grid.rfft_wavenumbers, p.eps)
         self.decay = np.exp(lam * p.dt)
         self.phi1dt = p.dt * _phi1(lam * p.dt)
@@ -85,16 +84,12 @@ class SHStepper:
         self.noise_scale = (self.noise.ou_scale(lam, p.dt)
                             if intensity > 0 else None)
         if p.variant == CUBIC:
-            self.exponents, self.pad = (2, 3), 2
+            self.coeffs, self.pad = {2: p.nu / p.eps, 3: -1.0}, 2
         else:
-            self.exponents, self.pad = (2, 3, 5), 3
+            self.coeffs, self.pad = {2: p.nu2 / p.eps, 3: p.nu3, 5: -1.0}, 3
 
     def nonlinearity(self, vspec: np.ndarray) -> np.ndarray:
-        pw = dealiased_powers(vspec, self.grid.n_points, self.exponents, self.pad)
-        p = self.p
-        if p.variant == CUBIC:
-            return (p.nu / p.eps) * pw[2] - pw[3]
-        return (p.nu2 / p.eps) * pw[2] + p.nu3 * pw[3] - pw[5]
+        return dealiased_powers(vspec, self.grid.n_points, self.coeffs, self.pad)
 
     def step_spec(self, vspec: np.ndarray, raw: np.ndarray | None) -> np.ndarray:
         out = self.decay * vspec + self.phi1dt * self.nonlinearity(vspec)

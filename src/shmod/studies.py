@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import json
 import time
-import warnings
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -28,7 +27,7 @@ from .sh import ModelParams, simulate, modulated_carrier_ic
 from .bands import make_kernel, project_complement
 from .reduced import simulate_paired
 from .analysis import (
-    averaging_residual,
+    _averaging_integral,
     estimate_landau_coefficient,
     fit_scaling_exponent,
 )
@@ -216,10 +215,8 @@ def _paired_cell(cfg: StudyConfig, eps: float, nu: float, seed: int, with_gl: bo
     )
     _require_completed(result.status)
     diags = {"sup_diff": result.sup_diff}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        diags["res_p0"] = averaging_residual(result.traj_v, grid.eps, nu, "P0", cfg.delta)
-        diags["res_p2"] = averaging_residual(result.traj_v, grid.eps, nu, "P2", cfg.delta)
+    diags["res_p0"], _ = _averaging_integral(result.traj_v, grid.eps, nu, "P0", cfg.delta)
+    diags["res_p2"], _ = _averaging_integral(result.traj_v, grid.eps, nu, "P2", cfg.delta)
     if with_gl:
         diags["sup_diff_gl"] = result.sup_diff_gl
     return diags
@@ -467,7 +464,9 @@ def summarize(cfg: StudyConfig, records: list) -> dict:
                 fits["c5_pure"] = r.diagnostics.get("c5")
             else:
                 fits["c3_quadratic"] = r.diagnostics.get("c3")
-    summary["ok"] = all(gates.values()) if gates else True
+    # a study in which no cell succeeded measured nothing that could pass
+    summary["ok"] = (all(gates.values()) and
+                     (not records or summary["n_failed"] < len(records)))
     return summary
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,9 @@ from shmod import (
     HolderNormConfig,
     ModelParams,
     RealField,
+    Trajectory,
     approximation_error,
+    averaging_residual,
     estimate_landau_coefficient,
     fit_scaling_exponent,
     mode_concentration,
@@ -59,6 +63,21 @@ def test_mode_concentration_zero_field_warns(grid):
     with pytest.warns(UserWarning):
         assert mode_concentration(RealField(grid, np.zeros(grid.n_points)),
                                   grid.eps) == 0.0
+
+
+def test_averaging_residual_warns_on_coarse_stride(grid):
+    # the integrand alternates with the snapshots, so halving the stride
+    # doubles the trapezoid integral
+    f = RealField(grid, np.cos(grid.x / grid.eps) + 0.5)
+    zero = RealField(grid, np.zeros(grid.n_points))
+    traj = Trajectory(times=np.arange(5.0), snapshots=[f, zero, f, zero, f])
+    with pytest.warns(UserWarning, match="stride"):
+        res = averaging_residual(traj, grid.eps, 0.0, "P0")
+    assert res > 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert averaging_residual(traj, grid.eps, 0.0, "P0",
+                                  stride_check=False) == res
 
 
 def test_approximation_error_identical_is_zero(grid):

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -188,10 +189,18 @@ def test_every_solve_reaches_shstepper_step_spec(tmp_path, monkeypatch):
 
 
 def test_study_is_deterministic_across_thread_counts(tmp_path):
+    # One cell of this study trips averaging_residual's stride check.  The
+    # cells must neither raise that warning nor touch the process-wide
+    # warning filters, which threads share.
     s1 = tiny_cfg(tmp_path / "one", threads=1)
     s2 = tiny_cfg(tmp_path / "two", threads=2)
-    run_study(s1)
-    run_study(s2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        filters = list(warnings.filters)
+        run_study(s1)
+        run_study(s2)
+        assert warnings.filters == filters
+    assert not [w for w in caught if "stride" in str(w.message)]
     d1 = {r.key: r.diagnostics_repr() for r in
           load_records(tmp_path / "one" / "records.csv")}
     d2 = {r.key: r.diagnostics_repr() for r in
@@ -260,6 +269,13 @@ def test_cli_exit_codes(tmp_path):
              "--out", str(tmp_path / "avg"))
     assert r.returncode == 0, r.stderr
     assert "res_p2_slope_in_window" in r.stderr
+
+    # a study in which every cell blew up fails, though no gate was evaluated
+    r = _cli("study", "--study", "theorem2", "--eps", "0.2", "--seeds", "1",
+             "--n", "512", "--periods", "32", "--dt", "0.05",
+             "--amplitude", "5", "--t-end", "0.5", "--delta", "0.125",
+             "--out", str(tmp_path / "blown"))
+    assert r.returncode == 3, r.stderr
 
 
 def test_cli_spectrum_reads_field(tmp_path):

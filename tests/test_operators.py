@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shmod import (
     Grid,
@@ -15,7 +16,7 @@ from shmod import (
     symbol_L,
     symbol_L_eps,
 )
-from shmod.operators import dealiased_powers, dealiased_product, inv_symbol_scaled
+from shmod.operators import dealiased_powers, inv_symbol_scaled
 
 
 def test_symbol_values():
@@ -74,7 +75,7 @@ def test_dealiased_square_of_single_mode_is_exact():
     g = Grid.for_carrier(0.1, 256, periods=16)
     k0 = 5 * g.dk
     f = RealField(g, np.cos(k0 * g.x))
-    sq_spec = dealiased_powers(f.spectrum(), g.n_points, (2,), 2)[2]
+    sq_spec = dealiased_powers(f.spectrum(), g.n_points, {2: 1.0}, 2)
     sq = np.fft.irfft(sq_spec, n=g.n_points)
     np.testing.assert_allclose(sq, 0.5 * (1.0 + np.cos(2 * k0 * g.x)), atol=1e-13)
 
@@ -83,7 +84,7 @@ def test_dealiased_cube_of_single_mode_is_exact():
     g = Grid.for_carrier(0.1, 256, periods=16)
     k0 = 5 * g.dk
     f = RealField(g, np.cos(k0 * g.x))
-    cube_spec = dealiased_powers(f.spectrum(), g.n_points, (3,), 2)[3]
+    cube_spec = dealiased_powers(f.spectrum(), g.n_points, {3: 1.0}, 2)
     cube = np.fft.irfft(cube_spec, n=g.n_points)
     np.testing.assert_allclose(
         cube, 0.75 * np.cos(k0 * g.x) + 0.25 * np.cos(3 * k0 * g.x), atol=1e-13
@@ -96,11 +97,51 @@ def test_dealiased_product_no_wraparound():
     j = g.n_points // 2 - 2
     k0 = j * g.dk
     f = RealField(g, np.cos(k0 * g.x))
-    prod_spec = dealiased_product(f.spectrum(), f.spectrum(), g.n_points, 2)
+    prod_spec = dealiased_powers(f.spectrum(), g.n_points, {2: 1.0}, 2)
     prod = np.fft.irfft(prod_spec, n=g.n_points)
     # true square has a 2*k0 component beyond Nyquist; dealiasing must drop
     # it, leaving only the constant 1/2
     np.testing.assert_allclose(prod, np.full(g.n_points, 0.5), atol=1e-13)
+    # likewise the 3*k0 component of the cube, leaving 3/4 cos(k0 x)
+    cube_spec = dealiased_powers(f.spectrum(), g.n_points, {3: 1.0}, 2)
+    cube = np.fft.irfft(cube_spec, n=g.n_points)
+    np.testing.assert_allclose(cube, 0.75 * np.cos(k0 * g.x), atol=1e-13)
+
+
+def _powers_padded_to_8n(rspec, n, coeffs):
+    """Reference: sum_e c_e v**e on an 8n grid, where no power up to the
+    fifth can alias, truncated back to the n-point half-spectrum."""
+    n_pad = 8 * n
+    padded = np.zeros(n_pad // 2 + 1, dtype=np.complex128)
+    padded[: n // 2] = rspec[: n // 2]
+    vp = np.fft.irfft(padded, n=n_pad) * 8
+    poly = sum(c * vp**e for e, c in coeffs.items())
+    spec = np.fft.rfft(poly)[: n // 2 + 1] / 8
+    spec[n // 2] = 0.0
+    return spec
+
+
+@pytest.mark.parametrize("exponents, pad", [((2, 3), 2), ((2, 3, 5), 3)])
+@given(seed=st.integers(0, 2**32 - 1), log2n=st.integers(3, 10),
+       fill=st.floats(0.05, 1.0), scale=st.floats(0.1, 3.0))
+@settings(max_examples=30, deadline=None)
+def test_dealiased_powers_matches_unaliased_reference(exponents, pad, seed,
+                                                      log2n, fill, scale):
+    # a random band-limited field (modes below fill * Nyquist) of sup norm
+    # `scale` and a random polynomial with the given exponents
+    n = 2**log2n
+    rng = np.random.default_rng(seed)
+    n_modes = max(1, int(fill * (n // 2)))
+    rspec = np.zeros(n // 2 + 1, dtype=np.complex128)
+    rspec[:n_modes] = (rng.standard_normal(n_modes)
+                       + 1j * rng.standard_normal(n_modes))
+    rspec[0] = rspec[0].real
+    rspec *= scale / np.max(np.abs(np.fft.irfft(rspec, n=n)))
+    coeffs = {e: rng.uniform(-2.0, 2.0) for e in exponents}
+    got = dealiased_powers(rspec, n, coeffs, pad)
+    ref = _powers_padded_to_8n(rspec, n, coeffs)
+    np.testing.assert_allclose(got, ref, rtol=1e-12,
+                               atol=1e-12 * np.max(np.abs(ref)))
 
 
 def test_inverse_operator_on_band_matches_symbol(grid):

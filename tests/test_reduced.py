@@ -17,6 +17,7 @@ from shmod import (
     simulate_reduced,
 )
 from shmod.grid import ComplexField
+from shmod.reduced import ReducedStepper
 
 DELTA = 0.125
 
@@ -62,6 +63,51 @@ def test_quadratic_correction_matches_closed_form():
     corr = reduced_quadratic_correction(w, grid.eps, nu, delta=DELTA)
     expect = 2.0 * nu**2 * (19.0 / 9.0) * a**3 * 2.0 * np.cos(grid.x / grid.eps)
     np.testing.assert_allclose(corr.values, expect, atol=1e-12)
+
+
+def _drift_in_eight_ffts(stepper, p, wspec):
+    """The band drift as composed before the fused kernel: w padded three
+    times, two dealiased products at pad 2 for the quadratic correction and
+    separate truncations of each power (8 FFTs)."""
+    n, q1 = stepper.grid.n_points, stepper.q1
+
+    def pad(spec, f):
+        padded = np.zeros(f * n // 2 + 1, dtype=np.complex128)
+        padded[: n // 2 + 1] = spec
+        padded[n // 2] = 0.0
+        return np.fft.irfft(padded, n=f * n) * f
+
+    def trunc(values, f):
+        spec = np.fft.rfft(values)[: n // 2 + 1] / f
+        spec[n // 2] = 0.0
+        return spec
+
+    def product(a, b):
+        return trunc(pad(a, 2) * pad(b, 2), 2)
+
+    nu_q = p.nu if p.variant == "cubic" else p.nu2
+    w2 = product(wspec, wspec)
+    out = -2.0 * nu_q**2 * q1 * product(wspec, stepper.inv02 * w2)
+    if p.variant == "cubic":
+        return out - q1 * trunc(pad(wspec, 2) ** 3, 2)
+    wp = pad(wspec, 3)
+    return out + p.nu3 * q1 * trunc(wp**3, 3) - q1 * trunc(wp**5, 3)
+
+
+@pytest.mark.parametrize("params", [
+    dict(variant="cubic", nu=0.7),
+    dict(variant="quintic", nu2=0.8, nu3=0.6),
+])
+def test_drift_matches_eight_fft_composition(params):
+    grid = Grid.for_carrier(0.1, 1024, periods=64)
+    p = ModelParams(eps=grid.eps, **params)
+    stepper = ReducedStepper(grid, p, intensity=0.0, delta=DELTA)
+    w = modulated_carrier_ic(grid, grid.eps, np.random.default_rng(3),
+                             amplitude=0.8, delta=DELTA)
+    wspec = stepper.q1 * w.spectrum()
+    got = stepper.drift(wspec)
+    ref = _drift_in_eight_ffts(stepper, p, wspec)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_gl_constant_data_follows_riccati_solution():
