@@ -1,15 +1,12 @@
 """Pseudospectral laboratory for the stochastic Swift-Hohenberg equation and
 its Ginzburg-Landau amplitude reduction."""
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .grid import ComplexField, Grid, RealField, read_field, write_field
-from .operators import (DiagonalOperator, apply_diagonal,
-                        inv_Leps_scaled_on_band, op_L, op_L_eps,
-                        op_semigroup_L, op_semigroup_L_eps, symbol_L,
-                        symbol_L_eps)
-from .bands import (AnsatzDecomposition, BandKernel, decompose, demodulate,
-                    make_kernel, modulate, project, project_complement)
+from .operators import inv_Leps_scaled_on_band, symbol_L, symbol_L_eps
+from .bands import (BandKernel, demodulate, make_kernel, modulate, project,
+                    project_complement)
 from .noise import (NoiseConfig, complex_white_increment,
                     ou_increment_variance, ou_mode_step,
                     spectral_variance_rate, stochastic_convolution_path,

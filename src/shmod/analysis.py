@@ -87,6 +87,67 @@ def mode_concentration(f: RealField, eps: float,
     return off.l2_norm() / total
 
 
+class AveragingAccumulator:
+    """Running trapezoid rule, over time, of the averaging integrands
+
+        v1 * P_k v / eps + nu * v1 * eps^-2 L_eps^-1 P_k v1^2,  k in ``bands``
+
+    fed one half-spectrum of v at a time, in O(n) memory.  A second
+    trapezoid over every other sample (the first, the third, ...) gives the
+    integral's change under stride halving.  Per sample: one inverse FFT
+    for v1 (none when the caller has it), one forward FFT of v1^2 shared by
+    the bands, and one inverse FFT per band, of q_k/eps v + nu inv_k (v1^2)^.
+    """
+
+    def __init__(self, grid: Grid, eps: float, nu: float,
+                 delta: float = DEFAULT_DELTA, bands=("P0", "P2")):
+        if any(b not in ("P0", "P2") for b in bands):
+            raise ValueError("bands must be 'P0' or 'P2'")
+        K = grid.rfft_wavenumbers
+        self.n = grid.n_points
+        self.q1 = make_kernel("P1", delta, eps, grid).evaluate(K)
+        qk_eps, nu_inv = [], []
+        for b in bands:
+            qk = make_kernel(b, delta, eps, grid).evaluate(K)
+            on = qk > 0
+            inv = np.zeros_like(K)
+            inv[on] = qk[on] * inv_symbol_scaled(K[on], eps)
+            qk_eps.append(qk / eps)
+            nu_inv.append(nu * inv)
+        self.qk_eps, self.nu_inv = np.array(qk_eps), np.array(nu_inv)
+        self.count = 0
+        self.total = np.zeros((len(bands), self.n))
+        self.coarse = np.zeros_like(self.total)
+
+    def add(self, t: float, vspec: np.ndarray, v1: np.ndarray | None = None):
+        """Add the sample of v at time ``t`` (later than the last one);
+        ``v1`` is irfft(q1 * vspec) if the caller has it."""
+        if v1 is None:
+            v1 = np.fft.irfft(self.q1 * vspec, n=self.n)
+        sq = np.fft.rfft(v1 * v1)
+        f = v1 * np.fft.irfft(self.qk_eps * vspec + self.nu_inv * sq, n=self.n)
+        if self.count:
+            self.total += (0.5 * (t - self._t)) * (self._f + f)
+        if self.count % 2 == 0:
+            if self.count:
+                self.coarse += (0.5 * (t - self._t_even)) * (self._f_even + f)
+            self._t_even, self._f_even = t, f
+        self._t, self._f = t, f
+        self.count += 1
+
+    def results(self) -> list[tuple[float, float | None]]:
+        """Per band, the sup norm of the integral and its relative change
+        under stride halving (None below 5 samples or for a zero integral)."""
+        out = []
+        for total, coarse in zip(self.total, self.coarse):
+            residual = float(np.max(np.abs(total)))
+            change = None
+            if self.count >= 5 and residual > 0:
+                change = float(np.max(np.abs(total - coarse))) / residual
+            out.append((residual, change))
+        return out
+
+
 def averaging_residual(traj: Trajectory, eps: float, nu: float, k_band: str,
                        delta: float = DEFAULT_DELTA,
                        stride_check: bool = True) -> float:
@@ -97,45 +158,15 @@ def averaging_residual(traj: Trajectory, eps: float, nu: float, k_band: str,
     evaluated pointwise on the grid by the trapezoid rule over snapshots;
     returns the sup norm of the sum at the final snapshot time.
     """
-    residual, change = _averaging_integral(traj, eps, nu, k_band, delta)
+    acc = AveragingAccumulator(traj.snapshots[0].grid, eps, nu, delta,
+                               bands=(k_band,))
+    for t, snap in zip(traj.times, traj.snapshots):
+        acc.add(t, snap.spectrum())
+    ((residual, change),) = acc.results()
     if stride_check and change is not None and change > 0.10:
         warnings.warn("averaging_residual: snapshot stride too coarse "
                       "(integral changes >10% under stride halving)")
     return residual
-
-
-def _averaging_integral(traj: Trajectory, eps: float, nu: float, k_band: str,
-                        delta: float) -> tuple[float, float | None]:
-    """The averaging residual and the relative sup-norm change of its
-    integral under stride halving (None below 5 snapshots or for a zero
-    integral).  Raises no warning, so threads can share it."""
-    if k_band not in ("P0", "P2"):
-        raise ValueError("k_band must be 'P0' or 'P2'")
-    grid = traj.snapshots[0].grid
-    K = grid.rfft_wavenumbers
-    q1 = make_kernel("P1", delta, eps, grid).evaluate(K)
-    qk = make_kernel(k_band, delta, eps, grid).evaluate(K)
-    on = qk > 0
-    inv = np.zeros_like(K)
-    inv[on] = qk[on] * inv_symbol_scaled(K[on], eps)
-
-    def integrand(snap: RealField) -> np.ndarray:
-        spec = snap.spectrum()
-        v1 = np.fft.irfft(q1 * spec, n=grid.n_points)
-        vk = np.fft.irfft(qk * spec, n=grid.n_points) / eps
-        v1sq_spec = np.fft.rfft(v1 * v1)
-        corr = np.fft.irfft(inv * v1sq_spec, n=grid.n_points)
-        return v1 * vk + nu * v1 * corr
-
-    times = np.asarray(traj.times)
-    fields = np.stack([integrand(s) for s in traj.snapshots])
-    total = np.trapezoid(fields, x=times, axis=0)
-    residual = float(np.max(np.abs(total)))
-    change = None
-    if len(times) >= 5 and residual > 0:
-        coarse = np.trapezoid(fields[::2], x=times[::2], axis=0)
-        change = float(np.max(np.abs(total - coarse))) / residual
-    return residual, change
 
 
 def approximation_error(a: Trajectory, b: Trajectory, norm: str = "sup",

@@ -1,6 +1,5 @@
-"""Smooth Fourier band projectors P0, P1, P2, the four-part field
-decomposition, and carrier (de)modulation between the band field and the
-complex amplitude.
+"""Smooth Fourier band projectors P0, P1, P2 and carrier (de)modulation
+between the band field and the complex amplitude.
 """
 from __future__ import annotations
 
@@ -73,37 +72,6 @@ def project_complement(f: RealField, kernel: BandKernel) -> RealField:
     """(I - P) f."""
     return RealField.from_spectrum(
         f.grid, f.spectrum() * (1.0 - kernel.evaluate(f.grid.rfft_wavenumbers)))
-
-
-@dataclass(frozen=True)
-class AnsatzDecomposition:
-    """v = v1 + eps*v0 + eps*v2 + eps*remainder (exact by construction)."""
-
-    v1: RealField
-    v0: RealField
-    v2: RealField
-    remainder: RealField
-    eps: float
-
-    def reconstruct(self) -> RealField:
-        return RealField(
-            self.v1.grid,
-            self.v1.values + self.eps * (self.v0.values + self.v2.values
-                                         + self.remainder.values))
-
-
-def decompose(v: RealField, eps: float, delta: float = DEFAULT_DELTA) -> AnsatzDecomposition:
-    grid = v.grid
-    spec = v.spectrum()
-    K = grid.rfft_wavenumbers
-    q0 = make_kernel("P0", delta, eps, grid).evaluate(K)
-    q1 = make_kernel("P1", delta, eps, grid).evaluate(K)
-    q2 = make_kernel("P2", delta, eps, grid).evaluate(K)
-    v1 = RealField.from_spectrum(grid, spec * q1)
-    v0 = RealField.from_spectrum(grid, spec * q0 / eps)
-    v2 = RealField.from_spectrum(grid, spec * q2 / eps)
-    rem = RealField.from_spectrum(grid, spec * (1.0 - q0 - q1 - q2) / eps)
-    return AnsatzDecomposition(v1=v1, v0=v0, v2=v2, remainder=rem, eps=eps)
 
 
 # -- carrier modulation ------------------------------------------------------

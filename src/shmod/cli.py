@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import Grid, RealField, write_field, read_field
+from .grid import Grid, write_field, read_field
 from .noise import NoiseConfig
 from .sh import CUBIC, QUINTIC, ModelParams, simulate, modulated_carrier_ic
 from .bands import DEFAULT_DELTA, make_kernel, kernel_dump_csv, demodulate, project

@@ -1,14 +1,13 @@
-"""Fourier-diagonal operators: L = -(1+Laplacian)^2, its rescaled version,
-their semigroups, and the scaled band inverse, plus dealiased products.
+"""Fourier symbols of L = -(1+Laplacian)^2 and of its rescaled version, the
+scaled band inverse, and dealiased polynomial kernels.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, TYPE_CHECKING
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .grid import ComplexField, Grid, RealField
+from .grid import RealField
 
 if TYPE_CHECKING:  # pragma: no cover
     from .bands import BandKernel
@@ -31,59 +30,6 @@ def symbol_L_eps(K, eps: float):
     K = np.asarray(K, dtype=np.float64)
     s = -((1.0 - (eps * K) ** 2) ** 2) / eps ** 2
     return s if s.ndim else float(s)
-
-
-@dataclass(frozen=True)
-class DiagonalOperator:
-    """A Fourier multiplier with a human-readable descriptor."""
-
-    symbol: Callable[[np.ndarray], np.ndarray]
-    descriptor: str
-    support: Callable[[np.ndarray], np.ndarray] | None = None  # band mask
-
-
-def op_L() -> DiagonalOperator:
-    return DiagonalOperator(symbol_L, "L")
-
-
-def op_L_eps(eps: float) -> DiagonalOperator:
-    symbol_L_eps(0.0, eps)  # validate eps
-    return DiagonalOperator(lambda k: symbol_L_eps(k, eps), f"L_eps(eps={eps})")
-
-
-def op_semigroup_L(t: float) -> DiagonalOperator:
-    if t < 0:
-        raise ValueError("semigroup time must be non-negative")
-    return DiagonalOperator(lambda k: np.exp(np.asarray(symbol_L(k)) * t),
-                            f"semigroup_L(t={t})")
-
-
-def op_semigroup_L_eps(t: float, eps: float) -> DiagonalOperator:
-    if t < 0:
-        raise ValueError("semigroup time must be non-negative")
-    symbol_L_eps(0.0, eps)
-    return DiagonalOperator(lambda k: np.exp(np.asarray(symbol_L_eps(k, eps)) * t),
-                            f"semigroup_L_eps(T={t}, eps={eps})")
-
-
-def apply_diagonal(op: DiagonalOperator, f):
-    """Multiply f's Fourier coefficients by op's symbol.
-
-    Real fields stay real: the transform uses the Hermitian half-spectrum.
-    """
-    if isinstance(f, RealField):
-        mult = op.symbol(f.grid.rfft_wavenumbers)
-        spec = f.spectrum() * mult
-        if op.support is not None:
-            spec = spec * op.support(f.grid.rfft_wavenumbers)
-        return RealField.from_spectrum(f.grid, spec)
-    if isinstance(f, ComplexField):
-        mult = op.symbol(f.grid.wavenumbers)
-        spec = f.spectrum() * mult
-        if op.support is not None:
-            spec = spec * op.support(f.grid.wavenumbers)
-        return ComplexField.from_spectrum(f.grid, spec)
-    raise TypeError("expected RealField or ComplexField")
 
 
 def inv_symbol_scaled(K, eps: float):

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import AveragingAccumulator
 from .bands import DEFAULT_DELTA, make_kernel
 from .grid import ComplexField, Grid, RealField
 from .noise import NoiseConfig, SpectralNoise, ou_increment_variance
@@ -210,6 +211,9 @@ class PairedResult:
     traj_v: Trajectory
     traj_w: Trajectory
     sup_diff: float                      # sup_T ||P1 v - w||_inf
+    res_p0: float                        # averaging residuals of v, every step
+    res_p2: float
+    res_change: tuple                    # (P0, P2) change under stride halving
     sup_diff_gl: float | None = None     # sup_T ||demod(w) - A||_inf
     status: str = "completed"
 
@@ -256,6 +260,21 @@ class _RunningMax:
         self.value = max(self.value, self.gap(specs, values))
 
 
+class _BandObserver:
+    """sup_T ||P1 v - w||_inf and the averaging integrals of v over every
+    step, both from one transform v1 = irfft(q1 v) per step."""
+
+    def __init__(self, averaging: AveragingAccumulator, dt: float):
+        self.averaging, self.dt = averaging, dt
+        self.sup_diff = 0.0
+
+    def __call__(self, i, specs, values):
+        acc = self.averaging
+        v1 = np.fft.irfft(acc.q1 * specs[0], n=acc.n)
+        self.sup_diff = max(self.sup_diff, float(np.max(np.abs(v1 - values[1]))))
+        acc.add(i * self.dt, specs[0], v1)
+
+
 def simulate_paired(v0: RealField, p: ModelParams, cfg: NoiseConfig,
                     delta: float = DEFAULT_DELTA, snapshot_stride: int = 10,
                     with_gl: bool = False) -> PairedResult:
@@ -264,18 +283,21 @@ def simulate_paired(v0: RealField, p: ModelParams, cfg: NoiseConfig,
     w starts from P1 v0.  If ``with_gl`` is set, a Ginzburg-Landau amplitude
     on the same grid is driven by the demodulated P1 noise band (same white
     realization, each mode with its own exact OU variance) and compared
-    against the demodulated w.
+    against the demodulated w.  The averaging residuals of v (see
+    ``analysis.averaging_residual``, with nu2 for the quintic variant) are
+    integrated over every step as the run goes.
     """
     grid = v0.grid
-    n = grid.n_points
     sh = SHStepper(grid, p, cfg.intensity)
     red = ReducedStepper(grid, p, cfg.intensity, delta)
     vspec = v0.spectrum()
     wspec = red.q1 * vspec
     steppers, specs = [sh, red], [vspec, wspec]
-    sup_diff = _RunningMax(lambda specs, vals: float(np.max(np.abs(
-        np.fft.irfft(red.q1 * specs[0], n=n) - vals[1]))))
-    observers = [sup_diff]
+    averaging = AveragingAccumulator(
+        grid, p.eps, p.nu if p.variant == CUBIC else p.nu2, delta)
+    averaging.add(0.0, vspec)
+    band = _BandObserver(averaging, p.dt)
+    observers = [band]
     if with_gl:
         c = (gl_coefficients(p.nu, cfg.intensity) if p.variant == CUBIC
              else gl5_coefficients(p.nu2, p.nu3, cfg.intensity))
@@ -292,8 +314,10 @@ def simulate_paired(v0: RealField, p: ModelParams, cfg: NoiseConfig,
                       snapshot_stride, n_steps)
     status = integrate(steppers, specs, n_steps, p.blowup_threshold,
                        noise_draw(sh.noise, cfg), observers + [snaps])
+    (res_p0, change_p0), (res_p2, change_p2) = averaging.results()
     return PairedResult(traj_v=snaps.trajectory(0, status),
                         traj_w=snaps.trajectory(1, status),
-                        sup_diff=sup_diff.value,
+                        sup_diff=band.sup_diff, res_p0=res_p0, res_p2=res_p2,
+                        res_change=(change_p0, change_p2),
                         sup_diff_gl=sup_diff_gl.value if with_gl else None,
                         status=status)

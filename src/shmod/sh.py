@@ -17,7 +17,7 @@ import numpy as np
 from .grid import Grid, RealField
 from .noise import NoiseConfig, SpectralNoise
 from .operators import dealiased_powers, symbol_L_eps
-from .bands import DEFAULT_DELTA, make_kernel, modulate
+from .bands import DEFAULT_DELTA, modulate
 
 CUBIC = "cubic"
 QUINTIC = "quintic"

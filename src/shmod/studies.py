@@ -26,11 +26,7 @@ from .noise import NoiseConfig
 from .sh import ModelParams, simulate, modulated_carrier_ic
 from .bands import make_kernel, project_complement
 from .reduced import simulate_paired
-from .analysis import (
-    _averaging_integral,
-    estimate_landau_coefficient,
-    fit_scaling_exponent,
-)
+from .analysis import estimate_landau_coefficient, fit_scaling_exponent
 
 DEFAULT_EPS_LADDER = (0.2, 0.14, 0.1, 0.07, 0.05)
 DEFAULT_NU_SWEEP = (0.0, 0.3, 0.6, 0.84294, 1.0)
@@ -210,13 +206,10 @@ def _paired_cell(cfg: StudyConfig, eps: float, nu: float, seed: int, with_gl: bo
         amplitude=cfg.amplitude, delta=cfg.delta, offband=cfg.offband,
     )
     params = ModelParams("cubic", eps=grid.eps, nu=nu, dt=cfg.dt, t_end=cfg.t_end)
-    result = simulate_paired(
-        v0, params, ncfg, delta=cfg.delta, snapshot_stride=1, with_gl=with_gl
-    )
+    result = simulate_paired(v0, params, ncfg, delta=cfg.delta, with_gl=with_gl)
     _require_completed(result.status)
-    diags = {"sup_diff": result.sup_diff}
-    diags["res_p0"], _ = _averaging_integral(result.traj_v, grid.eps, nu, "P0", cfg.delta)
-    diags["res_p2"], _ = _averaging_integral(result.traj_v, grid.eps, nu, "P2", cfg.delta)
+    diags = {"sup_diff": result.sup_diff, "res_p0": result.res_p0,
+             "res_p2": result.res_p2}
     if with_gl:
         diags["sup_diff_gl"] = result.sup_diff_gl
     return diags

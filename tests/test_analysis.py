@@ -1,22 +1,34 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shmod import (
     Grid,
     HolderNormConfig,
     ModelParams,
     RealField,
+    StudyConfig,
     Trajectory,
     approximation_error,
     averaging_residual,
     estimate_landau_coefficient,
     fit_scaling_exponent,
+    make_kernel,
     mode_concentration,
+    modulated_carrier_ic,
+    project,
     simulate,
+    simulate_paired,
     weighted_holder_norm,
 )
+from shmod.analysis import AveragingAccumulator
+from shmod.operators import inv_symbol_scaled
+from shmod.studies import _noise_for, _paired_cell
+
+DELTA = 0.125
 
 
 def test_fit_scaling_exponent_recovers_power_law():
@@ -78,6 +90,104 @@ def test_averaging_residual_warns_on_coarse_stride(grid):
         warnings.simplefilter("error")
         assert averaging_residual(traj, grid.eps, 0.0, "P0",
                                   stride_check=False) == res
+
+
+def _averaging_reference(traj, eps, nu, k_band, delta):
+    """The averaging integral by np.trapezoid over the stacked integrands
+    of all snapshots: (sup norm, relative change under stride halving or
+    None below 5 snapshots)."""
+    grid = traj.snapshots[0].grid
+    n, K = grid.n_points, grid.rfft_wavenumbers
+    q1 = make_kernel("P1", delta, eps, grid).evaluate(K)
+    qk = make_kernel(k_band, delta, eps, grid).evaluate(K)
+    on = qk > 0
+    inv = np.zeros_like(K)
+    inv[on] = qk[on] * inv_symbol_scaled(K[on], eps)
+
+    def integrand(snap):
+        spec = snap.spectrum()
+        v1 = np.fft.irfft(q1 * spec, n=n)
+        vk = np.fft.irfft(qk * spec, n=n) / eps
+        corr = np.fft.irfft(inv * np.fft.rfft(v1 * v1), n=n)
+        return v1 * vk + nu * v1 * corr
+
+    times = np.asarray(traj.times)
+    fields = np.stack([integrand(s) for s in traj.snapshots])
+    total = np.trapezoid(fields, x=times, axis=0)
+    residual = float(np.max(np.abs(total)))
+    if len(times) < 5:
+        return residual, None
+    coarse = np.trapezoid(fields[::2], x=times[::2], axis=0)
+    return residual, float(np.max(np.abs(total - coarse))) / residual
+
+
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(2, 12),
+       nu=st.floats(-1.0, 1.0))
+@settings(max_examples=40, deadline=None)
+def test_averaging_accumulator_matches_stacked_trapezoid(seed, count, nu):
+    # random band-limited fields (modes up to past the P2 band) at random
+    # strictly increasing, non-uniform times
+    grid = Grid.for_carrier(0.2, 256, periods=16)
+    rng = np.random.default_rng(seed)
+    times = rng.uniform(-1.0, 1.0) + np.cumsum(rng.uniform(0.05, 1.0, count))
+    n_modes = 3 * grid.carrier_index
+    snaps = []
+    for _ in range(count):
+        spec = np.zeros(grid.n_points // 2 + 1, dtype=np.complex128)
+        spec[:n_modes] = (rng.standard_normal(n_modes)
+                          + 1j * rng.standard_normal(n_modes))
+        snaps.append(RealField.from_spectrum(grid, spec))
+    traj = Trajectory(times=times, snapshots=snaps)
+    acc = AveragingAccumulator(grid, grid.eps, nu, DELTA)
+    for t, snap in zip(times, snaps):
+        acc.add(t, snap.spectrum())
+    for k_band, (residual, change) in zip(("P0", "P2"), acc.results()):
+        ref, ref_change = _averaging_reference(traj, grid.eps, nu, k_band,
+                                               DELTA)
+        got = averaging_residual(traj, grid.eps, nu, k_band, DELTA,
+                                 stride_check=False)
+        assert got == pytest.approx(ref, rel=1e-12)
+        assert residual == pytest.approx(ref, rel=1e-12)
+        if count < 5:
+            assert change is None and ref_change is None
+        else:
+            assert change == pytest.approx(ref_change, rel=1e-12)
+
+
+def test_paired_cell_streams_residuals_in_small_memory(tmp_path):
+    # one default theorem2 cell (n=2048, 1000 steps): the residuals are
+    # integrated as the run goes, with no per-step snapshots kept
+    cfg = StudyConfig.for_study("theorem2", out_dir=str(tmp_path))
+    eps, nu, seed = 0.1, cfg.nu_list[0], 0
+    assert (cfg.n_points, round(cfg.t_end / cfg.dt)) == (2048, 1000)
+    tracemalloc.start()
+    try:
+        diags = _paired_cell(cfg, eps, nu, seed, with_gl=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+    # the same run with every step stored, and its residuals after the fact
+    grid = Grid.for_carrier(eps, cfg.n_points, periods=cfg.periods)
+    ncfg = _noise_for(cfg, seed)
+    v0 = modulated_carrier_ic(grid, grid.eps, ncfg.substream(1).make_rng(),
+                              amplitude=cfg.amplitude, delta=cfg.delta,
+                              offband=cfg.offband)
+    p = ModelParams("cubic", eps=grid.eps, nu=nu, dt=cfg.dt, t_end=cfg.t_end)
+    full = simulate_paired(v0, p, ncfg, delta=cfg.delta, snapshot_stride=1)
+    assert len(full.traj_v.snapshots) == 1001
+    assert diags["sup_diff"] == full.sup_diff
+    q1 = make_kernel("P1", cfg.delta, grid.eps, grid)
+    posthoc_sup = max(
+        float(np.max(np.abs(project(v, q1).values - w.values)))
+        for v, w in zip(full.traj_v.snapshots[1:], full.traj_w.snapshots[1:]))
+    assert diags["sup_diff"] == pytest.approx(posthoc_sup, rel=1e-12)
+    for k_band, change in zip(("P0", "P2"), full.res_change):
+        ref, ref_change = _averaging_reference(full.traj_v, grid.eps, nu,
+                                               k_band, cfg.delta)
+        assert diags["res_" + k_band.lower()] == pytest.approx(ref, rel=1e-12)
+        assert change == pytest.approx(ref_change, rel=1e-12)
 
 
 def test_approximation_error_identical_is_zero(grid):

@@ -4,19 +4,17 @@ from hypothesis import given, settings, strategies as st
 
 from shmod import (
     Grid,
+    ModelParams,
     RealField,
-    apply_diagonal,
     inv_Leps_scaled_on_band,
     make_kernel,
-    op_L,
-    op_L_eps,
-    op_semigroup_L,
-    op_semigroup_L_eps,
     project,
     symbol_L,
     symbol_L_eps,
 )
 from shmod.operators import dealiased_powers, inv_symbol_scaled
+from shmod.reduced import ReducedStepper
+from shmod.sh import SHStepper
 
 
 def test_symbol_values():
@@ -37,38 +35,14 @@ def test_rescaled_symbol_matches_unrescaled():
     )
 
 
-def test_semigroup_is_pointwise_exponential():
-    t = 0.3
-    k = np.linspace(-3, 3, 41)
-    np.testing.assert_allclose(
-        op_semigroup_L(t).symbol(k), np.exp(t * symbol_L(k)), rtol=1e-14
-    )
-    eps = 0.1
-    np.testing.assert_allclose(
-        op_semigroup_L_eps(t, eps).symbol(k), np.exp(t * symbol_L_eps(k, eps)),
-        rtol=1e-14,
-    )
-
-
-def test_semigroup_rejects_negative_time():
-    with pytest.raises(ValueError):
-        op_semigroup_L(-0.1)
-    with pytest.raises(ValueError):
-        op_semigroup_L_eps(-0.1, 0.1)
-
-
-def test_apply_diagonal_matches_direct_multiplication(grid, random_field):
-    out = apply_diagonal(op_L_eps(grid.eps), random_field)
-    expect = np.fft.irfft(
-        symbol_L_eps(grid.rfft_wavenumbers, grid.eps) * random_field.spectrum(),
-        n=grid.n_points,
-    )
-    np.testing.assert_allclose(out.values, expect, atol=1e-9)
-
-
-def test_apply_diagonal_preserves_realness(grid, random_field):
-    out = apply_diagonal(op_L(), random_field)
-    assert out.values.dtype == np.float64
+def test_semigroup_is_pointwise_exponential(grid):
+    # both steppers advance the linear part by the exact semigroup
+    # exp(dt L_eps), the pointwise exponential of the symbol
+    p = ModelParams(eps=grid.eps, dt=3e-4)
+    expect = np.exp(p.dt * symbol_L_eps(grid.rfft_wavenumbers, grid.eps))
+    for stepper in (SHStepper(grid, p, intensity=0.0),
+                    ReducedStepper(grid, p, intensity=0.0, delta=0.125)):
+        np.testing.assert_allclose(stepper.decay, expect, rtol=1e-14, atol=0)
 
 
 def test_dealiased_square_of_single_mode_is_exact():

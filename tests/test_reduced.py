@@ -6,7 +6,6 @@ from shmod import (
     Grid,
     ModelParams,
     NoiseConfig,
-    RealField,
     gl5_coefficients,
     gl_coefficients,
     modulate,
