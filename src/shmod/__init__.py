@@ -1,21 +1,19 @@
 """Pseudospectral laboratory for the stochastic Swift-Hohenberg equation and
 its Ginzburg-Landau amplitude reduction."""
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .grid import ComplexField, Grid, RealField, read_field, write_field
-from .operators import inv_Leps_scaled_on_band, symbol_L, symbol_L_eps
-from .bands import (BandKernel, demodulate, make_kernel, modulate, project,
-                    project_complement)
-from .noise import (NoiseConfig, complex_white_increment,
-                    ou_increment_variance, ou_mode_step,
+from .operators import symbol_L, symbol_L_eps
+from .bands import (BandKernel, band_symbols, demodulate, make_kernel, modulate,
+                    project, project_complement)
+from .noise import (NoiseConfig, ou_increment_variance, ou_mode_step,
                     spectral_variance_rate, stochastic_convolution_path,
-                    stochastic_convolution_sample, white_increment)
+                    stochastic_convolution_sample)
 from .sh import (ModelParams, Trajectory, integrate, modulated_carrier_ic,
                  rescale_from_original, rescale_to_original, simulate)
 from .reduced import (GLCoefficients, gl5_coefficients, gl_coefficients,
-                      reduced_quadratic_correction, simulate_gl,
-                      simulate_paired, simulate_reduced)
+                      simulate_gl, simulate_paired, simulate_reduced)
 from .analysis import (HolderNormConfig, LandauFit, ScalingStudy,
                        approximation_error, averaging_residual,
                        estimate_landau_coefficient, fit_scaling_exponent,

@@ -9,10 +9,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bands import DEFAULT_DELTA, demodulate, make_kernel, project
+from .bands import (DEFAULT_DELTA, band_symbols, demodulate, project,
+                    project_complement)
 from .grid import ComplexField, Grid, RealField
-
-from .operators import inv_symbol_scaled
 from .sh import CUBIC, QUINTIC, ModelParams, Trajectory, simulate
 
 
@@ -82,9 +81,8 @@ def mode_concentration(f: RealField, eps: float,
     if total == 0.0:
         warnings.warn("mode_concentration of the zero field; returning 0")
         return 0.0
-    q1 = make_kernel("P1", delta, eps, f.grid).evaluate(f.grid.rfft_wavenumbers)
-    off = RealField.from_spectrum(f.grid, f.spectrum() * (1.0 - q1))
-    return off.l2_norm() / total
+    q1 = band_symbols(f.grid, eps, delta).q1
+    return project_complement(f, q1).l2_norm() / total
 
 
 class AveragingAccumulator:
@@ -103,18 +101,12 @@ class AveragingAccumulator:
                  delta: float = DEFAULT_DELTA, bands=("P0", "P2")):
         if any(b not in ("P0", "P2") for b in bands):
             raise ValueError("bands must be 'P0' or 'P2'")
-        K = grid.rfft_wavenumbers
+        sym = band_symbols(grid, eps, delta)
         self.n = grid.n_points
-        self.q1 = make_kernel("P1", delta, eps, grid).evaluate(K)
-        qk_eps, nu_inv = [], []
-        for b in bands:
-            qk = make_kernel(b, delta, eps, grid).evaluate(K)
-            on = qk > 0
-            inv = np.zeros_like(K)
-            inv[on] = qk[on] * inv_symbol_scaled(K[on], eps)
-            qk_eps.append(qk / eps)
-            nu_inv.append(nu * inv)
-        self.qk_eps, self.nu_inv = np.array(qk_eps), np.array(nu_inv)
+        self.q1 = sym.q1
+        q_inv = {"P0": (sym.q0, sym.inv0), "P2": (sym.q2, sym.inv2)}
+        self.qk_eps = np.array([q_inv[b][0] / eps for b in bands])
+        self.nu_inv = np.array([nu * q_inv[b][1] for b in bands])
         self.count = 0
         self.total = np.zeros((len(bands), self.n))
         self.coarse = np.zeros_like(self.total)
@@ -270,10 +262,10 @@ def estimate_landau_coefficient(eps: float, nu=0.0, variant: str = CUBIC,
         raise RuntimeError("deterministic run hit the blow-up guard")
 
     times = np.asarray(traj.times)
+    q1 = band_symbols(grid, eps, delta).q1
     amps = []
     for snap in traj.snapshots:
-        v1 = project(snap, make_kernel("P1", delta, eps, grid))
-        A = demodulate(v1, eps, delta)
+        A = demodulate(project(snap, q1), eps, delta)
         amps.append(float(np.mean(np.abs(A.values))))
     amps = np.asarray(amps)
 

@@ -1,15 +1,21 @@
-"""Smooth Fourier band projectors P0, P1, P2 and carrier (de)modulation
-between the band field and the complex amplitude.
+"""Smooth Fourier band projectors P0, P1, P2, the cached table of band
+symbols, and carrier (de)modulation between the band field and the complex
+amplitude.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import ComplexField, Grid, RealField
+from .operators import inv_symbol_scaled, symbol_L_eps
 
 DEFAULT_DELTA = 0.25
+
+#: guard on |1 - eps^2 K^2| before inverting on the P0/P2 bands
+NEAR_SINGULAR_TOL = 1e-6
 
 _BAND_SPEC = {
     # which -> (centers in units of 1/eps, plateau radius in units of delta/eps)
@@ -63,43 +69,94 @@ def make_kernel(which: str, delta: float, eps: float, grid: Grid) -> BandKernel:
     return kernel
 
 
-def project(f: RealField, kernel: BandKernel) -> RealField:
-    return RealField.from_spectrum(
-        f.grid, f.spectrum() * kernel.evaluate(f.grid.rfft_wavenumbers))
+@dataclass(frozen=True, eq=False)
+class BandSymbols:
+    """Multipliers of one (grid, eps, delta) on the rfft layout: the symbol
+    ``lam`` of L_eps, the kernels ``q0``/``q1``/``q2`` and the scaled inverse
+    eps^-2 L_eps^-1 weighted by each fast band, ``inv0``/``inv2`` (zero off
+    its support); ``q1_full`` is the P1 kernel on the full fft layout.
+
+    Built once by :func:`band_symbols` and shared by every consumer, on any
+    thread, so the arrays are read-only.
+    """
+
+    lam: np.ndarray
+    q0: np.ndarray
+    q1: np.ndarray
+    q2: np.ndarray
+    inv0: np.ndarray
+    inv2: np.ndarray
+    q1_full: np.ndarray
 
 
-def project_complement(f: RealField, kernel: BandKernel) -> RealField:
+@functools.lru_cache(maxsize=32)
+def band_symbols(grid: Grid, eps: float, delta: float) -> BandSymbols:
+    """The cached band-symbol table of (grid, eps, delta).
+
+    Raises ValueError if a band does not fit the grid or if the inverse is
+    near-singular on the P0/P2 support.
+    """
+    K = grid.rfft_wavenumbers
+    kernels = [make_kernel(b, delta, eps, grid) for b in ("P0", "P1", "P2")]
+    q0, q1, q2 = (kernel.evaluate(K) for kernel in kernels)
+    if np.any(np.abs(1.0 - (eps * K[(q0 + q2) > 0]) ** 2) < NEAR_SINGULAR_TOL):
+        raise ValueError(
+            "near-singular inverse on band support (delta too large for eps)")
+    invs = []
+    for q in (q0, q2):
+        on = q > 0
+        inv = np.zeros_like(K)
+        inv[on] = q[on] * inv_symbol_scaled(K[on], eps)
+        invs.append(inv)
+    arrays = (symbol_L_eps(K, eps), q0, q1, q2, *invs,
+              kernels[1].evaluate(grid.wavenumbers))
+    for a in arrays:
+        a.setflags(write=False)
+    return BandSymbols(*arrays)
+
+
+def project(f: RealField, q: np.ndarray) -> RealField:
+    """P f for a band multiplier ``q`` on the rfft layout (a ``BandSymbols``
+    kernel)."""
+    return RealField.from_spectrum(f.grid, f.spectrum() * q)
+
+
+def project_complement(f: RealField, q: np.ndarray) -> RealField:
     """(I - P) f."""
-    return RealField.from_spectrum(
-        f.grid, f.spectrum() * (1.0 - kernel.evaluate(f.grid.rfft_wavenumbers)))
+    return RealField.from_spectrum(f.grid, f.spectrum() * (1.0 - q))
 
 
 # -- carrier modulation ------------------------------------------------------
+
+def demodulate_spectrum(spec: np.ndarray, carrier_index: int) -> np.ndarray:
+    """Amplitude spectrum of a real field from its full fft spectrum: the
+    positive band (modes 1 .. n/2 - 1) shifted down by the carrier."""
+    n = spec.shape[0]
+    pos = np.zeros(n, dtype=np.complex128)
+    pos[1:n // 2] = spec[1:n // 2]
+    return np.roll(pos, -carrier_index)
+
 
 def demodulate(v1: RealField, eps: float, delta: float = DEFAULT_DELTA,
                energy_tol: float = 0.01) -> ComplexField:
     """Complex amplitude A with v1 = A e^{iX/eps} + c.c.
 
     A is the positive-frequency band of v1 shifted down by the carrier
-    wavenumber.  Rejects input with more than ``energy_tol`` of its energy
-    outside the P1 band.
+    wavenumber, taken from ``v1.full_spectrum()``.  Rejects input with more
+    than ``energy_tol`` of its energy outside the P1 band.
     """
     grid = v1.grid
     if abs(grid.eps - eps) > 1e-9 * eps:
         raise ValueError("eps does not match the grid carrier")
     spec = v1.full_spectrum()
-    q1 = make_kernel("P1", delta, eps, grid).evaluate(grid.wavenumbers)
+    q1 = band_symbols(grid, eps, delta).q1_full
     total = np.sum(np.abs(spec) ** 2)
     if total > 0:
         off = np.sum((1.0 - q1) ** 2 * np.abs(spec) ** 2)
         if off > energy_tol * total:
             raise ValueError("field has significant energy outside the P1 band")
-    n = grid.n_points
-    pos = np.zeros(n, dtype=np.complex128)
-    half = np.arange(1, n // 2)
-    pos[half] = spec[half]
-    a_spec = np.roll(pos, -grid.carrier_index)
-    return ComplexField.from_spectrum(grid, a_spec)
+    return ComplexField.from_spectrum(
+        grid, demodulate_spectrum(spec, grid.carrier_index))
 
 
 def modulate(A: ComplexField, eps: float) -> RealField:

@@ -20,7 +20,8 @@ import numpy as np
 from .grid import Grid, write_field, read_field
 from .noise import NoiseConfig
 from .sh import CUBIC, QUINTIC, ModelParams, simulate, modulated_carrier_ic
-from .bands import DEFAULT_DELTA, make_kernel, kernel_dump_csv, demodulate, project
+from .bands import (DEFAULT_DELTA, band_symbols, demodulate, kernel_dump_csv,
+                    make_kernel, project)
 from .reduced import gl_coefficients, gl5_coefficients, simulate_gl
 from .studies import (
     ConfigError,
@@ -181,7 +182,7 @@ def _cmd_simulate_gl(args) -> int:
     ncfg = NoiseConfig(seed=args.seed, intensity=args.intensity)
     v0 = modulated_carrier_ic(grid, grid.eps, ncfg.substream(1).make_rng(),
                               amplitude=args.amplitude, delta=delta)
-    a0 = demodulate(project(v0, make_kernel("P1", delta, grid.eps, grid)),
+    a0 = demodulate(project(v0, band_symbols(grid, grid.eps, delta).q1),
                     grid.eps, delta)
     traj = simulate_gl(
         a0, coeffs,

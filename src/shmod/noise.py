@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ComplexField, Grid, RealField
+from .grid import Grid, RealField
 from .operators import symbol_L_eps
 
 
@@ -41,25 +41,6 @@ def spectral_variance_rate(grid: Grid, intensity: float = 1.0) -> float:
     return intensity ** 2 * grid.n_points ** 2 / grid.length
 
 
-def white_increment(grid: Grid, dt: float, rng: np.random.Generator,
-                    intensity: float = 1.0) -> RealField:
-    """One Brownian increment: i.i.d. N(0, dt/dx) per grid point."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    scale = intensity * np.sqrt(dt / grid.dx)
-    return RealField(grid, rng.standard_normal(grid.n_points) * scale)
-
-
-def complex_white_increment(grid: Grid, dt: float, rng: np.random.Generator,
-                            intensity: float = 1.0) -> ComplexField:
-    """Complex white increment: independent re/im, each N(0, dt/(2 dx))."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    scale = intensity * np.sqrt(dt / (2.0 * grid.dx))
-    z = rng.standard_normal(grid.n_points) + 1j * rng.standard_normal(grid.n_points)
-    return ComplexField(grid, z * scale)
-
-
 def ou_increment_variance(lam, dt: float):
     """Variance factor (e^{2 lam dt} - 1) / (2 lam) of an exact OU step.
 
@@ -69,6 +50,8 @@ def ou_increment_variance(lam, dt: float):
     lam = np.asarray(lam, dtype=np.float64)
     if np.any(lam > 0):
         raise ValueError("OU rates must be non-positive")
+    if dt <= 0:
+        raise ValueError("dt must be positive")
     x = 2.0 * lam * dt
     small = np.abs(x) < 1e-8
     out = np.where(small, dt * (1.0 + 0.5 * x),
@@ -83,10 +66,6 @@ def ou_mode_step(lam: float, current: complex, dt: float,
     noise_var_unit is the total complex variance per unit time of the mode's
     Wiener coefficient (re/im carry half each).
     """
-    if lam > 0:
-        raise ValueError("OU rates must be non-positive")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
     var = noise_var_unit * ou_increment_variance(lam, dt)
     s = np.sqrt(var / 2.0)
     xi = rng.normal(scale=s) + 1j * rng.normal(scale=s)
@@ -94,11 +73,13 @@ def ou_mode_step(lam: float, current: complex, dt: float,
 
 
 class SpectralNoise:
-    """Per-step Hermitian spectral noise shared between paired solvers.
+    """Per-step spectral noise shared between paired solvers.
 
-    ``raw(rng)`` returns the rfft of n i.i.d. standard normals, so
-    E|g_k|^2 = n for every mode; an exact OU increment for rates ``lam`` is
-    g * sqrt(unit * ou_increment_variance(lam, dt) / n).
+    ``raw(rng)`` returns the rfft of n i.i.d. standard normals and
+    ``raw_complex(rng)`` the fft of n i.i.d. complex normals with unit total
+    variance (half in re, half in im), so E|g_k|^2 = n for every mode of
+    either; an exact OU increment for rates ``lam`` is
+    g * ou_scale(lam, dt) = g * sqrt(unit * ou_increment_variance(lam, dt) / n).
     """
 
     def __init__(self, grid: Grid, intensity: float = 1.0):
@@ -107,6 +88,11 @@ class SpectralNoise:
 
     def raw(self, rng: np.random.Generator) -> np.ndarray:
         return np.fft.rfft(rng.standard_normal(self.grid.n_points))
+
+    def raw_complex(self, rng: np.random.Generator) -> np.ndarray:
+        n = self.grid.n_points
+        return np.fft.fft((rng.standard_normal(n)
+                           + 1j * rng.standard_normal(n)) / np.sqrt(2.0))
 
     def ou_scale(self, lam: np.ndarray, dt: float) -> np.ndarray:
         return np.sqrt(self.unit * ou_increment_variance(lam, dt)

@@ -1,19 +1,9 @@
-"""Fourier symbols of L = -(1+Laplacian)^2 and of its rescaled version, the
-scaled band inverse, and dealiased polynomial kernels.
+"""Fourier symbols of L = -(1+Laplacian)^2, of its rescaled version and of
+the scaled inverse, and dealiased polynomial kernels.
 """
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
-
-from .grid import RealField
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .bands import BandKernel
-
-#: guard on |1 - eps^2 K^2| before inverting on a band
-NEAR_SINGULAR_TOL = 1e-6
 
 
 def symbol_L(k):
@@ -36,27 +26,6 @@ def inv_symbol_scaled(K, eps: float):
     """Symbol of eps^-2 L_eps^-1: -(1 - eps^2 K^2)^-2 (unguarded)."""
     K = np.asarray(K, dtype=np.float64)
     return -1.0 / (1.0 - (eps * K) ** 2) ** 2
-
-
-def inv_Leps_scaled_on_band(f: RealField, eps: float, band: "BandKernel") -> RealField:
-    """Apply eps^-2 L_eps^-1 P_band to f.
-
-    Only defined for the P0/P2 bands, whose supports stay away from the
-    neutral wavenumbers +-1/eps where the inverse blows up.
-    """
-    if band.which not in ("P0", "P2"):
-        raise ValueError("scaled inverse is only defined on the P0/P2 bands")
-    K = f.grid.rfft_wavenumbers
-    q = band.evaluate(K)
-    on_support = q > 0
-    denom = np.abs(1.0 - (eps * K) ** 2)
-    if np.any(denom[on_support] < NEAR_SINGULAR_TOL):
-        raise ValueError(
-            "near-singular inverse on band support (delta too large for eps)")
-    mult = np.zeros_like(K)
-    mult[on_support] = (q[on_support]
-                        * inv_symbol_scaled(K[on_support], eps))
-    return RealField.from_spectrum(f.grid, f.spectrum() * mult)
 
 
 # -- dealiased pseudospectral products --------------------------------------

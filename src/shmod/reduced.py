@@ -19,12 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import AveragingAccumulator
-from .bands import DEFAULT_DELTA, make_kernel
+from .bands import DEFAULT_DELTA, band_symbols, demodulate_spectrum
 from .grid import ComplexField, Grid, RealField
-from .noise import NoiseConfig, SpectralNoise, ou_increment_variance
+from .noise import NoiseConfig, SpectralNoise
 from .operators import (_horner, _pad_to_physical, _truncate_to_spec,
-                        dealiased_powers_complex, inv_symbol_scaled,
-                        symbol_L_eps, NEAR_SINGULAR_TOL)
+                        dealiased_powers_complex)
 from .sh import (CUBIC, ModelParams, SHStepper, Snapshots, Trajectory, _phi1,
                  integrate, noise_draw)
 
@@ -67,22 +66,14 @@ class ReducedStepper:
         if abs(grid.eps - p.eps) > 1e-9 * p.eps:
             raise ValueError("grid carrier does not match params.eps")
         self.grid = grid
-        K = grid.rfft_wavenumbers
-        lam = symbol_L_eps(K, p.eps)
-        self.decay = np.exp(lam * p.dt)
-        self.phi1dt = p.dt * _phi1(lam * p.dt)
-        self.q1 = make_kernel("P1", delta, p.eps, grid).evaluate(K)
-        q0 = make_kernel("P0", delta, p.eps, grid).evaluate(K)
-        q2 = make_kernel("P2", delta, p.eps, grid).evaluate(K)
-        q02 = q0 + q2
-        on = q02 > 0
-        denom = np.abs(1.0 - (p.eps * K) ** 2)
-        if np.any(denom[on] < NEAR_SINGULAR_TOL):
-            raise ValueError("near-singular band inverse: delta too large")
-        self.inv02 = np.zeros_like(K)
-        self.inv02[on] = q02[on] * inv_symbol_scaled(K[on], p.eps)
+        sym = band_symbols(grid, p.eps, delta)
+        self.decay = np.exp(sym.lam * p.dt)
+        self.phi1dt = p.dt * _phi1(sym.lam * p.dt)
+        self.q1 = sym.q1
+        # P0 and P2 have disjoint supports, so this is inv0 or inv2 per mode
+        self.inv02 = sym.inv0 + sym.inv2
         self.noise = SpectralNoise(grid, intensity)
-        self.noise_scale = (self.noise.ou_scale(lam, p.dt) * self.q1
+        self.noise_scale = (self.noise.ou_scale(sym.lam, p.dt) * self.q1
                             if intensity > 0 else None)
         # padding by 3 is alias-free for w^5 and for the quadratic correction
         if p.variant == CUBIC:
@@ -115,17 +106,6 @@ class ReducedStepper:
 
     def values(self, wspec: np.ndarray) -> np.ndarray:
         return np.fft.irfft(wspec, n=self.grid.n_points)
-
-
-def reduced_quadratic_correction(w: RealField, eps: float, nu: float,
-                                 delta: float = DEFAULT_DELTA) -> RealField:
-    """The averaged quadratic term as a field (diagnostic surface)."""
-    p = ModelParams(variant=CUBIC, eps=eps, nu=nu)
-    stepper = ReducedStepper(w.grid, p, intensity=0.0, delta=delta)
-    n = w.grid.n_points
-    wp = _pad_to_physical(w.spectrum(), n, stepper.pad * n)
-    spec = stepper.q1 * _truncate_to_spec(stepper._padded_correction(wp), n)
-    return RealField.from_spectrum(w.grid, spec)
 
 
 def simulate_reduced(w0: RealField, p: ModelParams, cfg: NoiseConfig | None = None,
@@ -163,9 +143,8 @@ class GLStepper:
         zs = np.where(small, 1.0, z)
         phi2 = np.where(small, 0.5 + z / 6.0, (np.expm1(zs) - zs) / zs ** 2)
         self.phi2dt = dt * phi2
-        unit = c.noise_intensity ** 2 * grid.n_points ** 2 / grid.length
-        self.noise_scale = np.sqrt(
-            unit * ou_increment_variance(lam, dt) / grid.n_points)
+        self.noise = SpectralNoise(grid, c.noise_intensity)
+        self.noise_scale = self.noise.ou_scale(lam, dt)
         self.coeffs = {3: c.cubic} if c.quintic == 0.0 else {3: c.cubic, 5: c.quintic}
         self.pad = 2 if c.quintic == 0.0 else 3
 
@@ -191,11 +170,10 @@ def simulate_gl(A0: ComplexField, c: GLCoefficients, dt: float, t_end: float,
     stepper = GLStepper(A0.grid, c, dt)
     draw = None
     if cfg is not None and c.noise_intensity > 0:
-        rng, n = cfg.make_rng(), A0.grid.n_points
+        rng = cfg.make_rng()
 
         def draw():
-            z = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
-            return np.fft.fft(z)
+            return stepper.noise.raw_complex(rng)
 
     n_steps = int(round(t_end / dt))
     snaps = Snapshots([A0], dt, snapshot_stride, n_steps)
@@ -218,34 +196,28 @@ class PairedResult:
     status: str = "completed"
 
 
-def _full_from_half(rspec: np.ndarray, n: int) -> np.ndarray:
-    """Hermitian extension of an rfft half-spectrum to the full fft layout."""
+def _amplitude_spectrum(rspec: np.ndarray, grid: Grid) -> np.ndarray:
+    """Spectrum of the amplitude A of a P1-limited real field
+    w = A e^{iX/eps} + c.c., from the rfft half-spectrum of w."""
+    n = grid.n_points
     full = np.empty(n, dtype=np.complex128)
     full[: n // 2 + 1] = rspec
     full[n // 2 + 1:] = np.conj(rspec[1: n // 2][::-1])
-    return full
-
-
-def _demod_spec(rspec: np.ndarray, grid: Grid, pos_mask: np.ndarray) -> np.ndarray:
-    """Demodulated amplitude spectrum from an rfft half-spectrum."""
-    full = _full_from_half(rspec, grid.n_points)
-    return np.roll(full * pos_mask, -grid.carrier_index)
+    return demodulate_spectrum(full, grid.carrier_index)
 
 
 class _BandGLStepper(GLStepper):
-    """GL stepper driven by the demodulated P1 band of the shared real draw."""
+    """GL stepper driven by the shared real draw: the amplitude of its P1
+    band, q1 raw."""
 
     def __init__(self, grid: Grid, c: GLCoefficients, dt: float,
-                 band_mask: np.ndarray):
+                 q1: np.ndarray):
         super().__init__(grid, c, dt)
-        self.band_mask = band_mask
+        self.q1 = q1
 
     def step_spec(self, aspec: np.ndarray, raw: np.ndarray | None) -> np.ndarray:
         if raw is not None:
-            # roll first, then mask, then (in GLStepper) scale: the paired
-            # GL noise depends on this operand order to the last bit
-            raw = (np.roll(_full_from_half(raw, self.grid.n_points),
-                           -self.grid.carrier_index) * self.band_mask)
+            raw = _amplitude_spectrum(self.q1 * raw, self.grid)
         return super().step_spec(aspec, raw)
 
 
@@ -301,13 +273,10 @@ def simulate_paired(v0: RealField, p: ModelParams, cfg: NoiseConfig,
     if with_gl:
         c = (gl_coefficients(p.nu, cfg.intensity) if p.variant == CUBIC
              else gl5_coefficients(p.nu2, p.nu3, cfg.intensity))
-        q1_signed = make_kernel("P1", delta, p.eps, grid).evaluate(grid.wavenumbers)
-        pos_mask = np.where(grid.wavenumbers > 0, q1_signed, 0.0)
-        band_mask = np.roll(pos_mask, -grid.carrier_index)
-        steppers.append(_BandGLStepper(grid, c, p.dt, band_mask))
-        specs.append(_demod_spec(vspec, grid, pos_mask))
+        steppers.append(_BandGLStepper(grid, c, p.dt, red.q1))
+        specs.append(_amplitude_spectrum(wspec, grid))
         sup_diff_gl = _RunningMax(lambda specs, vals: float(np.max(np.abs(
-            np.fft.ifft(_demod_spec(specs[1], grid, pos_mask)) - vals[2]))))
+            np.fft.ifft(_amplitude_spectrum(specs[1], grid)) - vals[2]))))
         observers.append(sup_diff_gl)
     n_steps = int(round(p.t_end / p.dt))
     snaps = Snapshots([v0, RealField.from_spectrum(grid, wspec)], p.dt,

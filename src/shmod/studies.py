@@ -24,7 +24,7 @@ from . import __version__
 from .grid import Grid
 from .noise import NoiseConfig
 from .sh import ModelParams, simulate, modulated_carrier_ic
-from .bands import make_kernel, project_complement
+from .bands import band_symbols, project_complement
 from .reduced import simulate_paired
 from .analysis import estimate_landau_coefficient, fit_scaling_exponent
 
@@ -136,8 +136,7 @@ class StudyConfig:
             try:
                 grid = Grid.for_carrier(eps, self.n_points,
                                         periods=self.periods)
-                make_kernel("P1", self.delta, grid.eps, grid)
-                make_kernel("P2", self.delta, grid.eps, grid)
+                band_symbols(grid, grid.eps, self.delta)
             except ValueError as exc:
                 raise ConfigError(f"band layout invalid at eps={eps}: {exc}") \
                     from exc
@@ -206,7 +205,10 @@ def _paired_cell(cfg: StudyConfig, eps: float, nu: float, seed: int, with_gl: bo
         amplitude=cfg.amplitude, delta=cfg.delta, offband=cfg.offband,
     )
     params = ModelParams("cubic", eps=grid.eps, nu=nu, dt=cfg.dt, t_end=cfg.t_end)
-    result = simulate_paired(v0, params, ncfg, delta=cfg.delta, with_gl=with_gl)
+    # the diagnostics are streamed: keep only the first and last snapshots
+    n_steps = max(1, round(cfg.t_end / cfg.dt))
+    result = simulate_paired(v0, params, ncfg, delta=cfg.delta,
+                             snapshot_stride=n_steps, with_gl=with_gl)
     _require_completed(result.status)
     diags = {"sup_diff": result.sup_diff, "res_p0": result.res_p0,
              "res_p2": result.res_p2}
@@ -225,7 +227,7 @@ def _attractivity_cell(cfg: StudyConfig, eps: float, nu: float, seed: int) -> di
     params = ModelParams("cubic", eps=grid.eps, nu=nu, dt=cfg.dt, t_end=cfg.t_end)
     traj = simulate(v0, params, ncfg, snapshot_stride=10)
     _require_completed(traj.status)
-    q1 = make_kernel("P1", cfg.delta, grid.eps, grid)
+    q1 = band_symbols(grid, grid.eps, cfg.delta).q1
     t_skip = ATTRACTIVITY_SKIP * cfg.t_end
     sup = max(
         project_complement(snap, q1).sup_norm()

@@ -18,6 +18,7 @@ from shmod import (
     NoiseConfig,
     RealField,
     StudyConfig,
+    band_symbols,
     demodulate,
     estimate_landau_coefficient,
     fit_scaling_exponent,
@@ -217,7 +218,7 @@ def _split_ratios():
     rows = []
     for eps in (0.2, 0.14, 0.1, 0.07, 0.05):
         grid = Grid.for_carrier(eps, 2048, periods=128)
-        p1 = make_kernel("P1", DELTA, grid.eps, grid)
+        p1 = band_symbols(grid, grid.eps, DELTA).q1
         ratios = []
         for s in range(100):
             w = stochastic_convolution_sample(grid, grid.eps, 1.0,
@@ -245,7 +246,7 @@ def _split_local_exponents():
 def _amplitude_noise_median_ratio():
     eps, T, n_seeds = 0.1, 1.0, 200
     grid = Grid.for_carrier(eps, 2048, periods=128)
-    p1 = make_kernel("P1", DELTA, grid.eps, grid)
+    p1 = band_symbols(grid, grid.eps, DELTA).q1
     n = grid.n_points
     acc = np.zeros(n)
     for s in range(n_seeds):
@@ -312,11 +313,10 @@ def test_8_exactness_and_determinism(tmp_path, capsys):
                                         rtol=1e-10, atol=1e-22)
 
     # projector algebra: plateau idempotence, commutation, annihilation
-    K = grid.rfft_wavenumbers
     f = RealField(grid, rng.standard_normal(grid.n_points))
-    q1 = make_kernel("P1", DELTA, grid.eps, grid)
-    q0 = make_kernel("P0", DELTA, grid.eps, grid)
-    plateau = (q1.evaluate(K) == 1.0).astype(float)
+    sym = band_symbols(grid, grid.eps, DELTA)
+    q1, q0 = sym.q1, sym.q0
+    plateau = (q1 == 1.0).astype(float)
     g = RealField.from_spectrum(grid, plateau * f.spectrum())
     checks["idempotence"] = np.allclose(project(g, q1).values, g.values,
                                         atol=1e-12)

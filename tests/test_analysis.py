@@ -14,6 +14,7 @@ from shmod import (
     Trajectory,
     approximation_error,
     averaging_residual,
+    band_symbols,
     estimate_landau_coefficient,
     fit_scaling_exponent,
     make_kernel,
@@ -24,6 +25,7 @@ from shmod import (
     simulate_paired,
     weighted_holder_norm,
 )
+from shmod import studies
 from shmod.analysis import AveragingAccumulator
 from shmod.operators import inv_symbol_scaled
 from shmod.studies import _noise_for, _paired_cell
@@ -178,7 +180,7 @@ def test_paired_cell_streams_residuals_in_small_memory(tmp_path):
     full = simulate_paired(v0, p, ncfg, delta=cfg.delta, snapshot_stride=1)
     assert len(full.traj_v.snapshots) == 1001
     assert diags["sup_diff"] == full.sup_diff
-    q1 = make_kernel("P1", cfg.delta, grid.eps, grid)
+    q1 = band_symbols(grid, grid.eps, cfg.delta).q1
     posthoc_sup = max(
         float(np.max(np.abs(project(v, q1).values - w.values)))
         for v, w in zip(full.traj_v.snapshots[1:], full.traj_w.snapshots[1:]))
@@ -188,6 +190,24 @@ def test_paired_cell_streams_residuals_in_small_memory(tmp_path):
                                                k_band, cfg.delta)
         assert diags["res_" + k_band.lower()] == pytest.approx(ref, rel=1e-12)
         assert change == pytest.approx(ref_change, rel=1e-12)
+
+
+def test_paired_cell_keeps_no_intermediate_snapshots(tmp_path, monkeypatch):
+    # the cell's diagnostics are streamed, so its run stores only the first
+    # and the last snapshot of v and of w
+    cfg = StudyConfig.for_study("theorem2", out_dir=str(tmp_path))
+    results = []
+
+    def recording(*args, **kwargs):
+        results.append(simulate_paired(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(studies, "simulate_paired", recording)
+    _paired_cell(cfg, 0.1, cfg.nu_list[0], 0, with_gl=False)
+    (result,) = results
+    assert result.status == "completed"
+    assert len(result.traj_v.snapshots) <= 2
+    assert len(result.traj_w.snapshots) <= 2
 
 
 def test_approximation_error_identical_is_zero(grid):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from shmod import (
     Grid,
     RealField,
+    band_symbols,
     demodulate,
     make_kernel,
     modulate,
@@ -12,7 +13,9 @@ from shmod import (
     project_complement,
     symbol_L_eps,
 )
+from shmod.bands import NEAR_SINGULAR_TOL
 from shmod.grid import ComplexField
+from shmod.operators import inv_symbol_scaled
 
 DELTA = 0.125
 
@@ -39,10 +42,9 @@ def _band_field(grid, rng, amplitude=1.0):
 def test_projector_idempotent_on_plateau(grid, random_field):
     # the taper is smooth, so idempotence holds exactly on the plateau:
     # restrict the input to plateau modes and project twice
-    K = grid.rfft_wavenumbers
-    for which in ("P0", "P1", "P2"):
-        q = make_kernel(which, DELTA, grid.eps, grid)
-        plateau = (q.evaluate(K) == 1.0).astype(float)
+    sym = band_symbols(grid, grid.eps, DELTA)
+    for q in (sym.q0, sym.q1, sym.q2):
+        plateau = (q == 1.0).astype(float)
         f = RealField.from_spectrum(grid, plateau * random_field.spectrum())
         once = project(f, q)
         twice = project(once, q)
@@ -51,7 +53,7 @@ def test_projector_idempotent_on_plateau(grid, random_field):
 
 
 def test_projector_commutes_with_linear_operator(grid, random_field):
-    q = make_kernel("P1", DELTA, grid.eps, grid)
+    q = band_symbols(grid, grid.eps, DELTA).q1
     lam = symbol_L_eps(grid.rfft_wavenumbers, grid.eps)
 
     def apply_L(f):
@@ -63,7 +65,7 @@ def test_projector_commutes_with_linear_operator(grid, random_field):
 
 
 def test_complement_sums_back(grid, random_field):
-    q = make_kernel("P1", DELTA, grid.eps, grid)
+    q = band_symbols(grid, grid.eps, DELTA).q1
     total = project(random_field, q) + project_complement(random_field, q)
     np.testing.assert_allclose(total.values, random_field.values, atol=1e-12)
 
@@ -72,17 +74,15 @@ def test_carrier_band_annihilates_its_own_square(grid):
     # P1 (P1 v)^2 = 0: the square of a band-1 field lives near 0 and +-2/eps
     rng = np.random.default_rng(3)
     v1 = _band_field(grid, rng)
-    q1 = make_kernel("P1", DELTA, grid.eps, grid)
+    q1 = band_symbols(grid, grid.eps, DELTA).q1
     sq = RealField(grid, project(v1, q1).values ** 2)
     rel = project(sq, q1).l2_norm() / sq.l2_norm()
     assert rel <= 1e-10
 
 
 def test_band_supports_disjoint_between_p1_and_p2(grid):
-    q1 = make_kernel("P1", DELTA, grid.eps, grid)
-    q2 = make_kernel("P2", DELTA, grid.eps, grid)
-    K = grid.rfft_wavenumbers
-    assert np.max(q1.evaluate(K) * q2.evaluate(K)) == 0.0
+    sym = band_symbols(grid, grid.eps, DELTA)
+    assert np.max(sym.q1 * sym.q2) == 0.0
 
 
 def test_kernel_rejects_overlapping_bands_at_large_delta():
@@ -100,9 +100,9 @@ def test_kernel_rejects_band_past_nyquist():
 def test_decompose_reconstructs_exactly(grid, random_field):
     # v = v1 + eps (v0 + v2 + remainder): v1 = P1 v, v0 = P0 v / eps,
     # v2 = P2 v / eps and the remainder the rest of v over eps
-    eps, K = grid.eps, grid.rfft_wavenumbers
-    q0, q1, q2 = (make_kernel(b, DELTA, eps, grid).evaluate(K)
-                  for b in ("P0", "P1", "P2"))
+    eps = grid.eps
+    sym = band_symbols(grid, eps, DELTA)
+    q0, q1, q2 = sym.q0, sym.q1, sym.q2
     spec = random_field.spectrum()
 
     def part(mult):
@@ -139,6 +139,65 @@ def test_pure_carrier_demodulates_to_constant(grid):
 def test_projection_is_an_l2_contraction(seed):
     g = Grid.for_carrier(0.1, 512, periods=32)
     f = RealField(g, np.random.default_rng(seed).standard_normal(g.n_points))
-    for which in ("P0", "P1", "P2"):
-        q = make_kernel(which, DELTA, g.eps, g)
+    sym = band_symbols(g, g.eps, DELTA)
+    for q in (sym.q0, sym.q1, sym.q2):
         assert project(f, q).l2_norm() <= f.l2_norm() * (1.0 + 1e-12)
+
+
+# -- the band-symbol table -----------------------------------------------------
+
+def test_band_symbols_match_kernels_bit_for_bit(grid):
+    sym = band_symbols(grid, grid.eps, DELTA)
+    K = grid.rfft_wavenumbers
+    for which, q in (("P0", sym.q0), ("P1", sym.q1), ("P2", sym.q2)):
+        np.testing.assert_array_equal(
+            q, make_kernel(which, DELTA, grid.eps, grid).evaluate(K))
+    np.testing.assert_array_equal(
+        sym.q1_full,
+        make_kernel("P1", DELTA, grid.eps, grid).evaluate(grid.wavenumbers))
+    np.testing.assert_array_equal(sym.lam, symbol_L_eps(K, grid.eps))
+    assert band_symbols(grid, grid.eps, DELTA) is sym  # built once
+
+
+def test_band_inverse_matches_guarded_composition_bit_for_bit(grid):
+    # the inverse as the band steppers composed it before the table:
+    # (q0 + q2) times the unguarded symbol, on the support only
+    sym = band_symbols(grid, grid.eps, DELTA)
+    K = grid.rfft_wavenumbers
+    q02 = sym.q0 + sym.q2
+    on = q02 > 0
+    old = np.zeros_like(K)
+    old[on] = q02[on] * inv_symbol_scaled(K[on], grid.eps)
+    np.testing.assert_array_equal(sym.inv0 + sym.inv2, old)
+    assert np.all(sym.inv0[sym.q0 == 0] == 0) and np.all(sym.inv2[sym.q2 == 0] == 0)
+
+
+def test_band_symbols_are_read_only(grid):
+    sym = band_symbols(grid, grid.eps, DELTA)
+    for name in ("lam", "q0", "q1", "q2", "inv0", "inv2", "q1_full"):
+        with pytest.raises(ValueError):
+            getattr(sym, name)[0] = 1.0
+    with pytest.raises(AttributeError):
+        sym.q1 = np.zeros_like(sym.q1)
+
+
+@given(eps=st.floats(0.02, 0.45), delta=st.floats(0.01, 0.34),
+       log2n=st.integers(7, 12), periods=st.integers(2, 32))
+@settings(max_examples=200, deadline=None)
+def test_accepted_band_layouts_stay_away_from_the_neutral_modes(eps, delta,
+                                                                log2n,
+                                                                periods):
+    # P1 and P2 must be disjoint, so delta < (1 - 2 eps)/3 and, on the P0
+    # and P2 supports, |1 - (eps K)^2| > 5/9: the NEAR_SINGULAR_TOL guard of
+    # band_symbols is defence in depth, never reached by a layout that
+    # make_kernel accepts
+    grid = Grid.for_carrier(eps, 2 ** log2n, periods=periods)
+    try:
+        q0, q2 = (make_kernel(b, delta, grid.eps, grid).evaluate(
+            grid.rfft_wavenumbers) for b in ("P0", "P2"))
+        make_kernel("P1", delta, grid.eps, grid)
+    except ValueError:
+        assume(False)
+    K = grid.rfft_wavenumbers[(q0 + q2) > 0]
+    assert np.min(np.abs(1.0 - (grid.eps * K) ** 2)) > 5.0 / 9.0
+    assert 5.0 / 9.0 > 1e5 * NEAR_SINGULAR_TOL

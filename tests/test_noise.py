@@ -2,30 +2,38 @@ import numpy as np
 import pytest
 
 from shmod import (
+    GLCoefficients,
     Grid,
     NoiseConfig,
-    complex_white_increment,
     ou_increment_variance,
     ou_mode_step,
     spectral_variance_rate,
     stochastic_convolution_path,
     stochastic_convolution_sample,
     weighted_holder_norm,
-    white_increment,
 )
+from shmod.noise import SpectralNoise
+from shmod.reduced import GLStepper
 
 
 def small_grid():
     return Grid.for_carrier(0.2, 256, periods=16)
 
 
+def _white_increments(noise, dt, rng, count):
+    """``count`` white-noise increments over ``dt`` as the real solvers draw
+    them: the raw spectral draw at the OU scale of rate 0 (pure Brownian)."""
+    scale = noise.ou_scale(0.0, dt)
+    n = noise.grid.n_points
+    return np.concatenate([np.fft.irfft(noise.raw(rng) * scale, n=n)
+                           for _ in range(count)])
+
+
 def test_white_increment_pointwise_variance():
     grid = small_grid()
-    rng = np.random.default_rng(0)
     dt = 0.01
-    samples = np.concatenate(
-        [white_increment(grid, dt, rng).values for _ in range(400)]
-    )
+    samples = _white_increments(SpectralNoise(grid), dt,
+                                np.random.default_rng(0), 400)
     target = dt / grid.dx
     assert abs(samples.var() / target - 1.0) < 0.05
     assert abs(samples.mean()) < 0.05 * np.sqrt(target)
@@ -33,27 +41,32 @@ def test_white_increment_pointwise_variance():
 
 def test_white_increment_intensity_scales_std():
     grid = small_grid()
-    a = white_increment(grid, 0.01, np.random.default_rng(1), intensity=1.0)
-    b = white_increment(grid, 0.01, np.random.default_rng(1), intensity=2.0)
-    np.testing.assert_allclose(b.values, 2.0 * a.values, rtol=1e-12)
+    a = _white_increments(SpectralNoise(grid, 1.0), 0.01,
+                          np.random.default_rng(1), 1)
+    b = _white_increments(SpectralNoise(grid, 2.0), 0.01,
+                          np.random.default_rng(1), 1)
+    np.testing.assert_allclose(b, 2.0 * a, rtol=1e-12)
 
 
 def test_white_increment_rejects_bad_dt():
-    grid = small_grid()
     with pytest.raises(ValueError):
-        white_increment(grid, 0.0, np.random.default_rng(0))
+        SpectralNoise(small_grid()).ou_scale(0.0, 0.0)
 
 
 def test_complex_white_increment_halves_variance_per_part():
+    # the complex draw of simulate_gl at rate 0: independent re/im parts
+    # that split the real rate dt/dx evenly
     grid = small_grid()
-    rng = np.random.default_rng(2)
     dt = 0.01
-    vals = np.concatenate(
-        [complex_white_increment(grid, dt, rng).values for _ in range(400)]
-    )
+    noise = GLStepper(grid, GLCoefficients(cubic=0.0), dt).noise
+    rng = np.random.default_rng(2)
+    scale = noise.ou_scale(0.0, dt)
+    vals = np.concatenate([np.fft.ifft(noise.raw_complex(rng) * scale)
+                           for _ in range(400)])
     half = dt / (2.0 * grid.dx)
     assert abs(vals.real.var() / half - 1.0) < 0.05
     assert abs(vals.imag.var() / half - 1.0) < 0.05
+    assert abs(np.corrcoef(vals.real, vals.imag)[0, 1]) < 0.05
     # total complex variance matches the real-field rate
     assert abs((vals.real.var() + vals.imag.var()) / (dt / grid.dx) - 1.0) < 0.05
 

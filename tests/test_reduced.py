@@ -9,14 +9,16 @@ from shmod import (
     gl5_coefficients,
     gl_coefficients,
     modulate,
+    RealField,
+    band_symbols,
+    demodulate,
     modulated_carrier_ic,
-    reduced_quadratic_correction,
     simulate_gl,
     simulate_paired,
     simulate_reduced,
 )
 from shmod.grid import ComplexField
-from shmod.reduced import ReducedStepper
+from shmod.reduced import ReducedStepper, _amplitude_spectrum
 
 DELTA = 0.125
 
@@ -58,10 +60,14 @@ def test_quadratic_correction_matches_closed_form():
     eps, nu, a = 0.1, 0.7, 0.4
     grid = Grid.for_carrier(eps, 1024, periods=64)
     A0 = ComplexField(grid, np.full(grid.n_points, a, dtype=complex))
-    w = modulate(A0, eps)
-    corr = reduced_quadratic_correction(w, grid.eps, nu, delta=DELTA)
+    wspec = modulate(A0, eps).spectrum()
+    # the correction is the nu-dependent part of the band drift
+    drift = {nu_: ReducedStepper(grid, ModelParams(eps=grid.eps, nu=nu_),
+                                 intensity=0.0, delta=DELTA).drift(wspec)
+             for nu_ in (nu, 0.0)}
+    corr = np.fft.irfft(drift[nu] - drift[0.0], n=grid.n_points)
     expect = 2.0 * nu**2 * (19.0 / 9.0) * a**3 * 2.0 * np.cos(grid.x / grid.eps)
-    np.testing.assert_allclose(corr.values, expect, atol=1e-12)
+    np.testing.assert_allclose(corr, expect, atol=1e-12)
 
 
 def _drift_in_eight_ffts(stepper, p, wspec):
@@ -107,6 +113,22 @@ def test_drift_matches_eight_fft_composition(params):
     got = stepper.drift(wspec)
     ref = _drift_in_eight_ffts(stepper, p, wspec)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_paired_demodulation_matches_bands_demodulate():
+    # the paired GL run demodulates the P1-limited half-spectrum of w as
+    # bands.demodulate does its full spectrum: q1 applied once, not twice
+    grid = Grid.for_carrier(0.1, 2048, periods=128)
+    q1 = band_symbols(grid, grid.eps, DELTA).q1
+    taper = (q1 > 0) & (q1 < 1)
+    assert taper.sum() >= 4
+    rng = np.random.default_rng(5)
+    raw = rng.standard_normal(q1.size) + 1j * rng.standard_normal(q1.size)
+    wspec = q1 * raw
+    w = RealField.from_spectrum(grid, wspec)
+    ref = demodulate(w, grid.eps, DELTA, energy_tol=1.0).values
+    got = np.fft.ifft(_amplitude_spectrum(wspec, grid))
+    np.testing.assert_allclose(got, ref, rtol=1e-13)
 
 
 def test_gl_constant_data_follows_riccati_solution():
@@ -162,11 +184,8 @@ def test_reduced_band_equation_keeps_band_structure():
     p = ModelParams(eps=grid.eps, nu=0.5, dt=1e-3, t_end=0.1)
     traj = simulate_reduced(w0, p, delta=DELTA)
     assert traj.status == "completed"
-    from shmod import make_kernel
-
-    p1 = make_kernel("P1", DELTA, grid.eps, grid)
     spec = np.abs(np.fft.rfft(traj.final.values))
-    outside = p1.evaluate(grid.rfft_wavenumbers) == 0.0
+    outside = band_symbols(grid, grid.eps, DELTA).q1 == 0.0
     assert np.max(spec[outside]) < 1e-10 * np.max(spec)
 
 

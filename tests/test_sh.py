@@ -6,8 +6,8 @@ from shmod import (
     ModelParams,
     NoiseConfig,
     RealField,
+    band_symbols,
     demodulate,
-    make_kernel,
     modulate,
     modulated_carrier_ic,
     integrate,
@@ -56,9 +56,8 @@ def test_slaved_modes_reach_quasi_steady_values():
     v0 = modulate(A0, eps)
     p = ModelParams(eps=grid.eps, nu=nu, dt=1e-3, t_end=0.2)
     v = simulate(v0, p).final
-    p0 = make_kernel("P0", DELTA, grid.eps, grid)
-    p1 = make_kernel("P1", DELTA, grid.eps, grid)
-    p2 = make_kernel("P2", DELTA, grid.eps, grid)
+    sym = band_symbols(grid, grid.eps, DELTA)
+    p0, p1, p2 = sym.q0, sym.q1, sym.q2
     a = np.mean(np.abs(demodulate(project(v, p1), grid.eps,
                                   energy_tol=1.0).values))
     mean_band = np.mean(project(v, p0).values)
@@ -148,8 +147,7 @@ def test_modulated_carrier_ic_norms(grid):
     # off-band perturbation adds exactly its requested sup norm outside P1
     v1 = modulated_carrier_ic(grid, grid.eps, np.random.default_rng(9),
                               amplitude=0.35, offband=0.2)
-    p1 = make_kernel("P1", DELTA, grid.eps, grid)
-    rem = project_complement(v1, p1)
+    rem = project_complement(v1, band_symbols(grid, grid.eps, DELTA).q1)
     assert rem.sup_norm() == pytest.approx(0.2, rel=0.05)
 
 
