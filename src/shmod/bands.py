@@ -12,7 +12,7 @@ import numpy as np
 from .grid import ComplexField, Grid, RealField
 from .operators import inv_symbol_scaled, symbol_L_eps
 
-DEFAULT_DELTA = 0.25
+DEFAULT_DELTA = 0.125
 
 #: guard on |1 - eps^2 K^2| before inverting on the P0/P2 bands
 NEAR_SINGULAR_TOL = 1e-6

@@ -192,20 +192,21 @@ class ComplexField:
 
 
 # -- binary snapshot format ------------------------------------------------
-# little-endian: magic "SHM1", u32 n_points, f64 length, u8 is_complex,
-# then n_points f64 (real) or 2*n_points f64 interleaved re/im (complex).
+# little-endian: magic "SHM2", u32 n_points, f64 length, u32 carrier_index,
+# u8 is_complex, then n_points f64 (real) or 2*n_points f64 interleaved
+# re/im (complex).  "SHM1" files lack the carrier_index field.
 
-_MAGIC = b"SHM1"
-_HEADER = struct.Struct("<4sIdB")
+_HEADERS = {b"SHM1": struct.Struct("<IdB"), b"SHM2": struct.Struct("<IdIB")}
 
 
 def write_field(path, f: RealField | ComplexField) -> None:
     is_complex = isinstance(f, ComplexField)
+    g = f.grid
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(_MAGIC, f.grid.n_points, f.grid.length,
-                              1 if is_complex else 0))
+        fh.write(b"SHM2" + _HEADERS[b"SHM2"].pack(
+            g.n_points, g.length, g.carrier_index, 1 if is_complex else 0))
         if is_complex:
-            inter = np.empty(2 * f.grid.n_points, dtype="<f8")
+            inter = np.empty(2 * g.n_points, dtype="<f8")
             inter[0::2] = f.values.real
             inter[1::2] = f.values.imag
             fh.write(inter.tobytes())
@@ -214,14 +215,31 @@ def write_field(path, f: RealField | ComplexField) -> None:
 
 
 def read_field(path, carrier_index: int | None = None) -> RealField | ComplexField:
-    """Read a field snapshot; carrier_index defaults to n_points/16."""
+    """Read a field snapshot on the grid stored with it.
+
+    ``carrier_index`` is needed only for "SHM1" files, which do not store
+    it, and defaults to n_points/16 there; an "SHM2" file whose stored
+    index differs from a given one raises ValueError.
+    """
     with open(path, "rb") as fh:
-        magic, n, length, is_complex = _HEADER.unpack(fh.read(_HEADER.size))
-        if magic != _MAGIC:
+        magic = fh.read(4)
+        if magic not in _HEADERS:
             raise ValueError(f"bad field magic {magic!r}")
+        header = fh.read(_HEADERS[magic].size)
+        if len(header) < _HEADERS[magic].size:
+            raise ValueError("truncated field snapshot header")
+        fields = _HEADERS[magic].unpack(header)
         raw = np.frombuffer(fh.read(), dtype="<f8")
-    if carrier_index is None:
-        carrier_index = n // DEFAULT_POINTS_PER_PERIOD
+    if magic == b"SHM2":
+        n, length, stored, is_complex = fields
+        if carrier_index is not None and carrier_index != stored:
+            raise ValueError(f"field stores carrier_index {stored}, "
+                             f"not {carrier_index}")
+        carrier_index = stored
+    else:
+        n, length, is_complex = fields
+        if carrier_index is None:
+            carrier_index = n // DEFAULT_POINTS_PER_PERIOD
     grid = Grid(n_points=n, length=length, carrier_index=carrier_index)
     if is_complex:
         if raw.size != 2 * n:

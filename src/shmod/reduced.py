@@ -19,11 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import AveragingAccumulator
-from .bands import DEFAULT_DELTA, band_symbols, demodulate_spectrum
+from .bands import DEFAULT_DELTA, band_symbols
 from .grid import ComplexField, Grid, RealField
 from .noise import NoiseConfig, SpectralNoise
-from .operators import (_horner, _pad_to_physical, _truncate_to_spec,
-                        dealiased_powers_complex)
+from .operators import _horner, dealiased_powers_complex
 from .sh import (CUBIC, ModelParams, SHStepper, Snapshots, Trajectory, _phi1,
                  integrate, noise_draw)
 
@@ -59,7 +58,36 @@ def gl5_coefficients(nu2: float, nu3: float,
 # -- reduced band equation ---------------------------------------------------
 
 class ReducedStepper:
-    """ETD1 step of the averaged band equation, sharing the SH noise layout."""
+    """ETD1 step of the averaged band equation on the envelope of w.
+
+    The band equation keeps w = P1 w: w0 = P1 v0 and both its drift and its
+    noise carry the factor q1.  So the state is the P1 slice of the rfft
+    half-spectrum, ``E = wspec[band]`` with ``band = m-b .. m+b`` around the
+    carrier index m, and w = A e^{iX/eps} + c.c. where the amplitude A has
+    the modes -b .. b of E.  Sorting w^3, w^5 and w inv02 w^2 by powers of
+    the carrier gives, on the band,
+
+        P1 w^3 = q1 3|A|^2 A,    P1 w^5 = q1 10|A|^4 A,
+        P1 [w inv02 w^2] = q1 (A B0 + conj(A) B2),
+
+    with B0 = inv0 (2|A|^2) and B2 = inv2 (A^2), inv2 taken at the modes
+    2m + j of A^2 e^{2iX/eps}.  The other harmonics miss the band: those
+    of w^3 and of the correction sit at 3m +- 3b and -m +- 3b, off
+    m-b .. m+b because b < m/2 (make_kernel keeps P1 and P2 disjoint);
+    those of w^5 sit at 3m +- 5b and -m +- 5b, off the band only while
+    3b < m, so the quintic variant rejects a wider band.
+
+    The products are taken on an envelope grid of ``ne`` points, the
+    smallest power of two above 4b (cubic) or 6b (quintic).  |A|^2 and A^2
+    span the modes -2b .. 2b, |A|^2 A, A B0 and conj(A) B2 span -3b .. 3b
+    and |A|^4 A spans -5b .. 5b.  Mode k aliases onto k -+ ne, so the
+    squares are exact and the cubic (quintic) products keep their modes
+    -b .. b exact once ne > 4b (ne > 6b).  The envelope samples are those of
+    A e^{ibX dk}, E zero-padded at its end: the shift multiplies every
+    product by a pure phase, so the drift is the first 2b+1 modes of one
+    forward transform.  The factors ne/n of the two grid normalisations are
+    folded into ``gain`` and the quintic coefficient.
+    """
 
     def __init__(self, grid: Grid, p: ModelParams, intensity: float = 1.0,
                  delta: float = DEFAULT_DELTA):
@@ -67,55 +95,92 @@ class ReducedStepper:
             raise ValueError("grid carrier does not match params.eps")
         self.grid = grid
         sym = band_symbols(grid, p.eps, delta)
-        self.decay = np.exp(sym.lam * p.dt)
-        self.phi1dt = p.dt * _phi1(sym.lam * p.dt)
-        self.q1 = sym.q1
-        # P0 and P2 have disjoint supports, so this is inv0 or inv2 per mode
-        self.inv02 = sym.inv0 + sym.inv2
+        m, on = grid.carrier_index, np.flatnonzero(sym.q1)
+        b = int(max(m - on[0], on[-1] - m))
+        if p.variant != CUBIC and 3 * b >= m:
+            raise ValueError("band too wide for the quintic band drift: "
+                             "the third harmonic of w^5 reaches P1")
+        self.band = slice(m - b, m + b + 1)
+        lam = sym.lam[self.band]
+        self.q1 = sym.q1[self.band]
+        self.decay = np.exp(lam * p.dt)
+        self.phi1dt = p.dt * _phi1(lam * p.dt)
         self.noise = SpectralNoise(grid, intensity)
-        self.noise_scale = (self.noise.ou_scale(sym.lam, p.dt) * self.q1
+        self.noise_scale = (self.noise.ou_scale(lam, p.dt) * self.q1
                             if intensity > 0 else None)
-        # padding by 3 is alias-free for w^5 and for the quadratic correction
+        n = grid.n_points
         if p.variant == CUBIC:
-            self.pad, self.coeffs, nu_q = 2, {3: -1.0}, p.nu
+            self.ne = 1 << (4 * b).bit_length()
+            self.poly, nu_q = {1: -3.0}, p.nu
         else:
-            self.pad, self.coeffs, nu_q = 3, {3: p.nu3, 5: -1.0}, p.nu2
-        self.corr = -2.0 * nu_q * nu_q
+            self.ne = 1 << (6 * b).bit_length()
+            self.poly = {1: 3.0 * p.nu3, 2: -10.0 * (self.ne / n) ** 2}
+            nu_q = p.nu2
+        self.gain = self.q1 * (self.ne / n) ** 2
+        self.inv_b = None
+        if nu_q != 0.0:
+            # P0 and P2 have disjoint supports, so inv02 is inv0 or inv2 per
+            # mode; past the half-spectrum it is zero
+            inv02 = np.zeros(n // 2 + 1 + self.ne)
+            inv02[: n // 2 + 1] = sym.inv0 + sym.inv2
+            k = np.arange(self.ne)
+            self.inv_b = -2.0 * nu_q * nu_q * np.stack(
+                (inv02[np.minimum(k, self.ne - k)], inv02[2 * (m - b) + k]))
 
-    def _padded_correction(self, wp: np.ndarray) -> np.ndarray:
-        """-2 nu^2 w * eps^-2 L_eps^-1 (P0+P2) w^2 on the fine grid of ``wp``."""
-        n = self.grid.n_points
-        w2 = _truncate_to_spec(wp * wp, n)
-        return self.corr * wp * _pad_to_physical(self.inv02 * w2, n, wp.size)
+    def drift(self, E: np.ndarray) -> np.ndarray:
+        """Band slice of P1 of the band polynomial plus the quadratic
+        correction: 4 FFTs of ``ne`` points, 2 if nu = 0."""
+        a = np.fft.ifft(E, n=self.ne)
+        abs2 = a.real * a.real + a.imag * a.imag
+        g = _horner(abs2, self.poly)
+        if self.inv_b is not None:
+            squares = np.stack((2.0 * abs2, a * a))
+            b0, b2 = np.fft.ifft(self.inv_b * np.fft.fft(squares))
+            g = a * (g + b0) + a.conj() * b2
+        else:
+            g = a * g
+        return self.gain * np.fft.fft(g)[: E.size]
 
-    def drift(self, wspec: np.ndarray) -> np.ndarray:
-        """P1 of the band polynomial plus the quadratic correction: w padded
-        once, one truncating FFT for the whole sum (4 FFTs, 2 if nu = 0)."""
-        n = self.grid.n_points
-        wp = _pad_to_physical(wspec, n, self.pad * n)
-        total = _horner(wp, self.coeffs)
-        if self.corr != 0.0:
-            total += self._padded_correction(wp)
-        return self.q1 * _truncate_to_spec(total, n)
-
-    def step_spec(self, wspec: np.ndarray, raw: np.ndarray | None) -> np.ndarray:
-        out = self.decay * wspec + self.phi1dt * self.drift(wspec)
+    def step_spec(self, E: np.ndarray, raw: np.ndarray | None) -> np.ndarray:
+        out = self.decay * E + self.phi1dt * self.drift(E)
         if raw is not None and self.noise_scale is not None:
-            out = out + raw * self.noise_scale
+            out = out + raw[self.band] * self.noise_scale
         return out
 
-    def values(self, wspec: np.ndarray) -> np.ndarray:
-        return np.fft.irfft(wspec, n=self.grid.n_points)
+    def half_spectrum(self, E: np.ndarray) -> np.ndarray:
+        """The rfft half-spectrum of w from its band slice."""
+        spec = np.zeros(self.grid.n_points // 2 + 1, dtype=np.complex128)
+        spec[self.band] = E
+        return spec
+
+    def amplitude_spectrum(self, E: np.ndarray) -> np.ndarray:
+        """The fft of A, w = A e^{iX/eps} + c.c., from the band slice of w."""
+        b = E.size // 2
+        spec = np.zeros(self.grid.n_points, dtype=np.complex128)
+        spec[: b + 1] = E[b:]
+        spec[spec.size - b:] = E[:b]
+        return spec
+
+    def values(self, E: np.ndarray) -> np.ndarray:
+        return np.fft.irfft(self.half_spectrum(E), n=self.grid.n_points)
 
 
 def simulate_reduced(w0: RealField, p: ModelParams, cfg: NoiseConfig | None = None,
                      delta: float = DEFAULT_DELTA,
                      snapshot_stride: int = 10) -> Trajectory:
+    """Integrate the band equation from ``w0``, which must lie in the P1
+    band: content where q1 = 0 raises ValueError, since the band state
+    cannot hold it."""
     intensity = cfg.intensity if cfg is not None else 0.0
     stepper = ReducedStepper(w0.grid, p, intensity, delta)
+    spec = w0.spectrum()
+    off = spec.copy()
+    off[stepper.band] = 0.0
+    if np.max(np.abs(off)) > 1e-12 * np.max(np.abs(spec)):
+        raise ValueError("w0 has content outside the P1 band")
     n_steps = int(round(p.t_end / p.dt))
     snaps = Snapshots([w0], p.dt, snapshot_stride, n_steps)
-    status = integrate([stepper], [w0.spectrum()], n_steps,
+    status = integrate([stepper], [spec[stepper.band]], n_steps,
                        p.blowup_threshold, noise_draw(stepper.noise, cfg),
                        [snaps])
     return snaps.trajectory(0, status)
@@ -196,28 +261,18 @@ class PairedResult:
     status: str = "completed"
 
 
-def _amplitude_spectrum(rspec: np.ndarray, grid: Grid) -> np.ndarray:
-    """Spectrum of the amplitude A of a P1-limited real field
-    w = A e^{iX/eps} + c.c., from the rfft half-spectrum of w."""
-    n = grid.n_points
-    full = np.empty(n, dtype=np.complex128)
-    full[: n // 2 + 1] = rspec
-    full[n // 2 + 1:] = np.conj(rspec[1: n // 2][::-1])
-    return demodulate_spectrum(full, grid.carrier_index)
-
-
 class _BandGLStepper(GLStepper):
     """GL stepper driven by the shared real draw: the amplitude of its P1
-    band, q1 raw."""
+    band, q1 raw, scattered from the band slice of ``red``."""
 
-    def __init__(self, grid: Grid, c: GLCoefficients, dt: float,
-                 q1: np.ndarray):
-        super().__init__(grid, c, dt)
-        self.q1 = q1
+    def __init__(self, c: GLCoefficients, dt: float, red: ReducedStepper):
+        super().__init__(red.grid, c, dt)
+        self.red = red
 
     def step_spec(self, aspec: np.ndarray, raw: np.ndarray | None) -> np.ndarray:
         if raw is not None:
-            raw = _amplitude_spectrum(self.q1 * raw, self.grid)
+            red = self.red
+            raw = red.amplitude_spectrum(red.q1 * raw[red.band])
         return super().step_spec(aspec, raw)
 
 
@@ -263,8 +318,8 @@ def simulate_paired(v0: RealField, p: ModelParams, cfg: NoiseConfig,
     sh = SHStepper(grid, p, cfg.intensity)
     red = ReducedStepper(grid, p, cfg.intensity, delta)
     vspec = v0.spectrum()
-    wspec = red.q1 * vspec
-    steppers, specs = [sh, red], [vspec, wspec]
+    wband = red.q1 * vspec[red.band]
+    steppers, specs = [sh, red], [vspec, wband]
     averaging = AveragingAccumulator(
         grid, p.eps, p.nu if p.variant == CUBIC else p.nu2, delta)
     averaging.add(0.0, vspec)
@@ -273,13 +328,13 @@ def simulate_paired(v0: RealField, p: ModelParams, cfg: NoiseConfig,
     if with_gl:
         c = (gl_coefficients(p.nu, cfg.intensity) if p.variant == CUBIC
              else gl5_coefficients(p.nu2, p.nu3, cfg.intensity))
-        steppers.append(_BandGLStepper(grid, c, p.dt, red.q1))
-        specs.append(_amplitude_spectrum(wspec, grid))
+        steppers.append(_BandGLStepper(c, p.dt, red))
+        specs.append(red.amplitude_spectrum(wband))
         sup_diff_gl = _RunningMax(lambda specs, vals: float(np.max(np.abs(
-            np.fft.ifft(_amplitude_spectrum(specs[1], grid)) - vals[2]))))
+            np.fft.ifft(red.amplitude_spectrum(specs[1])) - vals[2]))))
         observers.append(sup_diff_gl)
     n_steps = int(round(p.t_end / p.dt))
-    snaps = Snapshots([v0, RealField.from_spectrum(grid, wspec)], p.dt,
+    snaps = Snapshots([v0, RealField(grid, red.values(wband))], p.dt,
                       snapshot_stride, n_steps)
     status = integrate(steppers, specs, n_steps, p.blowup_threshold,
                        noise_draw(sh.noise, cfg), observers + [snaps])

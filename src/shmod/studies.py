@@ -24,7 +24,7 @@ from . import __version__
 from .grid import Grid
 from .noise import NoiseConfig
 from .sh import ModelParams, simulate, modulated_carrier_ic
-from .bands import band_symbols, project_complement
+from .bands import DEFAULT_DELTA, band_symbols, project_complement
 from .reduced import simulate_paired
 from .analysis import estimate_landau_coefficient, fit_scaling_exponent
 
@@ -73,7 +73,7 @@ class StudyConfig:
     base_seed: int = 20260826
     n_points: int = 2048
     periods: int = 128
-    delta: float = 0.125
+    delta: float = DEFAULT_DELTA
     dt: float = 1e-3
     t_end: float = 1.0
     intensity: float = 0.07

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -81,8 +83,48 @@ def test_snapshot_roundtrip_complex(tmp_path, grid, rng):
     np.testing.assert_array_equal(back.values, f.values)
 
 
+@settings(max_examples=25, deadline=None)
+@given(periods=st.integers(1, 255), eps=st.floats(0.01, 0.9),
+       is_complex=st.booleans())
+def test_snapshot_roundtrip_keeps_carrier(tmp_path_factory, periods, eps,
+                                          is_complex):
+    # a field written off the default periods = n/16 reads back on its grid,
+    # so with its true eps
+    grid = Grid.for_carrier(eps, 512, periods=periods)
+    vals = np.cos(grid.x / grid.eps) * (1j if is_complex else 1.0)
+    f = (ComplexField if is_complex else RealField)(grid, vals)
+    path = tmp_path_factory.mktemp("field") / "f.field"
+    write_field(path, f)
+    back = read_field(path)
+    assert back.grid == grid
+    assert back.grid.eps == grid.eps
+    np.testing.assert_array_equal(back.values, f.values)
+
+
+def test_snapshot_reads_shm1_and_rejects_a_conflicting_carrier(tmp_path,
+                                                                grid, rng):
+    # SHM1 files carry no carrier_index; SHM2 files must not be read on
+    # another one
+    vals = rng.standard_normal(grid.n_points)
+    old = tmp_path / "old.field"
+    header = struct.pack("<IdB", grid.n_points, grid.length, 0)
+    old.write_bytes(b"SHM1" + header + vals.astype("<f8").tobytes())
+    back = read_field(old, carrier_index=grid.carrier_index)
+    assert back.grid == grid
+    np.testing.assert_array_equal(back.values, vals)
+    assert read_field(old).grid.carrier_index == grid.n_points // 16
+    new = tmp_path / "new.field"
+    write_field(new, RealField(grid, vals))
+    with pytest.raises(ValueError, match="carrier_index"):
+        read_field(new, carrier_index=grid.carrier_index + 1)
+
+
 def test_snapshot_rejects_bad_magic(tmp_path):
     path = tmp_path / "junk.field"
     path.write_bytes(b"NOPE" + b"\x00" * 32)
     with pytest.raises(ValueError):
+        read_field(path)
+    # and a header cut short is a ValueError too, not a struct.error
+    path.write_bytes(b"SHM2" + b"\x00" * 3)
+    with pytest.raises(ValueError, match="truncated"):
         read_field(path)

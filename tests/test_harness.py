@@ -262,6 +262,11 @@ def test_cli_exit_codes(tmp_path):
     assert (tmp_path / "sim" / "final.field").exists()
     assert (tmp_path / "sim" / "kernel_P1.csv").exists()
 
+    # the default delta keeps P1 and P2 apart at eps 0.2
+    r = _cli("simulate-gl", "--n", "512", "--periods", "32", "--eps", "0.2",
+             "--t-end", "0.05", "--out", str(tmp_path / "gl"))
+    assert r.returncode == 0, r.stderr
+
     # two eps values give no slope: the gates are reported, not failed
     r = _cli("study", "--study", "averaging", "--eps", "0.2,0.1",
              "--seeds", "1", "--n", "512", "--periods", "32",

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from shmod import (
     GLCoefficients,
@@ -9,6 +10,7 @@ from shmod import (
     gl5_coefficients,
     gl_coefficients,
     modulate,
+    ou_increment_variance,
     RealField,
     band_symbols,
     demodulate,
@@ -16,9 +18,10 @@ from shmod import (
     simulate_gl,
     simulate_paired,
     simulate_reduced,
+    spectral_variance_rate,
 )
 from shmod.grid import ComplexField
-from shmod.reduced import ReducedStepper, _amplitude_spectrum
+from shmod.reduced import ReducedStepper
 
 DELTA = 0.125
 
@@ -62,41 +65,46 @@ def test_quadratic_correction_matches_closed_form():
     A0 = ComplexField(grid, np.full(grid.n_points, a, dtype=complex))
     wspec = modulate(A0, eps).spectrum()
     # the correction is the nu-dependent part of the band drift
-    drift = {nu_: ReducedStepper(grid, ModelParams(eps=grid.eps, nu=nu_),
-                                 intensity=0.0, delta=DELTA).drift(wspec)
-             for nu_ in (nu, 0.0)}
-    corr = np.fft.irfft(drift[nu] - drift[0.0], n=grid.n_points)
+    steppers = {nu_: ReducedStepper(grid, ModelParams(eps=grid.eps, nu=nu_),
+                                    intensity=0.0, delta=DELTA)
+                for nu_ in (nu, 0.0)}
+    drift = {nu_: s.drift(wspec[s.band]) for nu_, s in steppers.items()}
+    corr = steppers[nu].values(drift[nu] - drift[0.0])
     expect = 2.0 * nu**2 * (19.0 / 9.0) * a**3 * 2.0 * np.cos(grid.x / grid.eps)
     np.testing.assert_allclose(corr, expect, atol=1e-12)
 
 
-def _drift_in_eight_ffts(stepper, p, wspec):
-    """The band drift as composed before the fused kernel: w padded three
-    times, two dealiased products at pad 2 for the quadratic correction and
-    separate truncations of each power (8 FFTs)."""
-    n, q1 = stepper.grid.n_points, stepper.q1
+def _pad(spec, n, f):
+    padded = np.zeros(f * n // 2 + 1, dtype=np.complex128)
+    padded[: n // 2 + 1] = spec
+    padded[n // 2] = 0.0
+    return np.fft.irfft(padded, n=f * n) * f
 
-    def pad(spec, f):
-        padded = np.zeros(f * n // 2 + 1, dtype=np.complex128)
-        padded[: n // 2 + 1] = spec
-        padded[n // 2] = 0.0
-        return np.fft.irfft(padded, n=f * n) * f
 
-    def trunc(values, f):
-        spec = np.fft.rfft(values)[: n // 2 + 1] / f
-        spec[n // 2] = 0.0
-        return spec
+def _trunc(values, n, f):
+    spec = np.fft.rfft(values)[: n // 2 + 1] / f
+    spec[n // 2] = 0.0
+    return spec
+
+
+def _drift_in_eight_ffts(grid, p, wspec):
+    """The band drift on the full grid as composed before the fused kernel:
+    w padded three times, two dealiased products at pad 2 for the quadratic
+    correction and separate truncations of each power (8 FFTs)."""
+    n = grid.n_points
+    sym = band_symbols(grid, p.eps, DELTA)
 
     def product(a, b):
-        return trunc(pad(a, 2) * pad(b, 2), 2)
+        return _trunc(_pad(a, n, 2) * _pad(b, n, 2), n, 2)
 
     nu_q = p.nu if p.variant == "cubic" else p.nu2
     w2 = product(wspec, wspec)
-    out = -2.0 * nu_q**2 * q1 * product(wspec, stepper.inv02 * w2)
+    out = -2.0 * nu_q**2 * sym.q1 * product(wspec, (sym.inv0 + sym.inv2) * w2)
     if p.variant == "cubic":
-        return out - q1 * trunc(pad(wspec, 2) ** 3, 2)
-    wp = pad(wspec, 3)
-    return out + p.nu3 * q1 * trunc(wp**3, 3) - q1 * trunc(wp**5, 3)
+        return out - sym.q1 * _trunc(_pad(wspec, n, 2) ** 3, n, 2)
+    wp = _pad(wspec, n, 3)
+    return (out + p.nu3 * sym.q1 * _trunc(wp**3, n, 3)
+            - sym.q1 * _trunc(wp**5, n, 3))
 
 
 @pytest.mark.parametrize("params", [
@@ -109,15 +117,89 @@ def test_drift_matches_eight_fft_composition(params):
     stepper = ReducedStepper(grid, p, intensity=0.0, delta=DELTA)
     w = modulated_carrier_ic(grid, grid.eps, np.random.default_rng(3),
                              amplitude=0.8, delta=DELTA)
-    wspec = stepper.q1 * w.spectrum()
-    got = stepper.drift(wspec)
-    ref = _drift_in_eight_ffts(stepper, p, wspec)
+    wspec = band_symbols(grid, grid.eps, DELTA).q1 * w.spectrum()
+    got = stepper.half_spectrum(stepper.drift(wspec[stepper.band]))
+    ref = _drift_in_eight_ffts(grid, p, wspec)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def _full_grid_step(grid, p, delta, intensity, wspec, raw):
+    """One noisy ETD1 step of the band equation on the full grid: w padded
+    once by 2 (cubic) or 3 (quintic), the polynomial and the quadratic
+    correction on the fine grid, one truncation, then q1."""
+    n = grid.n_points
+    sym = band_symbols(grid, p.eps, delta)
+    if p.variant == "cubic":
+        f, nu_q = 2, p.nu
+        wp = _pad(wspec, n, f)
+        poly = -wp**3
+    else:
+        f, nu_q = 3, p.nu2
+        wp = _pad(wspec, n, f)
+        poly = p.nu3 * wp**3 - wp**5
+    w2 = _trunc(wp * wp, n, f)
+    corr = -2.0 * nu_q**2 * wp * _pad((sym.inv0 + sym.inv2) * w2, n, f)
+    drift = sym.q1 * _trunc(poly + corr, n, f)
+    z = sym.lam * p.dt
+    zs = np.where(z == 0.0, 1.0, z)
+    phi1 = np.where(z == 0.0, 1.0, np.expm1(zs) / zs)
+    noise = sym.q1 * np.sqrt(spectral_variance_rate(grid, intensity)
+                             * ou_increment_variance(sym.lam, p.dt) / n)
+    step = np.exp(z) * wspec + p.dt * phi1 * drift + raw * noise
+    return drift, step
+
+
+@pytest.mark.parametrize("params", [
+    dict(variant="cubic", nu=0.7),
+    dict(variant="cubic", nu=0.0),
+    dict(variant="quintic", nu2=0.8, nu3=0.6),
+])
+@settings(max_examples=50, deadline=None)
+@given(n=st.sampled_from([256, 512, 1024]),
+       eps=st.floats(0.02, 0.4),
+       delta_frac=st.floats(0.01, 0.99),
+       periods_frac=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_envelope_step_matches_full_grid_step(params, n, eps, delta_frac,
+                                              periods_frac, seed):
+    # one noisy step on the envelope grid is the full-grid step, on every
+    # band layout make_kernel accepts: 3 delta + 2 eps < 1 keeps P1 and P2
+    # apart, periods < n / (2 (2 + 2 delta + eps)) keeps P2 below Nyquist
+    delta = delta_frac * (1.0 - 2.0 * eps) / 3.0
+    periods = 1 + int(periods_frac * (n / (2.0 * (2.0 + 2.0 * delta + eps))
+                                      - 1.0))
+    try:
+        grid = Grid.for_carrier(eps, n, periods=periods)
+        sym = band_symbols(grid, grid.eps, delta)
+    except ValueError:
+        assume(False)
+    p = ModelParams(eps=grid.eps, **params)
+    m = grid.carrier_index
+    b = np.max(np.abs(np.flatnonzero(sym.q1) - m))
+    if p.variant == "quintic" and 3 * b >= m:
+        # w^5's third harmonic reaches P1, which the envelope does not hold
+        with pytest.raises(ValueError, match="third harmonic"):
+            ReducedStepper(grid, p, intensity=0.07, delta=delta)
+        return
+    stepper = ReducedStepper(grid, p, intensity=0.07, delta=delta)
+    rng = np.random.default_rng(seed)
+    half = n // 2 + 1
+    wspec = sym.q1 * (rng.standard_normal(half)
+                      + 1j * rng.standard_normal(half))
+    wspec *= 1.0 / np.max(np.abs(np.fft.irfft(wspec, n=n)))
+    raw = np.fft.rfft(rng.standard_normal(n))
+    drift, step = _full_grid_step(grid, p, delta, 0.07, wspec, raw)
+    E = wspec[stepper.band]
+    for got, ref in ((stepper.drift(E), drift),
+                     (stepper.step_spec(E, raw), step)):
+        got = stepper.half_spectrum(got)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_paired_demodulation_matches_bands_demodulate():
-    # the paired GL run demodulates the P1-limited half-spectrum of w as
-    # bands.demodulate does its full spectrum: q1 applied once, not twice
+    # the paired GL run scatters the P1 slice of w into the amplitude
+    # spectrum as bands.demodulate shifts its full spectrum: q1 applied
+    # once, not twice
     grid = Grid.for_carrier(0.1, 2048, periods=128)
     q1 = band_symbols(grid, grid.eps, DELTA).q1
     taper = (q1 > 0) & (q1 < 1)
@@ -127,7 +209,9 @@ def test_paired_demodulation_matches_bands_demodulate():
     wspec = q1 * raw
     w = RealField.from_spectrum(grid, wspec)
     ref = demodulate(w, grid.eps, DELTA, energy_tol=1.0).values
-    got = np.fft.ifft(_amplitude_spectrum(wspec, grid))
+    stepper = ReducedStepper(grid, ModelParams(eps=grid.eps), intensity=0.0,
+                             delta=DELTA)
+    got = np.fft.ifft(stepper.amplitude_spectrum(wspec[stepper.band]))
     np.testing.assert_allclose(got, ref, rtol=1e-13)
 
 
@@ -204,3 +288,23 @@ def test_paired_run_is_deterministic_and_close():
     assert r1.status == "completed"
     # the band approximation tracks the full solution at this bandwidth
     assert r1.sup_diff < 0.1
+
+
+def test_simulate_reduced_rejects_offband_w0():
+    grid = Grid.for_carrier(0.1, 1024, periods=64)
+    p = ModelParams(eps=grid.eps, nu=0.5, dt=1e-3, t_end=1e-3)
+    w0 = modulated_carrier_ic(grid, grid.eps, np.random.default_rng(2),
+                              amplitude=0.3, delta=DELTA, offband=0.1)
+    with pytest.raises(ValueError, match="outside the P1 band"):
+        simulate_reduced(w0, p, delta=DELTA)
+    # content on the P1 taper is kept as given, not multiplied by q1 again:
+    # one step of a tiny field is the linear flow of w0
+    sym = band_symbols(grid, grid.eps, DELTA)
+    rng = np.random.default_rng(6)
+    spec = 1e-9 * sym.q1 * (rng.standard_normal(sym.q1.size)
+                            + 1j * rng.standard_normal(sym.q1.size))
+    traj = simulate_reduced(RealField.from_spectrum(grid, spec), p,
+                            delta=DELTA)
+    expect = np.fft.irfft(np.exp(p.dt * sym.lam) * spec, n=grid.n_points)
+    np.testing.assert_allclose(traj.final.values, expect, rtol=0,
+                               atol=1e-12 * np.max(np.abs(expect)))
