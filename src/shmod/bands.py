@@ -14,6 +14,10 @@ from .operators import inv_symbol_scaled, symbol_L_eps
 
 DEFAULT_DELTA = 0.125
 
+#: largest share of a band field's energy that may lie off the P1 band
+#: before its demodulated amplitude is refused
+OFFBAND_ENERGY_TOL = 0.01
+
 #: guard on |1 - eps^2 K^2| before inverting on the P0/P2 bands
 NEAR_SINGULAR_TOL = 1e-6
 
@@ -74,7 +78,8 @@ class BandSymbols:
     """Multipliers of one (grid, eps, delta) on the rfft layout: the symbol
     ``lam`` of L_eps, the kernels ``q0``/``q1``/``q2`` and the scaled inverse
     eps^-2 L_eps^-1 weighted by each fast band, ``inv0``/``inv2`` (zero off
-    its support); ``q1_full`` is the P1 kernel on the full fft layout.
+    its support); ``band`` is the P1 slice m-b .. m+b around the carrier
+    index m, outside which q1 is zero.
 
     Built once by :func:`band_symbols` and shared by every consumer, on any
     thread, so the arrays are read-only.
@@ -86,7 +91,7 @@ class BandSymbols:
     q2: np.ndarray
     inv0: np.ndarray
     inv2: np.ndarray
-    q1_full: np.ndarray
+    band: slice
 
 
 @functools.lru_cache(maxsize=32)
@@ -108,11 +113,12 @@ def band_symbols(grid: Grid, eps: float, delta: float) -> BandSymbols:
         inv = np.zeros_like(K)
         inv[on] = q[on] * inv_symbol_scaled(K[on], eps)
         invs.append(inv)
-    arrays = (symbol_L_eps(K, eps), q0, q1, q2, *invs,
-              kernels[1].evaluate(grid.wavenumbers))
+    arrays = (symbol_L_eps(K, eps), q0, q1, q2, *invs)
     for a in arrays:
         a.setflags(write=False)
-    return BandSymbols(*arrays)
+    m, on = grid.carrier_index, np.flatnonzero(q1)
+    b = int(max(m - on[0], on[-1] - m))
+    return BandSymbols(*arrays, band=slice(m - b, m + b + 1))
 
 
 def project(f: RealField, q: np.ndarray) -> RealField:
@@ -128,35 +134,46 @@ def project_complement(f: RealField, q: np.ndarray) -> RealField:
 
 # -- carrier modulation ------------------------------------------------------
 
-def demodulate_spectrum(spec: np.ndarray, carrier_index: int) -> np.ndarray:
-    """Amplitude spectrum of a real field from its full fft spectrum: the
-    positive band (modes 1 .. n/2 - 1) shifted down by the carrier."""
-    n = spec.shape[0]
-    pos = np.zeros(n, dtype=np.complex128)
-    pos[1:n // 2] = spec[1:n // 2]
-    return np.roll(pos, -carrier_index)
+def check_p1_energy(power: np.ndarray, q1: np.ndarray,
+                     energy_tol: float = OFFBAND_ENERGY_TOL) -> None:
+    """Raise ValueError if more than ``energy_tol`` of the spectral energy
+    ``power`` lies off the P1 band, each mode weighted by (1 - q1)^2."""
+    total = np.sum(power)
+    if total > 0 and np.sum((1.0 - q1) ** 2 * power) > energy_tol * total:
+        raise ValueError("field has significant energy outside the P1 band")
+
+
+def amplitude_spectrum(E: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The fft of A, w = A e^{iX/eps} + c.c., written into ``out`` from the
+    P1 slice ``E = wspec[band]`` of w's half-spectrum (``BandSymbols.band``):
+    mode m+j of w is mode j of A.  The other entries of ``out`` keep their
+    values, zero for a fresh array."""
+    b = E.size // 2
+    out[: b + 1] = E[b:]
+    out[out.size - b:] = E[:b]
+    return out
 
 
 def demodulate(v1: RealField, eps: float, delta: float = DEFAULT_DELTA,
-               energy_tol: float = 0.01) -> ComplexField:
+               energy_tol: float = OFFBAND_ENERGY_TOL) -> ComplexField:
     """Complex amplitude A with v1 = A e^{iX/eps} + c.c.
 
-    A is the positive-frequency band of v1 shifted down by the carrier
-    wavenumber, taken from ``v1.full_spectrum()``.  Rejects input with more
-    than ``energy_tol`` of its energy outside the P1 band.
+    A is the positive band of v1 (modes 1 .. n/2 - 1 of its rfft) shifted
+    down by the carrier index.  Rejects input with more than
+    ``energy_tol`` of its energy outside the P1 band.
     """
     grid = v1.grid
     if abs(grid.eps - eps) > 1e-9 * eps:
         raise ValueError("eps does not match the grid carrier")
-    spec = v1.full_spectrum()
-    q1 = band_symbols(grid, eps, delta).q1_full
-    total = np.sum(np.abs(spec) ** 2)
-    if total > 0:
-        off = np.sum((1.0 - q1) ** 2 * np.abs(spec) ** 2)
-        if off > energy_tol * total:
-            raise ValueError("field has significant energy outside the P1 band")
-    return ComplexField.from_spectrum(
-        grid, demodulate_spectrum(spec, grid.carrier_index))
+    rspec = v1.spectrum()
+    power = np.abs(rspec) ** 2
+    power[1:-1] *= 2.0  # these modes stand for their conjugates too
+    check_p1_energy(power, band_symbols(grid, eps, delta).q1, energy_tol)
+    n, m = grid.n_points, grid.carrier_index
+    spec = np.zeros(n, dtype=np.complex128)
+    spec[: n // 2 - m] = rspec[m: n // 2]
+    spec[n - m + 1:] = rspec[1:m]
+    return ComplexField.from_spectrum(grid, spec)
 
 
 def modulate(A: ComplexField, eps: float) -> RealField:

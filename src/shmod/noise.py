@@ -59,19 +59,6 @@ def ou_increment_variance(lam, dt: float):
     return out if out.ndim else float(out)
 
 
-def ou_mode_step(lam: float, current: complex, dt: float,
-                 noise_var_unit: float, rng: np.random.Generator) -> complex:
-    """Exact update of dz = lam z dt + dW for one complex Fourier mode.
-
-    noise_var_unit is the total complex variance per unit time of the mode's
-    Wiener coefficient (re/im carry half each).
-    """
-    var = noise_var_unit * ou_increment_variance(lam, dt)
-    s = np.sqrt(var / 2.0)
-    xi = rng.normal(scale=s) + 1j * rng.normal(scale=s)
-    return np.exp(lam * dt) * current + xi
-
-
 class SpectralNoise:
     """Per-step spectral noise shared between paired solvers.
 

@@ -30,27 +30,13 @@ def inv_symbol_scaled(K, eps: float):
 
 # -- dealiased pseudospectral products --------------------------------------
 
-def _pad_to_physical(rspec: np.ndarray, n: int, n_pad: int) -> np.ndarray:
-    """Zero-pad an rfft half-spectrum and return fine-grid physical samples."""
-    padded = np.zeros(n_pad // 2 + 1, dtype=np.complex128)
-    padded[: n // 2 + 1] = rspec
-    padded[n // 2] = 0.0  # drop the ambiguous coarse Nyquist coefficient
-    return np.fft.irfft(padded, n=n_pad) * (n_pad / n)
-
-
-def _truncate_to_spec(values_pad: np.ndarray, n: int) -> np.ndarray:
-    n_pad = values_pad.shape[0]
-    spec = np.fft.rfft(values_pad)[: n // 2 + 1] * (n / n_pad)
-    spec[n // 2] = 0.0
-    return spec
-
-
-def _horner(vp: np.ndarray, coeffs: dict) -> np.ndarray:
+def _horner(vp: np.ndarray, coeffs: dict, out: np.ndarray | None = None
+            ) -> np.ndarray:
     """Samples of sum_e coeffs[e] vp^e (exponents >= 1) by Horner's rule,
-    from products only: numpy's float power of signed data costs about
-    50 times the product x*x*x."""
+    from products only, into ``out`` if given: numpy's float power of signed
+    data costs about 50 times the product x*x*x."""
     top = max(coeffs)
-    poly = coeffs[top] * vp
+    poly = np.multiply(coeffs[top], vp, out=out)
     for e in range(top - 1, 0, -1):
         if coeffs.get(e):
             poly += coeffs[e]
@@ -58,15 +44,44 @@ def _horner(vp: np.ndarray, coeffs: dict) -> np.ndarray:
     return poly
 
 
-def dealiased_powers(rspec: np.ndarray, n: int, coeffs: dict,
-                     pad_factor: int) -> np.ndarray:
-    """Half-spectrum of the polynomial sum_e coeffs[e] v^e, alias-free.
+class PaddedGrid:
+    """Work arrays of :func:`dealiased_powers` on the ``pad_factor * n``
+    point grid: the padded half-spectrum, whose entries from n/2 on stay
+    zero, the fine-grid samples, the polynomial samples and their fine
+    spectrum.
+
+    Each is filled in place on every call, so a step allocates no padded
+    array.  A caller owns its own instance and never shares it between
+    threads.
+    """
+
+    def __init__(self, n: int, pad_factor: int):
+        self.n, self.n_pad = n, pad_factor * n
+        self.spec = np.zeros(self.n_pad // 2 + 1, dtype=np.complex128)
+        self.values = np.empty(self.n_pad)
+        self.poly = np.empty(self.n_pad)
+        self.fine = np.empty_like(self.spec)
+
+
+def dealiased_powers(rspec: np.ndarray, coeffs: dict,
+                     padded: PaddedGrid) -> np.ndarray:
+    """Half-spectrum of the polynomial sum_e coeffs[e] v^e, alias-free, as a
+    new array of ``padded.n // 2 + 1`` coefficients.
 
     One padded inverse FFT, the polynomial on the fine grid, one truncating
-    forward FFT.  pad_factor 2 is exact up to the cube, 3 up to v^5.
+    forward FFT, all in the arrays of ``padded``.  A pad factor of 2 is
+    exact up to the cube, 3 up to v^5.  The ambiguous coarse Nyquist
+    coefficient is dropped on the way in and out.
     """
-    vp = _pad_to_physical(rspec, n, pad_factor * n)
-    return _truncate_to_spec(_horner(vp, coeffs), n)
+    half, scale = padded.n // 2, padded.n_pad / padded.n
+    padded.spec[:half] = rspec[:half]
+    np.fft.irfft(padded.spec, n=padded.n_pad, out=padded.values)
+    padded.values *= scale
+    _horner(padded.values, coeffs, out=padded.poly)
+    np.fft.rfft(padded.poly, out=padded.fine)
+    spec = padded.fine[: half + 1] * (padded.n / padded.n_pad)
+    spec[half] = 0.0
+    return spec
 
 
 def dealiased_powers_complex(spec: np.ndarray, n: int, coeffs: dict,

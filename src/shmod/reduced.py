@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import AveragingAccumulator
-from .bands import DEFAULT_DELTA, band_symbols
+from .bands import DEFAULT_DELTA, amplitude_spectrum, band_symbols
 from .grid import ComplexField, Grid, RealField
 from .noise import NoiseConfig, SpectralNoise
 from .operators import _horner, dealiased_powers_complex
@@ -95,12 +95,11 @@ class ReducedStepper:
             raise ValueError("grid carrier does not match params.eps")
         self.grid = grid
         sym = band_symbols(grid, p.eps, delta)
-        m, on = grid.carrier_index, np.flatnonzero(sym.q1)
-        b = int(max(m - on[0], on[-1] - m))
+        self.band, m = sym.band, grid.carrier_index
+        b = m - self.band.start
         if p.variant != CUBIC and 3 * b >= m:
             raise ValueError("band too wide for the quintic band drift: "
                              "the third harmonic of w^5 reaches P1")
-        self.band = slice(m - b, m + b + 1)
         lam = sym.lam[self.band]
         self.q1 = sym.q1[self.band]
         self.decay = np.exp(lam * p.dt)
@@ -151,14 +150,6 @@ class ReducedStepper:
         """The rfft half-spectrum of w from its band slice."""
         spec = np.zeros(self.grid.n_points // 2 + 1, dtype=np.complex128)
         spec[self.band] = E
-        return spec
-
-    def amplitude_spectrum(self, E: np.ndarray) -> np.ndarray:
-        """The fft of A, w = A e^{iX/eps} + c.c., from the band slice of w."""
-        b = E.size // 2
-        spec = np.zeros(self.grid.n_points, dtype=np.complex128)
-        spec[: b + 1] = E[b:]
-        spec[spec.size - b:] = E[:b]
         return spec
 
     def values(self, E: np.ndarray) -> np.ndarray:
@@ -268,11 +259,12 @@ class _BandGLStepper(GLStepper):
     def __init__(self, c: GLCoefficients, dt: float, red: ReducedStepper):
         super().__init__(red.grid, c, dt)
         self.red = red
+        self.raw_amplitude = np.zeros(red.grid.n_points, dtype=np.complex128)
 
     def step_spec(self, aspec: np.ndarray, raw: np.ndarray | None) -> np.ndarray:
         if raw is not None:
             red = self.red
-            raw = red.amplitude_spectrum(red.q1 * raw[red.band])
+            raw = amplitude_spectrum(red.q1 * raw[red.band], self.raw_amplitude)
         return super().step_spec(aspec, raw)
 
 
@@ -329,9 +321,10 @@ def simulate_paired(v0: RealField, p: ModelParams, cfg: NoiseConfig,
         c = (gl_coefficients(p.nu, cfg.intensity) if p.variant == CUBIC
              else gl5_coefficients(p.nu2, p.nu3, cfg.intensity))
         steppers.append(_BandGLStepper(c, p.dt, red))
-        specs.append(red.amplitude_spectrum(wband))
+        amp = np.zeros(grid.n_points, dtype=np.complex128)
+        specs.append(amplitude_spectrum(wband, amp.copy()))
         sup_diff_gl = _RunningMax(lambda specs, vals: float(np.max(np.abs(
-            np.fft.ifft(red.amplitude_spectrum(specs[1])) - vals[2]))))
+            np.fft.ifft(amplitude_spectrum(specs[1], amp)) - vals[2]))))
         observers.append(sup_diff_gl)
     n_steps = int(round(p.t_end / p.dt))
     snaps = Snapshots([v0, RealField(grid, red.values(wband))], p.dt,

@@ -16,7 +16,7 @@ import numpy as np
 
 from .grid import Grid, RealField
 from .noise import NoiseConfig, SpectralNoise
-from .operators import dealiased_powers, symbol_L_eps
+from .operators import PaddedGrid, dealiased_powers, symbol_L_eps
 from .bands import DEFAULT_DELTA, modulate
 
 CUBIC = "cubic"
@@ -71,34 +71,55 @@ def _phi1(z: np.ndarray) -> np.ndarray:
 
 
 class SHStepper:
-    """Precomputed ETD1 step for one (grid, params, intensity) combination."""
+    """Precomputed ETD1 step for one (grid, params, intensity) combination.
+
+    The stepper owns the padded work arrays of its nonlinearity, so one
+    stepper serves one thread at a time.
+    """
 
     def __init__(self, grid: Grid, p: ModelParams, intensity: float = 1.0):
         if abs(grid.eps - p.eps) > 1e-9 * p.eps:
             raise ValueError("grid carrier does not match params.eps")
         self.grid = grid
         lam = symbol_L_eps(grid.rfft_wavenumbers, p.eps)
-        self.decay = np.exp(lam * p.dt)
-        self.phi1dt = p.dt * _phi1(lam * p.dt)
+        # the real multipliers are stored as complex numbers with imaginary
+        # part +0, the cast numpy would make on every product with a
+        # spectrum: the same bits, without a cast buffer per product
+        self.decay = np.exp(lam * p.dt).astype(np.complex128)
+        self.phi1dt = (p.dt * _phi1(lam * p.dt)).astype(np.complex128)
         self.noise = SpectralNoise(grid, intensity)
-        self.noise_scale = (self.noise.ou_scale(lam, p.dt)
-                            if intensity > 0 else None)
+        self.noise_scale = (
+            self.noise.ou_scale(lam, p.dt).astype(np.complex128)
+            if intensity > 0 else None)
         if p.variant == CUBIC:
-            self.coeffs, self.pad = {2: p.nu / p.eps, 3: -1.0}, 2
+            self.coeffs, pad = {2: p.nu / p.eps, 3: -1.0}, 2
         else:
-            self.coeffs, self.pad = {2: p.nu2 / p.eps, 3: p.nu3, 5: -1.0}, 3
+            self.coeffs, pad = {2: p.nu2 / p.eps, 3: p.nu3, 5: -1.0}, 3
+        self.padded = PaddedGrid(grid.n_points, pad)
 
     def nonlinearity(self, vspec: np.ndarray) -> np.ndarray:
-        return dealiased_powers(vspec, self.grid.n_points, self.coeffs, self.pad)
+        return dealiased_powers(vspec, self.coeffs, self.padded)
 
     def step_spec(self, vspec: np.ndarray, raw: np.ndarray | None) -> np.ndarray:
-        out = self.decay * vspec + self.phi1dt * self.nonlinearity(vspec)
+        out = self.nonlinearity(vspec)
+        out *= self.phi1dt
+        out += self.decay * vspec
         if raw is not None and self.noise_scale is not None:
-            out = out + raw * self.noise_scale
+            out += raw * self.noise_scale
         return out
 
     def values(self, vspec: np.ndarray) -> np.ndarray:
         return np.fft.irfft(vspec, n=self.grid.n_points)
+
+
+def _blown_up(v: np.ndarray, threshold: float) -> bool:
+    """True if ``v`` has a non-finite entry or reaches sup norm
+    ``threshold``.  Every comparison with nan is false, so the negated
+    bounds catch nan and +-inf with no isfinite pass, and a real field
+    needs no abs temporary."""
+    if np.iscomplexobj(v):
+        return not np.max(np.abs(v)) < threshold
+    return not (v.max() < threshold and -v.min() < threshold)
 
 
 def integrate(steppers, specs, n_steps: int, threshold: float,
@@ -117,8 +138,7 @@ def integrate(steppers, specs, n_steps: int, threshold: float,
         raw = draw() if draw is not None else None
         specs = [s.step_spec(spec, raw) for s, spec in zip(steppers, specs)]
         values = [s.values(spec) for s, spec in zip(steppers, specs)]
-        if any(not np.isfinite(v).all() or np.max(np.abs(v)) >= threshold
-               for v in values):
+        if any(_blown_up(v, threshold) for v in values):
             return "blowup_stopped"
         for observe in observers:
             observe(i, specs, values)

@@ -15,6 +15,7 @@ from shmod import (
     approximation_error,
     averaging_residual,
     band_symbols,
+    demodulate,
     estimate_landau_coefficient,
     fit_scaling_exponent,
     make_kernel,
@@ -26,7 +27,7 @@ from shmod import (
     weighted_holder_norm,
 )
 from shmod import studies
-from shmod.analysis import AveragingAccumulator
+from shmod.analysis import AveragingAccumulator, _CarrierAmplitude
 from shmod.operators import inv_symbol_scaled
 from shmod.studies import _noise_for, _paired_cell
 
@@ -239,3 +240,58 @@ def test_landau_estimate_recovers_pure_cubic_rate():
 def test_landau_estimate_rejects_out_of_range_amplitude():
     with pytest.raises(ValueError):
         estimate_landau_coefficient(0.1, amplitude=0.8)
+
+
+def test_streamed_fit_amplitudes_match_posthoc_demodulation():
+    # the reference is the composition the fit streams: every stride-th
+    # snapshot of simulate (and the last), projected on P1, demodulated,
+    # mean |A|, over the fit window less its one-sided edges
+    eps, amplitude, window = 0.2, 0.2, 0.503
+    fit = estimate_landau_coefficient(eps, (1.0, 0.0), variant="quintic",
+                                      amplitude=amplitude, n_points=512,
+                                      fit_window=window)
+    grid = Grid.for_carrier(eps, n_points=512)
+    t_skip = 10.0 * eps ** 2
+    p = ModelParams("quintic", eps=eps, nu2=1.0, t_end=t_skip + window)
+    n_steps = int(round(p.t_end / p.dt))
+    stride = max(1, n_steps // 400)
+    assert stride > 1 and n_steps % stride  # the last step is off-stride
+    v0 = RealField(grid, 2.0 * amplitude * np.cos(grid.x / eps))
+    traj = simulate(v0, p, snapshot_stride=stride)
+    q1 = band_symbols(grid, eps, DELTA).q1
+    amps = np.array([np.mean(np.abs(demodulate(project(s, q1), eps,
+                                                DELTA).values))
+                     for s in traj.snapshots])
+    ref = amps[traj.times >= t_skip][1:-1]
+    assert len(fit.amplitudes) == ref.size
+    np.testing.assert_allclose(fit.amplitudes, ref, rtol=1e-13, atol=0)
+
+
+def test_carrier_amplitude_rejects_energy_in_the_p1_taper():
+    grid = Grid.for_carrier(0.1, 1024, periods=64)
+    sym = band_symbols(grid, grid.eps, DELTA)
+    taper = np.flatnonzero((sym.q1 > 0) & (sym.q1 < 0.5))
+    sampler = _CarrierAmplitude(sym, grid.n_points, 1e-3, 1, 10)
+    spec = np.zeros(grid.n_points // 2 + 1, dtype=np.complex128)
+    spec[grid.carrier_index] = 1.0
+    sampler(1, [spec], None)
+    assert sampler.amplitudes == [pytest.approx(1.0 / grid.n_points)]
+    spec[taper] = 10.0
+    with pytest.raises(ValueError, match="outside the P1 band"):
+        sampler(2, [spec], None)
+    assert sampler.times == [1e-3]
+
+
+def test_quintic_fit_streams_its_samples_in_small_memory():
+    # acceptance 3's quintic fit over a window of 0.5 at n = 8192; stored
+    # snapshots of every step would take about 38 MB
+    tracemalloc.start()
+    try:
+        fit = estimate_landau_coefficient(0.1, (0.0, 0.0), variant="quintic",
+                                          amplitude=0.2, n_points=8192,
+                                          fit_window=0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fit.c5 == pytest.approx(-10.0, rel=0.1)
+    assert peak < 8e6

@@ -128,6 +128,42 @@ def test_demodulate_rejects_offband_energy(grid, random_field):
         demodulate(random_field, grid.eps, DELTA)
 
 
+def _demodulate_from_full_spectrum(v, delta):
+    """demodulate as a complex fft of the real field: the positive band of
+    its full spectrum rolled down by the carrier, and its off-band share
+    with the P1 kernel on the full fft layout."""
+    grid = v.grid
+    n, spec = grid.n_points, np.fft.fft(v.values)
+    q1 = make_kernel("P1", delta, grid.eps, grid).evaluate(grid.wavenumbers)
+    power = np.abs(spec) ** 2
+    pos = np.zeros(n, dtype=np.complex128)
+    pos[1: n // 2] = spec[1: n // 2]
+    A = np.fft.ifft(np.roll(pos, -grid.carrier_index))
+    return A, np.sum((1.0 - q1) ** 2 * power) / np.sum(power)
+
+
+@given(seed=st.integers(0, 2**32 - 1), offset=st.floats(0.0, 0.3),
+       noise=st.floats(0.0, 0.3))
+@settings(max_examples=60, deadline=None)
+def test_demodulate_from_half_spectrum_matches_full_spectrum(seed, offset,
+                                                             noise):
+    # a band field plus a constant (weight 1 in the half-spectrum) and white
+    # noise (mostly weight 2) off the band, on both sides of 1% off-band
+    g = Grid.for_carrier(0.1, 512, periods=32)
+    rng = np.random.default_rng(seed)
+    v = RealField(g, _band_field(g, rng).values + offset
+                  + noise * rng.standard_normal(g.n_points))
+    ref, offband = _demodulate_from_full_spectrum(v, DELTA)
+    got = demodulate(v, g.eps, DELTA, energy_tol=1.0).values
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assume(abs(offband - 0.01) > 1e-9)
+    if offband > 0.01:
+        with pytest.raises(ValueError, match="outside the P1 band"):
+            demodulate(v, g.eps, DELTA)
+    else:
+        demodulate(v, g.eps, DELTA)
+
+
 def test_pure_carrier_demodulates_to_constant(grid):
     v = RealField(grid, 2.0 * 0.3 * np.cos(grid.x / grid.eps))
     A = demodulate(v, grid.eps, DELTA)
@@ -152,10 +188,13 @@ def test_band_symbols_match_kernels_bit_for_bit(grid):
     for which, q in (("P0", sym.q0), ("P1", sym.q1), ("P2", sym.q2)):
         np.testing.assert_array_equal(
             q, make_kernel(which, DELTA, grid.eps, grid).evaluate(K))
-    np.testing.assert_array_equal(
-        sym.q1_full,
-        make_kernel("P1", DELTA, grid.eps, grid).evaluate(grid.wavenumbers))
     np.testing.assert_array_equal(sym.lam, symbol_L_eps(K, grid.eps))
+    # the P1 slice is centred on the carrier and holds all of q1's support
+    m, band = grid.carrier_index, sym.band
+    assert band.start + band.stop - 1 == 2 * m
+    assert sym.q1[band.start] > 0 or sym.q1[band.stop - 1] > 0
+    np.testing.assert_array_equal(
+        sym.q1[np.r_[: band.start, band.stop: sym.q1.size]], 0.0)
     assert band_symbols(grid, grid.eps, DELTA) is sym  # built once
 
 
@@ -174,7 +213,7 @@ def test_band_inverse_matches_guarded_composition_bit_for_bit(grid):
 
 def test_band_symbols_are_read_only(grid):
     sym = band_symbols(grid, grid.eps, DELTA)
-    for name in ("lam", "q0", "q1", "q2", "inv0", "inv2", "q1_full"):
+    for name in ("lam", "q0", "q1", "q2", "inv0", "inv2"):
         with pytest.raises(ValueError):
             getattr(sym, name)[0] = 1.0
     with pytest.raises(AttributeError):

@@ -6,7 +6,6 @@ from shmod import (
     Grid,
     NoiseConfig,
     ou_increment_variance,
-    ou_mode_step,
     spectral_variance_rate,
     stochastic_convolution_path,
     stochastic_convolution_sample,
@@ -89,7 +88,7 @@ def test_ou_increment_variance_rejects_positive_rate():
         ou_increment_variance(1.0, 0.1)
 
 
-def test_ou_mode_step_stationary_variance():
+def test_ou_recursion_stationary_variance():
     # iterate an exact OU step long enough to reach stationarity and
     # compare the ensemble variance with unit / (-2 lam)
     lam, dt, unit = -2.0, 0.1, 3.0
@@ -104,9 +103,6 @@ def test_ou_mode_step_stationary_variance():
     target = unit / (-2.0 * lam)
     measured = np.mean(np.abs(z) ** 2)
     assert abs(measured / target - 1.0) < 0.05
-    # single-step API agrees with the vectorized recursion in law
-    one = ou_mode_step(lam, 1.0 + 0.0j, dt, unit, np.random.default_rng(4))
-    assert np.isfinite(one.real) and np.isfinite(one.imag)
 
 
 def test_spectral_variance_rate_identity():

@@ -12,7 +12,7 @@ from shmod import (
     symbol_L_eps,
 )
 from shmod import bands
-from shmod.operators import dealiased_powers, inv_symbol_scaled
+from shmod.operators import PaddedGrid, dealiased_powers, inv_symbol_scaled
 from shmod.reduced import ReducedStepper
 from shmod.sh import SHStepper
 
@@ -52,7 +52,7 @@ def test_dealiased_square_of_single_mode_is_exact():
     g = Grid.for_carrier(0.1, 256, periods=16)
     k0 = 5 * g.dk
     f = RealField(g, np.cos(k0 * g.x))
-    sq_spec = dealiased_powers(f.spectrum(), g.n_points, {2: 1.0}, 2)
+    sq_spec = dealiased_powers(f.spectrum(), {2: 1.0}, PaddedGrid(g.n_points, 2))
     sq = np.fft.irfft(sq_spec, n=g.n_points)
     np.testing.assert_allclose(sq, 0.5 * (1.0 + np.cos(2 * k0 * g.x)), atol=1e-13)
 
@@ -61,7 +61,7 @@ def test_dealiased_cube_of_single_mode_is_exact():
     g = Grid.for_carrier(0.1, 256, periods=16)
     k0 = 5 * g.dk
     f = RealField(g, np.cos(k0 * g.x))
-    cube_spec = dealiased_powers(f.spectrum(), g.n_points, {3: 1.0}, 2)
+    cube_spec = dealiased_powers(f.spectrum(), {3: 1.0}, PaddedGrid(g.n_points, 2))
     cube = np.fft.irfft(cube_spec, n=g.n_points)
     np.testing.assert_allclose(
         cube, 0.75 * np.cos(k0 * g.x) + 0.25 * np.cos(3 * k0 * g.x), atol=1e-13
@@ -74,13 +74,13 @@ def test_dealiased_product_no_wraparound():
     j = g.n_points // 2 - 2
     k0 = j * g.dk
     f = RealField(g, np.cos(k0 * g.x))
-    prod_spec = dealiased_powers(f.spectrum(), g.n_points, {2: 1.0}, 2)
+    prod_spec = dealiased_powers(f.spectrum(), {2: 1.0}, PaddedGrid(g.n_points, 2))
     prod = np.fft.irfft(prod_spec, n=g.n_points)
     # true square has a 2*k0 component beyond Nyquist; dealiasing must drop
     # it, leaving only the constant 1/2
     np.testing.assert_allclose(prod, np.full(g.n_points, 0.5), atol=1e-13)
     # likewise the 3*k0 component of the cube, leaving 3/4 cos(k0 x)
-    cube_spec = dealiased_powers(f.spectrum(), g.n_points, {3: 1.0}, 2)
+    cube_spec = dealiased_powers(f.spectrum(), {3: 1.0}, PaddedGrid(g.n_points, 2))
     cube = np.fft.irfft(cube_spec, n=g.n_points)
     np.testing.assert_allclose(cube, 0.75 * np.cos(k0 * g.x), atol=1e-13)
 
@@ -115,7 +115,7 @@ def test_dealiased_powers_matches_unaliased_reference(exponents, pad, seed,
     rspec[0] = rspec[0].real
     rspec *= scale / np.max(np.abs(np.fft.irfft(rspec, n=n)))
     coeffs = {e: rng.uniform(-2.0, 2.0) for e in exponents}
-    got = dealiased_powers(rspec, n, coeffs, pad)
+    got = dealiased_powers(rspec, coeffs, PaddedGrid(n, pad))
     ref = _powers_padded_to_8n(rspec, n, coeffs)
     np.testing.assert_allclose(got, ref, rtol=1e-12,
                                atol=1e-12 * np.max(np.abs(ref)))

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shmod import (
     Grid,
@@ -115,6 +118,61 @@ def test_guard_covers_every_field():
                        observers=[lambda i, specs, values: seen.append(i)])
     assert status == "blowup_stopped"
     assert seen == [1, 2]
+
+
+class _ValuesStepper:
+    """Leaves its spectrum alone; its grid values are the given array."""
+
+    def __init__(self, values):
+        self.grid_values = values
+
+    def step_spec(self, spec, raw):
+        return spec
+
+    def values(self, spec):
+        return self.grid_values
+
+
+@given(data=st.data(), complex_field=st.booleans(),
+       threshold=st.floats(1e-3, 1e6))
+@settings(max_examples=200, deadline=None)
+def test_guard_matches_finite_and_sup_norm_predicate(data, complex_field,
+                                                     threshold):
+    # the guard of integrate against the predicate it replaced, on arrays
+    # seeded with nan, +-inf and values at and around +-threshold
+    special = st.sampled_from([np.nan, np.inf, -np.inf, threshold, -threshold,
+                               np.nextafter(threshold, 0.0),
+                               -np.nextafter(threshold, 0.0), 0.0])
+    part = st.one_of(special, st.floats(-2.0 * threshold, 2.0 * threshold))
+    re = np.array(data.draw(st.lists(part, min_size=1, max_size=8)))
+    v = re
+    if complex_field:
+        v = re.astype(np.complex128)
+        v.imag = data.draw(st.lists(part, min_size=re.size, max_size=re.size))
+    with np.errstate(invalid="ignore"):
+        old = not np.isfinite(v).all() or np.max(np.abs(v)) >= threshold
+    status = integrate([_ValuesStepper(v)], [np.zeros(1)], 1, threshold)
+    assert status == ("blowup_stopped" if old else "completed")
+
+
+def test_quintic_step_allocates_no_padded_array():
+    # the stepper fills its own arrays on the 3n-point padded grid, so a
+    # step after the first allocates only n-point half-spectra
+    n = 8192
+    grid = Grid.for_carrier(0.1, n)
+    p = ModelParams("quintic", eps=grid.eps, nu2=1.0, nu3=0.5)
+    stepper = SHStepper(grid, p, intensity=1.0)
+    raw = np.fft.rfft(np.random.default_rng(0).standard_normal(n))
+    spec = stepper.step_spec(np.fft.rfft(0.4 * np.cos(grid.x / grid.eps)),
+                             raw)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        stepper.step_spec(spec, raw)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * n * 8
 
 
 def test_rescale_roundtrip(grid):
