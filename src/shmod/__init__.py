@@ -14,8 +14,8 @@ from .sh import (ModelParams, Trajectory, integrate, modulated_carrier_ic,
 from .reduced import (GLCoefficients, gl5_coefficients, gl_coefficients,
                       simulate_gl, simulate_paired, simulate_reduced)
 from .analysis import (HolderNormConfig, LandauFit, ScalingStudy,
-                       approximation_error, averaging_residual,
-                       estimate_landau_coefficient, fit_scaling_exponent,
-                       mode_concentration, weighted_holder_norm)
+                       approximation_error, estimate_landau_coefficient,
+                       fit_scaling_exponent, mode_concentration,
+                       weighted_holder_norm)
 from .studies import (ConfigError, ReplayError, StudyConfig, StudyRecord,
                       emit_plotdata, parse_config_file, replay, run_study)

@@ -88,28 +88,23 @@ def mode_concentration(f: RealField, eps: float,
 class AveragingAccumulator:
     """Running trapezoid rule, over time, of the averaging integrands
 
-        v1 * P_k v / eps + nu * v1 * eps^-2 L_eps^-1 P_k v1^2,  k in ``bands``
+        v1 * P_k v / eps + nu * v1 * eps^-2 L_eps^-1 P_k v1^2,  k = 0, 2,
 
-    fed one half-spectrum of v at a time, in O(n) memory.  A second
-    trapezoid over every other sample (the first, the third, ...) gives the
-    integral's change under stride halving.  Per sample: one inverse FFT
-    for v1 (none when the caller has it), one forward FFT of v1^2 shared by
-    the bands, and one inverse FFT per band, of q_k/eps v + nu inv_k (v1^2)^.
+    fed one half-spectrum of v at a time, in O(n) memory.  Per sample: one
+    inverse FFT for v1 (none when the caller has it), one forward FFT of
+    v1^2 shared by P0 and P2, and one inverse FFT per band, of
+    q_k/eps v + nu inv_k (v1^2)^.
     """
 
     def __init__(self, grid: Grid, eps: float, nu: float,
-                 delta: float = DEFAULT_DELTA, bands=("P0", "P2")):
-        if any(b not in ("P0", "P2") for b in bands):
-            raise ValueError("bands must be 'P0' or 'P2'")
+                 delta: float = DEFAULT_DELTA):
         sym = band_symbols(grid, eps, delta)
         self.n = grid.n_points
         self.q1 = sym.q1
-        q_inv = {"P0": (sym.q0, sym.inv0), "P2": (sym.q2, sym.inv2)}
-        self.qk_eps = np.array([q_inv[b][0] / eps for b in bands])
-        self.nu_inv = np.array([nu * q_inv[b][1] for b in bands])
+        self.qk_eps = np.array([sym.q0 / eps, sym.q2 / eps])
+        self.nu_inv = np.array([nu * sym.inv0, nu * sym.inv2])
         self.count = 0
-        self.total = np.zeros((len(bands), self.n))
-        self.coarse = np.zeros_like(self.total)
+        self.total = np.zeros((2, self.n))
 
     def add(self, t: float, vspec: np.ndarray, v1: np.ndarray | None = None):
         """Add the sample of v at time ``t`` (later than the last one);
@@ -120,45 +115,13 @@ class AveragingAccumulator:
         f = v1 * np.fft.irfft(self.qk_eps * vspec + self.nu_inv * sq, n=self.n)
         if self.count:
             self.total += (0.5 * (t - self._t)) * (self._f + f)
-        if self.count % 2 == 0:
-            if self.count:
-                self.coarse += (0.5 * (t - self._t_even)) * (self._f_even + f)
-            self._t_even, self._f_even = t, f
         self._t, self._f = t, f
         self.count += 1
 
-    def results(self) -> list[tuple[float, float | None]]:
-        """Per band, the sup norm of the integral and its relative change
-        under stride halving (None below 5 samples or for a zero integral)."""
-        out = []
-        for total, coarse in zip(self.total, self.coarse):
-            residual = float(np.max(np.abs(total)))
-            change = None
-            if self.count >= 5 and residual > 0:
-                change = float(np.max(np.abs(total - coarse))) / residual
-            out.append((residual, change))
-        return out
-
-
-def averaging_residual(traj: Trajectory, eps: float, nu: float, k_band: str,
-                       delta: float = DEFAULT_DELTA,
-                       stride_check: bool = True) -> float:
-    """Residual of the averaging identity for the chosen band (P0 or P2):
-
-        int_0^T v1 * v_k dT + nu * int_0^T v1 * eps^-2 L_eps^-1 P_k v1^2 dT
-
-    evaluated pointwise on the grid by the trapezoid rule over snapshots;
-    returns the sup norm of the sum at the final snapshot time.
-    """
-    acc = AveragingAccumulator(traj.snapshots[0].grid, eps, nu, delta,
-                               bands=(k_band,))
-    for t, snap in zip(traj.times, traj.snapshots):
-        acc.add(t, snap.spectrum())
-    ((residual, change),) = acc.results()
-    if stride_check and change is not None and change > 0.10:
-        warnings.warn("averaging_residual: snapshot stride too coarse "
-                      "(integral changes >10% under stride halving)")
-    return residual
+    def results(self) -> tuple[float, float]:
+        """The sup norms of the P0 and the P2 integral."""
+        res_p0, res_p2 = (float(np.max(np.abs(total))) for total in self.total)
+        return res_p0, res_p2
 
 
 def approximation_error(a: Trajectory, b: Trajectory, norm: str = "sup",

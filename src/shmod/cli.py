@@ -129,6 +129,16 @@ def _parse_float_list(text: str | None):
         raise ConfigError(f"bad numeric list {text!r}") from exc
 
 
+def _single_float(text: str | None, default: float) -> float:
+    """The one value of a single-run flag; a comma list is an error."""
+    values = _parse_float_list(text)
+    if values is None:
+        return default
+    if len(values) != 1:
+        raise ConfigError(f"a single run takes one value, got {text!r}")
+    return values[0]
+
+
 def _resolve_out(arg: str | None, default_name: str) -> Path:
     if arg is not None:
         return Path(arg)
@@ -136,9 +146,7 @@ def _resolve_out(arg: str | None, default_name: str) -> Path:
 
 
 def _cmd_simulate_sh(args) -> int:
-    eps_list = _parse_float_list(args.eps) or (0.1,)
-    nu_list = _parse_float_list(args.nu) or (0.5,)
-    eps, nu = eps_list[0], nu_list[0]
+    eps, nu = _single_float(args.eps, 0.1), _single_float(args.nu, 0.5)
     grid = Grid.for_carrier(eps, args.n, periods=args.periods)
     delta = args.delta if args.delta is not None else DEFAULT_DELTA
     variant = QUINTIC if args.quintic else CUBIC
@@ -166,9 +174,7 @@ def _cmd_simulate_sh(args) -> int:
 
 
 def _cmd_simulate_gl(args) -> int:
-    eps_list = _parse_float_list(args.eps) or (0.1,)
-    nu_list = _parse_float_list(args.nu) or (0.5,)
-    eps, nu = eps_list[0], nu_list[0]
+    eps, nu = _single_float(args.eps, 0.1), _single_float(args.nu, 0.5)
     grid = Grid.for_carrier(eps, args.n, periods=args.periods)
     delta = args.delta if args.delta is not None else DEFAULT_DELTA
     if args.quintic:

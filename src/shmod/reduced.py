@@ -189,7 +189,6 @@ class GLStepper:
 
     def __init__(self, grid: Grid, c: GLCoefficients, dt: float):
         self.grid = grid
-        self.dt = dt
         K = grid.wavenumbers
         lam = -c.diffusion * K ** 2
         self.decay = np.exp(lam * dt)
@@ -242,12 +241,9 @@ def simulate_gl(A0: ComplexField, c: GLCoefficients, dt: float, t_end: float,
 
 @dataclass
 class PairedResult:
-    traj_v: Trajectory
-    traj_w: Trajectory
     sup_diff: float                      # sup_T ||P1 v - w||_inf
     res_p0: float                        # averaging residuals of v, every step
     res_p2: float
-    res_change: tuple                    # (P0, P2) change under stride halving
     sup_diff_gl: float | None = None     # sup_T ||demod(w) - A||_inf
     status: str = "completed"
 
@@ -295,7 +291,7 @@ class _BandObserver:
 
 
 def simulate_paired(v0: RealField, p: ModelParams, cfg: NoiseConfig,
-                    delta: float = DEFAULT_DELTA, snapshot_stride: int = 10,
+                    delta: float = DEFAULT_DELTA,
                     with_gl: bool = False) -> PairedResult:
     """Drive the full equation and the band equation with one noise path.
 
@@ -303,8 +299,8 @@ def simulate_paired(v0: RealField, p: ModelParams, cfg: NoiseConfig,
     on the same grid is driven by the demodulated P1 noise band (same white
     realization, each mode with its own exact OU variance) and compared
     against the demodulated w.  The averaging residuals of v (see
-    ``analysis.averaging_residual``, with nu2 for the quintic variant) are
-    integrated over every step as the run goes.
+    ``analysis.AveragingAccumulator``, with nu2 for the quintic variant)
+    are integrated over every step as the run goes; no field is stored.
     """
     grid = v0.grid
     sh = SHStepper(grid, p, cfg.intensity)
@@ -326,15 +322,9 @@ def simulate_paired(v0: RealField, p: ModelParams, cfg: NoiseConfig,
         sup_diff_gl = _RunningMax(lambda specs, vals: float(np.max(np.abs(
             np.fft.ifft(amplitude_spectrum(specs[1], amp)) - vals[2]))))
         observers.append(sup_diff_gl)
-    n_steps = int(round(p.t_end / p.dt))
-    snaps = Snapshots([v0, RealField(grid, red.values(wband))], p.dt,
-                      snapshot_stride, n_steps)
-    status = integrate(steppers, specs, n_steps, p.blowup_threshold,
-                       noise_draw(sh.noise, cfg), observers + [snaps])
-    (res_p0, change_p0), (res_p2, change_p2) = averaging.results()
-    return PairedResult(traj_v=snaps.trajectory(0, status),
-                        traj_w=snaps.trajectory(1, status),
-                        sup_diff=band.sup_diff, res_p0=res_p0, res_p2=res_p2,
-                        res_change=(change_p0, change_p2),
+    status = integrate(steppers, specs, int(round(p.t_end / p.dt)),
+                       p.blowup_threshold, noise_draw(sh.noise, cfg), observers)
+    res_p0, res_p2 = averaging.results()
+    return PairedResult(sup_diff=band.sup_diff, res_p0=res_p0, res_p2=res_p2,
                         sup_diff_gl=sup_diff_gl.value if with_gl else None,
                         status=status)

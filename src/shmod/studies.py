@@ -21,9 +21,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .grid import Grid
+from .grid import Grid, RealField
 from .noise import NoiseConfig
-from .sh import ModelParams, simulate, modulated_carrier_ic
+from .sh import (ModelParams, SHStepper, integrate, modulated_carrier_ic,
+                 noise_draw)
 from .bands import DEFAULT_DELTA, band_symbols, project_complement
 from .reduced import simulate_paired
 from .analysis import estimate_landau_coefficient, fit_scaling_exponent
@@ -205,10 +206,7 @@ def _paired_cell(cfg: StudyConfig, eps: float, nu: float, seed: int, with_gl: bo
         amplitude=cfg.amplitude, delta=cfg.delta, offband=cfg.offband,
     )
     params = ModelParams("cubic", eps=grid.eps, nu=nu, dt=cfg.dt, t_end=cfg.t_end)
-    # the diagnostics are streamed: keep only the first and last snapshots
-    n_steps = max(1, round(cfg.t_end / cfg.dt))
-    result = simulate_paired(v0, params, ncfg, delta=cfg.delta,
-                             snapshot_stride=n_steps, with_gl=with_gl)
+    result = simulate_paired(v0, params, ncfg, delta=cfg.delta, with_gl=with_gl)
     _require_completed(result.status)
     diags = {"sup_diff": result.sup_diff, "res_p0": result.res_p0,
              "res_p2": result.res_p2}
@@ -225,15 +223,22 @@ def _attractivity_cell(cfg: StudyConfig, eps: float, nu: float, seed: int) -> di
         amplitude=cfg.amplitude, delta=cfg.delta, offband=cfg.offband,
     )
     params = ModelParams("cubic", eps=grid.eps, nu=nu, dt=cfg.dt, t_end=cfg.t_end)
-    traj = simulate(v0, params, ncfg, snapshot_stride=10)
-    _require_completed(traj.status)
+    stepper = SHStepper(grid, params, ncfg.intensity)
     q1 = band_symbols(grid, grid.eps, cfg.delta).q1
+    n_steps = int(round(params.t_end / params.dt))
     t_skip = ATTRACTIVITY_SKIP * cfg.t_end
-    sup = max(
-        project_complement(snap, q1).sup_norm()
-        for t, snap in zip(traj.times, traj.snapshots)
-        if t >= t_skip
-    )
+    offband = []
+
+    def observe(i, specs, values):
+        if (i % 10 == 0 or i == n_steps) and i * params.dt >= t_skip:
+            offband.append(
+                project_complement(RealField(grid, values[0]), q1).sup_norm())
+
+    status = integrate([stepper], [v0.spectrum()], n_steps,
+                       params.blowup_threshold, noise_draw(stepper.noise, ncfg),
+                       [observe])
+    _require_completed(status)
+    sup = max(offband)
     return {"offband_sup": sup, "offband_ratio": sup / grid.eps}
 
 

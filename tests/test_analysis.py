@@ -1,5 +1,4 @@
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -13,23 +12,25 @@ from shmod import (
     StudyConfig,
     Trajectory,
     approximation_error,
-    averaging_residual,
     band_symbols,
     demodulate,
     estimate_landau_coefficient,
     fit_scaling_exponent,
+    integrate,
     make_kernel,
     mode_concentration,
     modulated_carrier_ic,
     project,
+    project_complement,
     simulate,
-    simulate_paired,
     weighted_holder_norm,
 )
-from shmod import studies
 from shmod.analysis import AveragingAccumulator, _CarrierAmplitude
 from shmod.operators import inv_symbol_scaled
-from shmod.studies import _noise_for, _paired_cell
+from shmod.reduced import ReducedStepper
+from shmod.sh import SHStepper, Snapshots, noise_draw
+from shmod.studies import (ATTRACTIVITY_SKIP, _attractivity_cell, _noise_for,
+                           _paired_cell)
 
 DELTA = 0.125
 
@@ -80,25 +81,9 @@ def test_mode_concentration_zero_field_warns(grid):
                                   grid.eps) == 0.0
 
 
-def test_averaging_residual_warns_on_coarse_stride(grid):
-    # the integrand alternates with the snapshots, so halving the stride
-    # doubles the trapezoid integral
-    f = RealField(grid, np.cos(grid.x / grid.eps) + 0.5)
-    zero = RealField(grid, np.zeros(grid.n_points))
-    traj = Trajectory(times=np.arange(5.0), snapshots=[f, zero, f, zero, f])
-    with pytest.warns(UserWarning, match="stride"):
-        res = averaging_residual(traj, grid.eps, 0.0, "P0")
-    assert res > 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert averaging_residual(traj, grid.eps, 0.0, "P0",
-                                  stride_check=False) == res
-
-
 def _averaging_reference(traj, eps, nu, k_band, delta):
-    """The averaging integral by np.trapezoid over the stacked integrands
-    of all snapshots: (sup norm, relative change under stride halving or
-    None below 5 snapshots)."""
+    """The sup norm of the averaging integral by np.trapezoid over the
+    stacked integrands of all snapshots."""
     grid = traj.snapshots[0].grid
     n, K = grid.n_points, grid.rfft_wavenumbers
     q1 = make_kernel("P1", delta, eps, grid).evaluate(K)
@@ -116,12 +101,7 @@ def _averaging_reference(traj, eps, nu, k_band, delta):
 
     times = np.asarray(traj.times)
     fields = np.stack([integrand(s) for s in traj.snapshots])
-    total = np.trapezoid(fields, x=times, axis=0)
-    residual = float(np.max(np.abs(total)))
-    if len(times) < 5:
-        return residual, None
-    coarse = np.trapezoid(fields[::2], x=times[::2], axis=0)
-    return residual, float(np.max(np.abs(total - coarse))) / residual
+    return float(np.max(np.abs(np.trapezoid(fields, x=times, axis=0))))
 
 
 @given(seed=st.integers(0, 2**32 - 1), count=st.integers(2, 12),
@@ -144,17 +124,9 @@ def test_averaging_accumulator_matches_stacked_trapezoid(seed, count, nu):
     acc = AveragingAccumulator(grid, grid.eps, nu, DELTA)
     for t, snap in zip(times, snaps):
         acc.add(t, snap.spectrum())
-    for k_band, (residual, change) in zip(("P0", "P2"), acc.results()):
-        ref, ref_change = _averaging_reference(traj, grid.eps, nu, k_band,
-                                               DELTA)
-        got = averaging_residual(traj, grid.eps, nu, k_band, DELTA,
-                                 stride_check=False)
-        assert got == pytest.approx(ref, rel=1e-12)
+    for k_band, residual in zip(("P0", "P2"), acc.results()):
+        ref = _averaging_reference(traj, grid.eps, nu, k_band, DELTA)
         assert residual == pytest.approx(ref, rel=1e-12)
-        if count < 5:
-            assert change is None and ref_change is None
-        else:
-            assert change == pytest.approx(ref_change, rel=1e-12)
 
 
 def test_paired_cell_streams_residuals_in_small_memory(tmp_path):
@@ -171,44 +143,81 @@ def test_paired_cell_streams_residuals_in_small_memory(tmp_path):
         tracemalloc.stop()
     assert peak < 8e6
 
-    # the same run with every step stored, and its residuals after the fact
+    # the same run with every step stored, through the steppers and the
+    # driver directly, and its diagnostics after the fact
     grid = Grid.for_carrier(eps, cfg.n_points, periods=cfg.periods)
     ncfg = _noise_for(cfg, seed)
     v0 = modulated_carrier_ic(grid, grid.eps, ncfg.substream(1).make_rng(),
                               amplitude=cfg.amplitude, delta=cfg.delta,
                               offband=cfg.offband)
     p = ModelParams("cubic", eps=grid.eps, nu=nu, dt=cfg.dt, t_end=cfg.t_end)
-    full = simulate_paired(v0, p, ncfg, delta=cfg.delta, snapshot_stride=1)
-    assert len(full.traj_v.snapshots) == 1001
-    assert diags["sup_diff"] == full.sup_diff
+    sh = SHStepper(grid, p, ncfg.intensity)
+    red = ReducedStepper(grid, p, ncfg.intensity, cfg.delta)
+    vspec = v0.spectrum()
+    wband = red.q1 * vspec[red.band]
+    snaps = Snapshots([v0, RealField(grid, red.values(wband))], p.dt, 1, 1000)
     q1 = band_symbols(grid, grid.eps, cfg.delta).q1
+    gaps = []
+
+    def gap(i, specs, values):
+        v1 = np.fft.irfft(q1 * specs[0], n=grid.n_points)
+        gaps.append(float(np.max(np.abs(v1 - values[1]))))
+
+    status = integrate([sh, red], [vspec, wband], 1000, p.blowup_threshold,
+                       noise_draw(sh.noise, ncfg), observers=[snaps, gap])
+    assert status == "completed"
+    traj_v, traj_w = snaps.trajectory(0, status), snaps.trajectory(1, status)
+    assert len(traj_v.snapshots) == 1001
+    assert diags["sup_diff"] == max(gaps)
+    # rebuilt from the stored fields: rfft(irfft(v^)) is not v^ in the last
+    # bit, so this agrees to rounding only
     posthoc_sup = max(
         float(np.max(np.abs(project(v, q1).values - w.values)))
-        for v, w in zip(full.traj_v.snapshots[1:], full.traj_w.snapshots[1:]))
+        for v, w in zip(traj_v.snapshots[1:], traj_w.snapshots[1:]))
     assert diags["sup_diff"] == pytest.approx(posthoc_sup, rel=1e-12)
-    for k_band, change in zip(("P0", "P2"), full.res_change):
-        ref, ref_change = _averaging_reference(full.traj_v, grid.eps, nu,
-                                               k_band, cfg.delta)
+    for k_band in ("P0", "P2"):
+        ref = _averaging_reference(traj_v, grid.eps, nu, k_band, cfg.delta)
         assert diags["res_" + k_band.lower()] == pytest.approx(ref, rel=1e-12)
-        assert change == pytest.approx(ref_change, rel=1e-12)
 
 
-def test_paired_cell_keeps_no_intermediate_snapshots(tmp_path, monkeypatch):
-    # the cell's diagnostics are streamed, so its run stores only the first
-    # and the last snapshot of v and of w
-    cfg = StudyConfig.for_study("theorem2", out_dir=str(tmp_path))
-    results = []
+def test_attractivity_cell_matches_snapshot_composition(tmp_path):
+    # the streamed off-band sup equals, bit for bit, the stored-snapshot
+    # composition: every 10th step and the last, from the skip time on
+    cfg = StudyConfig.for_study("attractivity", out_dir=str(tmp_path))
+    eps, nu, seed = 0.1, cfg.nu_list[0], 0
+    diags = _attractivity_cell(cfg, eps, nu, seed)
 
-    def recording(*args, **kwargs):
-        results.append(simulate_paired(*args, **kwargs))
-        return results[-1]
+    grid = Grid.for_carrier(eps, cfg.n_points, periods=cfg.periods)
+    ncfg = _noise_for(cfg, seed)
+    v0 = modulated_carrier_ic(grid, grid.eps, ncfg.substream(1).make_rng(),
+                              amplitude=cfg.amplitude, delta=cfg.delta,
+                              offband=cfg.offband)
+    p = ModelParams("cubic", eps=grid.eps, nu=nu, dt=cfg.dt, t_end=cfg.t_end)
+    traj = simulate(v0, p, ncfg, snapshot_stride=10)
+    assert traj.status == "completed"
+    q1 = band_symbols(grid, grid.eps, cfg.delta).q1
+    sup = max(project_complement(snap, q1).sup_norm()
+              for t, snap in zip(traj.times, traj.snapshots)
+              if t >= ATTRACTIVITY_SKIP * cfg.t_end)
+    assert diags == {"offband_sup": sup, "offband_ratio": sup / grid.eps}
 
-    monkeypatch.setattr(studies, "simulate_paired", recording)
-    _paired_cell(cfg, 0.1, cfg.nu_list[0], 0, with_gl=False)
-    (result,) = results
-    assert result.status == "completed"
-    assert len(result.traj_v.snapshots) <= 2
-    assert len(result.traj_w.snapshots) <= 2
+
+def test_attractivity_cell_stores_no_field(tmp_path):
+    # one default attractivity cell (n=2048, 1000 steps) keeps one number
+    # per sample, not the 101 snapshots a stride-10 run stores (1.9 MB); the
+    # first call builds the band table and numpy's FFT plans, which are
+    # kept for the process, so the second is measured
+    cfg = StudyConfig.for_study("attractivity", out_dir=str(tmp_path))
+    assert (cfg.n_points, round(cfg.t_end / cfg.dt)) == (2048, 1000)
+    cell = (cfg, 0.1, cfg.nu_list[0], 0)
+    _attractivity_cell(*cell)
+    tracemalloc.start()
+    try:
+        _attractivity_cell(*cell)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def test_approximation_error_identical_is_zero(grid):

@@ -189,9 +189,8 @@ def test_every_solve_reaches_shstepper_step_spec(tmp_path, monkeypatch):
 
 
 def test_study_is_deterministic_across_thread_counts(tmp_path):
-    # One cell of this study trips averaging_residual's stride check.  The
-    # cells must neither raise that warning nor touch the process-wide
-    # warning filters, which threads share.
+    # The cells must raise no warning and leave the process-wide warning
+    # filters, which threads share, as they found them.
     s1 = tiny_cfg(tmp_path / "one", threads=1)
     s2 = tiny_cfg(tmp_path / "two", threads=2)
     with warnings.catch_warnings(record=True) as caught:
@@ -200,7 +199,7 @@ def test_study_is_deterministic_across_thread_counts(tmp_path):
         run_study(s1)
         run_study(s2)
         assert warnings.filters == filters
-    assert not [w for w in caught if "stride" in str(w.message)]
+    assert [str(w.message) for w in caught] == []
     d1 = {r.key: r.diagnostics_repr() for r in
           load_records(tmp_path / "one" / "records.csv")}
     d2 = {r.key: r.diagnostics_repr() for r in
@@ -281,6 +280,18 @@ def test_cli_exit_codes(tmp_path):
              "--amplitude", "5", "--t-end", "0.5", "--delta", "0.125",
              "--out", str(tmp_path / "blown"))
     assert r.returncode == 3, r.stderr
+
+
+def test_single_run_commands_reject_value_lists(tmp_path):
+    # a single run has one eps and one nu; a comma list is not cut to its
+    # first value
+    for command in ("simulate-sh", "simulate-gl"):
+        for flags in (("--eps", "0.2,0.1"), ("--eps", "0.2", "--nu", "0.5,0.9")):
+            r = _cli(command, *flags, "--n", "256", "--periods", "16",
+                     "--t-end", "0.002", "--out", str(tmp_path / command))
+            assert r.returncode == 2, (command, flags, r.stderr)
+            assert "config error" in r.stderr
+            assert not (tmp_path / command).exists()
 
 
 def test_cli_spectrum_reads_field(tmp_path):

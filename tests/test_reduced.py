@@ -284,9 +284,8 @@ def test_paired_run_is_deterministic_and_close():
     cfg = NoiseConfig(seed=31, intensity=0.05)
     r1 = simulate_paired(v0, p, cfg, delta=DELTA)
     r2 = simulate_paired(v0, p, cfg, delta=DELTA)
-    assert r1.sup_diff == r2.sup_diff
-    np.testing.assert_array_equal(r1.traj_v.final.values,
-                                  r2.traj_v.final.values)
+    assert (r1.sup_diff, r1.res_p0, r1.res_p2) == (r2.sup_diff, r2.res_p0,
+                                                   r2.res_p2)
     assert r1.status == "completed"
     # the band approximation tracks the full solution at this bandwidth
     assert r1.sup_diff < 0.1

@@ -38,3 +38,45 @@ def test_unused_import_scan_finds_stranded_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_reads_every_name_it_imports(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
+
+
+def _unreferenced_definitions(sources: dict) -> list:
+    """Top-level functions and classes of the modules in ``sources`` (name
+    -> source text) that no other code of those modules names: as a name,
+    an attribute or an imported name.  A definition's own body does not
+    count as a use."""
+    defined, used = [], set()
+    for module, text in sources.items():
+        for stmt in ast.parse(text).body:
+            owner = None
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                owner = stmt.name
+                defined.append((module, stmt.name))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                else:
+                    continue
+                if name != owner:
+                    used.add(name)
+    return sorted(f"{module}.{name}" for module, name in defined
+                  if name not in used)
+
+
+def test_unreferenced_definition_scan_finds_stranded_names():
+    sources = {"a": "def used():\n    return 1\n"
+                    "def recursive(n):\n    return recursive(n - 1)\n"
+                    "class Stranded:\n    pass\n",
+               "b": "from .a import used\n"
+                    "def caller():\n    return used()\n"
+                    "caller()\n"}
+    assert _unreferenced_definitions(sources) == ["a.Stranded", "a.recursive"]
+
+
+def test_every_definition_is_referenced_in_the_package():
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    assert _unreferenced_definitions(sources) == []
