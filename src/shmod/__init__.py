@@ -1,16 +1,16 @@
 """Pseudospectral laboratory for the stochastic Swift-Hohenberg equation and
 its Ginzburg-Landau amplitude reduction."""
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from .grid import ComplexField, Grid, RealField, read_field, write_field
-from .operators import symbol_L, symbol_L_eps
+from .operators import symbol_L_eps
 from .bands import (BandKernel, band_symbols, demodulate, make_kernel, modulate,
                     project, project_complement)
 from .noise import (NoiseConfig, ou_increment_variance, spectral_variance_rate,
-                    stochastic_convolution_path, stochastic_convolution_sample)
+                    stochastic_convolution_sample)
 from .sh import (ModelParams, Trajectory, integrate, modulated_carrier_ic,
-                 rescale_from_original, rescale_to_original, simulate)
+                 simulate)
 from .reduced import (GLCoefficients, gl5_coefficients, gl_coefficients,
                       simulate_gl, simulate_paired, simulate_reduced)
 from .analysis import (HolderNormConfig, LandauFit, ScalingStudy,

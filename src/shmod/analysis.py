@@ -11,7 +11,7 @@ import numpy as np
 
 from .bands import (DEFAULT_DELTA, BandSymbols, amplitude_spectrum,
                     band_symbols, check_p1_energy, project_complement)
-from .grid import ComplexField, Grid, RealField
+from .grid import DEFAULT_POINTS_PER_PERIOD, ComplexField, Grid, RealField
 from .sh import CUBIC, QUINTIC, ModelParams, SHStepper, Trajectory, integrate
 
 
@@ -226,9 +226,22 @@ def estimate_landau_coefficient(eps: float, nu=0.0, variant: str = CUBIC,
     times as it goes, storing no field, and regresses da/dT on a^3 (and a^5
     for the quintic variant).  The fit starts after the slaved-mode
     transient (10 eps^2) and rejects windows with R^2 below ``r2_min``.
+
+    The fit computes the dynamics of ``Grid.for_carrier(eps, n_points)``,
+    ``n_points / 16`` carrier periods, on one period of it.  The initial
+    state is 2*pi*eps-periodic and the noise-free flow is translation
+    invariant, so every period of the long grid repeats the same numbers.
+    At 16 points per period both grids hold the carrier harmonics 0..8,
+    whose top one, the coarse Nyquist mode, the dealiased nonlinearity
+    drops, so the one-period run reproduces the long one up to rounding.
+    That holds only at 16 points per period: ``n_points`` must be a
+    positive multiple of ``DEFAULT_POINTS_PER_PERIOD``.
     """
     if not (0.1 <= amplitude <= 0.5):
         raise ValueError("carrier amplitude must lie in [0.1, 0.5]")
+    if n_points <= 0 or n_points % DEFAULT_POINTS_PER_PERIOD:
+        raise ValueError(f"n_points must be a positive multiple of "
+                         f"{DEFAULT_POINTS_PER_PERIOD}")
     if variant == CUBIC:
         nu_val, nu2, nu3 = float(nu), 0.0, 0.0
     elif variant == QUINTIC:
@@ -244,13 +257,14 @@ def estimate_landau_coefficient(eps: float, nu=0.0, variant: str = CUBIC,
         fit_window = 0.1 / amplitude ** 2
     t_end = t_skip + fit_window
 
-    grid = Grid.for_carrier(eps, n_points=n_points)
+    grid = Grid.for_carrier(eps, DEFAULT_POINTS_PER_PERIOD, periods=1)
     v0 = RealField(grid, 2.0 * amplitude * np.cos(grid.x / eps))
     p = ModelParams(variant=variant, eps=eps, nu=nu_val, nu2=nu2, nu3=nu3,
                     dt=dt, t_end=t_end)
     n_steps = int(round(t_end / dt))
-    sampler = _CarrierAmplitude(band_symbols(grid, eps, delta), n_points, dt,
-                                max(1, n_steps // 400), n_steps)
+    sampler = _CarrierAmplitude(band_symbols(grid, eps, delta),
+                                grid.n_points, dt, max(1, n_steps // 400),
+                                n_steps)
     vspec = v0.spectrum()
     sampler(0, [vspec], None)
     status = integrate([SHStepper(grid, p, intensity=0.0)], [vspec], n_steps,

@@ -86,28 +86,6 @@ class SpectralNoise:
                        / self.grid.n_points)
 
 
-def stochastic_convolution_path(grid: Grid, eps: float, t_end: float, dt: float,
-                                cfg: NoiseConfig):
-    """Exact-in-law sampling of W_{L_eps} at step boundaries.
-
-    Yields (T, RealField) pairs starting with (0, 0); each mode is an OU
-    process with its own rate symbol_L_eps(K, eps).
-    """
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
-    rng = cfg.make_rng()
-    src = SpectralNoise(grid, cfg.intensity)
-    lam = symbol_L_eps(grid.rfft_wavenumbers, eps)
-    decay = np.exp(lam * dt)
-    scale = src.ou_scale(lam, dt)
-    coeffs = np.zeros(grid.n_points // 2 + 1, dtype=np.complex128)
-    yield 0.0, RealField.from_spectrum(grid, coeffs)
-    n_steps = int(round(t_end / dt))
-    for i in range(1, n_steps + 1):
-        coeffs = decay * coeffs + src.raw(rng) * scale
-        yield i * dt, RealField.from_spectrum(grid, coeffs)
-
-
 def stochastic_convolution_sample(grid: Grid, eps: float, T: float,
                                   cfg: NoiseConfig) -> RealField:
     """Single exact draw of W_{L_eps}(T) (one OU step from zero)."""

@@ -6,13 +6,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def symbol_L(k):
-    """Multiplier of -(1+Laplacian)^2 at wavenumber k: -(1-k^2)^2."""
-    k = np.asarray(k, dtype=np.float64)
-    s = -((1.0 - k ** 2) ** 2)
-    return s if s.ndim else float(s)
-
-
 def symbol_L_eps(K, eps: float):
     """Multiplier of the rescaled operator at wavenumber K: -(1-eps^2 K^2)^2/eps^2."""
     if not (0 < eps < 1):

@@ -186,34 +186,6 @@ def simulate(v0: RealField, p: ModelParams, cfg: NoiseConfig | None = None,
     return snaps.trajectory(0, status)
 
 
-def rescale_to_original(traj: Trajectory, eps: float,
-                        variant: str = CUBIC) -> Trajectory:
-    """Map the rescaled trajectory v(T, X) back to u(t, x).
-
-    u = scale * v with scale eps (cubic) or sqrt(eps) (quintic); t = T/eps^2
-    and the domain length stretches by 1/eps (carrier returns to wavenumber 1).
-    """
-    scale = eps if variant == CUBIC else np.sqrt(eps)
-    g0 = traj.snapshots[0].grid
-    grid = Grid(n_points=g0.n_points, length=g0.length / eps,
-                carrier_index=g0.carrier_index)
-    snaps = [RealField(grid, scale * s.values) for s in traj.snapshots]
-    return Trajectory(times=traj.times / eps ** 2, snapshots=snaps,
-                      status=traj.status)
-
-
-def rescale_from_original(traj: Trajectory, eps: float,
-                          variant: str = CUBIC) -> Trajectory:
-    """Inverse of rescale_to_original."""
-    scale = eps if variant == CUBIC else np.sqrt(eps)
-    g0 = traj.snapshots[0].grid
-    grid = Grid(n_points=g0.n_points, length=g0.length * eps,
-                carrier_index=g0.carrier_index)
-    snaps = [RealField(grid, s.values / scale) for s in traj.snapshots]
-    return Trajectory(times=traj.times * eps ** 2, snapshots=snaps,
-                      status=traj.status)
-
-
 def modulated_carrier_ic(grid: Grid, eps: float, rng: np.random.Generator,
                          amplitude: float = 1.0, delta: float = DEFAULT_DELTA,
                          offband: float = 0.0, n_profile_modes: int = 8) -> RealField:

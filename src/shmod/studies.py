@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .grid import Grid, RealField
+from .grid import DEFAULT_POINTS_PER_PERIOD, Grid, RealField
 from .noise import NoiseConfig
 from .sh import (ModelParams, SHStepper, integrate, modulated_carrier_ic,
                  noise_draw)
@@ -132,6 +132,10 @@ class StudyConfig:
             raise ConfigError("delta must lie in (0, 1/2]")
         if self.intensity < 0:
             raise ConfigError("intensity must be non-negative")
+        if (self.study in ("landau-sweep", "quintic-suite")
+                and self.n_points % DEFAULT_POINTS_PER_PERIOD):
+            raise ConfigError(f"the Landau fit needs n_points a multiple of "
+                              f"{DEFAULT_POINTS_PER_PERIOD}")
         for eps in self.eps_list:
             # Raises if the band layout does not fit this grid.
             try:

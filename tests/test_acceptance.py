@@ -6,7 +6,6 @@ The heavy seeded ensembles are shared across tests through session fixtures.
 """
 import functools
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -38,10 +37,9 @@ from shmod.operators import symbol_L_eps
 DELTA = 0.125
 SLOPE_WINDOW = (0.7, 1.3)
 
-#: Worker threads for the ensembles and the coefficient fits.  A study's
-#: records do not depend on its thread count (see
-#: test_study_is_deterministic_across_thread_counts), and the fits are
-#: noise-free, so this changes only the wall time.
+#: Worker threads for the ensembles.  A study's records do not depend on
+#: its thread count (see test_study_is_deterministic_across_thread_counts),
+#: so this changes only the wall time.
 THREADS = min(2, os.cpu_count() or 1)
 
 
@@ -86,9 +84,9 @@ def landau(nu, variant="cubic", window=2.5):
 
 
 def landau_all(nus, variant="cubic", window=2.5):
-    """``landau`` at each nu, the fits spread over THREADS threads."""
-    with ThreadPoolExecutor(THREADS) as pool:
-        return list(pool.map(lambda nu: landau(nu, variant, window), nus))
+    """``landau`` at each nu, one after the other: a one-period fit is
+    Python-bound, and two threads were no faster than this loop."""
+    return [landau(nu, variant, window) for nu in nus]
 
 
 # -- 1: cubic effective coefficient -------------------------------------------

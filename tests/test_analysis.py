@@ -276,6 +276,41 @@ def test_streamed_fit_amplitudes_match_posthoc_demodulation():
     np.testing.assert_allclose(fit.amplitudes, ref, rtol=1e-13, atol=0)
 
 
+@pytest.mark.parametrize("n_points", [512, 1024])
+@pytest.mark.parametrize("variant, nu", [("cubic", 0.5),
+                                         ("quintic", (1.0, 0.5))])
+def test_one_period_fit_matches_full_grid_composition(variant, nu, n_points):
+    # the fit runs one carrier period; the reference runs all n_points / 16
+    # of them.  A cubic nu feeds the even harmonics through nu/eps v^2, a
+    # quintic nu3 adds v^3 to v^5
+    eps, amplitude, window = 0.2, 0.2, 0.503
+    fit = estimate_landau_coefficient(eps, nu, variant=variant,
+                                      amplitude=amplitude, n_points=n_points,
+                                      fit_window=window, r2_min=-np.inf)
+    grid = Grid.for_carrier(eps, n_points=n_points)
+    t_skip = 10.0 * eps ** 2
+    coeffs = (dict(nu=nu) if variant == "cubic"
+              else dict(nu2=nu[0], nu3=nu[1]))
+    p = ModelParams(variant, eps=eps, t_end=t_skip + window, **coeffs)
+    n_steps = int(round(p.t_end / p.dt))
+    stride = max(1, n_steps // 400)
+    v0 = RealField(grid, 2.0 * amplitude * np.cos(grid.x / eps))
+    traj = simulate(v0, p, snapshot_stride=stride)
+    q1 = band_symbols(grid, eps, DELTA).q1
+    amps = np.array([np.mean(np.abs(demodulate(project(s, q1), eps,
+                                                DELTA).values))
+                     for s in traj.snapshots])
+    ref = amps[traj.times >= t_skip][1:-1]
+    np.testing.assert_allclose(fit.amplitudes, ref, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("n_points", [0, -16, 8200, 1000])
+def test_landau_estimate_rejects_n_points_off_the_period(n_points):
+    # the one-period run stands for the long grid only at 16 points a period
+    with pytest.raises(ValueError, match="multiple of 16"):
+        estimate_landau_coefficient(0.1, n_points=n_points)
+
+
 def test_carrier_amplitude_rejects_energy_in_the_p1_taper():
     grid = Grid.for_carrier(0.1, 1024, periods=64)
     sym = band_symbols(grid, grid.eps, DELTA)

@@ -49,6 +49,16 @@ def test_config_validation_rejects_bad_input(tmp_path):
         tiny_cfg(tmp_path, delta=0.25).validate()
 
 
+@pytest.mark.parametrize("study", ["landau-sweep", "quintic-suite"])
+def test_landau_studies_reject_n_points_off_the_period(tmp_path, study):
+    # the fit runs on one carrier period of 16 points, so a study fails
+    # here, at config time, rather than in its first cell
+    with pytest.raises(ConfigError, match="multiple of 16"):
+        StudyConfig.for_study(study, out_dir=str(tmp_path), n_points=8200)
+    StudyConfig.for_study(study, out_dir=str(tmp_path), n_points=1024,
+                          periods=64)
+
+
 def test_config_roundtrips_through_public_dict(tmp_path):
     cfg = tiny_cfg(tmp_path)
     again = StudyConfig.from_public_dict(cfg.public_dict())
@@ -217,10 +227,12 @@ def test_replay_verifies_and_detects_tampering(tmp_path):
     with pytest.raises(ConfigError):
         replay(str(out), overrides={"dt": 2e-3})
     manifest = json.loads((out / "manifest.json").read_text())
-    manifest["version"] = "0.0"
-    (out / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(ReplayError):
-        replay(str(out))
+    # 0.6.0 records predate the one-period Landau fit
+    for version in ("0.0", "0.6.0"):
+        manifest["version"] = version
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ReplayError):
+            replay(str(out))
 
 
 def test_existing_output_with_other_config_is_rejected(tmp_path):

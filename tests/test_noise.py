@@ -7,7 +7,6 @@ from shmod import (
     NoiseConfig,
     ou_increment_variance,
     spectral_variance_rate,
-    stochastic_convolution_path,
     stochastic_convolution_sample,
     weighted_holder_norm,
 )
@@ -112,18 +111,15 @@ def test_spectral_variance_rate_identity():
     )
 
 
-def test_convolution_path_starts_at_zero_and_is_deterministic():
+def test_convolution_sample_is_deterministic():
     grid = small_grid()
     cfg = NoiseConfig(seed=11, intensity=0.3)
-    path1 = list(stochastic_convolution_path(grid, grid.eps, 0.05, 0.01, cfg))
-    path2 = list(stochastic_convolution_path(grid, grid.eps, 0.05, 0.01, cfg))
-    t0, w0 = path1[0]
-    assert t0 == 0.0
-    assert np.all(w0.values == 0.0)
-    assert len(path1) == 6
-    for (ta, wa), (tb, wb) in zip(path1, path2):
-        assert ta == tb
-        np.testing.assert_array_equal(wa.values, wb.values)
+    a = stochastic_convolution_sample(grid, grid.eps, 0.05, cfg)
+    b = stochastic_convolution_sample(grid, grid.eps, 0.05, cfg)
+    np.testing.assert_array_equal(a.values, b.values)
+    other = stochastic_convolution_sample(grid, grid.eps, 0.05,
+                                          NoiseConfig(seed=12, intensity=0.3))
+    assert not np.array_equal(a.values, other.values)
 
 
 def test_substreams_are_independent():

@@ -8,7 +8,6 @@ from shmod import (
     RealField,
     band_symbols,
     project,
-    symbol_L,
     symbol_L_eps,
 )
 from shmod import bands
@@ -18,20 +17,21 @@ from shmod.sh import SHStepper
 
 
 def test_symbol_values():
-    assert symbol_L(0.0) == -1.0
-    assert symbol_L(1.0) == 0.0
-    assert symbol_L(-1.0) == 0.0
-    assert symbol_L(2.0) == -9.0
     eps = 0.1
     assert symbol_L_eps(1.0 / eps, eps) == 0.0
+    assert symbol_L_eps(-1.0 / eps, eps) == 0.0
     assert symbol_L_eps(0.0, eps) == pytest.approx(-1.0 / eps**2, rel=1e-14)
+    assert symbol_L_eps(2.0 / eps, eps) == pytest.approx(-9.0 / eps**2,
+                                                         rel=1e-14)
 
 
-def test_rescaled_symbol_matches_unrescaled():
+def test_rescaled_symbol_matches_expanded_polynomial():
+    # -(1 - eps^2 K^2)^2 / eps^2 = -1/eps^2 + 2 K^2 - eps^2 K^4
     eps = 0.07
     K = np.linspace(-30.0, 30.0, 101)
     np.testing.assert_allclose(
-        symbol_L_eps(K, eps), symbol_L(eps * K) / eps**2, rtol=1e-12
+        symbol_L_eps(K, eps), -1.0 / eps**2 + 2.0 * K**2 - eps**2 * K**4,
+        rtol=1e-12
     )
 
 

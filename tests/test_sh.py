@@ -16,8 +16,6 @@ from shmod import (
     integrate,
     project,
     project_complement,
-    rescale_from_original,
-    rescale_to_original,
     simulate,
     symbol_L_eps,
 )
@@ -173,28 +171,6 @@ def test_quintic_step_allocates_no_padded_array():
     finally:
         tracemalloc.stop()
     assert peak < 3 * n * 8
-
-
-def test_rescale_roundtrip(grid):
-    rng = np.random.default_rng(5)
-    v0 = modulated_carrier_ic(grid, grid.eps, rng, amplitude=0.4)
-    p = ModelParams(eps=grid.eps, nu=0.3, dt=1e-3, t_end=0.02)
-    traj = simulate(v0, p)
-    back = rescale_from_original(rescale_to_original(traj, grid.eps), grid.eps)
-    np.testing.assert_allclose(back.times, traj.times, rtol=1e-12)
-    np.testing.assert_allclose(back.final.values, traj.final.values,
-                               rtol=1e-12)
-    assert back.final.grid.length == pytest.approx(grid.length)
-
-
-def test_rescale_to_original_scales_amplitude_and_domain(grid):
-    v0 = RealField(grid, np.ones(grid.n_points))
-    traj = simulate(v0, ModelParams(eps=grid.eps, dt=1e-3, t_end=0.01))
-    orig = rescale_to_original(traj, grid.eps)
-    assert orig.final.grid.length == pytest.approx(grid.length / grid.eps)
-    assert orig.times[-1] == pytest.approx(traj.times[-1] / grid.eps**2)
-    np.testing.assert_allclose(orig.snapshots[0].values,
-                               grid.eps * traj.snapshots[0].values)
 
 
 def test_modulated_carrier_ic_norms(grid):
