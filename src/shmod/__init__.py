@@ -5,17 +5,15 @@ __version__ = "0.7.0"
 
 from .grid import ComplexField, Grid, RealField, read_field, write_field
 from .operators import symbol_L_eps
-from .bands import (BandKernel, band_symbols, demodulate, make_kernel, modulate,
-                    project, project_complement)
+from .bands import (band_symbols, demodulate, make_kernel, modulate, project,
+                    project_complement)
 from .noise import (NoiseConfig, ou_increment_variance, spectral_variance_rate,
                     stochastic_convolution_sample)
 from .sh import (ModelParams, Trajectory, integrate, modulated_carrier_ic,
                  simulate)
 from .reduced import (GLCoefficients, gl5_coefficients, gl_coefficients,
-                      simulate_gl, simulate_paired, simulate_reduced)
-from .analysis import (HolderNormConfig, LandauFit, ScalingStudy,
-                       approximation_error, estimate_landau_coefficient,
-                       fit_scaling_exponent, mode_concentration,
-                       weighted_holder_norm)
+                      simulate_gl, simulate_paired)
+from .analysis import (LandauFit, ScalingStudy, estimate_landau_coefficient,
+                       fit_scaling_exponent)
 from .studies import (ConfigError, ReplayError, StudyConfig, StudyRecord,
                       emit_plotdata, parse_config_file, replay, run_study)

@@ -1,88 +1,16 @@
-"""Diagnostics: weighted Hoelder norms, averaging-identity residuals,
-mode-concentration ratios, trajectory errors, scaling-exponent fits, and
+"""Diagnostics: averaging-identity residuals, scaling-exponent fits, and
 effective amplitude-coefficient estimation.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bands import (DEFAULT_DELTA, BandSymbols, amplitude_spectrum,
-                    band_symbols, check_p1_energy, project_complement)
-from .grid import DEFAULT_POINTS_PER_PERIOD, ComplexField, Grid, RealField
-from .sh import CUBIC, QUINTIC, ModelParams, SHStepper, Trajectory, integrate
-
-
-@dataclass(frozen=True)
-class HolderNormConfig:
-    alpha: float = 0.4
-    kappa: float = 0.1
-    window_radii: tuple[float, ...] = ()
-    pair_stride: int = 16
-
-    def __post_init__(self):
-        if not (0 < self.alpha < 0.5):
-            raise ValueError("alpha must lie in (0, 1/2)")
-        if self.kappa <= 0:
-            raise ValueError("kappa must be positive")
-        if self.pair_stride < 1:
-            raise ValueError("pair_stride must be at least 1")
-
-    def radii_for(self, grid: Grid) -> np.ndarray:
-        if self.window_radii:
-            radii = np.asarray(self.window_radii, dtype=np.float64)
-        else:
-            # dyadic ladder 2, 4, ... up to half the domain
-            l_max = grid.length / 2.0
-            radii = 2.0 ** np.arange(1, max(2, int(np.floor(np.log2(l_max))) + 1))
-            radii = radii[radii <= l_max]
-            if radii.size == 0:
-                radii = np.array([min(2.0, l_max)])
-        if np.any(radii <= 1.0) or np.any(radii > grid.length / 2.0 + 1e-12):
-            raise ValueError("window radii must lie in (1, length/2]")
-        return radii
-
-
-def weighted_holder_norm(f: RealField | ComplexField,
-                         cfg: HolderNormConfig = HolderNormConfig()) -> float:
-    """Discrete weighted Hoelder norm:
-    max over window radii L of L^-kappa * (sup_{|x|<=L} |f|
-    + max over grid pairs within pair_stride of |f(x)-f(y)| / |x-y|^alpha),
-    with the domain recentered so x=0 is the grid midpoint.
-    """
-    grid = f.grid
-    x = grid.x_centered
-    vals = f.values
-    radii = cfg.radii_for(grid)
-    out = 0.0
-    # precompute stride quotients once; window masks select pairs inside [-L, L]
-    quotients = []
-    for s in range(1, cfg.pair_stride + 1):
-        dv = np.abs(vals[s:] - vals[:-s]) / (s * grid.dx) ** cfg.alpha
-        quotients.append(dv)
-    for L in radii:
-        inside = np.abs(x) <= L
-        sup = float(np.max(np.abs(vals[inside]))) if np.any(inside) else 0.0
-        semi = 0.0
-        for s, dv in enumerate(quotients, start=1):
-            pair_in = inside[:-s] & inside[s:]
-            if np.any(pair_in):
-                semi = max(semi, float(np.max(dv[pair_in])))
-        out = max(out, L ** (-cfg.kappa) * (sup + semi))
-    return out
-
-
-def mode_concentration(f: RealField, eps: float,
-                       delta: float = DEFAULT_DELTA) -> float:
-    """||(I - P1) f||_2 / ||f||_2; 0 means fully band-concentrated."""
-    total = f.l2_norm()
-    if total == 0.0:
-        warnings.warn("mode_concentration of the zero field; returning 0")
-        return 0.0
-    q1 = band_symbols(f.grid, eps, delta).q1
-    return project_complement(f, q1).l2_norm() / total
+                    band_symbols, check_p1_energy)
+from .grid import DEFAULT_POINTS_PER_PERIOD, Grid, RealField
+from .sh import CUBIC, QUINTIC, ModelParams, SHStepper, integrate
 
 
 class AveragingAccumulator:
@@ -124,37 +52,10 @@ class AveragingAccumulator:
         return res_p0, res_p2
 
 
-def approximation_error(a: Trajectory, b: Trajectory, norm: str = "sup",
-                        holder_cfg: HolderNormConfig | None = None) -> float:
-    """Sup over shared times of the chosen norm of the trajectory difference."""
-    ga, gb = a.snapshots[0].grid, b.snapshots[0].grid
-    if (ga.n_points, ga.length) != (gb.n_points, gb.length):
-        raise ValueError("trajectory grids do not match")
-    ta, tb = np.asarray(a.times), np.asarray(b.times)
-    if ta.shape != tb.shape or not np.allclose(ta, tb):
-        raise ValueError("trajectory time stamps do not match")
-    worst = 0.0
-    for sa, sb in zip(a.snapshots, b.snapshots):
-        diff = RealField(ga, sa.values - sb.values)
-        if norm == "sup":
-            worst = max(worst, diff.sup_norm())
-        elif norm == "L2":
-            worst = max(worst, diff.l2_norm())
-        elif norm == "holder":
-            worst = max(worst, weighted_holder_norm(
-                diff, holder_cfg or HolderNormConfig()))
-        else:
-            raise ValueError(f"unknown norm {norm!r}")
-    return worst
-
-
 @dataclass(frozen=True)
 class ScalingStudy:
-    eps_values: tuple[float, ...]
-    quantiles: tuple[float, ...]
     slope: float
     intercept: float
-    residuals: tuple[float, ...]
 
 
 def fit_scaling_exponent(pairs) -> ScalingStudy:
@@ -167,11 +68,7 @@ def fit_scaling_exponent(pairs) -> ScalingStudy:
     le = np.log([e for e, _ in pairs])
     ly = np.log([y for _, y in pairs])
     slope, intercept = np.polyfit(le, ly, 1)
-    resid = ly - (slope * le + intercept)
-    return ScalingStudy(eps_values=tuple(e for e, _ in pairs),
-                        quantiles=tuple(y for _, y in pairs),
-                        slope=float(slope), intercept=float(intercept),
-                        residuals=tuple(float(r) for r in resid))
+    return ScalingStudy(slope=float(slope), intercept=float(intercept))
 
 
 # -- effective amplitude-coefficient estimation ------------------------------
@@ -210,7 +107,6 @@ class LandauFit:
     c5: float
     r_squared: float
     amplitudes: tuple[float, ...] = field(repr=False, default=())
-    rates: tuple[float, ...] = field(repr=False, default=())
 
 
 def estimate_landau_coefficient(eps: float, nu=0.0, variant: str = CUBIC,
@@ -302,5 +198,4 @@ def estimate_landau_coefficient(eps: float, nu=0.0, variant: str = CUBIC,
         c3, c5 = 0.0, float(coef[0])
     else:
         c3, c5 = float(coef[0]), 0.0
-    return LandauFit(c3=c3, c5=c5, r_squared=r2,
-                     amplitudes=tuple(a), rates=tuple(rate))
+    return LandauFit(c3=c3, c5=c5, r_squared=r2, amplitudes=tuple(a))

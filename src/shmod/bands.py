@@ -29,27 +29,29 @@ _BAND_SPEC = {
 }
 
 
+#: width, in wavenumber, of the raised-cosine taper of every band kernel
+TAPER_WIDTH = 1.0
+
+
 @dataclass(frozen=True)
 class BandKernel:
     """Smooth multiplier q(K): 1 on a plateau around each center, raised-cosine
-    taper to 0 over unit width, symmetric under K -> -K."""
+    taper to 0 over ``TAPER_WIDTH``, symmetric under K -> -K."""
 
-    which: str
     centers: tuple[float, ...]
     plateau_radius: float
-    taper_width: float = 1.0
 
     def evaluate(self, K) -> np.ndarray:
         K = np.asarray(K, dtype=np.float64)
         dist = np.min(np.abs(K[..., None] - np.asarray(self.centers)), axis=-1)
-        s = (dist - self.plateau_radius) / self.taper_width
+        s = (dist - self.plateau_radius) / TAPER_WIDTH
         q = np.where(s <= 0.0, 1.0,
                      np.where(s >= 1.0, 0.0, 0.5 * (1.0 + np.cos(np.pi * np.clip(s, 0.0, 1.0)))))
         return q
 
     @property
     def support_radius(self) -> float:
-        return self.plateau_radius + self.taper_width
+        return self.plateau_radius + TAPER_WIDTH
 
 
 def make_kernel(which: str, delta: float, eps: float, grid: Grid) -> BandKernel:
@@ -60,8 +62,7 @@ def make_kernel(which: str, delta: float, eps: float, grid: Grid) -> BandKernel:
         raise ValueError("delta must lie in (0, 1/2]")
     centers_rel, radius_rel = _BAND_SPEC[which]
     centers = tuple(c / eps for c in centers_rel)
-    kernel = BandKernel(which=which, centers=centers,
-                        plateau_radius=radius_rel * delta / eps)
+    kernel = BandKernel(centers=centers, plateau_radius=radius_rel * delta / eps)
     outer = max(abs(c) for c in centers) + kernel.support_radius
     if outer >= grid.nyquist:
         raise ValueError("band support reaches past the grid Nyquist")

@@ -159,8 +159,7 @@ def _cmd_simulate_sh(args) -> int:
     )
     ncfg = NoiseConfig(seed=args.seed, intensity=args.intensity)
     v0 = modulated_carrier_ic(grid, grid.eps, ncfg.substream(1).make_rng(),
-                              amplitude=args.amplitude, delta=delta,
-                              offband=args.offband)
+                              amplitude=args.amplitude, offband=args.offband)
     traj = simulate(v0, params, ncfg, snapshot_stride=10)
     out = _resolve_out(args.out, "simulate-sh")
     out.mkdir(parents=True, exist_ok=True)
@@ -187,7 +186,7 @@ def _cmd_simulate_gl(args) -> int:
         coeffs = gl_coefficients(nu, noise_intensity=args.intensity)
     ncfg = NoiseConfig(seed=args.seed, intensity=args.intensity)
     v0 = modulated_carrier_ic(grid, grid.eps, ncfg.substream(1).make_rng(),
-                              amplitude=args.amplitude, delta=delta)
+                              amplitude=args.amplitude)
     a0 = demodulate(project(v0, band_symbols(grid, grid.eps, delta).q1),
                     grid.eps, delta)
     traj = simulate_gl(

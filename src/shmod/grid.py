@@ -59,11 +59,6 @@ class Grid:
         return np.arange(self.n_points) * self.dx
 
     @property
-    def x_centered(self) -> np.ndarray:
-        """Coordinates recentered so x=0 is the grid midpoint."""
-        return self.x - 0.5 * self.length
-
-    @property
     def wavenumbers(self) -> np.ndarray:
         """Signed wavenumbers in numpy fft layout."""
         return np.fft.fftfreq(self.n_points, d=self.dx) * TWO_PI
@@ -92,18 +87,6 @@ class Grid:
             periods = n_points // DEFAULT_POINTS_PER_PERIOD
         return cls(n_points=n_points, length=TWO_PI * periods * eps,
                    carrier_index=periods)
-
-    @classmethod
-    def from_length(cls, length: float, eps: float, n_points: int = 8192) -> "Grid":
-        """Snap to the nearest commensurable grid: 1/eps_eff is a grid mode.
-
-        The requested eps is adjusted (not the length); the effective eps is
-        available as ``grid.eps``.
-        """
-        m = int(round(length / (TWO_PI * eps)))
-        if m < 1:
-            raise ValueError("domain too short to resolve the carrier")
-        return cls(n_points=n_points, length=length, carrier_index=m)
 
 
 def _as_array(values, dtype) -> np.ndarray:
@@ -175,15 +158,6 @@ class ComplexField:
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
-
-    def l2_norm(self) -> float:
-        return float(np.sqrt(self.grid.dx * np.sum(np.abs(self.values) ** 2)))
-
-    def __add__(self, other: "ComplexField") -> "ComplexField":
-        return ComplexField(self.grid, self.values + other.values)
-
-    def __sub__(self, other: "ComplexField") -> "ComplexField":
-        return ComplexField(self.grid, self.values - other.values)
 
     def __mul__(self, c) -> "ComplexField":
         return ComplexField(self.grid, self.values * c)

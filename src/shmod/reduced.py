@@ -34,12 +34,7 @@ GL_QUINTIC = -10.0
 class GLCoefficients:
     cubic: float
     quintic: float = 0.0
-    diffusion: float = GL_DIFFUSION
     noise_intensity: float = 1.0
-
-    def __post_init__(self):
-        if self.diffusion != GL_DIFFUSION:
-            raise ValueError("the amplitude equation has diffusion constant 4")
 
 
 def gl_coefficients(nu: float, noise_intensity: float = 1.0) -> GLCoefficients:
@@ -156,27 +151,6 @@ class ReducedStepper:
         return np.fft.irfft(self.half_spectrum(E), n=self.grid.n_points)
 
 
-def simulate_reduced(w0: RealField, p: ModelParams, cfg: NoiseConfig | None = None,
-                     delta: float = DEFAULT_DELTA,
-                     snapshot_stride: int = 10) -> Trajectory:
-    """Integrate the band equation from ``w0``, which must lie in the P1
-    band: content where q1 = 0 raises ValueError, since the band state
-    cannot hold it."""
-    intensity = cfg.intensity if cfg is not None else 0.0
-    stepper = ReducedStepper(w0.grid, p, intensity, delta)
-    spec = w0.spectrum()
-    off = spec.copy()
-    off[stepper.band] = 0.0
-    if np.max(np.abs(off)) > 1e-12 * np.max(np.abs(spec)):
-        raise ValueError("w0 has content outside the P1 band")
-    n_steps = int(round(p.t_end / p.dt))
-    snaps = Snapshots([w0], p.dt, snapshot_stride, n_steps)
-    status = integrate([stepper], [spec[stepper.band]], n_steps,
-                       p.blowup_threshold, noise_draw(stepper.noise, cfg),
-                       [snaps])
-    return snaps.trajectory(0, status)
-
-
 # -- Ginzburg-Landau solver --------------------------------------------------
 
 class GLStepper:
@@ -190,7 +164,7 @@ class GLStepper:
     def __init__(self, grid: Grid, c: GLCoefficients, dt: float):
         self.grid = grid
         K = grid.wavenumbers
-        lam = -c.diffusion * K ** 2
+        lam = -GL_DIFFUSION * K ** 2
         self.decay = np.exp(lam * dt)
         z = lam * dt
         self.phi1dt = dt * _phi1(z)

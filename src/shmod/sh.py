@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid, RealField
+from .grid import ComplexField, Grid, RealField
 from .noise import NoiseConfig, SpectralNoise
 from .operators import PaddedGrid, dealiased_powers, symbol_L_eps
-from .bands import DEFAULT_DELTA, modulate
+from .bands import modulate
 
 CUBIC = "cubic"
 QUINTIC = "quintic"
@@ -41,11 +41,6 @@ class ModelParams:
             raise ValueError("eps must lie in (0, 1)")
         if self.dt <= 0 or self.t_end <= 0 or self.blowup_threshold <= 0:
             raise ValueError("dt, t_end and blowup_threshold must be positive")
-
-    @property
-    def amplitude_scale(self) -> float:
-        """u = scale * v: eps for the cubic case, sqrt(eps) for the quintic."""
-        return self.eps if self.variant == CUBIC else np.sqrt(self.eps)
 
 
 @dataclass
@@ -97,11 +92,8 @@ class SHStepper:
             self.coeffs, pad = {2: p.nu2 / p.eps, 3: p.nu3, 5: -1.0}, 3
         self.padded = PaddedGrid(grid.n_points, pad)
 
-    def nonlinearity(self, vspec: np.ndarray) -> np.ndarray:
-        return dealiased_powers(vspec, self.coeffs, self.padded)
-
     def step_spec(self, vspec: np.ndarray, raw: np.ndarray | None) -> np.ndarray:
-        out = self.nonlinearity(vspec)
+        out = dealiased_powers(vspec, self.coeffs, self.padded)
         out *= self.phi1dt
         out += self.decay * vspec
         if raw is not None and self.noise_scale is not None:
@@ -186,23 +178,26 @@ def simulate(v0: RealField, p: ModelParams, cfg: NoiseConfig | None = None,
     return snaps.trajectory(0, status)
 
 
+#: the random profile of modulated_carrier_ic has the amplitude
+#: wavenumbers -PROFILE_MODES .. PROFILE_MODES
+PROFILE_MODES = 8
+
+
 def modulated_carrier_ic(grid: Grid, eps: float, rng: np.random.Generator,
-                         amplitude: float = 1.0, delta: float = DEFAULT_DELTA,
-                         offband: float = 0.0, n_profile_modes: int = 8) -> RealField:
+                         amplitude: float = 1.0,
+                         offband: float = 0.0) -> RealField:
     """Initial data A0(X) e^{iX/eps} + c.c. with a random band-limited profile.
 
-    The profile uses the lowest ``n_profile_modes`` amplitude wavenumbers with
+    The profile uses the lowest ``PROFILE_MODES`` amplitude wavenumbers with
     Gaussian coefficients and a 1/(1+j) rolloff, normalized to sup |A0| =
     ``amplitude``.  ``offband`` adds a smooth perturbation supported outside
     the P1 band (scaled to that sup norm).
     """
-    from .grid import ComplexField
-
     n = grid.n_points
     spec = np.zeros(n, dtype=np.complex128)
-    for j in range(-n_profile_modes, n_profile_modes + 1):
+    for j in range(-PROFILE_MODES, PROFILE_MODES + 1):
         c = (rng.standard_normal() + 1j * rng.standard_normal()) / (1.0 + abs(j))
-        spec[j % n] = c * n / (2 * n_profile_modes + 1)
+        spec[j % n] = c * n / (2 * PROFILE_MODES + 1)
     A0 = ComplexField.from_spectrum(grid, spec)
     peak = A0.sup_norm()
     if peak > 0:

@@ -132,10 +132,15 @@ class StudyConfig:
             raise ConfigError("delta must lie in (0, 1/2]")
         if self.intensity < 0:
             raise ConfigError("intensity must be non-negative")
-        if (self.study in ("landau-sweep", "quintic-suite")
-                and self.n_points % DEFAULT_POINTS_PER_PERIOD):
-            raise ConfigError(f"the Landau fit needs n_points a multiple of "
-                              f"{DEFAULT_POINTS_PER_PERIOD}")
+        if self.study in ("landau-sweep", "quintic-suite"):
+            # the fit computes Grid.for_carrier(eps, n_points) on one of its
+            # periods, so no other periods value would be honoured
+            if self.n_points % DEFAULT_POINTS_PER_PERIOD:
+                raise ConfigError(f"the Landau fit needs n_points a multiple "
+                                  f"of {DEFAULT_POINTS_PER_PERIOD}")
+            if self.periods != self.n_points // DEFAULT_POINTS_PER_PERIOD:
+                raise ConfigError(f"the Landau fit needs periods = n_points/"
+                                  f"{DEFAULT_POINTS_PER_PERIOD}")
         for eps in self.eps_list:
             # Raises if the band layout does not fit this grid.
             try:
@@ -207,7 +212,7 @@ def _paired_cell(cfg: StudyConfig, eps: float, nu: float, seed: int, with_gl: bo
     ncfg = _noise_for(cfg, seed)
     v0 = modulated_carrier_ic(
         grid, grid.eps, ncfg.substream(1).make_rng(),
-        amplitude=cfg.amplitude, delta=cfg.delta, offband=cfg.offband,
+        amplitude=cfg.amplitude, offband=cfg.offband,
     )
     params = ModelParams("cubic", eps=grid.eps, nu=nu, dt=cfg.dt, t_end=cfg.t_end)
     result = simulate_paired(v0, params, ncfg, delta=cfg.delta, with_gl=with_gl)
@@ -224,7 +229,7 @@ def _attractivity_cell(cfg: StudyConfig, eps: float, nu: float, seed: int) -> di
     ncfg = _noise_for(cfg, seed)
     v0 = modulated_carrier_ic(
         grid, grid.eps, ncfg.substream(1).make_rng(),
-        amplitude=cfg.amplitude, delta=cfg.delta, offband=cfg.offband,
+        amplitude=cfg.amplitude, offband=cfg.offband,
     )
     params = ModelParams("cubic", eps=grid.eps, nu=nu, dt=cfg.dt, t_end=cfg.t_end)
     stepper = SHStepper(grid, params, ncfg.intensity)

@@ -22,12 +22,6 @@ def test_eps_derived_from_carrier_index():
     assert g.eps == pytest.approx(1.0 / (g.carrier_index * g.dk), rel=1e-14)
 
 
-def test_from_length_snaps_carrier_to_integer_mode():
-    g = Grid.from_length(40.0, 0.1, 1024)
-    assert g.carrier_index == round(40.0 / (2.0 * np.pi * 0.1))
-    assert np.min(np.abs(g.wavenumbers - 1.0 / g.eps)) < 1e-9 / g.eps
-
-
 def test_nyquist_covers_second_harmonic_band():
     g = Grid.for_carrier(0.1, 1024, periods=64)
     assert g.nyquist > 2.0 / g.eps

@@ -59,6 +59,16 @@ def test_landau_studies_reject_n_points_off_the_period(tmp_path, study):
                           periods=64)
 
 
+@pytest.mark.parametrize("study", ["landau-sweep", "quintic-suite"])
+def test_landau_studies_reject_periods_off_n_points(tmp_path, study):
+    # the fit runs Grid.for_carrier(eps, n_points), n_points/16 periods,
+    # whatever the config says, so another periods value is refused
+    with pytest.raises(ConfigError, match="periods = n_points/16"):
+        StudyConfig.for_study(study, out_dir=str(tmp_path), periods=128)
+    cfg = StudyConfig.for_study(study, out_dir=str(tmp_path))
+    assert (cfg.n_points, cfg.periods) == (8192, 512)
+
+
 def test_config_roundtrips_through_public_dict(tmp_path):
     cfg = tiny_cfg(tmp_path)
     again = StudyConfig.from_public_dict(cfg.public_dict())
@@ -183,7 +193,7 @@ def test_every_solve_reaches_shstepper_step_spec(tmp_path, monkeypatch):
     monkeypatch.setattr(SHStepper, "step_spec", first_step)
     grid = Grid.for_carrier(0.2, 512, periods=32)
     v0 = modulated_carrier_ic(grid, grid.eps, np.random.default_rng(0),
-                              amplitude=0.3, delta=0.125)
+                              amplitude=0.3)
     p = ModelParams(eps=grid.eps, nu=0.5, dt=1e-3, t_end=0.01)
     solves = [
         lambda: simulate(v0, p),

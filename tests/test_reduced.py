@@ -9,6 +9,7 @@ from shmod import (
     NoiseConfig,
     gl5_coefficients,
     gl_coefficients,
+    integrate,
     modulate,
     ou_increment_variance,
     RealField,
@@ -17,7 +18,6 @@ from shmod import (
     modulated_carrier_ic,
     simulate_gl,
     simulate_paired,
-    simulate_reduced,
     spectral_variance_rate,
 )
 from shmod.bands import amplitude_spectrum
@@ -50,11 +50,6 @@ def test_quintic_coefficient_values():
     assert c.quintic == pytest.approx(-10.0)
     assert gl5_coefficients(0.0, 0.0).cubic == pytest.approx(0.0)
     assert gl5_coefficients(0.0, 1.0).cubic == pytest.approx(3.0)
-
-
-def test_coefficients_reject_wrong_diffusion():
-    with pytest.raises(ValueError):
-        GLCoefficients(cubic=-3.0, diffusion=1.0)
 
 
 def test_quadratic_correction_matches_closed_form():
@@ -117,7 +112,7 @@ def test_drift_matches_eight_fft_composition(params):
     p = ModelParams(eps=grid.eps, **params)
     stepper = ReducedStepper(grid, p, intensity=0.0, delta=DELTA)
     w = modulated_carrier_ic(grid, grid.eps, np.random.default_rng(3),
-                             amplitude=0.8, delta=DELTA)
+                             amplitude=0.8)
     wspec = band_symbols(grid, grid.eps, DELTA).q1 * w.spectrum()
     got = stepper.half_spectrum(stepper.drift(wspec[stepper.band]))
     ref = _drift_in_eight_ffts(grid, p, wspec)
@@ -266,11 +261,16 @@ def test_reduced_band_equation_keeps_band_structure():
     eps = 0.1
     grid = Grid.for_carrier(eps, 1024, periods=64)
     rng = np.random.default_rng(4)
-    w0 = modulated_carrier_ic(grid, grid.eps, rng, amplitude=0.3, delta=DELTA)
+    w0 = modulated_carrier_ic(grid, grid.eps, rng, amplitude=0.3)
     p = ModelParams(eps=grid.eps, nu=0.5, dt=1e-3, t_end=0.1)
-    traj = simulate_reduced(w0, p, delta=DELTA)
-    assert traj.status == "completed"
-    spec = np.abs(np.fft.rfft(traj.final.values))
+    stepper = ReducedStepper(grid, p, intensity=0.0, delta=DELTA)
+    final = {}
+    status = integrate([stepper], [w0.spectrum()[stepper.band]],
+                       int(round(p.t_end / p.dt)), p.blowup_threshold,
+                       observers=[lambda i, specs, values:
+                                  final.update(w=values[0])])
+    assert status == "completed"
+    spec = np.abs(np.fft.rfft(final["w"]))
     outside = band_symbols(grid, grid.eps, DELTA).q1 == 0.0
     assert np.max(spec[outside]) < 1e-10 * np.max(spec)
 
@@ -279,7 +279,7 @@ def test_paired_run_is_deterministic_and_close():
     eps = 0.1
     grid = Grid.for_carrier(eps, 1024, periods=64)
     rng = np.random.default_rng(8)
-    v0 = modulated_carrier_ic(grid, grid.eps, rng, amplitude=0.3, delta=DELTA)
+    v0 = modulated_carrier_ic(grid, grid.eps, rng, amplitude=0.3)
     p = ModelParams(eps=grid.eps, nu=0.5, dt=1e-3, t_end=0.2)
     cfg = NoiseConfig(seed=31, intensity=0.05)
     r1 = simulate_paired(v0, p, cfg, delta=DELTA)
@@ -291,21 +291,17 @@ def test_paired_run_is_deterministic_and_close():
     assert r1.sup_diff < 0.1
 
 
-def test_simulate_reduced_rejects_offband_w0():
-    grid = Grid.for_carrier(0.1, 1024, periods=64)
-    p = ModelParams(eps=grid.eps, nu=0.5, dt=1e-3, t_end=1e-3)
-    w0 = modulated_carrier_ic(grid, grid.eps, np.random.default_rng(2),
-                              amplitude=0.3, delta=DELTA, offband=0.1)
-    with pytest.raises(ValueError, match="outside the P1 band"):
-        simulate_reduced(w0, p, delta=DELTA)
+def test_reduced_step_keeps_content_on_the_p1_taper():
     # content on the P1 taper is kept as given, not multiplied by q1 again:
     # one step of a tiny field is the linear flow of w0
+    grid = Grid.for_carrier(0.1, 1024, periods=64)
+    p = ModelParams(eps=grid.eps, nu=0.5, dt=1e-3, t_end=1e-3)
     sym = band_symbols(grid, grid.eps, DELTA)
     rng = np.random.default_rng(6)
     spec = 1e-9 * sym.q1 * (rng.standard_normal(sym.q1.size)
                             + 1j * rng.standard_normal(sym.q1.size))
-    traj = simulate_reduced(RealField.from_spectrum(grid, spec), p,
-                            delta=DELTA)
+    stepper = ReducedStepper(grid, p, intensity=0.0, delta=DELTA)
+    got = stepper.values(stepper.step_spec(spec[stepper.band], None))
     expect = np.fft.irfft(np.exp(p.dt * sym.lam) * spec, n=grid.n_points)
-    np.testing.assert_allclose(traj.final.values, expect, rtol=0,
+    np.testing.assert_allclose(got, expect, rtol=0,
                                atol=1e-12 * np.max(np.abs(expect)))

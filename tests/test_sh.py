@@ -205,4 +205,3 @@ def test_quintic_variant_runs_and_stays_finite():
     traj = simulate(v0, p)
     assert traj.status == "completed"
     assert np.isfinite(traj.final.values).all()
-    assert p.amplitude_scale == pytest.approx(np.sqrt(grid.eps))

@@ -78,5 +78,10 @@ def test_unreferenced_definition_scan_finds_stranded_names():
 
 
 def test_every_definition_is_referenced_in_the_package():
-    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
-    assert _unreferenced_definitions(sources) == []
+    # ``__init__`` is left out, so a name that only the exports and the
+    # tests read is dead surface.  The one exception is the exact draw of
+    # W_{L_eps}(T), on which the acceptance tests measure the law of the
+    # stochastic convolution.
+    sources = {p.stem: p.read_text() for p in MODULES}
+    assert _unreferenced_definitions(sources) == [
+        "noise.stochastic_convolution_sample"]
