@@ -67,19 +67,21 @@ class SpectralNoise:
     variance (half in re, half in im), so E|g_k|^2 = n for every mode of
     either; an exact OU increment for rates ``lam`` is
     g * ou_scale(lam, dt) = g * sqrt(unit * ou_increment_variance(lam, dt) / n).
+    With a ``lead`` shape both return that many draws stacked, bit for bit
+    the draws of as many sequential calls, and leave ``rng`` where those would.
     """
 
     def __init__(self, grid: Grid, intensity: float = 1.0):
         self.grid = grid
         self.unit = spectral_variance_rate(grid, intensity)
 
-    def raw(self, rng: np.random.Generator) -> np.ndarray:
-        return np.fft.rfft(rng.standard_normal(self.grid.n_points))
+    def raw(self, rng: np.random.Generator, lead: tuple = ()) -> np.ndarray:
+        return np.fft.rfft(rng.standard_normal((*lead, self.grid.n_points)))
 
-    def raw_complex(self, rng: np.random.Generator) -> np.ndarray:
-        n = self.grid.n_points
-        return np.fft.fft((rng.standard_normal(n)
-                           + 1j * rng.standard_normal(n)) / np.sqrt(2.0))
+    def raw_complex(self, rng: np.random.Generator,
+                    lead: tuple = ()) -> np.ndarray:
+        z = rng.standard_normal((*lead, 2, self.grid.n_points))
+        return np.fft.fft((z[..., 0, :] + 1j * z[..., 1, :]) / np.sqrt(2.0))
 
     def ou_scale(self, lam: np.ndarray, dt: float) -> np.ndarray:
         return np.sqrt(self.unit * ou_increment_variance(lam, dt)

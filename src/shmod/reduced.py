@@ -197,14 +197,9 @@ def simulate_gl(A0: ComplexField, c: GLCoefficients, dt: float, t_end: float,
                 cfg: NoiseConfig | None = None, snapshot_stride: int = 10,
                 blowup_threshold: float = 1e4) -> Trajectory:
     stepper = GLStepper(A0.grid, c, dt)
-    draw = None
-    if cfg is not None and c.noise_intensity > 0:
-        rng = cfg.make_rng()
-
-        def draw():
-            return stepper.noise.raw_complex(rng)
-
     n_steps = int(round(t_end / dt))
+    draw = (noise_draw(stepper.noise, cfg, n_steps, complex_rows=True)
+            if c.noise_intensity > 0 else None)
     snaps = Snapshots([A0], dt, snapshot_stride, n_steps)
     status = integrate([stepper], [A0.spectrum()], n_steps, blowup_threshold,
                        draw, [snaps])
@@ -296,8 +291,9 @@ def simulate_paired(v0: RealField, p: ModelParams, cfg: NoiseConfig,
         sup_diff_gl = _RunningMax(lambda specs, vals: float(np.max(np.abs(
             np.fft.ifft(amplitude_spectrum(specs[1], amp)) - vals[2]))))
         observers.append(sup_diff_gl)
-    status = integrate(steppers, specs, int(round(p.t_end / p.dt)),
-                       p.blowup_threshold, noise_draw(sh.noise, cfg), observers)
+    n_steps = int(round(p.t_end / p.dt))
+    status = integrate(steppers, specs, n_steps, p.blowup_threshold,
+                       noise_draw(sh.noise, cfg, n_steps), observers)
     res_p0, res_p2 = averaging.results()
     return PairedResult(sup_diff=band.sup_diff, res_p0=res_p0, res_p2=res_p2,
                         sup_diff_gl=sup_diff_gl.value if with_gl else None,

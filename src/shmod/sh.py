@@ -10,6 +10,8 @@ stiff slaved modes (essential for the quadratic-interaction coefficients).
 """
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,12 +139,43 @@ def integrate(steppers, specs, n_steps: int, threshold: float,
     return "completed"
 
 
-def noise_draw(noise: SpectralNoise, cfg: NoiseConfig | None):
-    """Per-step ``noise.raw`` from ``cfg``'s stream; None without noise."""
+#: rows per noise block; three blocks of about 49 kB a row (n = 2048) are
+#: live, within the 1 MB tracemalloc peak of an attractivity cell
+NOISE_BLOCK = 10
+
+
+def _start_noise_worker():
+    global _noise_worker
+    _noise_worker = ThreadPoolExecutor(1, thread_name_prefix="shmod-noise")
+
+
+# one noise worker thread per process; a forked child has no copy of the
+# parent's thread and would wait on it forever, so it starts its own
+_start_noise_worker()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_start_noise_worker)
+
+
+def noise_draw(noise: SpectralNoise, cfg: NoiseConfig | None, n_steps: int,
+               complex_rows: bool = False):
+    """Exactly ``n_steps`` per-step ``noise.raw`` draws (``raw_complex``
+    with ``complex_rows``) from ``cfg``'s stream, bit for bit; None without
+    noise.  They are drawn in blocks, one block ahead, on the noise worker,
+    which overlaps the stepping thread: Philox and pocketfft free the GIL."""
     if cfg is None or cfg.intensity == 0:
         return None
+    raw = noise.raw_complex if complex_rows else noise.raw
     rng = cfg.make_rng()
-    return lambda: noise.raw(rng)
+
+    def rows():
+        ahead = None  # the block being drawn
+        for start in range(0, n_steps + NOISE_BLOCK, NOISE_BLOCK):
+            block = ahead.result() if ahead else ()
+            k = min(NOISE_BLOCK, n_steps - start)
+            ahead = _noise_worker.submit(raw, rng, (k,)) if k > 0 else None
+            yield from block
+
+    return rows().__next__
 
 
 class Snapshots:
@@ -173,8 +206,8 @@ def simulate(v0: RealField, p: ModelParams, cfg: NoiseConfig | None = None,
     n_steps = int(round(p.t_end / p.dt))
     snaps = Snapshots([v0], p.dt, snapshot_stride, n_steps)
     status = integrate([stepper], [v0.spectrum()], n_steps,
-                       p.blowup_threshold, noise_draw(stepper.noise, cfg),
-                       [snaps])
+                       p.blowup_threshold,
+                       noise_draw(stepper.noise, cfg, n_steps), [snaps])
     return snaps.trajectory(0, status)
 
 

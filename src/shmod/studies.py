@@ -244,7 +244,8 @@ def _attractivity_cell(cfg: StudyConfig, eps: float, nu: float, seed: int) -> di
                 project_complement(RealField(grid, values[0]), q1).sup_norm())
 
     status = integrate([stepper], [v0.spectrum()], n_steps,
-                       params.blowup_threshold, noise_draw(stepper.noise, ncfg),
+                       params.blowup_threshold,
+                       noise_draw(stepper.noise, ncfg, n_steps),
                        [observe])
     _require_completed(status)
     sup = max(offband)

@@ -127,7 +127,8 @@ def test_paired_cell_streams_residuals_in_small_memory(tmp_path):
         gaps.append(float(np.max(np.abs(v1 - values[1]))))
 
     status = integrate([sh, red], [vspec, wband], 1000, p.blowup_threshold,
-                       noise_draw(sh.noise, ncfg), observers=[snaps, gap])
+                       noise_draw(sh.noise, ncfg, 1000),
+                       observers=[snaps, gap])
     assert status == "completed"
     traj_v, traj_w = snaps.trajectory(0, status), snaps.trajectory(1, status)
     assert len(traj_v.snapshots) == 1001

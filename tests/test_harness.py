@@ -1,6 +1,8 @@
 import json
+import multiprocessing
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -23,8 +25,9 @@ from shmod import (
     simulate,
     simulate_paired,
 )
-from shmod.sh import SHStepper
-from shmod.studies import append_record, load_records, record_key, summarize
+from shmod.sh import NOISE_BLOCK, SHStepper
+from shmod.studies import (_attractivity_cell, append_record, load_records,
+                           record_key, summarize)
 
 
 TINY = dict(eps_list=(0.2,), nu_list=(0.5,), n_seeds=2, n_points=512,
@@ -178,6 +181,47 @@ def test_blown_up_cell_is_an_error_not_a_result(tmp_path, study):
     assert rec.status == "error: run ended with status 'blowup_stopped'"
     assert rec.diagnostics == {}
     assert summary["n_failed"] == 1
+
+
+def test_runs_that_blow_up_mid_block_leave_the_noise_worker_reusable(tmp_path):
+    def diagnostics(name):
+        run_study(StudyConfig.for_study("attractivity",
+                                        out_dir=str(tmp_path / name), **TINY))
+        return {r.key: r.diagnostics_repr()
+                for r in load_records(tmp_path / name / "records.csv")}
+
+    before = diagnostics("before")
+    threads = threading.active_count()
+    grid = Grid.for_carrier(0.2, 512, periods=32)
+    v0 = modulated_carrier_ic(grid, grid.eps, np.random.default_rng(0),
+                              amplitude=5.0)
+    p = ModelParams(eps=grid.eps, nu=0.5, dt=0.05, t_end=2.0)
+    for seed in range(5):
+        traj = simulate(v0, p, NoiseConfig(seed=seed, intensity=0.1),
+                        snapshot_stride=1)
+        # the failing step lies inside a block, with the next one drawn ahead
+        failed = round(traj.times[-1] / p.dt) + 1
+        assert traj.status == "blowup_stopped"
+        assert failed % NOISE_BLOCK and failed + NOISE_BLOCK <= 40
+    assert threading.active_count() == threads
+    assert diagnostics("after") == before
+
+
+def test_forked_child_draws_noise_on_its_own_worker(tmp_path):
+    # the parent's noise worker thread is not copied into a forked child
+    cfg = StudyConfig.for_study("attractivity", out_dir=str(tmp_path), **TINY)
+    cell = (cfg, 0.2, 0.5, 0)
+    expect = _attractivity_cell(*cell)
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=lambda: send.send(_attractivity_cell(*cell)))
+    child.start()
+    child.join(timeout=60)
+    if child.is_alive():
+        child.kill()
+        child.join()
+    assert child.exitcode == 0
+    assert recv.recv() == expect
 
 
 class _FirstStep(Exception):

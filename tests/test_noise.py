@@ -11,6 +11,7 @@ from shmod import (
 )
 from shmod.noise import SpectralNoise
 from shmod.reduced import GLStepper
+from shmod.sh import NOISE_BLOCK, noise_draw
 
 
 def small_grid():
@@ -66,6 +67,60 @@ def test_complex_white_increment_halves_variance_per_part():
     assert abs(np.corrcoef(vals.real, vals.imag)[0, 1]) < 0.05
     # total complex variance matches the real-field rate
     assert abs((vals.real.var() + vals.imag.var()) / (dt / grid.dx) - 1.0) < 0.05
+
+
+class _CountingNoise(SpectralNoise):
+    """SpectralNoise recording the lead shape of every draw."""
+
+    def __init__(self, grid):
+        super().__init__(grid)
+        self.leads = []
+
+    def raw(self, rng, lead=()):
+        self.leads.append(lead)
+        return super().raw(rng, lead)
+
+    def raw_complex(self, rng, lead=()):
+        self.leads.append(lead)
+        return super().raw_complex(rng, lead)
+
+
+@pytest.mark.parametrize("complex_rows", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("n_steps", [1, NOISE_BLOCK - 1, NOISE_BLOCK,
+                                     NOISE_BLOCK + 1, 2 * NOISE_BLOCK + 3])
+def test_block_draw_hands_out_exactly_the_sequential_draws(n_steps,
+                                                          complex_rows):
+    grid = small_grid()
+    noise = _CountingNoise(grid)
+    cfg = NoiseConfig(seed=5, intensity=0.3)
+    draw = noise_draw(noise, cfg, n_steps, complex_rows)
+    rows = [draw() for _ in range(n_steps)]
+    with pytest.raises(StopIteration):
+        draw()
+    # full blocks, then the rest: nothing is drawn past the last step
+    full, rest = divmod(n_steps, NOISE_BLOCK)
+    assert noise.leads == [(NOISE_BLOCK,)] * full + [(rest,)] * (rest > 0)
+    rng = cfg.make_rng()
+    single = SpectralNoise(grid)
+    single = single.raw_complex if complex_rows else single.raw
+    for row in rows:
+        assert row.tobytes() == single(rng).tobytes()
+
+
+@pytest.mark.parametrize("method", ["raw", "raw_complex"])
+def test_stacked_draw_leaves_the_rng_where_sequential_draws_do(method):
+    noise = SpectralNoise(small_grid())
+    block_rng, seq_rng = (NoiseConfig(seed=9).make_rng() for _ in range(2))
+    block = getattr(noise, method)(block_rng, (7,))
+    rows = [getattr(noise, method)(seq_rng) for _ in range(7)]
+    assert block.tobytes() == np.array(rows).tobytes()
+    assert repr(block_rng.bit_generator.state) == repr(seq_rng.bit_generator.state)
+
+
+def test_no_draw_without_noise():
+    noise = SpectralNoise(small_grid())
+    assert noise_draw(noise, None, 10) is None
+    assert noise_draw(noise, NoiseConfig(seed=1, intensity=0.0), 10) is None
 
 
 def test_ou_increment_variance_brownian_limit():

@@ -22,7 +22,8 @@ from shmod import (
 )
 from shmod.bands import amplitude_spectrum
 from shmod.grid import ComplexField
-from shmod.reduced import ReducedStepper
+from shmod.reduced import GLStepper, ReducedStepper
+from shmod.sh import NOISE_BLOCK, Snapshots
 
 DELTA = 0.125
 
@@ -254,6 +255,26 @@ def test_gl_noise_determinism():
     a = simulate_gl(A0, c, dt=1e-3, t_end=0.05, cfg=cfg)
     b = simulate_gl(A0, c, dt=1e-3, t_end=0.05, cfg=cfg)
     np.testing.assert_array_equal(a.final.values, b.final.values)
+
+
+def test_gl_noise_is_the_sequential_complex_draw():
+    # simulate_gl draws its noise in blocks; every step must still get the
+    # complex draw that one raw_complex call per step would give
+    grid = Grid.for_carrier(0.1, 128, periods=8)
+    A0 = ComplexField(grid, np.zeros(grid.n_points, dtype=complex))
+    c = GLCoefficients(cubic=-3.0, noise_intensity=0.2)
+    cfg = NoiseConfig(seed=21, intensity=0.2)
+    dt, n_steps = 1e-3, 2 * NOISE_BLOCK + 3
+    traj = simulate_gl(A0, c, dt=dt, t_end=n_steps * dt, cfg=cfg,
+                       snapshot_stride=1)
+    stepper, rng = GLStepper(grid, c, dt), cfg.make_rng()
+    snaps = Snapshots([A0], dt, 1, n_steps)
+    status = integrate([stepper], [A0.spectrum()], n_steps, 1e4,
+                       lambda: stepper.noise.raw_complex(rng), [snaps])
+    assert traj.status == status == "completed"
+    assert len(traj.snapshots) == n_steps + 1
+    for a, b in zip(traj.snapshots, snaps.fields[0]):
+        assert a.values.tobytes() == b.values.tobytes()
 
 
 def test_reduced_band_equation_keeps_band_structure():
