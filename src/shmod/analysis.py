@@ -113,14 +113,14 @@ def estimate_landau_coefficient(eps: float, nu=0.0, variant: str = CUBIC,
                                 amplitude: float = 0.3, n_points: int = 8192,
                                 dt: float = 1e-3, delta: float = DEFAULT_DELTA,
                                 fit_window: float | None = None,
-                                fit_quintic: bool | None = None,
                                 r2_min: float = 0.99) -> LandauFit:
     """Fit the effective amplitude nonlinearity of the deterministic equation.
 
     Runs the full (noise-free) dynamics from a pure carrier 2*a0*cos(x/eps),
     samples the mean modulus a of the amplitude of its P1 band about 400
-    times as it goes, storing no field, and regresses da/dT on a^3 (and a^5
-    for the quintic variant).  The fit starts after the slaved-mode
+    times as it goes, storing no field, and regresses da/dT on a^3 (cubic
+    variant), on a^3 and a^5 (quintic variant) or on a^5 alone (quintic
+    variant at nu = (0, 0)).  The fit starts after the slaved-mode
     transient (10 eps^2) and rejects windows with R^2 below ``r2_min``.
 
     The fit computes the dynamics of ``Grid.for_carrier(eps, n_points)``,
@@ -145,8 +145,6 @@ def estimate_landau_coefficient(eps: float, nu=0.0, variant: str = CUBIC,
         nu_val = 0.0
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    if fit_quintic is None:
-        fit_quintic = variant == QUINTIC
 
     t_skip = 10.0 * eps ** 2
     if fit_window is None:
@@ -179,12 +177,11 @@ def estimate_landau_coefficient(eps: float, nu=0.0, variant: str = CUBIC,
     # drop the window edges where np.gradient is one-sided
     t, a, rate = t[1:-1], a[1:-1], rate[1:-1]
 
-    if fit_quintic and variant == QUINTIC and (nu2 != 0.0 or nu3 != 0.0):
-        X = np.column_stack([a ** 3, a ** 5])
-    elif fit_quintic:
-        X = np.column_stack([a ** 5])
+    if variant == CUBIC:
+        powers = (3,)
     else:
-        X = np.column_stack([a ** 3])
+        powers = (3, 5) if nu2 != 0.0 or nu3 != 0.0 else (5,)
+    X = np.column_stack([a ** k for k in powers])
     coef, *_ = np.linalg.lstsq(X, rate, rcond=None)
     pred = X @ coef
     ss_res = float(np.sum((rate - pred) ** 2))
@@ -192,10 +189,6 @@ def estimate_landau_coefficient(eps: float, nu=0.0, variant: str = CUBIC,
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     if r2 < r2_min:
         raise RuntimeError(f"amplitude fit rejected: R^2 = {r2:.4f} < {r2_min}")
-    if fit_quintic and X.shape[1] == 2:
-        c3, c5 = float(coef[0]), float(coef[1])
-    elif fit_quintic:
-        c3, c5 = 0.0, float(coef[0])
-    else:
-        c3, c5 = float(coef[0]), 0.0
-    return LandauFit(c3=c3, c5=c5, r_squared=r2, amplitudes=tuple(a))
+    c = dict(zip(powers, map(float, coef)))
+    return LandauFit(c3=c.get(3, 0.0), c5=c.get(5, 0.0), r_squared=r2,
+                     amplitudes=tuple(a))

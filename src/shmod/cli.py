@@ -177,13 +177,10 @@ def _cmd_simulate_gl(args) -> int:
     grid = Grid.for_carrier(eps, args.n, periods=args.periods)
     delta = args.delta if args.delta is not None else DEFAULT_DELTA
     if args.quintic:
-        coeffs = gl5_coefficients(
-            args.nu2 if args.nu2 is not None else 1.0,
-            args.nu3 if args.nu3 is not None else 0.0,
-            noise_intensity=args.intensity,
-        )
+        coeffs = gl5_coefficients(args.nu2 if args.nu2 is not None else 1.0,
+                                  args.nu3 if args.nu3 is not None else 0.0)
     else:
-        coeffs = gl_coefficients(nu, noise_intensity=args.intensity)
+        coeffs = gl_coefficients(nu)
     ncfg = NoiseConfig(seed=args.seed, intensity=args.intensity)
     v0 = modulated_carrier_ic(grid, grid.eps, ncfg.substream(1).make_rng(),
                               amplitude=args.amplitude)
@@ -208,10 +205,12 @@ def _cmd_study(args) -> int:
     overrides: dict = {}
     if args.config is not None:
         overrides.update(parse_config_file(args.config))
-    study = args.study or overrides.pop("study", None)
+    # flags override the file's values
+    file_study, file_out = (overrides.pop(k, None) for k in ("study", "out"))
+    study = args.study or file_study
     if study is None:
         raise ConfigError("no study selected (use --study or a config file)")
-    out = args.out or overrides.pop("out", None)
+    out = args.out or file_out
     out = Path(out) if out is not None else _output_root() / study
     flag_overrides = {
         "eps_list": _parse_float_list(args.eps),

@@ -34,20 +34,17 @@ GL_QUINTIC = -10.0
 class GLCoefficients:
     cubic: float
     quintic: float = 0.0
-    noise_intensity: float = 1.0
 
 
-def gl_coefficients(nu: float, noise_intensity: float = 1.0) -> GLCoefficients:
+def gl_coefficients(nu: float) -> GLCoefficients:
     """Cubic-case amplitude coefficients: multiplier of |A|^2 A is -(3 - 38/9 nu^2)."""
-    return GLCoefficients(cubic=-(3.0 - 38.0 / 9.0 * nu ** 2),
-                          quintic=0.0, noise_intensity=noise_intensity)
+    return GLCoefficients(cubic=-(3.0 - 38.0 / 9.0 * nu ** 2))
 
 
-def gl5_coefficients(nu2: float, nu3: float,
-                     noise_intensity: float = 1.0) -> GLCoefficients:
+def gl5_coefficients(nu2: float, nu3: float) -> GLCoefficients:
     """Quintic-case coefficients: +(3 nu3 + 38/9 nu2^2) |A|^2 A - 10 |A|^4 A."""
     return GLCoefficients(cubic=3.0 * nu3 + 38.0 / 9.0 * nu2 ** 2,
-                          quintic=GL_QUINTIC, noise_intensity=noise_intensity)
+                          quintic=GL_QUINTIC)
 
 
 # -- reduced band equation ---------------------------------------------------
@@ -161,7 +158,8 @@ class GLStepper:
     update.
     """
 
-    def __init__(self, grid: Grid, c: GLCoefficients, dt: float):
+    def __init__(self, grid: Grid, c: GLCoefficients, dt: float,
+                 intensity: float = 1.0):
         self.grid = grid
         K = grid.wavenumbers
         lam = -GL_DIFFUSION * K ** 2
@@ -172,8 +170,9 @@ class GLStepper:
         zs = np.where(small, 1.0, z)
         phi2 = np.where(small, 0.5 + z / 6.0, (np.expm1(zs) - zs) / zs ** 2)
         self.phi2dt = dt * phi2
-        self.noise = SpectralNoise(grid, c.noise_intensity)
-        self.noise_scale = self.noise.ou_scale(lam, dt)
+        self.noise = SpectralNoise(grid, intensity)
+        self.noise_scale = (self.noise.ou_scale(lam, dt)
+                            if intensity > 0 else None)
         self.coeffs = {3: c.cubic} if c.quintic == 0.0 else {3: c.cubic, 5: c.quintic}
         self.pad = 2 if c.quintic == 0.0 else 3
 
@@ -185,7 +184,7 @@ class GLStepper:
         n1 = self.nonlinearity(aspec)
         a1 = self.decay * aspec + self.phi1dt * n1
         out = a1 + self.phi2dt * (self.nonlinearity(a1) - n1)
-        if raw is not None:
+        if raw is not None and self.noise_scale is not None:
             out = out + raw * self.noise_scale
         return out
 
@@ -194,15 +193,18 @@ class GLStepper:
 
 
 def simulate_gl(A0: ComplexField, c: GLCoefficients, dt: float, t_end: float,
-                cfg: NoiseConfig | None = None, snapshot_stride: int = 10,
-                blowup_threshold: float = 1e4) -> Trajectory:
-    stepper = GLStepper(A0.grid, c, dt)
+                cfg: NoiseConfig | None = None,
+                snapshot_stride: int = 10) -> Trajectory:
+    """Integrate to t_end (or blow-up) at ``cfg``'s noise level, noise-free
+    without a ``cfg``; snapshots every ``snapshot_stride`` steps."""
+    intensity = cfg.intensity if cfg is not None else 0.0
+    stepper = GLStepper(A0.grid, c, dt, intensity)
     n_steps = int(round(t_end / dt))
-    draw = (noise_draw(stepper.noise, cfg, n_steps, complex_rows=True)
-            if c.noise_intensity > 0 else None)
     snaps = Snapshots([A0], dt, snapshot_stride, n_steps)
-    status = integrate([stepper], [A0.spectrum()], n_steps, blowup_threshold,
-                       draw, [snaps])
+    status = integrate([stepper], [A0.spectrum()], n_steps,
+                       ModelParams.blowup_threshold,
+                       noise_draw(stepper.noise, cfg, n_steps,
+                                  complex_rows=True), [snaps])
     return snaps.trajectory(0, status)
 
 
@@ -221,8 +223,9 @@ class _BandGLStepper(GLStepper):
     """GL stepper driven by the shared real draw: the amplitude of its P1
     band, q1 raw, scattered from the band slice of ``red``."""
 
-    def __init__(self, c: GLCoefficients, dt: float, red: ReducedStepper):
-        super().__init__(red.grid, c, dt)
+    def __init__(self, c: GLCoefficients, dt: float, intensity: float,
+                 red: ReducedStepper):
+        super().__init__(red.grid, c, dt, intensity)
         self.red = red
         self.raw_amplitude = np.zeros(red.grid.n_points, dtype=np.complex128)
 
@@ -283,9 +286,9 @@ def simulate_paired(v0: RealField, p: ModelParams, cfg: NoiseConfig,
     band = _BandObserver(averaging, p.dt)
     observers = [band]
     if with_gl:
-        c = (gl_coefficients(p.nu, cfg.intensity) if p.variant == CUBIC
-             else gl5_coefficients(p.nu2, p.nu3, cfg.intensity))
-        steppers.append(_BandGLStepper(c, p.dt, red))
+        c = (gl_coefficients(p.nu) if p.variant == CUBIC
+             else gl5_coefficients(p.nu2, p.nu3))
+        steppers.append(_BandGLStepper(c, p.dt, cfg.intensity, red))
         amp = np.zeros(grid.n_points, dtype=np.complex128)
         specs.append(amplitude_spectrum(wband, amp.copy()))
         sup_diff_gl = _RunningMax(lambda specs, vals: float(np.max(np.abs(

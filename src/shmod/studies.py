@@ -126,6 +126,8 @@ class StudyConfig:
             raise ConfigError("nu_list must be non-empty")
         if self.dt <= 0 or self.t_end <= 0:
             raise ConfigError("dt and t_end must be positive")
+        if round(self.t_end / self.dt) < 1:
+            raise ConfigError("t_end / dt rounds to no time step")
         if self.threads <= 0:
             raise ConfigError("threads must be positive")
         if not 0 < self.delta <= 0.5:
@@ -253,7 +255,7 @@ def _attractivity_cell(cfg: StudyConfig, eps: float, nu: float, seed: int) -> di
 
 
 def _landau_cell(cfg: StudyConfig, eps: float, nu, seed: int, variant: str) -> dict:
-    fit_quintic = variant == "quintic"
+    quintic = variant == "quintic"
     fit = estimate_landau_coefficient(
         eps,
         nu,
@@ -262,11 +264,10 @@ def _landau_cell(cfg: StudyConfig, eps: float, nu, seed: int, variant: str) -> d
         n_points=cfg.n_points,
         dt=cfg.dt,
         delta=cfg.delta,
-        fit_window=8.0 if fit_quintic else None,
-        fit_quintic=fit_quintic,
+        fit_window=8.0 if quintic else None,
     )
     diags = {"c3": fit.c3, "r_squared": fit.r_squared}
-    if fit_quintic:
+    if quintic:
         diags["c5"] = fit.c5
     return diags
 
@@ -392,7 +393,9 @@ def _slope_fit(medians: dict):
 
 
 def summarize(cfg: StudyConfig, records: list) -> dict:
-    """Study-level scaling fits and pass/fail gates."""
+    """Study-level scaling fits and pass/fail gates over the last record
+    of each cell: a resumed study re-runs its failed cells."""
+    records = list({r.key: r for r in records}.values())
     summary = {
         "study": cfg.study,
         "version": __version__,

@@ -347,7 +347,7 @@ def test_9_amplitude_solver_oracle(capsys):
     # constant data obeys da/dT = c3 a^3 exactly: a(T) = a0/sqrt(1-2 c3 a0^2 T)
     a0, c3 = 0.5, -3.0
     A0 = ComplexField(grid, np.full(grid.n_points, a0, dtype=complex))
-    traj = simulate_gl(A0, GLCoefficients(cubic=c3, noise_intensity=0.0),
+    traj = simulate_gl(A0, GLCoefficients(cubic=c3),
                        dt=1e-3, t_end=1.0)
     target = a0 / np.sqrt(1.0 - 2.0 * c3 * a0**2)
     riccati_err = float(np.max(np.abs(np.abs(traj.final.values)
@@ -356,7 +356,7 @@ def test_9_amplitude_solver_oracle(capsys):
     # positive cubic coefficient: finite-time blow-up at 1/(2 c3 a0^2)
     a0, c3 = 1.0, 3.0
     A0 = ComplexField(grid, np.full(grid.n_points, a0, dtype=complex))
-    blow = simulate_gl(A0, GLCoefficients(cubic=c3, noise_intensity=0.0),
+    blow = simulate_gl(A0, GLCoefficients(cubic=c3),
                        dt=1e-4, t_end=1.0)
     t_star = 1.0 / (2.0 * c3 * a0**2)
     blow_err = abs(blow.times[-1] / t_star - 1.0)

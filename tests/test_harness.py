@@ -27,7 +27,7 @@ from shmod import (
 )
 from shmod.sh import NOISE_BLOCK, SHStepper
 from shmod.studies import (_attractivity_cell, append_record, load_records,
-                           record_key, summarize)
+                           record_key, study_cells, summarize)
 
 
 TINY = dict(eps_list=(0.2,), nu_list=(0.5,), n_seeds=2, n_points=512,
@@ -181,6 +181,35 @@ def test_blown_up_cell_is_an_error_not_a_result(tmp_path, study):
     assert rec.status == "error: run ended with status 'blowup_stopped'"
     assert rec.diagnostics == {}
     assert summary["n_failed"] == 1
+
+
+def test_resumed_study_counts_each_cell_once(tmp_path):
+    # a re-run retries the failed cells and appends their new records; the
+    # summary reads only the last record of each cell
+    cfg = StudyConfig.for_study("theorem2", out_dir=str(tmp_path), **dict(
+        TINY, dt=0.05, amplitude=5.0, t_end=0.5))
+    n_cells = len(study_cells(cfg))
+    run_study(cfg)
+    summary = run_study(cfg)
+    assert len(load_records(tmp_path / "records.csv")) == 2 * n_cells
+    assert summary["n_records"] == summary["n_failed"] == n_cells
+    saved = json.loads((tmp_path / "summary.json").read_text())
+    assert saved["n_records"] == n_cells
+
+
+@pytest.mark.parametrize("study", ["attractivity", "theorem2"])
+def test_config_without_a_time_step_is_rejected(tmp_path, study):
+    # t_end < dt/2 rounds to 0 steps: rejected before anything is written
+    with pytest.raises(ConfigError, match="no time step"):
+        StudyConfig.for_study(study, out_dir=str(tmp_path),
+                              **dict(TINY, t_end=4e-4))
+    out = tmp_path / "cli"
+    r = _cli("study", "--study", study, "--eps", "0.2", "--seeds", "1",
+             "--n", "512", "--periods", "32", "--t-end", "4e-4",
+             "--out", str(out))
+    assert r.returncode == 2, r.stderr
+    assert "no time step" in r.stderr
+    assert not (out / "manifest.json").exists()
 
 
 def test_runs_that_blow_up_mid_block_leave_the_noise_worker_reusable(tmp_path):
@@ -346,6 +375,22 @@ def test_cli_exit_codes(tmp_path):
              "--amplitude", "5", "--t-end", "0.5", "--delta", "0.125",
              "--out", str(tmp_path / "blown"))
     assert r.returncode == 3, r.stderr
+
+
+def test_cli_flags_override_config_file_values(tmp_path):
+    # study, out and a numeric key set in both places: the flags win
+    cfg = tmp_path / "f.cfg"
+    cfg.write_text(f"study = attractivity\nout = {tmp_path / 'file_out'}\n"
+                   "seeds = 3\neps = 0.2\nn_points = 512\nperiods = 32\n"
+                   "t_end = 0.02\n")
+    r = _cli("study", "--config", str(cfg), "--study", "theorem2",
+             "--out", str(tmp_path / "flag_out"), "--seeds", "1")
+    assert r.returncode == 0, r.stderr
+    assert not (tmp_path / "file_out").exists()
+    config = json.loads(
+        (tmp_path / "flag_out" / "manifest.json").read_text())["config"]
+    assert (config["study"], config["n_seeds"]) == ("theorem2", 1)
+    assert (config["n_points"], config["t_end"]) == (512, 0.02)
 
 
 def test_single_run_commands_reject_value_lists(tmp_path):

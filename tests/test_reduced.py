@@ -216,7 +216,7 @@ def test_paired_demodulation_matches_bands_demodulate():
 def test_gl_constant_data_follows_riccati_solution():
     grid = Grid.for_carrier(0.1, 128, periods=8)
     a0 = 0.5
-    c = GLCoefficients(cubic=-3.0, noise_intensity=0.0)
+    c = GLCoefficients(cubic=-3.0)
     A0 = ComplexField(grid, np.full(grid.n_points, a0, dtype=complex))
     traj = simulate_gl(A0, c, dt=1e-3, t_end=1.0)
     assert traj.status == "completed"
@@ -229,7 +229,7 @@ def test_gl_blowup_time_for_positive_cubic():
     grid = Grid.for_carrier(0.1, 128, periods=8)
     a0, c3 = 1.0, 3.0
     t_star = 1.0 / (2.0 * c3 * a0**2)
-    c = GLCoefficients(cubic=c3, noise_intensity=0.0)
+    c = GLCoefficients(cubic=c3)
     A0 = ComplexField(grid, np.full(grid.n_points, a0, dtype=complex))
     traj = simulate_gl(A0, c, dt=1e-4, t_end=1.0)
     assert traj.status == "blowup_stopped"
@@ -240,17 +240,36 @@ def test_gl_linear_mode_decay_is_exact():
     grid = Grid.for_carrier(0.1, 128, periods=8)
     k = grid.wavenumbers[3]
     A0 = ComplexField(grid, 0.1 * np.exp(1j * k * grid.x))
-    c = GLCoefficients(cubic=0.0, noise_intensity=0.0)
+    c = GLCoefficients(cubic=0.0)
     T = 0.05
     traj = simulate_gl(A0, c, dt=1e-3, t_end=T)
     expect = A0.values * np.exp(-4.0 * k**2 * T)
     np.testing.assert_allclose(traj.final.values, expect, rtol=1e-12)
 
 
+def test_gl_noise_level_is_the_cfg_intensity():
+    # NoiseConfig is the one source of the level: without a nonlinearity,
+    # from A0 = 0, the field is linear in it, and at level 0 or without a
+    # cfg the run is noise-free
+    grid = Grid.for_carrier(0.1, 128, periods=8)
+    A0 = ComplexField(grid, np.zeros(grid.n_points, dtype=complex))
+    c = GLCoefficients(cubic=0.0)
+
+    def final(cfg):
+        return simulate_gl(A0, c, dt=1e-3, t_end=0.05, cfg=cfg).final.values
+
+    half, full = (final(NoiseConfig(seed=21, intensity=level))
+                  for level in (0.5, 1.0))
+    assert np.max(np.abs(full)) > 0
+    np.testing.assert_allclose(half, 0.5 * full, rtol=1e-12)
+    assert not np.any(final(NoiseConfig(seed=21, intensity=0.0)))
+    assert not np.any(final(None))
+
+
 def test_gl_noise_determinism():
     grid = Grid.for_carrier(0.1, 128, periods=8)
     A0 = ComplexField(grid, np.zeros(grid.n_points, dtype=complex))
-    c = GLCoefficients(cubic=-3.0, noise_intensity=0.2)
+    c = GLCoefficients(cubic=-3.0)
     cfg = NoiseConfig(seed=21, intensity=0.2)
     a = simulate_gl(A0, c, dt=1e-3, t_end=0.05, cfg=cfg)
     b = simulate_gl(A0, c, dt=1e-3, t_end=0.05, cfg=cfg)
@@ -259,15 +278,16 @@ def test_gl_noise_determinism():
 
 def test_gl_noise_is_the_sequential_complex_draw():
     # simulate_gl draws its noise in blocks; every step must still get the
-    # complex draw that one raw_complex call per step would give
+    # complex draw that one raw_complex call per step would give, at the
+    # level its cfg sets
     grid = Grid.for_carrier(0.1, 128, periods=8)
     A0 = ComplexField(grid, np.zeros(grid.n_points, dtype=complex))
-    c = GLCoefficients(cubic=-3.0, noise_intensity=0.2)
+    c = GLCoefficients(cubic=-3.0)
     cfg = NoiseConfig(seed=21, intensity=0.2)
     dt, n_steps = 1e-3, 2 * NOISE_BLOCK + 3
     traj = simulate_gl(A0, c, dt=dt, t_end=n_steps * dt, cfg=cfg,
                        snapshot_stride=1)
-    stepper, rng = GLStepper(grid, c, dt), cfg.make_rng()
+    stepper, rng = GLStepper(grid, c, dt, cfg.intensity), cfg.make_rng()
     snaps = Snapshots([A0], dt, 1, n_steps)
     status = integrate([stepper], [A0.spectrum()], n_steps, 1e4,
                        lambda: stepper.noise.raw_complex(rng), [snaps])
