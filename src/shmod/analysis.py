@@ -18,15 +18,14 @@ class AveragingAccumulator:
 
         v1 * P_k v / eps + nu * v1 * eps^-2 L_eps^-1 P_k v1^2,  k = 0, 2,
 
-    fed one half-spectrum of v at a time, in O(n) memory.  Per sample: one
-    inverse FFT for v1 (none when the caller has it), one forward FFT of
-    v1^2 shared by P0 and P2, and one inverse FFT per band, of
-    q_k/eps v + nu inv_k (v1^2)^.
+    at the grid's eps, fed one half-spectrum of v at a time, in O(n)
+    memory.  Per sample: one inverse FFT for v1 (none when the caller has
+    it), one forward FFT of v1^2 shared by P0 and P2, and one inverse FFT
+    per band, of q_k/eps v + nu inv_k (v1^2)^.
     """
 
-    def __init__(self, grid: Grid, eps: float, nu: float,
-                 delta: float = DEFAULT_DELTA):
-        sym = band_symbols(grid, eps, delta)
+    def __init__(self, grid: Grid, nu: float, delta: float = DEFAULT_DELTA):
+        sym, eps = band_symbols(grid, delta), grid.eps
         self.n = grid.n_points
         self.q1 = sym.q1
         self.qk_eps = np.array([sym.q0 / eps, sym.q2 / eps])
@@ -146,17 +145,17 @@ def estimate_landau_coefficient(eps: float, nu=0.0, variant: str = CUBIC,
     else:
         raise ValueError(f"unknown variant {variant!r}")
 
-    t_skip = 10.0 * eps ** 2
+    grid = Grid.for_carrier(eps, DEFAULT_POINTS_PER_PERIOD, periods=1)
+    t_skip = 10.0 * grid.eps ** 2
     if fit_window is None:
         fit_window = 0.1 / amplitude ** 2
     t_end = t_skip + fit_window
 
-    grid = Grid.for_carrier(eps, DEFAULT_POINTS_PER_PERIOD, periods=1)
-    v0 = RealField(grid, 2.0 * amplitude * np.cos(grid.x / eps))
-    p = ModelParams(variant=variant, eps=eps, nu=nu_val, nu2=nu2, nu3=nu3,
+    v0 = RealField(grid, 2.0 * amplitude * np.cos(grid.x / grid.eps))
+    p = ModelParams(variant=variant, nu=nu_val, nu2=nu2, nu3=nu3,
                     dt=dt, t_end=t_end)
     n_steps = int(round(t_end / dt))
-    sampler = _CarrierAmplitude(band_symbols(grid, eps, delta),
+    sampler = _CarrierAmplitude(band_symbols(grid, delta),
                                 grid.n_points, dt, max(1, n_steps // 400),
                                 n_steps)
     vspec = v0.spectrum()

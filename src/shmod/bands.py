@@ -54,12 +54,13 @@ class BandKernel:
         return self.plateau_radius + TAPER_WIDTH
 
 
-def make_kernel(which: str, delta: float, eps: float, grid: Grid) -> BandKernel:
-    """Build the P0/P1/P2 kernel for the given delta and eps on a grid."""
+def make_kernel(which: str, delta: float, grid: Grid) -> BandKernel:
+    """Build the P0/P1/P2 kernel for the given delta on a grid, at its eps."""
     if which not in _BAND_SPEC:
         raise ValueError(f"unknown band {which!r}")
     if not (0 < delta <= 0.5):
         raise ValueError("delta must lie in (0, 1/2]")
+    eps = grid.eps
     centers_rel, radius_rel = _BAND_SPEC[which]
     centers = tuple(c / eps for c in centers_rel)
     kernel = BandKernel(centers=centers, plateau_radius=radius_rel * delta / eps)
@@ -76,7 +77,7 @@ def make_kernel(which: str, delta: float, eps: float, grid: Grid) -> BandKernel:
 
 @dataclass(frozen=True, eq=False)
 class BandSymbols:
-    """Multipliers of one (grid, eps, delta) on the rfft layout: the symbol
+    """Multipliers of one (grid, delta) on the rfft layout: the symbol
     ``lam`` of L_eps, the kernels ``q0``/``q1``/``q2`` and the scaled inverse
     eps^-2 L_eps^-1 weighted by each fast band, ``inv0``/``inv2`` (zero off
     its support); ``band`` is the P1 slice m-b .. m+b around the carrier
@@ -96,14 +97,14 @@ class BandSymbols:
 
 
 @functools.lru_cache(maxsize=32)
-def band_symbols(grid: Grid, eps: float, delta: float) -> BandSymbols:
-    """The cached band-symbol table of (grid, eps, delta).
+def band_symbols(grid: Grid, delta: float) -> BandSymbols:
+    """The cached band-symbol table of (grid, delta), at the grid's eps.
 
     Raises ValueError if a band does not fit the grid or if the inverse is
     near-singular on the P0/P2 support.
     """
-    K = grid.rfft_wavenumbers
-    kernels = [make_kernel(b, delta, eps, grid) for b in ("P0", "P1", "P2")]
+    K, eps = grid.rfft_wavenumbers, grid.eps
+    kernels = [make_kernel(b, delta, grid) for b in ("P0", "P1", "P2")]
     q0, q1, q2 = (kernel.evaluate(K) for kernel in kernels)
     if np.any(np.abs(1.0 - (eps * K[(q0 + q2) > 0]) ** 2) < NEAR_SINGULAR_TOL):
         raise ValueError(
@@ -155,21 +156,19 @@ def amplitude_spectrum(E: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def demodulate(v1: RealField, eps: float, delta: float = DEFAULT_DELTA,
+def demodulate(v1: RealField, delta: float = DEFAULT_DELTA,
                energy_tol: float = OFFBAND_ENERGY_TOL) -> ComplexField:
-    """Complex amplitude A with v1 = A e^{iX/eps} + c.c.
+    """Complex amplitude A with v1 = A e^{iX/eps} + c.c., eps the grid's.
 
     A is the positive band of v1 (modes 1 .. n/2 - 1 of its rfft) shifted
     down by the carrier index.  Rejects input with more than
     ``energy_tol`` of its energy outside the P1 band.
     """
     grid = v1.grid
-    if abs(grid.eps - eps) > 1e-9 * eps:
-        raise ValueError("eps does not match the grid carrier")
     rspec = v1.spectrum()
     power = np.abs(rspec) ** 2
     power[1:-1] *= 2.0  # these modes stand for their conjugates too
-    check_p1_energy(power, band_symbols(grid, eps, delta).q1, energy_tol)
+    check_p1_energy(power, band_symbols(grid, delta).q1, energy_tol)
     n, m = grid.n_points, grid.carrier_index
     spec = np.zeros(n, dtype=np.complex128)
     spec[: n // 2 - m] = rspec[m: n // 2]
@@ -177,11 +176,9 @@ def demodulate(v1: RealField, eps: float, delta: float = DEFAULT_DELTA,
     return ComplexField.from_spectrum(grid, spec)
 
 
-def modulate(A: ComplexField, eps: float) -> RealField:
-    """Real field A e^{iX/eps} + c.c. on A's grid."""
+def modulate(A: ComplexField) -> RealField:
+    """Real field A e^{iX/eps} + c.c. on A's grid, at its eps."""
     grid = A.grid
-    if abs(grid.eps - eps) > 1e-9 * eps:
-        raise ValueError("eps does not match the grid carrier")
     spec = A.spectrum()
     n, m = grid.n_points, grid.carrier_index
     # shifting by +m must not push content past Nyquist or below DC

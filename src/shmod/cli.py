@@ -151,21 +151,21 @@ def _cmd_simulate_sh(args) -> int:
     delta = args.delta if args.delta is not None else DEFAULT_DELTA
     variant = QUINTIC if args.quintic else CUBIC
     params = ModelParams(
-        variant, eps=grid.eps, nu=nu,
+        variant, nu=nu,
         nu2=args.nu2 if args.nu2 is not None else 1.0,
         nu3=args.nu3 if args.nu3 is not None else 0.0,
         dt=args.dt if args.dt is not None else 1e-3,
         t_end=args.t_end if args.t_end is not None else 1.0,
     )
     ncfg = NoiseConfig(seed=args.seed, intensity=args.intensity)
-    v0 = modulated_carrier_ic(grid, grid.eps, ncfg.substream(1).make_rng(),
+    v0 = modulated_carrier_ic(grid, ncfg.substream(1).make_rng(),
                               amplitude=args.amplitude, offband=args.offband)
     traj = simulate(v0, params, ncfg, snapshot_stride=10)
     out = _resolve_out(args.out, "simulate-sh")
     out.mkdir(parents=True, exist_ok=True)
     write_field(out / "final.field", traj.final)
     for which in ("P0", "P1", "P2"):
-        kernel_dump_csv(make_kernel(which, delta, grid.eps, grid), grid,
+        kernel_dump_csv(make_kernel(which, delta, grid), grid,
                         out / f"kernel_{which}.csv")
     print(f"status={traj.status} T={traj.times[-1]:.6g} "
           f"sup={traj.final.sup_norm():.6g} out={out}")
@@ -182,10 +182,9 @@ def _cmd_simulate_gl(args) -> int:
     else:
         coeffs = gl_coefficients(nu)
     ncfg = NoiseConfig(seed=args.seed, intensity=args.intensity)
-    v0 = modulated_carrier_ic(grid, grid.eps, ncfg.substream(1).make_rng(),
+    v0 = modulated_carrier_ic(grid, ncfg.substream(1).make_rng(),
                               amplitude=args.amplitude)
-    a0 = demodulate(project(v0, band_symbols(grid, grid.eps, delta).q1),
-                    grid.eps, delta)
+    a0 = demodulate(project(v0, band_symbols(grid, delta).q1), delta)
     traj = simulate_gl(
         a0, coeffs,
         dt=args.dt if args.dt is not None else 1e-3,

@@ -88,10 +88,10 @@ class SpectralNoise:
                        / self.grid.n_points)
 
 
-def stochastic_convolution_sample(grid: Grid, eps: float, T: float,
+def stochastic_convolution_sample(grid: Grid, T: float,
                                   cfg: NoiseConfig) -> RealField:
     """Single exact draw of W_{L_eps}(T) (one OU step from zero)."""
     rng = cfg.make_rng()
     src = SpectralNoise(grid, cfg.intensity)
-    lam = symbol_L_eps(grid.rfft_wavenumbers, eps)
+    lam = symbol_L_eps(grid.rfft_wavenumbers, grid.eps)
     return RealField.from_spectrum(grid, src.raw(rng) * src.ou_scale(lam, T))

@@ -83,10 +83,8 @@ class ReducedStepper:
 
     def __init__(self, grid: Grid, p: ModelParams, intensity: float = 1.0,
                  delta: float = DEFAULT_DELTA):
-        if abs(grid.eps - p.eps) > 1e-9 * p.eps:
-            raise ValueError("grid carrier does not match params.eps")
         self.grid = grid
-        sym = band_symbols(grid, p.eps, delta)
+        sym = band_symbols(grid, delta)
         self.band, m = sym.band, grid.carrier_index
         b = m - self.band.start
         if p.variant != CUBIC and 3 * b >= m:
@@ -281,7 +279,7 @@ def simulate_paired(v0: RealField, p: ModelParams, cfg: NoiseConfig,
     wband = red.q1 * vspec[red.band]
     steppers, specs = [sh, red], [vspec, wband]
     averaging = AveragingAccumulator(
-        grid, p.eps, p.nu if p.variant == CUBIC else p.nu2, delta)
+        grid, p.nu if p.variant == CUBIC else p.nu2, delta)
     averaging.add(0.0, vspec)
     band = _BandObserver(averaging, p.dt)
     observers = [band]

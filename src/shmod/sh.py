@@ -28,7 +28,6 @@ QUINTIC = "quintic"
 @dataclass(frozen=True)
 class ModelParams:
     variant: str = CUBIC
-    eps: float = 0.1
     nu: float = 0.0
     nu2: float = 0.0
     nu3: float = 0.0
@@ -39,8 +38,6 @@ class ModelParams:
     def __post_init__(self):
         if self.variant not in (CUBIC, QUINTIC):
             raise ValueError(f"unknown variant {self.variant!r}")
-        if not (0 < self.eps < 1):
-            raise ValueError("eps must lie in (0, 1)")
         if self.dt <= 0 or self.t_end <= 0 or self.blowup_threshold <= 0:
             raise ValueError("dt, t_end and blowup_threshold must be positive")
 
@@ -75,10 +72,8 @@ class SHStepper:
     """
 
     def __init__(self, grid: Grid, p: ModelParams, intensity: float = 1.0):
-        if abs(grid.eps - p.eps) > 1e-9 * p.eps:
-            raise ValueError("grid carrier does not match params.eps")
-        self.grid = grid
-        lam = symbol_L_eps(grid.rfft_wavenumbers, p.eps)
+        self.grid, eps = grid, grid.eps
+        lam = symbol_L_eps(grid.rfft_wavenumbers, eps)
         # the real multipliers are stored as complex numbers with imaginary
         # part +0, the cast numpy would make on every product with a
         # spectrum: the same bits, without a cast buffer per product
@@ -89,9 +84,9 @@ class SHStepper:
             self.noise.ou_scale(lam, p.dt).astype(np.complex128)
             if intensity > 0 else None)
         if p.variant == CUBIC:
-            self.coeffs, pad = {2: p.nu / p.eps, 3: -1.0}, 2
+            self.coeffs, pad = {2: p.nu / eps, 3: -1.0}, 2
         else:
-            self.coeffs, pad = {2: p.nu2 / p.eps, 3: p.nu3, 5: -1.0}, 3
+            self.coeffs, pad = {2: p.nu2 / eps, 3: p.nu3, 5: -1.0}, 3
         self.padded = PaddedGrid(grid.n_points, pad)
 
     def step_spec(self, vspec: np.ndarray, raw: np.ndarray | None) -> np.ndarray:
@@ -216,7 +211,7 @@ def simulate(v0: RealField, p: ModelParams, cfg: NoiseConfig | None = None,
 PROFILE_MODES = 8
 
 
-def modulated_carrier_ic(grid: Grid, eps: float, rng: np.random.Generator,
+def modulated_carrier_ic(grid: Grid, rng: np.random.Generator,
                          amplitude: float = 1.0,
                          offband: float = 0.0) -> RealField:
     """Initial data A0(X) e^{iX/eps} + c.c. with a random band-limited profile.
@@ -235,7 +230,7 @@ def modulated_carrier_ic(grid: Grid, eps: float, rng: np.random.Generator,
     peak = A0.sup_norm()
     if peak > 0:
         A0 = A0 * (amplitude / peak)
-    v0 = modulate(A0, eps)
+    v0 = modulate(A0)
     if offband > 0:
         # smooth off-band bump: a few low-|K| modes (P0 region complement of P1)
         pert = np.zeros(n, dtype=np.complex128)

@@ -95,10 +95,12 @@ class StudyConfig:
             "n_seeds": 1,
             "n_points": 8192,
             "periods": 512,
+            "amplitude": 0.2,
         },
         "quintic-suite": {
             "eps_list": (0.1,),
             "n_seeds": 1,
+            "amplitude": 0.2,
             "n_points": 8192,
             "periods": 512,
         },
@@ -143,12 +145,15 @@ class StudyConfig:
             if self.periods != self.n_points // DEFAULT_POINTS_PER_PERIOD:
                 raise ConfigError(f"the Landau fit needs periods = n_points/"
                                   f"{DEFAULT_POINTS_PER_PERIOD}")
+            if not 0.1 <= self.amplitude <= 0.5:
+                raise ConfigError("the Landau fit needs an amplitude in "
+                                  "[0.1, 0.5]")
         for eps in self.eps_list:
             # Raises if the band layout does not fit this grid.
             try:
                 grid = Grid.for_carrier(eps, self.n_points,
                                         periods=self.periods)
-                band_symbols(grid, grid.eps, self.delta)
+                band_symbols(grid, self.delta)
             except ValueError as exc:
                 raise ConfigError(f"band layout invalid at eps={eps}: {exc}") \
                     from exc
@@ -199,24 +204,23 @@ def record_key(study: str, params: dict, seed: int) -> str:
 # Cell execution
 
 
-def _noise_for(cfg: StudyConfig, seed: int) -> NoiseConfig:
-    return NoiseConfig(seed=cfg.base_seed + seed, intensity=cfg.intensity)
-
-
 def _require_completed(status: str) -> None:
     """A cell whose run did not complete has no diagnostics to record."""
     if status != "completed":
         raise RuntimeError(f"run ended with status {status!r}")
 
 
-def _paired_cell(cfg: StudyConfig, eps: float, nu: float, seed: int, with_gl: bool) -> dict:
-    grid = Grid.for_carrier(eps, cfg.n_points, periods=cfg.periods)
-    ncfg = _noise_for(cfg, seed)
-    v0 = modulated_carrier_ic(
-        grid, grid.eps, ncfg.substream(1).make_rng(),
-        amplitude=cfg.amplitude, offband=cfg.offband,
-    )
-    params = ModelParams("cubic", eps=grid.eps, nu=nu, dt=cfg.dt, t_end=cfg.t_end)
+def _cell_inputs(cfg: StudyConfig, grid: Grid, nu: float, seed: int):
+    """The noise config, initial data and model parameters of a cell."""
+    ncfg = NoiseConfig(seed=cfg.base_seed + seed, intensity=cfg.intensity)
+    v0 = modulated_carrier_ic(grid, ncfg.substream(1).make_rng(),
+                              amplitude=cfg.amplitude, offband=cfg.offband)
+    return ncfg, v0, ModelParams("cubic", nu=nu, dt=cfg.dt, t_end=cfg.t_end)
+
+
+def _paired_cell(cfg: StudyConfig, grid: Grid, nu: float, seed: int,
+                 with_gl: bool) -> dict:
+    ncfg, v0, params = _cell_inputs(cfg, grid, nu, seed)
     result = simulate_paired(v0, params, ncfg, delta=cfg.delta, with_gl=with_gl)
     _require_completed(result.status)
     diags = {"sup_diff": result.sup_diff, "res_p0": result.res_p0,
@@ -226,16 +230,10 @@ def _paired_cell(cfg: StudyConfig, eps: float, nu: float, seed: int, with_gl: bo
     return diags
 
 
-def _attractivity_cell(cfg: StudyConfig, eps: float, nu: float, seed: int) -> dict:
-    grid = Grid.for_carrier(eps, cfg.n_points, periods=cfg.periods)
-    ncfg = _noise_for(cfg, seed)
-    v0 = modulated_carrier_ic(
-        grid, grid.eps, ncfg.substream(1).make_rng(),
-        amplitude=cfg.amplitude, offband=cfg.offband,
-    )
-    params = ModelParams("cubic", eps=grid.eps, nu=nu, dt=cfg.dt, t_end=cfg.t_end)
+def _attractivity_cell(cfg: StudyConfig, grid: Grid, nu: float, seed: int) -> dict:
+    ncfg, v0, params = _cell_inputs(cfg, grid, nu, seed)
     stepper = SHStepper(grid, params, ncfg.intensity)
-    q1 = band_symbols(grid, grid.eps, cfg.delta).q1
+    q1 = band_symbols(grid, cfg.delta).q1
     n_steps = int(round(params.t_end / params.dt))
     t_skip = ATTRACTIVITY_SKIP * cfg.t_end
     offband = []
@@ -254,13 +252,13 @@ def _attractivity_cell(cfg: StudyConfig, eps: float, nu: float, seed: int) -> di
     return {"offband_sup": sup, "offband_ratio": sup / grid.eps}
 
 
-def _landau_cell(cfg: StudyConfig, eps: float, nu, seed: int, variant: str) -> dict:
+def _landau_cell(cfg: StudyConfig, grid: Grid, nu, variant: str) -> dict:
     quintic = variant == "quintic"
     fit = estimate_landau_coefficient(
-        eps,
+        grid.eps,
         nu,
         variant=variant,
-        amplitude=0.2,
+        amplitude=cfg.amplitude,
         n_points=cfg.n_points,
         dt=cfg.dt,
         delta=cfg.delta,
@@ -274,21 +272,21 @@ def _landau_cell(cfg: StudyConfig, eps: float, nu, seed: int, variant: str) -> d
 
 def _run_cell(cfg: StudyConfig, params: dict, seed: int) -> StudyRecord:
     start = time.perf_counter()
-    eps = params.get("eps", cfg.eps_list[0])
-    grid_eps = Grid.for_carrier(eps, cfg.n_points, periods=cfg.periods).eps
+    grid = Grid.for_carrier(params.get("eps", cfg.eps_list[0]), cfg.n_points,
+                            periods=cfg.periods)
     status = "ok"
     try:
         if cfg.study in ("theorem2", "averaging"):
-            diags = _paired_cell(cfg, eps, params["nu"], seed, with_gl=False)
+            diags = _paired_cell(cfg, grid, params["nu"], seed, with_gl=False)
         elif cfg.study == "gl-limit":
-            diags = _paired_cell(cfg, eps, params["nu"], seed, with_gl=True)
+            diags = _paired_cell(cfg, grid, params["nu"], seed, with_gl=True)
         elif cfg.study == "attractivity":
-            diags = _attractivity_cell(cfg, eps, params["nu"], seed)
+            diags = _attractivity_cell(cfg, grid, params["nu"], seed)
         elif cfg.study == "landau-sweep":
-            diags = _landau_cell(cfg, eps, params["nu"], seed, variant="cubic")
+            diags = _landau_cell(cfg, grid, params["nu"], variant="cubic")
         elif cfg.study == "quintic-suite":
             diags = _landau_cell(
-                cfg, eps, (params["nu2"], params["nu3"]), seed, variant="quintic"
+                cfg, grid, (params["nu2"], params["nu3"]), variant="quintic"
             )
         else:  # pragma: no cover - guarded by validate()
             raise ConfigError(f"unknown study {cfg.study!r}")
@@ -301,7 +299,7 @@ def _run_cell(cfg: StudyConfig, params: dict, seed: int) -> StudyRecord:
         seed=seed,
         diagnostics=diags,
         status=status,
-        eps_effective=grid_eps,
+        eps_effective=grid.eps,
         wall_time=time.perf_counter() - start,
     )
 
@@ -498,10 +496,13 @@ def run_study(cfg: StudyConfig, progress=None) -> dict:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest_path = out / "manifest.json"
-    manifest = {"version": __version__, "config": cfg.public_dict()}
+    mine = cfg.public_dict()
+    manifest = {"version": __version__, "config": mine}
     if manifest_path.exists():
-        existing = json.loads(manifest_path.read_text())
-        if existing["config"] != manifest["config"]:
+        existing = json.loads(manifest_path.read_text())["config"]
+        # where the study lives and how many threads run it shape no record
+        if {**existing, "out_dir": mine["out_dir"],
+                "threads": mine["threads"]} != mine:
             raise ConfigError(
                 f"output directory {out} already holds a study with a "
                 "different configuration"

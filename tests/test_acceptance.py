@@ -184,7 +184,7 @@ def _ou_per_mode_max_error():
     n_samples = 10_000
     acc = np.zeros(grid.n_points // 2 + 1)
     for s in range(n_samples):
-        w = stochastic_convolution_sample(grid, grid.eps, T,
+        w = stochastic_convolution_sample(grid, T,
                                           NoiseConfig(seed=90_000 + s))
         acc += np.abs(np.fft.rfft(w.values)) ** 2
     acc /= n_samples
@@ -204,7 +204,7 @@ def _split_ratio_prediction(grid, T):
     K = grid.rfft_wavenumbers
     var = (spectral_variance_rate(grid)
            * ou_increment_variance(symbol_L_eps(K, grid.eps), T))
-    q = make_kernel("P1", DELTA, grid.eps, grid).evaluate(K)
+    q = make_kernel("P1", DELTA, grid).evaluate(K)
     h = np.full(K.shape, 2.0)
     h[0] = h[-1] = 1.0  # DC and Nyquist (n_points is even)
     return float(np.sqrt(np.sum(h * (1.0 - q) ** 2 * var)
@@ -216,10 +216,10 @@ def _split_ratios():
     rows = []
     for eps in (0.2, 0.14, 0.1, 0.07, 0.05):
         grid = Grid.for_carrier(eps, 2048, periods=128)
-        p1 = band_symbols(grid, grid.eps, DELTA).q1
+        p1 = band_symbols(grid, DELTA).q1
         ratios = []
         for s in range(100):
-            w = stochastic_convolution_sample(grid, grid.eps, 1.0,
+            w = stochastic_convolution_sample(grid, 1.0,
                                               NoiseConfig(seed=1000 + s))
             ratios.append(project_complement(w, p1).l2_norm()
                           / project(w, p1).l2_norm())
@@ -244,13 +244,13 @@ def _split_local_exponents():
 def _amplitude_noise_median_ratio():
     eps, T, n_seeds = 0.1, 1.0, 200
     grid = Grid.for_carrier(eps, 2048, periods=128)
-    p1 = band_symbols(grid, grid.eps, DELTA).q1
+    p1 = band_symbols(grid, DELTA).q1
     n = grid.n_points
     acc = np.zeros(n)
     for s in range(n_seeds):
-        w = stochastic_convolution_sample(grid, eps, T,
+        w = stochastic_convolution_sample(grid, T,
                                           NoiseConfig(seed=7000 + s))
-        A = demodulate(project(w, p1), eps, energy_tol=1.0)
+        A = demodulate(project(w, p1), energy_tol=1.0)
         acc += np.abs(np.fft.fft(A.values) / n) ** 2
     acc /= n_seeds
     K = 2.0 * np.pi * np.fft.fftfreq(n, d=1.0 / n) / grid.length
@@ -302,7 +302,7 @@ def test_8_exactness_and_determinism(tmp_path, capsys):
 
     # linear step agrees with the exact semigroup at round-off level
     v = RealField(grid, 1e-8 * rng.standard_normal(grid.n_points))
-    p = ModelParams(eps=grid.eps, nu=0.0, dt=1e-3)
+    p = ModelParams(nu=0.0, dt=1e-3)
     stepper = SHStepper(grid, p, intensity=0.0)
     stepped = stepper.values(stepper.step_spec(v.spectrum(), None))
     semigroup = np.exp(symbol_L_eps(grid.rfft_wavenumbers, grid.eps) * p.dt)
@@ -312,7 +312,7 @@ def test_8_exactness_and_determinism(tmp_path, capsys):
 
     # projector algebra: plateau idempotence, commutation, annihilation
     f = RealField(grid, rng.standard_normal(grid.n_points))
-    sym = band_symbols(grid, grid.eps, DELTA)
+    sym = band_symbols(grid, DELTA)
     q1, q0 = sym.q1, sym.q0
     plateau = (q1 == 1.0).astype(float)
     g = RealField.from_spectrum(grid, plateau * f.spectrum())

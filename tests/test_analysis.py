@@ -16,7 +16,6 @@ from shmod import (
     fit_scaling_exponent,
     integrate,
     make_kernel,
-    modulated_carrier_ic,
     project,
     project_complement,
     simulate,
@@ -25,7 +24,7 @@ from shmod.analysis import AveragingAccumulator, _CarrierAmplitude
 from shmod.operators import inv_symbol_scaled
 from shmod.reduced import ReducedStepper
 from shmod.sh import SHStepper, Snapshots, noise_draw
-from shmod.studies import (ATTRACTIVITY_SKIP, _attractivity_cell, _noise_for,
+from shmod.studies import (ATTRACTIVITY_SKIP, _attractivity_cell, _cell_inputs,
                            _paired_cell)
 
 DELTA = 0.125
@@ -45,13 +44,13 @@ def test_fit_scaling_exponent_rejects_bad_input():
         fit_scaling_exponent([(0.1, 1.0), (0.05, 0.5), (0.025, -1.0)])
 
 
-def _averaging_reference(traj, eps, nu, k_band, delta):
+def _averaging_reference(traj, nu, k_band, delta):
     """The sup norm of the averaging integral by np.trapezoid over the
     stacked integrands of all snapshots."""
     grid = traj.snapshots[0].grid
-    n, K = grid.n_points, grid.rfft_wavenumbers
-    q1 = make_kernel("P1", delta, eps, grid).evaluate(K)
-    qk = make_kernel(k_band, delta, eps, grid).evaluate(K)
+    n, K, eps = grid.n_points, grid.rfft_wavenumbers, grid.eps
+    q1 = make_kernel("P1", delta, grid).evaluate(K)
+    qk = make_kernel(k_band, delta, grid).evaluate(K)
     on = qk > 0
     inv = np.zeros_like(K)
     inv[on] = qk[on] * inv_symbol_scaled(K[on], eps)
@@ -85,11 +84,11 @@ def test_averaging_accumulator_matches_stacked_trapezoid(seed, count, nu):
                           + 1j * rng.standard_normal(n_modes))
         snaps.append(RealField.from_spectrum(grid, spec))
     traj = Trajectory(times=times, snapshots=snaps)
-    acc = AveragingAccumulator(grid, grid.eps, nu, DELTA)
+    acc = AveragingAccumulator(grid, nu, DELTA)
     for t, snap in zip(times, snaps):
         acc.add(t, snap.spectrum())
     for k_band, residual in zip(("P0", "P2"), acc.results()):
-        ref = _averaging_reference(traj, grid.eps, nu, k_band, DELTA)
+        ref = _averaging_reference(traj, nu, k_band, DELTA)
         assert residual == pytest.approx(ref, rel=1e-12)
 
 
@@ -97,11 +96,12 @@ def test_paired_cell_streams_residuals_in_small_memory(tmp_path):
     # one default theorem2 cell (n=2048, 1000 steps): the residuals are
     # integrated as the run goes, with no per-step snapshots kept
     cfg = StudyConfig.for_study("theorem2", out_dir=str(tmp_path))
-    eps, nu, seed = 0.1, cfg.nu_list[0], 0
+    grid = Grid.for_carrier(0.1, cfg.n_points, periods=cfg.periods)
+    nu, seed = cfg.nu_list[0], 0
     assert (cfg.n_points, round(cfg.t_end / cfg.dt)) == (2048, 1000)
     tracemalloc.start()
     try:
-        diags = _paired_cell(cfg, eps, nu, seed, with_gl=False)
+        diags = _paired_cell(cfg, grid, nu, seed, with_gl=False)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -109,17 +109,13 @@ def test_paired_cell_streams_residuals_in_small_memory(tmp_path):
 
     # the same run with every step stored, through the steppers and the
     # driver directly, and its diagnostics after the fact
-    grid = Grid.for_carrier(eps, cfg.n_points, periods=cfg.periods)
-    ncfg = _noise_for(cfg, seed)
-    v0 = modulated_carrier_ic(grid, grid.eps, ncfg.substream(1).make_rng(),
-                              amplitude=cfg.amplitude, offband=cfg.offband)
-    p = ModelParams("cubic", eps=grid.eps, nu=nu, dt=cfg.dt, t_end=cfg.t_end)
+    ncfg, v0, p = _cell_inputs(cfg, grid, nu, seed)
     sh = SHStepper(grid, p, ncfg.intensity)
     red = ReducedStepper(grid, p, ncfg.intensity, cfg.delta)
     vspec = v0.spectrum()
     wband = red.q1 * vspec[red.band]
     snaps = Snapshots([v0, RealField(grid, red.values(wband))], p.dt, 1, 1000)
-    q1 = band_symbols(grid, grid.eps, cfg.delta).q1
+    q1 = band_symbols(grid, cfg.delta).q1
     gaps = []
 
     def gap(i, specs, values):
@@ -140,7 +136,7 @@ def test_paired_cell_streams_residuals_in_small_memory(tmp_path):
         for v, w in zip(traj_v.snapshots[1:], traj_w.snapshots[1:]))
     assert diags["sup_diff"] == pytest.approx(posthoc_sup, rel=1e-12)
     for k_band in ("P0", "P2"):
-        ref = _averaging_reference(traj_v, grid.eps, nu, k_band, cfg.delta)
+        ref = _averaging_reference(traj_v, nu, k_band, cfg.delta)
         assert diags["res_" + k_band.lower()] == pytest.approx(ref, rel=1e-12)
 
 
@@ -148,17 +144,14 @@ def test_attractivity_cell_matches_snapshot_composition(tmp_path):
     # the streamed off-band sup equals, bit for bit, the stored-snapshot
     # composition: every 10th step and the last, from the skip time on
     cfg = StudyConfig.for_study("attractivity", out_dir=str(tmp_path))
-    eps, nu, seed = 0.1, cfg.nu_list[0], 0
-    diags = _attractivity_cell(cfg, eps, nu, seed)
+    grid = Grid.for_carrier(0.1, cfg.n_points, periods=cfg.periods)
+    nu, seed = cfg.nu_list[0], 0
+    diags = _attractivity_cell(cfg, grid, nu, seed)
 
-    grid = Grid.for_carrier(eps, cfg.n_points, periods=cfg.periods)
-    ncfg = _noise_for(cfg, seed)
-    v0 = modulated_carrier_ic(grid, grid.eps, ncfg.substream(1).make_rng(),
-                              amplitude=cfg.amplitude, offband=cfg.offband)
-    p = ModelParams("cubic", eps=grid.eps, nu=nu, dt=cfg.dt, t_end=cfg.t_end)
+    ncfg, v0, p = _cell_inputs(cfg, grid, nu, seed)
     traj = simulate(v0, p, ncfg, snapshot_stride=10)
     assert traj.status == "completed"
-    q1 = band_symbols(grid, grid.eps, cfg.delta).q1
+    q1 = band_symbols(grid, cfg.delta).q1
     sup = max(project_complement(snap, q1).sup_norm()
               for t, snap in zip(traj.times, traj.snapshots)
               if t >= ATTRACTIVITY_SKIP * cfg.t_end)
@@ -172,7 +165,8 @@ def test_attractivity_cell_stores_no_field(tmp_path):
     # kept for the process, so the second is measured
     cfg = StudyConfig.for_study("attractivity", out_dir=str(tmp_path))
     assert (cfg.n_points, round(cfg.t_end / cfg.dt)) == (2048, 1000)
-    cell = (cfg, 0.1, cfg.nu_list[0], 0)
+    cell = (cfg, Grid.for_carrier(0.1, cfg.n_points, periods=cfg.periods),
+            cfg.nu_list[0], 0)
     _attractivity_cell(*cell)
     tracemalloc.start()
     try:
@@ -205,15 +199,14 @@ def test_streamed_fit_amplitudes_match_posthoc_demodulation():
                                       fit_window=window)
     grid = Grid.for_carrier(eps, n_points=512)
     t_skip = 10.0 * eps ** 2
-    p = ModelParams("quintic", eps=eps, nu2=1.0, t_end=t_skip + window)
+    p = ModelParams("quintic", nu2=1.0, t_end=t_skip + window)
     n_steps = int(round(p.t_end / p.dt))
     stride = max(1, n_steps // 400)
     assert stride > 1 and n_steps % stride  # the last step is off-stride
     v0 = RealField(grid, 2.0 * amplitude * np.cos(grid.x / eps))
     traj = simulate(v0, p, snapshot_stride=stride)
-    q1 = band_symbols(grid, eps, DELTA).q1
-    amps = np.array([np.mean(np.abs(demodulate(project(s, q1), eps,
-                                                DELTA).values))
+    q1 = band_symbols(grid, DELTA).q1
+    amps = np.array([np.mean(np.abs(demodulate(project(s, q1), DELTA).values))
                      for s in traj.snapshots])
     ref = amps[traj.times >= t_skip][1:-1]
     assert len(fit.amplitudes) == ref.size
@@ -235,14 +228,13 @@ def test_one_period_fit_matches_full_grid_composition(variant, nu, n_points):
     t_skip = 10.0 * eps ** 2
     coeffs = (dict(nu=nu) if variant == "cubic"
               else dict(nu2=nu[0], nu3=nu[1]))
-    p = ModelParams(variant, eps=eps, t_end=t_skip + window, **coeffs)
+    p = ModelParams(variant, t_end=t_skip + window, **coeffs)
     n_steps = int(round(p.t_end / p.dt))
     stride = max(1, n_steps // 400)
     v0 = RealField(grid, 2.0 * amplitude * np.cos(grid.x / eps))
     traj = simulate(v0, p, snapshot_stride=stride)
-    q1 = band_symbols(grid, eps, DELTA).q1
-    amps = np.array([np.mean(np.abs(demodulate(project(s, q1), eps,
-                                                DELTA).values))
+    q1 = band_symbols(grid, DELTA).q1
+    amps = np.array([np.mean(np.abs(demodulate(project(s, q1), DELTA).values))
                      for s in traj.snapshots])
     ref = amps[traj.times >= t_skip][1:-1]
     np.testing.assert_allclose(fit.amplitudes, ref, rtol=1e-13, atol=0)
@@ -257,7 +249,7 @@ def test_landau_estimate_rejects_n_points_off_the_period(n_points):
 
 def test_carrier_amplitude_rejects_energy_in_the_p1_taper():
     grid = Grid.for_carrier(0.1, 1024, periods=64)
-    sym = band_symbols(grid, grid.eps, DELTA)
+    sym = band_symbols(grid, DELTA)
     taper = np.flatnonzero((sym.q1 > 0) & (sym.q1 < 0.5))
     sampler = _CarrierAmplitude(sym, grid.n_points, 1e-3, 1, 10)
     spec = np.zeros(grid.n_points // 2 + 1, dtype=np.complex128)

@@ -12,7 +12,7 @@ import pytest
 from shmod import StudyConfig, __version__, estimate_landau_coefficient, run_study
 from shmod.studies import load_records
 
-GOLDEN_VERSION = "0.7.0"
+GOLDEN_VERSION = "0.8.0"
 
 TINY = dict(eps_list=(0.2,), nu_list=(0.5,), n_seeds=1, n_points=512,
             periods=32, dt=1e-3, t_end=0.05)

@@ -1,5 +1,6 @@
 import json
 import multiprocessing
+import shutil
 import subprocess
 import sys
 import threading
@@ -70,6 +71,27 @@ def test_landau_studies_reject_periods_off_n_points(tmp_path, study):
         StudyConfig.for_study(study, out_dir=str(tmp_path), periods=128)
     cfg = StudyConfig.for_study(study, out_dir=str(tmp_path))
     assert (cfg.n_points, cfg.periods) == (8192, 512)
+
+
+@pytest.mark.parametrize("study", ["landau-sweep", "quintic-suite"])
+def test_landau_studies_reject_amplitudes_the_fit_refuses(tmp_path, study):
+    # the fit's ValueError would escape a cell, which records only a
+    # RuntimeError, so the study refuses such an amplitude at config time
+    with pytest.raises(ConfigError, match="amplitude"):
+        StudyConfig.for_study(study, out_dir=str(tmp_path), amplitude=0.6)
+    assert StudyConfig.for_study(study, out_dir=str(tmp_path)).amplitude == 0.2
+
+
+def test_landau_sweep_fits_at_the_configured_amplitude(tmp_path):
+    run_study(StudyConfig.for_study("landau-sweep", out_dir=str(tmp_path / "a"),
+                                    nu_list=(0.5,), amplitude=0.3))
+    (rec,) = load_records(tmp_path / "a" / "records.csv")
+    fit = estimate_landau_coefficient(0.1, 0.5, amplitude=0.3, n_points=8192)
+    assert rec.diagnostics_repr()["c3"] == fit.c3.hex()
+    r = _cli("study", "--study", "landau-sweep", "--amplitude", "0.6",
+             "--out", str(tmp_path / "b"))
+    assert r.returncode == 2, r.stderr
+    assert not (tmp_path / "b" / "manifest.json").exists()
 
 
 def test_config_roundtrips_through_public_dict(tmp_path):
@@ -222,9 +244,8 @@ def test_runs_that_blow_up_mid_block_leave_the_noise_worker_reusable(tmp_path):
     before = diagnostics("before")
     threads = threading.active_count()
     grid = Grid.for_carrier(0.2, 512, periods=32)
-    v0 = modulated_carrier_ic(grid, grid.eps, np.random.default_rng(0),
-                              amplitude=5.0)
-    p = ModelParams(eps=grid.eps, nu=0.5, dt=0.05, t_end=2.0)
+    v0 = modulated_carrier_ic(grid, np.random.default_rng(0), amplitude=5.0)
+    p = ModelParams(nu=0.5, dt=0.05, t_end=2.0)
     for seed in range(5):
         traj = simulate(v0, p, NoiseConfig(seed=seed, intensity=0.1),
                         snapshot_stride=1)
@@ -239,7 +260,8 @@ def test_runs_that_blow_up_mid_block_leave_the_noise_worker_reusable(tmp_path):
 def test_forked_child_draws_noise_on_its_own_worker(tmp_path):
     # the parent's noise worker thread is not copied into a forked child
     cfg = StudyConfig.for_study("attractivity", out_dir=str(tmp_path), **TINY)
-    cell = (cfg, 0.2, 0.5, 0)
+    cell = (cfg, Grid.for_carrier(0.2, cfg.n_points, periods=cfg.periods),
+            0.5, 0)
     expect = _attractivity_cell(*cell)
     ctx = multiprocessing.get_context("fork")
     recv, send = ctx.Pipe(duplex=False)
@@ -265,9 +287,8 @@ def test_every_solve_reaches_shstepper_step_spec(tmp_path, monkeypatch):
 
     monkeypatch.setattr(SHStepper, "step_spec", first_step)
     grid = Grid.for_carrier(0.2, 512, periods=32)
-    v0 = modulated_carrier_ic(grid, grid.eps, np.random.default_rng(0),
-                              amplitude=0.3)
-    p = ModelParams(eps=grid.eps, nu=0.5, dt=1e-3, t_end=0.01)
+    v0 = modulated_carrier_ic(grid, np.random.default_rng(0), amplitude=0.3)
+    p = ModelParams(nu=0.5, dt=1e-3, t_end=0.01)
     solves = [
         lambda: simulate(v0, p),
         lambda: simulate_paired(v0, p, NoiseConfig(seed=1, intensity=0.07),
@@ -316,6 +337,18 @@ def test_replay_verifies_and_detects_tampering(tmp_path):
         (out / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(ReplayError):
             replay(str(out))
+
+
+@pytest.mark.parametrize("moved, threads", [(False, 2), (True, 1)])
+def test_study_resumes_after_a_move_or_under_other_threads(tmp_path, moved,
+                                                            threads):
+    # neither where a study lives nor how many threads run it shapes a record
+    first = run_study(tiny_cfg(tmp_path / "old", threads=1))
+    out = tmp_path / ("new" if moved else "old")
+    if moved:
+        shutil.copytree(tmp_path / "old", out)
+    assert run_study(tiny_cfg(out, threads=threads)) == first
+    assert len(load_records(out / "records.csv")) == 2
 
 
 def test_existing_output_with_other_config_is_rejected(tmp_path):

@@ -168,10 +168,10 @@ def test_spectral_variance_rate_identity():
 def test_convolution_sample_is_deterministic():
     grid = small_grid()
     cfg = NoiseConfig(seed=11, intensity=0.3)
-    a = stochastic_convolution_sample(grid, grid.eps, 0.05, cfg)
-    b = stochastic_convolution_sample(grid, grid.eps, 0.05, cfg)
+    a = stochastic_convolution_sample(grid, 0.05, cfg)
+    b = stochastic_convolution_sample(grid, 0.05, cfg)
     np.testing.assert_array_equal(a.values, b.values)
-    other = stochastic_convolution_sample(grid, grid.eps, 0.05,
+    other = stochastic_convolution_sample(grid, 0.05,
                                           NoiseConfig(seed=12, intensity=0.3))
     assert not np.array_equal(a.values, other.values)
 
@@ -179,8 +179,8 @@ def test_convolution_sample_is_deterministic():
 def test_substreams_are_independent():
     grid = small_grid()
     cfg = NoiseConfig(seed=11, intensity=0.3)
-    a = stochastic_convolution_sample(grid, grid.eps, 1.0, cfg.substream(1))
-    b = stochastic_convolution_sample(grid, grid.eps, 1.0, cfg.substream(2))
+    a = stochastic_convolution_sample(grid, 1.0, cfg.substream(1))
+    b = stochastic_convolution_sample(grid, 1.0, cfg.substream(2))
     corr = np.corrcoef(a.values, b.values)[0, 1]
     assert abs(corr) < 0.3
     assert not np.array_equal(a.values, b.values)
@@ -201,7 +201,7 @@ def test_convolution_sample_mode_variance():
     acc = np.zeros(grid.n_points // 2 + 1)
     n_draws = 400
     for s in range(n_draws):
-        w = stochastic_convolution_sample(grid, eps, T, NoiseConfig(seed=500 + s))
+        w = stochastic_convolution_sample(grid, T, NoiseConfig(seed=500 + s))
         acc += np.abs(np.fft.rfft(w.values)) ** 2
     acc /= n_draws
     ratio = acc[sel] / target[sel]
@@ -224,7 +224,7 @@ def test_convolution_regularity_uniform_in_eps():
         grid = Grid.for_carrier(eps, 512, periods=32)
         norms = [
             _holder_norm(stochastic_convolution_sample(
-                grid, eps, 1.0, NoiseConfig(seed=s)).values, grid.dx)
+                grid, 1.0, NoiseConfig(seed=s)).values, grid.dx)
             for s in range(24)
         ]
         medians.append(np.median(norms))

@@ -39,7 +39,7 @@ def test_semigroup_is_pointwise_exponential(grid):
     # both steppers advance the linear part by the exact semigroup
     # exp(dt L_eps), the pointwise exponential of the symbol
     # (the band stepper holds the P1 slice of it)
-    p = ModelParams(eps=grid.eps, dt=3e-4)
+    p = ModelParams(dt=3e-4)
     expect = np.exp(p.dt * symbol_L_eps(grid.rfft_wavenumbers, grid.eps))
     sh = SHStepper(grid, p, intensity=0.0)
     band = ReducedStepper(grid, p, intensity=0.0, delta=0.125)
@@ -123,7 +123,7 @@ def test_dealiased_powers_matches_unaliased_reference(exponents, pad, seed,
 
 def test_inverse_operator_on_band_matches_symbol(grid):
     delta = 0.125
-    sym = band_symbols(grid, grid.eps, delta)
+    sym = band_symbols(grid, delta)
     rng = np.random.default_rng(7)
     K = grid.rfft_wavenumbers
     for q, inv_q in ((sym.q0, sym.inv0), (sym.q2, sym.inv2)):
@@ -142,11 +142,11 @@ def test_inverse_operator_on_band_matches_symbol(grid):
 def test_inverse_operator_rejects_carrier_band(grid, monkeypatch):
     # the table has no inverse on P1: the scaled inverse vanishes wherever
     # the carrier kernel does not, since it is singular at |eps*K| = 1
-    sym = band_symbols(grid, grid.eps, 0.125)
+    sym = band_symbols(grid, 0.125)
     assert np.all(sym.inv0[sym.q1 > 0] == 0.0)
     assert np.all(sym.inv2[sym.q1 > 0] == 0.0)
     # and the builder refuses a P0/P2 support within the tolerance of the
     # neutral modes (raised here to reach the supports of a valid layout)
     monkeypatch.setattr(bands, "NEAR_SINGULAR_TOL", 1.0)
     with pytest.raises(ValueError, match="near-singular"):
-        band_symbols.__wrapped__(grid, grid.eps, 0.125)
+        band_symbols.__wrapped__(grid, 0.125)

@@ -60,9 +60,9 @@ def test_quadratic_correction_matches_closed_form():
     eps, nu, a = 0.1, 0.7, 0.4
     grid = Grid.for_carrier(eps, 1024, periods=64)
     A0 = ComplexField(grid, np.full(grid.n_points, a, dtype=complex))
-    wspec = modulate(A0, eps).spectrum()
+    wspec = modulate(A0).spectrum()
     # the correction is the nu-dependent part of the band drift
-    steppers = {nu_: ReducedStepper(grid, ModelParams(eps=grid.eps, nu=nu_),
+    steppers = {nu_: ReducedStepper(grid, ModelParams(nu=nu_),
                                     intensity=0.0, delta=DELTA)
                 for nu_ in (nu, 0.0)}
     drift = {nu_: s.drift(wspec[s.band]) for nu_, s in steppers.items()}
@@ -89,7 +89,7 @@ def _drift_in_eight_ffts(grid, p, wspec):
     w padded three times, two dealiased products at pad 2 for the quadratic
     correction and separate truncations of each power (8 FFTs)."""
     n = grid.n_points
-    sym = band_symbols(grid, p.eps, DELTA)
+    sym = band_symbols(grid, DELTA)
 
     def product(a, b):
         return _trunc(_pad(a, n, 2) * _pad(b, n, 2), n, 2)
@@ -110,11 +110,11 @@ def _drift_in_eight_ffts(grid, p, wspec):
 ])
 def test_drift_matches_eight_fft_composition(params):
     grid = Grid.for_carrier(0.1, 1024, periods=64)
-    p = ModelParams(eps=grid.eps, **params)
+    p = ModelParams(**params)
     stepper = ReducedStepper(grid, p, intensity=0.0, delta=DELTA)
-    w = modulated_carrier_ic(grid, grid.eps, np.random.default_rng(3),
+    w = modulated_carrier_ic(grid, np.random.default_rng(3),
                              amplitude=0.8)
-    wspec = band_symbols(grid, grid.eps, DELTA).q1 * w.spectrum()
+    wspec = band_symbols(grid, DELTA).q1 * w.spectrum()
     got = stepper.half_spectrum(stepper.drift(wspec[stepper.band]))
     ref = _drift_in_eight_ffts(grid, p, wspec)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -125,7 +125,7 @@ def _full_grid_step(grid, p, delta, intensity, wspec, raw):
     once by 2 (cubic) or 3 (quintic), the polynomial and the quadratic
     correction on the fine grid, one truncation, then q1."""
     n = grid.n_points
-    sym = band_symbols(grid, p.eps, delta)
+    sym = band_symbols(grid, delta)
     if p.variant == "cubic":
         f, nu_q = 2, p.nu
         wp = _pad(wspec, n, f)
@@ -167,10 +167,10 @@ def test_envelope_step_matches_full_grid_step(params, n, eps, delta_frac,
                                       - 1.0))
     try:
         grid = Grid.for_carrier(eps, n, periods=periods)
-        sym = band_symbols(grid, grid.eps, delta)
+        sym = band_symbols(grid, delta)
     except ValueError:
         assume(False)
-    p = ModelParams(eps=grid.eps, **params)
+    p = ModelParams(**params)
     m = grid.carrier_index
     b = np.max(np.abs(np.flatnonzero(sym.q1) - m))
     if p.variant == "quintic" and 3 * b >= m:
@@ -198,15 +198,15 @@ def test_paired_demodulation_matches_bands_demodulate():
     # spectrum as bands.demodulate shifts its full spectrum: q1 applied
     # once, not twice
     grid = Grid.for_carrier(0.1, 2048, periods=128)
-    q1 = band_symbols(grid, grid.eps, DELTA).q1
+    q1 = band_symbols(grid, DELTA).q1
     taper = (q1 > 0) & (q1 < 1)
     assert taper.sum() >= 4
     rng = np.random.default_rng(5)
     raw = rng.standard_normal(q1.size) + 1j * rng.standard_normal(q1.size)
     wspec = q1 * raw
     w = RealField.from_spectrum(grid, wspec)
-    ref = demodulate(w, grid.eps, DELTA, energy_tol=1.0).values
-    stepper = ReducedStepper(grid, ModelParams(eps=grid.eps), intensity=0.0,
+    ref = demodulate(w, DELTA, energy_tol=1.0).values
+    stepper = ReducedStepper(grid, ModelParams(), intensity=0.0,
                              delta=DELTA)
     got = np.fft.ifft(amplitude_spectrum(wspec[stepper.band],
                                          np.zeros(grid.n_points, complex)))
@@ -302,8 +302,8 @@ def test_reduced_band_equation_keeps_band_structure():
     eps = 0.1
     grid = Grid.for_carrier(eps, 1024, periods=64)
     rng = np.random.default_rng(4)
-    w0 = modulated_carrier_ic(grid, grid.eps, rng, amplitude=0.3)
-    p = ModelParams(eps=grid.eps, nu=0.5, dt=1e-3, t_end=0.1)
+    w0 = modulated_carrier_ic(grid, rng, amplitude=0.3)
+    p = ModelParams(nu=0.5, dt=1e-3, t_end=0.1)
     stepper = ReducedStepper(grid, p, intensity=0.0, delta=DELTA)
     final = {}
     status = integrate([stepper], [w0.spectrum()[stepper.band]],
@@ -312,7 +312,7 @@ def test_reduced_band_equation_keeps_band_structure():
                                   final.update(w=values[0])])
     assert status == "completed"
     spec = np.abs(np.fft.rfft(final["w"]))
-    outside = band_symbols(grid, grid.eps, DELTA).q1 == 0.0
+    outside = band_symbols(grid, DELTA).q1 == 0.0
     assert np.max(spec[outside]) < 1e-10 * np.max(spec)
 
 
@@ -320,8 +320,8 @@ def test_paired_run_is_deterministic_and_close():
     eps = 0.1
     grid = Grid.for_carrier(eps, 1024, periods=64)
     rng = np.random.default_rng(8)
-    v0 = modulated_carrier_ic(grid, grid.eps, rng, amplitude=0.3)
-    p = ModelParams(eps=grid.eps, nu=0.5, dt=1e-3, t_end=0.2)
+    v0 = modulated_carrier_ic(grid, rng, amplitude=0.3)
+    p = ModelParams(nu=0.5, dt=1e-3, t_end=0.2)
     cfg = NoiseConfig(seed=31, intensity=0.05)
     r1 = simulate_paired(v0, p, cfg, delta=DELTA)
     r2 = simulate_paired(v0, p, cfg, delta=DELTA)
@@ -336,8 +336,8 @@ def test_reduced_step_keeps_content_on_the_p1_taper():
     # content on the P1 taper is kept as given, not multiplied by q1 again:
     # one step of a tiny field is the linear flow of w0
     grid = Grid.for_carrier(0.1, 1024, periods=64)
-    p = ModelParams(eps=grid.eps, nu=0.5, dt=1e-3, t_end=1e-3)
-    sym = band_symbols(grid, grid.eps, DELTA)
+    p = ModelParams(nu=0.5, dt=1e-3, t_end=1e-3)
+    sym = band_symbols(grid, DELTA)
     rng = np.random.default_rng(6)
     spec = 1e-9 * sym.q1 * (rng.standard_normal(sym.q1.size)
                             + 1j * rng.standard_normal(sym.q1.size))

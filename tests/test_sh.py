@@ -29,7 +29,7 @@ def test_model_params_validation():
     with pytest.raises(ValueError):
         ModelParams(variant="septic")
     with pytest.raises(ValueError):
-        ModelParams(eps=1.5)
+        Grid.for_carrier(1.5, 512)
     with pytest.raises(ValueError):
         ModelParams(dt=0.0)
 
@@ -39,7 +39,7 @@ def test_linear_step_matches_exact_semigroup(grid):
     # step must coincide with the exact linear flow to machine precision
     rng = np.random.default_rng(0)
     v = RealField(grid, 1e-8 * rng.standard_normal(grid.n_points))
-    p = ModelParams(eps=grid.eps, nu=0.0, dt=1e-3)
+    p = ModelParams(nu=0.0, dt=1e-3)
     stepper = SHStepper(grid, p, intensity=0.0)
     out = stepper.values(stepper.step_spec(v.spectrum(), None))
     semigroup = np.exp(symbol_L_eps(grid.rfft_wavenumbers, grid.eps) * p.dt)
@@ -54,13 +54,12 @@ def test_slaved_modes_reach_quasi_steady_values():
     eps, nu = 0.1, 0.5
     grid = Grid.for_carrier(eps, 1024, periods=64)
     A0 = ComplexField(grid, np.full(grid.n_points, 0.3, dtype=complex))
-    v0 = modulate(A0, eps)
-    p = ModelParams(eps=grid.eps, nu=nu, dt=1e-3, t_end=0.2)
+    v0 = modulate(A0)
+    p = ModelParams(nu=nu, dt=1e-3, t_end=0.2)
     v = simulate(v0, p).final
-    sym = band_symbols(grid, grid.eps, DELTA)
+    sym = band_symbols(grid, DELTA)
     p0, p1, p2 = sym.q0, sym.q1, sym.q2
-    a = np.mean(np.abs(demodulate(project(v, p1), grid.eps,
-                                  energy_tol=1.0).values))
+    a = np.mean(np.abs(demodulate(project(v, p1), energy_tol=1.0).values))
     mean_band = np.mean(project(v, p0).values)
     second = project(v, p2)
     assert mean_band == pytest.approx(2 * nu * grid.eps * a**2, rel=0.05)
@@ -73,8 +72,7 @@ def test_slaved_modes_reach_quasi_steady_values():
 def test_blowup_is_reported_not_raised_by_simulate():
     grid = Grid.for_carrier(0.2, 256, periods=16)
     v0 = RealField(grid, np.full(grid.n_points, 5.0))
-    p = ModelParams(eps=grid.eps, nu=8.0, dt=1e-2, t_end=1.0,
-                    blowup_threshold=10.0)
+    p = ModelParams(nu=8.0, dt=1e-2, t_end=1.0, blowup_threshold=10.0)
     traj = simulate(v0, p)
     assert traj.status == "blowup_stopped"
     assert np.isfinite(traj.final.values).all()
@@ -83,7 +81,7 @@ def test_blowup_is_reported_not_raised_by_simulate():
 def test_integrate_stops_at_blowup_guard():
     grid = Grid.for_carrier(0.2, 256, periods=16)
     v = RealField(grid, np.full(grid.n_points, 20.0))
-    p = ModelParams(eps=grid.eps, blowup_threshold=10.0)
+    p = ModelParams(blowup_threshold=10.0)
     seen = []
     status = integrate([SHStepper(grid, p, intensity=0.0)], [v.spectrum()],
                        5, p.blowup_threshold,
@@ -158,7 +156,7 @@ def test_quintic_step_allocates_no_padded_array():
     # step after the first allocates only n-point half-spectra
     n = 8192
     grid = Grid.for_carrier(0.1, n)
-    p = ModelParams("quintic", eps=grid.eps, nu2=1.0, nu3=0.5)
+    p = ModelParams("quintic", nu2=1.0, nu3=0.5)
     stepper = SHStepper(grid, p, intensity=1.0)
     raw = np.fft.rfft(np.random.default_rng(0).standard_normal(n))
     spec = stepper.step_spec(np.fft.rfft(0.4 * np.cos(grid.x / grid.eps)),
@@ -175,19 +173,19 @@ def test_quintic_step_allocates_no_padded_array():
 
 def test_modulated_carrier_ic_norms(grid):
     rng = np.random.default_rng(9)
-    v0 = modulated_carrier_ic(grid, grid.eps, rng, amplitude=0.35)
-    A = demodulate(v0, grid.eps)
+    v0 = modulated_carrier_ic(grid, rng, amplitude=0.35)
+    A = demodulate(v0)
     assert A.sup_norm() == pytest.approx(0.35, rel=1e-10)
     # off-band perturbation adds exactly its requested sup norm outside P1
-    v1 = modulated_carrier_ic(grid, grid.eps, np.random.default_rng(9),
+    v1 = modulated_carrier_ic(grid, np.random.default_rng(9),
                               amplitude=0.35, offband=0.2)
-    rem = project_complement(v1, band_symbols(grid, grid.eps, DELTA).q1)
+    rem = project_complement(v1, band_symbols(grid, DELTA).q1)
     assert rem.sup_norm() == pytest.approx(0.2, rel=0.05)
 
 
 def test_noise_driven_simulation_is_deterministic(grid):
     v0 = RealField(grid, np.zeros(grid.n_points))
-    p = ModelParams(eps=grid.eps, nu=0.5, dt=1e-3, t_end=0.02)
+    p = ModelParams(nu=0.5, dt=1e-3, t_end=0.02)
     cfg = NoiseConfig(seed=77, intensity=0.1)
     a = simulate(v0, p, cfg)
     b = simulate(v0, p, cfg)
@@ -199,9 +197,8 @@ def test_noise_driven_simulation_is_deterministic(grid):
 def test_quintic_variant_runs_and_stays_finite():
     grid = Grid.for_carrier(0.2, 512, periods=32)
     rng = np.random.default_rng(3)
-    v0 = modulated_carrier_ic(grid, grid.eps, rng, amplitude=0.3)
-    p = ModelParams(variant="quintic", eps=grid.eps, nu2=1.0, nu3=0.5,
-                    dt=1e-3, t_end=0.1)
+    v0 = modulated_carrier_ic(grid, rng, amplitude=0.3)
+    p = ModelParams(variant="quintic", nu2=1.0, nu3=0.5, dt=1e-3, t_end=0.1)
     traj = simulate(v0, p)
     assert traj.status == "completed"
     assert np.isfinite(traj.final.values).all()

@@ -85,3 +85,65 @@ def test_every_definition_is_referenced_in_the_package():
     sources = {p.stem: p.read_text() for p in MODULES}
     assert _unreferenced_definitions(sources) == [
         "noise.stochastic_convolution_sample"]
+
+
+#: annotations of a parameter that carries a grid, and with it an eps
+GRID_TYPES = {"Grid", "RealField", "ComplexField"}
+
+
+def _eps_beside_grid(tree: ast.Module) -> list:
+    """Functions and methods that take ``eps`` next to a grid (a parameter
+    named ``grid`` or annotated with a type in ``GRID_TYPES``), and fields
+    named ``eps`` in a class body: each a second source of the eps that
+    the grid's carrier fixes."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            name = prefix + getattr(child, "name", "")
+            if isinstance(child, ast.ClassDef):
+                for stmt in child.body:
+                    targets = ([stmt.target] if isinstance(stmt, ast.AnnAssign)
+                               else getattr(stmt, "targets", []))
+                    if any(getattr(t, "id", None) == "eps" for t in targets):
+                        found.append(f"{name}.eps")
+                visit(child, name + ".")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = child.args
+                params = a.posonlyargs + a.args + a.kwonlyargs
+                grid_like = any(
+                    p.arg == "grid" or p.annotation is not None and any(
+                        getattr(n, "id", getattr(n, "attr", None)) in GRID_TYPES
+                        for n in ast.walk(p.annotation))
+                    for p in params)
+                if grid_like and any(p.arg == "eps" for p in params):
+                    found.append(name)
+                visit(child, name + ".")
+            else:
+                visit(child, prefix)
+    visit(tree, "")
+    return found
+
+
+def test_eps_beside_grid_scan_finds_second_sources():
+    tree = ast.parse("class Params:\n"
+                     "    eps: float = 0.1\n"
+                     "    nu = 0.0\n"
+                     "class Grid:\n"
+                     "    @property\n"
+                     "    def eps(self):\n        return 0.1\n"
+                     "    def scaled(self, grid, eps):\n        return eps\n"
+                     "def symbol(K, eps):\n    return eps * K\n"
+                     "def from_grid(grid, delta):\n    return grid.eps\n"
+                     "def shifted(f: RealField | ComplexField, eps=0.1):\n"
+                     "    return f\n"
+                     "if True:\n"
+                     "    def kernel(which, eps, g: mod.Grid):\n"
+                     "        return g\n")
+    assert _eps_beside_grid(tree) == ["Params.eps", "Grid.scaled", "shifted",
+                                      "kernel"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_eps_is_read_from_the_grid(path):
+    assert _eps_beside_grid(ast.parse(path.read_text())) == []
