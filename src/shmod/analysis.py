@@ -7,8 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bands import (DEFAULT_DELTA, BandSymbols, amplitude_spectrum,
-                    band_symbols, check_p1_energy)
+from .bands import DEFAULT_DELTA, band_symbols
 from .grid import DEFAULT_POINTS_PER_PERIOD, Grid, RealField
 from .sh import CUBIC, QUINTIC, ModelParams, SHStepper, integrate
 
@@ -73,31 +72,26 @@ def fit_scaling_exponent(pairs) -> ScalingStudy:
 # -- effective amplitude-coefficient estimation ------------------------------
 
 class _CarrierAmplitude:
-    """Observer recording mean |A| on every ``stride``-th step and the last,
-    where P1 v = A e^{iX/eps} + c.c. for the first field v.
+    """Observer recording the carrier amplitude |A| = |v^_m| / n of the
+    first field v on every ``stride``-th step and the last, where
+    P1 v = A e^{iX/eps} + c.c. and m is the carrier index of the
+    ``n``-point rfft.
 
-    Each sample takes the P1 slice of v's half-spectrum, scatters it into
-    A's spectrum and makes one inverse FFT into an array the observer
-    owns.  Like ``demodulate``, it raises ValueError when more than
-    ``OFFBAND_ENERGY_TOL`` of the band field's energy lies in the P1 taper.
+    On the one-period grid of the fit the P1 band is the carrier mode
+    alone, with q1 = 1 there, so A is constant and this is its mean
+    modulus, read with no transform.
     """
 
-    def __init__(self, sym: BandSymbols, n: int, dt: float, stride: int,
-                 n_steps: int):
-        self.band, self.q1 = sym.band, sym.q1[sym.band]
+    def __init__(self, m: int, n: int, dt: float, stride: int, n_steps: int):
+        self.m, self.n = m, n
         self.dt, self.stride, self.n_steps = dt, stride, n_steps
-        self.spec = np.zeros(n, dtype=np.complex128)
-        self.values = np.empty(n, dtype=np.complex128)
         self.times, self.amplitudes = [], []
 
     def __call__(self, i, specs, values):
         if i % self.stride and i != self.n_steps:
             return
-        E = self.q1 * specs[0][self.band]
-        check_p1_energy(np.abs(E) ** 2, self.q1)
-        np.fft.ifft(amplitude_spectrum(E, self.spec), out=self.values)
         self.times.append(i * self.dt)
-        self.amplitudes.append(float(np.mean(np.abs(self.values))))
+        self.amplitudes.append(float(abs(specs[0][self.m]) / self.n))
 
 
 @dataclass(frozen=True)
@@ -110,13 +104,13 @@ class LandauFit:
 
 def estimate_landau_coefficient(eps: float, nu=0.0, variant: str = CUBIC,
                                 amplitude: float = 0.3, n_points: int = 8192,
-                                dt: float = 1e-3, delta: float = DEFAULT_DELTA,
+                                dt: float = 1e-3,
                                 fit_window: float | None = None,
                                 r2_min: float = 0.99) -> LandauFit:
     """Fit the effective amplitude nonlinearity of the deterministic equation.
 
     Runs the full (noise-free) dynamics from a pure carrier 2*a0*cos(x/eps),
-    samples the mean modulus a of the amplitude of its P1 band about 400
+    samples the modulus a of the amplitude of its carrier mode about 400
     times as it goes, storing no field, and regresses da/dT on a^3 (cubic
     variant), on a^3 and a^5 (quintic variant) or on a^5 alone (quintic
     variant at nu = (0, 0)).  The fit starts after the slaved-mode
@@ -155,13 +149,12 @@ def estimate_landau_coefficient(eps: float, nu=0.0, variant: str = CUBIC,
     p = ModelParams(variant=variant, nu=nu_val, nu2=nu2, nu3=nu3,
                     dt=dt, t_end=t_end)
     n_steps = int(round(t_end / dt))
-    sampler = _CarrierAmplitude(band_symbols(grid, delta),
-                                grid.n_points, dt, max(1, n_steps // 400),
-                                n_steps)
+    sampler = _CarrierAmplitude(grid.carrier_index, grid.n_points, dt,
+                                max(1, n_steps // 400), n_steps)
     vspec = v0.spectrum()
     sampler(0, [vspec], None)
-    status = integrate([SHStepper(grid, p, intensity=0.0)], [vspec], n_steps,
-                       p.blowup_threshold, observers=[sampler])
+    status, _, _ = integrate([SHStepper(grid, p, intensity=0.0)], [vspec],
+                             n_steps, p.blowup_threshold, observers=[sampler])
     if status != "completed":
         raise RuntimeError("deterministic run hit the blow-up guard")
 

@@ -136,15 +136,6 @@ def project_complement(f: RealField, q: np.ndarray) -> RealField:
 
 # -- carrier modulation ------------------------------------------------------
 
-def check_p1_energy(power: np.ndarray, q1: np.ndarray,
-                     energy_tol: float = OFFBAND_ENERGY_TOL) -> None:
-    """Raise ValueError if more than ``energy_tol`` of the spectral energy
-    ``power`` lies off the P1 band, each mode weighted by (1 - q1)^2."""
-    total = np.sum(power)
-    if total > 0 and np.sum((1.0 - q1) ** 2 * power) > energy_tol * total:
-        raise ValueError("field has significant energy outside the P1 band")
-
-
 def amplitude_spectrum(E: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The fft of A, w = A e^{iX/eps} + c.c., written into ``out`` from the
     P1 slice ``E = wspec[band]`` of w's half-spectrum (``BandSymbols.band``):
@@ -168,7 +159,10 @@ def demodulate(v1: RealField, delta: float = DEFAULT_DELTA,
     rspec = v1.spectrum()
     power = np.abs(rspec) ** 2
     power[1:-1] *= 2.0  # these modes stand for their conjugates too
-    check_p1_energy(power, band_symbols(grid, delta).q1, energy_tol)
+    total = np.sum(power)
+    q1 = band_symbols(grid, delta).q1
+    if total > 0 and np.sum((1.0 - q1) ** 2 * power) > energy_tol * total:
+        raise ValueError("field has significant energy outside the P1 band")
     n, m = grid.n_points, grid.carrier_index
     spec = np.zeros(n, dtype=np.complex128)
     spec[: n // 2 - m] = rspec[m: n // 2]

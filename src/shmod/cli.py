@@ -160,15 +160,15 @@ def _cmd_simulate_sh(args) -> int:
     ncfg = NoiseConfig(seed=args.seed, intensity=args.intensity)
     v0 = modulated_carrier_ic(grid, ncfg.substream(1).make_rng(),
                               amplitude=args.amplitude, offband=args.offband)
-    traj = simulate(v0, params, ncfg, snapshot_stride=10)
+    run = simulate(v0, params, ncfg)
     out = _resolve_out(args.out, "simulate-sh")
     out.mkdir(parents=True, exist_ok=True)
-    write_field(out / "final.field", traj.final)
+    write_field(out / "final.field", run.final)
     for which in ("P0", "P1", "P2"):
         kernel_dump_csv(make_kernel(which, delta, grid), grid,
                         out / f"kernel_{which}.csv")
-    print(f"status={traj.status} T={traj.times[-1]:.6g} "
-          f"sup={traj.final.sup_norm():.6g} out={out}")
+    print(f"status={run.status} T={run.time:.6g} "
+          f"sup={run.final.sup_norm():.6g} out={out}")
     return EXIT_OK
 
 
@@ -185,18 +185,17 @@ def _cmd_simulate_gl(args) -> int:
     v0 = modulated_carrier_ic(grid, ncfg.substream(1).make_rng(),
                               amplitude=args.amplitude)
     a0 = demodulate(project(v0, band_symbols(grid, delta).q1), delta)
-    traj = simulate_gl(
+    run = simulate_gl(
         a0, coeffs,
         dt=args.dt if args.dt is not None else 1e-3,
         t_end=args.t_end if args.t_end is not None else 1.0,
         cfg=ncfg,
-        snapshot_stride=10,
     )
     out = _resolve_out(args.out, "simulate-gl")
     out.mkdir(parents=True, exist_ok=True)
-    write_field(out / "final.field", traj.final)
-    print(f"status={traj.status} T={traj.times[-1]:.6g} "
-          f"sup={traj.final.sup_norm():.6g} out={out}")
+    write_field(out / "final.field", run.final)
+    print(f"status={run.status} T={run.time:.6g} "
+          f"sup={run.final.sup_norm():.6g} out={out}")
     return EXIT_OK
 
 

@@ -23,8 +23,8 @@ from .bands import DEFAULT_DELTA, amplitude_spectrum, band_symbols
 from .grid import ComplexField, Grid, RealField
 from .noise import NoiseConfig, SpectralNoise
 from .operators import _horner, dealiased_powers_complex
-from .sh import (CUBIC, ModelParams, SHStepper, Snapshots, Trajectory, _phi1,
-                 integrate, noise_draw)
+from .sh import (CUBIC, ModelParams, RunResult, SHStepper, _phi1, integrate,
+                 noise_draw)
 
 GL_DIFFUSION = 4.0
 GL_QUINTIC = -10.0
@@ -191,19 +191,17 @@ class GLStepper:
 
 
 def simulate_gl(A0: ComplexField, c: GLCoefficients, dt: float, t_end: float,
-                cfg: NoiseConfig | None = None,
-                snapshot_stride: int = 10) -> Trajectory:
-    """Integrate to t_end (or blow-up) at ``cfg``'s noise level, noise-free
-    without a ``cfg``; snapshots every ``snapshot_stride`` steps."""
+                cfg: NoiseConfig | None = None) -> RunResult:
+    """Integrate to t_end, or to the last step before blow-up, at ``cfg``'s
+    noise level, noise-free without a ``cfg``."""
     intensity = cfg.intensity if cfg is not None else 0.0
     stepper = GLStepper(A0.grid, c, dt, intensity)
     n_steps = int(round(t_end / dt))
-    snaps = Snapshots([A0], dt, snapshot_stride, n_steps)
-    status = integrate([stepper], [A0.spectrum()], n_steps,
-                       ModelParams.blowup_threshold,
-                       noise_draw(stepper.noise, cfg, n_steps,
-                                  complex_rows=True), [snaps])
-    return snaps.trajectory(0, status)
+    status, steps, (aspec,) = integrate(
+        [stepper], [A0.spectrum()], n_steps, ModelParams.blowup_threshold,
+        noise_draw(stepper.noise, cfg, n_steps, complex_rows=True))
+    return RunResult(ComplexField.from_spectrum(A0.grid, aspec), status,
+                     steps * dt)
 
 
 # -- paired runs for the approximation studies -------------------------------
@@ -293,8 +291,8 @@ def simulate_paired(v0: RealField, p: ModelParams, cfg: NoiseConfig,
             np.fft.ifft(amplitude_spectrum(specs[1], amp)) - vals[2]))))
         observers.append(sup_diff_gl)
     n_steps = int(round(p.t_end / p.dt))
-    status = integrate(steppers, specs, n_steps, p.blowup_threshold,
-                       noise_draw(sh.noise, cfg, n_steps), observers)
+    status, _, _ = integrate(steppers, specs, n_steps, p.blowup_threshold,
+                             noise_draw(sh.noise, cfg, n_steps), observers)
     res_p0, res_p2 = averaging.results()
     return PairedResult(sup_diff=band.sup_diff, res_p0=res_p0, res_p2=res_p2,
                         sup_diff_gl=sup_diff_gl.value if with_gl else None,

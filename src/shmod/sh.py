@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,19 +42,13 @@ class ModelParams:
             raise ValueError("dt, t_end and blowup_threshold must be positive")
 
 
-@dataclass
-class Trajectory:
-    times: np.ndarray
-    snapshots: list = field(repr=False)
-    status: str = "completed"
-
-    def __post_init__(self):
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("times must be strictly increasing")
-
-    @property
-    def final(self):
-        return self.snapshots[-1]
+@dataclass(frozen=True)
+class RunResult:
+    """What a single run reached: the field after its last completed step,
+    its status and the time of that step."""
+    final: RealField | ComplexField
+    status: str
+    time: float
 
 
 def _phi1(z: np.ndarray) -> np.ndarray:
@@ -112,26 +106,29 @@ def _blown_up(v: np.ndarray, threshold: float) -> bool:
 
 
 def integrate(steppers, specs, n_steps: int, threshold: float,
-              draw=None, observers=()) -> str:
+              draw=None, observers=()) -> tuple[str, int, list]:
     """Advance the spectra ``specs`` by up to ``n_steps`` steps.
 
     Each step draws one raw increment shared by all steppers (``draw()``,
     or None for a noise-free run); every stepper scales it itself in
     ``step_spec(spec, raw)`` and maps its new spectrum to grid values with
     ``values(spec)``.  A step on which any field is non-finite or reaches
-    sup norm ``threshold`` ends the run unobserved; otherwise every observer
-    is called as ``observer(i, specs, values)``.  Returns the run status,
-    "completed" or "blowup_stopped".
+    sup norm ``threshold`` ends the run unobserved and is discarded;
+    otherwise every observer is called as ``observer(i, specs, values)``.
+    Returns the run status, "completed" or "blowup_stopped", the number of
+    steps completed and the spectra after the last of them (``specs`` if
+    none completed).
     """
     for i in range(1, n_steps + 1):
         raw = draw() if draw is not None else None
-        specs = [s.step_spec(spec, raw) for s, spec in zip(steppers, specs)]
-        values = [s.values(spec) for s, spec in zip(steppers, specs)]
+        new = [s.step_spec(spec, raw) for s, spec in zip(steppers, specs)]
+        values = [s.values(spec) for s, spec in zip(steppers, new)]
         if any(_blown_up(v, threshold) for v in values):
-            return "blowup_stopped"
+            return "blowup_stopped", i - 1, specs
+        specs = new
         for observe in observers:
             observe(i, specs, values)
-    return "completed"
+    return "completed", n_steps, specs
 
 
 #: rows per noise block; three blocks of about 49 kB a row (n = 2048) are
@@ -173,37 +170,17 @@ def noise_draw(noise: SpectralNoise, cfg: NoiseConfig | None, n_steps: int,
     return rows().__next__
 
 
-class Snapshots:
-    """Observer storing every ``stride``-th step, and the last, of the first
-    ``len(initial)`` fields, each started from its field in ``initial``."""
-
-    def __init__(self, initial, dt: float, stride: int, n_steps: int):
-        self.dt, self.stride, self.n_steps = dt, stride, n_steps
-        self.times = [0.0]
-        self.fields = [[f] for f in initial]
-
-    def __call__(self, i, specs, values):
-        if i % self.stride == 0 or i == self.n_steps:
-            self.times.append(i * self.dt)
-            for snaps, vals in zip(self.fields, values):
-                snaps.append(type(snaps[0])(snaps[0].grid, vals))
-
-    def trajectory(self, k: int, status: str) -> Trajectory:
-        return Trajectory(times=np.asarray(self.times),
-                          snapshots=self.fields[k], status=status)
-
-
-def simulate(v0: RealField, p: ModelParams, cfg: NoiseConfig | None = None,
-             snapshot_stride: int = 10) -> Trajectory:
-    """Integrate to t_end (or blow-up); snapshots every ``snapshot_stride`` steps."""
+def simulate(v0: RealField, p: ModelParams,
+             cfg: NoiseConfig | None = None) -> RunResult:
+    """Integrate to t_end, or to the last step before blow-up."""
     intensity = cfg.intensity if cfg is not None else 0.0
     stepper = SHStepper(v0.grid, p, intensity)
     n_steps = int(round(p.t_end / p.dt))
-    snaps = Snapshots([v0], p.dt, snapshot_stride, n_steps)
-    status = integrate([stepper], [v0.spectrum()], n_steps,
-                       p.blowup_threshold,
-                       noise_draw(stepper.noise, cfg, n_steps), [snaps])
-    return snaps.trajectory(0, status)
+    status, steps, (vspec,) = integrate(
+        [stepper], [v0.spectrum()], n_steps, p.blowup_threshold,
+        noise_draw(stepper.noise, cfg, n_steps))
+    return RunResult(RealField.from_spectrum(v0.grid, vspec), status,
+                     steps * p.dt)
 
 
 #: the random profile of modulated_carrier_ic has the amplitude

@@ -243,10 +243,10 @@ def _attractivity_cell(cfg: StudyConfig, grid: Grid, nu: float, seed: int) -> di
             offband.append(
                 project_complement(RealField(grid, values[0]), q1).sup_norm())
 
-    status = integrate([stepper], [v0.spectrum()], n_steps,
-                       params.blowup_threshold,
-                       noise_draw(stepper.noise, ncfg, n_steps),
-                       [observe])
+    status, _, _ = integrate([stepper], [v0.spectrum()], n_steps,
+                             params.blowup_threshold,
+                             noise_draw(stepper.noise, ncfg, n_steps),
+                             [observe])
     _require_completed(status)
     sup = max(offband)
     return {"offband_sup": sup, "offband_ratio": sup / grid.eps}
@@ -261,7 +261,6 @@ def _landau_cell(cfg: StudyConfig, grid: Grid, nu, variant: str) -> dict:
         amplitude=cfg.amplitude,
         n_points=cfg.n_points,
         dt=cfg.dt,
-        delta=cfg.delta,
         fit_window=8.0 if quintic else None,
     )
     diags = {"c3": fit.c3, "r_squared": fit.r_squared}

@@ -359,11 +359,11 @@ def test_9_amplitude_solver_oracle(capsys):
     blow = simulate_gl(A0, GLCoefficients(cubic=c3),
                        dt=1e-4, t_end=1.0)
     t_star = 1.0 / (2.0 * c3 * a0**2)
-    blow_err = abs(blow.times[-1] / t_star - 1.0)
+    blow_err = abs(blow.time / t_star - 1.0)
 
     ok = (riccati_err < 1e-4 and blow.status == "blowup_stopped"
           and blow_err < 0.10)
     verdict(capsys, 9, ok,
             f"constant-mode decay rel err {riccati_err:.2e} (<1e-4), "
-            f"blow-up time rel err {blow_err:.3f} (<0.10)")
+            f"blow-up time rel err {blow_err:.1e} (<0.10)")
     assert ok

@@ -9,7 +9,6 @@ from shmod import (
     ModelParams,
     RealField,
     StudyConfig,
-    Trajectory,
     band_symbols,
     demodulate,
     estimate_landau_coefficient,
@@ -23,9 +22,11 @@ from shmod import (
 from shmod.analysis import AveragingAccumulator, _CarrierAmplitude
 from shmod.operators import inv_symbol_scaled
 from shmod.reduced import ReducedStepper
-from shmod.sh import SHStepper, Snapshots, noise_draw
+from shmod.sh import SHStepper, noise_draw
 from shmod.studies import (ATTRACTIVITY_SKIP, _attractivity_cell, _cell_inputs,
                            _paired_cell)
+
+from conftest import Snapshots, simulate_snapshots
 
 DELTA = 0.125
 
@@ -44,10 +45,10 @@ def test_fit_scaling_exponent_rejects_bad_input():
         fit_scaling_exponent([(0.1, 1.0), (0.05, 0.5), (0.025, -1.0)])
 
 
-def _averaging_reference(traj, nu, k_band, delta):
+def _averaging_reference(times, snapshots, nu, k_band, delta):
     """The sup norm of the averaging integral by np.trapezoid over the
-    stacked integrands of all snapshots."""
-    grid = traj.snapshots[0].grid
+    stacked integrands of all snapshots, taken at ``times``."""
+    grid = snapshots[0].grid
     n, K, eps = grid.n_points, grid.rfft_wavenumbers, grid.eps
     q1 = make_kernel("P1", delta, grid).evaluate(K)
     qk = make_kernel(k_band, delta, grid).evaluate(K)
@@ -62,8 +63,7 @@ def _averaging_reference(traj, nu, k_band, delta):
         corr = np.fft.irfft(inv * np.fft.rfft(v1 * v1), n=n)
         return v1 * vk + nu * v1 * corr
 
-    times = np.asarray(traj.times)
-    fields = np.stack([integrand(s) for s in traj.snapshots])
+    fields = np.stack([integrand(s) for s in snapshots])
     return float(np.max(np.abs(np.trapezoid(fields, x=times, axis=0))))
 
 
@@ -83,12 +83,11 @@ def test_averaging_accumulator_matches_stacked_trapezoid(seed, count, nu):
         spec[:n_modes] = (rng.standard_normal(n_modes)
                           + 1j * rng.standard_normal(n_modes))
         snaps.append(RealField.from_spectrum(grid, spec))
-    traj = Trajectory(times=times, snapshots=snaps)
     acc = AveragingAccumulator(grid, nu, DELTA)
     for t, snap in zip(times, snaps):
         acc.add(t, snap.spectrum())
     for k_band, residual in zip(("P0", "P2"), acc.results()):
-        ref = _averaging_reference(traj, nu, k_band, DELTA)
+        ref = _averaging_reference(times, snaps, nu, k_band, DELTA)
         assert residual == pytest.approx(ref, rel=1e-12)
 
 
@@ -122,21 +121,23 @@ def test_paired_cell_streams_residuals_in_small_memory(tmp_path):
         v1 = np.fft.irfft(q1 * specs[0], n=grid.n_points)
         gaps.append(float(np.max(np.abs(v1 - values[1]))))
 
-    status = integrate([sh, red], [vspec, wband], 1000, p.blowup_threshold,
-                       noise_draw(sh.noise, ncfg, 1000),
-                       observers=[snaps, gap])
-    assert status == "completed"
-    traj_v, traj_w = snaps.trajectory(0, status), snaps.trajectory(1, status)
-    assert len(traj_v.snapshots) == 1001
+    status, steps, _ = integrate([sh, red], [vspec, wband], 1000,
+                                 p.blowup_threshold,
+                                 noise_draw(sh.noise, ncfg, 1000),
+                                 observers=[snaps, gap])
+    assert (status, steps) == ("completed", 1000)
+    snaps_v, snaps_w = snaps.fields
+    assert len(snaps_v) == len(snaps.times) == 1001
     assert diags["sup_diff"] == max(gaps)
     # rebuilt from the stored fields: rfft(irfft(v^)) is not v^ in the last
     # bit, so this agrees to rounding only
     posthoc_sup = max(
         float(np.max(np.abs(project(v, q1).values - w.values)))
-        for v, w in zip(traj_v.snapshots[1:], traj_w.snapshots[1:]))
+        for v, w in zip(snaps_v[1:], snaps_w[1:]))
     assert diags["sup_diff"] == pytest.approx(posthoc_sup, rel=1e-12)
     for k_band in ("P0", "P2"):
-        ref = _averaging_reference(traj_v, nu, k_band, cfg.delta)
+        ref = _averaging_reference(snaps.times, snaps_v, nu, k_band,
+                                   cfg.delta)
         assert diags["res_" + k_band.lower()] == pytest.approx(ref, rel=1e-12)
 
 
@@ -149,11 +150,15 @@ def test_attractivity_cell_matches_snapshot_composition(tmp_path):
     diags = _attractivity_cell(cfg, grid, nu, seed)
 
     ncfg, v0, p = _cell_inputs(cfg, grid, nu, seed)
-    traj = simulate(v0, p, ncfg, snapshot_stride=10)
-    assert traj.status == "completed"
+    status, snaps = simulate_snapshots(v0, p, ncfg, stride=10)
+    assert status == "completed"
+    # simulate's result is this run's last step
+    run = simulate(v0, p, ncfg)
+    assert (run.status, run.time) == (status, snaps.times[-1])
+    assert run.final.values.tobytes() == snaps.fields[0][-1].values.tobytes()
     q1 = band_symbols(grid, cfg.delta).q1
     sup = max(project_complement(snap, q1).sup_norm()
-              for t, snap in zip(traj.times, traj.snapshots)
+              for t, snap in zip(snaps.times, snaps.fields[0])
               if t >= ATTRACTIVITY_SKIP * cfg.t_end)
     assert diags == {"offband_sup": sup, "offband_ratio": sup / grid.eps}
 
@@ -191,7 +196,7 @@ def test_landau_estimate_rejects_out_of_range_amplitude():
 
 def test_streamed_fit_amplitudes_match_posthoc_demodulation():
     # the reference is the composition the fit streams: every stride-th
-    # snapshot of simulate (and the last), projected on P1, demodulated,
+    # snapshot of the run (and the last), projected on P1, demodulated,
     # mean |A|, over the fit window less its one-sided edges
     eps, amplitude, window = 0.2, 0.2, 0.503
     fit = estimate_landau_coefficient(eps, (1.0, 0.0), variant="quintic",
@@ -204,11 +209,12 @@ def test_streamed_fit_amplitudes_match_posthoc_demodulation():
     stride = max(1, n_steps // 400)
     assert stride > 1 and n_steps % stride  # the last step is off-stride
     v0 = RealField(grid, 2.0 * amplitude * np.cos(grid.x / eps))
-    traj = simulate(v0, p, snapshot_stride=stride)
+    status, snaps = simulate_snapshots(v0, p, stride=stride)
+    assert status == "completed"
     q1 = band_symbols(grid, DELTA).q1
     amps = np.array([np.mean(np.abs(demodulate(project(s, q1), DELTA).values))
-                     for s in traj.snapshots])
-    ref = amps[traj.times >= t_skip][1:-1]
+                     for s in snaps.fields[0]])
+    ref = amps[np.asarray(snaps.times) >= t_skip][1:-1]
     assert len(fit.amplitudes) == ref.size
     np.testing.assert_allclose(fit.amplitudes, ref, rtol=1e-13, atol=0)
 
@@ -232,11 +238,12 @@ def test_one_period_fit_matches_full_grid_composition(variant, nu, n_points):
     n_steps = int(round(p.t_end / p.dt))
     stride = max(1, n_steps // 400)
     v0 = RealField(grid, 2.0 * amplitude * np.cos(grid.x / eps))
-    traj = simulate(v0, p, snapshot_stride=stride)
+    status, snaps = simulate_snapshots(v0, p, stride=stride)
+    assert status == "completed"
     q1 = band_symbols(grid, DELTA).q1
     amps = np.array([np.mean(np.abs(demodulate(project(s, q1), DELTA).values))
-                     for s in traj.snapshots])
-    ref = amps[traj.times >= t_skip][1:-1]
+                     for s in snaps.fields[0]])
+    ref = amps[np.asarray(snaps.times) >= t_skip][1:-1]
     np.testing.assert_allclose(fit.amplitudes, ref, rtol=1e-13, atol=0)
 
 
@@ -247,18 +254,18 @@ def test_landau_estimate_rejects_n_points_off_the_period(n_points):
         estimate_landau_coefficient(0.1, n_points=n_points)
 
 
-def test_carrier_amplitude_rejects_energy_in_the_p1_taper():
-    grid = Grid.for_carrier(0.1, 1024, periods=64)
+def test_carrier_amplitude_reads_the_carrier_mode():
+    # on the fit's one-period grid the P1 band is the carrier mode alone,
+    # with q1 = 1 there; a unit carrier mode is the amplitude 1/n
+    grid = Grid.for_carrier(0.1, 16, periods=1)
     sym = band_symbols(grid, DELTA)
-    taper = np.flatnonzero((sym.q1 > 0) & (sym.q1 < 0.5))
-    sampler = _CarrierAmplitude(sym, grid.n_points, 1e-3, 1, 10)
+    m = grid.carrier_index
+    assert sym.band == slice(m, m + 1) and sym.q1[m] == 1.0
+    sampler = _CarrierAmplitude(m, grid.n_points, 1e-3, 1, 10)
     spec = np.zeros(grid.n_points // 2 + 1, dtype=np.complex128)
-    spec[grid.carrier_index] = 1.0
+    spec[m] = 1.0
     sampler(1, [spec], None)
-    assert sampler.amplitudes == [pytest.approx(1.0 / grid.n_points)]
-    spec[taper] = 10.0
-    with pytest.raises(ValueError, match="outside the P1 band"):
-        sampler(2, [spec], None)
+    assert sampler.amplitudes == [1.0 / grid.n_points]
     assert sampler.times == [1e-3]
 
 

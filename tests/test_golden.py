@@ -47,7 +47,7 @@ def test_quintic_fit_matches_golden_record():
     assert __version__ == GOLDEN_VERSION
     fit = estimate_landau_coefficient(0.2, (1.0, 0.0), variant="quintic",
                                       amplitude=0.2, n_points=512, dt=1e-3,
-                                      delta=0.125, fit_window=0.5)
+                                      fit_window=0.5)
     assert (fit.c3.hex(), fit.c5.hex(), fit.r_squared.hex()) == (
         "0x1.0f2f7b2ab8451p+2", "-0x1.769e5dbe67540p+3",
         "0x1.fffffeb8d551cp-1")

@@ -21,6 +21,7 @@ from shmod import (
     estimate_landau_coefficient,
     modulated_carrier_ic,
     parse_config_file,
+    read_field,
     replay,
     run_study,
     simulate,
@@ -247,11 +248,10 @@ def test_runs_that_blow_up_mid_block_leave_the_noise_worker_reusable(tmp_path):
     v0 = modulated_carrier_ic(grid, np.random.default_rng(0), amplitude=5.0)
     p = ModelParams(nu=0.5, dt=0.05, t_end=2.0)
     for seed in range(5):
-        traj = simulate(v0, p, NoiseConfig(seed=seed, intensity=0.1),
-                        snapshot_stride=1)
+        run = simulate(v0, p, NoiseConfig(seed=seed, intensity=0.1))
         # the failing step lies inside a block, with the next one drawn ahead
-        failed = round(traj.times[-1] / p.dt) + 1
-        assert traj.status == "blowup_stopped"
+        failed = round(run.time / p.dt) + 1
+        assert run.status == "blowup_stopped"
         assert failed % NOISE_BLOCK and failed + NOISE_BLOCK <= 40
     assert threading.active_count() == threads
     assert diagnostics("after") == before
@@ -294,7 +294,7 @@ def test_every_solve_reaches_shstepper_step_spec(tmp_path, monkeypatch):
         lambda: simulate_paired(v0, p, NoiseConfig(seed=1, intensity=0.07),
                                 delta=0.125),
         lambda: estimate_landau_coefficient(0.2, 0.5, n_points=512,
-                                            delta=0.125, fit_window=0.5),
+                                            fit_window=0.5),
         lambda: run_study(tiny_cfg(tmp_path / "out")),
     ]
     for solve in solves:
@@ -408,6 +408,29 @@ def test_cli_exit_codes(tmp_path):
              "--amplitude", "5", "--t-end", "0.5", "--delta", "0.125",
              "--out", str(tmp_path / "blown"))
     assert r.returncode == 3, r.stderr
+
+
+def test_cli_blowup_reports_the_last_completed_step(tmp_path):
+    # the guard trips on step 3; the CLI prints and writes step 2, not the
+    # last stride-10 snapshot, which was the initial field
+    out = tmp_path / "sh"
+    r = _cli("simulate-sh", "--n", "512", "--periods", "32", "--eps", "0.2",
+             "--t-end", "2", "--dt", "0.05", "--amplitude", "5",
+             "--nu", "0.5", "--intensity", "0.1", "--out", str(out))
+    assert r.stdout.startswith("status=blowup_stopped T=0.1 sup=643.418 "), \
+        r.stderr
+    grid = Grid.for_carrier(0.2, 512, periods=32)
+    cfg = NoiseConfig(seed=0, intensity=0.1)
+    v0 = modulated_carrier_ic(grid, cfg.substream(1).make_rng(), amplitude=5.0)
+    ref = simulate(v0, ModelParams(nu=0.5, dt=0.05, t_end=0.1), cfg)
+    assert ref.status == "completed"
+    written = read_field(out / "final.field")
+    assert written.values.tobytes() == ref.final.values.tobytes()
+
+    r = _cli("simulate-gl", "--n", "128", "--periods", "8", "--eps", "0.1",
+             "--t-end", "1", "--dt", "1e-4", "--amplitude", "1.5",
+             "--nu", "1.2", "--intensity", "0", "--out", str(tmp_path / "gl"))
+    assert r.stdout.startswith("status=blowup_stopped T=0.2142 "), r.stderr
 
 
 def test_cli_flags_override_config_file_values(tmp_path):

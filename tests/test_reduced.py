@@ -23,7 +23,7 @@ from shmod import (
 from shmod.bands import amplitude_spectrum
 from shmod.grid import ComplexField
 from shmod.reduced import GLStepper, ReducedStepper
-from shmod.sh import NOISE_BLOCK, Snapshots
+from shmod.sh import NOISE_BLOCK
 
 DELTA = 0.125
 
@@ -218,9 +218,9 @@ def test_gl_constant_data_follows_riccati_solution():
     a0 = 0.5
     c = GLCoefficients(cubic=-3.0)
     A0 = ComplexField(grid, np.full(grid.n_points, a0, dtype=complex))
-    traj = simulate_gl(A0, c, dt=1e-3, t_end=1.0)
-    assert traj.status == "completed"
-    final = np.abs(traj.final.values)
+    run = simulate_gl(A0, c, dt=1e-3, t_end=1.0)
+    assert (run.status, run.time) == ("completed", 1.0)
+    final = np.abs(run.final.values)
     target = riccati(a0, -3.0, 1.0)
     assert np.max(np.abs(final / target - 1.0)) < 1e-4
 
@@ -231,9 +231,13 @@ def test_gl_blowup_time_for_positive_cubic():
     t_star = 1.0 / (2.0 * c3 * a0**2)
     c = GLCoefficients(cubic=c3)
     A0 = ComplexField(grid, np.full(grid.n_points, a0, dtype=complex))
-    traj = simulate_gl(A0, c, dt=1e-4, t_end=1.0)
-    assert traj.status == "blowup_stopped"
-    assert traj.times[-1] == pytest.approx(t_star, rel=0.1)
+    run = simulate_gl(A0, c, dt=1e-4, t_end=1.0)
+    assert run.status == "blowup_stopped"
+    assert run.time == pytest.approx(t_star, rel=0.1)
+    # the run cut at the returned time completes on the same field
+    cut = simulate_gl(A0, c, dt=1e-4, t_end=run.time)
+    assert (cut.status, cut.time) == ("completed", run.time)
+    assert cut.final.values.tobytes() == run.final.values.tobytes()
 
 
 def test_gl_linear_mode_decay_is_exact():
@@ -242,9 +246,9 @@ def test_gl_linear_mode_decay_is_exact():
     A0 = ComplexField(grid, 0.1 * np.exp(1j * k * grid.x))
     c = GLCoefficients(cubic=0.0)
     T = 0.05
-    traj = simulate_gl(A0, c, dt=1e-3, t_end=T)
+    run = simulate_gl(A0, c, dt=1e-3, t_end=T)
     expect = A0.values * np.exp(-4.0 * k**2 * T)
-    np.testing.assert_allclose(traj.final.values, expect, rtol=1e-12)
+    np.testing.assert_allclose(run.final.values, expect, rtol=1e-12)
 
 
 def test_gl_noise_level_is_the_cfg_intensity():
@@ -279,22 +283,22 @@ def test_gl_noise_determinism():
 def test_gl_noise_is_the_sequential_complex_draw():
     # simulate_gl draws its noise in blocks; every step must still get the
     # complex draw that one raw_complex call per step would give, at the
-    # level its cfg sets
+    # level its cfg sets: the run ending at each step count, across and
+    # between block edges, ends on the sequential run's field
     grid = Grid.for_carrier(0.1, 128, periods=8)
     A0 = ComplexField(grid, np.zeros(grid.n_points, dtype=complex))
     c = GLCoefficients(cubic=-3.0)
     cfg = NoiseConfig(seed=21, intensity=0.2)
-    dt, n_steps = 1e-3, 2 * NOISE_BLOCK + 3
-    traj = simulate_gl(A0, c, dt=dt, t_end=n_steps * dt, cfg=cfg,
-                       snapshot_stride=1)
-    stepper, rng = GLStepper(grid, c, dt, cfg.intensity), cfg.make_rng()
-    snaps = Snapshots([A0], dt, 1, n_steps)
-    status = integrate([stepper], [A0.spectrum()], n_steps, 1e4,
-                       lambda: stepper.noise.raw_complex(rng), [snaps])
-    assert traj.status == status == "completed"
-    assert len(traj.snapshots) == n_steps + 1
-    for a, b in zip(traj.snapshots, snaps.fields[0]):
-        assert a.values.tobytes() == b.values.tobytes()
+    dt = 1e-3
+    for n_steps in range(1, 2 * NOISE_BLOCK + 4):
+        run = simulate_gl(A0, c, dt=dt, t_end=n_steps * dt, cfg=cfg)
+        stepper, rng = GLStepper(grid, c, dt, cfg.intensity), cfg.make_rng()
+        status, steps, (aspec,) = integrate(
+            [stepper], [A0.spectrum()], n_steps, 1e4,
+            lambda: stepper.noise.raw_complex(rng))
+        assert (run.status, run.time) == (status, steps * dt)
+        assert (status, steps) == ("completed", n_steps)
+        assert run.final.values.tobytes() == stepper.values(aspec).tobytes()
 
 
 def test_reduced_band_equation_keeps_band_structure():
@@ -306,7 +310,7 @@ def test_reduced_band_equation_keeps_band_structure():
     p = ModelParams(nu=0.5, dt=1e-3, t_end=0.1)
     stepper = ReducedStepper(grid, p, intensity=0.0, delta=DELTA)
     final = {}
-    status = integrate([stepper], [w0.spectrum()[stepper.band]],
+    status, _, _ = integrate([stepper], [w0.spectrum()[stepper.band]],
                        int(round(p.t_end / p.dt)), p.blowup_threshold,
                        observers=[lambda i, specs, values:
                                   final.update(w=values[0])])

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -73,9 +74,30 @@ def test_blowup_is_reported_not_raised_by_simulate():
     grid = Grid.for_carrier(0.2, 256, periods=16)
     v0 = RealField(grid, np.full(grid.n_points, 5.0))
     p = ModelParams(nu=8.0, dt=1e-2, t_end=1.0, blowup_threshold=10.0)
-    traj = simulate(v0, p)
-    assert traj.status == "blowup_stopped"
-    assert np.isfinite(traj.final.values).all()
+    run = simulate(v0, p)
+    assert run.status == "blowup_stopped"
+    assert np.isfinite(run.final.values).all()
+
+
+@pytest.mark.parametrize("amplitude, dt, threshold, seed, steps", [
+    (5.0, 0.05, 1e4, 1, 2),     # an unstable step size
+    (0.3, 1e-3, 0.62, 0, 21),   # a low guard, tripped past two noise blocks
+])
+def test_blown_up_run_returns_its_last_completed_step(amplitude, dt,
+                                                      threshold, seed, steps):
+    # the run cut at the returned time completes on the same field, bit
+    # for bit
+    grid = Grid.for_carrier(0.2, 512, periods=32)
+    cfg = NoiseConfig(seed=seed, intensity=0.1)
+    v0 = modulated_carrier_ic(grid, cfg.substream(1).make_rng(),
+                              amplitude=amplitude)
+    p = ModelParams(nu=0.5, dt=dt, t_end=2.0, blowup_threshold=threshold)
+    run = simulate(v0, p, cfg)
+    assert (run.status, run.time) == ("blowup_stopped", steps * dt)
+    assert np.isfinite(run.final.values).all()
+    cut = simulate(v0, replace(p, t_end=run.time), cfg)
+    assert (cut.status, cut.time) == ("completed", run.time)
+    assert cut.final.values.tobytes() == run.final.values.tobytes()
 
 
 def test_integrate_stops_at_blowup_guard():
@@ -83,11 +105,14 @@ def test_integrate_stops_at_blowup_guard():
     v = RealField(grid, np.full(grid.n_points, 20.0))
     p = ModelParams(blowup_threshold=10.0)
     seen = []
-    status = integrate([SHStepper(grid, p, intensity=0.0)], [v.spectrum()],
-                       5, p.blowup_threshold,
-                       observers=[lambda i, specs, values: seen.append(i)])
-    assert status == "blowup_stopped"
+    vspec = v.spectrum()
+    status, steps, specs = integrate(
+        [SHStepper(grid, p, intensity=0.0)], [vspec], 5, p.blowup_threshold,
+        observers=[lambda i, specs, values: seen.append(i)])
+    assert (status, steps) == ("blowup_stopped", 0)
     assert seen == []
+    # no step completed: the spectra handed back are the inputs
+    assert len(specs) == 1 and specs[0] is vspec
 
 
 class _FakeStepper:
@@ -109,11 +134,14 @@ class _FakeStepper:
 
 def test_guard_covers_every_field():
     seen = []
-    status = integrate([_FakeStepper(), _FakeStepper(nan_at=3)],
-                       [np.zeros(4), np.zeros(4)], 10, 1e4,
-                       observers=[lambda i, specs, values: seen.append(i)])
-    assert status == "blowup_stopped"
+    status, steps, specs = integrate(
+        [_FakeStepper(), _FakeStepper(nan_at=3)], [np.zeros(4), np.zeros(4)],
+        10, 1e4, observers=[lambda i, specs, values: seen.append(i)])
+    assert (status, steps) == ("blowup_stopped", 2)
     assert seen == [1, 2]
+    # the third step, which tripped the guard on the second field only, is
+    # discarded for both
+    assert [s.tolist() for s in specs] == [[2, 2, 2, 2], [2, 2, 2, 2]]
 
 
 class _ValuesStepper:
@@ -147,8 +175,10 @@ def test_guard_matches_finite_and_sup_norm_predicate(data, complex_field,
         v.imag = data.draw(st.lists(part, min_size=re.size, max_size=re.size))
     with np.errstate(invalid="ignore"):
         old = not np.isfinite(v).all() or np.max(np.abs(v)) >= threshold
-    status = integrate([_ValuesStepper(v)], [np.zeros(1)], 1, threshold)
-    assert status == ("blowup_stopped" if old else "completed")
+    status, steps, _ = integrate([_ValuesStepper(v)], [np.zeros(1)], 1,
+                                 threshold)
+    assert (status, steps) == (("blowup_stopped", 0) if old
+                               else ("completed", 1))
 
 
 def test_quintic_step_allocates_no_padded_array():
@@ -199,6 +229,6 @@ def test_quintic_variant_runs_and_stays_finite():
     rng = np.random.default_rng(3)
     v0 = modulated_carrier_ic(grid, rng, amplitude=0.3)
     p = ModelParams(variant="quintic", nu2=1.0, nu3=0.5, dt=1e-3, t_end=0.1)
-    traj = simulate(v0, p)
-    assert traj.status == "completed"
-    assert np.isfinite(traj.final.values).all()
+    run = simulate(v0, p)
+    assert (run.status, run.time) == ("completed", p.t_end)
+    assert np.isfinite(run.final.values).all()
