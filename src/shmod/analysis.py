@@ -9,7 +9,8 @@ import numpy as np
 
 from .bands import DEFAULT_DELTA, band_symbols
 from .grid import DEFAULT_POINTS_PER_PERIOD, Grid, RealField
-from .sh import CUBIC, QUINTIC, ModelParams, SHStepper, integrate
+from .sh import (BLOCK, CUBIC, QUINTIC, ModelParams, SHStepper, integrate,
+                 step_count)
 
 
 class AveragingAccumulator:
@@ -17,32 +18,61 @@ class AveragingAccumulator:
 
         v1 * P_k v / eps + nu * v1 * eps^-2 L_eps^-1 P_k v1^2,  k = 0, 2,
 
-    at the grid's eps, fed one half-spectrum of v at a time, in O(n)
-    memory.  Per sample: one inverse FFT for v1 (none when the caller has
-    it), one forward FFT of v1^2 shared by P0 and P2, and one inverse FFT
-    per band, of q_k/eps v + nu inv_k (v1^2)^.
+    at the grid's eps, fed blocks of half-spectra of v, in O(n) memory per
+    row of a block.  Per block: one inverse FFT for v1, one forward FFT of
+    v1^2 shared by P0 and P2, and one inverse FFT of
+    q_k/eps v + nu inv_k (v1^2)^ for both bands, each one batched call into
+    work arrays kept from block to block.  The trapezoid adds the rows one
+    at a time, so the sums have the bits of one sample per call.
     """
 
     def __init__(self, grid: Grid, nu: float, delta: float = DEFAULT_DELTA):
         sym, eps = band_symbols(grid, delta), grid.eps
         self.n = grid.n_points
-        self.q1 = sym.q1
-        self.qk_eps = np.array([sym.q0 / eps, sym.q2 / eps])
-        self.nu_inv = np.array([nu * sym.inv0, nu * sym.inv2])
+        # the real multipliers as complex numbers with imaginary part +0,
+        # the cast numpy makes on each product with a spectrum
+        self.q1 = sym.q1.astype(np.complex128)
+        self.qk_eps = np.array([sym.q0 / eps, sym.q2 / eps], np.complex128)
+        self.nu_inv = np.array([nu * sym.inv0, nu * sym.inv2], np.complex128)
         self.count = 0
         self.total = np.zeros((2, self.n))
+        # work arrays for blocks of up to BLOCK rows; row 0 of the
+        # integrands carries the last sample's integrand to the next block
+        h = self.n // 2 + 1
+        self._v1 = np.empty((BLOCK, self.n))
+        self._sq = np.empty((BLOCK, h), np.complex128)
+        self._rhs = np.empty((BLOCK, 2, h), np.complex128)
+        self._f = np.empty((BLOCK + 1, 2, self.n))
+        self._sum = np.empty((2, self.n))
 
-    def add(self, t: float, vspec: np.ndarray, v1: np.ndarray | None = None):
-        """Add the sample of v at time ``t`` (later than the last one);
-        ``v1`` is irfft(q1 * vspec) if the caller has it."""
-        if v1 is None:
-            v1 = np.fft.irfft(self.q1 * vspec, n=self.n)
-        sq = np.fft.rfft(v1 * v1)
-        f = v1 * np.fft.irfft(self.qk_eps * vspec + self.nu_inv * sq, n=self.n)
-        if self.count:
-            self.total += (0.5 * (t - self._t)) * (self._f + f)
-        self._t, self._f = t, f
-        self.count += 1
+    def add(self, times: np.ndarray, vspecs: np.ndarray) -> np.ndarray:
+        """Add the samples of v with half-spectra ``vspecs[j]`` at
+        ``times[j]``, at most ``BLOCK`` of them, increasing and later than
+        the last one.  Returns v1 = irfft(q1 * vspecs) by rows, a view of a
+        work array that the next call overwrites."""
+        k = len(times)
+        v1, sq, rhs = self._v1[:k], self._sq[:k], self._rhs[:k]
+        f = self._f[:k + 1]
+        np.multiply(self.q1, vspecs, out=sq)
+        np.fft.irfft(sq, n=self.n, out=v1)
+        # the integrand rows, and then sq, are free until they are refilled
+        np.multiply(v1, v1, out=f[1:, 0])
+        np.fft.rfft(f[1:, 0], out=sq)
+        np.multiply(self.nu_inv, sq[:, None], out=rhs)
+        for band in range(2):
+            np.multiply(self.qk_eps[band], vspecs, out=sq)
+            np.add(sq, rhs[:, band], out=rhs[:, band])
+        np.fft.irfft(rhs, n=self.n, out=f[1:])
+        np.multiply(f[1:], v1[:, None], out=f[1:])
+        for j, t in enumerate(times, 1):
+            if self.count:
+                np.add(f[j - 1], f[j], out=self._sum)
+                self._sum *= 0.5 * (t - self._t)
+                self.total += self._sum
+            self._t = t
+            self.count += 1
+        f[0] = f[k]
+        return v1
 
     def results(self) -> tuple[float, float]:
         """The sup norms of the P0 and the P2 integral."""
@@ -87,7 +117,7 @@ class _CarrierAmplitude:
         self.dt, self.stride, self.n_steps = dt, stride, n_steps
         self.times, self.amplitudes = [], []
 
-    def __call__(self, i, specs, values):
+    def __call__(self, i, specs):
         if i % self.stride and i != self.n_steps:
             return
         self.times.append(i * self.dt)
@@ -148,11 +178,11 @@ def estimate_landau_coefficient(eps: float, nu=0.0, variant: str = CUBIC,
     v0 = RealField(grid, 2.0 * amplitude * np.cos(grid.x / grid.eps))
     p = ModelParams(variant=variant, nu=nu_val, nu2=nu2, nu3=nu3,
                     dt=dt, t_end=t_end)
-    n_steps = int(round(t_end / dt))
+    n_steps = step_count(t_end, dt)
     sampler = _CarrierAmplitude(grid.carrier_index, grid.n_points, dt,
                                 max(1, n_steps // 400), n_steps)
     vspec = v0.spectrum()
-    sampler(0, [vspec], None)
+    sampler(0, [vspec])
     status, _, _ = integrate([SHStepper(grid, p, intensity=0.0)], [vspec],
                              n_steps, p.blowup_threshold, observers=[sampler])
     if status != "completed":

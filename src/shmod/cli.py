@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: simulate-sh, simulate-gl, study, replay, spectrum, plotdata.
-Exit codes: 0 success, 2 configuration error, 3 study gate failure.
+Exit codes: 0 success, 2 configuration error, 3 study gate failure or a
+single run stopped by the blow-up guard.
 The default output root is the SHMOD_OUT environment variable (falling
 back to the current directory).
 """
@@ -145,6 +146,14 @@ def _resolve_out(arg: str | None, default_name: str) -> Path:
     return _output_root() / default_name
 
 
+def _report(run, out: Path) -> int:
+    """Print a single run's status line; a run cut short by the blow-up
+    guard exits with EXIT_GATE, as a study whose cells all blew up does."""
+    print(f"status={run.status} T={run.time:.6g} "
+          f"sup={run.final.sup_norm():.6g} out={out}")
+    return EXIT_OK if run.status == "completed" else EXIT_GATE
+
+
 def _cmd_simulate_sh(args) -> int:
     eps, nu = _single_float(args.eps, 0.1), _single_float(args.nu, 0.5)
     grid = Grid.for_carrier(eps, args.n, periods=args.periods)
@@ -167,9 +176,7 @@ def _cmd_simulate_sh(args) -> int:
     for which in ("P0", "P1", "P2"):
         kernel_dump_csv(make_kernel(which, delta, grid), grid,
                         out / f"kernel_{which}.csv")
-    print(f"status={run.status} T={run.time:.6g} "
-          f"sup={run.final.sup_norm():.6g} out={out}")
-    return EXIT_OK
+    return _report(run, out)
 
 
 def _cmd_simulate_gl(args) -> int:
@@ -194,9 +201,7 @@ def _cmd_simulate_gl(args) -> int:
     out = _resolve_out(args.out, "simulate-gl")
     out.mkdir(parents=True, exist_ok=True)
     write_field(out / "final.field", run.final)
-    print(f"status={run.status} T={run.time:.6g} "
-          f"sup={run.final.sup_norm():.6g} out={out}")
-    return EXIT_OK
+    return _report(run, out)
 
 
 def _cmd_study(args) -> int:

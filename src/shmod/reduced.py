@@ -23,8 +23,8 @@ from .bands import DEFAULT_DELTA, amplitude_spectrum, band_symbols
 from .grid import ComplexField, Grid, RealField
 from .noise import NoiseConfig, SpectralNoise
 from .operators import _horner, dealiased_powers_complex
-from .sh import (CUBIC, ModelParams, RunResult, SHStepper, _phi1, integrate,
-                 noise_draw)
+from .sh import (BLOCK, CUBIC, ModelParams, RunResult, SHStepper, _phi1,
+                 integrate, noise_draw, run_on_worker, step_count)
 
 GL_DIFFUSION = 4.0
 GL_QUINTIC = -10.0
@@ -145,6 +145,11 @@ class ReducedStepper:
     def values(self, E: np.ndarray) -> np.ndarray:
         return np.fft.irfft(self.half_spectrum(E), n=self.grid.n_points)
 
+    def sup_bound(self, E: np.ndarray) -> float:
+        """An upper bound on the sup norm of ``values(E)``: each mode of the
+        band stands for a conjugate pair."""
+        return 2.0 * float(np.sum(np.abs(E))) / self.grid.n_points
+
 
 # -- Ginzburg-Landau solver --------------------------------------------------
 
@@ -189,6 +194,10 @@ class GLStepper:
     def values(self, aspec: np.ndarray) -> np.ndarray:
         return np.fft.ifft(aspec)
 
+    def sup_bound(self, aspec: np.ndarray) -> float:
+        """An upper bound on the sup norm of ``values(aspec)``."""
+        return float(np.sum(np.abs(aspec))) / self.grid.n_points
+
 
 def simulate_gl(A0: ComplexField, c: GLCoefficients, dt: float, t_end: float,
                 cfg: NoiseConfig | None = None) -> RunResult:
@@ -196,7 +205,7 @@ def simulate_gl(A0: ComplexField, c: GLCoefficients, dt: float, t_end: float,
     noise level, noise-free without a ``cfg``."""
     intensity = cfg.intensity if cfg is not None else 0.0
     stepper = GLStepper(A0.grid, c, dt, intensity)
-    n_steps = int(round(t_end / dt))
+    n_steps = step_count(t_end, dt)
     status, steps, (aspec,) = integrate(
         [stepper], [A0.spectrum()], n_steps, ModelParams.blowup_threshold,
         noise_draw(stepper.noise, cfg, n_steps, complex_rows=True))
@@ -233,29 +242,77 @@ class _BandGLStepper(GLStepper):
 
 
 class _RunningMax:
-    """Observer keeping the largest ``gap(specs, values)`` over the steps."""
+    """Observer keeping the largest ``gap(specs)`` over the steps."""
 
     def __init__(self, gap):
         self.gap = gap
         self.value = 0.0
 
-    def __call__(self, i, specs, values):
-        self.value = max(self.value, self.gap(specs, values))
+    def __call__(self, i, specs):
+        self.value = max(self.value, self.gap(specs))
 
 
 class _BandObserver:
     """sup_T ||P1 v - w||_inf and the averaging integrals of v over every
-    step, both from one transform v1 = irfft(q1 v) per step."""
+    step, computed in blocks of ``BLOCK`` steps on the worker thread.
 
-    def __init__(self, averaging: AveragingAccumulator, dt: float):
-        self.averaging, self.dt = averaging, dt
+    A call copies the step's v^ and band slice E into one side of a pair
+    of block buffers.  A full block goes to the worker as one job while
+    the stepping thread fills the other side; the job before it is waited
+    for first, so at most one block is in flight.  The job gets the block's
+    v1 = irfft(q1 v^) from ``AveragingAccumulator.add`` and w = irfft of E
+    scattered into the half-spectrum (``ReducedStepper.values``) from one
+    batched transform each, into arrays this observer owns.  ``finish``
+    hands over the last, partial block and waits; ``wait`` re-raises the
+    error of a failed job.  On step 0, w0 = P1 v0 is the same product by
+    q1 as v1, so its gap is 0 and leaves the running max as it is.
+    """
+
+    def __init__(self, averaging: AveragingAccumulator, red: ReducedStepper,
+                 dt: float):
+        n, h = averaging.n, averaging.n // 2 + 1
+        self.averaging, self.band, self.dt = averaging, red.band, dt
+        self.times = np.empty((2, BLOCK))
+        self.vspecs = np.empty((2, BLOCK, h), dtype=np.complex128)
+        self.bands = np.empty((2, BLOCK, red.band.stop - red.band.start),
+                              dtype=np.complex128)
+        self.wspec = np.zeros((BLOCK, h), dtype=np.complex128)
+        self.w = np.empty((BLOCK, n))
         self.sup_diff = 0.0
+        self.side, self.filled, self.pending = 0, 0, None
 
-    def __call__(self, i, specs, values):
-        acc = self.averaging
-        v1 = np.fft.irfft(acc.q1 * specs[0], n=acc.n)
-        self.sup_diff = max(self.sup_diff, float(np.max(np.abs(v1 - values[1]))))
-        acc.add(i * self.dt, specs[0], v1)
+    def __call__(self, i, specs):
+        side, row = self.side, self.filled
+        self.times[side, row] = i * self.dt
+        self.vspecs[side, row] = specs[0]
+        self.bands[side, row] = specs[1]
+        self.filled += 1
+        if self.filled == BLOCK:
+            self._hand_over()
+
+    def _hand_over(self):
+        self.wait()
+        self.pending = run_on_worker(self._block, self.side, self.filled)
+        self.side, self.filled = 1 - self.side, 0
+
+    def wait(self):
+        pending, self.pending = self.pending, None
+        if pending is not None:
+            pending.result()
+
+    def finish(self):
+        if self.filled:
+            self._hand_over()
+        self.wait()
+
+    def _block(self, side: int, k: int):
+        v1 = self.averaging.add(self.times[side, :k], self.vspecs[side, :k])
+        wspec, w = self.wspec[:k], self.w[:k]
+        wspec[:, self.band] = self.bands[side, :k]
+        np.fft.irfft(wspec, n=self.averaging.n, out=w)
+        np.subtract(v1, w, out=w)
+        np.abs(w, out=w)
+        self.sup_diff = max(self.sup_diff, float(w.max()))
 
 
 def simulate_paired(v0: RealField, p: ModelParams, cfg: NoiseConfig,
@@ -278,8 +335,8 @@ def simulate_paired(v0: RealField, p: ModelParams, cfg: NoiseConfig,
     steppers, specs = [sh, red], [vspec, wband]
     averaging = AveragingAccumulator(
         grid, p.nu if p.variant == CUBIC else p.nu2, delta)
-    averaging.add(0.0, vspec)
-    band = _BandObserver(averaging, p.dt)
+    band = _BandObserver(averaging, red, p.dt)
+    band(0, specs)
     observers = [band]
     if with_gl:
         c = (gl_coefficients(p.nu) if p.variant == CUBIC
@@ -287,12 +344,17 @@ def simulate_paired(v0: RealField, p: ModelParams, cfg: NoiseConfig,
         steppers.append(_BandGLStepper(c, p.dt, cfg.intensity, red))
         amp = np.zeros(grid.n_points, dtype=np.complex128)
         specs.append(amplitude_spectrum(wband, amp.copy()))
-        sup_diff_gl = _RunningMax(lambda specs, vals: float(np.max(np.abs(
-            np.fft.ifft(amplitude_spectrum(specs[1], amp)) - vals[2]))))
+        sup_diff_gl = _RunningMax(lambda specs: float(np.max(np.abs(
+            np.fft.ifft(amplitude_spectrum(specs[1], amp))
+            - np.fft.ifft(specs[2])))))
         observers.append(sup_diff_gl)
-    n_steps = int(round(p.t_end / p.dt))
-    status, _, _ = integrate(steppers, specs, n_steps, p.blowup_threshold,
-                             noise_draw(sh.noise, cfg, n_steps), observers)
+    n_steps = step_count(p.t_end, p.dt)
+    try:
+        status, _, _ = integrate(steppers, specs, n_steps, p.blowup_threshold,
+                                 noise_draw(sh.noise, cfg, n_steps), observers)
+        band.finish()
+    finally:
+        band.wait()
     res_p0, res_p2 = averaging.results()
     return PairedResult(sup_diff=band.sup_diff, res_p0=res_p0, res_p2=res_p2,
                         sup_diff_gl=sup_diff_gl.value if with_gl else None,

@@ -40,6 +40,16 @@ class ModelParams:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.dt <= 0 or self.t_end <= 0 or self.blowup_threshold <= 0:
             raise ValueError("dt, t_end and blowup_threshold must be positive")
+        step_count(self.t_end, self.dt)
+
+
+def step_count(t_end: float, dt: float) -> int:
+    """The number of steps of size ``dt`` to ``t_end``, which must be one
+    at least."""
+    n_steps = round(t_end / dt)
+    if n_steps < 1:
+        raise ValueError("t_end / dt rounds to no time step")
+    return n_steps
 
 
 @dataclass(frozen=True)
@@ -94,12 +104,33 @@ class SHStepper:
     def values(self, vspec: np.ndarray) -> np.ndarray:
         return np.fft.irfft(vspec, n=self.grid.n_points)
 
+    def sup_bound(self, vspec: np.ndarray) -> float:
+        """An upper bound on the sup norm of ``values(vspec)``: each mode
+        of the half-spectrum stands for a conjugate pair at most."""
+        return 2.0 * float(np.sum(np.abs(vspec))) / self.grid.n_points
 
-def _blown_up(v: np.ndarray, threshold: float) -> bool:
-    """True if ``v`` has a non-finite entry or reaches sup norm
-    ``threshold``.  Every comparison with nan is false, so the negated
-    bounds catch nan and +-inf with no isfinite pass, and a real field
-    needs no abs temporary."""
+
+#: relative margin below ``threshold`` under which a spectral sup bound
+#: passes a step.  Transform and sum err by a few units of roundoff per
+#: FFT stage relative to the l1 norm of the spectrum, under 1e-13 on any
+#: grid that fits in memory, so 1e-9 leaves four orders of magnitude.
+GUARD_MARGIN = 1e-9
+
+
+def _blown_up(stepper, spec: np.ndarray, threshold: float) -> bool:
+    """True if ``stepper.values(spec)`` has a non-finite entry or reaches
+    sup norm ``threshold``.
+
+    The stepper's ``sup_bound(spec)``, a sum over the spectrum, bounds that
+    sup norm from above, so a finite bound below the threshold (less
+    ``GUARD_MARGIN``) passes the step without a transform.  A nan or inf
+    entry makes the bound nan or inf, which fails the comparison and falls
+    through to the exact test.  There every comparison with nan is false,
+    so the negated bounds catch nan and +-inf with no isfinite pass, and a
+    real field needs no abs temporary."""
+    if stepper.sup_bound(spec) < threshold * (1.0 - GUARD_MARGIN):
+        return False
+    v = stepper.values(spec)
     if np.iscomplexobj(v):
         return not np.max(np.abs(v)) < threshold
     return not (v.max() < threshold and -v.min() < threshold)
@@ -111,48 +142,54 @@ def integrate(steppers, specs, n_steps: int, threshold: float,
 
     Each step draws one raw increment shared by all steppers (``draw()``,
     or None for a noise-free run); every stepper scales it itself in
-    ``step_spec(spec, raw)`` and maps its new spectrum to grid values with
-    ``values(spec)``.  A step on which any field is non-finite or reaches
-    sup norm ``threshold`` ends the run unobserved and is discarded;
-    otherwise every observer is called as ``observer(i, specs, values)``.
-    Returns the run status, "completed" or "blowup_stopped", the number of
-    steps completed and the spectra after the last of them (``specs`` if
-    none completed).
+    ``step_spec(spec, raw)``.  A step on which any field is non-finite or
+    reaches sup norm ``threshold`` (``_blown_up``) ends the run unobserved
+    and is discarded; otherwise every observer is called as
+    ``observer(i, specs)``, and takes grid values itself if it needs them.
+    Returns the run
+    status, "completed" or "blowup_stopped", the number of steps completed
+    and the spectra after the last of them (``specs`` if none completed).
     """
     for i in range(1, n_steps + 1):
         raw = draw() if draw is not None else None
         new = [s.step_spec(spec, raw) for s, spec in zip(steppers, specs)]
-        values = [s.values(spec) for s, spec in zip(steppers, new)]
-        if any(_blown_up(v, threshold) for v in values):
+        if any(_blown_up(s, spec, threshold)
+               for s, spec in zip(steppers, new)):
             return "blowup_stopped", i - 1, specs
         specs = new
         for observe in observers:
-            observe(i, specs, values)
+            observe(i, specs)
     return "completed", n_steps, specs
 
 
-#: rows per noise block; three blocks of about 49 kB a row (n = 2048) are
+#: rows per block of the worker's jobs: noise draws, and the paired run's
+#: diagnostics.  Three noise blocks of about 49 kB a row (n = 2048) are
 #: live, within the 1 MB tracemalloc peak of an attractivity cell
-NOISE_BLOCK = 10
+BLOCK = 10
 
 
-def _start_noise_worker():
-    global _noise_worker
-    _noise_worker = ThreadPoolExecutor(1, thread_name_prefix="shmod-noise")
+def _start_worker():
+    global _worker
+    _worker = ThreadPoolExecutor(1, thread_name_prefix="shmod-worker")
 
 
-# one noise worker thread per process; a forked child has no copy of the
+# one worker thread per process; a forked child has no copy of the
 # parent's thread and would wait on it forever, so it starts its own
-_start_noise_worker()
+_start_worker()
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_start_noise_worker)
+    os.register_at_fork(after_in_child=_start_worker)
+
+
+def run_on_worker(fn, *args):
+    """Submit ``fn(*args)`` to this process's worker thread; its future."""
+    return _worker.submit(fn, *args)
 
 
 def noise_draw(noise: SpectralNoise, cfg: NoiseConfig | None, n_steps: int,
                complex_rows: bool = False):
     """Exactly ``n_steps`` per-step ``noise.raw`` draws (``raw_complex``
     with ``complex_rows``) from ``cfg``'s stream, bit for bit; None without
-    noise.  They are drawn in blocks, one block ahead, on the noise worker,
+    noise.  They are drawn in blocks, one block ahead, on the worker,
     which overlaps the stepping thread: Philox and pocketfft free the GIL."""
     if cfg is None or cfg.intensity == 0:
         return None
@@ -161,10 +198,10 @@ def noise_draw(noise: SpectralNoise, cfg: NoiseConfig | None, n_steps: int,
 
     def rows():
         ahead = None  # the block being drawn
-        for start in range(0, n_steps + NOISE_BLOCK, NOISE_BLOCK):
+        for start in range(0, n_steps + BLOCK, BLOCK):
             block = ahead.result() if ahead else ()
-            k = min(NOISE_BLOCK, n_steps - start)
-            ahead = _noise_worker.submit(raw, rng, (k,)) if k > 0 else None
+            k = min(BLOCK, n_steps - start)
+            ahead = run_on_worker(raw, rng, (k,)) if k > 0 else None
             yield from block
 
     return rows().__next__
@@ -175,7 +212,7 @@ def simulate(v0: RealField, p: ModelParams,
     """Integrate to t_end, or to the last step before blow-up."""
     intensity = cfg.intensity if cfg is not None else 0.0
     stepper = SHStepper(v0.grid, p, intensity)
-    n_steps = int(round(p.t_end / p.dt))
+    n_steps = step_count(p.t_end, p.dt)
     status, steps, (vspec,) = integrate(
         [stepper], [v0.spectrum()], n_steps, p.blowup_threshold,
         noise_draw(stepper.noise, cfg, n_steps))

@@ -24,7 +24,7 @@ from . import __version__
 from .grid import DEFAULT_POINTS_PER_PERIOD, Grid, RealField
 from .noise import NoiseConfig
 from .sh import (ModelParams, SHStepper, integrate, modulated_carrier_ic,
-                 noise_draw)
+                 noise_draw, step_count)
 from .bands import DEFAULT_DELTA, band_symbols, project_complement
 from .reduced import simulate_paired
 from .analysis import estimate_landau_coefficient, fit_scaling_exponent
@@ -234,14 +234,14 @@ def _attractivity_cell(cfg: StudyConfig, grid: Grid, nu: float, seed: int) -> di
     ncfg, v0, params = _cell_inputs(cfg, grid, nu, seed)
     stepper = SHStepper(grid, params, ncfg.intensity)
     q1 = band_symbols(grid, cfg.delta).q1
-    n_steps = int(round(params.t_end / params.dt))
+    n_steps = step_count(params.t_end, params.dt)
     t_skip = ATTRACTIVITY_SKIP * cfg.t_end
     offband = []
 
-    def observe(i, specs, values):
+    def observe(i, specs):
         if (i % 10 == 0 or i == n_steps) and i * params.dt >= t_skip:
-            offband.append(
-                project_complement(RealField(grid, values[0]), q1).sup_norm())
+            v = RealField(grid, stepper.values(specs[0]))
+            offband.append(project_complement(v, q1).sup_norm())
 
     status, _, _ = integrate([stepper], [v0.spectrum()], n_steps,
                              params.blowup_threshold,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from shmod import Grid, ModelParams, NoiseConfig, RealField, integrate
+from shmod.bands import band_symbols
 from shmod.sh import SHStepper, noise_draw
 
 
@@ -23,19 +24,65 @@ def random_field(grid, rng) -> RealField:
 
 class Snapshots:
     """Observer for ``integrate`` keeping the grid values of the first
-    ``len(initial)`` fields on every ``stride``-th step and the last, with
-    their times; ``fields[k]`` starts from ``initial[k]`` at time 0."""
+    ``len(initial)`` fields, ``steppers[k].values`` of their spectra, on
+    every ``stride``-th step and the last, with their times; ``fields[k]``
+    starts from ``initial[k]`` at time 0."""
 
-    def __init__(self, initial, dt: float, stride: int, n_steps: int):
+    def __init__(self, steppers, initial, dt: float, stride: int,
+                 n_steps: int):
+        self.steppers = steppers
         self.dt, self.stride, self.n_steps = dt, stride, n_steps
         self.times = [0.0]
         self.fields = [[f] for f in initial]
 
-    def __call__(self, i, specs, values):
+    def __call__(self, i, specs):
         if i % self.stride == 0 or i == self.n_steps:
             self.times.append(i * self.dt)
-            for snaps, vals in zip(self.fields, values):
-                snaps.append(type(snaps[0])(snaps[0].grid, vals))
+            for snaps, stepper, spec in zip(self.fields, self.steppers, specs):
+                snaps.append(type(snaps[0])(snaps[0].grid,
+                                            stepper.values(spec)))
+
+
+class PairedReference:
+    """Per-step reference for the diagnostics of ``simulate_paired``, one
+    step at a time on the calling thread, with no batched transform: on
+    step i, with
+    v1 = irfft(q1 v^) and w the band stepper's ``values``, sup_diff is the
+    running max of |v1 - w| over the steps i >= 1, and the averaging
+    integrands
+
+        f = v1 * irfft(q_k/eps v^ + nu inv_k rfft(v1^2)),  k = 0, 2,
+
+    are summed by the trapezoid rule from step 0 on.  Call it on step 0
+    first, then pass it to ``integrate``."""
+
+    def __init__(self, red, grid: Grid, nu: float, delta: float, dt: float):
+        sym, eps = band_symbols(grid, delta), grid.eps
+        self.red, self.n, self.dt = red, grid.n_points, dt
+        self.q1 = sym.q1
+        self.qk_eps = np.array([sym.q0 / eps, sym.q2 / eps])
+        self.nu_inv = np.array([nu * sym.inv0, nu * sym.inv2])
+        self.sup_diff = 0.0
+        self.total = np.zeros((2, self.n))
+        self.last = None
+
+    def __call__(self, i, specs):
+        v1 = np.fft.irfft(self.q1 * specs[0], n=self.n)
+        if i:
+            w = self.red.values(specs[1])
+            self.sup_diff = max(self.sup_diff, float(np.max(np.abs(v1 - w))))
+        sq = np.fft.rfft(v1 * v1)
+        f = v1 * np.fft.irfft(self.qk_eps * specs[0] + self.nu_inv * sq,
+                              n=self.n)
+        t = i * self.dt
+        if self.last is not None:
+            self.total += (0.5 * (t - self.last[0])) * (self.last[1] + f)
+        self.last = t, f
+
+    def results(self) -> tuple[float, float, float]:
+        """sup_diff, res_p0 and res_p2."""
+        return (self.sup_diff,) + tuple(float(np.max(np.abs(total)))
+                                        for total in self.total)
 
 
 def simulate_snapshots(v0: RealField, p: ModelParams,
@@ -44,7 +91,7 @@ def simulate_snapshots(v0: RealField, p: ModelParams,
     the last stored: its status and its ``Snapshots``."""
     stepper = SHStepper(v0.grid, p, cfg.intensity if cfg is not None else 0.0)
     n_steps = int(round(p.t_end / p.dt))
-    snaps = Snapshots([v0], p.dt, stride, n_steps)
+    snaps = Snapshots([stepper], [v0], p.dt, stride, n_steps)
     status, _, _ = integrate([stepper], [v0.spectrum()], n_steps,
                              p.blowup_threshold,
                              noise_draw(stepper.noise, cfg, n_steps), [snaps])

@@ -22,7 +22,7 @@ from shmod import (
 from shmod.analysis import AveragingAccumulator, _CarrierAmplitude
 from shmod.operators import inv_symbol_scaled
 from shmod.reduced import ReducedStepper
-from shmod.sh import SHStepper, noise_draw
+from shmod.sh import BLOCK, SHStepper, noise_draw
 from shmod.studies import (ATTRACTIVITY_SKIP, _attractivity_cell, _cell_inputs,
                            _paired_cell)
 
@@ -83,9 +83,19 @@ def test_averaging_accumulator_matches_stacked_trapezoid(seed, count, nu):
         spec[:n_modes] = (rng.standard_normal(n_modes)
                           + 1j * rng.standard_normal(n_modes))
         snaps.append(RealField.from_spectrum(grid, spec))
+    # fed in blocks of random sizes; each block hands back its rows of
+    # v1 = P1 v
+    q1 = band_symbols(grid, DELTA).q1
+    specs = np.array([snap.spectrum() for snap in snaps])
     acc = AveragingAccumulator(grid, nu, DELTA)
-    for t, snap in zip(times, snaps):
-        acc.add(t, snap.spectrum())
+    start = 0
+    while start < count:
+        rows = slice(start, start + int(rng.integers(1, BLOCK + 1)))
+        v1 = acc.add(times[rows], specs[rows])
+        for got, spec in zip(v1, specs[rows]):
+            assert got.tobytes() == np.fft.irfft(
+                q1 * spec, n=grid.n_points).tobytes()
+        start = rows.stop
     for k_band, residual in zip(("P0", "P2"), acc.results()):
         ref = _averaging_reference(times, snaps, nu, k_band, DELTA)
         assert residual == pytest.approx(ref, rel=1e-12)
@@ -113,13 +123,14 @@ def test_paired_cell_streams_residuals_in_small_memory(tmp_path):
     red = ReducedStepper(grid, p, ncfg.intensity, cfg.delta)
     vspec = v0.spectrum()
     wband = red.q1 * vspec[red.band]
-    snaps = Snapshots([v0, RealField(grid, red.values(wband))], p.dt, 1, 1000)
+    snaps = Snapshots([sh, red], [v0, RealField(grid, red.values(wband))],
+                      p.dt, 1, 1000)
     q1 = band_symbols(grid, cfg.delta).q1
     gaps = []
 
-    def gap(i, specs, values):
+    def gap(i, specs):
         v1 = np.fft.irfft(q1 * specs[0], n=grid.n_points)
-        gaps.append(float(np.max(np.abs(v1 - values[1]))))
+        gaps.append(float(np.max(np.abs(v1 - red.values(specs[1])))))
 
     status, steps, _ = integrate([sh, red], [vspec, wband], 1000,
                                  p.blowup_threshold,
@@ -264,7 +275,7 @@ def test_carrier_amplitude_reads_the_carrier_mode():
     sampler = _CarrierAmplitude(m, grid.n_points, 1e-3, 1, 10)
     spec = np.zeros(grid.n_points // 2 + 1, dtype=np.complex128)
     spec[m] = 1.0
-    sampler(1, [spec], None)
+    sampler(1, [spec])
     assert sampler.amplitudes == [1.0 / grid.n_points]
     assert sampler.times == [1e-3]
 

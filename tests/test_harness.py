@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from shmod import (
+    ComplexField,
     ConfigError,
     Grid,
     ModelParams,
@@ -19,15 +20,17 @@ from shmod import (
     StudyRecord,
     emit_plotdata,
     estimate_landau_coefficient,
+    gl_coefficients,
     modulated_carrier_ic,
     parse_config_file,
     read_field,
     replay,
     run_study,
     simulate,
+    simulate_gl,
     simulate_paired,
 )
-from shmod.sh import NOISE_BLOCK, SHStepper
+from shmod.sh import BLOCK, SHStepper
 from shmod.studies import (_attractivity_cell, append_record, load_records,
                            record_key, study_cells, summarize)
 
@@ -252,7 +255,7 @@ def test_runs_that_blow_up_mid_block_leave_the_noise_worker_reusable(tmp_path):
         # the failing step lies inside a block, with the next one drawn ahead
         failed = round(run.time / p.dt) + 1
         assert run.status == "blowup_stopped"
-        assert failed % NOISE_BLOCK and failed + NOISE_BLOCK <= 40
+        assert failed % BLOCK and failed + BLOCK <= 40
     assert threading.active_count() == threads
     assert diagnostics("after") == before
 
@@ -419,6 +422,8 @@ def test_cli_blowup_reports_the_last_completed_step(tmp_path):
              "--nu", "0.5", "--intensity", "0.1", "--out", str(out))
     assert r.stdout.startswith("status=blowup_stopped T=0.1 sup=643.418 "), \
         r.stderr
+    # a blown-up single run exits 3, as a study whose cells all blew up
+    assert r.returncode == 3
     grid = Grid.for_carrier(0.2, 512, periods=32)
     cfg = NoiseConfig(seed=0, intensity=0.1)
     v0 = modulated_carrier_ic(grid, cfg.substream(1).make_rng(), amplitude=5.0)
@@ -431,6 +436,24 @@ def test_cli_blowup_reports_the_last_completed_step(tmp_path):
              "--t-end", "1", "--dt", "1e-4", "--amplitude", "1.5",
              "--nu", "1.2", "--intensity", "0", "--out", str(tmp_path / "gl"))
     assert r.stdout.startswith("status=blowup_stopped T=0.2142 "), r.stderr
+    assert r.returncode == 3
+
+
+def test_single_run_without_a_time_step_is_rejected(tmp_path):
+    # t_end < dt/2 rounds to 0 steps: an error, not a completed run at T=0
+    with pytest.raises(ValueError, match="no time step"):
+        ModelParams(dt=1e-3, t_end=4e-4)
+    grid = Grid.for_carrier(0.2, 512, periods=32)
+    A0 = ComplexField(grid, np.zeros(grid.n_points, dtype=complex))
+    with pytest.raises(ValueError, match="no time step"):
+        simulate_gl(A0, gl_coefficients(0.5), dt=1e-3, t_end=4e-4)
+    for command in ("simulate-sh", "simulate-gl"):
+        out = tmp_path / command
+        r = _cli(command, "--n", "512", "--periods", "32", "--eps", "0.2",
+                 "--t-end", "1e-4", "--dt", "1e-3", "--out", str(out))
+        assert r.returncode == 2, r.stderr
+        assert "no time step" in r.stderr
+        assert not out.exists()
 
 
 def test_cli_flags_override_config_file_values(tmp_path):

@@ -11,7 +11,7 @@ from shmod import (
 )
 from shmod.noise import SpectralNoise
 from shmod.reduced import GLStepper
-from shmod.sh import NOISE_BLOCK, noise_draw
+from shmod.sh import BLOCK, noise_draw
 
 
 def small_grid():
@@ -86,8 +86,8 @@ class _CountingNoise(SpectralNoise):
 
 
 @pytest.mark.parametrize("complex_rows", [False, True], ids=["real", "complex"])
-@pytest.mark.parametrize("n_steps", [1, NOISE_BLOCK - 1, NOISE_BLOCK,
-                                     NOISE_BLOCK + 1, 2 * NOISE_BLOCK + 3])
+@pytest.mark.parametrize("n_steps", [1, BLOCK - 1, BLOCK,
+                                     BLOCK + 1, 2 * BLOCK + 3])
 def test_block_draw_hands_out_exactly_the_sequential_draws(n_steps,
                                                           complex_rows):
     grid = small_grid()
@@ -98,8 +98,8 @@ def test_block_draw_hands_out_exactly_the_sequential_draws(n_steps,
     with pytest.raises(StopIteration):
         draw()
     # full blocks, then the rest: nothing is drawn past the last step
-    full, rest = divmod(n_steps, NOISE_BLOCK)
-    assert noise.leads == [(NOISE_BLOCK,)] * full + [(rest,)] * (rest > 0)
+    full, rest = divmod(n_steps, BLOCK)
+    assert noise.leads == [(BLOCK,)] * full + [(rest,)] * (rest > 0)
     rng = cfg.make_rng()
     single = SpectralNoise(grid)
     single = single.raw_complex if complex_rows else single.raw

@@ -1,3 +1,7 @@
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -20,10 +24,14 @@ from shmod import (
     simulate_paired,
     spectral_variance_rate,
 )
+from shmod.analysis import AveragingAccumulator
 from shmod.bands import amplitude_spectrum
 from shmod.grid import ComplexField
 from shmod.reduced import GLStepper, ReducedStepper
-from shmod.sh import NOISE_BLOCK
+from shmod.sh import BLOCK, SHStepper, noise_draw
+from shmod.studies import StudyConfig, _paired_cell
+
+from conftest import PairedReference
 
 DELTA = 0.125
 
@@ -290,7 +298,7 @@ def test_gl_noise_is_the_sequential_complex_draw():
     c = GLCoefficients(cubic=-3.0)
     cfg = NoiseConfig(seed=21, intensity=0.2)
     dt = 1e-3
-    for n_steps in range(1, 2 * NOISE_BLOCK + 4):
+    for n_steps in range(1, 2 * BLOCK + 4):
         run = simulate_gl(A0, c, dt=dt, t_end=n_steps * dt, cfg=cfg)
         stepper, rng = GLStepper(grid, c, dt, cfg.intensity), cfg.make_rng()
         status, steps, (aspec,) = integrate(
@@ -312,8 +320,8 @@ def test_reduced_band_equation_keeps_band_structure():
     final = {}
     status, _, _ = integrate([stepper], [w0.spectrum()[stepper.band]],
                        int(round(p.t_end / p.dt)), p.blowup_threshold,
-                       observers=[lambda i, specs, values:
-                                  final.update(w=values[0])])
+                       observers=[lambda i, specs:
+                                  final.update(w=stepper.values(specs[0]))])
     assert status == "completed"
     spec = np.abs(np.fft.rfft(final["w"]))
     outside = band_symbols(grid, DELTA).q1 == 0.0
@@ -334,6 +342,112 @@ def test_paired_run_is_deterministic_and_close():
     assert r1.status == "completed"
     # the band approximation tracks the full solution at this bandwidth
     assert r1.sup_diff < 0.1
+
+
+def _paired_inputs(n_steps: int, threshold: float = 1e4):
+    grid = Grid.for_carrier(0.2, 512, periods=32)
+    cfg = NoiseConfig(seed=0, intensity=0.1)
+    v0 = modulated_carrier_ic(grid, cfg.substream(1).make_rng(), amplitude=0.3)
+    p = ModelParams(nu=0.5, dt=1e-3, t_end=n_steps * 1e-3,
+                    blowup_threshold=threshold)
+    return v0, p, cfg
+
+
+def _paired_reference(v0, p, cfg):
+    """The status, steps and hex diagnostics of ``simulate_paired(v0, p,
+    cfg)``, by ``PairedReference`` one step at a time."""
+    grid = v0.grid
+    sh = SHStepper(grid, p, cfg.intensity)
+    red = ReducedStepper(grid, p, cfg.intensity, DELTA)
+    vspec = v0.spectrum()
+    specs = [vspec, red.q1 * vspec[red.band]]
+    ref = PairedReference(red, grid, p.nu, DELTA, p.dt)
+    ref(0, specs)
+    n_steps = round(p.t_end / p.dt)
+    status, steps, _ = integrate([sh, red], specs, n_steps,
+                                 p.blowup_threshold,
+                                 noise_draw(sh.noise, cfg, n_steps), [ref])
+    return status, steps, [x.hex() for x in ref.results()]
+
+
+def _paired_hex(v0, p, cfg):
+    r = simulate_paired(v0, p, cfg, delta=DELTA)
+    return r.status, [x.hex() for x in (r.sup_diff, r.res_p0, r.res_p2)]
+
+
+@pytest.mark.parametrize("n_steps", [1, BLOCK - 1, BLOCK, BLOCK + 1,
+                                     2 * BLOCK + 3])
+def test_paired_run_matches_the_per_step_reference(n_steps):
+    # the diagnostics, computed in blocks on the worker thread, are those
+    # of one step at a time, bit for bit, across and between block edges
+    v0, p, cfg = _paired_inputs(n_steps)
+    status, steps, ref = _paired_reference(v0, p, cfg)
+    assert (status, steps) == ("completed", n_steps)
+    assert _paired_hex(v0, p, cfg) == (status, ref)
+
+
+def test_paired_run_blown_up_mid_block_records_the_steps_before_it():
+    v0, p, cfg = _paired_inputs(4 * BLOCK, threshold=0.62)
+    status, steps, ref = _paired_reference(v0, p, cfg)
+    threads = threading.active_count()
+    # step 0 opens the first block, so the guard trips inside the third
+    assert (status, steps) == ("blowup_stopped", 2 * BLOCK + 1)
+    assert _paired_hex(v0, p, cfg) == (status, ref)
+    assert threading.active_count() == threads
+    # the worker takes the next run
+    v0, p, cfg = _paired_inputs(2 * BLOCK + 3)
+    status, _, ref = _paired_reference(v0, p, cfg)
+    assert _paired_hex(v0, p, cfg) == (status, ref)
+
+
+def test_paired_run_raises_the_error_of_a_failed_job(monkeypatch):
+    def fail(self, times, vspecs):
+        raise RuntimeError("job failed")
+
+    v0, p, cfg = _paired_inputs(2 * BLOCK + 3)
+    status, _, ref = _paired_reference(v0, p, cfg)
+    threads = threading.active_count()
+    with monkeypatch.context() as patch:
+        patch.setattr(AveragingAccumulator, "add", fail)
+        with pytest.raises(RuntimeError, match="job failed"):
+            simulate_paired(v0, p, cfg, delta=DELTA)
+    assert threading.active_count() == threads
+    assert _paired_hex(v0, p, cfg) == (status, ref)
+
+
+def test_concurrent_paired_runs_keep_their_blocks_apart():
+    # more stepping threads than cores share the one worker, switching
+    # every microsecond: each run's blocks must reach its own diagnostics
+    inputs = [_paired_inputs(2 * BLOCK + 3 + k) for k in range(4)]
+    expect = []
+    for args in inputs:
+        status, _, ref = _paired_reference(*args)
+        expect.append((status, ref))
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            runs = [pool.submit(_paired_hex, *args) for args in inputs]
+            got = [run.result(timeout=60) for run in runs]
+    finally:
+        sys.setswitchinterval(switch)
+    assert got == expect
+
+
+def test_completed_paired_cell_takes_no_grid_values_on_the_stepping_thread(
+        tmp_path, monkeypatch):
+    # the spectral bound clears every step of a default theorem2 cell, and
+    # its diagnostics transform on the worker
+    callers = []
+    for cls in (SHStepper, ReducedStepper, GLStepper):
+        def values(self, spec, values=cls.values):
+            callers.append(threading.get_ident())
+            return values(self, spec)
+        monkeypatch.setattr(cls, "values", values)
+    cfg = StudyConfig.for_study("theorem2", out_dir=str(tmp_path))
+    grid = Grid.for_carrier(0.1, cfg.n_points, periods=cfg.periods)
+    _paired_cell(cfg, grid, cfg.nu_list[0], 0, with_gl=False)
+    assert threading.get_ident() not in callers
 
 
 def test_reduced_step_keeps_content_on_the_p1_taper():

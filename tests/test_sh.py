@@ -21,7 +21,8 @@ from shmod import (
     symbol_L_eps,
 )
 from shmod.grid import ComplexField
-from shmod.sh import SHStepper
+from shmod.reduced import GLStepper, ReducedStepper, gl_coefficients
+from shmod.sh import GUARD_MARGIN, SHStepper
 
 DELTA = 0.125
 
@@ -108,7 +109,7 @@ def test_integrate_stops_at_blowup_guard():
     vspec = v.spectrum()
     status, steps, specs = integrate(
         [SHStepper(grid, p, intensity=0.0)], [vspec], 5, p.blowup_threshold,
-        observers=[lambda i, specs, values: seen.append(i)])
+        observers=[lambda i, specs: seen.append(i)])
     assert (status, steps) == ("blowup_stopped", 0)
     assert seen == []
     # no step completed: the spectra handed back are the inputs
@@ -131,12 +132,15 @@ class _FakeStepper:
     def values(self, spec):
         return spec
 
+    def sup_bound(self, spec):
+        return float(np.sum(np.abs(spec)))
+
 
 def test_guard_covers_every_field():
     seen = []
     status, steps, specs = integrate(
         [_FakeStepper(), _FakeStepper(nan_at=3)], [np.zeros(4), np.zeros(4)],
-        10, 1e4, observers=[lambda i, specs, values: seen.append(i)])
+        10, 1e4, observers=[lambda i, specs: seen.append(i)])
     assert (status, steps) == ("blowup_stopped", 2)
     assert seen == [1, 2]
     # the third step, which tripped the guard on the second field only, is
@@ -145,7 +149,8 @@ def test_guard_covers_every_field():
 
 
 class _ValuesStepper:
-    """Leaves its spectrum alone; its grid values are the given array."""
+    """Leaves its spectrum alone; its grid values are the given array, and
+    it knows no bound on them, so the guard always takes them."""
 
     def __init__(self, values):
         self.grid_values = values
@@ -156,14 +161,18 @@ class _ValuesStepper:
     def values(self, spec):
         return self.grid_values
 
+    def sup_bound(self, spec):
+        return np.inf
+
 
 @given(data=st.data(), complex_field=st.booleans(),
        threshold=st.floats(1e-3, 1e6))
 @settings(max_examples=200, deadline=None)
-def test_guard_matches_finite_and_sup_norm_predicate(data, complex_field,
-                                                     threshold):
-    # the guard of integrate against the predicate it replaced, on arrays
-    # seeded with nan, +-inf and values at and around +-threshold
+def test_exact_guard_matches_finite_and_sup_norm_predicate(data,
+                                                           complex_field,
+                                                           threshold):
+    # the exact test of the guard against the predicate it replaced, on
+    # arrays seeded with nan, +-inf and values at and around +-threshold
     special = st.sampled_from([np.nan, np.inf, -np.inf, threshold, -threshold,
                                np.nextafter(threshold, 0.0),
                                -np.nextafter(threshold, 0.0), 0.0])
@@ -178,6 +187,75 @@ def test_guard_matches_finite_and_sup_norm_predicate(data, complex_field,
     status, steps, _ = integrate([_ValuesStepper(v)], [np.zeros(1)], 1,
                                  threshold)
     assert (status, steps) == (("blowup_stopped", 0) if old
+                               else ("completed", 1))
+
+
+class _Frozen:
+    """A real stepper whose step hands back the given spectrum."""
+
+    def __init__(self, stepper, spec):
+        self.stepper, self.spec = stepper, spec
+
+    def step_spec(self, spec, raw):
+        return self.spec
+
+    def __getattr__(self, name):
+        return getattr(self.stepper, name)
+
+
+def _guarded_steppers():
+    """A real stepper of each kind with the length of its spectrum."""
+    grid = Grid.for_carrier(0.2, 256, periods=16)
+    p = ModelParams(nu=0.5)
+    red = ReducedStepper(grid, p, intensity=0.0, delta=DELTA)
+    return {
+        "sh": (SHStepper(grid, p, intensity=0.0), grid.n_points // 2 + 1),
+        "reduced": (red, red.band.stop - red.band.start),
+        "gl": (GLStepper(grid, gl_coefficients(0.5), 1e-3, intensity=0.0),
+               grid.n_points),
+    }
+
+
+GUARDED = _guarded_steppers()
+
+
+@given(data=st.data(), kind=st.sampled_from(sorted(GUARDED)),
+       threshold=st.floats(1e-3, 1e6))
+@settings(max_examples=300, deadline=None)
+def test_guard_matches_finite_and_sup_norm_predicate(data, kind, threshold):
+    # the guard of integrate, which transforms only when the stepper's
+    # spectral bound cannot clear the step, against the predicate on the
+    # stepper's grid values: a few modes scaled so that their sup norm or
+    # their bound sits at or around the threshold and its margin, seeded
+    # with nan, +-inf and huge entries
+    stepper, size = GUARDED[kind]
+    spec = np.zeros(size, dtype=np.complex128)
+    coeff = st.floats(-1.0, 1.0)
+    for m in data.draw(st.lists(st.integers(0, size - 1), min_size=1,
+                                max_size=4, unique=True)):
+        spec[m] = complex(data.draw(coeff), data.draw(coeff))
+    near = [1.0 - 2 * GUARD_MARGIN, 1.0 - GUARD_MARGIN, np.nextafter(1.0, 0),
+            1.0, np.nextafter(1.0, 2), 1.0 + GUARD_MARGIN]
+    factor = data.draw(st.sampled_from(near) | st.floats(0.0, 2.0))
+    if data.draw(st.booleans()):
+        scale = stepper.sup_bound(spec)
+    else:
+        scale = float(np.max(np.abs(stepper.values(spec))))
+    if scale > 0:
+        with np.errstate(all="ignore"):  # a subnormal scale overflows
+            spec *= threshold * factor / scale
+    special = st.sampled_from([np.nan, np.inf, -np.inf, 1e308])
+    for m, part, value in data.draw(st.lists(
+            st.tuples(st.integers(0, size - 1), st.booleans(), special),
+            max_size=2)):
+        spec[m] = complex(0.0, value) if part else complex(value, 0.0)
+    with np.errstate(all="ignore"):
+        v = stepper.values(spec)
+        expect = not np.isfinite(v).all() or np.max(np.abs(v)) >= threshold
+        status, steps, _ = integrate([_Frozen(stepper, spec)],
+                                     [np.zeros(size, dtype=np.complex128)],
+                                     1, threshold)
+    assert (status, steps) == (("blowup_stopped", 0) if expect
                                else ("completed", 1))
 
 
