@@ -28,6 +28,7 @@ from .studies import (
     ConfigError,
     ReplayError,
     StudyConfig,
+    SETTINGS,
     STUDY_NAMES,
     emit_plotdata,
     parse_config_file,
@@ -44,21 +45,28 @@ def _output_root() -> Path:
     return Path(os.environ.get("SHMOD_OUT", "."))
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--eps", type=str, default=None,
-                        help="epsilon value, or comma list for studies")
-    parser.add_argument("--nu", type=str, default=None,
-                        help="quadratic coefficient, or comma list for sweeps")
-    parser.add_argument("--nu2", type=float, default=None,
+def _add_single_run(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--eps", type=str, default="0.1", help="epsilon")
+    parser.add_argument("--nu", type=str, default="0.5",
+                        help="quadratic coefficient")
+    parser.add_argument("--nu2", type=float, default=1.0,
                         help="quintic-case quadratic coefficient")
-    parser.add_argument("--nu3", type=float, default=None,
+    parser.add_argument("--nu3", type=float, default=0.0,
                         help="quintic-case cubic coefficient")
-    parser.add_argument("--delta", type=float, default=None,
+    parser.add_argument("--delta", type=float, default=DEFAULT_DELTA,
                         help="band half-width parameter")
-    parser.add_argument("--dt", type=float, default=None, help="time step")
-    parser.add_argument("--t-end", type=float, default=None,
+    parser.add_argument("--dt", type=float, default=1e-3, help="time step")
+    parser.add_argument("--t-end", type=float, default=1.0,
                         help="horizon on the slow time scale")
     parser.add_argument("--out", type=str, default=None, help="output directory")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--intensity", type=float, default=1.0)
+    parser.add_argument("--amplitude", type=float, default=0.5)
+    parser.add_argument("--n", type=int, default=2048, help="grid points")
+    parser.add_argument("--periods", type=int, default=None,
+                        help="carrier periods across the domain")
+    parser.add_argument("--quintic", action="store_true",
+                        help="use the quintic-nonlinearity variant")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -70,46 +78,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate-sh", help="run one rescaled trajectory")
-    _add_common(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--intensity", type=float, default=1.0)
-    p.add_argument("--amplitude", type=float, default=0.5)
+    _add_single_run(p)
     p.add_argument("--offband", type=float, default=0.0)
-    p.add_argument("--n", type=int, default=2048, help="grid points")
-    p.add_argument("--periods", type=int, default=None,
-                   help="carrier periods across the domain")
-    p.add_argument("--quintic", action="store_true",
-                   help="use the quintic-nonlinearity variant")
 
     p = sub.add_parser("simulate-gl", help="run one amplitude-equation trajectory")
-    _add_common(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--intensity", type=float, default=1.0)
-    p.add_argument("--amplitude", type=float, default=0.5)
-    p.add_argument("--n", type=int, default=2048)
-    p.add_argument("--periods", type=int, default=None)
-    p.add_argument("--quintic", action="store_true")
+    _add_single_run(p)
+    p.set_defaults(offband=0.0)
 
     p = sub.add_parser("study", help="run a seeded ensemble study")
-    _add_common(p)
     p.add_argument("--study", type=str, default=None, choices=STUDY_NAMES)
     p.add_argument("--config", type=str, default=None,
                    help="key = value config file; flags override it")
-    p.add_argument("--seeds", type=int, default=None, help="seeds per cell")
-    p.add_argument("--threads", type=int, default=None)
-    p.add_argument("--intensity", type=float, default=None)
-    p.add_argument("--amplitude", type=float, default=None)
-    p.add_argument("--n", type=int, default=None, dest="n_points")
-    p.add_argument("--periods", type=int, default=None)
-    p.add_argument("--base-seed", type=int, default=None)
+    p.add_argument("--out", type=str, default=None, help="output directory")
+    for name, (short, parse) in SETTINGS.items():
+        p.add_argument("--" + short.replace("_", "-"), dest=name, type=parse,
+                       default=None)
 
     p = sub.add_parser("replay", help="re-run recorded cells bit-exactly")
     p.add_argument("--out", type=str, required=True, help="study directory")
     p.add_argument("--limit", type=int, default=None,
                    help="replay at most this many records")
-    p.add_argument("--dt", type=float, default=None,
-                   help="must match the recorded dt (mismatch is an error)")
-    p.add_argument("--t-end", type=float, default=None)
 
     p = sub.add_parser("spectrum", help="dump |Fourier transform| of a field file")
     p.add_argument("--field", type=str, required=True, help="binary field file")
@@ -121,23 +109,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_float_list(text: str | None):
-    if text is None:
-        return None
-    try:
-        return tuple(float(x) for x in text.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"bad numeric list {text!r}") from exc
-
-
-def _single_float(text: str | None, default: float) -> float:
+def _single_float(text: str) -> float:
     """The one value of a single-run flag; a comma list is an error."""
-    values = _parse_float_list(text)
-    if values is None:
-        return default
-    if len(values) != 1:
+    if "," in text:
         raise ConfigError(f"a single run takes one value, got {text!r}")
-    return values[0]
+    return float(text)
 
 
 def _resolve_out(arg: str | None, default_name: str) -> Path:
@@ -154,54 +130,44 @@ def _report(run, out: Path) -> int:
     return EXIT_OK if run.status == "completed" else EXIT_GATE
 
 
-def _cmd_simulate_sh(args) -> int:
-    eps, nu = _single_float(args.eps, 0.1), _single_float(args.nu, 0.5)
+def _single_run(args):
+    """The grid, nu, noise config and initial field of a single run."""
+    eps, nu = _single_float(args.eps), _single_float(args.nu)
     grid = Grid.for_carrier(eps, args.n, periods=args.periods)
-    delta = args.delta if args.delta is not None else DEFAULT_DELTA
-    variant = QUINTIC if args.quintic else CUBIC
-    params = ModelParams(
-        variant, nu=nu,
-        nu2=args.nu2 if args.nu2 is not None else 1.0,
-        nu3=args.nu3 if args.nu3 is not None else 0.0,
-        dt=args.dt if args.dt is not None else 1e-3,
-        t_end=args.t_end if args.t_end is not None else 1.0,
-    )
     ncfg = NoiseConfig(seed=args.seed, intensity=args.intensity)
     v0 = modulated_carrier_ic(grid, ncfg.substream(1).make_rng(),
                               amplitude=args.amplitude, offband=args.offband)
-    run = simulate(v0, params, ncfg)
-    out = _resolve_out(args.out, "simulate-sh")
+    return grid, nu, ncfg, v0
+
+
+def _write_final(run, out_arg: str | None, name: str) -> Path:
+    out = _resolve_out(out_arg, name)
     out.mkdir(parents=True, exist_ok=True)
     write_field(out / "final.field", run.final)
+    return out
+
+
+def _cmd_simulate_sh(args) -> int:
+    grid, nu, ncfg, v0 = _single_run(args)
+    params = ModelParams(QUINTIC if args.quintic else CUBIC, nu=nu,
+                         nu2=args.nu2, nu3=args.nu3, dt=args.dt,
+                         t_end=args.t_end)
+    run = simulate(v0, params, ncfg)
+    out = _write_final(run, args.out, "simulate-sh")
     for which in ("P0", "P1", "P2"):
-        kernel_dump_csv(make_kernel(which, delta, grid), grid,
+        kernel_dump_csv(make_kernel(which, args.delta, grid), grid,
                         out / f"kernel_{which}.csv")
     return _report(run, out)
 
 
 def _cmd_simulate_gl(args) -> int:
-    eps, nu = _single_float(args.eps, 0.1), _single_float(args.nu, 0.5)
-    grid = Grid.for_carrier(eps, args.n, periods=args.periods)
-    delta = args.delta if args.delta is not None else DEFAULT_DELTA
-    if args.quintic:
-        coeffs = gl5_coefficients(args.nu2 if args.nu2 is not None else 1.0,
-                                  args.nu3 if args.nu3 is not None else 0.0)
-    else:
-        coeffs = gl_coefficients(nu)
-    ncfg = NoiseConfig(seed=args.seed, intensity=args.intensity)
-    v0 = modulated_carrier_ic(grid, ncfg.substream(1).make_rng(),
-                              amplitude=args.amplitude)
-    a0 = demodulate(project(v0, band_symbols(grid, delta).q1), delta)
-    run = simulate_gl(
-        a0, coeffs,
-        dt=args.dt if args.dt is not None else 1e-3,
-        t_end=args.t_end if args.t_end is not None else 1.0,
-        cfg=ncfg,
-    )
-    out = _resolve_out(args.out, "simulate-gl")
-    out.mkdir(parents=True, exist_ok=True)
-    write_field(out / "final.field", run.final)
-    return _report(run, out)
+    grid, nu, ncfg, v0 = _single_run(args)
+    coeffs = (gl5_coefficients(args.nu2, args.nu3) if args.quintic
+              else gl_coefficients(nu))
+    a0 = demodulate(project(v0, band_symbols(grid, args.delta).q1),
+                    args.delta)
+    run = simulate_gl(a0, coeffs, dt=args.dt, t_end=args.t_end, cfg=ncfg)
+    return _report(run, _write_final(run, args.out, "simulate-gl"))
 
 
 def _cmd_study(args) -> int:
@@ -213,25 +179,9 @@ def _cmd_study(args) -> int:
     study = args.study or file_study
     if study is None:
         raise ConfigError("no study selected (use --study or a config file)")
-    out = args.out or file_out
-    out = Path(out) if out is not None else _output_root() / study
-    flag_overrides = {
-        "eps_list": _parse_float_list(args.eps),
-        "nu_list": _parse_float_list(args.nu),
-        "nu2": args.nu2,
-        "nu3": args.nu3,
-        "n_seeds": args.seeds,
-        "threads": args.threads,
-        "delta": args.delta,
-        "dt": args.dt,
-        "t_end": args.t_end,
-        "intensity": args.intensity,
-        "amplitude": args.amplitude,
-        "n_points": args.n_points,
-        "periods": args.periods,
-        "base_seed": args.base_seed,
-    }
-    overrides.update({k: v for k, v in flag_overrides.items() if v is not None})
+    out = _resolve_out(args.out or file_out, study)
+    overrides.update({name: getattr(args, name) for name in SETTINGS
+                      if getattr(args, name) is not None})
     cfg = StudyConfig.for_study(study, out, **overrides)
 
     total = {"done": 0}
@@ -255,8 +205,7 @@ def _cmd_study(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    overrides = {"dt": args.dt, "t_end": args.t_end}
-    report = replay(args.out, overrides=overrides, limit=args.limit)
+    report = replay(args.out, limit=args.limit)
     print(f"replayed={report['replayed']} mismatches={len(report['mismatches'])}")
     for key in report["mismatches"]:
         print(f"  mismatch: {key}", file=sys.stderr)

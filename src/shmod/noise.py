@@ -22,6 +22,8 @@ class NoiseConfig:
     stream_id: int = 0
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.intensity < 0:
             raise ValueError("intensity must be non-negative")
 

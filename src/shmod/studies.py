@@ -15,7 +15,7 @@ import csv
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -31,15 +31,6 @@ from .analysis import estimate_landau_coefficient, fit_scaling_exponent
 
 DEFAULT_EPS_LADDER = (0.2, 0.14, 0.1, 0.07, 0.05)
 DEFAULT_NU_SWEEP = (0.0, 0.3, 0.6, 0.84294, 1.0)
-
-STUDY_NAMES = (
-    "attractivity",
-    "averaging",
-    "theorem2",
-    "gl-limit",
-    "landau-sweep",
-    "quintic-suite",
-)
 
 #: Transient skipped before attractivity statistics are collected, as a
 #: fraction of the horizon.  The off-band component of the initial data
@@ -61,7 +52,8 @@ class StudyConfig:
 
     ``amplitude`` is the sup-norm of the random modulation envelope of the
     initial data and ``intensity`` the noise level; both default per study
-    (see :meth:`for_study`).
+    (see :meth:`for_study`).  A study reads only some of the settings: see
+    :data:`STUDIES`.
     """
 
     study: str
@@ -82,81 +74,42 @@ class StudyConfig:
     offband: float = 0.0
     threads: int = 1
 
-    #: Per-study defaults applied by :meth:`for_study` for fields the
-    #: caller did not set explicitly.
-    _STUDY_DEFAULTS = {
-        "attractivity": {"intensity": 0.01, "amplitude": 0.5, "offband": 1.0},
-        "averaging": {"intensity": 0.07, "amplitude": 0.5},
-        "theorem2": {"intensity": 0.07, "amplitude": 0.5},
-        "gl-limit": {"intensity": 0.07, "amplitude": 0.5},
-        "landau-sweep": {
-            "eps_list": (0.1,),
-            "nu_list": DEFAULT_NU_SWEEP,
-            "n_seeds": 1,
-            "n_points": 8192,
-            "periods": 512,
-            "amplitude": 0.2,
-        },
-        "quintic-suite": {
-            "eps_list": (0.1,),
-            "n_seeds": 1,
-            "amplitude": 0.2,
-            "n_points": 8192,
-            "periods": 512,
-        },
-    }
-
     @classmethod
     def for_study(cls, study: str, out_dir, **overrides) -> "StudyConfig":
-        """Build a config with per-study defaults, then apply overrides."""
-        if study not in STUDY_NAMES:
+        """Build a config with per-study defaults, then apply overrides.
+
+        An override of a setting the study does not read is refused.
+        """
+        if study not in STUDIES:
             raise ConfigError(f"unknown study {study!r}; choose from {STUDY_NAMES}")
-        merged = dict(cls._STUDY_DEFAULTS.get(study, {}))
-        merged.update({k: v for k, v in overrides.items() if v is not None})
-        cfg = cls(study=study, out_dir=Path(out_dir), **merged)
+        spec = STUDIES[study]
+        overrides = {k: v for k, v in overrides.items() if v is not None}
+        unread = sorted(set(overrides) - spec.reads - {"threads"})
+        if unread:
+            raise ConfigError(f"study {study!r} does not read {unread}")
+        cfg = cls(study=study, out_dir=Path(out_dir),
+                  **{**spec.defaults, **overrides})
         cfg.validate()
         return cfg
 
     def validate(self) -> None:
-        if self.study not in STUDY_NAMES:
+        if self.study not in STUDIES:
             raise ConfigError(f"unknown study {self.study!r}")
-        if not self.eps_list:
-            raise ConfigError("eps_list must be non-empty")
-        if self.n_seeds <= 0:
-            raise ConfigError("n_seeds must be positive")
-        if not self.nu_list:
-            raise ConfigError("nu_list must be non-empty")
-        if self.dt <= 0 or self.t_end <= 0:
-            raise ConfigError("dt and t_end must be positive")
-        if round(self.t_end / self.dt) < 1:
-            raise ConfigError("t_end / dt rounds to no time step")
-        if self.threads <= 0:
-            raise ConfigError("threads must be positive")
-        if not 0 < self.delta <= 0.5:
-            raise ConfigError("delta must lie in (0, 1/2]")
-        if self.intensity < 0:
-            raise ConfigError("intensity must be non-negative")
-        if self.study in ("landau-sweep", "quintic-suite"):
-            # the fit computes Grid.for_carrier(eps, n_points) on one of its
-            # periods, so no other periods value would be honoured
-            if self.n_points % DEFAULT_POINTS_PER_PERIOD:
-                raise ConfigError(f"the Landau fit needs n_points a multiple "
-                                  f"of {DEFAULT_POINTS_PER_PERIOD}")
-            if self.periods != self.n_points // DEFAULT_POINTS_PER_PERIOD:
-                raise ConfigError(f"the Landau fit needs periods = n_points/"
-                                  f"{DEFAULT_POINTS_PER_PERIOD}")
-            if not 0.1 <= self.amplitude <= 0.5:
-                raise ConfigError("the Landau fit needs an amplitude in "
-                                  "[0.1, 0.5]")
-        for eps in self.eps_list:
-            # Raises if the band layout does not fit this grid.
-            try:
-                grid = Grid.for_carrier(eps, self.n_points,
-                                        periods=self.periods)
-                band_symbols(grid, self.delta)
-            except ValueError as exc:
-                raise ConfigError(f"band layout invalid at eps={eps}: {exc}") \
-                    from exc
+        if not self.eps_list or not self.nu_list:
+            raise ConfigError("eps_list and nu_list must be non-empty")
+        if self.n_seeds <= 0 or self.threads <= 0:
+            raise ConfigError("n_seeds and threads must be positive")
+        if self.study in LANDAU_STUDIES and not 0.1 <= self.amplitude <= 0.5:
+            raise ConfigError("the Landau fit needs an amplitude in [0.1, 0.5]")
+        try:
+            ModelParams(dt=self.dt, t_end=self.t_end)
+            NoiseConfig(seed=self.base_seed, intensity=self.intensity)
+            for eps in self.eps_list:
+                grid = _cell_grid(self, eps)
+                if self.study not in LANDAU_STUDIES:
+                    band_symbols(grid, self.delta)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def public_dict(self) -> dict:
         d = asdict(self)
@@ -172,6 +125,56 @@ class StudyConfig:
         d["eps_list"] = tuple(d["eps_list"])
         d["nu_list"] = tuple(d["nu_list"])
         return cls(**d)
+
+
+@dataclass(frozen=True)
+class StudySpec:
+    """The :class:`StudyConfig` settings that a study's cells read, and the
+    study's defaults.  Every study also accepts ``threads``, which sets how
+    many cells run at once and shapes no record."""
+
+    reads: frozenset
+    defaults: dict
+
+
+_SH_READS = frozenset({"eps_list", "nu_list", "n_seeds", "base_seed",
+                       "n_points", "periods", "delta", "dt", "t_end",
+                       "intensity", "amplitude", "offband"})
+# n_seeds 1 records in the manifest the one noise-free cell per (nu, eps)
+# that study_cells makes for a Landau study
+_LANDAU_DEFAULTS = {"eps_list": (0.1,), "n_seeds": 1, "amplitude": 0.2}
+
+STUDIES = {
+    "attractivity": StudySpec(_SH_READS, {"intensity": 0.01, "offband": 1.0}),
+    "averaging": StudySpec(_SH_READS, {}),
+    "theorem2": StudySpec(_SH_READS, {}),
+    "gl-limit": StudySpec(_SH_READS, {}),
+    "landau-sweep": StudySpec(
+        frozenset({"eps_list", "nu_list", "amplitude", "dt"}),
+        {**_LANDAU_DEFAULTS, "nu_list": DEFAULT_NU_SWEEP}),
+    "quintic-suite": StudySpec(
+        frozenset({"eps_list", "nu2", "nu3", "amplitude", "dt"}),
+        _LANDAU_DEFAULTS),
+}
+STUDY_NAMES = tuple(STUDIES)
+LANDAU_STUDIES = ("landau-sweep", "quintic-suite")
+
+
+def _float_list(text: str) -> tuple:
+    return tuple(float(x) for x in text.split(","))
+
+
+_SHORT_NAMES = {"eps_list": "eps", "nu_list": "nu", "n_seeds": "seeds",
+                "n_points": "n"}
+
+#: Every setting of :class:`StudyConfig`: its name on the ``study``
+#: command line (``--`` and the name, with ``-`` for ``_``) and in config
+#: files, which also take the setting's own name, and its text parser.
+SETTINGS = {
+    f.name: (_SHORT_NAMES.get(f.name, f.name),
+             _float_list if isinstance(f.default, tuple) else type(f.default))
+    for f in fields(StudyConfig) if f.name not in ("study", "out_dir")
+}
 
 
 @dataclass(frozen=True)
@@ -208,6 +211,14 @@ def _require_completed(status: str) -> None:
     """A cell whose run did not complete has no diagnostics to record."""
     if status != "completed":
         raise RuntimeError(f"run ended with status {status!r}")
+
+
+def _cell_grid(cfg: StudyConfig, eps: float) -> Grid:
+    """The grid of the cells at ``eps``.  The Landau fit computes one
+    carrier period of the grid it stands for, so its cells take that."""
+    if cfg.study in LANDAU_STUDIES:
+        return Grid.for_carrier(eps, DEFAULT_POINTS_PER_PERIOD, periods=1)
+    return Grid.for_carrier(eps, cfg.n_points, periods=cfg.periods)
 
 
 def _cell_inputs(cfg: StudyConfig, grid: Grid, nu: float, seed: int):
@@ -259,7 +270,6 @@ def _landau_cell(cfg: StudyConfig, grid: Grid, nu, variant: str) -> dict:
         nu,
         variant=variant,
         amplitude=cfg.amplitude,
-        n_points=cfg.n_points,
         dt=cfg.dt,
         fit_window=8.0 if quintic else None,
     )
@@ -271,8 +281,7 @@ def _landau_cell(cfg: StudyConfig, grid: Grid, nu, variant: str) -> dict:
 
 def _run_cell(cfg: StudyConfig, params: dict, seed: int) -> StudyRecord:
     start = time.perf_counter()
-    grid = Grid.for_carrier(params.get("eps", cfg.eps_list[0]), cfg.n_points,
-                            periods=cfg.periods)
+    grid = _cell_grid(cfg, params["eps"])
     status = "ok"
     try:
         if cfg.study in ("theorem2", "averaging"):
@@ -305,18 +314,14 @@ def _run_cell(cfg: StudyConfig, params: dict, seed: int) -> StudyRecord:
 
 def study_cells(cfg: StudyConfig) -> list:
     """The full (params, seed) grid for a study, in deterministic order."""
-    cells = []
     if cfg.study == "quintic-suite":
-        for nu2, nu3 in ((0.0, 0.0), (cfg.nu2, cfg.nu3)):
-            for eps in cfg.eps_list:
-                for seed in range(cfg.n_seeds):
-                    cells.append(({"eps": eps, "nu2": nu2, "nu3": nu3}, seed))
-        return cells
-    for nu in cfg.nu_list:
-        for eps in cfg.eps_list:
-            for seed in range(cfg.n_seeds):
-                cells.append(({"eps": eps, "nu": nu}, seed))
-    return cells
+        nus = [{"nu2": 0.0, "nu3": 0.0}, {"nu2": cfg.nu2, "nu3": cfg.nu3}]
+    else:
+        nus = [{"nu": nu} for nu in cfg.nu_list]
+    # the Landau fits are noise-free: one cell per (nu, eps)
+    seeds = range(1 if cfg.study in LANDAU_STUDIES else cfg.n_seeds)
+    return [({"eps": eps, **nu}, seed)
+            for nu in nus for eps in cfg.eps_list for seed in seeds]
 
 
 # ---------------------------------------------------------------------------
@@ -499,9 +504,9 @@ def run_study(cfg: StudyConfig, progress=None) -> dict:
     manifest = {"version": __version__, "config": mine}
     if manifest_path.exists():
         existing = json.loads(manifest_path.read_text())["config"]
-        # where the study lives and how many threads run it shape no record
-        if {**existing, "out_dir": mine["out_dir"],
-                "threads": mine["threads"]} != mine:
+        # only the study and the settings its cells read shape a record
+        if any(existing.get(k) != mine[k]
+               for k in ("study", *STUDIES[cfg.study].reads)):
             raise ConfigError(
                 f"output directory {out} already holds a study with a "
                 "different configuration"
@@ -538,12 +543,8 @@ def run_study(cfg: StudyConfig, progress=None) -> dict:
     return summary
 
 
-def replay(out_dir, overrides: dict | None = None, limit: int | None = None) -> dict:
-    """Re-run recorded cells and verify bit-identical diagnostics.
-
-    ``overrides`` must be empty or match the recorded configuration; a
-    changed parameter (for example a different dt) is a config mismatch.
-    """
+def replay(out_dir, limit: int | None = None) -> dict:
+    """Re-run recorded cells and verify bit-identical diagnostics."""
     out = Path(out_dir)
     manifest_path = out / "manifest.json"
     if not manifest_path.exists():
@@ -555,16 +556,6 @@ def replay(out_dir, overrides: dict | None = None, limit: int | None = None) -> 
             f"installed version {__version__}"
         )
     cfg = StudyConfig.from_public_dict(manifest["config"])
-    if overrides:
-        for key, value in overrides.items():
-            if value is None:
-                continue
-            recorded = getattr(cfg, key)
-            if recorded != value:
-                raise ConfigError(
-                    f"config mismatch on {key!r}: recorded {recorded}, "
-                    f"requested {value}"
-                )
     records = [r for r in load_records(out / "records.csv") if r.status == "ok"]
     if limit is not None:
         records = records[:limit]
@@ -620,10 +611,11 @@ def emit_plotdata(out_dir) -> list:
 def parse_config_file(path) -> dict:
     """Read a ``key = value`` config file ('#' starts a comment).
 
-    Recognized keys mirror the CLI flags: study, eps (comma list), nu
-    (comma list), nu2, nu3, seeds, out, threads, delta, dt, t_end,
-    intensity, amplitude, offband, n_points, periods, base_seed.
+    The keys are ``study``, ``out`` and the names of :data:`SETTINGS`;
+    ``-`` may stand for ``_``.
     """
+    keys = {key: name for name, (short, _) in SETTINGS.items()
+            for key in (name, short)}
     values: dict = {}
     path = Path(path)
     if not path.exists():
@@ -637,20 +629,14 @@ def parse_config_file(path) -> dict:
         key, _, val = line.partition("=")
         key = key.strip().replace("-", "_")
         val = val.strip()
-        try:
-            if key in ("eps", "nu"):
-                values[f"{key}_list"] = tuple(float(x) for x in val.split(","))
-            elif key in ("seeds", "n_seeds"):
-                values["n_seeds"] = int(val)
-            elif key in ("threads", "n_points", "periods", "base_seed"):
-                values[key] = int(val)
-            elif key in ("nu2", "nu3", "delta", "dt", "t_end",
-                         "intensity", "amplitude", "offband"):
-                values[key] = float(val)
-            elif key in ("study", "out"):
-                values[key] = val
-            else:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+        if key in ("study", "out"):
+            values[key] = val
+        elif key in keys:
+            name = keys[key]
+            try:
+                values[name] = SETTINGS[name][1](val)
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+        else:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
     return values

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import multiprocessing
 import shutil
@@ -30,9 +31,11 @@ from shmod import (
     simulate_gl,
     simulate_paired,
 )
+from shmod import cli
 from shmod.sh import BLOCK, SHStepper
-from shmod.studies import (_attractivity_cell, append_record, load_records,
-                           record_key, study_cells, summarize)
+from shmod.studies import (SETTINGS, STUDIES, STUDY_NAMES, _attractivity_cell,
+                           _run_cell, append_record, load_records, record_key,
+                           study_cells, summarize)
 
 
 TINY = dict(eps_list=(0.2,), nu_list=(0.5,), n_seeds=2, n_points=512,
@@ -57,24 +60,134 @@ def test_config_validation_rejects_bad_input(tmp_path):
         tiny_cfg(tmp_path, delta=0.25).validate()
 
 
-@pytest.mark.parametrize("study", ["landau-sweep", "quintic-suite"])
-def test_landau_studies_reject_n_points_off_the_period(tmp_path, study):
-    # the fit runs on one carrier period of 16 points, so a study fails
-    # here, at config time, rather than in its first cell
-    with pytest.raises(ConfigError, match="multiple of 16"):
-        StudyConfig.for_study(study, out_dir=str(tmp_path), n_points=8200)
-    StudyConfig.for_study(study, out_dir=str(tmp_path), n_points=1024,
-                          periods=64)
+#: A small config of each study, and for each setting a value that
+#: differs from every study's default and small value.
+SMALL = {study: dict(TINY, n_seeds=1)
+         for study in ("attractivity", "averaging", "theorem2", "gl-limit")}
+SMALL["landau-sweep"] = dict(eps_list=(0.2,), nu_list=(0.5,), dt=4e-3)
+SMALL["quintic-suite"] = dict(eps_list=(0.2,), dt=4e-3)
+OTHER = dict(eps_list=(0.14,), nu_list=(0.9,), nu2=0.5, nu3=-0.5, n_seeds=2,
+             base_seed=5, n_points=1024, periods=16, delta=0.1, dt=2e-3,
+             t_end=0.03, intensity=0.02, amplitude=0.3, offband=0.5,
+             threads=2)
+PAIRS = [(study, name) for study in STUDY_NAMES for name in SETTINGS]
+READ = [(s, n) for s, n in PAIRS if n in STUDIES[s].reads or n == "threads"]
+UNREAD = [pair for pair in PAIRS if pair not in READ]
 
 
-@pytest.mark.parametrize("study", ["landau-sweep", "quintic-suite"])
-def test_landau_studies_reject_periods_off_n_points(tmp_path, study):
-    # the fit runs Grid.for_carrier(eps, n_points), n_points/16 periods,
-    # whatever the config says, so another periods value is refused
-    with pytest.raises(ConfigError, match="periods = n_points/16"):
-        StudyConfig.for_study(study, out_dir=str(tmp_path), periods=128)
-    cfg = StudyConfig.for_study(study, out_dir=str(tmp_path))
-    assert (cfg.n_points, cfg.periods) == (8192, 512)
+def test_settings_table_counts():
+    # 15 settings in 6 studies, of which only 63 pairs are settable
+    assert (len(SETTINGS), len(STUDY_NAMES)) == (15, 6)
+    assert (len(READ), len(UNREAD)) == (63, 27)
+
+
+def _small(study, out_dir):
+    return StudyConfig.for_study(study, out_dir=str(out_dir), **SMALL[study])
+
+
+def _cell_records(cfg, cells):
+    return [(r.key, r.eps_effective.hex(), r.diagnostics_repr())
+            for r in (_run_cell(cfg, params, seed) for params, seed in cells)]
+
+
+@pytest.mark.parametrize("study, name",
+                         [pair for pair in PAIRS if pair[1] != "threads"])
+def test_a_setting_shapes_the_records_if_and_only_if_the_study_reads_it(
+        tmp_path, study, name):
+    # dataclasses.replace bypasses for_study, which refuses unread settings
+    cfg = _small(study, tmp_path)
+    other = dataclasses.replace(cfg, **{name: OTHER[name]})
+    same = (_cell_records(other, study_cells(cfg))
+            == _cell_records(cfg, study_cells(cfg)))
+    cells_differ = study_cells(other) != study_cells(cfg)
+    assert (same and not cells_differ) == (name not in STUDIES[study].reads)
+
+
+def _main(argv):
+    return cli.main(["study", *argv])
+
+
+def _setting_text(value):
+    return (",".join(map(str, value)) if isinstance(value, tuple)
+            else str(value))
+
+
+def _flag(name, value):
+    return ["--" + SETTINGS[name][0].replace("_", "-"), _setting_text(value)]
+
+
+@pytest.mark.parametrize("study, name", UNREAD)
+def test_unread_settings_are_refused(tmp_path, study, name):
+    with pytest.raises(ConfigError, match="does not read"):
+        StudyConfig.for_study(study, out_dir=str(tmp_path / "api"),
+                              **{name: OTHER[name]})
+    path = tmp_path / "study.cfg"
+    path.write_text(f"{SETTINGS[name][0]} = {_setting_text(OTHER[name])}\n")
+    assert _main(["--study", study, "--config", str(path),
+                  "--out", str(tmp_path / "file")]) == 2
+    assert _main(["--study", study, *_flag(name, OTHER[name]),
+                  "--out", str(tmp_path / "flag")]) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["study.cfg"]
+
+
+@pytest.mark.parametrize("study, name", READ)
+def test_read_settings_reach_the_manifest_from_file_and_flag(
+        tmp_path, monkeypatch, study, name):
+    configs = []
+
+    def run_study(cfg, progress=None):
+        configs.append(cfg)
+        return {"fits": {}, "gates_not_evaluated": [], "ok": True}
+
+    monkeypatch.setattr(cli, "run_study", run_study)
+    base = {k: v for k, v in SMALL[study].items() if k != name}
+    lines = [f"{SETTINGS[k][0]} = {_setting_text(v)}" for k, v in base.items()]
+    path = tmp_path / "base.cfg"
+    path.write_text("\n".join([f"study = {study}", *lines]) + "\n")
+    both = tmp_path / "both.cfg"
+    both.write_text(path.read_text() + f"{SETTINGS[name][0]} = "
+                    f"{_setting_text(OTHER[name])}\n")
+    out = ["--out", str(tmp_path / "out")]
+    assert _main(["--config", str(both), *out]) == 0
+    assert _main(["--config", str(path), *_flag(name, OTHER[name]), *out]) == 0
+    # public_dict is the config that run_study writes to the manifest
+    expect = StudyConfig.for_study(study, tmp_path / "out",
+                                   **dict(base, **{name: OTHER[name]}))
+    assert [cfg.public_dict() for cfg in configs] == [expect.public_dict()] * 2
+    value = expect.public_dict()[name]
+    assert value == (list(OTHER[name]) if isinstance(value, list)
+                     else OTHER[name])
+
+
+def test_negative_base_seed_is_refused_before_anything_is_written(tmp_path):
+    with pytest.raises(ConfigError, match="seed must be non-negative"):
+        tiny_cfg(tmp_path / "api", base_seed=-3)
+    out = tmp_path / "cli"
+    flags = ("study", "--study", "theorem2", "--eps", "0.2", "--seeds", "1",
+             "--n", "512", "--periods", "32", "--t-end", "0.05",
+             "--out", str(out))
+    r = _cli(*flags, "--base-seed", "-3")
+    assert r.returncode == 2, r.stderr
+    assert not (out / "manifest.json").exists()
+    # so the corrected rerun into the same directory is not refused
+    r = _cli(*flags, "--base-seed", "3")
+    assert r.returncode == 0, r.stderr
+
+
+def test_resume_ignores_settings_the_study_does_not_read(tmp_path):
+    # Landau directories written with the old n_points/periods defaults
+    # of 8192/512 resume and replay
+    cfg = _small("landau-sweep", tmp_path)
+    run_study(cfg)
+    path = tmp_path / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["config"].update(n_points=8192, periods=512)
+    path.write_text(json.dumps(manifest))
+    run_study(cfg)
+    assert len(load_records(tmp_path / "records.csv")) == 1
+    assert replay(str(tmp_path))["ok"]
+    with pytest.raises(ConfigError, match="different configuration"):
+        run_study(dataclasses.replace(cfg, amplitude=0.3))
 
 
 @pytest.mark.parametrize("study", ["landau-sweep", "quintic-suite"])
@@ -112,12 +225,15 @@ def test_parse_config_file(tmp_path):
         "eps = 0.2, 0.1\n"
         "seeds = 3\n"
         "dt = 0.002\n"
+        "nu_list = 0.5, 0.9\n"
+        "n = 512\n"
+        "t-end = 0.5\n"
+        "offband = 0.25\n"
     )
     kw = parse_config_file(path)
-    assert kw["study"] == "theorem2"
-    assert kw["eps_list"] == (0.2, 0.1)
-    assert kw["n_seeds"] == 3
-    assert kw["dt"] == 0.002
+    assert kw == {"study": "theorem2", "eps_list": (0.2, 0.1), "n_seeds": 3,
+                  "dt": 0.002, "nu_list": (0.5, 0.9), "n_points": 512,
+                  "t_end": 0.5, "offband": 0.25}
 
     bad = tmp_path / "bad.cfg"
     bad.write_text("frobnicate = 1\n")
@@ -330,9 +446,6 @@ def test_replay_verifies_and_detects_tampering(tmp_path):
     run_study(cfg)
     result = replay(str(out))
     assert result["ok"] and result["mismatches"] == []
-    # changing the step size is a config mismatch, not a replay result
-    with pytest.raises(ConfigError):
-        replay(str(out), overrides={"dt": 2e-3})
     manifest = json.loads((out / "manifest.json").read_text())
     # 0.6.0 records predate the one-period Landau fit
     for version in ("0.0", "0.6.0"):
