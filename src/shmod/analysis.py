@@ -22,8 +22,15 @@ class AveragingAccumulator:
     row of a block.  Per block: one inverse FFT for v1, one forward FFT of
     v1^2 shared by P0 and P2, and one inverse FFT of
     q_k/eps v + nu inv_k (v1^2)^ for both bands, each one batched call into
-    work arrays kept from block to block.  The trapezoid adds the rows one
-    at a time, so the sums have the bits of one sample per call.
+    work arrays kept from block to block.
+
+    A block's trapezoid pieces 0.5 (t_j - t_{j-1}) (f_{j-1} + f_j) are
+    built in place in the integrand rows, and ``total`` gets them from one
+    ``np.add.reduce`` along axis 0 of a stack whose first row is
+    ``total``.  Along axis 0 numpy adds the rows in order, as
+    ``((total + p_1) + p_2) + ...``, so the sums have the bits of one
+    sample per call, whatever the block sizes.  The calls are few and
+    large, so a job on the worker thread holds the GIL briefly.
     """
 
     def __init__(self, grid: Grid, nu: float, delta: float = DEFAULT_DELTA):
@@ -36,14 +43,15 @@ class AveragingAccumulator:
         self.nu_inv = np.array([nu * sym.inv0, nu * sym.inv2], np.complex128)
         self.count = 0
         self.total = np.zeros((2, self.n))
-        # work arrays for blocks of up to BLOCK rows; row 0 of the
-        # integrands carries the last sample's integrand to the next block
+        # work arrays for blocks of up to BLOCK rows.  Row 1 of the stack
+        # carries the last sample's integrand to the next block, rows 2 ..
+        # k + 1 take the block's integrands and rows 1 .. k their trapezoid
+        # pieces; row 0 takes a copy of total before the reduction
         h = self.n // 2 + 1
         self._v1 = np.empty((BLOCK, self.n))
-        self._sq = np.empty((BLOCK, h), np.complex128)
+        self._sq = np.empty((BLOCK, 2, h), np.complex128)
         self._rhs = np.empty((BLOCK, 2, h), np.complex128)
-        self._f = np.empty((BLOCK + 1, 2, self.n))
-        self._sum = np.empty((2, self.n))
+        self._stack = np.zeros((BLOCK + 2, 2, self.n))
 
     def add(self, times: np.ndarray, vspecs: np.ndarray) -> np.ndarray:
         """Add the samples of v with half-spectra ``vspecs[j]`` at
@@ -52,26 +60,31 @@ class AveragingAccumulator:
         work array that the next call overwrites."""
         k = len(times)
         v1, sq, rhs = self._v1[:k], self._sq[:k], self._rhs[:k]
-        f = self._f[:k + 1]
-        np.multiply(self.q1, vspecs, out=sq)
-        np.fft.irfft(sq, n=self.n, out=v1)
+        f = self._stack[1:k + 2]
+        np.multiply(self.q1, vspecs, out=sq[:, 0])
+        np.fft.irfft(sq[:, 0], n=self.n, out=v1)
         # the integrand rows, and then sq, are free until they are refilled
         np.multiply(v1, v1, out=f[1:, 0])
-        np.fft.rfft(f[1:, 0], out=sq)
-        np.multiply(self.nu_inv, sq[:, None], out=rhs)
-        for band in range(2):
-            np.multiply(self.qk_eps[band], vspecs, out=sq)
-            np.add(sq, rhs[:, band], out=rhs[:, band])
+        np.fft.rfft(f[1:, 0], out=sq[:, 0])
+        np.multiply(self.nu_inv, sq[:, :1], out=rhs)
+        np.multiply(self.qk_eps, vspecs[:, None], out=sq)
+        np.add(sq, rhs, out=rhs)
         np.fft.irfft(rhs, n=self.n, out=f[1:])
         np.multiply(f[1:], v1[:, None], out=f[1:])
-        for j, t in enumerate(times, 1):
-            if self.count:
-                np.add(f[j - 1], f[j], out=self._sum)
-                self._sum *= 0.5 * (t - self._t)
-                self.total += self._sum
-            self._t = t
-            self.count += 1
+        # rows 0 .. k - 1 of f become the pieces p_1 .. p_k, in place: each
+        # row is read before it is overwritten.  Row k, the last integrand,
+        # is left to carry
+        last = self._t if self.count else times[0]
+        half = 0.5 * np.diff(times, prepend=last)
+        np.add(f[:k], f[1:], out=f[:k])
+        np.multiply(f[:k], half[:, None, None], out=f[:k])
+        # the first sample of a run has no piece: total takes its row
+        lo = 0 if self.count else 1
+        self._stack[lo] = self.total
+        np.add.reduce(self._stack[lo:k + 1], axis=0, out=self.total)
         f[0] = f[k]
+        self._t = times[-1]
+        self.count += k
         return v1
 
     def results(self) -> tuple[float, float]:

@@ -79,6 +79,10 @@ class ReducedStepper:
     product by a pure phase, so the drift is the first 2b+1 modes of one
     forward transform.  The factors ne/n of the two grid normalisations are
     folded into ``gain`` and the quintic coefficient.
+
+    The stepper owns the work arrays of its drift, as ``SHStepper`` owns its
+    ``PaddedGrid``, and fills them in place on every step, so one stepper
+    serves one thread at a time.  ``step_spec`` returns a new array.
     """
 
     def __init__(self, grid: Grid, p: ModelParams, intensity: float = 1.0,
@@ -92,11 +96,14 @@ class ReducedStepper:
                              "the third harmonic of w^5 reaches P1")
         lam = sym.lam[self.band]
         self.q1 = sym.q1[self.band]
-        self.decay = np.exp(lam * p.dt)
-        self.phi1dt = p.dt * _phi1(lam * p.dt)
+        # the real multipliers of a spectrum are stored as complex numbers
+        # with imaginary part +0, the cast numpy would make on each product
+        self.decay = np.exp(lam * p.dt).astype(np.complex128)
+        self.phi1dt = (p.dt * _phi1(lam * p.dt)).astype(np.complex128)
         self.noise = SpectralNoise(grid, intensity)
-        self.noise_scale = (self.noise.ou_scale(lam, p.dt) * self.q1
-                            if intensity > 0 else None)
+        self.noise_scale = (
+            (self.noise.ou_scale(lam, p.dt) * self.q1).astype(np.complex128)
+            if intensity > 0 else None)
         n = grid.n_points
         if p.variant == CUBIC:
             self.ne = 1 << (4 * b).bit_length()
@@ -105,7 +112,7 @@ class ReducedStepper:
             self.ne = 1 << (6 * b).bit_length()
             self.poly = {1: 3.0 * p.nu3, 2: -10.0 * (self.ne / n) ** 2}
             nu_q = p.nu2
-        self.gain = self.q1 * (self.ne / n) ** 2
+        self.gain = (self.q1 * (self.ne / n) ** 2).astype(np.complex128)
         self.inv_b = None
         if nu_q != 0.0:
             # P0 and P2 have disjoint supports, so inv02 is inv0 or inv2 per
@@ -114,26 +121,49 @@ class ReducedStepper:
             inv02[: n // 2 + 1] = sym.inv0 + sym.inv2
             k = np.arange(self.ne)
             self.inv_b = -2.0 * nu_q * nu_q * np.stack(
-                (inv02[np.minimum(k, self.ne - k)], inv02[2 * (m - b) + k]))
+                (inv02[np.minimum(k, self.ne - k)], inv02[2 * (m - b) + k])
+            ).astype(np.complex128)
+        # work arrays: the envelope samples a, |a|^2, |Im a|^2 and then the
+        # polynomial in |a|^2, the envelope products and the spectra of the
+        # two squares
+        self._a = np.empty(self.ne, np.complex128)
+        self._abs2, self._poly = np.empty(self.ne), np.empty(self.ne)
+        self._g = np.empty(self.ne, np.complex128)
+        self._h = np.empty_like(self._g)
+        self._squares = np.empty((2, self.ne), np.complex128)
 
     def drift(self, E: np.ndarray) -> np.ndarray:
         """Band slice of P1 of the band polynomial plus the quadratic
         correction: 4 FFTs of ``ne`` points, 2 if nu = 0."""
-        a = np.fft.ifft(E, n=self.ne)
-        abs2 = a.real * a.real + a.imag * a.imag
-        g = _horner(abs2, self.poly)
+        a, abs2, poly, g = self._a, self._abs2, self._poly, self._g
+        np.fft.ifft(E, n=self.ne, out=a)
+        np.multiply(a.real, a.real, out=abs2)
+        np.multiply(a.imag, a.imag, out=poly)
+        abs2 += poly
+        _horner(abs2, self.poly, out=poly)
         if self.inv_b is not None:
-            squares = np.stack((2.0 * abs2, a * a))
-            b0, b2 = np.fft.ifft(self.inv_b * np.fft.fft(squares))
-            g = a * (g + b0) + a.conj() * b2
+            squares, h = self._squares, self._h
+            np.multiply(2.0, abs2, out=squares[0])
+            np.multiply(a, a, out=squares[1])
+            np.fft.fft(squares, out=squares)
+            np.multiply(self.inv_b, squares, out=squares)
+            b0, b2 = np.fft.ifft(squares, out=squares)
+            np.add(poly, b0, out=g)
+            np.multiply(a, g, out=g)
+            np.multiply(np.conjugate(a, out=h), b2, out=h)
+            g += h
         else:
-            g = a * g
-        return self.gain * np.fft.fft(g)[: E.size]
+            np.multiply(a, poly, out=g)
+        np.fft.fft(g, out=g)
+        return self.gain * g[: E.size]
 
     def step_spec(self, E: np.ndarray, raw: np.ndarray | None) -> np.ndarray:
-        out = self.decay * E + self.phi1dt * self.drift(E)
+        drift = self.drift(E)
+        np.multiply(self.phi1dt, drift, out=drift)
+        out = self.decay * E
+        out += drift
         if raw is not None and self.noise_scale is not None:
-            out = out + raw[self.band] * self.noise_scale
+            out += np.multiply(raw[self.band], self.noise_scale, out=drift)
         return out
 
     def half_spectrum(self, E: np.ndarray) -> np.ndarray:
@@ -148,7 +178,7 @@ class ReducedStepper:
     def sup_bound(self, E: np.ndarray) -> float:
         """An upper bound on the sup norm of ``values(E)``: each mode of the
         band stands for a conjugate pair."""
-        return 2.0 * float(np.sum(np.abs(E))) / self.grid.n_points
+        return 2.0 * float(np.abs(E).sum()) / self.grid.n_points
 
 
 # -- Ginzburg-Landau solver --------------------------------------------------
@@ -196,7 +226,7 @@ class GLStepper:
 
     def sup_bound(self, aspec: np.ndarray) -> float:
         """An upper bound on the sup norm of ``values(aspec)``."""
-        return float(np.sum(np.abs(aspec))) / self.grid.n_points
+        return float(np.abs(aspec).sum()) / self.grid.n_points
 
 
 def simulate_gl(A0: ComplexField, c: GLCoefficients, dt: float, t_end: float,

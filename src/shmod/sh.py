@@ -107,7 +107,7 @@ class SHStepper:
     def sup_bound(self, vspec: np.ndarray) -> float:
         """An upper bound on the sup norm of ``values(vspec)``: each mode
         of the half-spectrum stands for a conjugate pair at most."""
-        return 2.0 * float(np.sum(np.abs(vspec))) / self.grid.n_points
+        return 2.0 * float(np.abs(vspec).sum()) / self.grid.n_points
 
 
 #: relative margin below ``threshold`` under which a spectral sup bound
@@ -163,9 +163,11 @@ def integrate(steppers, specs, n_steps: int, threshold: float,
 
 
 #: rows per block of the worker's jobs: noise draws, and the paired run's
-#: diagnostics.  Three noise blocks of about 49 kB a row (n = 2048) are
-#: live, within the 1 MB tracemalloc peak of an attractivity cell
-BLOCK = 10
+#: diagnostics.  Fewer, larger jobs stall the stepping thread less, and
+#: one size for both keeps their hand-overs aligned.  Three noise blocks
+#: of about 49 kB a row (n = 2048) are live, so the 1 MB tracemalloc bound
+#: of an attractivity cell caps it: 0.89 MB at 12 rows, 0.99 MB at 14
+BLOCK = 12
 
 
 def _start_worker():

@@ -3,6 +3,7 @@ import pytest
 
 from shmod import Grid, ModelParams, NoiseConfig, RealField, integrate
 from shmod.bands import band_symbols
+from shmod.operators import _horner
 from shmod.sh import SHStepper, noise_draw
 
 
@@ -83,6 +84,26 @@ class PairedReference:
         """sup_diff, res_p0 and res_p2."""
         return (self.sup_diff,) + tuple(float(np.max(np.abs(total)))
                                         for total in self.total)
+
+
+def band_step_reference(red, E: np.ndarray, raw) -> np.ndarray:
+    """``red.step_spec(E, raw)`` by the arithmetic of a band stepper with no
+    work arrays: each product and transform a new array, the multipliers
+    real, in the operand order of ``ReducedStepper``."""
+    a = np.fft.ifft(E, n=red.ne)
+    abs2 = a.real * a.real + a.imag * a.imag
+    g = _horner(abs2, red.poly)
+    if red.inv_b is not None:
+        squares = np.stack((2.0 * abs2, a * a))
+        b0, b2 = np.fft.ifft(red.inv_b.real * np.fft.fft(squares))
+        g = a * (g + b0) + a.conj() * b2
+    else:
+        g = a * g
+    drift = red.gain.real * np.fft.fft(g)[: E.size]
+    out = red.decay.real * E + red.phi1dt.real * drift
+    if raw is not None and red.noise_scale is not None:
+        out = out + raw[red.band] * red.noise_scale.real
+    return out
 
 
 def simulate_snapshots(v0: RealField, p: ModelParams,

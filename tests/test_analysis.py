@@ -101,6 +101,40 @@ def test_averaging_accumulator_matches_stacked_trapezoid(seed, count, nu):
         assert residual == pytest.approx(ref, rel=1e-12)
 
 
+
+def _accumulator_feed(grid, times, specs, sizes, nu=0.5):
+    """``total`` and the hex ``results()`` of an accumulator fed the samples
+    in consecutive blocks of ``sizes`` rows."""
+    acc, start = AveragingAccumulator(grid, nu, DELTA), 0
+    for k in sizes:
+        acc.add(times[start:start + k], specs[start:start + k])
+        start += k
+    assert start == len(times)
+    return acc.total.tobytes(), [x.hex() for x in acc.results()]
+
+
+@pytest.mark.parametrize("size", range(1, BLOCK + 1))
+def test_averaging_accumulator_bits_do_not_depend_on_block_size(size):
+    # the block's trapezoid pieces go into total by one reduction along
+    # axis 0, which adds the rows in order: blocks of any size, uniform or
+    # not, give the bits of one sample per call
+    grid = Grid.for_carrier(0.2, 256, periods=16)
+    rng = np.random.default_rng(size)
+    count = 2 * BLOCK + 3
+    times = np.cumsum(rng.uniform(0.05, 1.0, count))
+    n_modes = 3 * grid.carrier_index
+    specs = np.zeros((count, grid.n_points // 2 + 1), np.complex128)
+    specs[:, :n_modes] = (rng.standard_normal((count, n_modes))
+                          + 1j * rng.standard_normal((count, n_modes)))
+    one_by_one = _accumulator_feed(grid, times, specs, [1] * count)
+    uniform = [size] * (count // size) + [count % size] * (count % size > 0)
+    assert _accumulator_feed(grid, times, specs, uniform) == one_by_one
+    mixed = []
+    while sum(mixed) < count:
+        mixed.append(min(int(rng.integers(1, size + 1)), count - sum(mixed)))
+    assert _accumulator_feed(grid, times, specs, mixed) == one_by_one
+
+
 def test_paired_cell_streams_residuals_in_small_memory(tmp_path):
     # one default theorem2 cell (n=2048, 1000 steps): the residuals are
     # integrated as the run goes, with no per-step snapshots kept

@@ -31,7 +31,7 @@ from shmod.reduced import GLStepper, ReducedStepper
 from shmod.sh import BLOCK, SHStepper, noise_draw
 from shmod.studies import StudyConfig, _paired_cell
 
-from conftest import PairedReference
+from conftest import PairedReference, band_step_reference
 
 DELTA = 0.125
 
@@ -328,6 +328,59 @@ def test_reduced_band_equation_keeps_band_structure():
     assert np.max(spec[outside]) < 1e-10 * np.max(spec)
 
 
+BAND_CASES = [(ModelParams(nu=0.5), DELTA), (ModelParams(nu=0.0), DELTA),
+              (ModelParams(variant="quintic", nu2=0.7, nu3=0.3), 0.05)]
+
+
+def _band_run(params, delta, seed, n_steps=300):
+    """A noisy band stepper at eps 0.1 and the first ``n_steps`` of its
+    run from a modulated carrier, one raw draw per step."""
+    grid = Grid.for_carrier(0.1, 512, periods=32)
+    red = ReducedStepper(grid, params, intensity=0.1, delta=delta)
+    v0 = modulated_carrier_ic(grid, np.random.default_rng(seed),
+                              amplitude=0.5)
+    rng = np.random.default_rng(seed + 1)
+    E, out = red.q1 * v0.spectrum()[red.band], []
+    for _ in range(n_steps):
+        E = red.step_spec(E, red.noise.raw(rng))
+        out.append(E)
+    return red, v0, out
+
+
+@pytest.mark.parametrize("params, delta", BAND_CASES,
+                         ids=["cubic", "cubic-nu0", "quintic"])
+def test_band_step_returns_new_memory_with_the_reference_bits(params, delta):
+    # the stepper fills its own work arrays in place; every step still
+    # hands back a fresh array with the bits of the allocating arithmetic
+    red, v0, run = _band_run(params, delta, seed=1)
+    work = [x for x in vars(red).values() if isinstance(x, np.ndarray)]
+    rng = np.random.default_rng(2)
+    E = prev = red.q1 * v0.spectrum()[red.band]
+    for got in run:
+        assert not np.shares_memory(got, prev)
+        assert not any(np.shares_memory(got, x) for x in work)
+        E = band_step_reference(red, E, red.noise.raw(rng))
+        assert got.tobytes() == E.tobytes()
+        prev = got
+
+
+def test_band_steppers_on_two_threads_keep_their_results_apart():
+    # one stepper per thread: steps switching every microsecond between
+    # two runs give each run the bits it has alone
+    cases = [(*BAND_CASES[0], 3), (*BAND_CASES[2], 4)]
+    alone = [_band_run(*case)[2] for case in cases]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(2) as pool:
+            runs = [pool.submit(_band_run, *case) for case in cases]
+            together = [run.result(timeout=60)[2] for run in runs]
+    finally:
+        sys.setswitchinterval(switch)
+    for got, expect in zip(together, alone):
+        assert [E.tobytes() for E in got] == [E.tobytes() for E in expect]
+
+
 def test_paired_run_is_deterministic_and_close():
     eps = 0.1
     grid = Grid.for_carrier(eps, 1024, periods=64)
@@ -387,11 +440,15 @@ def test_paired_run_matches_the_per_step_reference(n_steps):
 
 
 def test_paired_run_blown_up_mid_block_records_the_steps_before_it():
-    v0, p, cfg = _paired_inputs(4 * BLOCK, threshold=0.62)
+    # the guard trips on step 22 whatever the block size
+    v0, p, cfg = _paired_inputs(60, threshold=0.62)
     status, steps, ref = _paired_reference(v0, p, cfg)
     threads = threading.active_count()
-    # step 0 opens the first block, so the guard trips inside the third
-    assert (status, steps) == ("blowup_stopped", 2 * BLOCK + 1)
+    assert (status, steps) == ("blowup_stopped", 21)
+    # steps 0 .. 21 are observed: at least one full block goes to the
+    # worker, and the tripping step lies strictly inside a later block
+    observed = steps + 1
+    assert observed > BLOCK and observed % BLOCK
     assert _paired_hex(v0, p, cfg) == (status, ref)
     assert threading.active_count() == threads
     # the worker takes the next run

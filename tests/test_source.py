@@ -147,3 +147,52 @@ def test_eps_beside_grid_scan_finds_second_sources():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_eps_is_read_from_the_grid(path):
     assert _eps_beside_grid(ast.parse(path.read_text())) == []
+
+
+#: the bodies of the worker thread's jobs, as (module, class, method).  A
+#: background thread making many small numpy calls was measured to slow
+#: the stepping thread 1.7 times, against 1.1 times for GIL-free FFT or
+#: Philox work, so a job takes each block in a few large calls
+WORKER_JOBS = [("analysis", "AveragingAccumulator", "add"),
+               ("reduced", "_BandObserver", "_block")]
+
+LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.comprehension)
+
+
+def _loops_in_method(tree: ast.Module, cls: str, method: str) -> list:
+    """Line numbers of the loops, comprehensions included, in the body of
+    ``cls.method``; a KeyError if there is no such method."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name == cls:
+            for stmt in node.body:
+                if isinstance(stmt, ast.FunctionDef) and stmt.name == method:
+                    return [getattr(n, "lineno", None) or n.target.lineno
+                            for n in ast.walk(stmt) if isinstance(n, LOOPS)]
+    raise KeyError(f"{cls}.{method}")
+
+
+def test_loop_scan_finds_loops_in_a_method():
+    tree = ast.parse("class Job:\n"
+                     "    def add(self, rows):\n"
+                     "        for row in rows:\n"
+                     "            pass\n"
+                     "        while rows:\n"
+                     "            rows = rows[1:]\n"
+                     "        return [r for r in rows]\n"
+                     "    def other(self, rows):\n"
+                     "        for row in rows:\n"
+                     "            pass\n"
+                     "class Flat:\n"
+                     "    def add(self, rows):\n"
+                     "        return sum(rows)\n")
+    assert _loops_in_method(tree, "Job", "add") == [3, 5, 7]
+    assert _loops_in_method(tree, "Flat", "add") == []
+    with pytest.raises(KeyError):
+        _loops_in_method(tree, "Flat", "other")
+
+
+@pytest.mark.parametrize("module, cls, method", WORKER_JOBS,
+                         ids=lambda x: x)
+def test_worker_jobs_run_no_python_loop(module, cls, method):
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    assert _loops_in_method(tree, cls, method) == []
