@@ -1,12 +1,11 @@
 """Pseudospectral laboratory for the stochastic Swift-Hohenberg equation and
 its Ginzburg-Landau amplitude reduction."""
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 from .grid import ComplexField, Grid, RealField, read_field, write_field
 from .operators import symbol_L_eps
-from .bands import (band_symbols, demodulate, make_kernel, modulate, project,
-                    project_complement)
+from .bands import band_symbols, demodulate, make_kernel, modulate, project
 from .noise import (NoiseConfig, ou_increment_variance, spectral_variance_rate,
                     stochastic_convolution_sample)
 from .sh import ModelParams, integrate, modulated_carrier_ic, simulate

@@ -129,11 +129,6 @@ def project(f: RealField, q: np.ndarray) -> RealField:
     return RealField.from_spectrum(f.grid, f.spectrum() * q)
 
 
-def project_complement(f: RealField, q: np.ndarray) -> RealField:
-    """(I - P) f."""
-    return RealField.from_spectrum(f.grid, f.spectrum() * (1.0 - q))
-
-
 # -- carrier modulation ------------------------------------------------------
 
 def amplitude_spectrum(E: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -37,44 +37,65 @@ def _horner(vp: np.ndarray, coeffs: dict, out: np.ndarray | None = None
     return poly
 
 
-class PaddedGrid:
-    """Work arrays of :func:`dealiased_powers` on the ``pad_factor * n``
-    point grid: the padded half-spectrum, whose entries from n/2 on stay
-    zero, the fine-grid samples, the polynomial samples and their fine
-    spectrum.
+#: smallest n at which :class:`PaddedGrid` holds interleaved rows; below
+#: it one padded row costs less (the crossover table in README)
+INTERLEAVE_MIN = 1024
 
-    Each is filled in place on every call, so a step allocates no padded
-    array.  A caller owns its own instance and never shares it between
+
+class PaddedGrid:
+    """Work arrays of :func:`dealiased_powers` on the ``pad * n`` point
+    grid, filled in place on every call, so a step allocates no padded
+    array; a caller owns its own instance and never shares it between
     threads.
+
+    From ``INTERLEAVE_MIN`` points on the grid is ``pad`` interleaved
+    n-point rows: row r holds the samples at ``pad·j + r``, the n-point
+    irfft of the first n/2 modes times the ``twiddle``
+    ``exp(2πi·k·r/(pad·n))`` (none for row 0).  Otherwise it is one padded
+    row.  ``spec`` holds the rows' half-spectra, zero from n/2
+    on, ``values`` the samples, ``poly`` the polynomial and ``fine`` its
+    spectra.  The fine half-spectrum is ``Σ_r weights_r·fine_r``: the
+    ``weights`` ``exp(−2πi·k·r/(pad·n))·gain/pad`` fold the phases, the
+    scale, the dropped coarse Nyquist mode and ``gain`` into one product.
     """
 
-    def __init__(self, n: int, pad_factor: int):
-        self.n, self.n_pad = n, pad_factor * n
-        self.spec = np.zeros(self.n_pad // 2 + 1, dtype=np.complex128)
-        self.values = np.empty(self.n_pad)
-        self.poly = np.empty(self.n_pad)
+    def __init__(self, n: int, pad: int, gain: np.ndarray | float = 1.0):
+        self.n, self.pad, half = n, pad, n // 2
+        interleave = n >= INTERLEAVE_MIN
+        rows, size = (pad, n) if interleave else (1, pad * n)
+        self.spec = np.zeros((rows, size // 2 + 1), dtype=np.complex128)
+        self.values = np.empty((rows, size))
+        self.poly = np.empty((rows, size))
         self.fine = np.empty_like(self.spec)
+        # phases of the rows: exp(2πi·k·r/(pad·n)) for r = 0 .. rows - 1
+        phase = np.arange(half + 1) * np.arange(rows)[:, None] * (
+            2.0 * np.pi / (pad * n))
+        self.twiddle = np.exp(1j * phase[1:, :half]) if interleave else None
+        self.weights = np.exp(-1j * phase) * (gain / pad)
+        self.weights[:, half] = 0.0
 
 
 def dealiased_powers(rspec: np.ndarray, coeffs: dict,
                      padded: PaddedGrid) -> np.ndarray:
-    """Half-spectrum of the polynomial sum_e coeffs[e] v^e, alias-free, as a
-    new array of ``padded.n // 2 + 1`` coefficients.
-
-    One padded inverse FFT, the polynomial on the fine grid, one truncating
-    forward FFT, all in the arrays of ``padded``.  A pad factor of 2 is
-    exact up to the cube, 3 up to v^5.  The ambiguous coarse Nyquist
-    coefficient is dropped on the way in and out.
+    """Half-spectrum of the polynomial sum_e coeffs[e] v^e, alias-free and
+    times ``padded``'s gain, as a new array of ``padded.n // 2 + 1``
+    coefficients: one batched inverse FFT, the polynomial on the fine
+    grid, one batched forward FFT and the weighted sum of its rows.  A pad
+    factor of 2 is exact up to the cube, 3 up to v^5.
     """
-    half, scale = padded.n // 2, padded.n_pad / padded.n
-    padded.spec[:half] = rspec[:half]
-    np.fft.irfft(padded.spec, n=padded.n_pad, out=padded.values)
-    padded.values *= scale
+    half, spec = padded.n // 2, padded.spec
+    if padded.twiddle is None:  # scaled so the samples come out at theirs
+        np.multiply(rspec[:half], padded.pad, out=spec[0, :half])
+    else:
+        spec[0, :half] = rspec[:half]
+        np.multiply(rspec[:half], padded.twiddle, out=spec[1:, :half])
+    np.fft.irfft(spec, n=padded.values.shape[1], out=padded.values)
     _horner(padded.values, coeffs, out=padded.poly)
-    np.fft.rfft(padded.poly, out=padded.fine)
-    spec = padded.fine[: half + 1] * (padded.n / padded.n_pad)
-    spec[half] = 0.0
-    return spec
+    fine = np.fft.rfft(padded.poly, out=padded.fine)[:, : half + 1]
+    if padded.twiddle is None:
+        return np.multiply(fine[0], padded.weights[0])
+    np.multiply(fine, padded.weights, out=fine)
+    return np.add.reduce(fine, axis=0)
 
 
 def dealiased_powers_complex(spec: np.ndarray, n: int, coeffs: dict,

@@ -24,7 +24,8 @@ from .grid import ComplexField, Grid, RealField
 from .noise import NoiseConfig, SpectralNoise
 from .operators import _horner, dealiased_powers_complex
 from .sh import (BLOCK, CUBIC, ModelParams, RunResult, SHStepper, _phi1,
-                 integrate, noise_draw, run_on_worker, step_count)
+                 integrate, noise_draw, run_on_worker, spectral_l2_bound,
+                 step_count)
 
 GL_DIFFUSION = 4.0
 GL_QUINTIC = -10.0
@@ -177,8 +178,8 @@ class ReducedStepper:
 
     def sup_bound(self, E: np.ndarray) -> float:
         """An upper bound on the sup norm of ``values(E)``: each mode of the
-        band stands for a conjugate pair."""
-        return 2.0 * float(np.abs(E).sum()) / self.grid.n_points
+        band stands for a conjugate pair (see ``SHStepper.sup_bound``)."""
+        return 2.0 * spectral_l2_bound(E) / self.grid.n_points
 
 
 # -- Ginzburg-Landau solver --------------------------------------------------
@@ -225,8 +226,9 @@ class GLStepper:
         return np.fft.ifft(aspec)
 
     def sup_bound(self, aspec: np.ndarray) -> float:
-        """An upper bound on the sup norm of ``values(aspec)``."""
-        return float(np.abs(aspec).sum()) / self.grid.n_points
+        """An upper bound on the sup norm of ``values(aspec)``: ``Σ|ĉ|/n``
+        and so ``sqrt(n·Σ|ĉ|²)/n``."""
+        return spectral_l2_bound(aspec) / self.grid.n_points
 
 
 def simulate_gl(A0: ComplexField, c: GLCoefficients, dt: float, t_end: float,

@@ -23,7 +23,6 @@ from shmod import (
     fit_scaling_exponent,
     make_kernel,
     project,
-    project_complement,
     replay,
     run_study,
     simulate_gl,
@@ -221,8 +220,8 @@ def _split_ratios():
         for s in range(100):
             w = stochastic_convolution_sample(grid, 1.0,
                                               NoiseConfig(seed=1000 + s))
-            ratios.append(project_complement(w, p1).l2_norm()
-                          / project(w, p1).l2_norm())
+            off = RealField.from_spectrum(grid, (1.0 - p1) * w.spectrum())
+            ratios.append(off.l2_norm() / project(w, p1).l2_norm())
         rows.append((eps, float(np.median(ratios)),
                      _split_ratio_prediction(grid, 1.0)))
     return rows

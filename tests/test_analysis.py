@@ -16,7 +16,6 @@ from shmod import (
     integrate,
     make_kernel,
     project,
-    project_complement,
     simulate,
 )
 from shmod.analysis import AveragingAccumulator, _CarrierAmplitude
@@ -187,25 +186,48 @@ def test_paired_cell_streams_residuals_in_small_memory(tmp_path):
 
 
 def test_attractivity_cell_matches_snapshot_composition(tmp_path):
-    # the streamed off-band sup equals, bit for bit, the stored-snapshot
-    # composition: every 10th step and the last, from the skip time on
+    # the streamed off-band sup equals, bit for bit, max|irfft((1 - q1) v^)|
+    # over the stored step spectra: every 10th step and the last, from the
+    # skip time on.  The stored-snapshot composition agrees to rounding
+    # only, since rfft(irfft(v^)) is not v^ in the last bit
     cfg = StudyConfig.for_study("attractivity", out_dir=str(tmp_path))
     grid = Grid.for_carrier(0.1, cfg.n_points, periods=cfg.periods)
     nu, seed = cfg.nu_list[0], 0
     diags = _attractivity_cell(cfg, grid, nu, seed)
+    assert set(diags) == {"offband_sup", "offband_ratio"}
+    assert diags["offband_ratio"] == diags["offband_sup"] / grid.eps
 
     ncfg, v0, p = _cell_inputs(cfg, grid, nu, seed)
+    q1 = band_symbols(grid, cfg.delta).q1
+    stepper = SHStepper(grid, p, ncfg.intensity)
+    n_steps = round(p.t_end / p.dt)
+    specs = {}
+
+    def keep(i, step_specs):
+        if i % 10 == 0 or i == n_steps:
+            specs[i * p.dt] = step_specs[0].copy()
+
+    status, _, _ = integrate([stepper], [v0.spectrum()], n_steps,
+                             p.blowup_threshold,
+                             noise_draw(stepper.noise, ncfg, n_steps), [keep])
+    assert status == "completed"
+    exact = max(np.max(np.abs(np.fft.irfft((1.0 - q1) * spec,
+                                           n=grid.n_points)))
+                for t, spec in specs.items()
+                if t >= ATTRACTIVITY_SKIP * cfg.t_end)
+    assert diags["offband_sup"] == exact
+
     status, snaps = simulate_snapshots(v0, p, ncfg, stride=10)
     assert status == "completed"
+    assert snaps.times[1:] == list(specs)
     # simulate's result is this run's last step
     run = simulate(v0, p, ncfg)
     assert (run.status, run.time) == (status, snaps.times[-1])
     assert run.final.values.tobytes() == snaps.fields[0][-1].values.tobytes()
-    q1 = band_symbols(grid, cfg.delta).q1
-    sup = max(project_complement(snap, q1).sup_norm()
+    sup = max((snap - project(snap, q1)).sup_norm()
               for t, snap in zip(snaps.times, snaps.fields[0])
               if t >= ATTRACTIVITY_SKIP * cfg.t_end)
-    assert diags == {"offband_sup": sup, "offband_ratio": sup / grid.eps}
+    assert diags["offband_sup"] == pytest.approx(sup, rel=1e-12)
 
 
 def test_attractivity_cell_stores_no_field(tmp_path):
@@ -213,18 +235,27 @@ def test_attractivity_cell_stores_no_field(tmp_path):
     # per sample, not the 101 snapshots a stride-10 run stores (1.9 MB); the
     # first call builds the band table and numpy's FFT plans, which are
     # kept for the process, so the second is measured
-    cfg = StudyConfig.for_study("attractivity", out_dir=str(tmp_path))
-    assert (cfg.n_points, round(cfg.t_end / cfg.dt)) == (2048, 1000)
-    cell = (cfg, Grid.for_carrier(0.1, cfg.n_points, periods=cfg.periods),
-            cfg.nu_list[0], 0)
-    _attractivity_cell(*cell)
-    tracemalloc.start()
-    try:
+    peaks = {}
+    for t_end in (1.0, 2.0):
+        cfg = StudyConfig.for_study("attractivity", out_dir=str(tmp_path),
+                                    t_end=t_end)
+        assert (cfg.n_points, round(cfg.t_end / cfg.dt)) == (
+            2048, round(1000 * t_end))
+        cell = (cfg, Grid.for_carrier(0.1, cfg.n_points, periods=cfg.periods),
+                cfg.nu_list[0], 0)
         _attractivity_cell(*cell)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1e6
+        tracemalloc.start()
+        try:
+            _attractivity_cell(*cell)
+            peaks[t_end] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[1.0] < 1e6
+    # and the peak does not grow with the number of steps: twice the steps
+    # add 100 samples, 1.6 MB as stored half-spectra, where the noise
+    # blocks in flight move the peak by one block of BLOCK rows at most
+    block = BLOCK * (cfg.n_points // 2 + 1) * 16
+    assert peaks[2.0] < peaks[1.0] + block
 
 
 def test_landau_estimate_recovers_pure_cubic_rate():

@@ -10,7 +10,6 @@ from shmod import (
     make_kernel,
     modulate,
     project,
-    project_complement,
     symbol_L_eps,
 )
 from shmod.bands import NEAR_SINGULAR_TOL
@@ -65,8 +64,12 @@ def test_projector_commutes_with_linear_operator(grid, random_field):
 
 
 def test_complement_sums_back(grid, random_field):
+    # I - P as the one transform of the multiplier 1 - q, which the
+    # attractivity cell takes, sums back with P to the identity
     q = band_symbols(grid, DELTA).q1
-    total = project(random_field, q) + project_complement(random_field, q)
+    complement = RealField.from_spectrum(
+        grid, (1.0 - q) * random_field.spectrum())
+    total = project(random_field, q) + complement
     np.testing.assert_allclose(total.values, random_field.values, atol=1e-12)
 
 

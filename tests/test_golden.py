@@ -12,7 +12,7 @@ import pytest
 from shmod import StudyConfig, __version__, estimate_landau_coefficient, run_study
 from shmod.studies import load_records
 
-GOLDEN_VERSION = "0.8.0"
+GOLDEN_VERSION = "0.9.0"
 
 TINY = dict(eps_list=(0.2,), nu_list=(0.5,), n_seeds=1, n_points=512,
             periods=32, dt=1e-3, t_end=0.05)
@@ -29,8 +29,8 @@ PAIRED = {"res_p0": "0x1.6a7a35139e313p-8",
      {"res_p0": "0x1.c318d1d523c32p-8", "res_p2": "0x1.ba44dd5fcda0fp-13",
       "sup_diff": "0x1.8bb483ca36a00p-8"}),
     ("attractivity", {},
-     {"offband_ratio": "0x1.46705311ad527p+1",
-      "offband_sup": "0x1.0526a8daf10ecp-1"}),
+     {"offband_ratio": "0x1.46705311ad529p+1",
+      "offband_sup": "0x1.0526a8daf10eep-1"}),
 ])
 def test_study_cell_matches_golden_record(tmp_path, study, extra,
                                           diagnostics):
@@ -49,7 +49,7 @@ def test_quintic_fit_matches_golden_record():
                                       amplitude=0.2, n_points=512, dt=1e-3,
                                       fit_window=0.5)
     assert (fit.c3.hex(), fit.c5.hex(), fit.r_squared.hex()) == (
-        "0x1.0f2f7b2ab8451p+2", "-0x1.769e5dbe67540p+3",
+        "0x1.0f2f7b2ab84b7p+2", "-0x1.769e5dbe67973p+3",
         "0x1.fffffeb8d551cp-1")
 
 

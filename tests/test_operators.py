@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,12 +8,15 @@ from shmod import (
     Grid,
     ModelParams,
     RealField,
+    StudyConfig,
     band_symbols,
     project,
     symbol_L_eps,
 )
-from shmod import bands
-from shmod.operators import PaddedGrid, dealiased_powers, inv_symbol_scaled
+from shmod import bands, operators
+from shmod.grid import DEFAULT_POINTS_PER_PERIOD
+from shmod.operators import (INTERLEAVE_MIN, PaddedGrid, dealiased_powers,
+                             inv_symbol_scaled)
 from shmod.reduced import ReducedStepper
 from shmod.sh import SHStepper
 
@@ -98,14 +103,26 @@ def _powers_padded_to_8n(rspec, n, coeffs):
     return spec
 
 
+def _grid_in_layout(n, pad, interleave, gain=1.0):
+    # the layout is chosen from n against INTERLEAVE_MIN when the grid is
+    # built; a threshold of 0 or above n forces one layout at any n
+    with mock.patch.object(operators, "INTERLEAVE_MIN",
+                           0 if interleave else n + 1):
+        return PaddedGrid(n, pad, gain)
+
+
+@pytest.mark.parametrize("interleave", [False, True],
+                         ids=["one-padded-row", "interleaved-rows"])
 @pytest.mark.parametrize("exponents, pad", [((2, 3), 2), ((2, 3, 5), 3)])
-@given(seed=st.integers(0, 2**32 - 1), log2n=st.integers(3, 10),
+@given(seed=st.integers(0, 2**32 - 1), log2n=st.integers(3, 11),
        fill=st.floats(0.05, 1.0), scale=st.floats(0.1, 3.0))
 @settings(max_examples=30, deadline=None)
-def test_dealiased_powers_matches_unaliased_reference(exponents, pad, seed,
-                                                      log2n, fill, scale):
+def test_dealiased_powers_matches_unaliased_reference(interleave, exponents,
+                                                      pad, seed, log2n, fill,
+                                                      scale):
     # a random band-limited field (modes below fill * Nyquist) of sup norm
-    # `scale` and a random polynomial with the given exponents
+    # `scale` and a random polynomial with the given exponents, on the
+    # padded grid held either way at every n
     n = 2**log2n
     rng = np.random.default_rng(seed)
     n_modes = max(1, int(fill * (n // 2)))
@@ -115,10 +132,41 @@ def test_dealiased_powers_matches_unaliased_reference(exponents, pad, seed,
     rspec[0] = rspec[0].real
     rspec *= scale / np.max(np.abs(np.fft.irfft(rspec, n=n)))
     coeffs = {e: rng.uniform(-2.0, 2.0) for e in exponents}
-    got = dealiased_powers(rspec, coeffs, PaddedGrid(n, pad))
+    padded = _grid_in_layout(n, pad, interleave)
+    assert (padded.twiddle is not None) == interleave
+    got = dealiased_powers(rspec, coeffs, padded)
     ref = _powers_padded_to_8n(rspec, n, coeffs)
     np.testing.assert_allclose(got, ref, rtol=1e-12,
                                atol=1e-12 * np.max(np.abs(ref)))
+
+
+def test_dealiased_powers_applies_the_gain():
+    # the gain scales the output weights: the same half-spectrum, times it
+    n, rng = 1024, np.random.default_rng(4)
+    rspec = np.fft.rfft(0.3 * rng.standard_normal(n))
+    gain = rng.uniform(0.5, 1.5, n // 2 + 1)
+    for interleave in (False, True):
+        plain = dealiased_powers(rspec, {3: -1.0},
+                                 _grid_in_layout(n, 2, interleave))
+        got = dealiased_powers(rspec, {3: -1.0},
+                               _grid_in_layout(n, 2, interleave, gain))
+        np.testing.assert_allclose(got, gain * plain, rtol=1e-14, atol=0)
+
+
+def test_study_and_landau_grids_fall_on_either_side_of_the_crossover():
+    # the default study grid runs the interleaved rows, the Landau fit's
+    # one-period grid one padded row: each on the layout measured faster
+    study = StudyConfig.for_study("theorem2", out_dir=".").n_points
+    landau = Grid.for_carrier(0.1, DEFAULT_POINTS_PER_PERIOD, periods=1)
+    assert (study, landau.n_points) == (2048, 16)
+    assert landau.n_points < INTERLEAVE_MIN <= study
+    for n, rows in ((study, 2), (landau.n_points, 1)):
+        assert PaddedGrid(n, 2).values.shape == (rows, 2 * n // rows)
+    for variant, pad in (("cubic", 2), ("quintic", 3)):
+        p = ModelParams(variant)
+        assert SHStepper(landau, p).padded.values.shape == (1, pad * 16)
+        grid = Grid.for_carrier(0.1, study)
+        assert SHStepper(grid, p).padded.values.shape == (pad, study)
 
 
 def test_inverse_operator_on_band_matches_symbol(grid):

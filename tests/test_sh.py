@@ -16,7 +16,6 @@ from shmod import (
     modulated_carrier_ic,
     integrate,
     project,
-    project_complement,
     simulate,
     symbol_L_eps,
 )
@@ -259,6 +258,30 @@ def test_guard_matches_finite_and_sup_norm_predicate(data, kind, threshold):
                                else ("completed", 1))
 
 
+@given(data=st.data(), kind=st.sampled_from(sorted(GUARDED)),
+       shape=st.sampled_from(["random", "single-mode", "flat"]),
+       scale=st.floats(1e-100, 1e100))
+@settings(max_examples=200, deadline=None)
+def test_sup_bound_bounds_the_sup_norm(data, kind, shape, scale):
+    # sqrt(h sum|c|^2) >= sum|c| by Cauchy-Schwarz, so the one-call bound
+    # stays above the sup norm of the stepper's values: on random spectra,
+    # on one mode (where the two bounds differ most) and on a flat modulus
+    # with random phases (where they agree), to roundoff
+    stepper, size = GUARDED[kind]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    if shape == "random":
+        spec = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    elif shape == "single-mode":
+        spec = np.zeros(size, dtype=np.complex128)
+        spec[data.draw(st.integers(0, size - 1))] = np.exp(
+            2j * np.pi * rng.uniform())
+    else:
+        spec = np.exp(2j * np.pi * rng.uniform(size=size))
+    spec *= scale
+    sup = float(np.max(np.abs(stepper.values(spec))))
+    assert stepper.sup_bound(spec) >= sup * (1.0 - 1e-13)
+
+
 def test_quintic_step_allocates_no_padded_array():
     # the stepper fills its own arrays on the 3n-point padded grid, so a
     # step after the first allocates only n-point half-spectra
@@ -287,7 +310,8 @@ def test_modulated_carrier_ic_norms(grid):
     # off-band perturbation adds exactly its requested sup norm outside P1
     v1 = modulated_carrier_ic(grid, np.random.default_rng(9),
                               amplitude=0.35, offband=0.2)
-    rem = project_complement(v1, band_symbols(grid, DELTA).q1)
+    rem = RealField.from_spectrum(
+        grid, (1.0 - band_symbols(grid, DELTA).q1) * v1.spectrum())
     assert rem.sup_norm() == pytest.approx(0.2, rel=0.05)
 
 
