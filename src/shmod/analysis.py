@@ -9,8 +9,8 @@ import numpy as np
 
 from .bands import DEFAULT_DELTA, band_symbols
 from .grid import DEFAULT_POINTS_PER_PERIOD, Grid, RealField
-from .sh import (BLOCK, CUBIC, QUINTIC, ModelParams, SHStepper, integrate,
-                 step_count)
+from .sh import (CUBIC, QUINTIC, ModelParams, SHStepper, block_steps,
+                 integrate, shared, step_count)
 
 
 class AveragingAccumulator:
@@ -18,11 +18,11 @@ class AveragingAccumulator:
 
         v1 * P_k v / eps + nu * v1 * eps^-2 L_eps^-1 P_k v1^2,  k = 0, 2,
 
-    at the grid's eps, fed blocks of half-spectra of v, in O(n) memory per
-    row of a block.  Per block: one inverse FFT for v1, one forward FFT of
-    v1^2 shared by P0 and P2, and one inverse FFT of
-    q_k/eps v + nu inv_k (v1^2)^ for both bands, each one batched call into
-    work arrays kept from block to block.
+    for a batch of rows, one ``(grid, nu)`` pair each on grids of one size,
+    fed blocks of half-spectra of v, in O(n) memory per row of a block.
+    Per block: one inverse FFT for v1, one forward FFT of v1^2 shared by
+    P0 and P2, and one inverse FFT of q_k/eps v + nu inv_k (v1^2)^ for both
+    bands, each one batched call into work arrays kept from block to block.
 
     A block's trapezoid pieces 0.5 (t_j - t_{j-1}) (f_{j-1} + f_j) are
     built in place in the integrand rows, and ``total`` gets them from one
@@ -33,51 +33,56 @@ class AveragingAccumulator:
     large, so a job on the worker thread holds the GIL briefly.
     """
 
-    def __init__(self, grid: Grid, nu: float, delta: float = DEFAULT_DELTA):
-        sym, eps = band_symbols(grid, delta), grid.eps
-        self.n = grid.n_points
+    def __init__(self, grids, nus, delta: float = DEFAULT_DELTA):
+        syms = [band_symbols(g, delta) for g in grids]
+        self.n = shared([g.n_points for g in grids], "grid size")
+        self.rows = rows = len(grids)
         # the real multipliers as complex numbers with imaginary part +0,
         # the cast numpy makes on each product with a spectrum
-        self.q1 = sym.q1.astype(np.complex128)
-        self.qk_eps = np.array([sym.q0 / eps, sym.q2 / eps], np.complex128)
-        self.nu_inv = np.array([nu * sym.inv0, nu * sym.inv2], np.complex128)
+        self.q1 = np.array([sym.q1 for sym in syms]).astype(np.complex128)
+        self.qk_eps = np.array([[sym.q0 / g.eps, sym.q2 / g.eps]
+                                for sym, g in zip(syms, grids)], np.complex128)
+        self.nu_inv = np.array([[nu * sym.inv0, nu * sym.inv2]
+                                for sym, nu in zip(syms, nus)], np.complex128)
         self.count = 0
-        self.total = np.zeros((2, self.n))
-        # work arrays for blocks of up to BLOCK rows.  Row 1 of the stack
-        # carries the last sample's integrand to the next block, rows 2 ..
-        # k + 1 take the block's integrands and rows 1 .. k their trapezoid
-        # pieces; row 0 takes a copy of total before the reduction
-        h = self.n // 2 + 1
-        self._v1 = np.empty((BLOCK, self.n))
-        self._sq = np.empty((BLOCK, 2, h), np.complex128)
-        self._rhs = np.empty((BLOCK, 2, h), np.complex128)
-        self._stack = np.zeros((BLOCK + 2, 2, self.n))
+        self.total = np.zeros((rows, 2, self.n))
+        # work arrays for blocks of up to block_steps(rows) steps.  Step 1
+        # of the stack carries the last sample's integrands to the next
+        # block, steps 2 .. k + 1 take the block's integrands and steps
+        # 1 .. k their trapezoid pieces; step 0 takes a copy of total
+        # before the reduction
+        size, h = block_steps(rows), self.n // 2 + 1
+        self._v1 = np.empty((size, rows, self.n))
+        self._sq = np.empty((size, rows, 2, h), np.complex128)
+        self._rhs = np.empty((size, rows, 2, h), np.complex128)
+        self._stack = np.zeros((size + 2, rows, 2, self.n))
 
     def add(self, times: np.ndarray, vspecs: np.ndarray) -> np.ndarray:
-        """Add the samples of v with half-spectra ``vspecs[j]`` at
-        ``times[j]``, at most ``BLOCK`` of them, increasing and later than
-        the last one.  Returns v1 = irfft(q1 * vspecs) by rows, a view of a
-        work array that the next call overwrites."""
+        """Add the samples of v with half-spectra ``vspecs[j, r]`` of each
+        row r at ``times[j]``, at most ``block_steps(rows)`` of them,
+        increasing and later than the last one.  Returns v1 =
+        irfft(q1 * vspecs), a view of a work array that the next call
+        overwrites."""
         k = len(times)
         v1, sq, rhs = self._v1[:k], self._sq[:k], self._rhs[:k]
         f = self._stack[1:k + 2]
-        np.multiply(self.q1, vspecs, out=sq[:, 0])
-        np.fft.irfft(sq[:, 0], n=self.n, out=v1)
+        np.multiply(self.q1, vspecs, out=sq[:, :, 0])
+        np.fft.irfft(sq[:, :, 0], n=self.n, out=v1)
         # the integrand rows, and then sq, are free until they are refilled
-        np.multiply(v1, v1, out=f[1:, 0])
-        np.fft.rfft(f[1:, 0], out=sq[:, 0])
-        np.multiply(self.nu_inv, sq[:, :1], out=rhs)
-        np.multiply(self.qk_eps, vspecs[:, None], out=sq)
+        np.multiply(v1, v1, out=f[1:, :, 0])
+        np.fft.rfft(f[1:, :, 0], out=sq[:, :, 0])
+        np.multiply(self.nu_inv, sq[:, :, :1], out=rhs)
+        np.multiply(self.qk_eps, vspecs[:, :, None], out=sq)
         np.add(sq, rhs, out=rhs)
         np.fft.irfft(rhs, n=self.n, out=f[1:])
-        np.multiply(f[1:], v1[:, None], out=f[1:])
-        # rows 0 .. k - 1 of f become the pieces p_1 .. p_k, in place: each
-        # row is read before it is overwritten.  Row k, the last integrand,
-        # is left to carry
+        np.multiply(f[1:], v1[:, :, None], out=f[1:])
+        # steps 0 .. k - 1 of f become the pieces p_1 .. p_k, in place:
+        # each is read before it is overwritten.  Step k, the last
+        # integrand, is left to carry
         last = self._t if self.count else times[0]
         half = 0.5 * np.diff(times, prepend=last)
         np.add(f[:k], f[1:], out=f[:k])
-        np.multiply(f[:k], half[:, None, None], out=f[:k])
+        np.multiply(f[:k], half[:, None, None, None], out=f[:k])
         # the first sample of a run has no piece: total takes its row
         lo = 0 if self.count else 1
         self._stack[lo] = self.total
@@ -87,10 +92,10 @@ class AveragingAccumulator:
         self.count += k
         return v1
 
-    def results(self) -> tuple[float, float]:
-        """The sup norms of the P0 and the P2 integral."""
-        res_p0, res_p2 = (float(np.max(np.abs(total))) for total in self.total)
-        return res_p0, res_p2
+    def results(self) -> list:
+        """The sup norms of the P0 and the P2 integral of each row."""
+        return [tuple(float(np.max(np.abs(band))) for band in total)
+                for total in self.total]
 
 
 @dataclass(frozen=True)
@@ -115,8 +120,8 @@ def fit_scaling_exponent(pairs) -> ScalingStudy:
 # -- effective amplitude-coefficient estimation ------------------------------
 
 class _CarrierAmplitude:
-    """Observer recording the carrier amplitude |A| = |v^_m| / n of the
-    first field v on every ``stride``-th step and the last, where
+    """Observer recording the carrier amplitude |A| = |v^_m| / n of each
+    row of the first field v on every ``stride``-th step and the last, where
     P1 v = A e^{iX/eps} + c.c. and m is the carrier index of the
     ``n``-point rfft.
 
@@ -128,13 +133,17 @@ class _CarrierAmplitude:
     def __init__(self, m: int, n: int, dt: float, stride: int, n_steps: int):
         self.m, self.n = m, n
         self.dt, self.stride, self.n_steps = dt, stride, n_steps
-        self.times, self.amplitudes = [], []
+        self.times, self.modes = [], []
 
     def __call__(self, i, specs):
         if i % self.stride and i != self.n_steps:
             return
         self.times.append(i * self.dt)
-        self.amplitudes.append(float(abs(specs[0][self.m]) / self.n))
+        self.modes.append(specs[0][:, self.m].tolist())
+
+    def amplitudes(self) -> np.ndarray:
+        """|A| at each sample time, by rows."""
+        return np.abs(np.array(self.modes, dtype=np.complex128)) / self.n
 
 
 @dataclass(frozen=True)
@@ -194,15 +203,16 @@ def estimate_landau_coefficient(eps: float, nu=0.0, variant: str = CUBIC,
     n_steps = step_count(t_end, dt)
     sampler = _CarrierAmplitude(grid.carrier_index, grid.n_points, dt,
                                 max(1, n_steps // 400), n_steps)
-    vspec = v0.spectrum()
+    vspec = v0.spectrum()[None]
     sampler(0, [vspec])
-    status, _, _ = integrate([SHStepper(grid, p, intensity=0.0)], [vspec],
-                             n_steps, p.blowup_threshold, observers=[sampler])
+    (status,), _, _ = integrate([SHStepper([grid], [p], intensity=0.0)],
+                                [vspec], n_steps, p.blowup_threshold,
+                                observers=[sampler])
     if status != "completed":
         raise RuntimeError("deterministic run hit the blow-up guard")
 
     times = np.asarray(sampler.times)
-    amps = np.asarray(sampler.amplitudes)
+    amps = sampler.amplitudes()[:, 0]
 
     keep = times >= t_skip
     t, a = times[keep], amps[keep]

@@ -133,12 +133,12 @@ def project(f: RealField, q: np.ndarray) -> RealField:
 
 def amplitude_spectrum(E: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The fft of A, w = A e^{iX/eps} + c.c., written into ``out`` from the
-    P1 slice ``E = wspec[band]`` of w's half-spectrum (``BandSymbols.band``):
-    mode m+j of w is mode j of A.  The other entries of ``out`` keep their
-    values, zero for a fresh array."""
-    b = E.size // 2
-    out[: b + 1] = E[b:]
-    out[out.size - b:] = E[:b]
+    P1 slice ``E = wspec[band]`` of w's half-spectrum (``BandSymbols.band``),
+    along the last axis: mode m+j of w is mode j of A.  The other entries
+    of ``out`` keep their values, zero for a fresh array."""
+    b, n = E.shape[-1] // 2, out.shape[-1]
+    out[..., : b + 1] = E[..., b:]
+    out[..., n - b:] = E[..., :b]
     return out
 
 

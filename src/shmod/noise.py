@@ -70,20 +70,24 @@ class SpectralNoise:
     either; an exact OU increment for rates ``lam`` is
     g * ou_scale(lam, dt) = g * sqrt(unit * ou_increment_variance(lam, dt) / n).
     With a ``lead`` shape both return that many draws stacked, bit for bit
-    the draws of as many sequential calls, and leave ``rng`` where those would.
+    the draws of as many sequential calls, and leave ``rng`` where those would;
+    with ``out`` they write them there.
     """
 
     def __init__(self, grid: Grid, intensity: float = 1.0):
         self.grid = grid
         self.unit = spectral_variance_rate(grid, intensity)
 
-    def raw(self, rng: np.random.Generator, lead: tuple = ()) -> np.ndarray:
-        return np.fft.rfft(rng.standard_normal((*lead, self.grid.n_points)))
+    def raw(self, rng: np.random.Generator, lead: tuple = (),
+            out: np.ndarray | None = None) -> np.ndarray:
+        return np.fft.rfft(rng.standard_normal((*lead, self.grid.n_points)),
+                           out=out)
 
-    def raw_complex(self, rng: np.random.Generator,
-                    lead: tuple = ()) -> np.ndarray:
+    def raw_complex(self, rng: np.random.Generator, lead: tuple = (),
+                    out: np.ndarray | None = None) -> np.ndarray:
         z = rng.standard_normal((*lead, 2, self.grid.n_points))
-        return np.fft.fft((z[..., 0, :] + 1j * z[..., 1, :]) / np.sqrt(2.0))
+        return np.fft.fft((z[..., 0, :] + 1j * z[..., 1, :]) / np.sqrt(2.0),
+                          out=out)
 
     def ou_scale(self, lam: np.ndarray, dt: float) -> np.ndarray:
         return np.sqrt(self.unit * ou_increment_variance(lam, dt)

@@ -20,11 +20,11 @@ import numpy as np
 
 from .analysis import AveragingAccumulator
 from .bands import DEFAULT_DELTA, amplitude_spectrum, band_symbols
-from .grid import ComplexField, Grid, RealField
+from .grid import ComplexField
 from .noise import NoiseConfig, SpectralNoise
 from .operators import _horner, dealiased_powers_complex
-from .sh import (BLOCK, CUBIC, ModelParams, RunResult, SHStepper, _phi1,
-                 integrate, noise_draw, run_on_worker, spectral_l2_bound,
+from .sh import (CUBIC, ModelParams, RunResult, SHStepper, _phi1, block_steps,
+                 integrate, noise_draw, per_row, run_on_worker, shared,
                  step_count)
 
 GL_DIFFUSION = 4.0
@@ -86,56 +86,72 @@ class ReducedStepper:
     serves one thread at a time.  ``step_spec`` returns a new array.
     """
 
-    def __init__(self, grid: Grid, p: ModelParams, intensity: float = 1.0,
+    def __init__(self, grids, params, intensity: float = 1.0,
                  delta: float = DEFAULT_DELTA):
-        self.grid = grid
-        sym = band_symbols(grid, delta)
-        self.band, m = sym.band, grid.carrier_index
+        self.grids = grids
+        syms = [band_symbols(g, delta) for g in grids]
+        n = self.n = shared([g.n_points for g in grids], "grid size")
+        m = shared([g.carrier_index for g in grids], "carrier index")
+        self.band = shared([sym.band for sym in syms], "band")
+        variant = shared([p.variant for p in params], "variant")
         b = m - self.band.start
-        if p.variant != CUBIC and 3 * b >= m:
+        if variant != CUBIC and 3 * b >= m:
             raise ValueError("band too wide for the quintic band drift: "
                              "the third harmonic of w^5 reaches P1")
-        lam = sym.lam[self.band]
-        self.q1 = sym.q1[self.band]
+        lam = np.array([sym.lam[self.band] for sym in syms])
+        self.q1 = np.array([sym.q1[self.band] for sym in syms])
         # the real multipliers of a spectrum are stored as complex numbers
         # with imaginary part +0, the cast numpy would make on each product
-        self.decay = np.exp(lam * p.dt).astype(np.complex128)
-        self.phi1dt = (p.dt * _phi1(lam * p.dt)).astype(np.complex128)
-        self.noise = SpectralNoise(grid, intensity)
-        self.noise_scale = (
-            (self.noise.ou_scale(lam, p.dt) * self.q1).astype(np.complex128)
-            if intensity > 0 else None)
-        n = grid.n_points
-        if p.variant == CUBIC:
+        self.decay = np.array([np.exp(row * p.dt)
+                               for row, p in zip(lam, params)]
+                              ).astype(np.complex128)
+        self.phi1dt = np.array([p.dt * _phi1(row * p.dt)
+                                for row, p in zip(lam, params)]
+                               ).astype(np.complex128)
+        self.noise = SpectralNoise(grids[0], intensity)
+        self.noise_scale = (np.array([
+            SpectralNoise(g, intensity).ou_scale(row, p.dt)
+            for g, row, p in zip(grids, lam, params)]) * self.q1
+        ).astype(np.complex128) if intensity > 0 else None
+        if variant == CUBIC:
             self.ne = 1 << (4 * b).bit_length()
-            self.poly, nu_q = {1: -3.0}, p.nu
+            self.poly, nus = {1: -3.0}, [p.nu for p in params]
         else:
             self.ne = 1 << (6 * b).bit_length()
-            self.poly = {1: 3.0 * p.nu3, 2: -10.0 * (self.ne / n) ** 2}
-            nu_q = p.nu2
+            nu3 = per_row([3.0 * p.nu3 for p in params])
+            self.poly = {1: nu3, 2: -10.0 * (self.ne / n) ** 2}
+            if not np.any(nu3):
+                del self.poly[1]
+            nus = [p.nu2 for p in params]
         self.gain = (self.q1 * (self.ne / n) ** 2).astype(np.complex128)
+        # each mode of the band stands for a conjugate pair: see SHStepper
+        self.bound_scale = 2.0 / n
         self.inv_b = None
-        if nu_q != 0.0:
+        if any(nus):
             # P0 and P2 have disjoint supports, so inv02 is inv0 or inv2 per
             # mode; past the half-spectrum it is zero
-            inv02 = np.zeros(n // 2 + 1 + self.ne)
-            inv02[: n // 2 + 1] = sym.inv0 + sym.inv2
             k = np.arange(self.ne)
-            self.inv_b = -2.0 * nu_q * nu_q * np.stack(
-                (inv02[np.minimum(k, self.ne - k)], inv02[2 * (m - b) + k])
-            ).astype(np.complex128)
-        # work arrays: the envelope samples a, |a|^2, |Im a|^2 and then the
-        # polynomial in |a|^2, the envelope products and the spectra of the
-        # two squares
-        self._a = np.empty(self.ne, np.complex128)
-        self._abs2, self._poly = np.empty(self.ne), np.empty(self.ne)
-        self._g = np.empty(self.ne, np.complex128)
+            rows = []
+            for sym, nu in zip(syms, nus):
+                inv02 = np.zeros(n // 2 + 1 + self.ne)
+                inv02[: n // 2 + 1] = sym.inv0 + sym.inv2
+                rows.append(-2.0 * nu * nu * np.stack(
+                    (inv02[np.minimum(k, self.ne - k)],
+                     inv02[2 * (m - b) + k])))
+            self.inv_b = np.array(rows).astype(np.complex128)
+        # work arrays, a row each: the envelope samples a, |a|^2, |Im a|^2
+        # and then the polynomial in |a|^2, the envelope products and the
+        # spectra of the two squares
+        size = (len(grids), self.ne)
+        self._a = np.empty(size, np.complex128)
+        self._abs2, self._poly = np.empty(size), np.empty(size)
+        self._g = np.empty(size, np.complex128)
         self._h = np.empty_like(self._g)
-        self._squares = np.empty((2, self.ne), np.complex128)
+        self._squares = np.empty((len(grids), 2, self.ne), np.complex128)
 
     def drift(self, E: np.ndarray) -> np.ndarray:
         """Band slice of P1 of the band polynomial plus the quadratic
-        correction: 4 FFTs of ``ne`` points, 2 if nu = 0."""
+        correction, by rows: 4 batched FFTs of ``ne`` points, 2 if nu = 0."""
         a, abs2, poly, g = self._a, self._abs2, self._poly, self._g
         np.fft.ifft(E, n=self.ne, out=a)
         np.multiply(a.real, a.real, out=abs2)
@@ -144,19 +160,19 @@ class ReducedStepper:
         _horner(abs2, self.poly, out=poly)
         if self.inv_b is not None:
             squares, h = self._squares, self._h
-            np.multiply(2.0, abs2, out=squares[0])
-            np.multiply(a, a, out=squares[1])
+            np.multiply(2.0, abs2, out=squares[:, 0])
+            np.multiply(a, a, out=squares[:, 1])
             np.fft.fft(squares, out=squares)
             np.multiply(self.inv_b, squares, out=squares)
-            b0, b2 = np.fft.ifft(squares, out=squares)
-            np.add(poly, b0, out=g)
+            np.fft.ifft(squares, out=squares)
+            np.add(poly, squares[:, 0], out=g)
             np.multiply(a, g, out=g)
-            np.multiply(np.conjugate(a, out=h), b2, out=h)
+            np.multiply(np.conjugate(a, out=h), squares[:, 1], out=h)
             g += h
         else:
             np.multiply(a, poly, out=g)
         np.fft.fft(g, out=g)
-        return self.gain * g[: E.size]
+        return self.gain * g[:, : E.shape[-1]]
 
     def step_spec(self, E: np.ndarray, raw: np.ndarray | None) -> np.ndarray:
         drift = self.drift(E)
@@ -164,39 +180,34 @@ class ReducedStepper:
         out = self.decay * E
         out += drift
         if raw is not None and self.noise_scale is not None:
-            out += np.multiply(raw[self.band], self.noise_scale, out=drift)
+            out += np.multiply(raw[:, self.band], self.noise_scale, out=drift)
         return out
 
     def half_spectrum(self, E: np.ndarray) -> np.ndarray:
-        """The rfft half-spectrum of w from its band slice."""
-        spec = np.zeros(self.grid.n_points // 2 + 1, dtype=np.complex128)
-        spec[self.band] = E
+        """The rfft half-spectra of w from the rows of its band slice."""
+        spec = np.zeros((len(E), self.n // 2 + 1), dtype=np.complex128)
+        spec[:, self.band] = E
         return spec
 
     def values(self, E: np.ndarray) -> np.ndarray:
-        return np.fft.irfft(self.half_spectrum(E), n=self.grid.n_points)
-
-    def sup_bound(self, E: np.ndarray) -> float:
-        """An upper bound on the sup norm of ``values(E)``: each mode of the
-        band stands for a conjugate pair (see ``SHStepper.sup_bound``)."""
-        return 2.0 * spectral_l2_bound(E) / self.grid.n_points
+        return np.fft.irfft(self.half_spectrum(E), n=self.n)
 
 
 # -- Ginzburg-Landau solver --------------------------------------------------
 
 class GLStepper:
-    """ETD2RK step of the amplitude equation on a periodic grid.
+    """ETD2RK step of the amplitude equation for a batch of rows on periodic
+    grids of one size, a row's multipliers from its grid and coefficients.
 
     Second order on the deterministic part (the Riccati oracle needs it);
     noise is an exact per-mode OU increment added after the deterministic
     update.
     """
 
-    def __init__(self, grid: Grid, c: GLCoefficients, dt: float,
-                 intensity: float = 1.0):
-        self.grid = grid
-        K = grid.wavenumbers
-        lam = -GL_DIFFUSION * K ** 2
+    def __init__(self, grids, coeffs, dt: float, intensity: float = 1.0):
+        self.n = shared([g.n_points for g in grids], "grid size")
+        quintic = shared([c.quintic for c in coeffs], "quintic coefficient")
+        lam = -GL_DIFFUSION * np.array([g.wavenumbers for g in grids]) ** 2
         self.decay = np.exp(lam * dt)
         z = lam * dt
         self.phi1dt = dt * _phi1(z)
@@ -204,15 +215,22 @@ class GLStepper:
         zs = np.where(small, 1.0, z)
         phi2 = np.where(small, 0.5 + z / 6.0, (np.expm1(zs) - zs) / zs ** 2)
         self.phi2dt = dt * phi2
-        self.noise = SpectralNoise(grid, intensity)
-        self.noise_scale = (self.noise.ou_scale(lam, dt)
-                            if intensity > 0 else None)
-        self.coeffs = {3: c.cubic} if c.quintic == 0.0 else {3: c.cubic, 5: c.quintic}
-        self.pad = 2 if c.quintic == 0.0 else 3
+        self.noise = SpectralNoise(grids[0], intensity)
+        self.noise_scale = (np.array([
+            SpectralNoise(g, intensity).ou_scale(row, dt)
+            for g, row in zip(grids, lam)]) if intensity > 0 else None)
+        cubic = per_row([c.cubic for c in coeffs])
+        self.coeffs = {3: cubic}
+        if quintic != 0.0:
+            # a cubic term that no row has is left out
+            self.coeffs = ({3: cubic, 5: quintic} if np.any(cubic)
+                           else {5: quintic})
+        self.pad = 2 if quintic == 0.0 else 3
+        # Σ|ĉ|/n bounds the sup norm of the values (_blown_up)
+        self.bound_scale = 1.0 / self.n
 
     def nonlinearity(self, aspec: np.ndarray) -> np.ndarray:
-        return dealiased_powers_complex(aspec, self.grid.n_points,
-                                        self.coeffs, self.pad)
+        return dealiased_powers_complex(aspec, self.n, self.coeffs, self.pad)
 
     def step_spec(self, aspec: np.ndarray, raw: np.ndarray | None) -> np.ndarray:
         n1 = self.nonlinearity(aspec)
@@ -225,23 +243,20 @@ class GLStepper:
     def values(self, aspec: np.ndarray) -> np.ndarray:
         return np.fft.ifft(aspec)
 
-    def sup_bound(self, aspec: np.ndarray) -> float:
-        """An upper bound on the sup norm of ``values(aspec)``: ``Σ|ĉ|/n``
-        and so ``sqrt(n·Σ|ĉ|²)/n``."""
-        return spectral_l2_bound(aspec) / self.grid.n_points
-
 
 def simulate_gl(A0: ComplexField, c: GLCoefficients, dt: float, t_end: float,
                 cfg: NoiseConfig | None = None) -> RunResult:
     """Integrate to t_end, or to the last step before blow-up, at ``cfg``'s
-    noise level, noise-free without a ``cfg``."""
+    noise level, noise-free without a ``cfg``: a batch of one."""
     intensity = cfg.intensity if cfg is not None else 0.0
-    stepper = GLStepper(A0.grid, c, dt, intensity)
+    stepper = GLStepper([A0.grid], [c], dt, intensity)
     n_steps = step_count(t_end, dt)
-    status, steps, (aspec,) = integrate(
-        [stepper], [A0.spectrum()], n_steps, ModelParams.blowup_threshold,
-        noise_draw(stepper.noise, cfg, n_steps, complex_rows=True))
-    return RunResult(ComplexField.from_spectrum(A0.grid, aspec), status,
+    (status,), (steps,), (aspec,) = integrate(
+        [stepper], [A0.spectrum()[None]], n_steps,
+        ModelParams.blowup_threshold,
+        noise_draw(stepper.noise, None if cfg is None else [cfg], n_steps,
+                   complex_rows=True))
+    return RunResult(ComplexField.from_spectrum(A0.grid, aspec[0]), status,
                      steps * dt)
 
 
@@ -249,68 +264,74 @@ def simulate_gl(A0: ComplexField, c: GLCoefficients, dt: float, t_end: float,
 
 @dataclass
 class PairedResult:
-    sup_diff: float                      # sup_T ||P1 v - w||_inf
-    res_p0: float                        # averaging residuals of v, every step
-    res_p2: float
-    sup_diff_gl: float | None = None     # sup_T ||demod(w) - A||_inf
-    status: str = "completed"
+    """What a batch of paired runs measured, one entry per row."""
+    sup_diff: list                       # sup_T ||P1 v - w||_inf
+    res_p0: list                         # averaging residuals of v, every step
+    res_p2: list
+    status: list
+    sup_diff_gl: list | None = None      # sup_T ||demod(w) - A||_inf
 
 
 class _BandGLStepper(GLStepper):
-    """GL stepper driven by the shared real draw: the amplitude of its P1
-    band, q1 raw, scattered from the band slice of ``red``."""
+    """GL stepper driven by the shared real draw: the amplitude of each
+    row's P1 band, q1 raw, scattered from the band slice of ``red``."""
 
-    def __init__(self, c: GLCoefficients, dt: float, intensity: float,
+    def __init__(self, coeffs, dt: float, intensity: float,
                  red: ReducedStepper):
-        super().__init__(red.grid, c, dt, intensity)
+        super().__init__(red.grids, coeffs, dt, intensity)
         self.red = red
-        self.raw_amplitude = np.zeros(red.grid.n_points, dtype=np.complex128)
+        self.raw_amplitude = np.zeros((len(coeffs), self.n),
+                                      dtype=np.complex128)
 
     def step_spec(self, aspec: np.ndarray, raw: np.ndarray | None) -> np.ndarray:
         if raw is not None:
             red = self.red
-            raw = amplitude_spectrum(red.q1 * raw[red.band], self.raw_amplitude)
+            raw = amplitude_spectrum(red.q1 * raw[:, red.band],
+                                     self.raw_amplitude)
         return super().step_spec(aspec, raw)
 
 
 class _RunningMax:
-    """Observer keeping the largest ``gap(specs)`` over the steps."""
+    """Observer keeping each row's largest ``gap(specs)`` over the steps."""
 
-    def __init__(self, gap):
+    def __init__(self, rows: int, gap):
         self.gap = gap
-        self.value = 0.0
+        self.value = np.zeros(rows)
 
     def __call__(self, i, specs):
-        self.value = max(self.value, self.gap(specs))
+        np.maximum(self.value, self.gap(specs), out=self.value)
 
 
 class _BandObserver:
     """sup_T ||P1 v - w||_inf and the averaging integrals of v over every
-    step, computed in blocks of ``BLOCK`` steps on the worker thread.
+    step, by rows, computed in blocks of ``block_steps`` steps on the
+    worker thread.
 
-    A call copies the step's v^ and band slice E into one side of a pair
-    of block buffers.  A full block goes to the worker as one job while
-    the stepping thread fills the other side; the job before it is waited
-    for first, so at most one block is in flight.  The job gets the block's
-    v1 = irfft(q1 v^) from ``AveragingAccumulator.add`` and w = irfft of E
-    scattered into the half-spectrum (``ReducedStepper.values``) from one
-    batched transform each, into arrays this observer owns.  ``finish``
-    hands over the last, partial block and waits; ``wait`` re-raises the
-    error of a failed job.  On step 0, w0 = P1 v0 is the same product by
-    q1 as v1, so its gap is 0 and leaves the running max as it is.
+    A call copies the step's v^ and band slice E of every row into one
+    side of a pair of block buffers.  A full block goes to the worker as
+    one job while the stepping thread fills the other side; the job before
+    it is waited for first, so at most one block is in flight.  The job
+    gets the block's v1 = irfft(q1 v^) from ``AveragingAccumulator.add``
+    and w = irfft of E scattered into the half-spectrum
+    (``ReducedStepper.values``) from one batched transform each, into
+    arrays this observer owns.  ``finish`` hands over the last, partial
+    block and waits; ``wait`` re-raises the error of a failed job.  On
+    step 0, w0 = P1 v0 is the same product by q1 as v1, so its gap is 0
+    and leaves the running max as it is.
     """
 
     def __init__(self, averaging: AveragingAccumulator, red: ReducedStepper,
                  dt: float):
-        n, h = averaging.n, averaging.n // 2 + 1
+        n, h, rows = averaging.n, averaging.n // 2 + 1, averaging.rows
+        self.size = size = block_steps(rows)
         self.averaging, self.band, self.dt = averaging, red.band, dt
-        self.times = np.empty((2, BLOCK))
-        self.vspecs = np.empty((2, BLOCK, h), dtype=np.complex128)
-        self.bands = np.empty((2, BLOCK, red.band.stop - red.band.start),
+        self.times = np.empty((2, size))
+        self.vspecs = np.empty((2, size, rows, h), dtype=np.complex128)
+        self.bands = np.empty((2, size, rows, red.band.stop - red.band.start),
                               dtype=np.complex128)
-        self.wspec = np.zeros((BLOCK, h), dtype=np.complex128)
-        self.w = np.empty((BLOCK, n))
-        self.sup_diff = 0.0
+        self.wspec = np.zeros((size, rows, h), dtype=np.complex128)
+        self.w = np.empty((size, rows, n))
+        self.sup_diff = np.zeros(rows)
         self.side, self.filled, self.pending = 0, 0, None
 
     def __call__(self, i, specs):
@@ -319,7 +340,7 @@ class _BandObserver:
         self.vspecs[side, row] = specs[0]
         self.bands[side, row] = specs[1]
         self.filled += 1
-        if self.filled == BLOCK:
+        if self.filled == self.size:
             self._hand_over()
 
     def _hand_over(self):
@@ -340,54 +361,66 @@ class _BandObserver:
     def _block(self, side: int, k: int):
         v1 = self.averaging.add(self.times[side, :k], self.vspecs[side, :k])
         wspec, w = self.wspec[:k], self.w[:k]
-        wspec[:, self.band] = self.bands[side, :k]
+        wspec[..., self.band] = self.bands[side, :k]
         np.fft.irfft(wspec, n=self.averaging.n, out=w)
         np.subtract(v1, w, out=w)
         np.abs(w, out=w)
-        self.sup_diff = max(self.sup_diff, float(w.max()))
+        np.maximum(self.sup_diff, w.max(axis=(0, 2)), out=self.sup_diff)
 
 
-def simulate_paired(v0: RealField, p: ModelParams, cfg: NoiseConfig,
-                    delta: float = DEFAULT_DELTA,
-                    with_gl: bool = False) -> PairedResult:
-    """Drive the full equation and the band equation with one noise path.
+def simulate_paired(v0s, params, cfgs, delta: float = DEFAULT_DELTA,
+                    with_gl: bool = False) -> list:
+    """Drive the full equation and the band equation of a batch of rows,
+    each row with its own noise path, and return their ``PairedResult``.
 
-    w starts from P1 v0.  If ``with_gl`` is set, a Ginzburg-Landau amplitude
-    on the same grid is driven by the demodulated P1 noise band (same white
-    realization, each mode with its own exact OU variance) and compared
-    against the demodulated w.  The averaging residuals of v (see
+    Row r starts from ``v0s[r]`` with ``params[r]`` and the noise of
+    ``cfgs[r]``; the rows share their time stepping and noise intensity.
+    w starts from P1 v0.  If ``with_gl`` is set, a Ginzburg-Landau
+    amplitude on the same grid is driven by the demodulated P1 noise band
+    (same white realization, each mode with its own exact OU variance) and
+    compared against the demodulated w.  The averaging residuals of v (see
     ``analysis.AveragingAccumulator``, with nu2 for the quintic variant)
     are integrated over every step as the run goes; no field is stored.
+    A row that blows up has status "blowup_stopped": alone, its
+    diagnostics cover the steps before the blow-up; in a batch they also
+    take in the rest the row is held at after it (see ``integrate``).
     """
-    grid = v0.grid
-    sh = SHStepper(grid, p, cfg.intensity)
-    red = ReducedStepper(grid, p, cfg.intensity, delta)
-    vspec = v0.spectrum()
-    wband = red.q1 * vspec[red.band]
+    grids = [v0.grid for v0 in v0s]
+    p = params[0]
+    shared([(q.dt, q.t_end, q.blowup_threshold) for q in params],
+           "time stepping")
+    intensity = shared([cfg.intensity for cfg in cfgs], "noise intensity")
+    sh = SHStepper(grids, params, intensity)
+    red = ReducedStepper(grids, params, intensity, delta)
+    vspec = np.array([v0.spectrum() for v0 in v0s])
+    wband = red.q1 * vspec[:, red.band]
     steppers, specs = [sh, red], [vspec, wband]
     averaging = AveragingAccumulator(
-        grid, p.nu if p.variant == CUBIC else p.nu2, delta)
+        grids, [q.nu if q.variant == CUBIC else q.nu2 for q in params], delta)
     band = _BandObserver(averaging, red, p.dt)
     band(0, specs)
     observers = [band]
     if with_gl:
-        c = (gl_coefficients(p.nu) if p.variant == CUBIC
-             else gl5_coefficients(p.nu2, p.nu3))
-        steppers.append(_BandGLStepper(c, p.dt, cfg.intensity, red))
-        amp = np.zeros(grid.n_points, dtype=np.complex128)
+        c = [gl_coefficients(q.nu) if q.variant == CUBIC
+             else gl5_coefficients(q.nu2, q.nu3) for q in params]
+        steppers.append(_BandGLStepper(c, p.dt, intensity, red))
+        amp = np.zeros((len(grids), red.n), dtype=np.complex128)
         specs.append(amplitude_spectrum(wband, amp.copy()))
-        sup_diff_gl = _RunningMax(lambda specs: float(np.max(np.abs(
+        sup_diff_gl = _RunningMax(len(grids), lambda specs: np.max(np.abs(
             np.fft.ifft(amplitude_spectrum(specs[1], amp))
-            - np.fft.ifft(specs[2])))))
+            - np.fft.ifft(specs[2])), axis=1))
         observers.append(sup_diff_gl)
     n_steps = step_count(p.t_end, p.dt)
     try:
-        status, _, _ = integrate(steppers, specs, n_steps, p.blowup_threshold,
-                                 noise_draw(sh.noise, cfg, n_steps), observers)
+        status, _, _ = integrate(steppers, specs, n_steps,
+                                 p.blowup_threshold,
+                                 noise_draw(sh.noise, cfgs, n_steps),
+                                 observers)
         band.finish()
     finally:
         band.wait()
-    res_p0, res_p2 = averaging.results()
-    return PairedResult(sup_diff=band.sup_diff, res_p0=res_p0, res_p2=res_p2,
-                        sup_diff_gl=sup_diff_gl.value if with_gl else None,
-                        status=status)
+    res_p0, res_p2 = zip(*averaging.results())
+    return PairedResult(sup_diff=band.sup_diff.tolist(), res_p0=list(res_p0),
+                        res_p2=list(res_p2), status=status,
+                        sup_diff_gl=(sup_diff_gl.value.tolist() if with_gl
+                                     else None))

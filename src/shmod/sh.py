@@ -10,8 +10,8 @@ stiff slaved modes (essential for the quadratic-interaction coefficients).
 """
 from __future__ import annotations
 
-import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -69,56 +69,80 @@ def _phi1(z: np.ndarray) -> np.ndarray:
                     np.expm1(np.where(small, 1.0, z)) / np.where(small, 1.0, z))
 
 
-class SHStepper:
-    """Precomputed ETD1 step for one (grid, params, intensity) combination.
+def shared(values, what: str):
+    """The one value in ``values`` that every row of a batch shares."""
+    first, *rest = values
+    if any(value != first for value in rest):
+        raise ValueError(f"the rows of a batch differ in {what}")
+    return first
 
-    The stepper owns the padded work arrays of its nonlinearity, so one
-    stepper serves one thread at a time.
+
+def per_row(values):
+    """A coefficient with one value per row of a batch, as a column that
+    broadcasts against arrays whose last two axes are rows and samples;
+    one number if every row has the same, which broadcasts at less cost."""
+    column = np.array(values, dtype=np.float64)[:, None]
+    return float(column[0, 0]) if np.all(column == column[0]) else column
+
+
+class SHStepper:
+    """Precomputed ETD1 step of a batch of rows, one ``(grid, params)`` pair
+    each, at one noise intensity.
+
+    A spectrum is an array with one half-spectrum per row.  The grids share
+    their number of points and the params their variant; each row has its
+    own eps, nu and dt, so its own multipliers, and a single run is a batch
+    of one.  The stepper owns the padded work arrays of its nonlinearity,
+    so one stepper serves one thread at a time.
     """
 
-    def __init__(self, grid: Grid, p: ModelParams, intensity: float = 1.0):
-        self.grid, eps = grid, grid.eps
-        lam = symbol_L_eps(grid.rfft_wavenumbers, eps)
+    def __init__(self, grids, params, intensity: float = 1.0):
+        self.n = shared([g.n_points for g in grids], "grid size")
+        variant = shared([p.variant for p in params], "variant")
+        rows = []
+        for g, p in zip(grids, params):
+            lam = symbol_L_eps(g.rfft_wavenumbers, g.eps)
+            scale = (SpectralNoise(g, intensity).ou_scale(lam, p.dt)
+                     if intensity > 0 else 0.0)
+            rows.append((np.exp(lam * p.dt), scale, p.dt * _phi1(lam * p.dt)))
         # the real multipliers are stored as complex numbers with imaginary
         # part +0, the cast numpy would make on every product with a
         # spectrum: the same bits, without a cast buffer per product
-        self.decay = np.exp(lam * p.dt).astype(np.complex128)
-        self.noise = SpectralNoise(grid, intensity)
-        self.noise_scale = (
-            self.noise.ou_scale(lam, p.dt).astype(np.complex128)
-            if intensity > 0 else None)
-        if p.variant == CUBIC:
-            self.coeffs, pad = {2: p.nu / eps, 3: -1.0}, 2
+        decay, scale, gain = (np.array(x) for x in zip(*rows))
+        self.decay = decay.astype(np.complex128)
+        self.noise = SpectralNoise(grids[0], intensity)
+        self.noise_scale = (scale.astype(np.complex128) if intensity > 0
+                            else None)
+        if variant == CUBIC:
+            pad = 2
+            coeffs = {2: per_row([p.nu / g.eps
+                                  for g, p in zip(grids, params)]),
+                      3: -1.0}
         else:
-            self.coeffs, pad = {2: p.nu2 / eps, 3: p.nu3, 5: -1.0}, 3
+            pad = 3
+            coeffs = {2: per_row([p.nu2 / g.eps
+                                  for g, p in zip(grids, params)]),
+                      3: per_row([p.nu3 for p in params]), 5: -1.0}
+        # a term that no row has is left out
+        self.coeffs = {e: c for e, c in coeffs.items() if np.any(c)}
         # the nonlinearity enters times dt*phi1(lam*dt), folded into the
         # output weights of its padded grid
-        self.padded = PaddedGrid(grid.n_points, pad,
-                                 gain=p.dt * _phi1(lam * p.dt))
+        self.padded = PaddedGrid(self.n, pad, gain=gain)
+        # each mode of the half-spectrum stands for a conjugate pair at
+        # most, so 2·Σ|ĉ|/n bounds the sup norm of the values (_blown_up)
+        self.bound_scale = 2.0 / self.n
 
     def step_spec(self, vspec: np.ndarray, raw: np.ndarray | None) -> np.ndarray:
-        out = dealiased_powers(vspec, self.coeffs, self.padded)
-        out += self.decay * vspec
-        if raw is not None and self.noise_scale is not None:
-            out += raw * self.noise_scale
-        return out
+        """``N(v) + decay·v̂ + noise`` of every row, summed by
+        ``dealiased_powers`` in that order with no temporary."""
+        if raw is None or self.noise_scale is None:
+            return dealiased_powers(vspec, self.coeffs, self.padded,
+                                    (self.decay, vspec))
+        return dealiased_powers(vspec, self.coeffs, self.padded,
+                                (self.decay, vspec), (raw, self.noise_scale))
 
     def values(self, vspec: np.ndarray) -> np.ndarray:
-        return np.fft.irfft(vspec, n=self.grid.n_points)
-
-    def sup_bound(self, vspec: np.ndarray) -> float:
-        """An upper bound on the sup norm of ``values(vspec)``: each of the
-        h modes of the half-spectrum stands for a conjugate pair at most,
-        so ``2·Σ|ĉ|/n`` bounds it, and by Cauchy-Schwarz so does
-        ``2·sqrt(h·Σ|ĉ|²)/n``, one BLAS call."""
-        return 2.0 * spectral_l2_bound(vspec) / self.grid.n_points
-
-
-def spectral_l2_bound(spec: np.ndarray) -> float:
-    """``sqrt(h·Σ|ĉ|²)`` over the h entries of ``spec``, at least their l1
-    norm ``Σ|ĉ|`` by Cauchy-Schwarz; nan or inf if an entry is, or if the
-    sum of squares overflows."""
-    return math.sqrt(spec.size * np.vdot(spec, spec).real)
+        return np.fft.irfft(vspec, n=self.n)
 
 
 #: relative margin below ``threshold`` under which a spectral sup bound
@@ -128,94 +152,170 @@ def spectral_l2_bound(spec: np.ndarray) -> float:
 GUARD_MARGIN = 1e-9
 
 
-def _blown_up(stepper, spec: np.ndarray, threshold: float) -> bool:
-    """True if ``stepper.values(spec)`` has a non-finite entry or reaches
-    sup norm ``threshold``.
+def _blown_up(stepper, spec: np.ndarray, threshold: float):
+    """Which rows of ``stepper.values(spec)`` have a non-finite entry or
+    reach sup norm ``threshold``, as a boolean array; None if no row does
+    by the spectral bound alone.
 
-    The stepper's ``sup_bound(spec)``, taken from the spectrum, bounds that
-    sup norm from above, so a finite bound below the threshold (less
-    ``GUARD_MARGIN``) passes the step without a transform.  A nan or inf
-    entry, or an overflow of the bound, makes it nan or inf, which fails
-    the comparison and falls through to the exact test.  There every comparison with nan is false,
-    so the negated bounds catch nan and +-inf with no isfinite pass, and a
-    real field needs no abs temporary."""
-    if stepper.sup_bound(spec) < threshold * (1.0 - GUARD_MARGIN):
-        return False
-    v = stepper.values(spec)
+    The stepper's ``bound_scale`` times the l1 norm ``Σ|ĉ|`` of a row's
+    h entries bounds its sup norm from above, and so does
+    ``bound_scale·sqrt(h·Σ|ĉ|²)`` by Cauchy-Schwarz, one call for the
+    batch.  A finite bound below the threshold (less ``GUARD_MARGIN``)
+    passes a row without a transform, and a batch whose squared bounds sum
+    below the squared limit takes none.  A nan or inf entry, or an
+    overflow of the sum of squares, makes it nan or inf, which fails the
+    comparison and falls through to the exact test of that row.  There
+    every comparison with nan is false, so the negated bounds catch nan
+    and +-inf with no isfinite pass, and a real field needs no abs
+    temporary."""
+    x = np.ascontiguousarray(spec).view(np.float64)
+    squares = np.vecdot(x, x)  # Σ|ĉ|² of each row
+    limit = ((threshold * (1.0 - GUARD_MARGIN) / stepper.bound_scale) ** 2
+             / spec.shape[-1])
+    # the sum is at least the largest, and nan if one is
+    if sum(squares.tolist()) < limit:
+        return None
+    suspect = ~(squares < limit)
+    v = stepper.values(spec[suspect])
     if np.iscomplexobj(v):
-        return not np.max(np.abs(v)) < threshold
-    return not (v.max() < threshold and -v.min() < threshold)
+        suspect[suspect] = ~(np.max(np.abs(v), axis=1) < threshold)
+    else:
+        suspect[suspect] = ~((v.max(axis=1) < threshold)
+                             & (-v.min(axis=1) < threshold))
+    return suspect
 
 
 def integrate(steppers, specs, n_steps: int, threshold: float,
-              draw=None, observers=()) -> tuple[str, int, list]:
-    """Advance the spectra ``specs`` by up to ``n_steps`` steps.
+              draw=None, observers=()) -> tuple[list, list, list]:
+    """Advance the batched spectra ``specs``, one array of rows per
+    stepper, by up to ``n_steps`` steps.
 
-    Each step draws one raw increment shared by all steppers (``draw()``,
-    or None for a noise-free run); every stepper scales it itself in
-    ``step_spec(spec, raw)``.  A step on which any field is non-finite or
-    reaches sup norm ``threshold`` (``_blown_up``) ends the run unobserved
-    and is discarded; otherwise every observer is called as
-    ``observer(i, specs)``, and takes grid values itself if it needs them.
-    Returns the run
-    status, "completed" or "blowup_stopped", the number of steps completed
-    and the spectra after the last of them (``specs`` if none completed).
+    Each step draws one raw increment per row shared by all steppers
+    (``draw()``, or None for a noise-free run); every stepper scales it
+    itself in ``step_spec(spec, raw)``.  A row whose field is non-finite
+    or reaches sup norm ``threshold`` in any stepper (``_blown_up``) is
+    frozen at its last completed step: its blown step is discarded, and
+    from then on it is stepped from rest, so it never overflows, and its
+    values are left for the observers to ignore.  The other rows go on.
+    After each step every observer is called as ``observer(i, specs)``,
+    and takes grid values itself if it needs them.  Returns each row's
+    status, "completed" or "blowup_stopped", the number of steps each row
+    completed and the spectra after the last of them (the inputs for a row
+    that completed none); the run ends early once every row is frozen.
     """
+    rows = len(specs[0])
+    steps = np.full(rows, n_steps)
+    live, kept = np.ones(rows, dtype=bool), None
     for i in range(1, n_steps + 1):
         raw = draw() if draw is not None else None
         new = [s.step_spec(spec, raw) for s, spec in zip(steppers, specs)]
-        if any(_blown_up(s, spec, threshold)
-               for s, spec in zip(steppers, new)):
-            return "blowup_stopped", i - 1, specs
+        raw = None  # the noise block goes as soon as its last row is used
+        blown = None
+        for s, spec in zip(steppers, new):
+            bad = _blown_up(s, spec, threshold)
+            if bad is not None:
+                blown = bad if blown is None else blown | bad
+        if blown is not None and (blown := blown & live).any():
+            if kept is None:
+                kept = [spec.copy() for spec in specs]
+            else:
+                for k, spec in zip(kept, specs):
+                    k[blown] = spec[blown]
+            steps[blown] = i - 1
+            live &= ~blown
+            if not live.any():
+                break
+        if kept is not None:
+            for spec in new:
+                spec[~live] = 0.0
         specs = new
         for observe in observers:
             observe(i, specs)
-    return "completed", n_steps, specs
+    if kept is not None:
+        specs = [np.where(live[:, None], spec, k)
+                 for k, spec in zip(kept, specs)]
+    status = ["completed" if ok else "blowup_stopped" for ok in live]
+    return status, steps.tolist(), specs
 
 
-#: rows per block of the worker's jobs: noise draws, and the paired run's
-#: diagnostics.  Fewer, larger jobs stall the stepping thread less, and
-#: one size for both keeps their hand-overs aligned.  Three noise blocks
-#: of about 49 kB a row (n = 2048) are live, so the 1 MB tracemalloc bound
-#: of an attractivity cell caps it: 0.90 MB at 12 rows (0.89 MB at 0.8.0,
-#: 0.99 MB at 14)
+#: steps per block of the worker's jobs at most: noise draws, and the
+#: paired run's diagnostics.  Fewer, larger jobs stall the stepping thread
+#: less, and one size for both keeps their hand-overs aligned.  Up to two
+#: noise blocks are live in ``integrate`` (``noise_draw``), of about 16 kB
+#: a row at n = 2048, besides the 16 kB a row of normals drawn into the
+#: newest, so the 1 MB tracemalloc bound of an attractivity cell caps a
+#: batch of one: 0.93 MB at 12 steps
 BLOCK = 12
 
+#: rows per block of a batch at most, summed over its rows, so a block's
+#: memory does not grow past this many rows with the batch size
+BLOCK_ROWS = 36
 
-def _start_worker():
-    global _worker
-    _worker = ThreadPoolExecutor(1, thread_name_prefix="shmod-worker")
+
+def block_steps(rows: int) -> int:
+    """Steps per worker block of a batch of ``rows`` rows: ``BLOCK`` at
+    most, ``BLOCK_ROWS`` rows in all at most, one at least."""
+    return max(1, min(BLOCK, BLOCK_ROWS // rows))
 
 
-# one worker thread per process; a forked child has no copy of the
-# parent's thread and would wait on it forever, so it starts its own
-_start_worker()
+_worker = None
+_worker_lock = threading.Lock()
+
+
+def _forget_worker():
+    # a forked child has no copy of the parent's thread and would wait on
+    # it forever, so it starts its own
+    global _worker, _worker_lock
+    _worker, _worker_lock = None, threading.Lock()
+
+
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_start_worker)
+    os.register_at_fork(after_in_child=_forget_worker)
 
 
 def run_on_worker(fn, *args):
-    """Submit ``fn(*args)`` to this process's worker thread; its future."""
+    """Submit ``fn(*args)`` to this process's one worker thread, started on
+    the first call; its future."""
+    global _worker
+    if _worker is None:
+        with _worker_lock:
+            if _worker is None:
+                _worker = ThreadPoolExecutor(
+                    1, thread_name_prefix="shmod-worker")
     return _worker.submit(fn, *args)
 
 
-def noise_draw(noise: SpectralNoise, cfg: NoiseConfig | None, n_steps: int,
+def noise_draw(noise: SpectralNoise, cfgs, n_steps: int,
                complex_rows: bool = False):
-    """Exactly ``n_steps`` per-step ``noise.raw`` draws (``raw_complex``
-    with ``complex_rows``) from ``cfg``'s stream, bit for bit; None without
-    noise.  They are drawn in blocks, one block ahead, on the worker,
-    which overlaps the stepping thread: Philox and pocketfft free the GIL."""
-    if cfg is None or cfg.intensity == 0:
+    """Exactly ``n_steps`` per-step draws for a batch, one row per config
+    in ``cfgs``: row r of a step is the ``noise.raw`` draw (``raw_complex``
+    with ``complex_rows``) of ``cfgs[r]``'s own stream, bit for bit; None
+    without noise (no ``cfgs``, or every intensity 0).  They are drawn in
+    blocks of ``block_steps`` steps, one block ahead, on the worker, which
+    overlaps the stepping thread: Philox and pocketfft free the GIL.  Two
+    blocks are live, the one handed out and the one being drawn, and a
+    third while the caller holds the last row of the one before, which
+    ``integrate`` does not."""
+    if cfgs is None or all(cfg.intensity == 0 for cfg in cfgs):
         return None
     raw = noise.raw_complex if complex_rows else noise.raw
-    rng = cfg.make_rng()
+    n = noise.grid.n_points
+    width = n if complex_rows else n // 2 + 1
+    rngs = [cfg.make_rng() for cfg in cfgs]
+    size = block_steps(len(rngs))
+
+    def job(k):
+        block = np.empty((len(rngs), k, width), dtype=np.complex128)
+        for rng, rows in zip(rngs, block):
+            raw(rng, (k,), out=rows)
+        return block.swapaxes(0, 1)
 
     def rows():
         ahead = None  # the block being drawn
-        for start in range(0, n_steps + BLOCK, BLOCK):
+        for start in range(0, n_steps + size, size):
             block = ahead.result() if ahead else ()
-            k = min(BLOCK, n_steps - start)
-            ahead = run_on_worker(raw, rng, (k,)) if k > 0 else None
+            k = min(size, n_steps - start)
+            ahead = run_on_worker(job, k) if k > 0 else None
             yield from block
 
     return rows().__next__
@@ -223,14 +323,15 @@ def noise_draw(noise: SpectralNoise, cfg: NoiseConfig | None, n_steps: int,
 
 def simulate(v0: RealField, p: ModelParams,
              cfg: NoiseConfig | None = None) -> RunResult:
-    """Integrate to t_end, or to the last step before blow-up."""
+    """Integrate to t_end, or to the last step before blow-up: a batch of
+    one."""
     intensity = cfg.intensity if cfg is not None else 0.0
-    stepper = SHStepper(v0.grid, p, intensity)
+    stepper = SHStepper([v0.grid], [p], intensity)
     n_steps = step_count(p.t_end, p.dt)
-    status, steps, (vspec,) = integrate(
-        [stepper], [v0.spectrum()], n_steps, p.blowup_threshold,
-        noise_draw(stepper.noise, cfg, n_steps))
-    return RunResult(RealField.from_spectrum(v0.grid, vspec), status,
+    (status,), (steps,), (vspec,) = integrate(
+        [stepper], [v0.spectrum()[None]], n_steps, p.blowup_threshold,
+        noise_draw(stepper.noise, None if cfg is None else [cfg], n_steps))
+    return RunResult(RealField.from_spectrum(v0.grid, vspec[0]), status,
                      steps * p.dt)
 
 

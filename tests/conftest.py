@@ -25,9 +25,9 @@ def random_field(grid, rng) -> RealField:
 
 class Snapshots:
     """Observer for ``integrate`` keeping the grid values of the first
-    ``len(initial)`` fields, ``steppers[k].values`` of their spectra, on
-    every ``stride``-th step and the last, with their times; ``fields[k]``
-    starts from ``initial[k]`` at time 0."""
+    ``len(initial)`` fields of a batch of one, ``steppers[k].values`` of
+    their spectra, on every ``stride``-th step and the last, with their
+    times; ``fields[k]`` starts from ``initial[k]`` at time 0."""
 
     def __init__(self, steppers, initial, dt: float, stride: int,
                  n_steps: int):
@@ -41,12 +41,13 @@ class Snapshots:
             self.times.append(i * self.dt)
             for snaps, stepper, spec in zip(self.fields, self.steppers, specs):
                 snaps.append(type(snaps[0])(snaps[0].grid,
-                                            stepper.values(spec)))
+                                            stepper.values(spec)[0]))
 
 
 class PairedReference:
-    """Per-step reference for the diagnostics of ``simulate_paired``, one
-    step at a time on the calling thread, with no batched transform: on
+    """Per-step reference for the diagnostics of a batch of one of
+    ``simulate_paired``, one step at a time on the calling thread, with no
+    batched transform: on
     step i, with
     v1 = irfft(q1 v^) and w the band stepper's ``values``, sup_diff is the
     running max of |v1 - w| over the steps i >= 1, and the averaging
@@ -68,12 +69,13 @@ class PairedReference:
         self.last = None
 
     def __call__(self, i, specs):
-        v1 = np.fft.irfft(self.q1 * specs[0], n=self.n)
+        vspec = specs[0][0]
+        v1 = np.fft.irfft(self.q1 * vspec, n=self.n)
         if i:
-            w = self.red.values(specs[1])
+            w = self.red.values(specs[1])[0]
             self.sup_diff = max(self.sup_diff, float(np.max(np.abs(v1 - w))))
         sq = np.fft.rfft(v1 * v1)
-        f = v1 * np.fft.irfft(self.qk_eps * specs[0] + self.nu_inv * sq,
+        f = v1 * np.fft.irfft(self.qk_eps * vspec + self.nu_inv * sq,
                               n=self.n)
         t = i * self.dt
         if self.last is not None:
@@ -89,20 +91,20 @@ class PairedReference:
 def band_step_reference(red, E: np.ndarray, raw) -> np.ndarray:
     """``red.step_spec(E, raw)`` by the arithmetic of a band stepper with no
     work arrays: each product and transform a new array, the multipliers
-    real, in the operand order of ``ReducedStepper``."""
+    real, in the operand order of ``ReducedStepper``, for every row."""
     a = np.fft.ifft(E, n=red.ne)
     abs2 = a.real * a.real + a.imag * a.imag
     g = _horner(abs2, red.poly)
     if red.inv_b is not None:
-        squares = np.stack((2.0 * abs2, a * a))
-        b0, b2 = np.fft.ifft(red.inv_b.real * np.fft.fft(squares))
-        g = a * (g + b0) + a.conj() * b2
+        squares = np.stack((2.0 * abs2, a * a), axis=1)
+        b = np.fft.ifft(red.inv_b.real * np.fft.fft(squares))
+        g = a * (g + b[:, 0]) + a.conj() * b[:, 1]
     else:
         g = a * g
-    drift = red.gain.real * np.fft.fft(g)[: E.size]
+    drift = red.gain.real * np.fft.fft(g)[:, : E.shape[-1]]
     out = red.decay.real * E + red.phi1dt.real * drift
     if raw is not None and red.noise_scale is not None:
-        out = out + raw[red.band] * red.noise_scale.real
+        out = out + raw[:, red.band] * red.noise_scale.real
     return out
 
 
@@ -110,10 +112,11 @@ def simulate_snapshots(v0: RealField, p: ModelParams,
                        cfg: NoiseConfig | None = None, stride: int = 1):
     """The run of ``simulate(v0, p, cfg)`` with every ``stride``-th step and
     the last stored: its status and its ``Snapshots``."""
-    stepper = SHStepper(v0.grid, p, cfg.intensity if cfg is not None else 0.0)
+    stepper = SHStepper([v0.grid], [p],
+                        cfg.intensity if cfg is not None else 0.0)
     n_steps = int(round(p.t_end / p.dt))
     snaps = Snapshots([stepper], [v0], p.dt, stride, n_steps)
-    status, _, _ = integrate([stepper], [v0.spectrum()], n_steps,
-                             p.blowup_threshold,
-                             noise_draw(stepper.noise, cfg, n_steps), [snaps])
+    draw = noise_draw(stepper.noise, None if cfg is None else [cfg], n_steps)
+    (status,), _, _ = integrate([stepper], [v0.spectrum()[None]], n_steps,
+                                p.blowup_threshold, draw, [snaps])
     return status, snaps

@@ -302,8 +302,8 @@ def test_8_exactness_and_determinism(tmp_path, capsys):
     # linear step agrees with the exact semigroup at round-off level
     v = RealField(grid, 1e-8 * rng.standard_normal(grid.n_points))
     p = ModelParams(nu=0.0, dt=1e-3)
-    stepper = SHStepper(grid, p, intensity=0.0)
-    stepped = stepper.values(stepper.step_spec(v.spectrum(), None))
+    stepper = SHStepper([grid], [p], intensity=0.0)
+    stepped = stepper.values(stepper.step_spec(v.spectrum()[None], None))[0]
     semigroup = np.exp(symbol_L_eps(grid.rfft_wavenumbers, grid.eps) * p.dt)
     exact = np.fft.irfft(semigroup * v.spectrum(), n=grid.n_points)
     checks["linear_step"] = np.allclose(stepped, exact,

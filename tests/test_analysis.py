@@ -21,9 +21,9 @@ from shmod import (
 from shmod.analysis import AveragingAccumulator, _CarrierAmplitude
 from shmod.operators import inv_symbol_scaled
 from shmod.reduced import ReducedStepper
-from shmod.sh import BLOCK, SHStepper, noise_draw
-from shmod.studies import (ATTRACTIVITY_SKIP, _attractivity_cell, _cell_inputs,
-                           _paired_cell)
+from shmod.sh import SHStepper, block_steps, noise_draw
+from shmod.studies import (ATTRACTIVITY_SKIP, _attractivity_cells,
+                           _cell_inputs, _paired_cells, study_cells)
 
 from conftest import Snapshots, simulate_snapshots
 
@@ -85,41 +85,42 @@ def test_averaging_accumulator_matches_stacked_trapezoid(seed, count, nu):
     # fed in blocks of random sizes; each block hands back its rows of
     # v1 = P1 v
     q1 = band_symbols(grid, DELTA).q1
-    specs = np.array([snap.spectrum() for snap in snaps])
-    acc = AveragingAccumulator(grid, nu, DELTA)
+    specs = np.array([snap.spectrum() for snap in snaps])[:, None]
+    acc = AveragingAccumulator([grid], [nu], DELTA)
     start = 0
     while start < count:
-        rows = slice(start, start + int(rng.integers(1, BLOCK + 1)))
+        rows = slice(start, start + int(rng.integers(1, block_steps(1) + 1)))
         v1 = acc.add(times[rows], specs[rows])
         for got, spec in zip(v1, specs[rows]):
             assert got.tobytes() == np.fft.irfft(
                 q1 * spec, n=grid.n_points).tobytes()
         start = rows.stop
-    for k_band, residual in zip(("P0", "P2"), acc.results()):
+    (results,) = acc.results()
+    for k_band, residual in zip(("P0", "P2"), results):
         ref = _averaging_reference(times, snaps, nu, k_band, DELTA)
         assert residual == pytest.approx(ref, rel=1e-12)
 
 
 
 def _accumulator_feed(grid, times, specs, sizes, nu=0.5):
-    """``total`` and the hex ``results()`` of an accumulator fed the samples
-    in consecutive blocks of ``sizes`` rows."""
-    acc, start = AveragingAccumulator(grid, nu, DELTA), 0
+    """``total`` and the hex ``results()`` of an accumulator of a batch of
+    one fed the samples in consecutive blocks of ``sizes`` steps."""
+    acc, start = AveragingAccumulator([grid], [nu], DELTA), 0
     for k in sizes:
-        acc.add(times[start:start + k], specs[start:start + k])
+        acc.add(times[start:start + k], specs[start:start + k, None])
         start += k
     assert start == len(times)
-    return acc.total.tobytes(), [x.hex() for x in acc.results()]
+    return acc.total.tobytes(), [x.hex() for x in acc.results()[0]]
 
 
-@pytest.mark.parametrize("size", range(1, BLOCK + 1))
+@pytest.mark.parametrize("size", range(1, block_steps(1) + 1))
 def test_averaging_accumulator_bits_do_not_depend_on_block_size(size):
     # the block's trapezoid pieces go into total by one reduction along
-    # axis 0, which adds the rows in order: blocks of any size, uniform or
+    # axis 0, which adds the steps in order: blocks of any size, uniform or
     # not, give the bits of one sample per call
     grid = Grid.for_carrier(0.2, 256, periods=16)
     rng = np.random.default_rng(size)
-    count = 2 * BLOCK + 3
+    count = 2 * block_steps(1) + 3
     times = np.cumsum(rng.uniform(0.05, 1.0, count))
     n_modes = 3 * grid.carrier_index
     specs = np.zeros((count, grid.n_points // 2 + 1), np.complex128)
@@ -143,7 +144,7 @@ def test_paired_cell_streams_residuals_in_small_memory(tmp_path):
     assert (cfg.n_points, round(cfg.t_end / cfg.dt)) == (2048, 1000)
     tracemalloc.start()
     try:
-        diags = _paired_cell(cfg, grid, nu, seed, with_gl=False)
+        (diags,) = _paired_cells(cfg, [grid], [nu], [seed], with_gl=False)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -152,24 +153,24 @@ def test_paired_cell_streams_residuals_in_small_memory(tmp_path):
     # the same run with every step stored, through the steppers and the
     # driver directly, and its diagnostics after the fact
     ncfg, v0, p = _cell_inputs(cfg, grid, nu, seed)
-    sh = SHStepper(grid, p, ncfg.intensity)
-    red = ReducedStepper(grid, p, ncfg.intensity, cfg.delta)
-    vspec = v0.spectrum()
-    wband = red.q1 * vspec[red.band]
-    snaps = Snapshots([sh, red], [v0, RealField(grid, red.values(wband))],
+    sh = SHStepper([grid], [p], ncfg.intensity)
+    red = ReducedStepper([grid], [p], ncfg.intensity, cfg.delta)
+    vspec = v0.spectrum()[None]
+    wband = red.q1 * vspec[:, red.band]
+    snaps = Snapshots([sh, red], [v0, RealField(grid, red.values(wband)[0])],
                       p.dt, 1, 1000)
     q1 = band_symbols(grid, cfg.delta).q1
     gaps = []
 
     def gap(i, specs):
-        v1 = np.fft.irfft(q1 * specs[0], n=grid.n_points)
-        gaps.append(float(np.max(np.abs(v1 - red.values(specs[1])))))
+        v1 = np.fft.irfft(q1 * specs[0][0], n=grid.n_points)
+        gaps.append(float(np.max(np.abs(v1 - red.values(specs[1])[0]))))
 
     status, steps, _ = integrate([sh, red], [vspec, wband], 1000,
                                  p.blowup_threshold,
-                                 noise_draw(sh.noise, ncfg, 1000),
+                                 noise_draw(sh.noise, [ncfg], 1000),
                                  observers=[snaps, gap])
-    assert (status, steps) == ("completed", 1000)
+    assert (status, steps) == (["completed"], [1000])
     snaps_v, snaps_w = snaps.fields
     assert len(snaps_v) == len(snaps.times) == 1001
     assert diags["sup_diff"] == max(gaps)
@@ -193,23 +194,24 @@ def test_attractivity_cell_matches_snapshot_composition(tmp_path):
     cfg = StudyConfig.for_study("attractivity", out_dir=str(tmp_path))
     grid = Grid.for_carrier(0.1, cfg.n_points, periods=cfg.periods)
     nu, seed = cfg.nu_list[0], 0
-    diags = _attractivity_cell(cfg, grid, nu, seed)
+    (diags,) = _attractivity_cells(cfg, [grid], [nu], [seed])
     assert set(diags) == {"offband_sup", "offband_ratio"}
     assert diags["offband_ratio"] == diags["offband_sup"] / grid.eps
 
     ncfg, v0, p = _cell_inputs(cfg, grid, nu, seed)
     q1 = band_symbols(grid, cfg.delta).q1
-    stepper = SHStepper(grid, p, ncfg.intensity)
+    stepper = SHStepper([grid], [p], ncfg.intensity)
     n_steps = round(p.t_end / p.dt)
     specs = {}
 
     def keep(i, step_specs):
         if i % 10 == 0 or i == n_steps:
-            specs[i * p.dt] = step_specs[0].copy()
+            specs[i * p.dt] = step_specs[0][0].copy()
 
-    status, _, _ = integrate([stepper], [v0.spectrum()], n_steps,
-                             p.blowup_threshold,
-                             noise_draw(stepper.noise, ncfg, n_steps), [keep])
+    (status,), _, _ = integrate([stepper], [v0.spectrum()[None]], n_steps,
+                                p.blowup_threshold,
+                                noise_draw(stepper.noise, [ncfg], n_steps),
+                                [keep])
     assert status == "completed"
     exact = max(np.max(np.abs(np.fft.irfft((1.0 - q1) * spec,
                                            n=grid.n_points)))
@@ -241,20 +243,20 @@ def test_attractivity_cell_stores_no_field(tmp_path):
                                     t_end=t_end)
         assert (cfg.n_points, round(cfg.t_end / cfg.dt)) == (
             2048, round(1000 * t_end))
-        cell = (cfg, Grid.for_carrier(0.1, cfg.n_points, periods=cfg.periods),
-                cfg.nu_list[0], 0)
-        _attractivity_cell(*cell)
+        cell = (cfg, [Grid.for_carrier(0.1, cfg.n_points, periods=cfg.periods)],
+                [cfg.nu_list[0]], [0])
+        _attractivity_cells(*cell)
         tracemalloc.start()
         try:
-            _attractivity_cell(*cell)
+            _attractivity_cells(*cell)
             peaks[t_end] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
     assert peaks[1.0] < 1e6
     # and the peak does not grow with the number of steps: twice the steps
     # add 100 samples, 1.6 MB as stored half-spectra, where the noise
-    # blocks in flight move the peak by one block of BLOCK rows at most
-    block = BLOCK * (cfg.n_points // 2 + 1) * 16
+    # blocks in flight move the peak by one noise block at most
+    block = block_steps(1) * (cfg.n_points // 2 + 1) * 16
     assert peaks[2.0] < peaks[1.0] + block
 
 
@@ -338,10 +340,11 @@ def test_carrier_amplitude_reads_the_carrier_mode():
     m = grid.carrier_index
     assert sym.band == slice(m, m + 1) and sym.q1[m] == 1.0
     sampler = _CarrierAmplitude(m, grid.n_points, 1e-3, 1, 10)
-    spec = np.zeros(grid.n_points // 2 + 1, dtype=np.complex128)
-    spec[m] = 1.0
+    spec = np.zeros((2, grid.n_points // 2 + 1), dtype=np.complex128)
+    spec[:, m] = 1.0, 2.0j
     sampler(1, [spec])
-    assert sampler.amplitudes == [1.0 / grid.n_points]
+    assert sampler.amplitudes().tolist() == [[1.0 / grid.n_points,
+                                              2.0 / grid.n_points]]
     assert sampler.times == [1e-3]
 
 
@@ -358,3 +361,48 @@ def test_quintic_fit_streams_its_samples_in_small_memory():
         tracemalloc.stop()
     assert fit.c5 == pytest.approx(-10.0, rel=0.1)
     assert peak < 8e6
+
+
+def test_averaging_accumulator_rows_match_their_solo_accumulators():
+    # rows of two eps and nu, fed together in blocks: each row's totals and
+    # results have the bits of its own accumulator's
+    grids = [Grid.for_carrier(eps, 256, periods=16) for eps in (0.2, 0.14)]
+    nus = [0.5, -0.3]
+    rng = np.random.default_rng(11)
+    count = 2 * block_steps(2) + 3
+    times = np.cumsum(rng.uniform(0.05, 1.0, count))
+    n_modes = 3 * grids[0].carrier_index
+    specs = np.zeros((count, 2, grids[0].n_points // 2 + 1), np.complex128)
+    specs[..., :n_modes] = (rng.standard_normal((count, 2, n_modes))
+                            + 1j * rng.standard_normal((count, 2, n_modes)))
+
+    def feed(rows):
+        acc = AveragingAccumulator([grids[r] for r in rows],
+                                   [nus[r] for r in rows], DELTA)
+        size = block_steps(len(rows))
+        for start in range(0, count, size):
+            acc.add(times[start:start + size], specs[start:start + size, rows])
+        return ([total.tobytes() for total in acc.total],
+                [[x.hex() for x in row] for row in acc.results()])
+
+    together = feed([0, 1])
+    alone = [feed([r]) for r in range(2)]
+    assert together == tuple(sum(parts, []) for parts in zip(*alone))
+
+
+def test_attractivity_batch_rows_match_their_cells_alone(tmp_path):
+    # cells of two eps, two nu and two seeds stepped as one batch, with the
+    # off-band observer on all rows: the diagnostics of each cell alone
+    cfg = StudyConfig.for_study("attractivity", out_dir=str(tmp_path),
+                                eps_list=(0.2, 0.1), nu_list=(0.5, 0.3),
+                                n_seeds=2, n_points=512, periods=32,
+                                t_end=0.1)
+    cells = [(Grid.for_carrier(params["eps"], 512, periods=32),
+              params["nu"], seed) for params, seed in study_cells(cfg)]
+    grids, nus, seeds = (list(x) for x in zip(*cells))
+    batch = _attractivity_cells(cfg, grids, nus, seeds)
+    alone = [_attractivity_cells(cfg, [g], [nu], [seed])[0]
+             for g, nu, seed in cells]
+    assert len(batch) == 8
+    assert ([{k: v.hex() for k, v in d.items()} for d in batch]
+            == [{k: v.hex() for k, v in d.items()} for d in alone])

@@ -31,10 +31,11 @@ from shmod import (
     simulate_gl,
     simulate_paired,
 )
-from shmod import cli
-from shmod.sh import BLOCK, SHStepper
-from shmod.studies import (SETTINGS, STUDIES, STUDY_NAMES, _attractivity_cell,
-                           _run_cell, append_record, load_records, record_key,
+from shmod import cli, studies
+from shmod.sh import SHStepper, block_steps
+from shmod.studies import (MAX_BATCH, SETTINGS, STUDIES, STUDY_NAMES,
+                           _attractivity_cells, _run_batch, append_record,
+                           load_records, record_key, study_batches,
                            study_cells, summarize)
 
 
@@ -87,7 +88,8 @@ def _small(study, out_dir):
 
 def _cell_records(cfg, cells):
     return [(r.key, r.eps_effective.hex(), r.diagnostics_repr())
-            for r in (_run_cell(cfg, params, seed) for params, seed in cells)]
+            for batch in study_batches(cfg, cells)
+            for r in _run_batch(cfg, batch)]
 
 
 @pytest.mark.parametrize("study, name",
@@ -371,7 +373,7 @@ def test_runs_that_blow_up_mid_block_leave_the_noise_worker_reusable(tmp_path):
         # the failing step lies inside a block, with the next one drawn ahead
         failed = round(run.time / p.dt) + 1
         assert run.status == "blowup_stopped"
-        assert failed % BLOCK and failed + BLOCK <= 40
+        assert failed % block_steps(1) and failed + block_steps(1) <= 40
     assert threading.active_count() == threads
     assert diagnostics("after") == before
 
@@ -379,12 +381,12 @@ def test_runs_that_blow_up_mid_block_leave_the_noise_worker_reusable(tmp_path):
 def test_forked_child_draws_noise_on_its_own_worker(tmp_path):
     # the parent's noise worker thread is not copied into a forked child
     cfg = StudyConfig.for_study("attractivity", out_dir=str(tmp_path), **TINY)
-    cell = (cfg, Grid.for_carrier(0.2, cfg.n_points, periods=cfg.periods),
-            0.5, 0)
-    expect = _attractivity_cell(*cell)
+    cell = (cfg, [Grid.for_carrier(0.2, cfg.n_points, periods=cfg.periods)],
+            [0.5], [0])
+    expect = _attractivity_cells(*cell)
     ctx = multiprocessing.get_context("fork")
     recv, send = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=lambda: send.send(_attractivity_cell(*cell)))
+    child = ctx.Process(target=lambda: send.send(_attractivity_cells(*cell)))
     child.start()
     child.join(timeout=60)
     if child.is_alive():
@@ -410,7 +412,8 @@ def test_every_solve_reaches_shstepper_step_spec(tmp_path, monkeypatch):
     p = ModelParams(nu=0.5, dt=1e-3, t_end=0.01)
     solves = [
         lambda: simulate(v0, p),
-        lambda: simulate_paired(v0, p, NoiseConfig(seed=1, intensity=0.07),
+        lambda: simulate_paired([v0], [p],
+                                [NoiseConfig(seed=1, intensity=0.07)],
                                 delta=0.125),
         lambda: estimate_landau_coefficient(0.2, 0.5, n_points=512,
                                             fit_window=0.5),
@@ -421,23 +424,113 @@ def test_every_solve_reaches_shstepper_step_spec(tmp_path, monkeypatch):
             solve()
 
 
+#: attractivity cells at an unstable step and amplitude: their batches mix
+#: cells that blow up with cells that complete
+MIXED = dict(TINY, eps_list=(0.2, 0.14), n_seeds=4, dt=0.05, t_end=0.5,
+             amplitude=3.6)
+
+
 def test_study_is_deterministic_across_thread_counts(tmp_path):
-    # The cells must raise no warning and leave the process-wide warning
-    # filters, which threads share, as they found them.
-    s1 = tiny_cfg(tmp_path / "one", threads=1)
-    s2 = tiny_cfg(tmp_path / "two", threads=2)
+    # Cells run in batches: the theorem2 seeds of one eps, and attractivity
+    # batches in which some rows blow up.  The cells must raise no warning
+    # (a row that blew up is frozen at its last finite step, not stepped
+    # into overflow) and leave the process-wide warning filters, which
+    # threads share, as they found them.
+    studies = {"theorem2": dict(TINY, n_seeds=3), "attractivity": MIXED}
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         filters = list(warnings.filters)
-        run_study(s1)
-        run_study(s2)
+        for study, settings in studies.items():
+            for threads in (1, 2):
+                run_study(StudyConfig.for_study(
+                    study, out_dir=str(tmp_path / f"{study}{threads}"),
+                    threads=threads, **settings))
         assert warnings.filters == filters
     assert [str(w.message) for w in caught] == []
-    d1 = {r.key: r.diagnostics_repr() for r in
-          load_records(tmp_path / "one" / "records.csv")}
-    d2 = {r.key: r.diagnostics_repr() for r in
-          load_records(tmp_path / "two" / "records.csv")}
-    assert d1 == d2
+    for study in studies:
+        d1, d2 = ({r.key: (r.status, r.diagnostics_repr()) for r in
+                   load_records(tmp_path / f"{study}{threads}" / "records.csv")}
+                  for threads in (1, 2))
+        assert d1 == d2
+        if study == "attractivity":
+            assert {status for status, _ in d1.values()} == {
+                "ok", "error: run ended with status 'blowup_stopped'"}
+
+
+@pytest.mark.parametrize("study, settings", [
+    ("theorem2", dict(TINY, n_seeds=3)), ("gl-limit", TINY),
+    ("averaging", dict(TINY, intensity=0.0)), ("attractivity", MIXED)],
+    ids=["theorem2", "gl-limit", "averaging", "attractivity-blowups"])
+def test_batched_records_are_those_of_each_cell_alone(tmp_path, study,
+                                                      settings):
+    # every record of a batch, a blown-up cell's error included, is the
+    # record of its cell run as a batch of one, as replay runs it
+    cfg = StudyConfig.for_study(study, out_dir=str(tmp_path), **settings)
+    run_study(cfg)
+    records = load_records(tmp_path / "records.csv")
+    assert max(map(len, study_batches(cfg, study_cells(cfg)))) > 1
+    for r in records:
+        (alone,) = _run_batch(cfg, [(r.params, r.seed)])
+        assert ((alone.status, alone.diagnostics_repr())
+                == (r.status, r.diagnostics_repr()))
+
+
+def test_a_batch_shares_its_wall_time_between_its_cells(tmp_path):
+    cfg = tiny_cfg(tmp_path, n_seeds=3)
+    run_study(cfg)
+    records = load_records(tmp_path / "records.csv")
+    assert len(records) == 3 and len({r.wall_time for r in records}) == 1
+
+
+def test_study_batches_group_cells_by_stepper_shape(tmp_path):
+    # an SH-only study batches any cells, a paired study the seeds of one
+    # (nu, eps), a Landau study none; in the order of the cells, at most
+    # MAX_BATCH at a time
+    def sizes(study, **settings):
+        cfg = StudyConfig.for_study(study, out_dir=str(tmp_path), **settings)
+        cells = study_cells(cfg)
+        batches = study_batches(cfg, cells)
+        assert [cell for batch in batches for cell in batch] == cells
+        if study in ("theorem2", "gl-limit"):
+            assert all(len({(p["nu"], p["eps"]) for p, _ in batch}) == 1
+                       for batch in batches)
+        return [len(batch) for batch in batches]
+
+    assert MAX_BATCH > 1
+    cap = MAX_BATCH
+    assert sizes("attractivity", n_seeds=2 * cap) == [cap] * 10
+    assert sizes("theorem2", n_seeds=cap + 1, nu_list=(0.5, 0.6),
+                 eps_list=(0.2, 0.1, 0.05)) == [cap, 1] * 6
+    assert sizes("gl-limit", n_seeds=1) == [1] * 5
+    assert sizes("landau-sweep") == [1] * 5
+
+
+def test_resume_runs_the_rest_of_a_batch_as_a_smaller_batch(tmp_path,
+                                                            monkeypatch):
+    # a study stopped with seeds 0 and 2 of a batch recorded ok runs seed 1
+    # alone on resume, with the diagnostics of the whole batch's run
+    settings = dict(TINY, n_seeds=3)
+    run_study(StudyConfig.for_study("theorem2", out_dir=str(tmp_path / "all"),
+                                    **settings))
+    records = load_records(tmp_path / "all" / "records.csv")
+    part = tmp_path / "part"
+    cfg = StudyConfig.for_study("theorem2", out_dir=str(part), **settings)
+    part.mkdir()
+    for r in records:
+        if r.seed != 1:
+            append_record(part / "records.csv", r)
+    batches = []
+
+    def run_batch(cfg, cells, run=studies._run_batch):
+        batches.append([seed for _, seed in cells])
+        return run(cfg, cells)
+
+    monkeypatch.setattr(studies, "_run_batch", run_batch)
+    run_study(cfg)
+    assert batches == [[1]]
+    resumed = {r.key: r.diagnostics_repr()
+               for r in load_records(part / "records.csv")}
+    assert resumed == {r.key: r.diagnostics_repr() for r in records}
 
 
 def test_replay_verifies_and_detects_tampering(tmp_path):

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,11 @@ from shmod import (
     spectral_variance_rate,
     stochastic_convolution_sample,
 )
+from shmod import ModelParams, sh
 from shmod.noise import SpectralNoise
 from shmod.reduced import GLStepper
-from shmod.sh import BLOCK, noise_draw
+from shmod.sh import (BLOCK, BLOCK_ROWS, SHStepper, block_steps, integrate,
+                      noise_draw)
 
 
 def small_grid():
@@ -56,7 +60,8 @@ def test_complex_white_increment_halves_variance_per_part():
     # that split the real rate dt/dx evenly
     grid = small_grid()
     dt = 0.01
-    noise = GLStepper(grid, GLCoefficients(cubic=0.0), dt, intensity=1.0).noise
+    noise = GLStepper([grid], [GLCoefficients(cubic=0.0)], dt,
+                      intensity=1.0).noise
     rng = np.random.default_rng(2)
     scale = noise.ou_scale(0.0, dt)
     vals = np.concatenate([np.fft.ifft(noise.raw_complex(rng) * scale)
@@ -76,13 +81,37 @@ class _CountingNoise(SpectralNoise):
         super().__init__(grid)
         self.leads = []
 
-    def raw(self, rng, lead=()):
+    def raw(self, rng, lead=(), out=None):
         self.leads.append(lead)
-        return super().raw(rng, lead)
+        return super().raw(rng, lead, out)
 
-    def raw_complex(self, rng, lead=()):
+    def raw_complex(self, rng, lead=(), out=None):
         self.leads.append(lead)
-        return super().raw_complex(rng, lead)
+        return super().raw_complex(rng, lead, out)
+
+
+def _check_block_draw(n_steps, rows, complex_rows):
+    # row r of every step is the next draw of row r's own stream
+    grid = small_grid()
+    noise = _CountingNoise(grid)
+    cfgs = [NoiseConfig(seed=5 + r, intensity=0.3) for r in range(rows)]
+    draw = noise_draw(noise, cfgs, n_steps, complex_rows)
+    steps = [draw() for _ in range(n_steps)]
+    with pytest.raises(StopIteration):
+        draw()
+    # full blocks, then the rest, one draw of each stream per block:
+    # nothing is drawn past the last step
+    size = block_steps(rows)
+    full, rest = divmod(n_steps, size)
+    blocks = [(size,)] * full + [(rest,)] * (rest > 0)
+    assert noise.leads == [lead for lead in blocks for _ in range(rows)]
+    single = SpectralNoise(grid)
+    single = single.raw_complex if complex_rows else single.raw
+    for r, cfg in enumerate(cfgs):
+        rng = cfg.make_rng()
+        for step in steps:
+            assert step.shape[0] == rows
+            assert step[r].tobytes() == single(rng).tobytes()
 
 
 @pytest.mark.parametrize("complex_rows", [False, True], ids=["real", "complex"])
@@ -90,21 +119,53 @@ class _CountingNoise(SpectralNoise):
                                      BLOCK + 1, 2 * BLOCK + 3])
 def test_block_draw_hands_out_exactly_the_sequential_draws(n_steps,
                                                           complex_rows):
+    _check_block_draw(n_steps, 1, complex_rows)
+
+
+@pytest.mark.parametrize("complex_rows", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("n_steps", [1, block_steps(3) - 1, block_steps(3),
+                                     block_steps(3) + 1,
+                                     2 * block_steps(3) + 3])
+def test_block_draw_of_a_batch_hands_out_each_streams_sequential_draws(
+        n_steps, complex_rows):
+    _check_block_draw(n_steps, 3, complex_rows)
+
+
+@pytest.mark.parametrize("rows", [1, 4], ids=["one-row", "batch"])
+def test_noise_rows_alive_at_once_stay_within_two_blocks(monkeypatch, rows):
+    # every block the worker draws is counted from the submission of its
+    # job, on the stepping thread, until its memory is freed: integrate
+    # drops each step's draw before the next, so the block handed out and
+    # the one being drawn are all that is alive, block_steps(rows)·rows
+    # rows each, whatever the timing
+    alive, peak = [0], [0]
+
+    def released(count):
+        alive[0] -= count
+
+    def job(fn, k, count):
+        block = fn(k)
+        weakref.finalize(block.base, released, count)
+        return block
+
+    def run_on_worker(fn, k, submit=sh.run_on_worker):
+        count = k * rows
+        alive[0] += count
+        peak[0] = max(peak[0], alive[0])
+        return submit(job, fn, k, count)
+
+    monkeypatch.setattr(sh, "run_on_worker", run_on_worker)
     grid = small_grid()
-    noise = _CountingNoise(grid)
-    cfg = NoiseConfig(seed=5, intensity=0.3)
-    draw = noise_draw(noise, cfg, n_steps, complex_rows)
-    rows = [draw() for _ in range(n_steps)]
-    with pytest.raises(StopIteration):
-        draw()
-    # full blocks, then the rest: nothing is drawn past the last step
-    full, rest = divmod(n_steps, BLOCK)
-    assert noise.leads == [(BLOCK,)] * full + [(rest,)] * (rest > 0)
-    rng = cfg.make_rng()
-    single = SpectralNoise(grid)
-    single = single.raw_complex if complex_rows else single.raw
-    for row in rows:
-        assert row.tobytes() == single(rng).tobytes()
+    p = ModelParams(nu=0.5, dt=1e-3)
+    stepper = SHStepper([grid] * rows, [p] * rows, 0.1)
+    cfgs = [NoiseConfig(seed=r, intensity=0.1) for r in range(rows)]
+    spec = np.zeros((rows, grid.n_points // 2 + 1), dtype=np.complex128)
+    n_steps = 5 * block_steps(rows) + 1
+    status, _, _ = integrate([stepper], [spec], n_steps, 1e4,
+                             noise_draw(stepper.noise, cfgs, n_steps))
+    assert status == ["completed"] * rows
+    assert alive[0] == 0
+    assert peak[0] == 2 * block_steps(rows) * rows <= 2 * max(BLOCK_ROWS, rows)
 
 
 @pytest.mark.parametrize("method", ["raw", "raw_complex"])
@@ -120,7 +181,8 @@ def test_stacked_draw_leaves_the_rng_where_sequential_draws_do(method):
 def test_no_draw_without_noise():
     noise = SpectralNoise(small_grid())
     assert noise_draw(noise, None, 10) is None
-    assert noise_draw(noise, NoiseConfig(seed=1, intensity=0.0), 10) is None
+    assert noise_draw(noise, [NoiseConfig(seed=1, intensity=0.0)] * 2,
+                      10) is None
 
 
 def test_ou_increment_variance_brownian_limit():

@@ -46,18 +46,23 @@ def test_semigroup_is_pointwise_exponential(grid):
     # (the band stepper holds the P1 slice of it)
     p = ModelParams(dt=3e-4)
     expect = np.exp(p.dt * symbol_L_eps(grid.rfft_wavenumbers, grid.eps))
-    sh = SHStepper(grid, p, intensity=0.0)
-    band = ReducedStepper(grid, p, intensity=0.0, delta=0.125)
-    np.testing.assert_allclose(sh.decay, expect, rtol=1e-14, atol=0)
-    np.testing.assert_allclose(band.decay, expect[band.band], rtol=1e-14,
+    sh = SHStepper([grid], [p], intensity=0.0)
+    band = ReducedStepper([grid], [p], intensity=0.0, delta=0.125)
+    np.testing.assert_allclose(sh.decay[0], expect, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(band.decay[0], expect[band.band], rtol=1e-14,
                                atol=0)
+
+
+def _powers(rspec, coeffs, padded):
+    """``dealiased_powers`` of one half-spectrum, a batch of one."""
+    return dealiased_powers(rspec[None], coeffs, padded)[0]
 
 
 def test_dealiased_square_of_single_mode_is_exact():
     g = Grid.for_carrier(0.1, 256, periods=16)
     k0 = 5 * g.dk
     f = RealField(g, np.cos(k0 * g.x))
-    sq_spec = dealiased_powers(f.spectrum(), {2: 1.0}, PaddedGrid(g.n_points, 2))
+    sq_spec = _powers(f.spectrum(), {2: 1.0}, PaddedGrid(g.n_points, 2))
     sq = np.fft.irfft(sq_spec, n=g.n_points)
     np.testing.assert_allclose(sq, 0.5 * (1.0 + np.cos(2 * k0 * g.x)), atol=1e-13)
 
@@ -66,7 +71,7 @@ def test_dealiased_cube_of_single_mode_is_exact():
     g = Grid.for_carrier(0.1, 256, periods=16)
     k0 = 5 * g.dk
     f = RealField(g, np.cos(k0 * g.x))
-    cube_spec = dealiased_powers(f.spectrum(), {3: 1.0}, PaddedGrid(g.n_points, 2))
+    cube_spec = _powers(f.spectrum(), {3: 1.0}, PaddedGrid(g.n_points, 2))
     cube = np.fft.irfft(cube_spec, n=g.n_points)
     np.testing.assert_allclose(
         cube, 0.75 * np.cos(k0 * g.x) + 0.25 * np.cos(3 * k0 * g.x), atol=1e-13
@@ -79,13 +84,13 @@ def test_dealiased_product_no_wraparound():
     j = g.n_points // 2 - 2
     k0 = j * g.dk
     f = RealField(g, np.cos(k0 * g.x))
-    prod_spec = dealiased_powers(f.spectrum(), {2: 1.0}, PaddedGrid(g.n_points, 2))
+    prod_spec = _powers(f.spectrum(), {2: 1.0}, PaddedGrid(g.n_points, 2))
     prod = np.fft.irfft(prod_spec, n=g.n_points)
     # true square has a 2*k0 component beyond Nyquist; dealiasing must drop
     # it, leaving only the constant 1/2
     np.testing.assert_allclose(prod, np.full(g.n_points, 0.5), atol=1e-13)
     # likewise the 3*k0 component of the cube, leaving 3/4 cos(k0 x)
-    cube_spec = dealiased_powers(f.spectrum(), {3: 1.0}, PaddedGrid(g.n_points, 2))
+    cube_spec = _powers(f.spectrum(), {3: 1.0}, PaddedGrid(g.n_points, 2))
     cube = np.fft.irfft(cube_spec, n=g.n_points)
     np.testing.assert_allclose(cube, 0.75 * np.cos(k0 * g.x), atol=1e-13)
 
@@ -134,7 +139,7 @@ def test_dealiased_powers_matches_unaliased_reference(interleave, exponents,
     coeffs = {e: rng.uniform(-2.0, 2.0) for e in exponents}
     padded = _grid_in_layout(n, pad, interleave)
     assert (padded.twiddle is not None) == interleave
-    got = dealiased_powers(rspec, coeffs, padded)
+    got = _powers(rspec, coeffs, padded)
     ref = _powers_padded_to_8n(rspec, n, coeffs)
     np.testing.assert_allclose(got, ref, rtol=1e-12,
                                atol=1e-12 * np.max(np.abs(ref)))
@@ -146,10 +151,9 @@ def test_dealiased_powers_applies_the_gain():
     rspec = np.fft.rfft(0.3 * rng.standard_normal(n))
     gain = rng.uniform(0.5, 1.5, n // 2 + 1)
     for interleave in (False, True):
-        plain = dealiased_powers(rspec, {3: -1.0},
-                                 _grid_in_layout(n, 2, interleave))
-        got = dealiased_powers(rspec, {3: -1.0},
-                               _grid_in_layout(n, 2, interleave, gain))
+        plain = _powers(rspec, {3: -1.0}, _grid_in_layout(n, 2, interleave))
+        got = _powers(rspec, {3: -1.0},
+                      _grid_in_layout(n, 2, interleave, gain))
         np.testing.assert_allclose(got, gain * plain, rtol=1e-14, atol=0)
 
 
@@ -160,13 +164,14 @@ def test_study_and_landau_grids_fall_on_either_side_of_the_crossover():
     landau = Grid.for_carrier(0.1, DEFAULT_POINTS_PER_PERIOD, periods=1)
     assert (study, landau.n_points) == (2048, 16)
     assert landau.n_points < INTERLEAVE_MIN <= study
-    for n, rows in ((study, 2), (landau.n_points, 1)):
-        assert PaddedGrid(n, 2).values.shape == (rows, 2 * n // rows)
+    # the padded arrays are indexed by part, then by row of the batch
+    for n, parts in ((study, 2), (landau.n_points, 1)):
+        assert PaddedGrid(n, 2).values.shape == (parts, 1, 2 * n // parts)
     for variant, pad in (("cubic", 2), ("quintic", 3)):
         p = ModelParams(variant)
-        assert SHStepper(landau, p).padded.values.shape == (1, pad * 16)
+        assert SHStepper([landau], [p]).padded.values.shape == (1, 1, pad * 16)
         grid = Grid.for_carrier(0.1, study)
-        assert SHStepper(grid, p).padded.values.shape == (pad, study)
+        assert SHStepper([grid], [p]).padded.values.shape == (pad, 1, study)
 
 
 def test_inverse_operator_on_band_matches_symbol(grid):

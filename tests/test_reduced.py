@@ -28,8 +28,8 @@ from shmod.analysis import AveragingAccumulator
 from shmod.bands import amplitude_spectrum
 from shmod.grid import ComplexField
 from shmod.reduced import GLStepper, ReducedStepper
-from shmod.sh import BLOCK, SHStepper, noise_draw
-from shmod.studies import StudyConfig, _paired_cell
+from shmod.sh import BLOCK, SHStepper, block_steps, noise_draw
+from shmod.studies import StudyConfig, _paired_cells
 
 from conftest import PairedReference, band_step_reference
 
@@ -70,11 +70,11 @@ def test_quadratic_correction_matches_closed_form():
     A0 = ComplexField(grid, np.full(grid.n_points, a, dtype=complex))
     wspec = modulate(A0).spectrum()
     # the correction is the nu-dependent part of the band drift
-    steppers = {nu_: ReducedStepper(grid, ModelParams(nu=nu_),
+    steppers = {nu_: ReducedStepper([grid], [ModelParams(nu=nu_)],
                                     intensity=0.0, delta=DELTA)
                 for nu_ in (nu, 0.0)}
-    drift = {nu_: s.drift(wspec[s.band]) for nu_, s in steppers.items()}
-    corr = steppers[nu].values(drift[nu] - drift[0.0])
+    drift = {nu_: s.drift(wspec[None, s.band]) for nu_, s in steppers.items()}
+    corr = steppers[nu].values(drift[nu] - drift[0.0])[0]
     expect = 2.0 * nu**2 * (19.0 / 9.0) * a**3 * 2.0 * np.cos(grid.x / grid.eps)
     np.testing.assert_allclose(corr, expect, atol=1e-12)
 
@@ -119,11 +119,11 @@ def _drift_in_eight_ffts(grid, p, wspec):
 def test_drift_matches_eight_fft_composition(params):
     grid = Grid.for_carrier(0.1, 1024, periods=64)
     p = ModelParams(**params)
-    stepper = ReducedStepper(grid, p, intensity=0.0, delta=DELTA)
+    stepper = ReducedStepper([grid], [p], intensity=0.0, delta=DELTA)
     w = modulated_carrier_ic(grid, np.random.default_rng(3),
                              amplitude=0.8)
     wspec = band_symbols(grid, DELTA).q1 * w.spectrum()
-    got = stepper.half_spectrum(stepper.drift(wspec[stepper.band]))
+    got = stepper.half_spectrum(stepper.drift(wspec[None, stepper.band]))[0]
     ref = _drift_in_eight_ffts(grid, p, wspec)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -184,9 +184,9 @@ def test_envelope_step_matches_full_grid_step(params, n, eps, delta_frac,
     if p.variant == "quintic" and 3 * b >= m:
         # w^5's third harmonic reaches P1, which the envelope does not hold
         with pytest.raises(ValueError, match="third harmonic"):
-            ReducedStepper(grid, p, intensity=0.07, delta=delta)
+            ReducedStepper([grid], [p], intensity=0.07, delta=delta)
         return
-    stepper = ReducedStepper(grid, p, intensity=0.07, delta=delta)
+    stepper = ReducedStepper([grid], [p], intensity=0.07, delta=delta)
     rng = np.random.default_rng(seed)
     half = n // 2 + 1
     wspec = sym.q1 * (rng.standard_normal(half)
@@ -194,10 +194,10 @@ def test_envelope_step_matches_full_grid_step(params, n, eps, delta_frac,
     wspec *= 1.0 / np.max(np.abs(np.fft.irfft(wspec, n=n)))
     raw = np.fft.rfft(rng.standard_normal(n))
     drift, step = _full_grid_step(grid, p, delta, 0.07, wspec, raw)
-    E = wspec[stepper.band]
+    E = wspec[None, stepper.band]
     for got, ref in ((stepper.drift(E), drift),
-                     (stepper.step_spec(E, raw), step)):
-        got = stepper.half_spectrum(got)
+                     (stepper.step_spec(E, raw[None]), step)):
+        got = stepper.half_spectrum(got)[0]
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
@@ -214,7 +214,7 @@ def test_paired_demodulation_matches_bands_demodulate():
     wspec = q1 * raw
     w = RealField.from_spectrum(grid, wspec)
     ref = demodulate(w, DELTA, energy_tol=1.0).values
-    stepper = ReducedStepper(grid, ModelParams(), intensity=0.0,
+    stepper = ReducedStepper([grid], [ModelParams()], intensity=0.0,
                              delta=DELTA)
     got = np.fft.ifft(amplitude_spectrum(wspec[stepper.band],
                                          np.zeros(grid.n_points, complex)))
@@ -300,13 +300,15 @@ def test_gl_noise_is_the_sequential_complex_draw():
     dt = 1e-3
     for n_steps in range(1, 2 * BLOCK + 4):
         run = simulate_gl(A0, c, dt=dt, t_end=n_steps * dt, cfg=cfg)
-        stepper, rng = GLStepper(grid, c, dt, cfg.intensity), cfg.make_rng()
-        status, steps, (aspec,) = integrate(
-            [stepper], [A0.spectrum()], n_steps, 1e4,
-            lambda: stepper.noise.raw_complex(rng))
+        stepper = GLStepper([grid], [c], dt, cfg.intensity)
+        rng = cfg.make_rng()
+        (status,), (steps,), (aspec,) = integrate(
+            [stepper], [A0.spectrum()[None]], n_steps, 1e4,
+            lambda: stepper.noise.raw_complex(rng)[None])
         assert (run.status, run.time) == (status, steps * dt)
         assert (status, steps) == ("completed", n_steps)
-        assert run.final.values.tobytes() == stepper.values(aspec).tobytes()
+        assert (run.final.values.tobytes()
+                == stepper.values(aspec)[0].tobytes())
 
 
 def test_reduced_band_equation_keeps_band_structure():
@@ -316,13 +318,13 @@ def test_reduced_band_equation_keeps_band_structure():
     rng = np.random.default_rng(4)
     w0 = modulated_carrier_ic(grid, rng, amplitude=0.3)
     p = ModelParams(nu=0.5, dt=1e-3, t_end=0.1)
-    stepper = ReducedStepper(grid, p, intensity=0.0, delta=DELTA)
+    stepper = ReducedStepper([grid], [p], intensity=0.0, delta=DELTA)
     final = {}
-    status, _, _ = integrate([stepper], [w0.spectrum()[stepper.band]],
-                       int(round(p.t_end / p.dt)), p.blowup_threshold,
-                       observers=[lambda i, specs:
-                                  final.update(w=stepper.values(specs[0]))])
-    assert status == "completed"
+    status, _, _ = integrate([stepper], [w0.spectrum()[None, stepper.band]],
+                             int(round(p.t_end / p.dt)), p.blowup_threshold,
+                             observers=[lambda i, specs: final.update(
+                                 w=stepper.values(specs[0])[0])])
+    assert status == ["completed"]
     spec = np.abs(np.fft.rfft(final["w"]))
     outside = band_symbols(grid, DELTA).q1 == 0.0
     assert np.max(spec[outside]) < 1e-10 * np.max(spec)
@@ -336,13 +338,13 @@ def _band_run(params, delta, seed, n_steps=300):
     """A noisy band stepper at eps 0.1 and the first ``n_steps`` of its
     run from a modulated carrier, one raw draw per step."""
     grid = Grid.for_carrier(0.1, 512, periods=32)
-    red = ReducedStepper(grid, params, intensity=0.1, delta=delta)
+    red = ReducedStepper([grid], [params], intensity=0.1, delta=delta)
     v0 = modulated_carrier_ic(grid, np.random.default_rng(seed),
                               amplitude=0.5)
     rng = np.random.default_rng(seed + 1)
     E, out = red.q1 * v0.spectrum()[red.band], []
     for _ in range(n_steps):
-        E = red.step_spec(E, red.noise.raw(rng))
+        E = red.step_spec(E, red.noise.raw(rng, (1,)))
         out.append(E)
     return red, v0, out
 
@@ -359,7 +361,7 @@ def test_band_step_returns_new_memory_with_the_reference_bits(params, delta):
     for got in run:
         assert not np.shares_memory(got, prev)
         assert not any(np.shares_memory(got, x) for x in work)
-        E = band_step_reference(red, E, red.noise.raw(rng))
+        E = band_step_reference(red, E, red.noise.raw(rng, (1,)))
         assert got.tobytes() == E.tobytes()
         prev = got
 
@@ -388,13 +390,13 @@ def test_paired_run_is_deterministic_and_close():
     v0 = modulated_carrier_ic(grid, rng, amplitude=0.3)
     p = ModelParams(nu=0.5, dt=1e-3, t_end=0.2)
     cfg = NoiseConfig(seed=31, intensity=0.05)
-    r1 = simulate_paired(v0, p, cfg, delta=DELTA)
-    r2 = simulate_paired(v0, p, cfg, delta=DELTA)
+    r1 = simulate_paired([v0], [p], [cfg], delta=DELTA)
+    r2 = simulate_paired([v0], [p], [cfg], delta=DELTA)
     assert (r1.sup_diff, r1.res_p0, r1.res_p2) == (r2.sup_diff, r2.res_p0,
                                                    r2.res_p2)
-    assert r1.status == "completed"
+    assert r1.status == ["completed"]
     # the band approximation tracks the full solution at this bandwidth
-    assert r1.sup_diff < 0.1
+    assert r1.sup_diff[0] < 0.1
 
 
 def _paired_inputs(n_steps: int, threshold: float = 1e4):
@@ -407,25 +409,33 @@ def _paired_inputs(n_steps: int, threshold: float = 1e4):
 
 
 def _paired_reference(v0, p, cfg):
-    """The status, steps and hex diagnostics of ``simulate_paired(v0, p,
-    cfg)``, by ``PairedReference`` one step at a time."""
+    """The status, steps and hex diagnostics of ``simulate_paired`` of a
+    batch of one, by ``PairedReference`` one step at a time."""
     grid = v0.grid
-    sh = SHStepper(grid, p, cfg.intensity)
-    red = ReducedStepper(grid, p, cfg.intensity, DELTA)
-    vspec = v0.spectrum()
-    specs = [vspec, red.q1 * vspec[red.band]]
+    sh = SHStepper([grid], [p], cfg.intensity)
+    red = ReducedStepper([grid], [p], cfg.intensity, DELTA)
+    vspec = v0.spectrum()[None]
+    specs = [vspec, red.q1 * vspec[:, red.band]]
     ref = PairedReference(red, grid, p.nu, DELTA, p.dt)
     ref(0, specs)
     n_steps = round(p.t_end / p.dt)
-    status, steps, _ = integrate([sh, red], specs, n_steps,
-                                 p.blowup_threshold,
-                                 noise_draw(sh.noise, cfg, n_steps), [ref])
+    (status,), (steps,), _ = integrate(
+        [sh, red], specs, n_steps, p.blowup_threshold,
+        noise_draw(sh.noise, [cfg], n_steps), [ref])
     return status, steps, [x.hex() for x in ref.results()]
 
 
+def _rows_hex(result, with_gl=False):
+    """The status and hex diagnostics of each row of a ``PairedResult``."""
+    names = ("sup_diff", "res_p0", "res_p2") + ("sup_diff_gl",) * with_gl
+    rows = zip(*(getattr(result, name) for name in names))
+    return [(status, [x.hex() for x in row])
+            for status, row in zip(result.status, rows)]
+
+
 def _paired_hex(v0, p, cfg):
-    r = simulate_paired(v0, p, cfg, delta=DELTA)
-    return r.status, [x.hex() for x in (r.sup_diff, r.res_p0, r.res_p2)]
+    (row,) = _rows_hex(simulate_paired([v0], [p], [cfg], delta=DELTA))
+    return row
 
 
 @pytest.mark.parametrize("n_steps", [1, BLOCK - 1, BLOCK, BLOCK + 1,
@@ -447,8 +457,8 @@ def test_paired_run_blown_up_mid_block_records_the_steps_before_it():
     assert (status, steps) == ("blowup_stopped", 21)
     # steps 0 .. 21 are observed: at least one full block goes to the
     # worker, and the tripping step lies strictly inside a later block
-    observed = steps + 1
-    assert observed > BLOCK and observed % BLOCK
+    observed, size = steps + 1, block_steps(1)
+    assert observed > size and observed % size
     assert _paired_hex(v0, p, cfg) == (status, ref)
     assert threading.active_count() == threads
     # the worker takes the next run
@@ -467,7 +477,7 @@ def test_paired_run_raises_the_error_of_a_failed_job(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(AveragingAccumulator, "add", fail)
         with pytest.raises(RuntimeError, match="job failed"):
-            simulate_paired(v0, p, cfg, delta=DELTA)
+            simulate_paired([v0], [p], [cfg], delta=DELTA)
     assert threading.active_count() == threads
     assert _paired_hex(v0, p, cfg) == (status, ref)
 
@@ -503,7 +513,7 @@ def test_completed_paired_cell_takes_no_grid_values_on_the_stepping_thread(
         monkeypatch.setattr(cls, "values", values)
     cfg = StudyConfig.for_study("theorem2", out_dir=str(tmp_path))
     grid = Grid.for_carrier(0.1, cfg.n_points, periods=cfg.periods)
-    _paired_cell(cfg, grid, cfg.nu_list[0], 0, with_gl=False)
+    _paired_cells(cfg, [grid], [cfg.nu_list[0]], [0], with_gl=False)
     assert threading.get_ident() not in callers
 
 
@@ -516,8 +526,73 @@ def test_reduced_step_keeps_content_on_the_p1_taper():
     rng = np.random.default_rng(6)
     spec = 1e-9 * sym.q1 * (rng.standard_normal(sym.q1.size)
                             + 1j * rng.standard_normal(sym.q1.size))
-    stepper = ReducedStepper(grid, p, intensity=0.0, delta=DELTA)
-    got = stepper.values(stepper.step_spec(spec[stepper.band], None))
+    stepper = ReducedStepper([grid], [p], intensity=0.0, delta=DELTA)
+    got = stepper.values(stepper.step_spec(spec[None, stepper.band], None))[0]
     expect = np.fft.irfft(np.exp(p.dt * sym.lam) * spec, n=grid.n_points)
     np.testing.assert_allclose(got, expect, rtol=0,
                                atol=1e-12 * np.max(np.abs(expect)))
+
+
+def _paired_rows(threshold=1e4, amplitudes=(0.3, 0.2, 0.3)):
+    """Three paired rows on one grid size at eps 0.2, 0.19 and 0.2, which
+    share their band slice, with their own nu, initial data and noise."""
+    grids = [Grid.for_carrier(eps, 512, periods=32) for eps in (0.2, 0.19, 0.2)]
+    cfgs = [NoiseConfig(seed=k, intensity=0.1) for k in range(3)]
+    v0s = [modulated_carrier_ic(g, cfg.substream(1).make_rng(), amplitude=a)
+           for g, cfg, a in zip(grids, cfgs, amplitudes)]
+    params = [ModelParams(nu=nu, dt=1e-3, t_end=0.06,
+                          blowup_threshold=threshold)
+              for nu in (0.5, 0.3, 0.7)]
+    return v0s, params, cfgs
+
+
+@pytest.mark.parametrize("with_gl", [False, True], ids=["paired", "with-gl"])
+def test_paired_batch_rows_match_their_solo_runs(with_gl):
+    # the SH, band and GL steppers and the block and running-max observers
+    # of a batch give every row the bits of its run alone
+    v0s, params, cfgs = _paired_rows()
+    bands = [ReducedStepper([v0.grid], [p], 0.1, DELTA).band
+             for v0, p in zip(v0s, params)]
+    assert bands[0] == bands[1] == bands[2]
+    batch = _rows_hex(simulate_paired(v0s, params, cfgs, DELTA, with_gl),
+                      with_gl)
+    solo = [row for v0, p, cfg in zip(v0s, params, cfgs)
+            for row in _rows_hex(simulate_paired([v0], [p], [cfg], DELTA,
+                                                 with_gl), with_gl)]
+    assert batch == solo
+    assert [status for status, _ in batch] == ["completed"] * 3
+
+
+def test_paired_batch_row_that_blows_up_leaves_the_other_rows_alone():
+    # rows 0 and 2 trip a low guard as they do alone; the small row 1 runs
+    # on with the bits of its run alone
+    v0s, params, cfgs = _paired_rows(threshold=0.62,
+                                     amplitudes=(0.3, 0.05, 0.4))
+    batch = _rows_hex(simulate_paired(v0s, params, cfgs, DELTA))
+    solo = [row for v0, p, cfg in zip(v0s, params, cfgs)
+            for row in _rows_hex(simulate_paired([v0], [p], [cfg], DELTA))]
+    statuses = [status for status, _ in batch]
+    assert statuses == [status for status, _ in solo] == [
+        "blowup_stopped", "completed", "blowup_stopped"]
+    assert batch[1] == solo[1]
+
+
+def test_gl_batch_rows_match_their_solo_runs():
+    # rows of other eps and coefficients on one grid size, each with its
+    # own complex noise stream
+    grids = [Grid.for_carrier(eps, 128, periods=8) for eps in (0.1, 0.2)]
+    coeffs = [GLCoefficients(cubic=-3.0, quintic=-10.0),
+              gl5_coefficients(0.5, 0.2)]
+    cfgs = [NoiseConfig(seed=k, intensity=0.2) for k in range(2)]
+    a0 = np.array([0.3 * np.exp(1j * g.wavenumbers[2] * g.x) for g in grids])
+
+    def run(rows):
+        stepper = GLStepper([grids[r] for r in rows], [coeffs[r] for r in rows],
+                            1e-3, 0.2)
+        status, steps, (aspec,) = integrate(
+            [stepper], [np.fft.fft(a0[rows])], 30, 1e4,
+            noise_draw(stepper.noise, [cfgs[r] for r in rows], 30,
+                       complex_rows=True))
+        return list(zip(status, steps, (row.tobytes() for row in aspec)))
+
+    assert run([0, 1]) == run([0]) + run([1])

@@ -1,3 +1,5 @@
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -19,9 +21,11 @@ from shmod import (
     simulate,
     symbol_L_eps,
 )
+from shmod import NoiseConfig as Noise
 from shmod.grid import ComplexField
+from shmod.operators import dealiased_powers
 from shmod.reduced import GLStepper, ReducedStepper, gl_coefficients
-from shmod.sh import GUARD_MARGIN, SHStepper
+from shmod.sh import GUARD_MARGIN, SHStepper, noise_draw
 
 DELTA = 0.125
 
@@ -41,8 +45,8 @@ def test_linear_step_matches_exact_semigroup(grid):
     rng = np.random.default_rng(0)
     v = RealField(grid, 1e-8 * rng.standard_normal(grid.n_points))
     p = ModelParams(nu=0.0, dt=1e-3)
-    stepper = SHStepper(grid, p, intensity=0.0)
-    out = stepper.values(stepper.step_spec(v.spectrum(), None))
+    stepper = SHStepper([grid], [p], intensity=0.0)
+    out = stepper.values(stepper.step_spec(v.spectrum()[None], None))[0]
     semigroup = np.exp(symbol_L_eps(grid.rfft_wavenumbers, grid.eps) * p.dt)
     exact = np.fft.irfft(semigroup * v.spectrum(), n=grid.n_points)
     np.testing.assert_allclose(out, exact, rtol=1e-10, atol=1e-22)
@@ -105,51 +109,71 @@ def test_integrate_stops_at_blowup_guard():
     v = RealField(grid, np.full(grid.n_points, 20.0))
     p = ModelParams(blowup_threshold=10.0)
     seen = []
-    vspec = v.spectrum()
+    vspec = v.spectrum()[None]
     status, steps, specs = integrate(
-        [SHStepper(grid, p, intensity=0.0)], [vspec], 5, p.blowup_threshold,
-        observers=[lambda i, specs: seen.append(i)])
-    assert (status, steps) == ("blowup_stopped", 0)
+        [SHStepper([grid], [p], intensity=0.0)], [vspec], 5,
+        p.blowup_threshold, observers=[lambda i, specs: seen.append(i)])
+    assert (status, steps) == (["blowup_stopped"], [0])
     assert seen == []
     # no step completed: the spectra handed back are the inputs
-    assert len(specs) == 1 and specs[0] is vspec
+    assert len(specs) == 1 and specs[0].tobytes() == vspec.tobytes()
 
 
 class _FakeStepper:
-    """Adds 1 to every value per step; turns NaN from step ``nan_at`` on."""
+    """Adds 1 to every value per step; turns row ``nan_row`` NaN from step
+    ``nan_at`` on.  Its values are its spectrum, whose l2 bound with scale
+    1 bounds them."""
 
-    def __init__(self, nan_at=None):
-        self.nan_at = nan_at
+    bound_scale = 1.0
+
+    def __init__(self, nan_at=None, nan_row=0):
+        self.nan_at, self.nan_row = nan_at, nan_row
         self.steps = 0
 
     def step_spec(self, spec, raw):
         self.steps += 1
+        out = spec + 1.0
         if self.nan_at is not None and self.steps >= self.nan_at:
-            return np.full_like(spec, np.nan)
-        return spec + 1.0
+            out[self.nan_row] = np.nan
+        return out
 
     def values(self, spec):
         return spec
-
-    def sup_bound(self, spec):
-        return float(np.sum(np.abs(spec)))
 
 
 def test_guard_covers_every_field():
     seen = []
     status, steps, specs = integrate(
-        [_FakeStepper(), _FakeStepper(nan_at=3)], [np.zeros(4), np.zeros(4)],
+        [_FakeStepper(), _FakeStepper(nan_at=3)],
+        [np.zeros((1, 4)), np.zeros((1, 4))],
         10, 1e4, observers=[lambda i, specs: seen.append(i)])
-    assert (status, steps) == ("blowup_stopped", 2)
+    assert (status, steps) == (["blowup_stopped"], [2])
     assert seen == [1, 2]
     # the third step, which tripped the guard on the second field only, is
     # discarded for both
-    assert [s.tolist() for s in specs] == [[2, 2, 2, 2], [2, 2, 2, 2]]
+    assert [s.tolist() for s in specs] == [[[2, 2, 2, 2]], [[2, 2, 2, 2]]]
+
+
+def test_guard_freezes_only_the_row_that_blew_up():
+    # row 1 of the second field turns NaN on step 3: row 1 keeps its step-2
+    # spectra in both fields and completes no more steps, while row 0 runs
+    # to the end; the observers see the frozen row at rest
+    seen = []
+    status, steps, specs = integrate(
+        [_FakeStepper(), _FakeStepper(nan_at=3, nan_row=1)],
+        [np.zeros((2, 3)), np.zeros((2, 3))], 5, 1e4,
+        observers=[lambda i, specs: seen.append(specs[0][:, 0].tolist())])
+    assert (status, steps) == (["completed", "blowup_stopped"], [5, 2])
+    assert [s.tolist() for s in specs] == [[[5] * 3, [2] * 3]] * 2
+    assert seen == [[1, 1], [2, 2], [3, 0], [4, 0], [5, 0]]
 
 
 class _ValuesStepper:
     """Leaves its spectrum alone; its grid values are the given array, and
-    it knows no bound on them, so the guard always takes them."""
+    it knows no bound on them (a nan scale), so the guard always takes
+    them."""
+
+    bound_scale = np.nan
 
     def __init__(self, values):
         self.grid_values = values
@@ -158,10 +182,7 @@ class _ValuesStepper:
         return spec
 
     def values(self, spec):
-        return self.grid_values
-
-    def sup_bound(self, spec):
-        return np.inf
+        return self.grid_values[None]
 
 
 @given(data=st.data(), complex_field=st.booleans(),
@@ -183,10 +204,10 @@ def test_exact_guard_matches_finite_and_sup_norm_predicate(data,
         v.imag = data.draw(st.lists(part, min_size=re.size, max_size=re.size))
     with np.errstate(invalid="ignore"):
         old = not np.isfinite(v).all() or np.max(np.abs(v)) >= threshold
-    status, steps, _ = integrate([_ValuesStepper(v)], [np.zeros(1)], 1,
+    status, steps, _ = integrate([_ValuesStepper(v)], [np.zeros((1, 1))], 1,
                                  threshold)
-    assert (status, steps) == (("blowup_stopped", 0) if old
-                               else ("completed", 1))
+    assert (status, steps) == ((["blowup_stopped"], [0]) if old
+                               else (["completed"], [1]))
 
 
 class _Frozen:
@@ -203,19 +224,30 @@ class _Frozen:
 
 
 def _guarded_steppers():
-    """A real stepper of each kind with the length of its spectrum."""
+    """A real stepper of each kind, a batch of one, with the length of its
+    spectrum."""
     grid = Grid.for_carrier(0.2, 256, periods=16)
     p = ModelParams(nu=0.5)
-    red = ReducedStepper(grid, p, intensity=0.0, delta=DELTA)
+    red = ReducedStepper([grid], [p], intensity=0.0, delta=DELTA)
     return {
-        "sh": (SHStepper(grid, p, intensity=0.0), grid.n_points // 2 + 1),
+        "sh": (SHStepper([grid], [p], intensity=0.0), grid.n_points // 2 + 1),
         "reduced": (red, red.band.stop - red.band.start),
-        "gl": (GLStepper(grid, gl_coefficients(0.5), 1e-3, intensity=0.0),
+        "gl": (GLStepper([grid], [gl_coefficients(0.5)], 1e-3, intensity=0.0),
                grid.n_points),
     }
 
 
 GUARDED = _guarded_steppers()
+
+
+def _bound(stepper, spec):
+    """The guard's spectral bound on the sup norm of ``stepper.values``:
+    ``bound_scale·sqrt(h·Σ|ĉ|²)`` over the h entries of ``spec``."""
+    return stepper.bound_scale * np.sqrt(spec.size * np.vdot(spec, spec).real)
+
+
+def _sup(stepper, spec):
+    return float(np.max(np.abs(stepper.values(spec[None]))))
 
 
 @given(data=st.data(), kind=st.sampled_from(sorted(GUARDED)),
@@ -237,9 +269,9 @@ def test_guard_matches_finite_and_sup_norm_predicate(data, kind, threshold):
             1.0, np.nextafter(1.0, 2), 1.0 + GUARD_MARGIN]
     factor = data.draw(st.sampled_from(near) | st.floats(0.0, 2.0))
     if data.draw(st.booleans()):
-        scale = stepper.sup_bound(spec)
+        scale = _bound(stepper, spec)
     else:
-        scale = float(np.max(np.abs(stepper.values(spec))))
+        scale = _sup(stepper, spec)
     if scale > 0:
         with np.errstate(all="ignore"):  # a subnormal scale overflows
             spec *= threshold * factor / scale
@@ -249,13 +281,13 @@ def test_guard_matches_finite_and_sup_norm_predicate(data, kind, threshold):
             max_size=2)):
         spec[m] = complex(0.0, value) if part else complex(value, 0.0)
     with np.errstate(all="ignore"):
-        v = stepper.values(spec)
+        v = stepper.values(spec[None])
         expect = not np.isfinite(v).all() or np.max(np.abs(v)) >= threshold
-        status, steps, _ = integrate([_Frozen(stepper, spec)],
-                                     [np.zeros(size, dtype=np.complex128)],
+        status, steps, _ = integrate([_Frozen(stepper, spec[None])],
+                                     [np.zeros((1, size), dtype=np.complex128)],
                                      1, threshold)
-    assert (status, steps) == (("blowup_stopped", 0) if expect
-                               else ("completed", 1))
+    assert (status, steps) == ((["blowup_stopped"], [0]) if expect
+                               else (["completed"], [1]))
 
 
 @given(data=st.data(), kind=st.sampled_from(sorted(GUARDED)),
@@ -278,8 +310,7 @@ def test_sup_bound_bounds_the_sup_norm(data, kind, shape, scale):
     else:
         spec = np.exp(2j * np.pi * rng.uniform(size=size))
     spec *= scale
-    sup = float(np.max(np.abs(stepper.values(spec))))
-    assert stepper.sup_bound(spec) >= sup * (1.0 - 1e-13)
+    assert _bound(stepper, spec) >= _sup(stepper, spec) * (1.0 - 1e-13)
 
 
 def test_quintic_step_allocates_no_padded_array():
@@ -288,10 +319,10 @@ def test_quintic_step_allocates_no_padded_array():
     n = 8192
     grid = Grid.for_carrier(0.1, n)
     p = ModelParams("quintic", nu2=1.0, nu3=0.5)
-    stepper = SHStepper(grid, p, intensity=1.0)
-    raw = np.fft.rfft(np.random.default_rng(0).standard_normal(n))
-    spec = stepper.step_spec(np.fft.rfft(0.4 * np.cos(grid.x / grid.eps)),
-                             raw)
+    stepper = SHStepper([grid], [p], intensity=1.0)
+    raw = np.fft.rfft(np.random.default_rng(0).standard_normal((1, n)))
+    spec = stepper.step_spec(
+        np.fft.rfft(0.4 * np.cos(grid.x / grid.eps))[None], raw)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -334,3 +365,110 @@ def test_quintic_variant_runs_and_stays_finite():
     run = simulate(v0, p)
     assert (run.status, run.time) == ("completed", p.t_end)
     assert np.isfinite(run.final.values).all()
+
+
+def _rows(n, variant="cubic"):
+    """Three rows on n-point grids of two eps, with their own nu (nu2 and
+    nu3 for the quintic variant) and initial data."""
+    grids = [Grid.for_carrier(eps, n, periods=n // 16)
+             for eps in (0.2, 0.1, 0.2)]
+    if variant == "cubic":
+        params = [ModelParams(nu=nu) for nu in (0.5, 0.3, 0.0)]
+    else:
+        params = [ModelParams("quintic", nu2=nu, nu3=0.5 - nu)
+                  for nu in (0.5, 0.3, 0.0)]
+    v0s = [modulated_carrier_ic(g, np.random.default_rng(k), amplitude=0.4)
+           for k, g in enumerate(grids)]
+    return grids, params, v0s
+
+
+@pytest.mark.parametrize("n", [512, 2048], ids=["one-part", "interleaved"])
+@pytest.mark.parametrize("variant", ["cubic", "quintic"])
+@pytest.mark.parametrize("noisy", [False, True], ids=["quiet", "noisy"])
+def test_step_spec_adds_its_terms_in_the_order_of_separate_sums(n, variant,
+                                                                noisy):
+    # the linear flow and the noise go into extra parts of the sum of the
+    # nonlinearity's parts; the step keeps the bits of adding them after
+    # it, one after the other, on either padded layout
+    grids, params, v0s = _rows(n, variant)
+    stepper = SHStepper(grids, params, intensity=0.1)
+    vspec = np.array([v.spectrum() for v in v0s])
+    rng = np.random.default_rng(3)
+    raw = np.fft.rfft(rng.standard_normal((len(grids), n))) if noisy else None
+    ref = dealiased_powers(vspec, stepper.coeffs, stepper.padded)
+    ref += stepper.decay * vspec
+    if noisy:
+        ref += raw * stepper.noise_scale
+    assert stepper.step_spec(vspec, raw).tobytes() == ref.tobytes()
+
+
+def _solo_and_batch(grids, params, v0s, cfgs, n_steps, threshold):
+    """``integrate`` of the rows as one batch and of each row alone: each
+    as (status, steps, final spectrum bytes) by rows."""
+    def run(rows):
+        stepper = SHStepper([grids[r] for r in rows], [params[r] for r in rows],
+                            intensity=0.1)
+        status, steps, (spec,) = integrate(
+            [stepper], [np.array([v0s[r].spectrum() for r in rows])],
+            n_steps, threshold,
+            noise_draw(stepper.noise, [cfgs[r] for r in rows], n_steps))
+        return list(zip(status, steps, (row.tobytes() for row in spec)))
+
+    rows = range(len(grids))
+    return run(rows), [run([r])[0] for r in rows]
+
+
+@pytest.mark.parametrize("variant", ["cubic", "quintic"])
+def test_batch_rows_step_as_their_solo_runs(variant):
+    # rows of other eps, nu and noise streams in one batch: each row ends
+    # on the bits of its run alone
+    grids, params, v0s = _rows(512, variant)
+    cfgs = [Noise(seed=k, intensity=0.1) for k in range(len(grids))]
+    batch, solo = _solo_and_batch(grids, params, v0s, cfgs, 40, 1e4)
+    assert batch == solo
+    assert [status for status, _, _ in batch] == ["completed"] * 3
+
+
+def test_batch_row_that_blows_up_leaves_the_other_rows_alone():
+    # at an unstable step the large row trips the guard on its own step:
+    # it keeps its last finite spectrum, as alone, and the small rows run
+    # on with the bits of their runs alone
+    grids = [Grid.for_carrier(0.2, 512, periods=32)] * 3
+    params = [ModelParams(nu=0.5, dt=0.05)] * 3
+    v0s = [modulated_carrier_ic(grids[0], np.random.default_rng(k),
+                                amplitude=a)
+           for k, a in enumerate((0.3, 5.0, 0.2))]
+    cfgs = [Noise(seed=k, intensity=0.1) for k in range(3)]
+    with np.errstate(over="raise", invalid="raise"):
+        batch, solo = _solo_and_batch(grids, params, v0s, cfgs, 40, 1e4)
+    assert batch == solo
+    assert [(status, steps) for status, steps, _ in batch] == [
+        ("completed", 40), ("blowup_stopped", 2), ("completed", 40)]
+
+
+def test_importing_starts_no_thread_and_racing_threads_share_one_worker():
+    # the worker starts on the first job, once, however many stepping
+    # threads submit their first jobs at the same time
+    script = """
+import sys
+import threading
+import shmod
+from shmod import sh
+print(threading.active_count())
+sys.setswitchinterval(1e-6)
+barrier = threading.Barrier(8)
+idents = []
+def first_job():
+    barrier.wait()
+    idents.append(sh.run_on_worker(threading.get_ident).result())
+threads = [threading.Thread(target=first_job) for _ in range(8)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(timeout=30)
+print(len(set(idents)), threading.active_count())
+"""
+    out = subprocess.run([sys.executable, "-c", script], check=True,
+                         capture_output=True, text=True,
+                         timeout=60).stdout.split()
+    assert out == ["1", "1", "2"]
