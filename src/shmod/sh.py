@@ -159,23 +159,22 @@ def _blown_up(stepper, spec: np.ndarray, threshold: float):
 
     The stepper's ``bound_scale`` times the l1 norm ``Σ|ĉ|`` of a row's
     h entries bounds its sup norm from above, and so does
-    ``bound_scale·sqrt(h·Σ|ĉ|²)`` by Cauchy-Schwarz, one call for the
-    batch.  A finite bound below the threshold (less ``GUARD_MARGIN``)
-    passes a row without a transform, and a batch whose squared bounds sum
-    below the squared limit takes none.  A nan or inf entry, or an
+    ``bound_scale·sqrt(h·Σ|ĉ|²)`` by Cauchy-Schwarz.  A finite bound below
+    the threshold (less ``GUARD_MARGIN``) passes a row without a
+    transform, and a batch whose squared bounds sum below the squared
+    limit takes none: the sum is at least the largest, and one BLAS call,
+    ``np.vdot`` over the batch, takes it.  A nan or inf entry, or an
     overflow of the sum of squares, makes it nan or inf, which fails the
-    comparison and falls through to the exact test of that row.  There
-    every comparison with nan is false, so the negated bounds catch nan
-    and +-inf with no isfinite pass, and a real field needs no abs
-    temporary."""
-    x = np.ascontiguousarray(spec).view(np.float64)
-    squares = np.vecdot(x, x)  # Σ|ĉ|² of each row
+    comparison and falls through to the bound of each row, and then to the
+    exact test of the rows whose bound fails.  There every comparison with
+    nan is false, so the negated bounds catch nan and +-inf with no
+    isfinite pass, and a real field needs no abs temporary."""
     limit = ((threshold * (1.0 - GUARD_MARGIN) / stepper.bound_scale) ** 2
              / spec.shape[-1])
-    # the sum is at least the largest, and nan if one is
-    if sum(squares.tolist()) < limit:
+    if np.vdot(spec, spec).real < limit:
         return None
-    suspect = ~(squares < limit)
+    x = np.ascontiguousarray(spec).view(np.float64)
+    suspect = ~(np.vecdot(x, x) < limit)  # Σ|ĉ|² of each row
     v = stepper.values(spec[suspect])
     if np.iscomplexobj(v):
         suspect[suspect] = ~(np.max(np.abs(v), axis=1) < threshold)
