@@ -13,6 +13,15 @@ from .sh import (CUBIC, QUINTIC, ModelParams, SHStepper, block_steps,
                  integrate, shared, step_count)
 
 
+#: bytes that the work arrays of an accumulator's block hold at most,
+#: summed over its rows and steps.  At n = 2048 a row-step holds 86 kB, so
+#: a block holds 24 row-steps, where ``BLOCK_ROWS`` would allow 36; it
+#: binds on no smaller grid.  A paired run's noise blocks take the same
+#: size: the peak resident set of a default theorem2 solve in batches of
+#: up to 3 cells rose 4% over batches of one at 24 row-steps, 8% at 36
+BLOCK_BYTES = 2 << 20
+
+
 class AveragingAccumulator:
     """Running trapezoid rule, over time, of the averaging integrands
 
@@ -37,41 +46,55 @@ class AveragingAccumulator:
         syms = [band_symbols(g, delta) for g in grids]
         self.n = shared([g.n_points for g in grids], "grid size")
         self.rows = rows = len(grids)
-        # the real multipliers as complex numbers with imaginary part +0,
-        # the cast numpy makes on each product with a spectrum
-        self.q1 = np.array([sym.q1 for sym in syms]).astype(np.complex128)
-        self.qk_eps = np.array([[sym.q0 / g.eps, sym.q2 / g.eps]
+        # q0, q1 and q2 are zero from ``top`` on, past every row's P2
+        # support, and irfft zero-pads a shorter input with the bits of the
+        # full one, so only the modes below it are multiplied and
+        # transformed.  The real multipliers are stored as complex numbers
+        # with imaginary part +0, the cast numpy makes on each product with
+        # a spectrum
+        self.top = top = max(int(np.flatnonzero(sym.q2)[-1]) + 1
+                             for sym in syms)
+        self.q1 = np.array([sym.q1[:top] for sym in syms]).astype(np.complex128)
+        self.qk_eps = np.array([[sym.q0[:top] / g.eps, sym.q2[:top] / g.eps]
                                 for sym, g in zip(syms, grids)], np.complex128)
-        self.nu_inv = np.array([[nu * sym.inv0, nu * sym.inv2]
+        self.nu_inv = np.array([[nu * sym.inv0[:top], nu * sym.inv2[:top]]
                                 for sym, nu in zip(syms, nus)], np.complex128)
         self.count = 0
         self.total = np.zeros((rows, 2, self.n))
-        # work arrays for blocks of up to block_steps(rows) steps.  Step 1
-        # of the stack carries the last sample's integrands to the next
-        # block, steps 2 .. k + 1 take the block's integrands and steps
-        # 1 .. k their trapezoid pieces; step 0 takes a copy of total
-        # before the reduction
-        size, h = block_steps(rows), self.n // 2 + 1
+        # work arrays for blocks of up to ``size`` steps.  A row-step holds
+        # v1, the spectrum of v1^2, the two integrands and two pairs of
+        # spectra below top.  Step 1 of the stack carries the last sample's
+        # integrands to the next block, steps 2 .. k + 1 take the block's
+        # integrands and steps 1 .. k their trapezoid pieces; step 0 takes
+        # a copy of total before the reduction
+        h = self.n // 2 + 1
+        row_bytes = 8 * 3 * self.n + 16 * (h + 4 * top)
+        self.size = size = max(1, min(block_steps(rows),
+                                      BLOCK_BYTES // (rows * row_bytes)))
         self._v1 = np.empty((size, rows, self.n))
-        self._sq = np.empty((size, rows, 2, h), np.complex128)
-        self._rhs = np.empty((size, rows, 2, h), np.complex128)
+        self._sq = np.empty((size, rows, 2, top), np.complex128)
+        self._rhs = np.empty_like(self._sq)
+        self._v1sq = np.empty((size, rows, h), np.complex128)
         self._stack = np.zeros((size + 2, rows, 2, self.n))
 
     def add(self, times: np.ndarray, vspecs: np.ndarray) -> np.ndarray:
         """Add the samples of v with half-spectra ``vspecs[j, r]`` of each
-        row r at ``times[j]``, at most ``block_steps(rows)`` of them,
-        increasing and later than the last one.  Returns v1 =
+        row r at ``times[j]``, at most ``size`` of them,
+        increasing and later than the last one; the modes from ``top`` on
+        are not read and may be left out.  Returns v1 =
         irfft(q1 * vspecs), a view of a work array that the next call
         overwrites."""
         k = len(times)
+        vspecs = vspecs[..., : self.top]
         v1, sq, rhs = self._v1[:k], self._sq[:k], self._rhs[:k]
+        v1sq = self._v1sq[:k]
         f = self._stack[1:k + 2]
         np.multiply(self.q1, vspecs, out=sq[:, :, 0])
         np.fft.irfft(sq[:, :, 0], n=self.n, out=v1)
-        # the integrand rows, and then sq, are free until they are refilled
+        # the integrand rows are free until they are refilled
         np.multiply(v1, v1, out=f[1:, :, 0])
-        np.fft.rfft(f[1:, :, 0], out=sq[:, :, 0])
-        np.multiply(self.nu_inv, sq[:, :, :1], out=rhs)
+        np.fft.rfft(f[1:, :, 0], out=v1sq)
+        np.multiply(self.nu_inv, v1sq[:, :, None, : self.top], out=rhs)
         np.multiply(self.qk_eps, vspecs[:, :, None], out=sq)
         np.add(sq, rhs, out=rhs)
         np.fft.irfft(rhs, n=self.n, out=f[1:])

@@ -23,7 +23,7 @@ from .bands import DEFAULT_DELTA, amplitude_spectrum, band_symbols
 from .grid import ComplexField
 from .noise import NoiseConfig, SpectralNoise
 from .operators import _horner, dealiased_powers_complex
-from .sh import (CUBIC, ModelParams, RunResult, SHStepper, _phi1, block_steps,
+from .sh import (CUBIC, ModelParams, RunResult, SHStepper, _phi1,
                  integrate, noise_draw, per_row, run_on_worker, shared,
                  step_count)
 
@@ -54,21 +54,26 @@ class ReducedStepper:
     """ETD1 step of the averaged band equation on the envelope of w.
 
     The band equation keeps w = P1 w: w0 = P1 v0 and both its drift and its
-    noise carry the factor q1.  So the state is the P1 slice of the rfft
+    noise carry the factor q1.  So the state is a slice of the rfft
     half-spectrum, ``E = wspec[band]`` with ``band = m-b .. m+b`` around the
     carrier index m, and w = A e^{iX/eps} + c.c. where the amplitude A has
-    the modes -b .. b of E.  Sorting w^3, w^5 and w inv02 w^2 by powers of
-    the carrier gives, on the band,
+    the modes -b .. b of E.  The slice depends on m and the variant alone,
+    b = (m-1)//2 (cubic) or (m-1)//3 (quintic), so rows of any eps on one
+    grid size share it; it holds each row's own P1 slice m-c .. m+c
+    (``BandSymbols.band``), and outside that slice the row's q1, gain and
+    noise scale are zero, so its modes there stay 0.  Sorting w^3, w^5 and
+    w inv02 w^2 by powers of the carrier gives, on a row's own slice,
 
         P1 w^3 = q1 3|A|^2 A,    P1 w^5 = q1 10|A|^4 A,
         P1 [w inv02 w^2] = q1 (A B0 + conj(A) B2),
 
     with B0 = inv0 (2|A|^2) and B2 = inv2 (A^2), inv2 taken at the modes
-    2m + j of A^2 e^{2iX/eps}.  The other harmonics miss the band: those
-    of w^3 and of the correction sit at 3m +- 3b and -m +- 3b, off
-    m-b .. m+b because b < m/2 (make_kernel keeps P1 and P2 disjoint);
-    those of w^5 sit at 3m +- 5b and -m +- 5b, off the band only while
-    3b < m, so the quintic variant rejects a wider band.
+    2m + j of A^2 e^{2iX/eps}.  The other harmonics miss the row's P1
+    support: those of w^3 and of the correction sit at 3m +- 3c and
+    -m +- 3c, off m-c .. m+c because c < m/2 (make_kernel keeps P1 and P2
+    disjoint, which also puts c within the cubic b); those of w^5 sit at
+    3m +- 5c and -m +- 5c, off it only while 3c < m, so the quintic
+    variant rejects a row with a wider P1 slice.
 
     The products are taken on an envelope grid of ``ne`` points, the
     smallest power of two above 4b (cubic) or 6b (quintic).  |A|^2 and A^2
@@ -92,12 +97,13 @@ class ReducedStepper:
         syms = [band_symbols(g, delta) for g in grids]
         n = self.n = shared([g.n_points for g in grids], "grid size")
         m = shared([g.carrier_index for g in grids], "carrier index")
-        self.band = shared([sym.band for sym in syms], "band")
         variant = shared([p.variant for p in params], "variant")
-        b = m - self.band.start
-        if variant != CUBIC and 3 * b >= m:
+        if variant != CUBIC and any(3 * (m - sym.band.start) >= m
+                                    for sym in syms):
             raise ValueError("band too wide for the quintic band drift: "
                              "the third harmonic of w^5 reaches P1")
+        b = (m - 1) // (2 if variant == CUBIC else 3)
+        self.band = slice(m - b, m + b + 1)
         lam = np.array([sym.lam[self.band] for sym in syms])
         self.q1 = np.array([sym.q1[self.band] for sym in syms])
         # the real multipliers of a spectrum are stored as complex numbers
@@ -304,16 +310,17 @@ class _RunningMax:
 
 class _BandObserver:
     """sup_T ||P1 v - w||_inf and the averaging integrals of v over every
-    step, by rows, computed in blocks of ``block_steps`` steps on the
-    worker thread.
+    step, by rows, computed in blocks of the accumulator's ``size`` steps
+    on the worker thread.
 
-    A call copies the step's v^ and band slice E of every row into one
-    side of a pair of block buffers.  A full block goes to the worker as
-    one job while the stepping thread fills the other side; the job before
-    it is waited for first, so at most one block is in flight.  The job
-    gets the block's v1 = irfft(q1 v^) from ``AveragingAccumulator.add``
-    and w = irfft of E scattered into the half-spectrum
-    (``ReducedStepper.values``) from one batched transform each, into
+    A call copies the step's v^ below the accumulator's ``top`` and band
+    slice E of every row into one side of a pair of block buffers.  A full
+    block goes to the worker as one job while the stepping thread fills
+    the other side; the job before it is waited for first, so at most one
+    block is in flight.  The job gets the block's v1 = irfft(q1 v^) from
+    ``AveragingAccumulator.add`` and w = irfft of E scattered into the
+    half-spectrum up to the band's top (``ReducedStepper.values``: irfft
+    zero-pads it with the same bits) from one batched transform each, into
     arrays this observer owns.  ``finish`` hands over the last, partial
     block and waits; ``wait`` re-raises the error of a failed job.  On
     step 0, w0 = P1 v0 is the same product by q1 as v1, so its gap is 0
@@ -322,14 +329,15 @@ class _BandObserver:
 
     def __init__(self, averaging: AveragingAccumulator, red: ReducedStepper,
                  dt: float):
-        n, h, rows = averaging.n, averaging.n // 2 + 1, averaging.rows
-        self.size = size = block_steps(rows)
-        self.averaging, self.band, self.dt = averaging, red.band, dt
+        n, rows, band = averaging.n, averaging.rows, red.band
+        self.size = size = averaging.size
+        self.averaging, self.band, self.dt = averaging, band, dt
         self.times = np.empty((2, size))
-        self.vspecs = np.empty((2, size, rows, h), dtype=np.complex128)
-        self.bands = np.empty((2, size, rows, red.band.stop - red.band.start),
+        self.vspecs = np.empty((2, size, rows, averaging.top),
+                               dtype=np.complex128)
+        self.bands = np.empty((2, size, rows, band.stop - band.start),
                               dtype=np.complex128)
-        self.wspec = np.zeros((size, rows, h), dtype=np.complex128)
+        self.wspec = np.zeros((size, rows, band.stop), dtype=np.complex128)
         self.w = np.empty((size, rows, n))
         self.sup_diff = np.zeros(rows)
         self.side, self.filled, self.pending = 0, 0, None
@@ -337,7 +345,7 @@ class _BandObserver:
     def __call__(self, i, specs):
         side, row = self.side, self.filled
         self.times[side, row] = i * self.dt
-        self.vspecs[side, row] = specs[0]
+        self.vspecs[side, row] = specs[0][:, : self.averaging.top]
         self.bands[side, row] = specs[1]
         self.filled += 1
         if self.filled == self.size:
@@ -374,8 +382,12 @@ def simulate_paired(v0s, params, cfgs, delta: float = DEFAULT_DELTA,
     each row with its own noise path, and return their ``PairedResult``.
 
     Row r starts from ``v0s[r]`` with ``params[r]`` and the noise of
-    ``cfgs[r]``; the rows share their time stepping and noise intensity.
-    w starts from P1 v0.  If ``with_gl`` is set, a Ginzburg-Landau
+    ``cfgs[r]``; the rows share their time stepping, noise intensity,
+    variant, grid size and carrier index, and may differ in eps and nu
+    (``ReducedStepper``'s slice depends on neither).  The noise and the
+    diagnostics go in blocks of the accumulator's ``size`` steps, which
+    ``analysis.BLOCK_BYTES`` caps.  w starts from P1 v0.  If ``with_gl``
+    is set, a Ginzburg-Landau
     amplitude on the same grid is driven by the demodulated P1 noise band
     (same white realization, each mode with its own exact OU variance) and
     compared against the demodulated w.  The averaging residuals of v (see
@@ -414,7 +426,8 @@ def simulate_paired(v0s, params, cfgs, delta: float = DEFAULT_DELTA,
     try:
         status, _, _ = integrate(steppers, specs, n_steps,
                                  p.blowup_threshold,
-                                 noise_draw(sh.noise, cfgs, n_steps),
+                                 noise_draw(sh.noise, cfgs, n_steps,
+                                            size=band.size),
                                  observers)
         band.finish()
     finally:

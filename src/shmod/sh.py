@@ -285,12 +285,13 @@ def run_on_worker(fn, *args):
 
 
 def noise_draw(noise: SpectralNoise, cfgs, n_steps: int,
-               complex_rows: bool = False):
+               complex_rows: bool = False, size: int | None = None):
     """Exactly ``n_steps`` per-step draws for a batch, one row per config
     in ``cfgs``: row r of a step is the ``noise.raw`` draw (``raw_complex``
     with ``complex_rows``) of ``cfgs[r]``'s own stream, bit for bit; None
     without noise (no ``cfgs``, or every intensity 0).  They are drawn in
-    blocks of ``block_steps`` steps, one block ahead, on the worker, which
+    blocks of ``size`` steps, ``block_steps`` of the batch's rows by
+    default, one block ahead, on the worker, which
     overlaps the stepping thread: Philox and pocketfft free the GIL.  Two
     blocks are live, the one handed out and the one being drawn, and a
     third while the caller holds the last row of the one before, which
@@ -301,7 +302,7 @@ def noise_draw(noise: SpectralNoise, cfgs, n_steps: int,
     n = noise.grid.n_points
     width = n if complex_rows else n // 2 + 1
     rngs = [cfg.make_rng() for cfg in cfgs]
-    size = block_steps(len(rngs))
+    size = size or block_steps(len(rngs))
 
     def job(k):
         block = np.empty((len(rngs), k, width), dtype=np.complex128)

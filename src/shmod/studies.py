@@ -336,16 +336,20 @@ def _run_batch(cfg: StudyConfig, cells: list) -> list:
 #: most cells stepped together in one batch: default attractivity cells
 #: (n = 2048) took 58.7 ms each alone, 46.4 ms in batches of 2, 43.4 ms in
 #: batches of 4 and 45.4 to 46.5 ms in batches of 5 to 10 (README,
-#: "Studies")
+#: "Studies").  Paired cells of every eps of one nu batch too; a group is
+#: split evenly, so the 5 cells of one seed over the eps ladder run as 3
+#: and 2, not as 4 and a last cell alone
 MAX_BATCH = 4
 
 
 def study_batches(cfg: StudyConfig, cells: list) -> list:
-    """``cells`` in batches of at most ``MAX_BATCH`` cells whose steppers
-    have one shape, in the order of ``cells``.  An SH-only study batches
-    every cell, as all share the grid size; a paired study the seeds of one
-    (nu, eps), as the band stepper's slice and envelope grid depend on eps;
-    a Landau fit runs alone."""
+    """``cells`` in batches of cells whose steppers have one shape, in the
+    order of ``cells``: each group of one shape split into the fewest
+    batches of at most ``MAX_BATCH`` cells, of sizes as equal as possible.
+    An SH-only study batches every cell, as all share the grid size; a
+    paired study the cells of one nu, of every eps and seed, as the band
+    stepper's slice and envelope grid depend on the grid's carrier index
+    alone; a Landau fit runs alone."""
     groups = {}
     for params, seed in cells:
         if cfg.study == "attractivity":
@@ -353,10 +357,14 @@ def study_batches(cfg: StudyConfig, cells: list) -> list:
         elif cfg.study in LANDAU_STUDIES:
             key = (tuple(sorted(params.items())), seed)
         else:
-            key = (params["nu"], params["eps"])
+            key = params["nu"]
         groups.setdefault(key, []).append((params, seed))
-    return [group[i:i + MAX_BATCH] for group in groups.values()
-            for i in range(0, len(group), MAX_BATCH)]
+    batches = []
+    for group in groups.values():
+        count = -(-len(group) // MAX_BATCH)
+        bounds = [-(-len(group) * i // count) for i in range(count + 1)]
+        batches += [group[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    return batches
 
 
 def study_cells(cfg: StudyConfig) -> list:

@@ -457,10 +457,18 @@ def test_study_is_deterministic_across_thread_counts(tmp_path):
                 "ok", "error: run ended with status 'blowup_stopped'"}
 
 
+#: paired cells of three eps, two seeds each: batches of 3 that span eps
+PAIRED_MIXED = dict(TINY, eps_list=(0.2, 0.14, 0.1))
+
+
 @pytest.mark.parametrize("study, settings", [
-    ("theorem2", dict(TINY, n_seeds=3)), ("gl-limit", TINY),
-    ("averaging", dict(TINY, intensity=0.0)), ("attractivity", MIXED)],
-    ids=["theorem2", "gl-limit", "averaging", "attractivity-blowups"])
+    ("theorem2", dict(TINY, n_seeds=3)), ("theorem2", PAIRED_MIXED),
+    ("gl-limit", TINY), ("gl-limit", PAIRED_MIXED),
+    ("averaging", dict(TINY, intensity=0.0)),
+    ("averaging", dict(PAIRED_MIXED, intensity=0.0)),
+    ("attractivity", MIXED)],
+    ids=["theorem2", "theorem2-mixed-eps", "gl-limit", "gl-limit-mixed-eps",
+         "averaging", "averaging-mixed-eps", "attractivity-blowups"])
 def test_batched_records_are_those_of_each_cell_alone(tmp_path, study,
                                                       settings):
     # every record of a batch, a blown-up cell's error included, is the
@@ -468,7 +476,10 @@ def test_batched_records_are_those_of_each_cell_alone(tmp_path, study,
     cfg = StudyConfig.for_study(study, out_dir=str(tmp_path), **settings)
     run_study(cfg)
     records = load_records(tmp_path / "records.csv")
-    assert max(map(len, study_batches(cfg, study_cells(cfg)))) > 1
+    batches = study_batches(cfg, study_cells(cfg))
+    assert max(map(len, batches)) > 1
+    if settings["eps_list"] == PAIRED_MIXED["eps_list"]:
+        assert all(len({p["eps"] for p, _ in batch}) > 1 for batch in batches)
     for r in records:
         (alone,) = _run_batch(cfg, [(r.params, r.seed)])
         assert ((alone.status, alone.diagnostics_repr())
@@ -483,25 +494,28 @@ def test_a_batch_shares_its_wall_time_between_its_cells(tmp_path):
 
 
 def test_study_batches_group_cells_by_stepper_shape(tmp_path):
-    # an SH-only study batches any cells, a paired study the seeds of one
-    # (nu, eps), a Landau study none; in the order of the cells, at most
-    # MAX_BATCH at a time
+    # an SH-only study batches any cells, a paired study the cells of one
+    # nu, whatever their eps, a Landau study none; in the order of the
+    # cells, each group in the fewest batches of at most MAX_BATCH, of
+    # sizes as equal as possible
     def sizes(study, **settings):
         cfg = StudyConfig.for_study(study, out_dir=str(tmp_path), **settings)
         cells = study_cells(cfg)
         batches = study_batches(cfg, cells)
         assert [cell for batch in batches for cell in batch] == cells
+        assert all(0 < len(batch) <= MAX_BATCH for batch in batches)
         if study in ("theorem2", "gl-limit"):
-            assert all(len({(p["nu"], p["eps"]) for p, _ in batch}) == 1
+            assert all(len({p["nu"] for p, _ in batch}) == 1
                        for batch in batches)
         return [len(batch) for batch in batches]
 
-    assert MAX_BATCH > 1
-    cap = MAX_BATCH
-    assert sizes("attractivity", n_seeds=2 * cap) == [cap] * 10
-    assert sizes("theorem2", n_seeds=cap + 1, nu_list=(0.5, 0.6),
-                 eps_list=(0.2, 0.1, 0.05)) == [cap, 1] * 6
-    assert sizes("gl-limit", n_seeds=1) == [1] * 5
+    assert MAX_BATCH == 4
+    assert sizes("attractivity", n_seeds=8) == [4] * 10
+    assert sizes("attractivity", n_seeds=2) == [4, 3, 3]
+    # 15 cells of each nu, over three eps
+    assert sizes("theorem2", n_seeds=5, nu_list=(0.5, 0.6),
+                 eps_list=(0.2, 0.1, 0.05)) == [4, 4, 4, 3] * 2
+    assert sizes("gl-limit", n_seeds=1) == [3, 2]
     assert sizes("landau-sweep") == [1] * 5
 
 

@@ -533,10 +533,60 @@ def test_reduced_step_keeps_content_on_the_p1_taper():
                                atol=1e-12 * np.max(np.abs(expect)))
 
 
+@pytest.mark.parametrize("params", [
+    ModelParams(nu=0.5), ModelParams(variant="quintic", nu2=0.7, nu3=0.3)],
+    ids=["cubic", "quintic"])
+@pytest.mark.parametrize("n, periods", [(2048, 128), (512, 32)])
+def test_band_layout_is_one_for_every_eps_of_a_grid(params, n, periods):
+    # the band slice and envelope grid depend on the grid size, carrier
+    # index and variant alone: every eps that band_symbols (and, quintic,
+    # the stepper) admits gives one layout, which holds the eps's own P1
+    # slice
+    layouts = set()
+    for eps in np.linspace(0.01, 0.99, 99):
+        grid = Grid.for_carrier(eps, n, periods=periods)
+        try:
+            own = band_symbols(grid, DELTA).band
+            red = ReducedStepper([grid], [params], 0.1, DELTA)
+        except ValueError:
+            continue
+        layouts.add((red.band.start, red.band.stop, red.ne))
+        assert red.band.start <= own.start and own.stop <= red.band.stop
+    b = (periods - 1) // (2 if params.variant == "cubic" else 3)
+    assert layouts == {(periods - b, periods + b + 1, 256 * n // 2048)}
+
+
+def test_band_rows_of_other_eps_stay_on_their_own_p1_slice():
+    # rows of eps 0.2, 0.1 and 0.05 share one band slice, wider than each
+    # row's own: over noisy steps a row's modes outside its own slice stay
+    # exactly 0, and every step has the bits of the reference arithmetic
+    grids = [Grid.for_carrier(eps, 2048, periods=128)
+             for eps in (0.2, 0.1, 0.05)]
+    params = [ModelParams(nu=nu) for nu in (0.5, 0.3, 0.0)]
+    red = ReducedStepper(grids, params, intensity=0.5, delta=DELTA)
+    E = red.q1 * np.array([
+        modulated_carrier_ic(g, np.random.default_rng(k),
+                             amplitude=0.5).spectrum()[red.band]
+        for k, g in enumerate(grids)])
+    outside = np.ones(E.shape, dtype=bool)
+    for row, g in zip(outside, grids):
+        own = band_symbols(g, DELTA).band
+        row[own.start - red.band.start: own.stop - red.band.start] = False
+    assert outside.any(axis=1).all()
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        raw = red.noise.raw(rng, (len(grids),))
+        ref = band_step_reference(red, E, raw)
+        E = red.step_spec(E, raw)
+        assert E.tobytes() == ref.tobytes()
+        assert np.all(E[outside] == 0)
+    assert all(np.abs(row[~out]).max() > 0 for row, out in zip(E, outside))
+
+
 def _paired_rows(threshold=1e4, amplitudes=(0.3, 0.2, 0.3)):
-    """Three paired rows on one grid size at eps 0.2, 0.19 and 0.2, which
+    """Three paired rows on one grid size at eps 0.2, 0.1 and 0.2, which
     share their band slice, with their own nu, initial data and noise."""
-    grids = [Grid.for_carrier(eps, 512, periods=32) for eps in (0.2, 0.19, 0.2)]
+    grids = [Grid.for_carrier(eps, 512, periods=32) for eps in (0.2, 0.1, 0.2)]
     cfgs = [NoiseConfig(seed=k, intensity=0.1) for k in range(3)]
     v0s = [modulated_carrier_ic(g, cfg.substream(1).make_rng(), amplitude=a)
            for g, cfg, a in zip(grids, cfgs, amplitudes)]
