@@ -1,6 +1,7 @@
 """Seeded ensemble studies, incremental record output, and replay.
 
-A study is a grid of independent cells, one per (parameter set, seed).
+A study is a grid of independent cells, one per (parameter set, seed),
+and everything that sets one study apart is its entry in :data:`STUDIES`.
 Each cell runs a simulation and reports scalar diagnostics; cells whose
 steppers have one shape run together as a batch, each with the bits of
 its run alone (:func:`study_batches`).  Records are
@@ -17,8 +18,10 @@ import csv
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -101,15 +104,12 @@ class StudyConfig:
             raise ConfigError("eps_list and nu_list must be non-empty")
         if self.n_seeds <= 0 or self.threads <= 0:
             raise ConfigError("n_seeds and threads must be positive")
-        if self.study in LANDAU_STUDIES and not 0.1 <= self.amplitude <= 0.5:
-            raise ConfigError("the Landau fit needs an amplitude in [0.1, 0.5]")
+        spec = STUDIES[self.study]
         try:
             ModelParams(dt=self.dt, t_end=self.t_end)
             NoiseConfig(seed=self.base_seed, intensity=self.intensity)
             for eps in self.eps_list:
-                grid = _cell_grid(self, eps)
-                if self.study not in LANDAU_STUDIES:
-                    band_symbols(grid, self.delta)
+                spec.check(self, spec.grid(self, eps))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -127,39 +127,6 @@ class StudyConfig:
         d["eps_list"] = tuple(d["eps_list"])
         d["nu_list"] = tuple(d["nu_list"])
         return cls(**d)
-
-
-@dataclass(frozen=True)
-class StudySpec:
-    """The :class:`StudyConfig` settings that a study's cells read, and the
-    study's defaults.  Every study also accepts ``threads``, which sets how
-    many batches of cells run at once and shapes no record."""
-
-    reads: frozenset
-    defaults: dict
-
-
-_SH_READS = frozenset({"eps_list", "nu_list", "n_seeds", "base_seed",
-                       "n_points", "periods", "delta", "dt", "t_end",
-                       "intensity", "amplitude", "offband"})
-# n_seeds 1 records in the manifest the one noise-free cell per (nu, eps)
-# that study_cells makes for a Landau study
-_LANDAU_DEFAULTS = {"eps_list": (0.1,), "n_seeds": 1, "amplitude": 0.2}
-
-STUDIES = {
-    "attractivity": StudySpec(_SH_READS, {"intensity": 0.01, "offband": 1.0}),
-    "averaging": StudySpec(_SH_READS, {}),
-    "theorem2": StudySpec(_SH_READS, {}),
-    "gl-limit": StudySpec(_SH_READS, {}),
-    "landau-sweep": StudySpec(
-        frozenset({"eps_list", "nu_list", "amplitude", "dt"}),
-        {**_LANDAU_DEFAULTS, "nu_list": DEFAULT_NU_SWEEP}),
-    "quintic-suite": StudySpec(
-        frozenset({"eps_list", "nu2", "nu3", "amplitude", "dt"}),
-        _LANDAU_DEFAULTS),
-}
-STUDY_NAMES = tuple(STUDIES)
-LANDAU_STUDIES = ("landau-sweep", "quintic-suite")
 
 
 def _float_list(text: str) -> tuple:
@@ -217,33 +184,27 @@ def _outcome(status: str, diagnostics: dict):
     return diagnostics
 
 
-def _cell_grid(cfg: StudyConfig, eps: float) -> Grid:
-    """The grid of the cells at ``eps``.  The Landau fit computes one
-    carrier period of the grid it stands for, so its cells take that."""
-    if cfg.study in LANDAU_STUDIES:
-        return Grid.for_carrier(eps, DEFAULT_POINTS_PER_PERIOD, periods=1)
-    return Grid.for_carrier(eps, cfg.n_points, periods=cfg.periods)
+def _fit_amplitude(cfg: StudyConfig, grid: Grid) -> None:
+    if not 0.1 <= cfg.amplitude <= 0.5:
+        raise ValueError("the Landau fit needs an amplitude in [0.1, 0.5]")
 
 
-def _cell_inputs(cfg: StudyConfig, grid: Grid, nu: float, seed: int):
-    """The noise config, initial data and model parameters of a cell."""
-    ncfg = NoiseConfig(seed=cfg.base_seed + seed, intensity=cfg.intensity)
-    v0 = modulated_carrier_ic(grid, ncfg.substream(1).make_rng(),
-                              amplitude=cfg.amplitude, offband=cfg.offband)
-    return ncfg, v0, ModelParams("cubic", nu=nu, dt=cfg.dt, t_end=cfg.t_end)
-
-
-def _batch_inputs(cfg: StudyConfig, grids, nus, seeds):
+def _batch_inputs(cfg: StudyConfig, grids, cells):
     """The noise configs, initial data and model parameters of a batch's
-    rows, each a tuple by rows."""
-    return zip(*(_cell_inputs(cfg, grid, nu, seed)
-                 for grid, nu, seed in zip(grids, nus, seeds)))
+    rows, each a list by rows."""
+    ncfgs = [NoiseConfig(seed=cfg.base_seed + seed, intensity=cfg.intensity)
+             for _, seed in cells]
+    v0s = [modulated_carrier_ic(grid, ncfg.substream(1).make_rng(),
+                                amplitude=cfg.amplitude, offband=cfg.offband)
+           for grid, ncfg in zip(grids, ncfgs)]
+    return ncfgs, v0s, [ModelParams("cubic", nu=params["nu"], dt=cfg.dt,
+                                    t_end=cfg.t_end) for params, _ in cells]
 
 
-def _paired_cells(cfg: StudyConfig, grids, nus, seeds, with_gl: bool) -> list:
+def _paired_batch(cfg: StudyConfig, grids, cells, with_gl=False) -> list:
     """The diagnostics or the error of each row of a batch of paired
-    cells."""
-    ncfgs, v0s, params = _batch_inputs(cfg, grids, nus, seeds)
+    cells, with the gap to the amplitude equation if ``with_gl``."""
+    ncfgs, v0s, params = _batch_inputs(cfg, grids, cells)
     result = simulate_paired(v0s, params, ncfgs, delta=cfg.delta,
                              with_gl=with_gl)
     names = ["sup_diff", "res_p0", "res_p2"] + ["sup_diff_gl"] * with_gl
@@ -252,10 +213,10 @@ def _paired_cells(cfg: StudyConfig, grids, nus, seeds, with_gl: bool) -> list:
             for status, row in zip(result.status, rows)]
 
 
-def _attractivity_cells(cfg: StudyConfig, grids, nus, seeds) -> list:
+def _attractivity_batch(cfg: StudyConfig, grids, cells) -> list:
     """The diagnostics or the error of each row of a batch of attractivity
     cells."""
-    ncfgs, v0s, params = _batch_inputs(cfg, grids, nus, seeds)
+    ncfgs, v0s, params = _batch_inputs(cfg, grids, cells)
     stepper = SHStepper(grids, params, cfg.intensity)
     # the multipliers 1 - q1 of I - P1, stored as complex: the cast numpy
     # would make on each product with a spectrum
@@ -279,46 +240,27 @@ def _attractivity_cells(cfg: StudyConfig, grids, nus, seeds) -> list:
             for st, s, g in zip(status, sup, grids)]
 
 
-def _landau_cell(cfg: StudyConfig, grid: Grid, nu, variant: str) -> dict:
-    quintic = variant == "quintic"
+def _landau_fit(cfg: StudyConfig, grids, cells, quintic=False) -> list:
+    """The diagnostics of a Landau fit, a batch of one cell."""
+    (params, _), = cells
     fit = estimate_landau_coefficient(
-        grid.eps,
-        nu,
-        variant=variant,
-        amplitude=cfg.amplitude,
-        dt=cfg.dt,
-        fit_window=8.0 if quintic else None,
-    )
+        grids[0].eps, (params["nu2"], params["nu3"]) if quintic
+        else params["nu"], variant="quintic" if quintic else "cubic",
+        amplitude=cfg.amplitude, dt=cfg.dt,
+        fit_window=8.0 if quintic else None)
     diags = {"c3": fit.c3, "r_squared": fit.r_squared}
-    if quintic:
-        diags["c5"] = fit.c5
-    return diags
-
-
-def _batch_outcomes(cfg: StudyConfig, grids, cells) -> list:
-    """The diagnostics, or the error, of each cell of a batch."""
-    nus = [params.get("nu") for params, _ in cells]
-    seeds = [seed for _, seed in cells]
-    if cfg.study in ("theorem2", "averaging", "gl-limit"):
-        return _paired_cells(cfg, grids, nus, seeds,
-                             with_gl=cfg.study == "gl-limit")
-    if cfg.study == "attractivity":
-        return _attractivity_cells(cfg, grids, nus, seeds)
-    (params, _), = cells  # a Landau fit is a batch of one
-    if cfg.study == "landau-sweep":
-        return [_landau_cell(cfg, grids[0], params["nu"], variant="cubic")]
-    return [_landau_cell(cfg, grids[0], (params["nu2"], params["nu3"]),
-                         variant="quintic")]
+    return [{**diags, "c5": fit.c5} if quintic else diags]
 
 
 def _run_batch(cfg: StudyConfig, cells: list) -> list:
     """Run a batch of cells, ``(params, seed)`` pairs of one batch key,
     together; a record per cell.  A cell's ``wall_time`` is its share of
     the batch's wall time."""
+    spec = STUDIES[cfg.study]
     start = time.perf_counter()
-    grids = [_cell_grid(cfg, params["eps"]) for params, _ in cells]
+    grids = [spec.grid(cfg, params["eps"]) for params, _ in cells]
     try:
-        outcomes = _batch_outcomes(cfg, grids, cells)
+        outcomes = spec.run(cfg, grids, cells)
     except RuntimeError as exc:
         outcomes = [exc] * len(cells)
     wall_time = (time.perf_counter() - start) / len(cells)
@@ -343,22 +285,13 @@ MAX_BATCH = 4
 
 
 def study_batches(cfg: StudyConfig, cells: list) -> list:
-    """``cells`` in batches of cells whose steppers have one shape, in the
-    order of ``cells``: each group of one shape split into the fewest
-    batches of at most ``MAX_BATCH`` cells, of sizes as equal as possible.
-    An SH-only study batches every cell, as all share the grid size; a
-    paired study the cells of one nu, of every eps and seed, as the band
-    stepper's slice and envelope grid depend on the grid's carrier index
-    alone; a Landau fit runs alone."""
+    """``cells`` in batches of cells of one key (:class:`StudySpec`), in
+    the order of ``cells``: each group of one key split into the fewest
+    batches of at most ``MAX_BATCH`` cells, of sizes as equal as possible."""
+    key = STUDIES[cfg.study].key
     groups = {}
     for params, seed in cells:
-        if cfg.study == "attractivity":
-            key = ()
-        elif cfg.study in LANDAU_STUDIES:
-            key = (tuple(sorted(params.items())), seed)
-        else:
-            key = params["nu"]
-        groups.setdefault(key, []).append((params, seed))
+        groups.setdefault(key(params, seed), []).append((params, seed))
     batches = []
     for group in groups.values():
         count = -(-len(group) // MAX_BATCH)
@@ -368,15 +301,12 @@ def study_batches(cfg: StudyConfig, cells: list) -> list:
 
 
 def study_cells(cfg: StudyConfig) -> list:
-    """The full (params, seed) grid for a study, in deterministic order."""
-    if cfg.study == "quintic-suite":
-        nus = [{"nu2": 0.0, "nu3": 0.0}, {"nu2": cfg.nu2, "nu3": cfg.nu3}]
-    else:
-        nus = [{"nu": nu} for nu in cfg.nu_list]
-    # the Landau fits are noise-free: one cell per (nu, eps)
-    seeds = range(1 if cfg.study in LANDAU_STUDIES else cfg.n_seeds)
-    return [({"eps": eps, **nu}, seed)
-            for nu in nus for eps in cfg.eps_list for seed in seeds]
+    """The full (params, seed) grid for a study, in deterministic order:
+    each model at each eps, every seed or one noise-free cell."""
+    spec = STUDIES[cfg.study]
+    seeds = range(cfg.n_seeds if spec.seeded else 1)
+    return [({"eps": eps, **model}, seed) for model in spec.models(cfg)
+            for eps in cfg.eps_list for seed in seeds]
 
 
 # ---------------------------------------------------------------------------
@@ -434,110 +364,177 @@ def load_records(path: Path) -> list:
 # Summaries
 
 
-def _median_by_eps(records, diag, selector=lambda r: True):
+def _median_by_eps(records, diag):
     by_eps = {}
     for r in records:
-        if r.status == "ok" and diag in r.diagnostics and selector(r):
+        if r.status == "ok" and diag in r.diagnostics:
             by_eps.setdefault(r.params["eps"], []).append(r.diagnostics[diag])
     return {eps: float(np.median(v)) for eps, v in sorted(by_eps.items())}
 
 
-def _slope_fit(medians: dict):
+def _slope_entry(medians: dict) -> dict:
+    """The medians by eps and the slope of their log against log eps,
+    ``None`` with fewer than 3 positive medians."""
     pairs = [(e, m) for e, m in medians.items() if m > 0]
-    if len(pairs) < 3:
-        return None
-    return fit_scaling_exponent(pairs)
+    return {"medians": {f"{e:.10g}": m for e, m in medians.items()},
+            "slope": (fit_scaling_exponent(pairs).slope if len(pairs) >= 3
+                      else None)}
+
+
+def _in_window(slope, lo: float, hi: float):
+    # without a slope nothing was measured that could fail: None marks the
+    # gate not evaluated
+    return None if slope is None else lo <= slope <= hi
+
+
+def _slope_summary(cfg: StudyConfig, records: list, gates=(),
+                   noise_free=None):
+    """The slope fit of each paired diagnostic, gated by ``gates``, or at
+    intensity 0 by ``noise_free`` if given: ``(name, diag, lo, hi)``
+    passes when the slope of ``diag`` lies in ``[lo, hi]``."""
+    fits = {}
+    for diag in ("sup_diff", "res_p0", "res_p2", "sup_diff_gl"):
+        med = _median_by_eps(records, diag)
+        if med:
+            fits[diag] = _slope_entry(med)
+    if noise_free is not None and cfg.intensity == 0:
+        gates = noise_free
+    return fits, {name: _in_window(fits.get(diag, {}).get("slope"), lo, hi)
+                  for name, diag, lo, hi in gates}
+
+
+def _attractivity_summary(cfg: StudyConfig, records: list):
+    """The slope of the off-band sup, in [0.7, 1.3], and the spread of its
+    ratio to eps over the ladder, below 2."""
+    med = _median_by_eps(records, "offband_sup")
+    ratios = [m / e for e, m in med.items()]
+    spread = max(ratios) / min(ratios) if ratios else None
+    fit = {**_slope_entry(med), "ratio_spread": spread}
+    return {"offband_sup": fit}, {
+        "slope_in_window": _in_window(fit["slope"], 0.7, 1.3),
+        "ratio_spread_below_2": spread is not None and spread < 2.0}
+
+
+def _sweep_summary(cfg: StudyConfig, records: list):
+    """c3 by nu, and the last bracket in which it changes sign from
+    negative: one must be found."""
+    sweep = {r.params["nu"]: r.diagnostics["c3"]
+             for r in records if r.status == "ok"}
+    nus = sorted(sweep)
+    crossing = None
+    for a, b in zip(nus, nus[1:]):
+        if sweep[a] < 0 <= sweep[b]:
+            crossing = [a, b]
+    return ({"c3_by_nu": {f"{nu:.10g}": sweep[nu] for nu in nus},
+             "sign_change_bracket": crossing},
+            {"sign_change_found": crossing is not None})
+
+
+def _quintic_summary(cfg: StudyConfig, records: list):
+    """c5 of the pure quintic model and c3 of the other; no gate."""
+    fits = {}
+    for r in records:
+        if r.status == "ok":
+            pure = r.params["nu2"] == 0.0 and r.params["nu3"] == 0.0
+            fits["c5_pure" if pure else "c3_quadratic"] = r.diagnostics.get(
+                "c5" if pure else "c3")
+    return fits, {}
 
 
 def summarize(cfg: StudyConfig, records: list) -> dict:
     """Study-level scaling fits and pass/fail gates over the last record
     of each cell: a resumed study re-runs its failed cells."""
     records = list({r.key: r for r in records}.values())
-    summary = {
-        "study": cfg.study,
-        "version": __version__,
-        "n_records": len(records),
-        "n_failed": sum(1 for r in records if r.status != "ok"),
-        "fits": {},
-        "acceptance": {},
-        "gates_not_evaluated": [],
-    }
-    fits = summary["fits"]
-    gates = summary["acceptance"]
-    not_evaluated = summary["gates_not_evaluated"]
+    n_failed = sum(1 for r in records if r.status != "ok")
+    fits, gates = STUDIES[cfg.study].summary(cfg, records)
+    passed = {name: ok for name, ok in gates.items() if ok is not None}
+    return {"study": cfg.study, "version": __version__,
+            "n_records": len(records), "n_failed": n_failed, "fits": fits,
+            "acceptance": passed, "gates_not_evaluated": [
+                name for name, ok in gates.items() if ok is None],
+            # a study in which no cell succeeded measured nothing that
+            # could pass
+            "ok": all(passed.values()) and (not records
+                                            or n_failed < len(records))}
 
-    def gate(name, slope, passes):
-        # A slope needs medians at 3 eps values; without one, nothing was
-        # measured that could fail.
-        if slope is None:
-            not_evaluated.append(name)
-        else:
-            gates[name] = passes(slope)
 
-    if cfg.study in ("theorem2", "averaging", "gl-limit"):
-        for diag in ("sup_diff", "res_p0", "res_p2", "sup_diff_gl"):
-            med = _median_by_eps(records, diag)
-            if not med:
-                continue
-            fit = _slope_fit(med)
-            fits[diag] = {
-                "medians": {f"{e:.10g}": m for e, m in med.items()},
-                "slope": None if fit is None else fit.slope,
-            }
-        if cfg.study == "theorem2":
-            gate("sup_diff_slope_in_window",
-                 fits.get("sup_diff", {}).get("slope"),
-                 lambda s: 0.7 <= s <= 1.3)
-        if cfg.study == "averaging":
-            p0 = fits.get("res_p0", {}).get("slope")
-            p2 = fits.get("res_p2", {}).get("slope")
-            if cfg.intensity == 0:
-                # Every O(eps) drift term of P0/P2 lies outside those bands,
-                # so the residual is O(eps^2) at most: a one-sided gate.
-                gate("res_p0_slope_above_1.7", p0, lambda s: s >= 1.7)
-                gate("res_p2_slope_above_1.7", p2, lambda s: s >= 1.7)
-            else:
-                # Under noise res_p2 is the O(eps^{1/2}) response of the fast
-                # modes to P2 dW; res_p0 crosses over from the deterministic
-                # eps^2 part to the noise part and has no single exponent.
-                gate("res_p2_slope_in_window", p2, lambda s: 0.2 <= s <= 0.8)
-    elif cfg.study == "attractivity":
-        med = _median_by_eps(records, "offband_sup")
-        fit = _slope_fit(med)
-        ratios = [m / e for e, m in med.items()]
-        fits["offband_sup"] = {
-            "medians": {f"{e:.10g}": m for e, m in med.items()},
-            "slope": None if fit is None else fit.slope,
-            "ratio_spread": max(ratios) / min(ratios) if ratios else None,
-        }
-        gate("slope_in_window", fits["offband_sup"]["slope"],
-             lambda s: 0.7 <= s <= 1.3)
-        gates["ratio_spread_below_2"] = bool(ratios) and max(ratios) / min(ratios) < 2.0
-    elif cfg.study == "landau-sweep":
-        sweep = {}
-        for r in records:
-            if r.status == "ok":
-                sweep[r.params["nu"]] = r.diagnostics["c3"]
-        fits["c3_by_nu"] = {f"{nu:.10g}": c for nu, c in sorted(sweep.items())}
-        nus = sorted(sweep)
-        crossing = None
-        for a, b in zip(nus, nus[1:]):
-            if sweep[a] < 0 <= sweep[b]:
-                crossing = [a, b]
-        fits["sign_change_bracket"] = crossing
-        gates["sign_change_found"] = crossing is not None
-    elif cfg.study == "quintic-suite":
-        for r in records:
-            if r.status != "ok":
-                continue
-            if r.params["nu2"] == 0.0 and r.params["nu3"] == 0.0:
-                fits["c5_pure"] = r.diagnostics.get("c5")
-            else:
-                fits["c3_quadratic"] = r.diagnostics.get("c3")
-    # a study in which no cell succeeded measured nothing that could pass
-    summary["ok"] = (all(gates.values()) and
-                     (not records or summary["n_failed"] < len(records)))
-    return summary
+# ---------------------------------------------------------------------------
+# The studies
+
+
+@dataclass(frozen=True)
+class StudySpec:
+    """Everything that sets a study apart; the defaults are the paired
+    studies'.  ``run(cfg, grids, cells)`` gives each cell's diagnostics or
+    error, and cells of one ``key(params, seed)`` may share a batch.
+    ``summary(cfg, records)`` gives the fits and the gates, ``None`` for
+    one not evaluated.  ``reads`` are the settings the cells read; every
+    study also accepts ``threads``, which shapes no record.  Each of
+    ``models(cfg)`` has a cell at every eps, per seed if ``seeded``;
+    ``check(cfg, grid(cfg, eps))`` raises ValueError if they cannot run."""
+
+    summary: Callable
+    run: Callable = _paired_batch
+    # the band stepper's slice and envelope grid depend on the grid's
+    # carrier index alone, so paired cells of one nu share their shapes
+    key: Callable = lambda params, seed: params["nu"]
+    reads: frozenset = frozenset({
+        "eps_list", "nu_list", "n_seeds", "base_seed", "n_points", "periods",
+        "delta", "dt", "t_end", "intensity", "amplitude", "offband"})
+    defaults: dict = field(default_factory=dict)
+    models: Callable = lambda cfg: [{"nu": nu} for nu in cfg.nu_list]
+    seeded: bool = True
+    grid: Callable = lambda cfg, eps: Grid.for_carrier(eps, cfg.n_points,
+                                                      periods=cfg.periods)
+    check: Callable = lambda cfg, grid: band_symbols(grid, cfg.delta)
+
+
+_LANDAU_READS = frozenset({"eps_list", "amplitude", "dt"})
+# n_seeds 1 records in the manifest the one noise-free cell per (nu, eps)
+# that study_cells makes for a Landau study
+_LANDAU_DEFAULTS = {"eps_list": (0.1,), "n_seeds": 1, "amplitude": 0.2}
+_LANDAU = dict(
+    seeded=False, check=_fit_amplitude,
+    # the fit computes one carrier period of the grid it stands for
+    grid=lambda cfg, eps: Grid.for_carrier(eps, DEFAULT_POINTS_PER_PERIOD,
+                                           periods=1),
+    # a Landau fit runs alone
+    key=lambda params, seed: (tuple(sorted(params.items())), seed))
+
+STUDIES = {
+    "attractivity": StudySpec(
+        _attractivity_summary, _attractivity_batch,
+        # the SH stepper's shape is the grid size, which every cell shares
+        key=lambda params, seed: (),
+        defaults={"intensity": 0.01, "offband": 1.0}),
+    "averaging": StudySpec(partial(
+        _slope_summary,
+        # Under noise res_p2 is the O(eps^{1/2}) response of the fast modes
+        # to P2 dW; res_p0 crosses over from the deterministic eps^2 part
+        # to the noise part and has no single exponent.
+        gates=[("res_p2_slope_in_window", "res_p2", 0.2, 0.8)],
+        # Every O(eps) drift term of P0/P2 lies outside those bands, so
+        # the residual is O(eps^2) at most: a one-sided gate.
+        noise_free=[("res_p0_slope_above_1.7", "res_p0", 1.7, np.inf),
+                    ("res_p2_slope_above_1.7", "res_p2", 1.7, np.inf)])),
+    "theorem2": StudySpec(partial(
+        _slope_summary,
+        gates=[("sup_diff_slope_in_window", "sup_diff", 0.7, 1.3)])),
+    "gl-limit": StudySpec(_slope_summary,
+                          partial(_paired_batch, with_gl=True)),
+    "landau-sweep": StudySpec(
+        _sweep_summary, _landau_fit,
+        reads=_LANDAU_READS | {"nu_list"},
+        defaults={**_LANDAU_DEFAULTS, "nu_list": DEFAULT_NU_SWEEP},
+        **_LANDAU),
+    "quintic-suite": StudySpec(
+        _quintic_summary, partial(_landau_fit, quintic=True),
+        reads=_LANDAU_READS | {"nu2", "nu3"}, defaults=_LANDAU_DEFAULTS,
+        # the pure quintic model and the one of nu2, nu3
+        models=lambda cfg: [{"nu2": 0.0, "nu3": 0.0},
+                            {"nu2": cfg.nu2, "nu3": cfg.nu3}], **_LANDAU),
+}
+STUDY_NAMES = tuple(STUDIES)
 
 
 # ---------------------------------------------------------------------------
@@ -611,25 +608,22 @@ def replay(out_dir, limit: int | None = None) -> dict:
         raise ConfigError(f"no manifest.json under {out}")
     manifest = json.loads(manifest_path.read_text())
     if manifest["version"] != __version__:
-        raise ReplayError(
-            f"recorded version {manifest['version']} does not match "
-            f"installed version {__version__}"
-        )
+        raise ReplayError(f"recorded version {manifest['version']} does not "
+                          f"match installed version {__version__}")
     cfg = StudyConfig.from_public_dict(manifest["config"])
     records = [r for r in load_records(out / "records.csv") if r.status == "ok"]
     if limit is not None:
         records = records[:limit]
-    mismatches = []
-    for record in records:
-        # a batch of one: each row of a batch has the bits of its solo run
-        (fresh,) = _run_batch(cfg, [(record.params, record.seed)])
-        if fresh.diagnostics_repr() != record.diagnostics_repr():
-            mismatches.append(record.key)
-    return {
-        "replayed": len(records),
-        "mismatches": mismatches,
-        "ok": not mismatches,
-    }
+    # in batches as run_study makes them: each row of a batch has the bits
+    # of its cell run alone
+    fresh = {r.key: r.diagnostics_repr()
+             for batch in study_batches(cfg, [(r.params, r.seed)
+                                              for r in records])
+             for r in _run_batch(cfg, batch)}
+    mismatches = [r.key for r in records
+                  if fresh[r.key] != r.diagnostics_repr()]
+    return {"replayed": len(records), "mismatches": mismatches,
+            "ok": not mismatches}
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from shmod import (
     Grid,
     ModelParams,
+    NoiseConfig,
     RealField,
     StudyConfig,
     band_symbols,
@@ -15,6 +16,7 @@ from shmod import (
     fit_scaling_exponent,
     integrate,
     make_kernel,
+    modulated_carrier_ic,
     project,
     simulate,
 )
@@ -22,8 +24,7 @@ from shmod.analysis import AveragingAccumulator, _CarrierAmplitude
 from shmod.operators import inv_symbol_scaled
 from shmod.reduced import ReducedStepper
 from shmod.sh import SHStepper, block_steps, noise_draw
-from shmod.studies import (ATTRACTIVITY_SKIP, _attractivity_cells,
-                           _cell_inputs, _paired_cells, study_cells)
+from shmod.studies import ATTRACTIVITY_SKIP, STUDIES, study_cells
 
 from conftest import Snapshots, simulate_snapshots
 
@@ -135,6 +136,16 @@ def test_averaging_accumulator_bits_do_not_depend_on_block_size(size):
     assert _accumulator_feed(grid, times, specs, mixed) == one_by_one
 
 
+def _cell_inputs(cfg, grid, nu, seed):
+    """The noise config, initial data and model parameters of the cell of
+    ``nu`` and ``seed`` of an SH study: its noise stream is that of seed
+    ``base_seed + seed``, whose substream 1 draws the initial envelope."""
+    ncfg = NoiseConfig(seed=cfg.base_seed + seed, intensity=cfg.intensity)
+    v0 = modulated_carrier_ic(grid, ncfg.substream(1).make_rng(),
+                              amplitude=cfg.amplitude, offband=cfg.offband)
+    return ncfg, v0, ModelParams("cubic", nu=nu, dt=cfg.dt, t_end=cfg.t_end)
+
+
 def test_paired_cell_streams_residuals_in_small_memory(tmp_path):
     # one default theorem2 cell (n=2048, 1000 steps): the residuals are
     # integrated as the run goes, with no per-step snapshots kept
@@ -144,7 +155,8 @@ def test_paired_cell_streams_residuals_in_small_memory(tmp_path):
     assert (cfg.n_points, round(cfg.t_end / cfg.dt)) == (2048, 1000)
     tracemalloc.start()
     try:
-        (diags,) = _paired_cells(cfg, [grid], [nu], [seed], with_gl=False)
+        (diags,) = STUDIES["theorem2"].run(
+            cfg, [grid], [({"eps": 0.1, "nu": nu}, seed)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -194,7 +206,8 @@ def test_attractivity_cell_matches_snapshot_composition(tmp_path):
     cfg = StudyConfig.for_study("attractivity", out_dir=str(tmp_path))
     grid = Grid.for_carrier(0.1, cfg.n_points, periods=cfg.periods)
     nu, seed = cfg.nu_list[0], 0
-    (diags,) = _attractivity_cells(cfg, [grid], [nu], [seed])
+    (diags,) = STUDIES["attractivity"].run(
+        cfg, [grid], [({"eps": 0.1, "nu": nu}, seed)])
     assert set(diags) == {"offband_sup", "offband_ratio"}
     assert diags["offband_ratio"] == diags["offband_sup"] / grid.eps
 
@@ -244,11 +257,12 @@ def test_attractivity_cell_stores_no_field(tmp_path):
         assert (cfg.n_points, round(cfg.t_end / cfg.dt)) == (
             2048, round(1000 * t_end))
         cell = (cfg, [Grid.for_carrier(0.1, cfg.n_points, periods=cfg.periods)],
-                [cfg.nu_list[0]], [0])
-        _attractivity_cells(*cell)
+                [({"eps": 0.1, "nu": cfg.nu_list[0]}, 0)])
+        run = STUDIES["attractivity"].run
+        run(*cell)
         tracemalloc.start()
         try:
-            _attractivity_cells(*cell)
+            run(*cell)
             peaks[t_end] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -397,12 +411,12 @@ def test_attractivity_batch_rows_match_their_cells_alone(tmp_path):
                                 eps_list=(0.2, 0.1), nu_list=(0.5, 0.3),
                                 n_seeds=2, n_points=512, periods=32,
                                 t_end=0.1)
-    cells = [(Grid.for_carrier(params["eps"], 512, periods=32),
-              params["nu"], seed) for params, seed in study_cells(cfg)]
-    grids, nus, seeds = (list(x) for x in zip(*cells))
-    batch = _attractivity_cells(cfg, grids, nus, seeds)
-    alone = [_attractivity_cells(cfg, [g], [nu], [seed])[0]
-             for g, nu, seed in cells]
+    cells = study_cells(cfg)
+    grids = [Grid.for_carrier(params["eps"], 512, periods=32)
+             for params, _ in cells]
+    run = STUDIES["attractivity"].run
+    batch = run(cfg, grids, cells)
+    alone = [run(cfg, [g], [cell])[0] for g, cell in zip(grids, cells)]
     assert len(batch) == 8
     assert ([{k: v.hex() for k, v in d.items()} for d in batch]
             == [{k: v.hex() for k, v in d.items()} for d in alone])

@@ -1,6 +1,8 @@
+import csv
 import dataclasses
 import json
 import multiprocessing
+import pickle
 import shutil
 import subprocess
 import sys
@@ -34,9 +36,8 @@ from shmod import (
 from shmod import cli, studies
 from shmod.sh import SHStepper, block_steps
 from shmod.studies import (MAX_BATCH, SETTINGS, STUDIES, STUDY_NAMES,
-                           _attractivity_cells, _run_batch, append_record,
-                           load_records, record_key, study_batches,
-                           study_cells, summarize)
+                           _run_batch, append_record, load_records,
+                           record_key, study_batches, study_cells, summarize)
 
 
 TINY = dict(eps_list=(0.2,), nu_list=(0.5,), n_seeds=2, n_points=512,
@@ -74,6 +75,20 @@ OTHER = dict(eps_list=(0.14,), nu_list=(0.9,), nu2=0.5, nu3=-0.5, n_seeds=2,
 PAIRS = [(study, name) for study in STUDY_NAMES for name in SETTINGS]
 READ = [(s, n) for s, n in PAIRS if n in STUDIES[s].reads or n == "threads"]
 UNREAD = [pair for pair in PAIRS if pair not in READ]
+
+
+def test_every_study_entry_is_complete(tmp_path):
+    # every entry names its behaviour, reads and defaults only settings,
+    # and is seeded exactly when its cells read n_seeds; a batch's work
+    # unit pickles, as the entry is looked up by the study's name
+    for study, spec in STUDIES.items():
+        assert all(callable(getattr(spec, name)) for name in
+                   ("run", "key", "summary", "models", "grid", "check"))
+        assert spec.reads | set(spec.defaults) <= set(SETTINGS)
+        assert spec.seeded == ("n_seeds" in spec.reads)
+        cfg = _small(study, tmp_path)
+        unit = (_run_batch, cfg, study_cells(cfg))
+        assert pickle.loads(pickle.dumps(unit)) == unit
 
 
 def test_settings_table_counts():
@@ -382,11 +397,12 @@ def test_forked_child_draws_noise_on_its_own_worker(tmp_path):
     # the parent's noise worker thread is not copied into a forked child
     cfg = StudyConfig.for_study("attractivity", out_dir=str(tmp_path), **TINY)
     cell = (cfg, [Grid.for_carrier(0.2, cfg.n_points, periods=cfg.periods)],
-            [0.5], [0])
-    expect = _attractivity_cells(*cell)
+            [({"eps": 0.2, "nu": 0.5}, 0)])
+    run = STUDIES["attractivity"].run
+    expect = run(*cell)
     ctx = multiprocessing.get_context("fork")
     recv, send = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=lambda: send.send(_attractivity_cells(*cell)))
+    child = ctx.Process(target=lambda: send.send(run(*cell)))
     child.start()
     child.join(timeout=60)
     if child.is_alive():
@@ -560,6 +576,36 @@ def test_replay_verifies_and_detects_tampering(tmp_path):
         (out / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(ReplayError):
             replay(str(out))
+
+
+def test_replay_reports_exactly_the_altered_diagnostic(tmp_path):
+    # the three cells share one batch, and replay runs them as one; one
+    # ulp more on one diagnostic of one record is that record's mismatch
+    out = tmp_path / "out"
+    cfg = tiny_cfg(out, n_seeds=3)
+    run_study(cfg)
+    assert len(study_batches(cfg, study_cells(cfg))) == 1
+    path = out / "records.csv"
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    diags = json.loads(rows[1]["diagnostics"])
+    diags["res_p0"] = np.nextafter(float.fromhex(diags["res_p0"]),
+                                   np.inf).hex()
+    rows[1]["diagnostics"] = json.dumps(diags, sort_keys=True)
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    altered = rows[1]["key"]
+    assert replay(str(out)) == {"replayed": 3, "mismatches": [altered],
+                                "ok": False}
+    # --limit counts records
+    assert replay(str(out), limit=1) == {"replayed": 1, "mismatches": [],
+                                         "ok": True}
+    r = _cli("replay", "--out", str(out))
+    assert r.returncode == 3, r.stderr
+    assert r.stdout.strip() == "replayed=3 mismatches=1"
+    assert altered in r.stderr
 
 
 @pytest.mark.parametrize("moved, threads", [(False, 2), (True, 1)])

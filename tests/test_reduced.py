@@ -29,7 +29,7 @@ from shmod.bands import amplitude_spectrum
 from shmod.grid import ComplexField
 from shmod.reduced import GLStepper, ReducedStepper
 from shmod.sh import BLOCK, SHStepper, block_steps, noise_draw
-from shmod.studies import StudyConfig, _paired_cells
+from shmod.studies import STUDIES, StudyConfig
 
 from conftest import PairedReference, band_step_reference
 
@@ -513,7 +513,8 @@ def test_completed_paired_cell_takes_no_grid_values_on_the_stepping_thread(
         monkeypatch.setattr(cls, "values", values)
     cfg = StudyConfig.for_study("theorem2", out_dir=str(tmp_path))
     grid = Grid.for_carrier(0.1, cfg.n_points, periods=cfg.periods)
-    _paired_cells(cfg, [grid], [cfg.nu_list[0]], [0], with_gl=False)
+    STUDIES["theorem2"].run(cfg, [grid],
+                            [({"eps": 0.1, "nu": cfg.nu_list[0]}, 0)])
     assert threading.get_ident() not in callers
 
 

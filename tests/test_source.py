@@ -4,6 +4,8 @@ from pathlib import Path
 
 import pytest
 
+from shmod.studies import STUDY_NAMES
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "shmod"
 
 #: ``__init__.py`` is left out: the names it imports are the package's exports.
@@ -196,3 +198,35 @@ def test_loop_scan_finds_loops_in_a_method():
 def test_worker_jobs_run_no_python_loop(module, cls, method):
     tree = ast.parse((SRC / f"{module}.py").read_text())
     assert _loops_in_method(tree, cls, method) == []
+
+
+def _study_name_tests(tree: ast.Module, names) -> list:
+    """Line numbers of the comparisons with a study name, or with a tuple,
+    list or set that holds one: each a study's behaviour decided outside
+    its entry in ``studies.STUDIES``."""
+    def names_a_study(node):
+        if isinstance(node, ast.Constant):
+            return isinstance(node.value, str) and node.value in names
+        return (isinstance(node, (ast.Tuple, ast.List, ast.Set))
+                and any(names_a_study(elt) for elt in node.elts))
+
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Compare)
+                  and any(map(names_a_study, [node.left, *node.comparators])))
+
+
+def test_study_name_scan_finds_dispatch_on_a_name():
+    tree = ast.parse('if cfg.study == "theorem2":\n'
+                     '    pass\n'
+                     'landau = study in ("landau-sweep", "quintic-suite")\n'
+                     'other = "gl-limit" != name\n'
+                     'spec = STUDIES["averaging"]\n'
+                     'named = key in ("study", "out")\n'
+                     'quintic = variant == "quintic"\n')
+    assert _study_name_tests(tree, STUDY_NAMES) == [1, 3, 4]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_compares_a_study_name(path):
+    assert _study_name_tests(ast.parse(path.read_text()), STUDY_NAMES) == []
