@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from pathlib import Path
@@ -105,6 +104,9 @@ class StudyConfig:
         if self.n_seeds <= 0 or self.threads <= 0:
             raise ConfigError("n_seeds and threads must be positive")
         spec = STUDIES[self.study]
+        keys = [record_key(self.study, *cell) for cell in study_cells(self)]
+        if len(set(keys)) < len(keys):
+            raise ConfigError("a repeated eps or model runs its cells twice")
         try:
             ModelParams(dt=self.dt, t_end=self.t_end)
             NoiseConfig(seed=self.base_seed, intensity=self.intensity)
@@ -309,6 +311,29 @@ def study_cells(cfg: StudyConfig) -> list:
             for eps in cfg.eps_list for seed in seeds]
 
 
+def _run_batches(cfg: StudyConfig, cells: list):
+    """Yield the records of ``cells``, run in :func:`study_batches`, as each
+    batch finishes: in ``cfg.threads`` worker processes, or in turn in this
+    one for one worker or batch.  Stopping early cancels those not begun."""
+    batches = study_batches(cfg, cells)
+    if cfg.threads == 1 or len(batches) < 2:
+        for batch in batches:
+            yield from _run_batch(cfg, batch)
+        return
+    # imported here, so that importing shmod loads no multiprocessing; and
+    # forkserver, not fork: forking is unsafe once the noise worker runs
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+    pool = ProcessPoolExecutor(
+        cfg.threads, mp_context=multiprocessing.get_context("forkserver"))
+    try:
+        for future in as_completed([pool.submit(_run_batch, cfg, batch)
+                                    for batch in batches]):
+            yield from future.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 # ---------------------------------------------------------------------------
 # Record persistence
 
@@ -431,14 +456,15 @@ def _sweep_summary(cfg: StudyConfig, records: list):
 
 
 def _quintic_summary(cfg: StudyConfig, records: list):
-    """c5 of the pure quintic model and c3 of the other; no gate."""
+    """c5 of the pure quintic model, then c3 of the other; no gate."""
     fits = {}
     for r in records:
         if r.status == "ok":
             pure = r.params["nu2"] == 0.0 and r.params["nu3"] == 0.0
             fits["c5_pure" if pure else "c3_quadratic"] = r.diagnostics.get(
                 "c5" if pure else "c3")
-    return fits, {}
+    return {name: fits[name] for name in ("c5_pure", "c3_quadratic")
+            if name in fits}, {}
 
 
 def summarize(cfg: StudyConfig, records: list) -> dict:
@@ -469,9 +495,10 @@ class StudySpec:
     error, and cells of one ``key(params, seed)`` may share a batch.
     ``summary(cfg, records)`` gives the fits and the gates, ``None`` for
     one not evaluated.  ``reads`` are the settings the cells read; every
-    study also accepts ``threads``, which shapes no record.  Each of
-    ``models(cfg)`` has a cell at every eps, per seed if ``seeded``;
-    ``check(cfg, grid(cfg, eps))`` raises ValueError if they cannot run."""
+    study also accepts ``threads``, its number of worker processes, which
+    shapes no record.  Each of ``models(cfg)`` has a cell at every eps,
+    per seed if ``seeded``; ``check(cfg, grid(cfg, eps))`` raises
+    ValueError if they cannot run."""
 
     summary: Callable
     run: Callable = _paired_batch
@@ -546,9 +573,10 @@ def run_study(cfg: StudyConfig, progress=None) -> dict:
 
     Completed cells found in an existing ``records.csv`` are skipped, so a
     study interrupted between cells resumes where it stopped; the pending
-    cells run in batches (:func:`study_batches`), ``cfg.threads`` batches
-    at a time.  Returns the summary dict (also written to
-    ``summary.json``).
+    cells run in batches (:func:`study_batches`), ``cfg.threads`` at a time
+    in as many worker processes, so a script that calls this with
+    ``threads > 1`` needs the ``if __name__ == "__main__":`` guard.
+    Returns the summary dict (also written to ``summary.json``).
     """
     cfg.validate()
     out = Path(cfg.out_dir)
@@ -571,29 +599,13 @@ def run_study(cfg: StudyConfig, progress=None) -> dict:
     records_path = out / "records.csv"
     records = load_records(records_path)
     done = {r.key for r in records if r.status == "ok"}
-    pending = [
-        (params, seed)
-        for params, seed in study_cells(cfg)
-        if record_key(cfg.study, params, seed) not in done
-    ]
-
-    def finish(record: StudyRecord) -> None:
+    pending = [cell for cell in study_cells(cfg)
+               if record_key(cfg.study, *cell) not in done]
+    for record in _run_batches(cfg, pending):
         append_record(records_path, record)
         records.append(record)
         if progress is not None:
             progress(record)
-
-    batches = study_batches(cfg, pending)
-    if cfg.threads > 1 and len(batches) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            futures = [pool.submit(_run_batch, cfg, b) for b in batches]
-            for future in as_completed(futures):
-                for record in future.result():
-                    finish(record)
-    else:
-        for batch in batches:
-            for record in _run_batch(cfg, batch):
-                finish(record)
 
     summary = summarize(cfg, records)
     (out / "summary.json").write_text(json.dumps(summary, indent=2))
@@ -614,12 +626,8 @@ def replay(out_dir, limit: int | None = None) -> dict:
     records = [r for r in load_records(out / "records.csv") if r.status == "ok"]
     if limit is not None:
         records = records[:limit]
-    # in batches as run_study makes them: each row of a batch has the bits
-    # of its cell run alone
-    fresh = {r.key: r.diagnostics_repr()
-             for batch in study_batches(cfg, [(r.params, r.seed)
-                                              for r in records])
-             for r in _run_batch(cfg, batch)}
+    fresh = {r.key: r.diagnostics_repr() for r in _run_batches(
+        cfg, [(r.params, r.seed) for r in records])}
     mismatches = [r.key for r in records
                   if fresh[r.key] != r.diagnostics_repr()]
     return {"replayed": len(records), "mismatches": mismatches,
@@ -635,32 +643,23 @@ def emit_plotdata(out_dir) -> list:
     out = Path(out_dir)
     manifest = json.loads((out / "manifest.json").read_text())
     cfg = StudyConfig.from_public_dict(manifest["config"])
-    records = load_records(out / "records.csv")
-    summary = summarize(cfg, records)
-    written = []
-    for diag, fit in summary["fits"].items():
-        if not isinstance(fit, dict) or "medians" not in fit:
-            continue
-        path = out / f"plot_slope_{diag}.csv"
-        with open(path, "w", newline="") as fh:
+    fits = summarize(cfg, load_records(out / "records.csv"))["fits"]
+    # each file's header and rows, with the fits' text keys read as numbers
+    tables = {f"plot_slope_{diag}.csv": (
+        ["eps", "median", "log10_eps", "log10_median"],
+        [(float(e), m, np.log10(float(e)), np.log10(m))
+         for e, m in fit["medians"].items()])
+        for diag, fit in fits.items()
+        if isinstance(fit, dict) and "medians" in fit}
+    if "c3_by_nu" in fits:
+        tables["plot_coefficients.csv"] = (["nu", "c3"], [
+            (float(nu), c3) for nu, c3 in fits["c3_by_nu"].items()])
+    for name, (header, rows) in tables.items():
+        with open(out / name, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["eps", "median", "log10_eps", "log10_median"])
-            for eps_str, med in fit["medians"].items():
-                eps = float(eps_str)
-                writer.writerow(
-                    [f"{eps:.10g}", f"{med:.10g}",
-                     f"{np.log10(eps):.10g}", f"{np.log10(med):.10g}"]
-                )
-        written.append(path)
-    if "c3_by_nu" in summary["fits"]:
-        path = out / "plot_coefficients.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["nu", "c3"])
-            for nu_str, c3 in summary["fits"]["c3_by_nu"].items():
-                writer.writerow([nu_str, f"{c3:.10g}"])
-        written.append(path)
-    return written
+            writer.writerow(header)
+            writer.writerows([f"{x:.10g}" for x in row] for row in rows)
+    return [out / name for name in tables]
 
 
 def parse_config_file(path) -> dict:

@@ -36,8 +36,8 @@ from shmod.operators import symbol_L_eps
 DELTA = 0.125
 SLOPE_WINDOW = (0.7, 1.3)
 
-#: Worker threads for the ensembles.  A study's records do not depend on
-#: its thread count (see test_study_is_deterministic_across_thread_counts),
+#: Worker processes for the ensembles.  A study's records do not depend
+#: on their count (see test_study_is_deterministic_across_thread_counts),
 #: so this changes only the wall time.
 THREADS = min(2, os.cpu_count() or 1)
 

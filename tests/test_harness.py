@@ -6,11 +6,13 @@ import pickle
 import shutil
 import subprocess
 import sys
+import tempfile
 import threading
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shmod import (
     ComplexField,
@@ -189,6 +191,58 @@ def test_negative_base_seed_is_refused_before_anything_is_written(tmp_path):
     # so the corrected rerun into the same directory is not refused
     r = _cli(*flags, "--base-seed", "3")
     assert r.returncode == 0, r.stderr
+
+
+@pytest.mark.parametrize("flags", [
+    ["--study", "landau-sweep", "--eps", "0.2,0.2"],
+    ["--study", "landau-sweep", "--nu", "0.5,0.5"],
+    # the two models of the suite coincide
+    ["--study", "quintic-suite", "--nu2", "0", "--nu3", "0"],
+    ["--study", "theorem2", "--eps", "0.2,0.2", "--seeds", "1"],
+])
+def test_a_repeated_cell_is_refused_before_anything_is_written(tmp_path,
+                                                               flags):
+    assert _main([*flags, "--out", str(tmp_path / "out")]) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+#: small values of every setting, among them values a study refuses: a
+#: band width at which the bands overlap, a t_end of no step, an amplitude
+#: the Landau fit refuses, a negative seed and repeated cells; and a step
+#: at which some cells blow up
+SMALL_VALUES = {
+    "eps_list": st.lists(st.sampled_from((0.2, 0.14, 0.4)), min_size=1,
+                         max_size=3, unique=True).map(tuple),
+    "nu_list": st.sampled_from(((0.5,), (0.0, 1.0), (1.0,), (0.5, 0.5))),
+    "nu2": st.sampled_from((0.0, 1.0)), "nu3": st.sampled_from((0.0, -0.5)),
+    "n_seeds": st.integers(1, 2), "base_seed": st.integers(-1, 3),
+    "n_points": st.sampled_from((256, 512)),
+    "periods": st.sampled_from((16, 32)),
+    "delta": st.sampled_from((0.125, 0.1, 0.3)),
+    "dt": st.sampled_from((4e-3, 0.05)),
+    "t_end": st.sampled_from((0.1, 0.4, 1e-4)),
+    "intensity": st.sampled_from((0.0, 0.07)),
+    "amplitude": st.sampled_from((0.2, 0.5, 3.6)),
+    "offband": st.sampled_from((0.0, 1.0)),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), study=st.sampled_from(STUDY_NAMES))
+def test_a_config_that_validates_records_each_cell_once(data, study):
+    # whether a cell completes or records an error, the study runs to its
+    # summary
+    values = {name: data.draw(SMALL_VALUES[name], label=name)
+              for name in sorted(STUDIES[study].reads)}
+    with tempfile.TemporaryDirectory() as out:
+        try:
+            cfg = StudyConfig.for_study(study, out_dir=out, **values)
+        except ConfigError:
+            return
+        run_study(cfg)
+        keys = [r.key for r in load_records(cfg.out_dir / "records.csv")]
+    assert sorted(keys) == sorted(record_key(study, *cell)
+                                  for cell in study_cells(cfg))
 
 
 def test_resume_ignores_settings_the_study_does_not_read(tmp_path):
@@ -446,31 +500,51 @@ MIXED = dict(TINY, eps_list=(0.2, 0.14), n_seeds=4, dt=0.05, t_end=0.5,
              amplitude=3.6)
 
 
-def test_study_is_deterministic_across_thread_counts(tmp_path):
-    # Cells run in batches: the theorem2 seeds of one eps, and attractivity
+def _columns(out_dir):
+    """The rows of a study's ``records.csv`` in the order of their keys,
+    each without its ``wall_time``."""
+    with open(out_dir / "records.csv", newline="") as fh:
+        rows = sorted(csv.DictReader(fh), key=lambda row: row["key"])
+    return [{k: v for k, v in row.items() if k != "wall_time"} for row in rows]
+
+
+#: a config of each study that makes more than one batch
+BATCHES = {"theorem2": dict(TINY, n_seeds=6), "attractivity": MIXED,
+           "averaging": dict(TINY, n_seeds=5),
+           "gl-limit": dict(TINY, n_seeds=5),
+           "landau-sweep": dict(SMALL["landau-sweep"], nu_list=(0.0, 0.5)),
+           "quintic-suite": SMALL["quintic-suite"]}
+
+
+@pytest.mark.parametrize("study", STUDY_NAMES)
+def test_study_is_deterministic_across_thread_counts(tmp_path, study):
+    # One worker process or two write the same records and summary, whose
+    # cells run in batches: the paired seeds of one eps, and attractivity
     # batches in which some rows blow up.  The cells must raise no warning
     # (a row that blew up is frozen at its last finite step, not stepped
-    # into overflow) and leave the process-wide warning filters, which
-    # threads share, as they found them.
-    studies = {"theorem2": dict(TINY, n_seeds=3), "attractivity": MIXED}
+    # into overflow) and leave the warning filters as they found them, as
+    # the serial run shows: a worker process keeps its warnings.
+    cfg = {threads: StudyConfig.for_study(
+        study, out_dir=str(tmp_path / str(threads)), threads=threads,
+        **BATCHES[study]) for threads in (1, 2)}
+    assert len(study_batches(cfg[2], study_cells(cfg[2]))) > 1
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         filters = list(warnings.filters)
-        for study, settings in studies.items():
-            for threads in (1, 2):
-                run_study(StudyConfig.for_study(
-                    study, out_dir=str(tmp_path / f"{study}{threads}"),
-                    threads=threads, **settings))
+        run_study(cfg[1])
         assert warnings.filters == filters
     assert [str(w.message) for w in caught] == []
-    for study in studies:
-        d1, d2 = ({r.key: (r.status, r.diagnostics_repr()) for r in
-                   load_records(tmp_path / f"{study}{threads}" / "records.csv")}
-                  for threads in (1, 2))
-        assert d1 == d2
-        if study == "attractivity":
-            assert {status for status, _ in d1.values()} == {
-                "ok", "error: run ended with status 'blowup_stopped'"}
+    run_study(cfg[2])
+    assert _columns(cfg[1].out_dir) == _columns(cfg[2].out_dir)
+    assert ((cfg[1].out_dir / "summary.json").read_bytes()
+            == (cfg[2].out_dir / "summary.json").read_bytes())
+    # the workers finish their batches in any order
+    records = load_records(cfg[1].out_dir / "records.csv")
+    assert (json.dumps(summarize(cfg[1], records[::-1]))
+            == json.dumps(summarize(cfg[1], records)))
+    if study == "attractivity":
+        assert {row["status"] for row in _columns(cfg[1].out_dir)} == {
+            "ok", "error: run ended with status 'blowup_stopped'"}
 
 
 #: paired cells of three eps, two seeds each: batches of 3 that span eps
@@ -578,13 +652,18 @@ def test_replay_verifies_and_detects_tampering(tmp_path):
             replay(str(out))
 
 
-def test_replay_reports_exactly_the_altered_diagnostic(tmp_path):
-    # the three cells share one batch, and replay runs them as one; one
-    # ulp more on one diagnostic of one record is that record's mismatch
+@pytest.mark.parametrize("threads, n_seeds, batches", [(1, 3, 1), (2, 6, 2)])
+def test_replay_reports_exactly_the_altered_diagnostic(tmp_path, threads,
+                                                       n_seeds, batches):
+    # replay runs the cells in the batches and worker processes of the
+    # study; one ulp more on one diagnostic of one record is that record's
+    # mismatch
     out = tmp_path / "out"
-    cfg = tiny_cfg(out, n_seeds=3)
+    cfg = tiny_cfg(out, n_seeds=n_seeds, threads=threads)
     run_study(cfg)
-    assert len(study_batches(cfg, study_cells(cfg))) == 1
+    assert len(study_batches(cfg, study_cells(cfg))) == batches
+    assert replay(str(out)) == {"replayed": n_seeds, "mismatches": [],
+                                "ok": True}
     path = out / "records.csv"
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
@@ -597,27 +676,37 @@ def test_replay_reports_exactly_the_altered_diagnostic(tmp_path):
         writer.writeheader()
         writer.writerows(rows)
     altered = rows[1]["key"]
-    assert replay(str(out)) == {"replayed": 3, "mismatches": [altered],
-                                "ok": False}
+    assert replay(str(out)) == {"replayed": n_seeds,
+                                "mismatches": [altered], "ok": False}
     # --limit counts records
     assert replay(str(out), limit=1) == {"replayed": 1, "mismatches": [],
                                          "ok": True}
     r = _cli("replay", "--out", str(out))
     assert r.returncode == 3, r.stderr
-    assert r.stdout.strip() == "replayed=3 mismatches=1"
+    assert r.stdout.strip() == f"replayed={n_seeds} mismatches=1"
     assert altered in r.stderr
 
 
 @pytest.mark.parametrize("moved, threads", [(False, 2), (True, 1)])
 def test_study_resumes_after_a_move_or_under_other_threads(tmp_path, moved,
                                                             threads):
-    # neither where a study lives nor how many threads run it shapes a record
-    first = run_study(tiny_cfg(tmp_path / "old", threads=1))
+    # neither where a study lives nor how many worker processes run it
+    # shapes a record: a study stopped after 3 of its 8 cells runs the
+    # other 5, two batches, to the records and summary of one run
+    run_study(tiny_cfg(tmp_path / "all", n_seeds=8))
+    old = tmp_path / "old"
+    old.mkdir()
+    shutil.copy(tmp_path / "all" / "manifest.json", old)
+    for record in load_records(tmp_path / "all" / "records.csv")[:3]:
+        append_record(old / "records.csv", record)
     out = tmp_path / ("new" if moved else "old")
     if moved:
-        shutil.copytree(tmp_path / "old", out)
-    assert run_study(tiny_cfg(out, threads=threads)) == first
-    assert len(load_records(out / "records.csv")) == 2
+        shutil.copytree(old, out)
+    run_study(tiny_cfg(out, n_seeds=8, threads=threads))
+    assert len(_columns(out)) == 8
+    assert _columns(out) == _columns(tmp_path / "all")
+    assert ((out / "summary.json").read_bytes()
+            == (tmp_path / "all" / "summary.json").read_bytes())
 
 
 def test_existing_output_with_other_config_is_rejected(tmp_path):

@@ -472,3 +472,18 @@ print(len(set(idents)), threading.active_count())
                          capture_output=True, text=True,
                          timeout=60).stdout.split()
     assert out == ["1", "1", "2"]
+
+
+def test_importing_loads_no_process_pool():
+    # a study imports its worker processes' machinery when it starts them
+    script = """
+import sys
+import threading
+import shmod
+print(threading.active_count(), *(name in sys.modules for name in
+      ("multiprocessing", "concurrent.futures.process")))
+"""
+    out = subprocess.run([sys.executable, "-c", script], check=True,
+                         capture_output=True, text=True,
+                         timeout=60).stdout.split()
+    assert out == ["1", "False", "False"]
