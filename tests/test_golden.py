@@ -1,5 +1,6 @@
 """Golden records: diagnostics, as exact hex floats, and statuses of tiny
-study cells and one quintic Landau fit, recorded at ``GOLDEN_VERSION``.
+study cells, a quintic paired batch and a cubic and a quintic Landau fit,
+recorded at ``GOLDEN_VERSION``.
 
 A change that moves any of these bits changes the numerics.  Such a change
 must bump ``__version__``, so that ``replay`` rejects records written
@@ -9,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from shmod import StudyConfig, __version__, estimate_landau_coefficient, run_study
+from shmod import (Grid, ModelParams, NoiseConfig, StudyConfig, __version__,
+                   estimate_landau_coefficient, modulated_carrier_ic,
+                   run_study, simulate_paired)
 from shmod.studies import load_records
 
 GOLDEN_VERSION = "0.10.0"
@@ -51,6 +54,33 @@ def test_quintic_fit_matches_golden_record():
     assert (fit.c3.hex(), fit.c5.hex(), fit.r_squared.hex()) == (
         "0x1.0f2f7b2ab84b7p+2", "-0x1.769e5dbe67973p+3",
         "0x1.fffffeb8d551cp-1")
+
+
+def test_quintic_paired_batch_matches_golden_record():
+    # the quintic band drift and the quintic GL step, on two rows that
+    # differ in nu3
+    assert __version__ == GOLDEN_VERSION
+    grids = [Grid.for_carrier(0.2, 512, periods=32)] * 2
+    cfgs = [NoiseConfig(seed=k, intensity=0.1) for k in range(2)]
+    v0s = [modulated_carrier_ic(g, cfg.substream(1).make_rng(), amplitude=0.3)
+           for g, cfg in zip(grids, cfgs)]
+    params = [ModelParams("quintic", nu2=0.7, nu3=nu3, dt=1e-3, t_end=0.05)
+              for nu3 in (0.3, -0.4)]
+    result = simulate_paired(v0s, params, cfgs, delta=0.05, with_gl=True)
+    assert result.status == ["completed"] * 2
+    assert {name: [x.hex() for x in getattr(result, name)]
+            for name in ("sup_diff", "res_p0", "res_p2", "sup_diff_gl")} == {
+        "sup_diff": ["0x1.3eb5bc308a500p-10", "0x1.f5cb54aa93000p-9"],
+        "res_p0": ["0x1.2efc9b0b85268p-10", "0x1.743ba2144d896p-9"],
+        "res_p2": ["0x1.9744dacb1e719p-12", "0x1.e96047c830f2cp-12"],
+        "sup_diff_gl": ["0x1.590deaa9f9197p-11", "0x1.17cacae7e690ap-11"]}
+
+
+def test_cubic_fit_matches_golden_record():
+    assert __version__ == GOLDEN_VERSION
+    fit = estimate_landau_coefficient(0.2, 0.5, n_points=512, fit_window=0.5)
+    assert (fit.c3.hex(), fit.c5.hex(), fit.r_squared.hex()) == (
+        "-0x1.f5fee82ee099cp+0", "0x0.0p+0", "0x1.fffbfb16fd149p-1")
 
 
 def test_package_version_matches_pyproject():
