@@ -9,8 +9,8 @@ from .bands import band_symbols, demodulate, make_kernel, modulate, project
 from .noise import (NoiseConfig, ou_increment_variance, spectral_variance_rate,
                     stochastic_convolution_sample)
 from .sh import ModelParams, integrate, modulated_carrier_ic, simulate
-from .reduced import (GLCoefficients, gl5_coefficients, gl_coefficients,
-                      simulate_gl, simulate_paired)
+from .reduced import (GLCoefficients, gl_coefficients, simulate_gl,
+                      simulate_paired)
 from .analysis import (LandauFit, ScalingStudy, estimate_landau_coefficient,
                        fit_scaling_exponent)
 from .studies import (ConfigError, ReplayError, StudyConfig, StudyRecord,

@@ -169,6 +169,14 @@ class _CarrierAmplitude:
         return np.abs(np.array(self.modes, dtype=np.complex128)) / self.n
 
 
+def check_fit_amplitude(amplitude: float) -> None:
+    """Refuse a carrier amplitude outside [0.1, 0.5], where a Landau fit
+    does not run, with a ValueError."""
+    if not 0.1 <= amplitude <= 0.5:
+        raise ValueError("the Landau fit needs a carrier amplitude in "
+                         "[0.1, 0.5]")
+
+
 @dataclass(frozen=True)
 class LandauFit:
     c3: float
@@ -184,12 +192,14 @@ def estimate_landau_coefficient(eps: float, nu=0.0, variant: str = CUBIC,
                                 r2_min: float = 0.99) -> LandauFit:
     """Fit the effective amplitude nonlinearity of the deterministic equation.
 
-    Runs the full (noise-free) dynamics from a pure carrier 2*a0*cos(x/eps),
-    samples the modulus a of the amplitude of its carrier mode about 400
-    times as it goes, storing no field, and regresses da/dT on a^3 (cubic
-    variant), on a^3 and a^5 (quintic variant) or on a^5 alone (quintic
-    variant at nu = (0, 0)).  The fit starts after the slaved-mode
-    transient (10 eps^2) and rejects windows with R^2 below ``r2_min``.
+    Runs the full (noise-free) dynamics of the model ``nu`` (cubic
+    variant) or ``nu = (nu2, nu3)`` (quintic variant) from a pure carrier
+    2*a0*cos(x/eps), samples the modulus a of the amplitude of its carrier
+    mode about 400 times as it goes, storing no field, and regresses da/dT
+    on the powers of a that its amplitude equation holds: a^3 if its
+    polynomial has a quadratic or cubic term, a^5 if it has a quintic one.
+    The fit starts after the slaved-mode transient (10 eps^2) and rejects
+    windows with R^2 below ``r2_min``.
 
     The fit computes the dynamics of ``Grid.for_carrier(eps, n_points)``,
     ``n_points / 16`` carrier periods, on one period of it.  The initial
@@ -201,19 +211,10 @@ def estimate_landau_coefficient(eps: float, nu=0.0, variant: str = CUBIC,
     That holds only at 16 points per period: ``n_points`` must be a
     positive multiple of ``DEFAULT_POINTS_PER_PERIOD``.
     """
-    if not (0.1 <= amplitude <= 0.5):
-        raise ValueError("carrier amplitude must lie in [0.1, 0.5]")
+    check_fit_amplitude(amplitude)
     if n_points <= 0 or n_points % DEFAULT_POINTS_PER_PERIOD:
         raise ValueError(f"n_points must be a positive multiple of "
                          f"{DEFAULT_POINTS_PER_PERIOD}")
-    if variant == CUBIC:
-        nu_val, nu2, nu3 = float(nu), 0.0, 0.0
-    elif variant == QUINTIC:
-        nu2, nu3 = (float(nu[0]), float(nu[1]))
-        nu_val = 0.0
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-
     grid = Grid.for_carrier(eps, DEFAULT_POINTS_PER_PERIOD, periods=1)
     t_skip = 10.0 * grid.eps ** 2
     if fit_window is None:
@@ -221,8 +222,9 @@ def estimate_landau_coefficient(eps: float, nu=0.0, variant: str = CUBIC,
     t_end = t_skip + fit_window
 
     v0 = RealField(grid, 2.0 * amplitude * np.cos(grid.x / grid.eps))
-    p = ModelParams(variant=variant, nu=nu_val, nu2=nu2, nu3=nu3,
-                    dt=dt, t_end=t_end)
+    model = ({"nu2": float(nu[0]), "nu3": float(nu[1])} if variant == QUINTIC
+             else {"nu": float(nu)})
+    p = ModelParams(variant=variant, dt=dt, t_end=t_end, **model)
     n_steps = step_count(t_end, dt)
     sampler = _CarrierAmplitude(grid.carrier_index, grid.n_points, dt,
                                 max(1, n_steps // 400), n_steps)
@@ -245,10 +247,8 @@ def estimate_landau_coefficient(eps: float, nu=0.0, variant: str = CUBIC,
     # drop the window edges where np.gradient is one-sided
     t, a, rate = t[1:-1], a[1:-1], rate[1:-1]
 
-    if variant == CUBIC:
-        powers = (3,)
-    else:
-        powers = (3, 5) if nu2 != 0.0 or nu3 != 0.0 else (5,)
+    c = p.polynomial
+    powers = [e for e, term in ((3, c[2] or c[3]), (5, c[5])) if term]
     X = np.column_stack([a ** k for k in powers])
     coef, *_ = np.linalg.lstsq(X, rate, rcond=None)
     pred = X @ coef
@@ -257,6 +257,6 @@ def estimate_landau_coefficient(eps: float, nu=0.0, variant: str = CUBIC,
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     if r2 < r2_min:
         raise RuntimeError(f"amplitude fit rejected: R^2 = {r2:.4f} < {r2_min}")
-    c = dict(zip(powers, map(float, coef)))
-    return LandauFit(c3=c.get(3, 0.0), c5=c.get(5, 0.0), r_squared=r2,
+    fit = dict(zip(powers, map(float, coef)))
+    return LandauFit(c3=fit.get(3, 0.0), c5=fit.get(5, 0.0), r_squared=r2,
                      amplitudes=tuple(a))

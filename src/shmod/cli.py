@@ -23,7 +23,7 @@ from .noise import NoiseConfig
 from .sh import CUBIC, QUINTIC, ModelParams, simulate, modulated_carrier_ic
 from .bands import (DEFAULT_DELTA, band_symbols, demodulate, kernel_dump_csv,
                     make_kernel, project)
-from .reduced import gl_coefficients, gl5_coefficients, simulate_gl
+from .reduced import gl_coefficients, simulate_gl
 from .studies import (
     ConfigError,
     ReplayError,
@@ -131,13 +131,16 @@ def _report(run, out: Path) -> int:
 
 
 def _single_run(args):
-    """The grid, nu, noise config and initial field of a single run."""
-    eps, nu = _single_float(args.eps), _single_float(args.nu)
-    grid = Grid.for_carrier(eps, args.n, periods=args.periods)
+    """The grid, model, noise config and initial field of a single run."""
+    grid = Grid.for_carrier(_single_float(args.eps), args.n,
+                            periods=args.periods)
+    params = ModelParams(QUINTIC if args.quintic else CUBIC,
+                         nu=_single_float(args.nu), nu2=args.nu2,
+                         nu3=args.nu3, dt=args.dt, t_end=args.t_end)
     ncfg = NoiseConfig(seed=args.seed, intensity=args.intensity)
     v0 = modulated_carrier_ic(grid, ncfg.substream(1).make_rng(),
                               amplitude=args.amplitude, offband=args.offband)
-    return grid, nu, ncfg, v0
+    return grid, params, ncfg, v0
 
 
 def _write_final(run, out_arg: str | None, name: str) -> Path:
@@ -148,10 +151,7 @@ def _write_final(run, out_arg: str | None, name: str) -> Path:
 
 
 def _cmd_simulate_sh(args) -> int:
-    grid, nu, ncfg, v0 = _single_run(args)
-    params = ModelParams(QUINTIC if args.quintic else CUBIC, nu=nu,
-                         nu2=args.nu2, nu3=args.nu3, dt=args.dt,
-                         t_end=args.t_end)
+    grid, params, ncfg, v0 = _single_run(args)
     run = simulate(v0, params, ncfg)
     out = _write_final(run, args.out, "simulate-sh")
     for which in ("P0", "P1", "P2"):
@@ -161,12 +161,11 @@ def _cmd_simulate_sh(args) -> int:
 
 
 def _cmd_simulate_gl(args) -> int:
-    grid, nu, ncfg, v0 = _single_run(args)
-    coeffs = (gl5_coefficients(args.nu2, args.nu3) if args.quintic
-              else gl_coefficients(nu))
+    grid, params, ncfg, v0 = _single_run(args)
     a0 = demodulate(project(v0, band_symbols(grid, args.delta).q1),
                     args.delta)
-    run = simulate_gl(a0, coeffs, dt=args.dt, t_end=args.t_end, cfg=ncfg)
+    run = simulate_gl(a0, gl_coefficients(params), dt=args.dt,
+                      t_end=args.t_end, cfg=ncfg)
     return _report(run, _write_final(run, args.out, "simulate-gl"))
 
 

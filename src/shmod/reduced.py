@@ -1,16 +1,16 @@
 """The averaged band equation for w and the limiting stochastic
 Ginzburg-Landau amplitude equation.
 
-Band equation (cubic case):
-    dw/dT = L_eps w - 2 nu^2 P1[w * inv (P0+P2) w^2] - P1 w^3 + dW1/dT
+Band equation, for the polynomial nu/eps v^2 + c3 v^3 + c5 v^5 of
+``ModelParams.polynomial``:
+    dw/dT = L_eps w - 2 nu^2 P1[w * inv (P0+P2) w^2] + c3 P1 w^3 + c5 P1 w^5
+            + dW1/dT
 where inv is eps^-2 L_eps^-1 (a bounded multiplier on the P0/P2 bands) and
-W1 = P1 W.  The quintic case replaces the polynomial part by
-+ nu3 P1 w^3 - P1 w^5 with the same quadratic correction (nu2 in place of nu).
+W1 = P1 W.
 
 Amplitude equation:
     dA/dT = 4 A_XX + cubic * |A|^2 A + quintic * |A|^4 A + eta
-with cubic = -(3 - 38/9 nu^2) (cubic case) or +(3 nu3 + 38/9 nu2^2) and
-quintic = -10 (quintic case).
+with cubic = 3 c3 + 38/9 nu^2 and quintic = 10 c5 (``gl_coefficients``).
 """
 from __future__ import annotations
 
@@ -23,12 +23,11 @@ from .bands import DEFAULT_DELTA, amplitude_spectrum, band_symbols
 from .grid import ComplexField
 from .noise import NoiseConfig, SpectralNoise
 from .operators import _horner, dealiased_powers_complex
-from .sh import (CUBIC, ModelParams, RunResult, SHStepper, _phi1,
+from .sh import (ModelParams, RunResult, SHStepper, etd_multipliers,
                  integrate, noise_draw, per_row, run_on_worker, shared,
                  step_count)
 
 GL_DIFFUSION = 4.0
-GL_QUINTIC = -10.0
 
 
 @dataclass(frozen=True)
@@ -37,15 +36,12 @@ class GLCoefficients:
     quintic: float = 0.0
 
 
-def gl_coefficients(nu: float) -> GLCoefficients:
-    """Cubic-case amplitude coefficients: multiplier of |A|^2 A is -(3 - 38/9 nu^2)."""
-    return GLCoefficients(cubic=-(3.0 - 38.0 / 9.0 * nu ** 2))
-
-
-def gl5_coefficients(nu2: float, nu3: float) -> GLCoefficients:
-    """Quintic-case coefficients: +(3 nu3 + 38/9 nu2^2) |A|^2 A - 10 |A|^4 A."""
-    return GLCoefficients(cubic=3.0 * nu3 + 38.0 / 9.0 * nu2 ** 2,
-                          quintic=GL_QUINTIC)
+def gl_coefficients(params: ModelParams) -> GLCoefficients:
+    """The amplitude coefficients of a model with polynomial
+    (nu, c3, c5): 3 c3 + 38/9 nu^2 on |A|^2 A and 10 c5 on |A|^4 A."""
+    c = params.polynomial
+    return GLCoefficients(cubic=3.0 * c[3] + 38.0 / 9.0 * c[2] ** 2,
+                          quintic=10.0 * c[5])
 
 
 # -- reduced band equation ---------------------------------------------------
@@ -57,11 +53,12 @@ class ReducedStepper:
     noise carry the factor q1.  So the state is a slice of the rfft
     half-spectrum, ``E = wspec[band]`` with ``band = m-b .. m+b`` around the
     carrier index m, and w = A e^{iX/eps} + c.c. where the amplitude A has
-    the modes -b .. b of E.  The slice depends on m and the variant alone,
-    b = (m-1)//2 (cubic) or (m-1)//3 (quintic), so rows of any eps on one
-    grid size share it; it holds each row's own P1 slice m-c .. m+c
-    (``BandSymbols.band``), and outside that slice the row's q1, gain and
-    noise scale are zero, so its modes there stay 0.  Sorting w^3, w^5 and
+    the modes -b .. b of E.  The slice depends on m and on whether the
+    polynomial has a quintic term alone, b = (m-1)//2 without one or
+    (m-1)//3 with one, so rows of any eps on one grid size share it; it
+    holds each row's own P1 slice m-c .. m+c (``BandSymbols.band``), and
+    outside that slice the row's q1, gain and noise scale are zero, so its
+    modes there stay 0.  Sorting w^3, w^5 and
     w inv02 w^2 by powers of the carrier gives, on a row's own slice,
 
         P1 w^3 = q1 3|A|^2 A,    P1 w^5 = q1 10|A|^4 A,
@@ -72,12 +69,12 @@ class ReducedStepper:
     support: those of w^3 and of the correction sit at 3m +- 3c and
     -m +- 3c, off m-c .. m+c because c < m/2 (make_kernel keeps P1 and P2
     disjoint, which also puts c within the cubic b); those of w^5 sit at
-    3m +- 5c and -m +- 5c, off it only while 3c < m, so the quintic
-    variant rejects a row with a wider P1 slice.
+    3m +- 5c and -m +- 5c, off it only while 3c < m, so a quintic
+    polynomial rejects a row with a wider P1 slice.
 
     The products are taken on an envelope grid of ``ne`` points, the
-    smallest power of two above 4b (cubic) or 6b (quintic).  |A|^2 and A^2
-    span the modes -2b .. 2b, |A|^2 A, A B0 and conj(A) B2 span -3b .. 3b
+    smallest power of two above 4b, or 6b with a quintic term.  |A|^2 and
+    A^2 span the modes -2b .. 2b, |A|^2 A, A B0 and conj(A) B2 span -3b .. 3b
     and |A|^4 A spans -5b .. 5b.  Mode k aliases onto k -+ ne, so the
     squares are exact and the cubic (quintic) products keep their modes
     -b .. b exact once ne > 4b (ne > 6b).  The envelope samples are those of
@@ -97,42 +94,30 @@ class ReducedStepper:
         syms = [band_symbols(g, delta) for g in grids]
         n = self.n = shared([g.n_points for g in grids], "grid size")
         m = shared([g.carrier_index for g in grids], "carrier index")
-        variant = shared([p.variant for p in params], "variant")
-        if variant != CUBIC and any(3 * (m - sym.band.start) >= m
-                                    for sym in syms):
+        polys = [p.polynomial for p in params]
+        quintic = shared([c[5] != 0 for c in polys], "quintic term")
+        if quintic and any(3 * (m - sym.band.start) >= m for sym in syms):
             raise ValueError("band too wide for the quintic band drift: "
                              "the third harmonic of w^5 reaches P1")
-        b = (m - 1) // (2 if variant == CUBIC else 3)
+        b = (m - 1) // (3 if quintic else 2)
         self.band = slice(m - b, m + b + 1)
+        self.ne = 1 << ((6 if quintic else 4) * b).bit_length()
         lam = np.array([sym.lam[self.band] for sym in syms])
         self.q1 = np.array([sym.q1[self.band] for sym in syms])
-        # the real multipliers of a spectrum are stored as complex numbers
-        # with imaginary part +0, the cast numpy would make on each product
-        self.decay = np.array([np.exp(row * p.dt)
-                               for row, p in zip(lam, params)]
-                              ).astype(np.complex128)
-        self.phi1dt = np.array([p.dt * _phi1(row * p.dt)
-                                for row, p in zip(lam, params)]
-                               ).astype(np.complex128)
+        self.decay, self.phi1dt, scale = etd_multipliers(
+            grids, lam, [p.dt for p in params], intensity)
         self.noise = SpectralNoise(grids[0], intensity)
-        self.noise_scale = (np.array([
-            SpectralNoise(g, intensity).ou_scale(row, p.dt)
-            for g, row, p in zip(grids, lam, params)]) * self.q1
-        ).astype(np.complex128) if intensity > 0 else None
-        if variant == CUBIC:
-            self.ne = 1 << (4 * b).bit_length()
-            self.poly, nus = {1: -3.0}, [p.nu for p in params]
-        else:
-            self.ne = 1 << (6 * b).bit_length()
-            nu3 = per_row([3.0 * p.nu3 for p in params])
-            self.poly = {1: nu3, 2: -10.0 * (self.ne / n) ** 2}
-            if not np.any(nu3):
-                del self.poly[1]
-            nus = [p.nu2 for p in params]
+        self.noise_scale = None if scale is None else scale * self.q1
+        # P1 w^3 = q1 3|A|^2 A and P1 w^5 = q1 10|A|^4 A, in |a|^2 of the
+        # envelope samples; a term that no row has is left out
+        poly = {1: per_row([3.0 * c[3] for c in polys]),
+                2: per_row([10.0 * c[5] for c in polys]) * (self.ne / n) ** 2}
+        self.poly = {e: c for e, c in poly.items() if np.any(c)}
         self.gain = (self.q1 * (self.ne / n) ** 2).astype(np.complex128)
         # each mode of the band stands for a conjugate pair: see SHStepper
         self.bound_scale = 2.0 / n
         self.inv_b = None
+        nus = [c[2] for c in polys]
         if any(nus):
             # P0 and P2 have disjoint supports, so inv02 is inv0 or inv2 per
             # mode; past the half-spectrum it is zero
@@ -214,23 +199,18 @@ class GLStepper:
         self.n = shared([g.n_points for g in grids], "grid size")
         quintic = shared([c.quintic for c in coeffs], "quintic coefficient")
         lam = -GL_DIFFUSION * np.array([g.wavenumbers for g in grids]) ** 2
-        self.decay = np.exp(lam * dt)
+        self.decay, self.phi1dt, self.noise_scale = etd_multipliers(
+            grids, lam, [dt] * len(grids), intensity)
         z = lam * dt
-        self.phi1dt = dt * _phi1(z)
         small = np.abs(z) < 1e-6
         zs = np.where(small, 1.0, z)
         phi2 = np.where(small, 0.5 + z / 6.0, (np.expm1(zs) - zs) / zs ** 2)
         self.phi2dt = dt * phi2
         self.noise = SpectralNoise(grids[0], intensity)
-        self.noise_scale = (np.array([
-            SpectralNoise(g, intensity).ou_scale(row, dt)
-            for g, row in zip(grids, lam)]) if intensity > 0 else None)
         cubic = per_row([c.cubic for c in coeffs])
-        self.coeffs = {3: cubic}
-        if quintic != 0.0:
-            # a cubic term that no row has is left out
-            self.coeffs = ({3: cubic, 5: quintic} if np.any(cubic)
-                           else {5: quintic})
+        # a term that no row has is left out, unless no term is left
+        self.coeffs = {e: c for e, c in {3: cubic, 5: quintic}.items()
+                       if np.any(c)} or {3: cubic}
         self.pad = 2 if quintic == 0.0 else 3
         # Σ|ĉ|/n bounds the sup norm of the values (_blown_up)
         self.bound_scale = 1.0 / self.n
@@ -383,15 +363,15 @@ def simulate_paired(v0s, params, cfgs, delta: float = DEFAULT_DELTA,
 
     Row r starts from ``v0s[r]`` with ``params[r]`` and the noise of
     ``cfgs[r]``; the rows share their time stepping, noise intensity,
-    variant, grid size and carrier index, and may differ in eps and nu
-    (``ReducedStepper``'s slice depends on neither).  The noise and the
-    diagnostics go in blocks of the accumulator's ``size`` steps, which
-    ``analysis.BLOCK_BYTES`` caps.  w starts from P1 v0.  If ``with_gl``
-    is set, a Ginzburg-Landau
+    quintic term or its absence, grid size and carrier index, and may
+    differ in eps and polynomial (``ReducedStepper``'s slice depends on
+    neither).  The noise and the diagnostics go in blocks of the
+    accumulator's ``size`` steps, which ``analysis.BLOCK_BYTES`` caps.
+    w starts from P1 v0.  If ``with_gl`` is set, a Ginzburg-Landau
     amplitude on the same grid is driven by the demodulated P1 noise band
     (same white realization, each mode with its own exact OU variance) and
     compared against the demodulated w.  The averaging residuals of v (see
-    ``analysis.AveragingAccumulator``, with nu2 for the quintic variant)
+    ``analysis.AveragingAccumulator``, with the polynomial's nu)
     are integrated over every step as the run goes; no field is stored.
     A row that blows up has status "blowup_stopped": alone, its
     diagnostics cover the steps before the blow-up; in a batch they also
@@ -408,14 +388,13 @@ def simulate_paired(v0s, params, cfgs, delta: float = DEFAULT_DELTA,
     wband = red.q1 * vspec[:, red.band]
     steppers, specs = [sh, red], [vspec, wband]
     averaging = AveragingAccumulator(
-        grids, [q.nu if q.variant == CUBIC else q.nu2 for q in params], delta)
+        grids, [q.polynomial[2] for q in params], delta)
     band = _BandObserver(averaging, red, p.dt)
     band(0, specs)
     observers = [band]
     if with_gl:
-        c = [gl_coefficients(q.nu) if q.variant == CUBIC
-             else gl5_coefficients(q.nu2, q.nu3) for q in params]
-        steppers.append(_BandGLStepper(c, p.dt, intensity, red))
+        steppers.append(_BandGLStepper(
+            [gl_coefficients(q) for q in params], p.dt, intensity, red))
         amp = np.zeros((len(grids), red.n), dtype=np.complex128)
         specs.append(amplitude_spectrum(wband, amp.copy()))
         sup_diff_gl = _RunningMax(len(grids), lambda specs: np.max(np.abs(

@@ -1,7 +1,7 @@
 """Time integration of the rescaled stochastic Swift-Hohenberg equation.
 
-Cubic variant:   dv/dT = L_eps v + nu/eps v^2 - v^3 + dW/dT
-Quintic variant: dv/dT = L_eps v + nu2/eps v^2 + nu3 v^3 - v^5 + dW/dT
+    dv/dT = L_eps v + nu/eps v^2 + c3 v^3 + c5 v^5 + dW/dT,
+with (nu, c3, c5) = (nu, -1, 0) (cubic variant) or (nu2, nu3, -1) (quintic).
 
 The stepper is ETD1 exponential Euler: the linear flow and the additive
 noise are exact per Fourier mode, the nonlinearity enters through
@@ -43,6 +43,16 @@ class ModelParams:
             raise ValueError("dt, t_end and blowup_threshold must be positive")
         step_count(self.t_end, self.dt)
 
+    @property
+    def polynomial(self) -> dict:
+        """The coefficients ``{2: ν, 3: c₃, 5: c₅}`` of the nonlinearity
+        ν/eps v² + c₃ v³ + c₅ v⁵: ``{nu, -1, 0}`` for the cubic variant and
+        ``{nu2, nu3, -1}`` for the quintic one.  Every stepper, the
+        amplitude coefficients and the Landau fit read the model here."""
+        if self.variant == CUBIC:
+            return {2: self.nu, 3: -1.0, 5: 0.0}
+        return {2: self.nu2, 3: self.nu3, 5: -1.0}
+
 
 def step_count(t_end: float, dt: float) -> int:
     """The number of steps of size ``dt`` to ``t_end``, which must be one
@@ -69,6 +79,22 @@ def _phi1(z: np.ndarray) -> np.ndarray:
                     np.expm1(np.where(small, 1.0, z)) / np.where(small, 1.0, z))
 
 
+def etd_multipliers(grids, lam, dts, intensity: float):
+    """The ETD multipliers of a batch of rows, row r on ``grids[r]`` with
+    rates ``lam[r]`` and step ``dts[r]``: the decay e^{λdt}, the gain
+    dt·φ₁(λdt) and the scale of the exact OU noise increment at
+    ``intensity``, None at 0.  The real multipliers are stored as complex
+    numbers with imaginary part +0, the cast numpy would make on every
+    product with a spectrum: the same bits, without a cast buffer per
+    product."""
+    rows = [(np.exp(row * dt), dt * _phi1(row * dt),
+             SpectralNoise(g, intensity).ou_scale(row, dt) if intensity > 0
+             else 0.0) for g, row, dt in zip(grids, lam, dts)]
+    decay, gain, scale = (np.array(x).astype(np.complex128)
+                          for x in zip(*rows))
+    return decay, gain, scale if intensity > 0 else None
+
+
 def shared(values, what: str):
     """The one value in ``values`` that every row of a batch shares."""
     first, *rest = values
@@ -90,44 +116,28 @@ class SHStepper:
     each, at one noise intensity.
 
     A spectrum is an array with one half-spectrum per row.  The grids share
-    their number of points and the params their variant; each row has its
-    own eps, nu and dt, so its own multipliers, and a single run is a batch
-    of one.  The stepper owns the padded work arrays of its nonlinearity,
-    so one stepper serves one thread at a time.
+    their number of points and the params whether they have a quintic
+    term; each row has its own eps, polynomial and dt, so its own
+    multipliers, and a single run is a batch of one.  The stepper owns the
+    padded work arrays of its nonlinearity, so one stepper serves one
+    thread at a time.
     """
 
     def __init__(self, grids, params, intensity: float = 1.0):
         self.n = shared([g.n_points for g in grids], "grid size")
-        variant = shared([p.variant for p in params], "variant")
-        rows = []
-        for g, p in zip(grids, params):
-            lam = symbol_L_eps(g.rfft_wavenumbers, g.eps)
-            scale = (SpectralNoise(g, intensity).ou_scale(lam, p.dt)
-                     if intensity > 0 else 0.0)
-            rows.append((np.exp(lam * p.dt), scale, p.dt * _phi1(lam * p.dt)))
-        # the real multipliers are stored as complex numbers with imaginary
-        # part +0, the cast numpy would make on every product with a
-        # spectrum: the same bits, without a cast buffer per product
-        decay, scale, gain = (np.array(x) for x in zip(*rows))
-        self.decay = decay.astype(np.complex128)
+        polys = [p.polynomial for p in params]
+        quintic = shared([c[5] != 0 for c in polys], "quintic term")
+        self.decay, gain, self.noise_scale = etd_multipliers(
+            grids, [symbol_L_eps(g.rfft_wavenumbers, g.eps) for g in grids],
+            [p.dt for p in params], intensity)
         self.noise = SpectralNoise(grids[0], intensity)
-        self.noise_scale = (scale.astype(np.complex128) if intensity > 0
-                            else None)
-        if variant == CUBIC:
-            pad = 2
-            coeffs = {2: per_row([p.nu / g.eps
-                                  for g, p in zip(grids, params)]),
-                      3: -1.0}
-        else:
-            pad = 3
-            coeffs = {2: per_row([p.nu2 / g.eps
-                                  for g, p in zip(grids, params)]),
-                      3: per_row([p.nu3 for p in params]), 5: -1.0}
+        coeffs = {e: per_row([c[e] for c in polys]) for e in (3, 5)}
+        coeffs[2] = per_row([c[2] / g.eps for g, c in zip(grids, polys)])
         # a term that no row has is left out
         self.coeffs = {e: c for e, c in coeffs.items() if np.any(c)}
         # the nonlinearity enters times dt*phi1(lam*dt), folded into the
         # output weights of its padded grid
-        self.padded = PaddedGrid(self.n, pad, gain=gain)
+        self.padded = PaddedGrid(self.n, 3 if quintic else 2, gain=gain.real)
         # each mode of the half-spectrum stands for a conjugate pair at
         # most, so 2·Σ|ĉ|/n bounds the sup norm of the values (_blown_up)
         self.bound_scale = 2.0 / self.n

@@ -31,7 +31,8 @@ from .sh import (ModelParams, SHStepper, integrate, modulated_carrier_ic,
                  noise_draw, step_count)
 from .bands import DEFAULT_DELTA, band_symbols
 from .reduced import simulate_paired
-from .analysis import estimate_landau_coefficient, fit_scaling_exponent
+from .analysis import (check_fit_amplitude, estimate_landau_coefficient,
+                       fit_scaling_exponent)
 
 DEFAULT_EPS_LADDER = (0.2, 0.14, 0.1, 0.07, 0.05)
 DEFAULT_NU_SWEEP = (0.0, 0.3, 0.6, 0.84294, 1.0)
@@ -186,11 +187,6 @@ def _outcome(status: str, diagnostics: dict):
     return diagnostics
 
 
-def _fit_amplitude(cfg: StudyConfig, grid: Grid) -> None:
-    if not 0.1 <= cfg.amplitude <= 0.5:
-        raise ValueError("the Landau fit needs an amplitude in [0.1, 0.5]")
-
-
 def _batch_inputs(cfg: StudyConfig, grids, cells):
     """The noise configs, initial data and model parameters of a batch's
     rows, each a list by rows."""
@@ -314,7 +310,12 @@ def study_cells(cfg: StudyConfig) -> list:
 def _run_batches(cfg: StudyConfig, cells: list):
     """Yield the records of ``cells``, run in :func:`study_batches`, as each
     batch finishes: in ``cfg.threads`` worker processes, or in turn in this
-    one for one worker or batch.  Stopping early cancels those not begun."""
+    one for one worker or batch.  Stopping early cancels those not begun.
+
+    The forkserver that starts the workers imports ``__main__`` and this
+    module once, so a worker does not import numpy and shmod afresh; this
+    replaces any list that a caller set with ``set_forkserver_preload``,
+    which takes effect only if the forkserver is not yet running."""
     batches = study_batches(cfg, cells)
     if cfg.threads == 1 or len(batches) < 2:
         for batch in batches:
@@ -324,8 +325,9 @@ def _run_batches(cfg: StudyConfig, cells: list):
     # forkserver, not fork: forking is unsafe once the noise worker runs
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor, as_completed
-    pool = ProcessPoolExecutor(
-        cfg.threads, mp_context=multiprocessing.get_context("forkserver"))
+    context = multiprocessing.get_context("forkserver")
+    context.set_forkserver_preload(["__main__", __name__])
+    pool = ProcessPoolExecutor(cfg.threads, mp_context=context)
     try:
         for future in as_completed([pool.submit(_run_batch, cfg, batch)
                                     for batch in batches]):
@@ -521,7 +523,7 @@ _LANDAU_READS = frozenset({"eps_list", "amplitude", "dt"})
 # that study_cells makes for a Landau study
 _LANDAU_DEFAULTS = {"eps_list": (0.1,), "n_seeds": 1, "amplitude": 0.2}
 _LANDAU = dict(
-    seeded=False, check=_fit_amplitude,
+    seeded=False, check=lambda cfg, grid: check_fit_amplitude(cfg.amplitude),
     # the fit computes one carrier period of the grid it stands for
     grid=lambda cfg, eps: Grid.for_carrier(eps, DEFAULT_POINTS_PER_PERIOD,
                                            periods=1),
@@ -585,9 +587,15 @@ def run_study(cfg: StudyConfig, progress=None) -> dict:
     mine = cfg.public_dict()
     manifest = {"version": __version__, "config": mine}
     if manifest_path.exists():
-        existing = json.loads(manifest_path.read_text())["config"]
+        existing = json.loads(manifest_path.read_text())
+        # records of another version have other numerics, and replay
+        # would refuse them all
+        if existing["version"] != __version__:
+            raise ConfigError(
+                f"output directory {out} already holds a study of version "
+                f"{existing['version']}, not {__version__}")
         # only the study and the settings its cells read shape a record
-        if any(existing.get(k) != mine[k]
+        if any(existing["config"].get(k) != mine[k]
                for k in ("study", *STUDIES[cfg.study].reads)):
             raise ConfigError(
                 f"output directory {out} already holds a study with a "

@@ -245,6 +245,24 @@ def test_a_config_that_validates_records_each_cell_once(data, study):
                                   for cell in study_cells(cfg))
 
 
+def test_resume_refuses_a_study_of_another_version(tmp_path):
+    # a study cut short after one of its two cells, written by another
+    # version: resuming it would add records of other numerics, which
+    # replay would refuse with the old ones, so nothing is written
+    run_study(tiny_cfg(tmp_path))
+    records = tmp_path / "records.csv"
+    # the header and the first cell
+    records.write_text("".join(records.read_text().splitlines(True)[:2]))
+    path = tmp_path / "manifest.json"
+    manifest = json.loads(path.read_text())
+    path.write_text(json.dumps(dict(manifest, version="0.9.0")))
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    with pytest.raises(ConfigError, match="version 0.9.0"):
+        run_study(tiny_cfg(tmp_path))
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    assert len(load_records(records)) == 1
+
+
 def test_resume_ignores_settings_the_study_does_not_read(tmp_path):
     # Landau directories written with the old n_points/periods defaults
     # of 8192/512 resume and replay
@@ -801,7 +819,8 @@ def test_single_run_without_a_time_step_is_rejected(tmp_path):
     grid = Grid.for_carrier(0.2, 512, periods=32)
     A0 = ComplexField(grid, np.zeros(grid.n_points, dtype=complex))
     with pytest.raises(ValueError, match="no time step"):
-        simulate_gl(A0, gl_coefficients(0.5), dt=1e-3, t_end=4e-4)
+        simulate_gl(A0, gl_coefficients(ModelParams(nu=0.5)), dt=1e-3,
+                    t_end=4e-4)
     for command in ("simulate-sh", "simulate-gl"):
         out = tmp_path / command
         r = _cli(command, "--n", "512", "--periods", "32", "--eps", "0.2",

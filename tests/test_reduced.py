@@ -11,7 +11,6 @@ from shmod import (
     Grid,
     ModelParams,
     NoiseConfig,
-    gl5_coefficients,
     gl_coefficients,
     integrate,
     modulate,
@@ -41,24 +40,44 @@ def riccati(a0, c3, T):
     return a0 / np.sqrt(1.0 - 2.0 * c3 * a0**2 * T)
 
 
+def _cubic_gl(nu):
+    return gl_coefficients(ModelParams(nu=nu))
+
+
+def _quintic_gl(nu2, nu3):
+    return gl_coefficients(ModelParams("quintic", nu2=nu2, nu3=nu3))
+
+
 def test_cubic_coefficient_values():
-    assert gl_coefficients(0.0).cubic == pytest.approx(-3.0)
-    assert gl_coefficients(0.5).cubic == pytest.approx(-(3.0 - 38.0 / 36.0))
-    assert gl_coefficients(1.0).cubic == pytest.approx(38.0 / 9.0 - 3.0)
+    assert _cubic_gl(0.0).cubic == pytest.approx(-3.0)
+    assert _cubic_gl(0.5).cubic == pytest.approx(-(3.0 - 38.0 / 36.0))
+    assert _cubic_gl(1.0).cubic == pytest.approx(38.0 / 9.0 - 3.0)
+    assert _cubic_gl(0.5).quintic == 0.0
 
 
 def test_cubic_coefficient_sign_change_bracket():
     nu_star = np.sqrt(27.0 / 38.0)
     assert 0.80 < nu_star < 0.89
-    assert gl_coefficients(0.84).cubic < 0 < gl_coefficients(0.85).cubic
+    assert _cubic_gl(0.84).cubic < 0 < _cubic_gl(0.85).cubic
 
 
 def test_quintic_coefficient_values():
-    c = gl5_coefficients(1.0, 0.0)
+    c = _quintic_gl(1.0, 0.0)
     assert c.cubic == pytest.approx(38.0 / 9.0)
     assert c.quintic == pytest.approx(-10.0)
-    assert gl5_coefficients(0.0, 0.0).cubic == pytest.approx(0.0)
-    assert gl5_coefficients(0.0, 1.0).cubic == pytest.approx(3.0)
+    assert _quintic_gl(0.0, 0.0).cubic == pytest.approx(0.0)
+    assert _quintic_gl(0.0, 1.0).cubic == pytest.approx(3.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(nu=st.floats(-10.0, 10.0), nu3=st.floats(-10.0, 10.0))
+def test_coefficient_table_gives_the_bits_of_the_closed_forms(nu, nu3):
+    # 3 c3 + 38/9 nu^2 and 10 c5 of the table are, bit for bit, the closed
+    # forms -(3 - 38/9 nu^2) (cubic) and 3 nu3 + 38/9 nu2^2, -10 (quintic)
+    cubic, quintic = _cubic_gl(nu), _quintic_gl(nu, nu3)
+    assert cubic.cubic.hex() == (-(3.0 - 38.0 / 9.0 * nu ** 2)).hex()
+    assert quintic.cubic.hex() == (3.0 * nu3 + 38.0 / 9.0 * nu ** 2).hex()
+    assert (cubic.quintic, quintic.quintic) == (0.0, -10.0)
 
 
 def test_quadratic_correction_matches_closed_form():
@@ -633,7 +652,7 @@ def test_gl_batch_rows_match_their_solo_runs():
     # own complex noise stream
     grids = [Grid.for_carrier(eps, 128, periods=8) for eps in (0.1, 0.2)]
     coeffs = [GLCoefficients(cubic=-3.0, quintic=-10.0),
-              gl5_coefficients(0.5, 0.2)]
+              _quintic_gl(0.5, 0.2)]
     cfgs = [NoiseConfig(seed=k, intensity=0.2) for k in range(2)]
     a0 = np.array([0.3 * np.exp(1j * g.wavenumbers[2] * g.x) for g in grids])
 

@@ -232,7 +232,7 @@ def _guarded_steppers():
     return {
         "sh": (SHStepper([grid], [p], intensity=0.0), grid.n_points // 2 + 1),
         "reduced": (red, red.band.stop - red.band.start),
-        "gl": (GLStepper([grid], [gl_coefficients(0.5)], 1e-3, intensity=0.0),
+        "gl": (GLStepper([grid], [gl_coefficients(p)], 1e-3, intensity=0.0),
                grid.n_points),
     }
 

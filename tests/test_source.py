@@ -230,3 +230,31 @@ def test_study_name_scan_finds_dispatch_on_a_name():
                          ids=lambda p: p.name)
 def test_no_module_compares_a_study_name(path):
     assert _study_name_tests(ast.parse(path.read_text()), STUDY_NAMES) == []
+
+
+def _variant_reads(tree: ast.Module) -> list:
+    """Line numbers of the reads of an attribute named ``variant``: each a
+    decision on the model taken outside ``ModelParams.polynomial``."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)
+                  and node.attr == "variant")
+
+
+def test_variant_scan_finds_attribute_reads():
+    tree = ast.parse('if p.variant == "cubic":\n'
+                     '    pass\n'
+                     'variant = "quintic"\n'
+                     'q = ModelParams(variant=variant)\n'
+                     'kinds = [q.variant for q in params]\n'
+                     'self.variant = variant\n')
+    assert _variant_reads(tree) == [1, 5]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_only_sh_reads_the_variant(path):
+    # the coefficient table of ModelParams is the one place that turns the
+    # variant into a model
+    reads = _variant_reads(ast.parse(path.read_text()))
+    assert bool(reads) == (path.name == "sh.py"), reads
