@@ -13,13 +13,30 @@ from .sh import (CUBIC, QUINTIC, ModelParams, SHStepper, block_steps,
                  integrate, shared, step_count)
 
 
-#: bytes that the work arrays of an accumulator's block hold at most,
-#: summed over its rows and steps.  At n = 2048 a row-step holds 86 kB, so
-#: a block holds 24 row-steps, where ``BLOCK_ROWS`` would allow 36; it
-#: binds on no smaller grid.  A paired run's noise blocks take the same
-#: size: the peak resident set of a default theorem2 solve in batches of
-#: up to 3 cells rose 4% over batches of one at 24 row-steps, 8% at 36
+#: bytes that a paired run's block holds at most, summed over its rows and
+#: steps: the accumulator's work arrays at its ``m`` points, the observer's
+#: n-point gap row and a row of noise.  At n = 2048 (m = 1024) a row-step
+#: holds 86 kB, so a block holds 24 row-steps (4 steps of a batch of 5),
+#: where ``BLOCK_ROWS`` would allow 36; it binds on no smaller grid.  The
+#: peak resident set of a default theorem2 solve in batches of up to 3
+#: cells rose 4% over batches of one at 24 row-steps, 8% at 36; in one
+#: batch of 5, blocks of 7 steps peaked 1.8 MB above blocks of 4
 BLOCK_BYTES = 2 << 20
+
+
+def _band_top(q: np.ndarray) -> int:
+    """One past the last mode of the rfft layout where ``q`` is nonzero."""
+    return int(np.flatnonzero(q)[-1]) + 1
+
+
+def averaging_points(grid: Grid, delta: float = DEFAULT_DELTA) -> int:
+    """m of the smallest grid that holds the averaging integrands of
+    (grid, delta) exactly: the smallest power of two above twice their top
+    mode t1 + top - 2, with t1 and top the tops of the P1 and the P2
+    support, and at most n (see ``AveragingAccumulator``)."""
+    sym = band_symbols(grid, delta)
+    top_mode = _band_top(sym.q1) + _band_top(sym.q2) - 2
+    return min(grid.n_points, 1 << (2 * top_mode).bit_length())
 
 
 class AveragingAccumulator:
@@ -29,9 +46,23 @@ class AveragingAccumulator:
 
     for a batch of rows, one ``(grid, nu)`` pair each on grids of one size,
     fed blocks of half-spectra of v, in O(n) memory per row of a block.
+
+    The integrands are sampled on the ``m`` points of the smallest grid
+    that holds them exactly (``averaging_points``).  v1 has modes below t1,
+    the top of a row's P1 support, and both bands' multipliers are zero
+    from ``top``, the top of its P2 support, on; so v1^2 sits below
+    2 t1 - 1 and the integrands below t1 + top - 1.  With m the smallest
+    power of two above 2 (t1 + top - 2), at most n, the m-point samples of
+    v1^2 alias no mode below top and those of the integrands none at all,
+    so the m-point sums are the n-point ones at the m-point grid's
+    points.  The factor m/n of the two grid normalisations, a power of two,
+    is folded into ``q1`` and ``qk_eps``, and ``results`` interpolates the
+    totals to the n grid.
+
     Per block: one inverse FFT for v1, one forward FFT of v1^2 shared by
     P0 and P2, and one inverse FFT of q_k/eps v + nu inv_k (v1^2)^ for both
-    bands, each one batched call into work arrays kept from block to block.
+    bands, each one batched m-point call into work arrays kept from block
+    to block.
 
     A block's trapezoid pieces 0.5 (t_j - t_{j-1}) (f_{j-1} + f_j) are
     built in place in the integrand rows, and ``total`` gets them from one
@@ -44,7 +75,7 @@ class AveragingAccumulator:
 
     def __init__(self, grids, nus, delta: float = DEFAULT_DELTA):
         syms = [band_symbols(g, delta) for g in grids]
-        self.n = shared([g.n_points for g in grids], "grid size")
+        n = self.n = shared([g.n_points for g in grids], "grid size")
         self.rows = rows = len(grids)
         # q0, q1 and q2 are zero from ``top`` on, past every row's P2
         # support, and irfft zero-pads a shorter input with the bits of the
@@ -52,52 +83,57 @@ class AveragingAccumulator:
         # transformed.  The real multipliers are stored as complex numbers
         # with imaginary part +0, the cast numpy makes on each product with
         # a spectrum
-        self.top = top = max(int(np.flatnonzero(sym.q2)[-1]) + 1
-                             for sym in syms)
-        self.q1 = np.array([sym.q1[:top] for sym in syms]).astype(np.complex128)
-        self.qk_eps = np.array([[sym.q0[:top] / g.eps, sym.q2[:top] / g.eps]
+        self.top = top = max(_band_top(sym.q2) for sym in syms)
+        # the largest m of the rows holds all of them exactly; rows of one
+        # m have the bits of their own accumulators'
+        self.m = m = max(averaging_points(g, delta) for g in grids)
+        scale = m / n
+        self.q1 = (scale * np.array([sym.q1[:top] for sym in syms])
+                   ).astype(np.complex128)
+        self.qk_eps = np.array([[scale * sym.q0[:top] / g.eps,
+                                 scale * sym.q2[:top] / g.eps]
                                 for sym, g in zip(syms, grids)], np.complex128)
         self.nu_inv = np.array([[nu * sym.inv0[:top], nu * sym.inv2[:top]]
                                 for sym, nu in zip(syms, nus)], np.complex128)
         self.count = 0
-        self.total = np.zeros((rows, 2, self.n))
+        self.total = np.zeros((rows, 2, m))
         # work arrays for blocks of up to ``size`` steps.  A row-step holds
         # v1, the spectrum of v1^2, the two integrands and two pairs of
-        # spectra below top.  Step 1 of the stack carries the last sample's
+        # spectra below top, and the observer's gap row and a noise row
+        # besides.  Step 1 of the stack carries the last sample's
         # integrands to the next block, steps 2 .. k + 1 take the block's
         # integrands and steps 1 .. k their trapezoid pieces; step 0 takes
         # a copy of total before the reduction
-        h = self.n // 2 + 1
-        row_bytes = 8 * 3 * self.n + 16 * (h + 4 * top)
+        h = m // 2 + 1
+        row_bytes = (8 * 3 * m + 16 * (h + 4 * top)
+                     + 8 * n + 16 * (n // 2 + 1))
         self.size = size = max(1, min(block_steps(rows),
                                       BLOCK_BYTES // (rows * row_bytes)))
-        self._v1 = np.empty((size, rows, self.n))
+        self._v1 = np.empty((size, rows, m))
         self._sq = np.empty((size, rows, 2, top), np.complex128)
         self._rhs = np.empty_like(self._sq)
         self._v1sq = np.empty((size, rows, h), np.complex128)
-        self._stack = np.zeros((size + 2, rows, 2, self.n))
+        self._stack = np.zeros((size + 2, rows, 2, m))
 
-    def add(self, times: np.ndarray, vspecs: np.ndarray) -> np.ndarray:
+    def add(self, times: np.ndarray, vspecs: np.ndarray) -> None:
         """Add the samples of v with half-spectra ``vspecs[j, r]`` of each
         row r at ``times[j]``, at most ``size`` of them,
         increasing and later than the last one; the modes from ``top`` on
-        are not read and may be left out.  Returns v1 =
-        irfft(q1 * vspecs), a view of a work array that the next call
-        overwrites."""
-        k = len(times)
+        are not read and may be left out."""
+        k, m = len(times), self.m
         vspecs = vspecs[..., : self.top]
         v1, sq, rhs = self._v1[:k], self._sq[:k], self._rhs[:k]
         v1sq = self._v1sq[:k]
         f = self._stack[1:k + 2]
         np.multiply(self.q1, vspecs, out=sq[:, :, 0])
-        np.fft.irfft(sq[:, :, 0], n=self.n, out=v1)
+        np.fft.irfft(sq[:, :, 0], n=m, out=v1)
         # the integrand rows are free until they are refilled
         np.multiply(v1, v1, out=f[1:, :, 0])
         np.fft.rfft(f[1:, :, 0], out=v1sq)
         np.multiply(self.nu_inv, v1sq[:, :, None, : self.top], out=rhs)
         np.multiply(self.qk_eps, vspecs[:, :, None], out=sq)
         np.add(sq, rhs, out=rhs)
-        np.fft.irfft(rhs, n=self.n, out=f[1:])
+        np.fft.irfft(rhs, n=m, out=f[1:])
         np.multiply(f[1:], v1[:, :, None], out=f[1:])
         # steps 0 .. k - 1 of f become the pieces p_1 .. p_k, in place:
         # each is read before it is overwritten.  Step k, the last
@@ -113,12 +149,19 @@ class AveragingAccumulator:
         f[0] = f[k]
         self._t = times[-1]
         self.count += k
-        return v1
 
     def results(self) -> list:
-        """The sup norms of the P0 and the P2 integral of each row."""
-        return [tuple(float(np.max(np.abs(band))) for band in total)
-                for total in self.total]
+        """The sup norms over the n grid of the P0 and the P2 integral of
+        each row.  On m < n points the totals are interpolated there: their
+        modes lie below m/2, whose mode holds only rounding and is
+        dropped."""
+        total = self.total
+        if self.m < self.n:
+            spec = np.fft.rfft(total)
+            spec[..., -1] = 0.0
+            total = np.fft.irfft(spec * (self.n / self.m), n=self.n)
+        return [tuple(float(np.max(np.abs(band))) for band in row)
+                for row in total]
 
 
 @dataclass(frozen=True)

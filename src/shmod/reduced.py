@@ -297,28 +297,30 @@ class _BandObserver:
     slice E of every row into one side of a pair of block buffers.  A full
     block goes to the worker as one job while the stepping thread fills
     the other side; the job before it is waited for first, so at most one
-    block is in flight.  The job gets the block's v1 = irfft(q1 v^) from
-    ``AveragingAccumulator.add`` and w = irfft of E scattered into the
-    half-spectrum up to the band's top (``ReducedStepper.values``: irfft
-    zero-pads it with the same bits) from one batched transform each, into
-    arrays this observer owns.  ``finish`` hands over the last, partial
-    block and waits; ``wait`` re-raises the error of a failed job.  On
-    step 0, w0 = P1 v0 is the same product by q1 as v1, so its gap is 0
-    and leaves the running max as it is.
+    block is in flight.  The job feeds the block to
+    ``AveragingAccumulator.add`` and takes P1 v - w = irfft of
+    q1 v^ - E on the band slice, scattered into the half-spectrum up to the
+    band's top (q1 is zero off the slice, and irfft zero-pads the rest
+    with the same bits), from one batched n-point transform into an array
+    this observer owns.  ``finish`` hands over the last, partial block and
+    waits; ``wait`` re-raises the error of a failed job.  On step 0,
+    w0 = P1 v0 is this same product by q1, so its gap is 0 and leaves the
+    running max as it is.
     """
 
     def __init__(self, averaging: AveragingAccumulator, red: ReducedStepper,
                  dt: float):
         n, rows, band = averaging.n, averaging.rows, red.band
         self.size = size = averaging.size
-        self.averaging, self.band, self.dt = averaging, band, dt
+        self.averaging, self.band, self.q1, self.dt = (averaging, band,
+                                                       red.q1, dt)
         self.times = np.empty((2, size))
         self.vspecs = np.empty((2, size, rows, averaging.top),
                                dtype=np.complex128)
         self.bands = np.empty((2, size, rows, band.stop - band.start),
                               dtype=np.complex128)
-        self.wspec = np.zeros((size, rows, band.stop), dtype=np.complex128)
-        self.w = np.empty((size, rows, n))
+        self.gapspec = np.zeros((size, rows, band.stop), dtype=np.complex128)
+        self.gap = np.empty((size, rows, n))
         self.sup_diff = np.zeros(rows)
         self.side, self.filled, self.pending = 0, 0, None
 
@@ -347,13 +349,14 @@ class _BandObserver:
         self.wait()
 
     def _block(self, side: int, k: int):
-        v1 = self.averaging.add(self.times[side, :k], self.vspecs[side, :k])
-        wspec, w = self.wspec[:k], self.w[:k]
-        wspec[..., self.band] = self.bands[side, :k]
-        np.fft.irfft(wspec, n=self.averaging.n, out=w)
-        np.subtract(v1, w, out=w)
-        np.abs(w, out=w)
-        np.maximum(self.sup_diff, w.max(axis=(0, 2)), out=self.sup_diff)
+        vspecs = self.vspecs[side, :k]
+        self.averaging.add(self.times[side, :k], vspecs)
+        diff, gap = self.gapspec[:k, :, self.band], self.gap[:k]
+        np.multiply(self.q1, vspecs[..., self.band], out=diff)
+        np.subtract(diff, self.bands[side, :k], out=diff)
+        np.fft.irfft(self.gapspec[:k], n=self.averaging.n, out=gap)
+        np.abs(gap, out=gap)
+        np.maximum(self.sup_diff, gap.max(axis=(0, 2)), out=self.sup_diff)
 
 
 def simulate_paired(v0s, params, cfgs, delta: float = DEFAULT_DELTA,

@@ -31,8 +31,8 @@ from .sh import (ModelParams, SHStepper, integrate, modulated_carrier_ic,
                  noise_draw, step_count)
 from .bands import DEFAULT_DELTA, band_symbols
 from .reduced import simulate_paired
-from .analysis import (check_fit_amplitude, estimate_landau_coefficient,
-                       fit_scaling_exponent)
+from .analysis import (averaging_points, check_fit_amplitude,
+                       estimate_landau_coefficient, fit_scaling_exponent)
 
 DEFAULT_EPS_LADDER = (0.2, 0.14, 0.1, 0.07, 0.05)
 DEFAULT_NU_SWEEP = (0.0, 0.3, 0.6, 0.84294, 1.0)
@@ -273,26 +273,19 @@ def _run_batch(cfg: StudyConfig, cells: list) -> list:
     ) for (params, seed), grid, out in zip(cells, grids, outcomes)]
 
 
-#: most cells stepped together in one batch: default attractivity cells
-#: (n = 2048) took 58.7 ms each alone, 46.4 ms in batches of 2, 43.4 ms in
-#: batches of 4 and 45.4 to 46.5 ms in batches of 5 to 10 (README,
-#: "Studies").  Paired cells of every eps of one nu batch too; a group is
-#: split evenly, so the 5 cells of one seed over the eps ladder run as 3
-#: and 2, not as 4 and a last cell alone
-MAX_BATCH = 4
-
-
 def study_batches(cfg: StudyConfig, cells: list) -> list:
     """``cells`` in batches of cells of one key (:class:`StudySpec`), in
     the order of ``cells``: each group of one key split into the fewest
-    batches of at most ``MAX_BATCH`` cells, of sizes as equal as possible."""
-    key = STUDIES[cfg.study].key
+    batches of at most the study's ``max_batch`` cells, of sizes as equal
+    as possible, so 6 cells at most 5 run as 3 and 3, not as 5 and 1."""
+    spec = STUDIES[cfg.study]
     groups = {}
     for params, seed in cells:
-        groups.setdefault(key(params, seed), []).append((params, seed))
+        groups.setdefault(spec.key(cfg, params, seed), []).append(
+            (params, seed))
     batches = []
     for group in groups.values():
-        count = -(-len(group) // MAX_BATCH)
+        count = -(-len(group) // spec.max_batch)
         bounds = [-(-len(group) * i // count) for i in range(count + 1)]
         batches += [group[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     return batches
@@ -490,11 +483,16 @@ def summarize(cfg: StudyConfig, records: list) -> dict:
 # The studies
 
 
+def _carrier_grid(cfg: StudyConfig, eps: float) -> Grid:
+    return Grid.for_carrier(eps, cfg.n_points, periods=cfg.periods)
+
+
 @dataclass(frozen=True)
 class StudySpec:
     """Everything that sets a study apart; the defaults are the paired
     studies'.  ``run(cfg, grids, cells)`` gives each cell's diagnostics or
-    error, and cells of one ``key(params, seed)`` may share a batch.
+    error, and cells of one ``key(cfg, params, seed)`` may share a batch
+    of at most ``max_batch``.
     ``summary(cfg, records)`` gives the fits and the gates, ``None`` for
     one not evaluated.  ``reads`` are the settings the cells read; every
     study also accepts ``threads``, its number of worker processes, which
@@ -505,16 +503,22 @@ class StudySpec:
     summary: Callable
     run: Callable = _paired_batch
     # the band stepper's slice and envelope grid depend on the grid's
-    # carrier index alone, so paired cells of one nu share their shapes
-    key: Callable = lambda params, seed: params["nu"]
+    # carrier index alone, so paired cells of one nu share their shapes;
+    # the averaging grid depends on a cell's band supports, and the rows of
+    # one keep their bits
+    key: Callable = lambda cfg, params, seed: (params["nu"], averaging_points(
+        _carrier_grid(cfg, params["eps"]), cfg.delta))
+    # the 5 cells of one seed over the default eps ladder run as one batch,
+    # which beat batches of 3 and 2 once the worker's diagnostics ran on
+    # the averaging grid (README, "Studies")
+    max_batch: int = 5
     reads: frozenset = frozenset({
         "eps_list", "nu_list", "n_seeds", "base_seed", "n_points", "periods",
         "delta", "dt", "t_end", "intensity", "amplitude", "offband"})
     defaults: dict = field(default_factory=dict)
     models: Callable = lambda cfg: [{"nu": nu} for nu in cfg.nu_list]
     seeded: bool = True
-    grid: Callable = lambda cfg, eps: Grid.for_carrier(eps, cfg.n_points,
-                                                      periods=cfg.periods)
+    grid: Callable = _carrier_grid
     check: Callable = lambda cfg, grid: band_symbols(grid, cfg.delta)
 
 
@@ -528,13 +532,18 @@ _LANDAU = dict(
     grid=lambda cfg, eps: Grid.for_carrier(eps, DEFAULT_POINTS_PER_PERIOD,
                                            periods=1),
     # a Landau fit runs alone
-    key=lambda params, seed: (tuple(sorted(params.items())), seed))
+    key=lambda cfg, params, seed: (tuple(sorted(params.items())), seed))
 
 STUDIES = {
     "attractivity": StudySpec(
         _attractivity_summary, _attractivity_batch,
         # the SH stepper's shape is the grid size, which every cell shares
-        key=lambda params, seed: (),
+        key=lambda cfg, params, seed: (),
+        # default cells (n = 2048) took 58.7 ms each alone, 46.4 ms in
+        # batches of 2, 43.4 ms in batches of 4 and 45.4 to 46.5 ms in
+        # batches of 5 to 10; the benchmark's 10 ran as 5 and 5 within
+        # noise of 4, 3 and 3, with a larger peak resident set
+        max_batch=4,
         defaults={"intensity": 0.01, "offband": 1.0}),
     "averaging": StudySpec(partial(
         _slope_summary,

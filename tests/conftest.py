@@ -44,19 +44,18 @@ class Snapshots:
                                             stepper.values(spec)[0]))
 
 
-class PairedReference:
+class FullGridReference:
     """Per-step reference for the diagnostics of a batch of one of
-    ``simulate_paired``, one step at a time on the calling thread, with no
-    batched transform: on
-    step i, with
-    v1 = irfft(q1 v^) and w the band stepper's ``values``, sup_diff is the
-    running max of |v1 - w| over the steps i >= 1, and the averaging
+    ``simulate_paired`` by the n-point arithmetic of shmod 0.10.0, one step
+    at a time on the calling thread, with no batched transform: on step i,
+    with v1 = irfft(q1 v^) and w the band stepper's ``values``, sup_diff is
+    the running max of |v1 - w| over the steps i >= 1, and the averaging
     integrands
 
         f = v1 * irfft(q_k/eps v^ + nu inv_k rfft(v1^2)),  k = 0, 2,
 
-    are summed by the trapezoid rule from step 0 on.  Call it on step 0
-    first, then pass it to ``integrate``."""
+    are summed by the trapezoid rule from step 0 on, all on the n grid.
+    Call it on step 0 first, then pass it to ``integrate``."""
 
     def __init__(self, red, grid: Grid, nu: float, delta: float, dt: float):
         sym, eps = band_symbols(grid, delta), grid.eps
@@ -68,12 +67,15 @@ class PairedReference:
         self.total = np.zeros((2, self.n))
         self.last = None
 
+    def gap(self, vspec, v1, E) -> float:
+        w = self.red.values(E)[0]
+        return float(np.max(np.abs(v1 - w)))
+
     def __call__(self, i, specs):
-        vspec = specs[0][0]
+        vspec = specs[0][0][: self.q1.size]
         v1 = np.fft.irfft(self.q1 * vspec, n=self.n)
         if i:
-            w = self.red.values(specs[1])[0]
-            self.sup_diff = max(self.sup_diff, float(np.max(np.abs(v1 - w))))
+            self.sup_diff = max(self.sup_diff, self.gap(vspec, v1, specs[1]))
         sq = np.fft.rfft(v1 * v1)
         f = v1 * np.fft.irfft(self.qk_eps * vspec + self.nu_inv * sq,
                               n=self.n)
@@ -82,10 +84,47 @@ class PairedReference:
             self.total += (0.5 * (t - self.last[0])) * (self.last[1] + f)
         self.last = t, f
 
+    def totals(self) -> np.ndarray:
+        """The P0 and the P2 integral on the n grid."""
+        return self.total
+
     def results(self) -> tuple[float, float, float]:
         """sup_diff, res_p0 and res_p2."""
         return (self.sup_diff,) + tuple(float(np.max(np.abs(total)))
-                                        for total in self.total)
+                                        for total in self.totals())
+
+
+class PairedReference(FullGridReference):
+    """``FullGridReference`` by the arithmetic of ``simulate_paired``: the
+    gap is irfft(q1 v^ - w^) on the band slice, and the integrands are
+    sampled on the m = ``AveragingAccumulator.m`` points of the smallest
+    power-of-two grid above twice their top mode, with the factor m/n in
+    q1 and q_k/eps; the totals are interpolated to the n grid, their mode
+    m/2 dropped, if m < n."""
+
+    def __init__(self, red, grid: Grid, nu: float, delta: float, dt: float):
+        super().__init__(red, grid, nu, delta, dt)
+        sym = band_symbols(grid, delta)
+        t1, top = (int(np.flatnonzero(q)[-1]) + 1 for q in (sym.q1, sym.q2))
+        self.full = self.n
+        self.n = min(self.full, 1 << (2 * (t1 + top - 2)).bit_length())
+        scale, h = self.n / self.full, self.n // 2 + 1
+        self.q1 = scale * sym.q1[:h]
+        self.qk_eps = scale * self.qk_eps[:, :h]
+        self.nu_inv = self.nu_inv[:, :h]
+        self.total = np.zeros((2, self.n))
+
+    def gap(self, vspec, v1, E) -> float:
+        red = self.red
+        diff = red.half_spectrum(red.q1 * vspec[None, red.band] - E)
+        return float(np.max(np.abs(np.fft.irfft(diff[0], n=self.full))))
+
+    def totals(self) -> np.ndarray:
+        if self.n == self.full:
+            return self.total
+        spec = np.fft.rfft(self.total)
+        spec[:, -1] = 0.0
+        return np.fft.irfft(spec * (self.full / self.n), n=self.full)
 
 
 def band_step_reference(red, E: np.ndarray, raw) -> np.ndarray:

@@ -20,7 +20,8 @@ from shmod import (
     project,
     simulate,
 )
-from shmod.analysis import AveragingAccumulator, _CarrierAmplitude
+from shmod.analysis import (AveragingAccumulator, _CarrierAmplitude,
+                            averaging_points)
 from shmod.operators import inv_symbol_scaled
 from shmod.reduced import ReducedStepper
 from shmod.sh import SHStepper, block_steps, noise_draw
@@ -83,18 +84,19 @@ def test_averaging_accumulator_matches_stacked_trapezoid(seed, count, nu):
         spec[:n_modes] = (rng.standard_normal(n_modes)
                           + 1j * rng.standard_normal(n_modes))
         snaps.append(RealField.from_spectrum(grid, spec))
-    # fed in blocks of random sizes; each block hands back its rows of
-    # v1 = P1 v
-    q1 = band_symbols(grid, DELTA).q1
+    # fed in blocks of random sizes; each block leaves its rows of
+    # v1 = P1 v on the accumulator's m points in its work array
     specs = np.array([snap.spectrum() for snap in snaps])[:, None]
     acc = AveragingAccumulator([grid], [nu], DELTA)
+    m = acc.m
+    assert m < grid.n_points
+    q1 = m / grid.n_points * band_symbols(grid, DELTA).q1
     start = 0
     while start < count:
         rows = slice(start, start + int(rng.integers(1, block_steps(1) + 1)))
-        v1 = acc.add(times[rows], specs[rows])
-        for got, spec in zip(v1, specs[rows]):
-            assert got.tobytes() == np.fft.irfft(
-                q1 * spec, n=grid.n_points).tobytes()
+        acc.add(times[rows], specs[rows])
+        for got, spec in zip(acc._v1, specs[rows]):
+            assert got.tobytes() == np.fft.irfft(q1 * spec, n=m).tobytes()
         start = rows.stop
     (results,) = acc.results()
     for k_band, residual in zip(("P0", "P2"), results):
@@ -175,8 +177,11 @@ def test_paired_cell_streams_residuals_in_small_memory(tmp_path):
     gaps = []
 
     def gap(i, specs):
-        v1 = np.fft.irfft(q1 * specs[0][0], n=grid.n_points)
-        gaps.append(float(np.max(np.abs(v1 - red.values(specs[1])[0]))))
+        # P1 v - w from its spectrum on the band slice, as the observer
+        # takes it
+        diff = red.half_spectrum(red.q1 * specs[0][:, red.band] - specs[1])
+        gaps.append(float(np.max(np.abs(np.fft.irfft(diff[0],
+                                                     n=grid.n_points)))))
 
     status, steps, _ = integrate([sh, red], [vspec, wband], 1000,
                                  p.blowup_threshold,
@@ -402,6 +407,41 @@ def test_averaging_accumulator_rows_match_their_solo_accumulators():
     together = feed([0, 1])
     alone = [feed([r]) for r in range(2)]
     assert together == tuple(sum(parts, []) for parts in zip(*alone))
+
+
+def _top_integrand_mode(grid):
+    """t1 + top - 2: the top mode of v1 times a P0 or P2 multiplier."""
+    sym = band_symbols(grid, DELTA)
+    return sum(int(np.flatnonzero(q)[-1]) + 1 for q in (sym.q1, sym.q2)) - 2
+
+
+@pytest.mark.parametrize("eps", [0.2, 0.14, 0.1, 0.07, 0.05])
+@pytest.mark.parametrize("n, periods", [(2048, 128), (512, 32), (576, 36)])
+def test_averaging_grid_is_the_smallest_power_of_two_above_twice_the_top_mode(
+        eps, n, periods):
+    grid = Grid.for_carrier(eps, n, periods=periods)
+    top_mode = _top_integrand_mode(grid)
+    m = averaging_points(grid, DELTA)
+    assert m & (m - 1) == 0 and m // 2 <= 2 * top_mode < m <= n
+    assert AveragingAccumulator([grid], [0.5], DELTA).m == m
+    if (n, periods) == (2048, 128):
+        # the default grid at every eps of the default ladder
+        assert m == 1024
+
+
+def test_averaging_grid_of_supports_reaching_a_quarter_of_the_grid_is_full():
+    # 8 points a carrier period: the integrands reach past n/4, so their
+    # samples need every point
+    grid = Grid.for_carrier(0.2, 512, periods=64)
+    assert 4 * _top_integrand_mode(grid) >= grid.n_points
+    assert averaging_points(grid, DELTA) == 512
+    assert AveragingAccumulator([grid], [0.5], DELTA).m == 512
+
+
+def test_averaging_accumulator_takes_the_largest_grid_of_its_rows():
+    grids = [Grid.for_carrier(eps, 576, periods=36) for eps in (0.2, 0.05)]
+    assert [averaging_points(g, DELTA) for g in grids] == [512, 256]
+    assert AveragingAccumulator(grids, [0.5, 0.5], DELTA).m == 512
 
 
 def test_attractivity_batch_rows_match_their_cells_alone(tmp_path):

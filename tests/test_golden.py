@@ -15,22 +15,22 @@ from shmod import (Grid, ModelParams, NoiseConfig, StudyConfig, __version__,
                    run_study, simulate_paired)
 from shmod.studies import load_records
 
-GOLDEN_VERSION = "0.10.0"
+GOLDEN_VERSION = "0.11.0"
 
 TINY = dict(eps_list=(0.2,), nu_list=(0.5,), n_seeds=1, n_points=512,
             periods=32, dt=1e-3, t_end=0.05)
 
-PAIRED = {"res_p0": "0x1.6a7a35139e313p-8",
-          "res_p2": "0x1.6c7b77c9ce0c3p-11",
-          "sup_diff": "0x1.853308b952a80p-8"}
+PAIRED = {"res_p0": "0x1.6a7a35139e314p-8",
+          "res_p2": "0x1.6c7b77c9ce0c4p-11",
+          "sup_diff": "0x1.853308b952a8ap-8"}
 
 
 @pytest.mark.parametrize("study, extra, diagnostics", [
     ("theorem2", {}, PAIRED),
     ("gl-limit", {}, dict(PAIRED, sup_diff_gl="0x1.4714764332a7ap-9")),
     ("averaging", {"intensity": 0.0},
-     {"res_p0": "0x1.c318d1d523c32p-8", "res_p2": "0x1.ba44dd5fcda0fp-13",
-      "sup_diff": "0x1.8bb483ca36a00p-8"}),
+     {"res_p0": "0x1.c318d1d523c33p-8", "res_p2": "0x1.ba44dd5fcda0bp-13",
+      "sup_diff": "0x1.8bb483ca369fdp-8"}),
     ("attractivity", {},
      {"offband_ratio": "0x1.46705311ad529p+1",
       "offband_sup": "0x1.0526a8daf10eep-1"}),
@@ -70,9 +70,9 @@ def test_quintic_paired_batch_matches_golden_record():
     assert result.status == ["completed"] * 2
     assert {name: [x.hex() for x in getattr(result, name)]
             for name in ("sup_diff", "res_p0", "res_p2", "sup_diff_gl")} == {
-        "sup_diff": ["0x1.3eb5bc308a500p-10", "0x1.f5cb54aa93000p-9"],
-        "res_p0": ["0x1.2efc9b0b85268p-10", "0x1.743ba2144d896p-9"],
-        "res_p2": ["0x1.9744dacb1e719p-12", "0x1.e96047c830f2cp-12"],
+        "sup_diff": ["0x1.3eb5bc308a506p-10", "0x1.f5cb54aa92fb9p-9"],
+        "res_p0": ["0x1.2efc9b0b85265p-10", "0x1.743ba2144d896p-9"],
+        "res_p2": ["0x1.9744dacb1e718p-12", "0x1.e96047c830f2ap-12"],
         "sup_diff_gl": ["0x1.590deaa9f9197p-11", "0x1.17cacae7e690ap-11"]}
 
 

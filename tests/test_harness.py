@@ -37,7 +37,7 @@ from shmod import (
 )
 from shmod import cli, studies
 from shmod.sh import SHStepper, block_steps
-from shmod.studies import (MAX_BATCH, SETTINGS, STUDIES, STUDY_NAMES,
+from shmod.studies import (SETTINGS, STUDIES, STUDY_NAMES,
                            _run_batch, append_record, load_records,
                            record_key, study_batches, study_cells, summarize)
 
@@ -528,8 +528,8 @@ def _columns(out_dir):
 
 #: a config of each study that makes more than one batch
 BATCHES = {"theorem2": dict(TINY, n_seeds=6), "attractivity": MIXED,
-           "averaging": dict(TINY, n_seeds=5),
-           "gl-limit": dict(TINY, n_seeds=5),
+           "averaging": dict(TINY, n_seeds=6),
+           "gl-limit": dict(TINY, n_seeds=6),
            "landau-sweep": dict(SMALL["landau-sweep"], nu_list=(0.0, 0.5)),
            "quintic-suite": SMALL["quintic-suite"]}
 
@@ -568,14 +568,20 @@ def test_study_is_deterministic_across_thread_counts(tmp_path, study):
 #: paired cells of three eps, two seeds each: batches of 3 that span eps
 PAIRED_MIXED = dict(TINY, eps_list=(0.2, 0.14, 0.1))
 
+#: paired cells of two eps whose integrands need averaging grids of 512 and
+#: 256 points
+TWO_GRIDS = dict(TINY, eps_list=(0.2, 0.07), n_points=576, periods=36)
+
 
 @pytest.mark.parametrize("study, settings", [
     ("theorem2", dict(TINY, n_seeds=3)), ("theorem2", PAIRED_MIXED),
+    ("theorem2", TWO_GRIDS),
     ("gl-limit", TINY), ("gl-limit", PAIRED_MIXED),
     ("averaging", dict(TINY, intensity=0.0)),
     ("averaging", dict(PAIRED_MIXED, intensity=0.0)),
     ("attractivity", MIXED)],
-    ids=["theorem2", "theorem2-mixed-eps", "gl-limit", "gl-limit-mixed-eps",
+    ids=["theorem2", "theorem2-mixed-eps", "theorem2-two-averaging-grids",
+         "gl-limit", "gl-limit-mixed-eps",
          "averaging", "averaging-mixed-eps", "attractivity-blowups"])
 def test_batched_records_are_those_of_each_cell_alone(tmp_path, study,
                                                       settings):
@@ -604,26 +610,34 @@ def test_a_batch_shares_its_wall_time_between_its_cells(tmp_path):
 def test_study_batches_group_cells_by_stepper_shape(tmp_path):
     # an SH-only study batches any cells, a paired study the cells of one
     # nu, whatever their eps, a Landau study none; in the order of the
-    # cells, each group in the fewest batches of at most MAX_BATCH, of
-    # sizes as equal as possible
+    # cells, each group in the fewest batches of at most the study's
+    # max_batch, of sizes as equal as possible; paired cells of one nu
+    # split by their averaging grid
     def sizes(study, **settings):
         cfg = StudyConfig.for_study(study, out_dir=str(tmp_path), **settings)
         cells = study_cells(cfg)
         batches = study_batches(cfg, cells)
         assert [cell for batch in batches for cell in batch] == cells
-        assert all(0 < len(batch) <= MAX_BATCH for batch in batches)
+        assert all(0 < len(batch) <= STUDIES[study].max_batch
+                   for batch in batches)
         if study in ("theorem2", "gl-limit"):
             assert all(len({p["nu"] for p, _ in batch}) == 1
                        for batch in batches)
         return [len(batch) for batch in batches]
 
-    assert MAX_BATCH == 4
     assert sizes("attractivity", n_seeds=8) == [4] * 10
     assert sizes("attractivity", n_seeds=2) == [4, 3, 3]
     # 15 cells of each nu, over three eps
     assert sizes("theorem2", n_seeds=5, nu_list=(0.5, 0.6),
-                 eps_list=(0.2, 0.1, 0.05)) == [4, 4, 4, 3] * 2
-    assert sizes("gl-limit", n_seeds=1) == [3, 2]
+                 eps_list=(0.2, 0.1, 0.05)) == [5, 5, 5] * 2
+    # 16 cells of each nu, over four eps
+    assert sizes("theorem2", n_seeds=4, nu_list=(0.5, 0.6),
+                 eps_list=(0.2, 0.14, 0.1, 0.05)) == [4, 4, 4, 4] * 2
+    assert sizes("gl-limit", n_seeds=1) == [5]
+    assert sizes("gl-limit", n_seeds=2) == [5, 5]
+    # on 36 carrier periods of 16 points the integrands of eps 0.2 .. 0.1
+    # need 512 points, those of 0.07 and 0.05 need 256
+    assert sizes("theorem2", n_seeds=1, n_points=576, periods=36) == [3, 2]
     assert sizes("landau-sweep") == [1] * 5
 
 

@@ -30,7 +30,7 @@ from shmod.reduced import GLStepper, ReducedStepper
 from shmod.sh import BLOCK, SHStepper, block_steps, noise_draw
 from shmod.studies import STUDIES, StudyConfig
 
-from conftest import PairedReference, band_step_reference
+from conftest import FullGridReference, PairedReference, band_step_reference
 
 DELTA = 0.125
 
@@ -418,8 +418,9 @@ def test_paired_run_is_deterministic_and_close():
     assert r1.sup_diff[0] < 0.1
 
 
-def _paired_inputs(n_steps: int, threshold: float = 1e4):
-    grid = Grid.for_carrier(0.2, 512, periods=32)
+def _paired_inputs(n_steps: int, threshold: float = 1e4, eps: float = 0.2,
+                   periods: int = 32):
+    grid = Grid.for_carrier(eps, 512, periods=periods)
     cfg = NoiseConfig(seed=0, intensity=0.1)
     v0 = modulated_carrier_ic(grid, cfg.substream(1).make_rng(), amplitude=0.3)
     p = ModelParams(nu=0.5, dt=1e-3, t_end=n_steps * 1e-3,
@@ -427,15 +428,15 @@ def _paired_inputs(n_steps: int, threshold: float = 1e4):
     return v0, p, cfg
 
 
-def _paired_reference(v0, p, cfg):
+def _paired_reference(v0, p, cfg, reference=PairedReference):
     """The status, steps and hex diagnostics of ``simulate_paired`` of a
-    batch of one, by ``PairedReference`` one step at a time."""
+    batch of one, by ``reference`` one step at a time."""
     grid = v0.grid
     sh = SHStepper([grid], [p], cfg.intensity)
     red = ReducedStepper([grid], [p], cfg.intensity, DELTA)
     vspec = v0.spectrum()[None]
     specs = [vspec, red.q1 * vspec[:, red.band]]
-    ref = PairedReference(red, grid, p.nu, DELTA, p.dt)
+    ref = reference(red, grid, p.nu, DELTA, p.dt)
     ref(0, specs)
     n_steps = round(p.t_end / p.dt)
     (status,), (steps,), _ = integrate(
@@ -466,6 +467,27 @@ def test_paired_run_matches_the_per_step_reference(n_steps):
     status, steps, ref = _paired_reference(v0, p, cfg)
     assert (status, steps) == ("completed", n_steps)
     assert _paired_hex(v0, p, cfg) == (status, ref)
+
+
+@pytest.mark.parametrize("eps, periods", [(0.2, 32), (0.05, 32), (0.2, 64)],
+                         ids=["eps=0.2", "eps=0.05", "m=n"])
+def test_paired_run_matches_the_full_grid_arithmetic(eps, periods):
+    # the integrands sampled on the averaging grid and interpolated, and the
+    # gap from its spectrum, give the diagnostics of the n-point arithmetic
+    # to rounding; on 8 points a carrier period the averaging grid is the
+    # full one, and the residuals keep their bits
+    v0, p, cfg = _paired_inputs(2 * BLOCK + 3, eps=eps, periods=periods)
+    m = AveragingAccumulator([v0.grid], [p.nu], DELTA).m
+    assert (m == v0.grid.n_points) == (periods == 64)
+    status, steps, full = _paired_reference(v0, p, cfg, FullGridReference)
+    assert (status, steps) == ("completed", 2 * BLOCK + 3)
+    got_status, got = _paired_hex(v0, p, cfg)
+    assert got_status == status
+    got, full = ([float.fromhex(x) for x in row] for row in (got, full))
+    assert got == pytest.approx(full, rel=1e-12)
+    assert got[0] > 0
+    if m == v0.grid.n_points:
+        assert got[1:] == full[1:]
 
 
 def test_paired_run_blown_up_mid_block_records_the_steps_before_it():
