@@ -11,7 +11,7 @@ from .noise import (NoiseConfig, ou_increment_variance, spectral_variance_rate,
 from .sh import ModelParams, integrate, modulated_carrier_ic, simulate
 from .reduced import (GLCoefficients, gl_coefficients, simulate_gl,
                       simulate_paired)
-from .analysis import (LandauFit, ScalingStudy, estimate_landau_coefficient,
+from .analysis import (LandauFit, estimate_landau_coefficient,
                        fit_scaling_exponent)
 from .studies import (ConfigError, ReplayError, StudyConfig, StudyRecord,
                       emit_plotdata, parse_config_file, replay, run_study)

@@ -1,27 +1,17 @@
-"""Diagnostics: averaging-identity residuals, scaling-exponent fits, and
-effective amplitude-coefficient estimation.
+"""Diagnostics: the paired runs' gaps and averaging-identity residuals,
+scaling-exponent fits, and effective amplitude-coefficient estimation.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bands import DEFAULT_DELTA, band_symbols
+from .bands import DEFAULT_DELTA, amplitude_spectrum, band_symbols
 from .grid import DEFAULT_POINTS_PER_PERIOD, Grid, RealField
 from .sh import (CUBIC, QUINTIC, ModelParams, SHStepper, block_steps,
-                 integrate, shared, step_count)
-
-
-#: bytes that a paired run's block holds at most, summed over its rows and
-#: steps: the accumulator's work arrays at its ``m`` points, the observer's
-#: n-point gap row and a row of noise.  At n = 2048 (m = 1024) a row-step
-#: holds 86 kB, so a block holds 24 row-steps (4 steps of a batch of 5),
-#: where ``BLOCK_ROWS`` would allow 36; it binds on no smaller grid.  The
-#: peak resident set of a default theorem2 solve in batches of up to 3
-#: cells rose 4% over batches of one at 24 row-steps, 8% at 36; in one
-#: batch of 5, blocks of 7 steps peaked 1.8 MB above blocks of 4
-BLOCK_BYTES = 2 << 20
+                 integrate, run_on_worker, shared, step_count)
 
 
 def _band_top(q: np.ndarray) -> int:
@@ -33,59 +23,85 @@ def averaging_points(grid: Grid, delta: float = DEFAULT_DELTA) -> int:
     """m of the smallest grid that holds the averaging integrands of
     (grid, delta) exactly: the smallest power of two above twice their top
     mode t1 + top - 2, with t1 and top the tops of the P1 and the P2
-    support, and at most n (see ``AveragingAccumulator``)."""
+    support, and at most n (see ``PairedDiagnostics``)."""
     sym = band_symbols(grid, delta)
     top_mode = _band_top(sym.q1) + _band_top(sym.q2) - 2
     return min(grid.n_points, 1 << (2 * top_mode).bit_length())
 
 
-class AveragingAccumulator:
-    """Running trapezoid rule, over time, of the averaging integrands
+class PairedDiagnostics:
+    """The diagnostics of a batch of paired runs over every step, by rows:
+    sup_T ||P1 v - w||_inf, the averaging integrals of v and, with
+    ``with_gl``, sup_T ||demod(w) - A||_inf, computed in blocks of ``size``
+    steps on the worker thread.
+
+    A call, on the stepping thread, copies the step's v^ below ``top``,
+    band slice E of w and, with ``with_gl``, GL spectrum A^ of every row
+    into one side of a pair of block buffers.  A full block goes to the
+    worker as one job, ``_block``, while the stepping thread fills the
+    other side; the job before it is waited for first, so at most one
+    block is in flight.  ``finish`` hands over the last, partial block and
+    waits; ``wait`` re-raises the error of a failed job.
+
+    The averaging integrals are the running trapezoid rule, over time, of
 
         v1 * P_k v / eps + nu * v1 * eps^-2 L_eps^-1 P_k v1^2,  k = 0, 2,
 
-    for a batch of rows, one ``(grid, nu)`` pair each on grids of one size,
-    fed blocks of half-spectra of v, in O(n) memory per row of a block.
-
-    The integrands are sampled on the ``m`` points of the smallest grid
-    that holds them exactly (``averaging_points``).  v1 has modes below t1,
-    the top of a row's P1 support, and both bands' multipliers are zero
-    from ``top``, the top of its P2 support, on; so v1^2 sits below
-    2 t1 - 1 and the integrands below t1 + top - 1.  With m the smallest
-    power of two above 2 (t1 + top - 2), at most n, the m-point samples of
-    v1^2 alias no mode below top and those of the integrands none at all,
-    so the m-point sums are the n-point ones at the m-point grid's
-    points.  The factor m/n of the two grid normalisations, a power of two,
-    is folded into ``q1`` and ``qk_eps``, and ``results`` interpolates the
-    totals to the n grid.
-
-    Per block: one inverse FFT for v1, one forward FFT of v1^2 shared by
-    P0 and P2, and one inverse FFT of q_k/eps v + nu inv_k (v1^2)^ for both
-    bands, each one batched m-point call into work arrays kept from block
-    to block.
-
-    A block's trapezoid pieces 0.5 (t_j - t_{j-1}) (f_{j-1} + f_j) are
-    built in place in the integrand rows, and ``total`` gets them from one
+    for rows of one ``(grid, nu)`` pair each on grids of one size, sampled
+    on the ``m`` points of the smallest grid that holds them exactly
+    (``averaging_points``).  v1 has modes below t1, the top of a row's P1
+    support, and both bands' multipliers are zero from ``top``, the top of
+    its P2 support, on; so v1^2 sits below 2 t1 - 1 and the integrands
+    below t1 + top - 1.  With m the smallest power of two above
+    2 (t1 + top - 2), at most n, the m-point samples of v1^2 alias no mode
+    below top and those of the integrands none at all, so the m-point sums
+    are the n-point ones at the m-point grid's points.  The factor m/n of
+    the two grid normalisations, a power of two, is folded into ``q1`` and
+    ``qk_eps``, and ``results`` interpolates the totals to the n grid.  A
+    block's trapezoid pieces 0.5 (t_j - t_{j-1}) (f_{j-1} + f_j) are built
+    in place in the integrand rows, and ``total`` gets them from one
     ``np.add.reduce`` along axis 0 of a stack whose first row is
     ``total``.  Along axis 0 numpy adds the rows in order, as
     ``((total + p_1) + p_2) + ...``, so the sums have the bits of one
-    sample per call, whatever the block sizes.  The calls are few and
-    large, so a job on the worker thread holds the GIL briefly.
+    sample per block, whatever the block sizes.
+
+    P1 v - w is the irfft of q1 v^ - E on the band slice, scattered into
+    the half-spectrum up to the band's top (q1 is zero off the slice, and
+    irfft zero-pads the rest with the same bits), and demod(w) - A is
+    ifft(amplitude_spectrum(E)) - ifft(A^).  On step 0, w0 = P1 v0 and
+    A0 = demod(w0) are these same products, so both gaps are 0 and leave
+    the running max as it is.
+
+    Each transform is one batched call over the block, and the other calls
+    are few and large, so the job holds the GIL briefly; the rows of a
+    batched transform, and the ``abs`` and ``max`` of its values, have the
+    bits of one step at a time.  A block holds the most steps, at most
+    ``block_steps`` of the batch, for which ``block_bytes`` stays within
+    ``BLOCK_BYTES``.
     """
 
-    def __init__(self, grids, nus, delta: float = DEFAULT_DELTA):
+    #: bytes of a paired run's block at most: every array of this object
+    #: and the run's two live noise blocks.  A default theorem2 batch of 5
+    #: holds 2.76 MB in blocks of 4 steps and would hold 3.36 MB in blocks
+    #: of 5; in that batch, blocks of 7 steps peaked 1.8 MB above blocks
+    #: of 4
+    BLOCK_BYTES = 3 << 20
+
+    def __init__(self, grids, nus, band: slice, dt: float,
+                 delta: float = DEFAULT_DELTA, with_gl: bool = False):
         syms = [band_symbols(g, delta) for g in grids]
         n = self.n = shared([g.n_points for g in grids], "grid size")
         self.rows = rows = len(grids)
+        self.band, self.dt = band, dt
         # q0, q1 and q2 are zero from ``top`` on, past every row's P2
         # support, and irfft zero-pads a shorter input with the bits of the
         # full one, so only the modes below it are multiplied and
-        # transformed.  The real multipliers are stored as complex numbers
-        # with imaginary part +0, the cast numpy makes on each product with
-        # a spectrum
+        # transformed.  The real multipliers of the averaging integrands
+        # are stored as complex numbers with imaginary part +0, the cast
+        # numpy makes on each product with a spectrum
         self.top = top = max(_band_top(sym.q2) for sym in syms)
         # the largest m of the rows holds all of them exactly; rows of one
-        # m have the bits of their own accumulators'
+        # m have the bits of their own diagnostics'
         self.m = m = max(averaging_points(g, delta) for g in grids)
         scale = m / n
         self.q1 = (scale * np.array([sym.q1[:top] for sym in syms])
@@ -95,33 +111,85 @@ class AveragingAccumulator:
                                 for sym, g in zip(syms, grids)], np.complex128)
         self.nu_inv = np.array([[nu * sym.inv0[:top], nu * sym.inv2[:top]]
                                 for sym, nu in zip(syms, nus)], np.complex128)
+        self.q1_band = np.array([sym.q1[band] for sym in syms])
         self.count = 0
         self.total = np.zeros((rows, 2, m))
-        # work arrays for blocks of up to ``size`` steps.  A row-step holds
-        # v1, the spectrum of v1^2, the two integrands and two pairs of
-        # spectra below top, and the observer's gap row and a noise row
-        # besides.  Step 1 of the stack carries the last sample's
-        # integrands to the next block, steps 2 .. k + 1 take the block's
-        # integrands and steps 1 .. k their trapezoid pieces; step 0 takes
-        # a copy of total before the reduction
-        h = m // 2 + 1
-        row_bytes = (8 * 3 * m + 16 * (h + 4 * top)
-                     + 8 * n + 16 * (n // 2 + 1))
-        self.size = size = max(1, min(block_steps(rows),
-                                      BLOCK_BYTES // (rows * row_bytes)))
-        self._v1 = np.empty((size, rows, m))
-        self._sq = np.empty((size, rows, 2, top), np.complex128)
-        self._rhs = np.empty_like(self._sq)
-        self._v1sq = np.empty((size, rows, h), np.complex128)
-        self._stack = np.zeros((size + 2, rows, 2, m))
+        self.sup_diff = np.zeros(rows)
+        self.sup_diff_gl = np.zeros(rows) if with_gl else None
+        self.size = max((k for k in range(1, block_steps(rows) + 1)
+                         if self.block_bytes(k) <= self.BLOCK_BYTES),
+                        default=1)
+        for name, (shape, dtype) in self._blocks(self.size).items():
+            setattr(self, name, np.zeros(shape, dtype))
+        self.side, self.filled, self.pending = 0, 0, None
 
-    def add(self, times: np.ndarray, vspecs: np.ndarray) -> None:
-        """Add the samples of v with half-spectra ``vspecs[j, r]`` of each
-        row r at ``times[j]``, at most ``size`` of them,
-        increasing and later than the last one; the modes from ``top`` on
-        are not read and may be left out."""
-        k, m = len(times), self.m
-        vspecs = vspecs[..., : self.top]
+    def _blocks(self, size: int) -> dict:
+        """The shape and dtype of each block array, by attribute name, for
+        blocks of ``size`` steps."""
+        rows, n, m, top, c = self.rows, self.n, self.m, self.top, np.complex128
+        blocks = {
+            # the two sides the stepping thread and the job take in turn
+            "_times": ((2, size), float),
+            "_vspecs": ((2, size, rows, top), c),
+            "_bands": ((2, size, rows, self.band.stop - self.band.start), c),
+            # v1, the spectrum of v1^2 and two pairs of spectra below top.
+            # Step 1 of the stack carries the last sample's integrands to
+            # the next block, steps 2 .. k + 1 take the block's integrands
+            # and steps 1 .. k their trapezoid pieces; step 0 takes a copy
+            # of total before the reduction
+            "_v1": ((size, rows, m), float),
+            "_v1sq": ((size, rows, m // 2 + 1), c),
+            "_sq": ((size, rows, 2, top), c),
+            "_rhs": ((size, rows, 2, top), c),
+            "_stack": ((size + 2, rows, 2, m), float),
+            # the gap spectra, zero below the band, and the gaps' values
+            "_gapspec": ((size, rows, self.band.stop), c),
+            "_gap": ((size, rows, n), float)}
+        if self.sup_diff_gl is not None:
+            blocks |= {"_gls": ((2, size, rows, n), c),
+                       "_amp": ((size, rows, n), c)}
+        return blocks
+
+    def block_bytes(self, size: int) -> int:
+        """The bytes of every array this object holds with blocks of
+        ``size`` steps, and of the run's two live noise blocks of as many
+        steps (``sh.noise_draw``)."""
+        blocks = self._blocks(size)
+        held = sum(a.nbytes for name, a in vars(self).items()
+                   if isinstance(a, np.ndarray) and name not in blocks)
+        noise = 2 * size * self.rows * (self.n // 2 + 1) * 16
+        return (held + noise + sum(math.prod(shape) * np.dtype(dtype).itemsize
+                                   for shape, dtype in blocks.values()))
+
+    def __call__(self, i, specs):
+        side, row = self.side, self.filled
+        self._times[side, row] = i * self.dt
+        self._vspecs[side, row] = specs[0][:, : self.top]
+        self._bands[side, row] = specs[1]
+        if self.sup_diff_gl is not None:
+            self._gls[side, row] = specs[2]
+        self.filled += 1
+        if self.filled == self.size:
+            self._hand_over()
+
+    def _hand_over(self):
+        self.wait()
+        self.pending = run_on_worker(self._block, self.side, self.filled)
+        self.side, self.filled = 1 - self.side, 0
+
+    def wait(self):
+        pending, self.pending = self.pending, None
+        if pending is not None:
+            pending.result()
+
+    def finish(self):
+        if self.filled:
+            self._hand_over()
+        self.wait()
+
+    def _block(self, side: int, k: int):
+        times, vspecs = self._times[side, :k], self._vspecs[side, :k]
+        bands, m = self._bands[side, :k], self.m
         v1, sq, rhs = self._v1[:k], self._sq[:k], self._rhs[:k]
         v1sq = self._v1sq[:k]
         f = self._stack[1:k + 2]
@@ -150,9 +218,29 @@ class AveragingAccumulator:
         self._t = times[-1]
         self.count += k
 
-    def results(self) -> list:
-        """The sup norms over the n grid of the P0 and the P2 integral of
-        each row.  On m < n points the totals are interpolated there: their
+        diff, gap = self._gapspec[:k, :, self.band], self._gap[:k]
+        np.multiply(self.q1_band, vspecs[..., self.band], out=diff)
+        np.subtract(diff, bands, out=diff)
+        np.fft.irfft(self._gapspec[:k], n=self.n, out=gap)
+        np.abs(gap, out=gap)
+        np.maximum(self.sup_diff, gap.max(axis=(0, 2)), out=self.sup_diff)
+        if self.sup_diff_gl is not None:
+            # the spectra of A are zero off the band's modes, as
+            # amplitude_spectrum leaves a fresh array
+            amp, gl = self._amp[:k], self._gls[side, :k]
+            amp.fill(0.0)
+            np.fft.ifft(amplitude_spectrum(bands, amp), out=amp)
+            np.fft.ifft(gl, out=gl)
+            np.subtract(amp, gl, out=amp)
+            np.abs(amp, out=gap)
+            np.maximum(self.sup_diff_gl, gap.max(axis=(0, 2)),
+                       out=self.sup_diff_gl)
+
+    def results(self) -> dict:
+        """The diagnostics of each row by name, as lists: ``sup_diff``,
+        ``res_p0`` and ``res_p2``, the sup norms over the n grid of the P0
+        and the P2 integral, and ``sup_diff_gl``, None without ``with_gl``.
+        On m < n points the totals are interpolated to the n grid: their
         modes lie below m/2, whose mode holds only rounding and is
         dropped."""
         total = self.total
@@ -160,17 +248,13 @@ class AveragingAccumulator:
             spec = np.fft.rfft(total)
             spec[..., -1] = 0.0
             total = np.fft.irfft(spec * (self.n / self.m), n=self.n)
-        return [tuple(float(np.max(np.abs(band))) for band in row)
-                for row in total]
+        res = np.max(np.abs(total), axis=2)
+        gl = self.sup_diff_gl
+        return {"sup_diff": self.sup_diff.tolist(),
+                "res_p0": res[:, 0].tolist(), "res_p2": res[:, 1].tolist(),
+                "sup_diff_gl": None if gl is None else gl.tolist()}
 
-
-@dataclass(frozen=True)
-class ScalingStudy:
-    slope: float
-    intercept: float
-
-
-def fit_scaling_exponent(pairs) -> ScalingStudy:
+def fit_scaling_exponent(pairs) -> float:
     """Least-squares slope of log(diagnostic) against log(eps)."""
     pairs = [(float(e), float(y)) for e, y in pairs]
     if len(pairs) < 3:
@@ -179,8 +263,7 @@ def fit_scaling_exponent(pairs) -> ScalingStudy:
         raise ValueError("eps and diagnostics must be positive")
     le = np.log([e for e, _ in pairs])
     ly = np.log([y for _, y in pairs])
-    slope, intercept = np.polyfit(le, ly, 1)
-    return ScalingStudy(slope=float(slope), intercept=float(intercept))
+    return float(np.polyfit(le, ly, 1)[0])
 
 
 # -- effective amplitude-coefficient estimation ------------------------------

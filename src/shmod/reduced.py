@@ -18,14 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import AveragingAccumulator
+from .analysis import PairedDiagnostics
 from .bands import DEFAULT_DELTA, amplitude_spectrum, band_symbols
 from .grid import ComplexField
 from .noise import NoiseConfig, SpectralNoise
 from .operators import _horner, dealiased_powers_complex
 from .sh import (ModelParams, RunResult, SHStepper, etd_multipliers,
-                 integrate, noise_draw, per_row, run_on_worker, shared,
-                 step_count)
+                 integrate, noise_draw, per_row, shared, step_count)
 
 GL_DIFFUSION = 4.0
 
@@ -277,88 +276,6 @@ class _BandGLStepper(GLStepper):
         return super().step_spec(aspec, raw)
 
 
-class _RunningMax:
-    """Observer keeping each row's largest ``gap(specs)`` over the steps."""
-
-    def __init__(self, rows: int, gap):
-        self.gap = gap
-        self.value = np.zeros(rows)
-
-    def __call__(self, i, specs):
-        np.maximum(self.value, self.gap(specs), out=self.value)
-
-
-class _BandObserver:
-    """sup_T ||P1 v - w||_inf and the averaging integrals of v over every
-    step, by rows, computed in blocks of the accumulator's ``size`` steps
-    on the worker thread.
-
-    A call copies the step's v^ below the accumulator's ``top`` and band
-    slice E of every row into one side of a pair of block buffers.  A full
-    block goes to the worker as one job while the stepping thread fills
-    the other side; the job before it is waited for first, so at most one
-    block is in flight.  The job feeds the block to
-    ``AveragingAccumulator.add`` and takes P1 v - w = irfft of
-    q1 v^ - E on the band slice, scattered into the half-spectrum up to the
-    band's top (q1 is zero off the slice, and irfft zero-pads the rest
-    with the same bits), from one batched n-point transform into an array
-    this observer owns.  ``finish`` hands over the last, partial block and
-    waits; ``wait`` re-raises the error of a failed job.  On step 0,
-    w0 = P1 v0 is this same product by q1, so its gap is 0 and leaves the
-    running max as it is.
-    """
-
-    def __init__(self, averaging: AveragingAccumulator, red: ReducedStepper,
-                 dt: float):
-        n, rows, band = averaging.n, averaging.rows, red.band
-        self.size = size = averaging.size
-        self.averaging, self.band, self.q1, self.dt = (averaging, band,
-                                                       red.q1, dt)
-        self.times = np.empty((2, size))
-        self.vspecs = np.empty((2, size, rows, averaging.top),
-                               dtype=np.complex128)
-        self.bands = np.empty((2, size, rows, band.stop - band.start),
-                              dtype=np.complex128)
-        self.gapspec = np.zeros((size, rows, band.stop), dtype=np.complex128)
-        self.gap = np.empty((size, rows, n))
-        self.sup_diff = np.zeros(rows)
-        self.side, self.filled, self.pending = 0, 0, None
-
-    def __call__(self, i, specs):
-        side, row = self.side, self.filled
-        self.times[side, row] = i * self.dt
-        self.vspecs[side, row] = specs[0][:, : self.averaging.top]
-        self.bands[side, row] = specs[1]
-        self.filled += 1
-        if self.filled == self.size:
-            self._hand_over()
-
-    def _hand_over(self):
-        self.wait()
-        self.pending = run_on_worker(self._block, self.side, self.filled)
-        self.side, self.filled = 1 - self.side, 0
-
-    def wait(self):
-        pending, self.pending = self.pending, None
-        if pending is not None:
-            pending.result()
-
-    def finish(self):
-        if self.filled:
-            self._hand_over()
-        self.wait()
-
-    def _block(self, side: int, k: int):
-        vspecs = self.vspecs[side, :k]
-        self.averaging.add(self.times[side, :k], vspecs)
-        diff, gap = self.gapspec[:k, :, self.band], self.gap[:k]
-        np.multiply(self.q1, vspecs[..., self.band], out=diff)
-        np.subtract(diff, self.bands[side, :k], out=diff)
-        np.fft.irfft(self.gapspec[:k], n=self.averaging.n, out=gap)
-        np.abs(gap, out=gap)
-        np.maximum(self.sup_diff, gap.max(axis=(0, 2)), out=self.sup_diff)
-
-
 def simulate_paired(v0s, params, cfgs, delta: float = DEFAULT_DELTA,
                     with_gl: bool = False) -> list:
     """Drive the full equation and the band equation of a batch of rows,
@@ -368,14 +285,13 @@ def simulate_paired(v0s, params, cfgs, delta: float = DEFAULT_DELTA,
     ``cfgs[r]``; the rows share their time stepping, noise intensity,
     quintic term or its absence, grid size and carrier index, and may
     differ in eps and polynomial (``ReducedStepper``'s slice depends on
-    neither).  The noise and the diagnostics go in blocks of the
-    accumulator's ``size`` steps, which ``analysis.BLOCK_BYTES`` caps.
-    w starts from P1 v0.  If ``with_gl`` is set, a Ginzburg-Landau
-    amplitude on the same grid is driven by the demodulated P1 noise band
-    (same white realization, each mode with its own exact OU variance) and
-    compared against the demodulated w.  The averaging residuals of v (see
-    ``analysis.AveragingAccumulator``, with the polynomial's nu)
-    are integrated over every step as the run goes; no field is stored.
+    neither).  w starts from P1 v0.  If ``with_gl`` is set, a
+    Ginzburg-Landau amplitude on the same grid is driven by the demodulated
+    P1 noise band (same white realization, each mode with its own exact OU
+    variance) and compared against the demodulated w.  Every diagnostic,
+    the averaging residuals of v with the polynomial's nu among them, is
+    taken over every step as the run goes by ``analysis.PairedDiagnostics``,
+    in blocks of its ``size`` steps, as is the noise; no field is stored.
     A row that blows up has status "blowup_stopped": alone, its
     diagnostics cover the steps before the blow-up; in a batch they also
     take in the rest the row is held at after it (see ``integrate``).
@@ -390,32 +306,22 @@ def simulate_paired(v0s, params, cfgs, delta: float = DEFAULT_DELTA,
     vspec = np.array([v0.spectrum() for v0 in v0s])
     wband = red.q1 * vspec[:, red.band]
     steppers, specs = [sh, red], [vspec, wband]
-    averaging = AveragingAccumulator(
-        grids, [q.polynomial[2] for q in params], delta)
-    band = _BandObserver(averaging, red, p.dt)
-    band(0, specs)
-    observers = [band]
     if with_gl:
         steppers.append(_BandGLStepper(
             [gl_coefficients(q) for q in params], p.dt, intensity, red))
-        amp = np.zeros((len(grids), red.n), dtype=np.complex128)
-        specs.append(amplitude_spectrum(wband, amp.copy()))
-        sup_diff_gl = _RunningMax(len(grids), lambda specs: np.max(np.abs(
-            np.fft.ifft(amplitude_spectrum(specs[1], amp))
-            - np.fft.ifft(specs[2])), axis=1))
-        observers.append(sup_diff_gl)
+        specs.append(amplitude_spectrum(
+            wband, np.zeros((len(grids), red.n), dtype=np.complex128)))
+    diagnostics = PairedDiagnostics(grids, [q.polynomial[2] for q in params],
+                                    red.band, p.dt, delta, with_gl)
+    diagnostics(0, specs)
     n_steps = step_count(p.t_end, p.dt)
     try:
         status, _, _ = integrate(steppers, specs, n_steps,
                                  p.blowup_threshold,
                                  noise_draw(sh.noise, cfgs, n_steps,
-                                            size=band.size),
-                                 observers)
-        band.finish()
+                                            size=diagnostics.size),
+                                 [diagnostics])
+        diagnostics.finish()
     finally:
-        band.wait()
-    res_p0, res_p2 = zip(*averaging.results())
-    return PairedResult(sup_diff=band.sup_diff.tolist(), res_p0=list(res_p0),
-                        res_p2=list(res_p2), status=status,
-                        sup_diff_gl=(sup_diff_gl.value.tolist() if with_gl
-                                     else None))
+        diagnostics.wait()
+    return PairedResult(status=status, **diagnostics.results())

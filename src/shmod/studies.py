@@ -397,7 +397,7 @@ def _slope_entry(medians: dict) -> dict:
     ``None`` with fewer than 3 positive medians."""
     pairs = [(e, m) for e, m in medians.items() if m > 0]
     return {"medians": {f"{e:.10g}": m for e, m in medians.items()},
-            "slope": (fit_scaling_exponent(pairs).slope if len(pairs) >= 3
+            "slope": (fit_scaling_exponent(pairs) if len(pairs) >= 3
                       else None)}
 
 

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from shmod import Grid, ModelParams, NoiseConfig, RealField, integrate
-from shmod.bands import band_symbols
+from shmod.analysis import PairedDiagnostics
+from shmod.bands import amplitude_spectrum, band_symbols
 from shmod.operators import _horner
+from shmod.reduced import ReducedStepper
 from shmod.sh import SHStepper, noise_draw
 
 
@@ -49,8 +51,9 @@ class FullGridReference:
     ``simulate_paired`` by the n-point arithmetic of shmod 0.10.0, one step
     at a time on the calling thread, with no batched transform: on step i,
     with v1 = irfft(q1 v^) and w the band stepper's ``values``, sup_diff is
-    the running max of |v1 - w| over the steps i >= 1, and the averaging
-    integrands
+    the running max of |v1 - w| over the steps i >= 1, sup_diff_gl, if a
+    GL spectrum A^ follows, that of |ifft(amplitude_spectrum(E)) - ifft(A^)|
+    with E the band slice of w, and the averaging integrands
 
         f = v1 * irfft(q_k/eps v^ + nu inv_k rfft(v1^2)),  k = 0, 2,
 
@@ -63,7 +66,8 @@ class FullGridReference:
         self.q1 = sym.q1
         self.qk_eps = np.array([sym.q0 / eps, sym.q2 / eps])
         self.nu_inv = np.array([nu * sym.inv0, nu * sym.inv2])
-        self.sup_diff = 0.0
+        self.sup_diff = self.sup_diff_gl = 0.0
+        self.gl = False
         self.total = np.zeros((2, self.n))
         self.last = None
 
@@ -76,6 +80,12 @@ class FullGridReference:
         v1 = np.fft.irfft(self.q1 * vspec, n=self.n)
         if i:
             self.sup_diff = max(self.sup_diff, self.gap(vspec, v1, specs[1]))
+        self.gl = len(specs) > 2
+        if i and self.gl:
+            A = specs[2][0]
+            gap = np.abs(np.fft.ifft(amplitude_spectrum(
+                specs[1][0], np.zeros_like(A))) - np.fft.ifft(A))
+            self.sup_diff_gl = max(self.sup_diff_gl, float(np.max(gap)))
         sq = np.fft.rfft(v1 * v1)
         f = v1 * np.fft.irfft(self.qk_eps * vspec + self.nu_inv * sq,
                               n=self.n)
@@ -88,16 +98,17 @@ class FullGridReference:
         """The P0 and the P2 integral on the n grid."""
         return self.total
 
-    def results(self) -> tuple[float, float, float]:
-        """sup_diff, res_p0 and res_p2."""
-        return (self.sup_diff,) + tuple(float(np.max(np.abs(total)))
-                                        for total in self.totals())
+    def results(self) -> tuple:
+        """sup_diff, res_p0 and res_p2, and sup_diff_gl after GL spectra."""
+        return ((self.sup_diff,) + tuple(float(np.max(np.abs(total)))
+                                         for total in self.totals())
+                + (self.sup_diff_gl,) * self.gl)
 
 
 class PairedReference(FullGridReference):
     """``FullGridReference`` by the arithmetic of ``simulate_paired``: the
     gap is irfft(q1 v^ - w^) on the band slice, and the integrands are
-    sampled on the m = ``AveragingAccumulator.m`` points of the smallest
+    sampled on the m = ``PairedDiagnostics.m`` points of the smallest
     power-of-two grid above twice their top mode, with the factor m/n in
     q1 and q_k/eps; the totals are interpolated to the n grid, their mode
     m/2 dropped, if m < n."""
@@ -125,6 +136,15 @@ class PairedReference(FullGridReference):
         spec = np.fft.rfft(self.total)
         spec[:, -1] = 0.0
         return np.fft.irfft(spec * (self.full / self.n), n=self.full)
+
+
+def paired_diagnostics(grids, nus, with_gl: bool = False,
+                       delta: float = 0.125) -> PairedDiagnostics:
+    """The ``PairedDiagnostics`` of ``simulate_paired`` for a batch of cubic
+    rows on ``grids`` with the nu of ``nus``."""
+    band = ReducedStepper(grids, [ModelParams(nu=nu) for nu in nus], 0.0,
+                          delta).band
+    return PairedDiagnostics(grids, nus, band, 1e-3, delta, with_gl)
 
 
 def band_step_reference(red, E: np.ndarray, raw) -> np.ndarray:

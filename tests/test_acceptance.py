@@ -267,8 +267,8 @@ def _amplitude_noise_median_ratio():
 def test_7_noise_layer_properties(capsys):
     ou_err = _ou_per_mode_max_error()
     split = _split_ratios()
-    sampled_slope = fit_scaling_exponent([(e, m) for e, m, _ in split]).slope
-    predicted_slope = fit_scaling_exponent([(e, p) for e, _, p in split]).slope
+    sampled_slope = fit_scaling_exponent([(e, m) for e, m, _ in split])
+    predicted_slope = fit_scaling_exponent([(e, p) for e, _, p in split])
     local = _split_local_exponents()
     amp_ratio = _amplitude_noise_median_ratio()
     ok_ou = ou_err < 0.05

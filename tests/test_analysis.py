@@ -20,23 +20,22 @@ from shmod import (
     project,
     simulate,
 )
-from shmod.analysis import (AveragingAccumulator, _CarrierAmplitude,
+from shmod.analysis import (PairedDiagnostics, _CarrierAmplitude,
                             averaging_points)
 from shmod.operators import inv_symbol_scaled
 from shmod.reduced import ReducedStepper
 from shmod.sh import SHStepper, block_steps, noise_draw
-from shmod.studies import ATTRACTIVITY_SKIP, STUDIES, study_cells
+from shmod.studies import (ATTRACTIVITY_SKIP, DEFAULT_EPS_LADDER, STUDIES,
+                           study_cells)
 
-from conftest import Snapshots, simulate_snapshots
+from conftest import Snapshots, paired_diagnostics, simulate_snapshots
 
 DELTA = 0.125
 
 
 def test_fit_scaling_exponent_recovers_power_law():
     pairs = [(e, 2.5 * e**1.7) for e in (0.2, 0.1, 0.05, 0.025)]
-    fit = fit_scaling_exponent(pairs)
-    assert fit.slope == pytest.approx(1.7, abs=1e-10)
-    assert np.exp(fit.intercept) == pytest.approx(2.5, rel=1e-10)
+    assert fit_scaling_exponent(pairs) == pytest.approx(1.7, abs=1e-10)
 
 
 def test_fit_scaling_exponent_rejects_bad_input():
@@ -85,35 +84,56 @@ def test_averaging_accumulator_matches_stacked_trapezoid(seed, count, nu):
                           + 1j * rng.standard_normal(n_modes))
         snaps.append(RealField.from_spectrum(grid, spec))
     # fed in blocks of random sizes; each block leaves its rows of
-    # v1 = P1 v on the accumulator's m points in its work array
+    # v1 = P1 v on the job's m points in its work array
     specs = np.array([snap.spectrum() for snap in snaps])[:, None]
-    acc = AveragingAccumulator([grid], [nu], DELTA)
-    m = acc.m
+    diagnostics = paired_diagnostics([grid], [nu])
+    m = diagnostics.m
     assert m < grid.n_points
     q1 = m / grid.n_points * band_symbols(grid, DELTA).q1
     start = 0
     while start < count:
-        rows = slice(start, start + int(rng.integers(1, block_steps(1) + 1)))
-        acc.add(times[rows], specs[rows])
-        for got, spec in zip(acc._v1, specs[rows]):
+        rows = slice(start,
+                     start + int(rng.integers(1, diagnostics.size + 1)))
+        _feed_block(diagnostics, times[rows], specs[rows])
+        for got, spec in zip(diagnostics._v1, specs[rows]):
             assert got.tobytes() == np.fft.irfft(q1 * spec, n=m).tobytes()
         start = rows.stop
-    (results,) = acc.results()
-    for k_band, residual in zip(("P0", "P2"), results):
+    results = diagnostics.results()
+    for k_band, residual in zip(("P0", "P2"), (results["res_p0"][0],
+                                               results["res_p2"][0])):
         ref = _averaging_reference(times, snaps, nu, k_band, DELTA)
         assert residual == pytest.approx(ref, rel=1e-12)
 
 
 
+def _feed_block(diagnostics, times, vspecs):
+    """Run ``diagnostics``' block job on the calling thread over the
+    half-spectra ``vspecs[j]`` of v of its rows at ``times[j]``, with zero
+    band slices."""
+    k = len(times)
+    diagnostics._times[0, :k] = times
+    diagnostics._vspecs[0, :k] = vspecs[..., : diagnostics.top]
+    diagnostics._block(0, k)
+
+
+def _residuals_hex(diagnostics) -> list:
+    """The hex res_p0 and res_p2 of each row."""
+    results = diagnostics.results()
+    return [[x.hex() for x in row]
+            for row in zip(results["res_p0"], results["res_p2"])]
+
+
 def _accumulator_feed(grid, times, specs, sizes, nu=0.5):
-    """``total`` and the hex ``results()`` of an accumulator of a batch of
-    one fed the samples in consecutive blocks of ``sizes`` steps."""
-    acc, start = AveragingAccumulator([grid], [nu], DELTA), 0
+    """``total`` and the hex residuals of the paired diagnostics of a
+    batch of one fed the samples in consecutive blocks of ``sizes``
+    steps."""
+    diagnostics, start = paired_diagnostics([grid], [nu]), 0
     for k in sizes:
-        acc.add(times[start:start + k], specs[start:start + k, None])
+        _feed_block(diagnostics, times[start:start + k],
+                    specs[start:start + k, None])
         start += k
     assert start == len(times)
-    return acc.total.tobytes(), [x.hex() for x in acc.results()[0]]
+    return diagnostics.total.tobytes(), _residuals_hex(diagnostics)
 
 
 @pytest.mark.parametrize("size", range(1, block_steps(1) + 1))
@@ -396,13 +416,14 @@ def test_averaging_accumulator_rows_match_their_solo_accumulators():
                             + 1j * rng.standard_normal((count, 2, n_modes)))
 
     def feed(rows):
-        acc = AveragingAccumulator([grids[r] for r in rows],
-                                   [nus[r] for r in rows], DELTA)
-        size = block_steps(len(rows))
+        diagnostics = paired_diagnostics([grids[r] for r in rows],
+                                         [nus[r] for r in rows])
+        size = diagnostics.size
         for start in range(0, count, size):
-            acc.add(times[start:start + size], specs[start:start + size, rows])
-        return ([total.tobytes() for total in acc.total],
-                [[x.hex() for x in row] for row in acc.results()])
+            _feed_block(diagnostics, times[start:start + size],
+                        specs[start:start + size, rows])
+        return ([total.tobytes() for total in diagnostics.total],
+                _residuals_hex(diagnostics))
 
     together = feed([0, 1])
     alone = [feed([r]) for r in range(2)]
@@ -423,7 +444,7 @@ def test_averaging_grid_is_the_smallest_power_of_two_above_twice_the_top_mode(
     top_mode = _top_integrand_mode(grid)
     m = averaging_points(grid, DELTA)
     assert m & (m - 1) == 0 and m // 2 <= 2 * top_mode < m <= n
-    assert AveragingAccumulator([grid], [0.5], DELTA).m == m
+    assert paired_diagnostics([grid], [0.5]).m == m
     if (n, periods) == (2048, 128):
         # the default grid at every eps of the default ladder
         assert m == 1024
@@ -435,13 +456,38 @@ def test_averaging_grid_of_supports_reaching_a_quarter_of_the_grid_is_full():
     grid = Grid.for_carrier(0.2, 512, periods=64)
     assert 4 * _top_integrand_mode(grid) >= grid.n_points
     assert averaging_points(grid, DELTA) == 512
-    assert AveragingAccumulator([grid], [0.5], DELTA).m == 512
+    assert paired_diagnostics([grid], [0.5]).m == 512
 
 
 def test_averaging_accumulator_takes_the_largest_grid_of_its_rows():
     grids = [Grid.for_carrier(eps, 576, periods=36) for eps in (0.2, 0.05)]
     assert [averaging_points(g, DELTA) for g in grids] == [512, 256]
-    assert AveragingAccumulator(grids, [0.5, 0.5], DELTA).m == 512
+    assert paired_diagnostics(grids, [0.5, 0.5]).m == 512
+
+
+@pytest.mark.parametrize("with_gl", [False, True], ids=["paired", "with-gl"])
+@pytest.mark.parametrize("rows", [1, 3, 5])
+def test_paired_block_holds_at_most_its_byte_cap(rows, with_gl):
+    # every array of the paired job and the run's two live noise blocks of
+    # a batch on the default grid stay within the cap, and a block of one
+    # step more than the cap or block_steps allows would not; the default
+    # theorem2 batch of 5 keeps its blocks of 4 steps
+    grids = [Grid.for_carrier(eps, 2048, periods=128)
+             for eps in DEFAULT_EPS_LADDER[:rows]]
+    diagnostics = paired_diagnostics(grids, [0.5] * rows, with_gl)
+    size, cap = diagnostics.size, PairedDiagnostics.BLOCK_BYTES
+    cfgs = [NoiseConfig(seed=k, intensity=0.1) for k in range(rows)]
+    noise = SHStepper(grids, [ModelParams(nu=0.5)] * rows, 0.1).noise
+    noise_block = noise_draw(noise, cfgs, size, size=size)().base
+    assert noise_block.shape[:2] == (rows, size)
+    held = sum(a.nbytes for a in vars(diagnostics).values()
+               if isinstance(a, np.ndarray))
+    assert held + 2 * noise_block.nbytes == diagnostics.block_bytes(size)
+    assert diagnostics.block_bytes(size) <= cap
+    assert (size == block_steps(rows)
+            or diagnostics.block_bytes(size + 1) > cap)
+    if rows == 5 and not with_gl:
+        assert size == 4
 
 
 def test_attractivity_batch_rows_match_their_cells_alone(tmp_path):

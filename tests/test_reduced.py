@@ -23,14 +23,15 @@ from shmod import (
     simulate_paired,
     spectral_variance_rate,
 )
-from shmod.analysis import AveragingAccumulator
+from shmod.analysis import PairedDiagnostics
 from shmod.bands import amplitude_spectrum
 from shmod.grid import ComplexField
-from shmod.reduced import GLStepper, ReducedStepper
+from shmod.reduced import GLStepper, ReducedStepper, _BandGLStepper
 from shmod.sh import BLOCK, SHStepper, block_steps, noise_draw
 from shmod.studies import STUDIES, StudyConfig
 
-from conftest import FullGridReference, PairedReference, band_step_reference
+from conftest import (FullGridReference, PairedReference, band_step_reference,
+                      paired_diagnostics)
 
 DELTA = 0.125
 
@@ -428,19 +429,24 @@ def _paired_inputs(n_steps: int, threshold: float = 1e4, eps: float = 0.2,
     return v0, p, cfg
 
 
-def _paired_reference(v0, p, cfg, reference=PairedReference):
+def _paired_reference(v0, p, cfg, reference=PairedReference, with_gl=False):
     """The status, steps and hex diagnostics of ``simulate_paired`` of a
     batch of one, by ``reference`` one step at a time."""
     grid = v0.grid
     sh = SHStepper([grid], [p], cfg.intensity)
     red = ReducedStepper([grid], [p], cfg.intensity, DELTA)
     vspec = v0.spectrum()[None]
-    specs = [vspec, red.q1 * vspec[:, red.band]]
+    steppers, specs = [sh, red], [vspec, red.q1 * vspec[:, red.band]]
+    if with_gl:
+        steppers.append(_BandGLStepper([gl_coefficients(p)], p.dt,
+                                       cfg.intensity, red))
+        specs.append(amplitude_spectrum(
+            specs[1], np.zeros((1, grid.n_points), np.complex128)))
     ref = reference(red, grid, p.nu, DELTA, p.dt)
     ref(0, specs)
     n_steps = round(p.t_end / p.dt)
     (status,), (steps,), _ = integrate(
-        [sh, red], specs, n_steps, p.blowup_threshold,
+        steppers, specs, n_steps, p.blowup_threshold,
         noise_draw(sh.noise, [cfg], n_steps), [ref])
     return status, steps, [x.hex() for x in ref.results()]
 
@@ -453,20 +459,27 @@ def _rows_hex(result, with_gl=False):
             for status, row in zip(result.status, rows)]
 
 
-def _paired_hex(v0, p, cfg):
-    (row,) = _rows_hex(simulate_paired([v0], [p], [cfg], delta=DELTA))
+def _paired_hex(v0, p, cfg, with_gl=False):
+    (row,) = _rows_hex(simulate_paired([v0], [p], [cfg], DELTA, with_gl),
+                       with_gl)
     return row
 
 
+WITH_GL = pytest.mark.parametrize("with_gl", [False, True],
+                                  ids=["paired", "with-gl"])
+
+
+@WITH_GL
 @pytest.mark.parametrize("n_steps", [1, BLOCK - 1, BLOCK, BLOCK + 1,
                                      2 * BLOCK + 3])
-def test_paired_run_matches_the_per_step_reference(n_steps):
+def test_paired_run_matches_the_per_step_reference(n_steps, with_gl):
     # the diagnostics, computed in blocks on the worker thread, are those
     # of one step at a time, bit for bit, across and between block edges
     v0, p, cfg = _paired_inputs(n_steps)
-    status, steps, ref = _paired_reference(v0, p, cfg)
+    assert paired_diagnostics([v0.grid], [p.nu], with_gl).size == BLOCK
+    status, steps, ref = _paired_reference(v0, p, cfg, with_gl=with_gl)
     assert (status, steps) == ("completed", n_steps)
-    assert _paired_hex(v0, p, cfg) == (status, ref)
+    assert _paired_hex(v0, p, cfg, with_gl) == (status, ref)
 
 
 @pytest.mark.parametrize("eps, periods", [(0.2, 32), (0.05, 32), (0.2, 64)],
@@ -477,7 +490,7 @@ def test_paired_run_matches_the_full_grid_arithmetic(eps, periods):
     # to rounding; on 8 points a carrier period the averaging grid is the
     # full one, and the residuals keep their bits
     v0, p, cfg = _paired_inputs(2 * BLOCK + 3, eps=eps, periods=periods)
-    m = AveragingAccumulator([v0.grid], [p.nu], DELTA).m
+    m = paired_diagnostics([v0.grid], [p.nu]).m
     assert (m == v0.grid.n_points) == (periods == 64)
     status, steps, full = _paired_reference(v0, p, cfg, FullGridReference)
     assert (status, steps) == ("completed", 2 * BLOCK + 3)
@@ -490,52 +503,56 @@ def test_paired_run_matches_the_full_grid_arithmetic(eps, periods):
         assert got[1:] == full[1:]
 
 
-def test_paired_run_blown_up_mid_block_records_the_steps_before_it():
+@WITH_GL
+def test_paired_run_blown_up_mid_block_records_the_steps_before_it(with_gl):
     # the guard trips on step 22 whatever the block size
     v0, p, cfg = _paired_inputs(60, threshold=0.62)
-    status, steps, ref = _paired_reference(v0, p, cfg)
+    status, steps, ref = _paired_reference(v0, p, cfg, with_gl=with_gl)
     threads = threading.active_count()
     assert (status, steps) == ("blowup_stopped", 21)
     # steps 0 .. 21 are observed: at least one full block goes to the
     # worker, and the tripping step lies strictly inside a later block
     observed, size = steps + 1, block_steps(1)
     assert observed > size and observed % size
-    assert _paired_hex(v0, p, cfg) == (status, ref)
+    assert _paired_hex(v0, p, cfg, with_gl) == (status, ref)
     assert threading.active_count() == threads
     # the worker takes the next run
     v0, p, cfg = _paired_inputs(2 * BLOCK + 3)
-    status, _, ref = _paired_reference(v0, p, cfg)
-    assert _paired_hex(v0, p, cfg) == (status, ref)
+    status, _, ref = _paired_reference(v0, p, cfg, with_gl=with_gl)
+    assert _paired_hex(v0, p, cfg, with_gl) == (status, ref)
 
 
-def test_paired_run_raises_the_error_of_a_failed_job(monkeypatch):
-    def fail(self, times, vspecs):
+@WITH_GL
+def test_paired_run_raises_the_error_of_a_failed_job(monkeypatch, with_gl):
+    def fail(self, side, k):
         raise RuntimeError("job failed")
 
     v0, p, cfg = _paired_inputs(2 * BLOCK + 3)
-    status, _, ref = _paired_reference(v0, p, cfg)
+    status, _, ref = _paired_reference(v0, p, cfg, with_gl=with_gl)
     threads = threading.active_count()
     with monkeypatch.context() as patch:
-        patch.setattr(AveragingAccumulator, "add", fail)
+        patch.setattr(PairedDiagnostics, "_block", fail)
         with pytest.raises(RuntimeError, match="job failed"):
-            simulate_paired([v0], [p], [cfg], delta=DELTA)
+            simulate_paired([v0], [p], [cfg], DELTA, with_gl)
     assert threading.active_count() == threads
-    assert _paired_hex(v0, p, cfg) == (status, ref)
+    assert _paired_hex(v0, p, cfg, with_gl) == (status, ref)
 
 
-def test_concurrent_paired_runs_keep_their_blocks_apart():
+@WITH_GL
+def test_concurrent_paired_runs_keep_their_blocks_apart(with_gl):
     # more stepping threads than cores share the one worker, switching
     # every microsecond: each run's blocks must reach its own diagnostics
     inputs = [_paired_inputs(2 * BLOCK + 3 + k) for k in range(4)]
     expect = []
     for args in inputs:
-        status, _, ref = _paired_reference(*args)
+        status, _, ref = _paired_reference(*args, with_gl=with_gl)
         expect.append((status, ref))
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(4) as pool:
-            runs = [pool.submit(_paired_hex, *args) for args in inputs]
+            runs = [pool.submit(_paired_hex, *args, with_gl)
+                    for args in inputs]
             got = [run.result(timeout=60) for run in runs]
     finally:
         sys.setswitchinterval(switch)
@@ -557,6 +574,30 @@ def test_completed_paired_cell_takes_no_grid_values_on_the_stepping_thread(
     STUDIES["theorem2"].run(cfg, [grid],
                             [({"eps": 0.1, "nu": cfg.nu_list[0]}, 0)])
     assert threading.get_ident() not in callers
+
+
+def test_gl_batch_takes_its_gaps_off_the_stepping_thread(monkeypatch):
+    # the stepping thread's complex transforms are the band drift's on ne
+    # points and the GL step's on its padded grid; the two n-point ones of
+    # the gap to the amplitude equation run on the worker, once a block
+    v0s, params, cfgs = _paired_rows()
+    calls = []
+    for name in ("fft", "ifft"):
+        def counted(a, n=None, *args, transform=getattr(np.fft, name),
+                    name=name, **kwargs):
+            calls.append((threading.get_ident(), name, n or a.shape[-1]))
+            return transform(a, n, *args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    result = simulate_paired(v0s, params, cfgs, DELTA, with_gl=True)
+    assert result.status == ["completed"] * 3
+    grids, main = [v0.grid for v0 in v0s], threading.get_ident()
+    n, ne = grids[0].n_points, ReducedStepper(grids, params, 0.1, DELTA).ne
+    assert {length for thread, _, length in calls if thread == main} == {
+        ne, 2 * n}
+    size = paired_diagnostics(grids, [p.nu for p in params], True).size
+    blocks = -(-(round(params[0].t_end / params[0].dt) + 1) // size)
+    assert [(name, length) for thread, name, length in calls
+            if thread != main and length == n] == [("ifft", n)] * 2 * blocks
 
 
 def test_reduced_step_keeps_content_on_the_p1_taper():
@@ -638,10 +679,10 @@ def _paired_rows(threshold=1e4, amplitudes=(0.3, 0.2, 0.3)):
     return v0s, params, cfgs
 
 
-@pytest.mark.parametrize("with_gl", [False, True], ids=["paired", "with-gl"])
+@WITH_GL
 def test_paired_batch_rows_match_their_solo_runs(with_gl):
-    # the SH, band and GL steppers and the block and running-max observers
-    # of a batch give every row the bits of its run alone
+    # the SH, band and GL steppers and the block job of a batch give every
+    # row the bits of its run alone
     v0s, params, cfgs = _paired_rows()
     bands = [ReducedStepper([v0.grid], [p], 0.1, DELTA).band
              for v0, p in zip(v0s, params)]

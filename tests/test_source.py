@@ -155,8 +155,7 @@ def test_every_eps_is_read_from_the_grid(path):
 #: background thread making many small numpy calls was measured to slow
 #: the stepping thread 1.7 times, against 1.1 times for GIL-free FFT or
 #: Philox work, so a job takes each block in a few large calls
-WORKER_JOBS = [("analysis", "AveragingAccumulator", "add"),
-               ("reduced", "_BandObserver", "_block")]
+WORKER_JOBS = [("analysis", "PairedDiagnostics", "_block")]
 
 LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.comprehension)
 
