@@ -39,9 +39,9 @@ def _horner(vp: np.ndarray, coeffs: dict, out: np.ndarray | None = None
     return poly
 
 
-#: smallest n at which :class:`PaddedGrid` holds interleaved rows; below
-#: it one padded row costs less (the crossover table in README)
-INTERLEAVE_MIN = 1024
+#: largest n at which :class:`PaddedGrid` holds dense transform matrices;
+#: above it interleaved rows cost less (the crossover table in README)
+DENSE_MAX = 32
 
 #: the terms that :func:`dealiased_powers` adds after the polynomial, at
 #: most: the linear flow and the noise of an SH step
@@ -55,47 +55,62 @@ class PaddedGrid:
     shares it between threads.
 
     ``gain`` has one row per row of the batch (a scalar is a batch of
-    one).  From ``INTERLEAVE_MIN`` points on, a row's padded grid is
-    ``pad`` interleaved n-point parts: part r holds the samples at
-    ``pad·j + r``, the n-point irfft of the first n/2 modes times the
-    ``twiddle`` ``exp(2πi·k·r/(pad·n))`` (none for part 0).  Otherwise it
-    is one padded part.  Every array is indexed by part first and row
-    second, so each part of the batch is one contiguous block.  ``spec``
-    holds the parts' half-spectra, zero from n/2 on, ``values`` the
-    samples, ``poly`` the polynomial and ``fine`` its spectra.  ``terms``
-    takes the weighted parts, cut to the coarse half-spectrum, and after
-    them the extra terms of the sum; interleaved parts are their own
-    cut, so ``fine`` is the first parts of ``terms``.  The
-    fine half-spectrum is ``Σ_r weights_r·fine_r``: the ``weights``
-    ``exp(−2πi·k·r/(pad·n))·gain/pad`` fold the phases, the scale, the
-    dropped coarse Nyquist mode and the row's ``gain`` into one product.
+    one).  Every array is indexed by part first and row second, so each
+    part of the batch is one contiguous block: ``values`` holds the
+    samples, ``poly`` the polynomial and ``terms`` the weighted parts,
+    cut to the coarse half-spectrum, and after them the extra terms of
+    the sum.  Each part's weights fold the scale, the dropped coarse
+    Nyquist mode and the row's ``gain`` into one product.
+
+    Up to ``DENSE_MAX`` points the grid is one *dense* part, taken by
+    matrix products from and to the float view of the half-spectrum:
+    ``inverse`` maps it to the ``pad·n`` samples (its rows of the Nyquist
+    mode and of the imaginary part of the mean are zero), and each row's
+    ``forward`` maps its samples to the weighted half-spectrum, times
+    ``gain/pad``.  Otherwise a row's padded grid is ``pad`` interleaved
+    n-point parts: part r holds the samples at ``pad·j + r``, the n-point
+    irfft of the first n/2 modes (``spec``) times the ``twiddle``
+    ``exp(2πi·k·r/(pad·n))`` (none for part 0).  The fine half-spectrum
+    is ``Σ_r weights_r·F_r`` over the parts' n-point spectra ``F_r``,
+    with ``weights`` ``exp(−2πi·k·r/(pad·n))·gain/pad``.
     """
 
     def __init__(self, n: int, pad: int, gain: np.ndarray | float = 1.0):
-        self.n, self.pad, half = n, pad, n // 2
+        self.n, half = n, n // 2
         gain = np.atleast_2d(gain)
         batch = gain.shape[0]
-        interleave = n >= INTERLEAVE_MIN
-        parts, size = (pad, n) if interleave else (1, pad * n)
-        self.spec = np.zeros((parts, batch, size // 2 + 1), np.complex128)
+        parts, size = (1, pad * n) if n <= DENSE_MAX else (pad, n)
         self.values = np.empty((parts, batch, size))
         self.poly = np.empty((parts, batch, size))
         self.terms = np.empty((parts + EXTRA_TERMS, batch, half + 1),
                               np.complex128)
-        self.fine = (self.terms[:parts] if interleave else
-                     np.empty((parts, batch, size // 2 + 1), np.complex128))
+        if parts == 1:
+            # row f of ``inverse`` is the samples of the half-spectrum whose
+            # float f is 1, row j of ``fine`` the half-spectrum of sample j
+            unit = np.eye(2 * (half + 1)).view(np.complex128)
+            unit[:, half] = 0.0
+            self.inverse = np.fft.irfft(unit * pad, n=size)
+            fine = np.fft.rfft(np.eye(size))[:, : half + 1]
+            fine[:, half] = 0.0
+            self.forward = (fine * (gain / pad)[:, None]).view(np.float64)
+            # one product per row, of shape (1, floats) @ (floats, samples)
+            # and back, so a row has the bits of its run alone
+            self.row_values = self.values[0, :, None]
+            self.row_poly = self.poly[0, :, None]
+            self.row_terms = self.terms[0].view(np.float64)[:, None]
+            return
+        self.inverse = None
+        self.spec = np.zeros((parts, batch, half + 1), np.complex128)
         # phases of the parts: exp(2πi·k·r/(pad·n)) for r = 0 .. parts - 1
         phase = np.arange(half + 1) * np.arange(parts)[:, None] * (
             2.0 * np.pi / (pad * n))
-        self.twiddle = (np.exp(1j * phase[1:, None, :half]) if interleave
-                        else None)
+        self.twiddle = np.exp(1j * phase[1:, None, :half])
         self.weights = np.exp(-1j * phase[:, None]) * (gain / pad)
         self.weights[..., half] = 0.0
-        # views that a call fills: the coarse modes of the parts' spectra,
-        # the fine spectra cut to the coarse half-spectrum and their
-        # weighted terms
+        # views that a call fills: the coarse modes of the parts' spectra
+        # and the parts' spectra, which are their own cut and are weighted
+        # in place
         self.head = self.spec[:, :, :half]
-        self.cut = self.fine[..., : half + 1]
         self.weighted = self.terms[:parts]
 
 
@@ -104,27 +119,33 @@ def dealiased_powers(rspec: np.ndarray, coeffs: dict, padded: PaddedGrid,
     """Half-spectra of the polynomial sum_e coeffs[e] v^e of each row of
     ``rspec``, alias-free and times ``padded``'s gain, plus the product
     ``x * y`` of each pair ``(x, y)`` in ``products``, as a new array of
-    rows of ``padded.n // 2 + 1`` coefficients: one batched inverse FFT,
-    the polynomial on the fine grid, one batched forward FFT and one sum
-    over the parts of ``padded.terms``.  A pad factor of 2 is exact up to
-    the cube, 3 up to v^5.
+    rows of ``padded.n // 2 + 1`` coefficients: the samples on the padded
+    grid (one matrix product per row, or one batched inverse FFT), the
+    polynomial there, its weighted spectrum (one matrix product per row,
+    or one batched forward FFT and one product) and one sum over the parts
+    of ``padded.terms``.  A pad factor of 2 is exact up to the cube, 3 up
+    to v^5.
 
     The weighted parts and then each product are written into the parts
     of ``terms``, and ``np.add.reduce`` adds them along that axis in their
     order, ``((f_0 + f_1) + x·y) + ...``, with no temporary.
     """
-    head, terms, values = padded.head, padded.terms, padded.values
-    coarse = rspec[:, : head.shape[-1]]
-    if padded.twiddle is None:  # scaled so the samples come out at theirs
-        np.multiply(coarse, padded.pad, out=head[0])
+    terms, values = padded.terms, padded.values
+    if padded.inverse is not None:
+        floats = np.ascontiguousarray(rspec).view(np.float64)
+        np.matmul(floats[:, None], padded.inverse, out=padded.row_values)
+        _horner(values, coeffs, out=padded.poly)
+        np.matmul(padded.row_poly, padded.forward, out=padded.row_terms)
     else:
+        head = padded.head
+        coarse = rspec[:, : head.shape[-1]]
         head[0] = coarse
         np.multiply(coarse, padded.twiddle, out=head[1:])
-    np.fft.irfft(padded.spec, n=values.shape[-1], out=values)
-    _horner(values, coeffs, out=padded.poly)
-    np.fft.rfft(padded.poly, out=padded.fine)
-    np.multiply(padded.cut, padded.weights, out=padded.weighted)
-    parts = len(head)
+        np.fft.irfft(padded.spec, n=values.shape[-1], out=values)
+        _horner(values, coeffs, out=padded.poly)
+        np.fft.rfft(padded.poly, out=padded.weighted)
+        np.multiply(padded.weighted, padded.weights, out=padded.weighted)
+    parts = len(values)
     for part, (x, y) in enumerate(products, parts):
         np.multiply(x, y, out=terms[part])
     return np.add.reduce(terms[: parts + len(products)], axis=0)

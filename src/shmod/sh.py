@@ -299,7 +299,9 @@ def noise_draw(noise: SpectralNoise, cfgs, n_steps: int,
     """Exactly ``n_steps`` per-step draws for a batch, one row per config
     in ``cfgs``: row r of a step is the ``noise.raw`` draw (``raw_complex``
     with ``complex_rows``) of ``cfgs[r]``'s own stream, bit for bit; None
-    without noise (no ``cfgs``, or every intensity 0).  They are drawn in
+    without noise (no ``cfgs``, or every intensity 0).  Rows that share a
+    stream, one ``(seed, stream_id)``, share its one generator: the first
+    of them draws and the others copy its rows.  They are drawn in
     blocks of ``size`` steps, ``block_steps`` of the batch's rows by
     default, one block ahead, on the worker, which
     overlaps the stepping thread: Philox and pocketfft free the GIL.  Two
@@ -311,13 +313,19 @@ def noise_draw(noise: SpectralNoise, cfgs, n_steps: int,
     raw = noise.raw_complex if complex_rows else noise.raw
     n = noise.grid.n_points
     width = n if complex_rows else n // 2 + 1
-    rngs = [cfg.make_rng() for cfg in cfgs]
-    size = size or block_steps(len(rngs))
+    first = {}  # the first row of each stream
+    source = [first.setdefault((cfg.seed, cfg.stream_id), r)
+              for r, cfg in enumerate(cfgs)]
+    rngs = {r: cfgs[r].make_rng() for r in first.values()}
+    size = size or block_steps(len(cfgs))
 
     def job(k):
-        block = np.empty((len(rngs), k, width), dtype=np.complex128)
-        for rng, rows in zip(rngs, block):
-            raw(rng, (k,), out=rows)
+        block = np.empty((len(cfgs), k, width), dtype=np.complex128)
+        for r, rng in rngs.items():
+            raw(rng, (k,), out=block[r])
+        for r, s in enumerate(source):
+            if s != r:
+                block[r] = block[s]
         return block.swapaxes(0, 1)
 
     def rows():

@@ -15,22 +15,22 @@ from shmod import (Grid, ModelParams, NoiseConfig, StudyConfig, __version__,
                    run_study, simulate_paired)
 from shmod.studies import load_records
 
-GOLDEN_VERSION = "0.11.0"
+GOLDEN_VERSION = "0.12.0"
 
 TINY = dict(eps_list=(0.2,), nu_list=(0.5,), n_seeds=1, n_points=512,
             periods=32, dt=1e-3, t_end=0.05)
 
-PAIRED = {"res_p0": "0x1.6a7a35139e314p-8",
-          "res_p2": "0x1.6c7b77c9ce0c4p-11",
-          "sup_diff": "0x1.853308b952a8ap-8"}
+PAIRED = {"res_p0": "0x1.6a7a35139e312p-8",
+          "res_p2": "0x1.6c7b77c9ce0c1p-11",
+          "sup_diff": "0x1.853308b952a8dp-8"}
 
 
 @pytest.mark.parametrize("study, extra, diagnostics", [
     ("theorem2", {}, PAIRED),
     ("gl-limit", {}, dict(PAIRED, sup_diff_gl="0x1.4714764332a7ap-9")),
     ("averaging", {"intensity": 0.0},
-     {"res_p0": "0x1.c318d1d523c33p-8", "res_p2": "0x1.ba44dd5fcda0bp-13",
-      "sup_diff": "0x1.8bb483ca369fdp-8"}),
+     {"res_p0": "0x1.c318d1d523c34p-8", "res_p2": "0x1.ba44dd5fcda0bp-13",
+      "sup_diff": "0x1.8bb483ca369ffp-8"}),
     ("attractivity", {},
      {"offband_ratio": "0x1.46705311ad529p+1",
       "offband_sup": "0x1.0526a8daf10eep-1"}),
@@ -52,7 +52,7 @@ def test_quintic_fit_matches_golden_record():
                                       amplitude=0.2, n_points=512, dt=1e-3,
                                       fit_window=0.5)
     assert (fit.c3.hex(), fit.c5.hex(), fit.r_squared.hex()) == (
-        "0x1.0f2f7b2ab84b7p+2", "-0x1.769e5dbe67973p+3",
+        "0x1.0f2f7b2ab8513p+2", "-0x1.769e5dbe67cfap+3",
         "0x1.fffffeb8d551cp-1")
 
 
@@ -70,9 +70,9 @@ def test_quintic_paired_batch_matches_golden_record():
     assert result.status == ["completed"] * 2
     assert {name: [x.hex() for x in getattr(result, name)]
             for name in ("sup_diff", "res_p0", "res_p2", "sup_diff_gl")} == {
-        "sup_diff": ["0x1.3eb5bc308a506p-10", "0x1.f5cb54aa92fb9p-9"],
-        "res_p0": ["0x1.2efc9b0b85265p-10", "0x1.743ba2144d896p-9"],
-        "res_p2": ["0x1.9744dacb1e718p-12", "0x1.e96047c830f2ap-12"],
+        "sup_diff": ["0x1.3eb5bc308a512p-10", "0x1.f5cb54aa92fb9p-9"],
+        "res_p0": ["0x1.2efc9b0b85264p-10", "0x1.743ba2144d892p-9"],
+        "res_p2": ["0x1.9744dacb1e71ap-12", "0x1.e96047c830f2ap-12"],
         "sup_diff_gl": ["0x1.590deaa9f9197p-11", "0x1.17cacae7e690ap-11"]}
 
 

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import multiprocessing
+import os
 import pickle
 import shutil
 import subprocess
@@ -563,6 +564,29 @@ def test_study_is_deterministic_across_thread_counts(tmp_path, study):
     if study == "attractivity":
         assert {row["status"] for row in _columns(cfg[1].out_dir)} == {
             "ok", "error: run ended with status 'blowup_stopped'"}
+
+
+def test_quintic_suite_repeats_across_worker_processes_and_blas_threads(
+        tmp_path):
+    # the Landau fits step the 16-point grid by BLAS matrix products: one
+    # worker process with one BLAS thread and two with two write the same
+    # hex records
+    script = """
+import sys
+from shmod import StudyConfig, run_study
+run_study(StudyConfig.for_study("quintic-suite", out_dir=sys.argv[1],
+                                threads=int(sys.argv[2]), eps_list=(0.2,),
+                                dt=4e-3))
+"""
+    outs = []
+    for threads in (1, 2):
+        out = tmp_path / str(threads)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+        subprocess.run([sys.executable, "-c", script, str(out), str(threads)],
+                       check=True, env=env, timeout=300)
+        outs.append(_columns(out))
+    assert outs[0] == outs[1]
+    assert len(outs[0]) == 2
 
 
 #: paired cells of three eps, two seeds each: batches of 3 that span eps

@@ -90,28 +90,32 @@ class _CountingNoise(SpectralNoise):
         return super().raw_complex(rng, lead, out)
 
 
-def _check_block_draw(n_steps, rows, complex_rows):
+def _check_block_draw(n_steps, cfgs, complex_rows):
     # row r of every step is the next draw of row r's own stream
     grid = small_grid()
     noise = _CountingNoise(grid)
-    cfgs = [NoiseConfig(seed=5 + r, intensity=0.3) for r in range(rows)]
     draw = noise_draw(noise, cfgs, n_steps, complex_rows)
     steps = [draw() for _ in range(n_steps)]
     with pytest.raises(StopIteration):
         draw()
-    # full blocks, then the rest, one draw of each stream per block:
-    # nothing is drawn past the last step
-    size = block_steps(rows)
+    # full blocks, then the rest, one draw of each distinct stream per
+    # block: nothing is drawn past the last step
+    streams = len({(cfg.seed, cfg.stream_id) for cfg in cfgs})
+    size = block_steps(len(cfgs))
     full, rest = divmod(n_steps, size)
     blocks = [(size,)] * full + [(rest,)] * (rest > 0)
-    assert noise.leads == [lead for lead in blocks for _ in range(rows)]
+    assert noise.leads == [lead for lead in blocks for _ in range(streams)]
     single = SpectralNoise(grid)
     single = single.raw_complex if complex_rows else single.raw
     for r, cfg in enumerate(cfgs):
         rng = cfg.make_rng()
         for step in steps:
-            assert step.shape[0] == rows
+            assert step.shape[0] == len(cfgs)
             assert step[r].tobytes() == single(rng).tobytes()
+
+
+def _streams(rows):
+    return [NoiseConfig(seed=5 + r, intensity=0.3) for r in range(rows)]
 
 
 @pytest.mark.parametrize("complex_rows", [False, True], ids=["real", "complex"])
@@ -119,7 +123,7 @@ def _check_block_draw(n_steps, rows, complex_rows):
                                      BLOCK + 1, 2 * BLOCK + 3])
 def test_block_draw_hands_out_exactly_the_sequential_draws(n_steps,
                                                           complex_rows):
-    _check_block_draw(n_steps, 1, complex_rows)
+    _check_block_draw(n_steps, _streams(1), complex_rows)
 
 
 @pytest.mark.parametrize("complex_rows", [False, True], ids=["real", "complex"])
@@ -128,7 +132,29 @@ def test_block_draw_hands_out_exactly_the_sequential_draws(n_steps,
                                      2 * block_steps(3) + 3])
 def test_block_draw_of_a_batch_hands_out_each_streams_sequential_draws(
         n_steps, complex_rows):
-    _check_block_draw(n_steps, 3, complex_rows)
+    _check_block_draw(n_steps, _streams(3), complex_rows)
+
+
+@pytest.mark.parametrize("complex_rows", [False, True], ids=["real", "complex"])
+def test_block_draw_makes_one_generator_per_distinct_stream(monkeypatch,
+                                                            complex_rows):
+    # rows that share a seed and a stream id, as the eps ladder of one seed
+    # does, whatever their intensity, each get that stream's sequential
+    # draws from one generator, drawn once per block
+    made, make_rng = [], NoiseConfig.make_rng
+
+    def counted(cfg):
+        made.append((cfg.seed, cfg.stream_id))
+        return make_rng(cfg)
+
+    monkeypatch.setattr(NoiseConfig, "make_rng", counted)
+    cfgs = [NoiseConfig(seed=5, intensity=0.3), NoiseConfig(seed=6),
+            NoiseConfig(seed=5, intensity=0.1),
+            NoiseConfig(seed=5, stream_id=1), NoiseConfig(seed=6)]
+    _check_block_draw(2 * block_steps(len(cfgs)) + 1, cfgs, complex_rows)
+    # the draw's generators, then the check's own one per row
+    assert made == [(5, 0), (6, 0), (5, 1)] + [
+        (cfg.seed, cfg.stream_id) for cfg in cfgs]
 
 
 @pytest.mark.parametrize("rows", [1, 4], ids=["one-row", "batch"])

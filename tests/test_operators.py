@@ -15,7 +15,7 @@ from shmod import (
 )
 from shmod import bands, operators
 from shmod.grid import DEFAULT_POINTS_PER_PERIOD
-from shmod.operators import (INTERLEAVE_MIN, PaddedGrid, dealiased_powers,
+from shmod.operators import (DENSE_MAX, PaddedGrid, dealiased_powers,
                              inv_symbol_scaled)
 from shmod.reduced import ReducedStepper
 from shmod.sh import SHStepper
@@ -108,27 +108,32 @@ def _powers_padded_to_8n(rspec, n, coeffs):
     return spec
 
 
-def _grid_in_layout(n, pad, interleave, gain=1.0):
-    # the layout is chosen from n against INTERLEAVE_MIN when the grid is
-    # built; a threshold of 0 or above n forces one layout at any n
-    with mock.patch.object(operators, "INTERLEAVE_MIN",
-                           0 if interleave else n + 1):
+def _grid_in_layout(n, pad, dense, gain=1.0):
+    # the layout is chosen from n against DENSE_MAX when the grid is
+    # built; a threshold of n or below it forces one layout at any n
+    with mock.patch.object(operators, "DENSE_MAX", n if dense else n - 1):
         return PaddedGrid(n, pad, gain)
 
 
-@pytest.mark.parametrize("interleave", [False, True],
-                         ids=["one-padded-row", "interleaved-rows"])
+#: log2 n at most of a forced dense grid: its matrices hold about
+#: 2·pad·n² floats a row, 32 MB at n = 1024 and pad 2
+DENSE_LOG2N = 7
+
+
+@pytest.mark.parametrize("dense", [True, False],
+                         ids=["dense", "interleaved-rows"])
 @pytest.mark.parametrize("exponents, pad", [((2, 3), 2), ((2, 3, 5), 3)])
-@given(seed=st.integers(0, 2**32 - 1), log2n=st.integers(3, 11),
+@given(seed=st.integers(0, 2**32 - 1), data=st.data(),
        fill=st.floats(0.05, 1.0), scale=st.floats(0.1, 3.0))
 @settings(max_examples=30, deadline=None)
-def test_dealiased_powers_matches_unaliased_reference(interleave, exponents,
-                                                      pad, seed, log2n, fill,
+def test_dealiased_powers_matches_unaliased_reference(dense, exponents, pad,
+                                                      seed, data, fill,
                                                       scale):
     # a random band-limited field (modes below fill * Nyquist) of sup norm
     # `scale` and a random polynomial with the given exponents, on the
     # padded grid held either way at every n
-    n = 2**log2n
+    n = 2**data.draw(st.integers(3, DENSE_LOG2N if dense else 11),
+                     label="log2n")
     rng = np.random.default_rng(seed)
     n_modes = max(1, int(fill * (n // 2)))
     rspec = np.zeros(n // 2 + 1, dtype=np.complex128)
@@ -137,39 +142,72 @@ def test_dealiased_powers_matches_unaliased_reference(interleave, exponents,
     rspec[0] = rspec[0].real
     rspec *= scale / np.max(np.abs(np.fft.irfft(rspec, n=n)))
     coeffs = {e: rng.uniform(-2.0, 2.0) for e in exponents}
-    padded = _grid_in_layout(n, pad, interleave)
-    assert (padded.twiddle is not None) == interleave
+    padded = _grid_in_layout(n, pad, dense)
+    assert (padded.inverse is not None) == dense
     got = _powers(rspec, coeffs, padded)
     ref = _powers_padded_to_8n(rspec, n, coeffs)
     np.testing.assert_allclose(got, ref, rtol=1e-12,
                                atol=1e-12 * np.max(np.abs(ref)))
 
 
-def test_dealiased_powers_applies_the_gain():
+@pytest.mark.parametrize("dense, n", [(True, 2**DENSE_LOG2N), (False, 1024)],
+                         ids=["dense", "interleaved-rows"])
+def test_dealiased_powers_applies_the_gain(dense, n):
     # the gain scales the output weights: the same half-spectrum, times it
-    n, rng = 1024, np.random.default_rng(4)
+    rng = np.random.default_rng(4)
     rspec = np.fft.rfft(0.3 * rng.standard_normal(n))
     gain = rng.uniform(0.5, 1.5, n // 2 + 1)
-    for interleave in (False, True):
-        plain = _powers(rspec, {3: -1.0}, _grid_in_layout(n, 2, interleave))
-        got = _powers(rspec, {3: -1.0},
-                      _grid_in_layout(n, 2, interleave, gain))
-        np.testing.assert_allclose(got, gain * plain, rtol=1e-14, atol=0)
+    plain = _powers(rspec, {3: -1.0}, _grid_in_layout(n, 2, dense))
+    got = _powers(rspec, {3: -1.0}, _grid_in_layout(n, 2, dense, gain))
+    np.testing.assert_allclose(got, gain * plain, rtol=1e-14, atol=0)
+
+
+def test_dense_batch_rows_keep_the_bits_of_their_runs_alone():
+    # three rows of a 16-point batch, each with its own gain, polynomial
+    # coefficients and product term, are the bits of each row's call alone,
+    # on every call
+    n, pad, rows = 16, 3, 3
+    rng = np.random.default_rng(11)
+    gain = rng.uniform(0.5, 1.5, (rows, n // 2 + 1))
+    rspec = np.fft.rfft(0.4 * rng.standard_normal((rows, n)))
+    decay = rng.uniform(0.5, 1.0, (rows, n // 2 + 1)).astype(np.complex128)
+    coeffs = {2: rng.uniform(-1.0, 1.0, (rows, 1)),
+              3: rng.uniform(-1.0, 1.0, (rows, 1)), 5: -1.0}
+    batch = PaddedGrid(n, pad, gain)
+    assert batch.inverse is not None
+    alone = [PaddedGrid(n, pad, gain[r:r + 1]) for r in range(rows)]
+    first = dealiased_powers(rspec, coeffs, batch, (decay, rspec))
+    for _ in range(3):
+        assert (dealiased_powers(rspec, coeffs, batch, (decay, rspec))
+                .tobytes() == first.tobytes())
+        for r, padded in enumerate(alone):
+            row = dealiased_powers(
+                rspec[r:r + 1], {e: c if np.isscalar(c) else c[r:r + 1]
+                                 for e, c in coeffs.items()},
+                padded, (decay[r:r + 1], rspec[r:r + 1]))
+            assert row.tobytes() == first[r:r + 1].tobytes()
 
 
 def test_study_and_landau_grids_fall_on_either_side_of_the_crossover():
     # the default study grid runs the interleaved rows, the Landau fit's
-    # one-period grid one padded row: each on the layout measured faster
+    # one-period grid the dense matrices: each on the layout measured faster
     study = StudyConfig.for_study("theorem2", out_dir=".").n_points
     landau = Grid.for_carrier(0.1, DEFAULT_POINTS_PER_PERIOD, periods=1)
     assert (study, landau.n_points) == (2048, 16)
-    assert landau.n_points < INTERLEAVE_MIN <= study
+    assert landau.n_points <= DENSE_MAX < study
     # the padded arrays are indexed by part, then by row of the batch
     for n, parts in ((study, 2), (landau.n_points, 1)):
-        assert PaddedGrid(n, 2).values.shape == (parts, 1, 2 * n // parts)
+        padded = PaddedGrid(n, 2)
+        assert padded.values.shape == (parts, 1, 2 * n // parts)
+        assert (padded.inverse is not None) == (parts == 1)
     for variant, pad in (("cubic", 2), ("quintic", 3)):
         p = ModelParams(variant)
-        assert SHStepper([landau], [p]).padded.values.shape == (1, 1, pad * 16)
+        padded = SHStepper([landau], [p]).padded
+        assert padded.values.shape == (1, 1, pad * 16)
+        # real matrices from and to the float view of the 9-mode
+        # half-spectrum
+        assert padded.inverse.shape == (18, pad * 16)
+        assert padded.forward.shape == (1, pad * 16, 18)
         grid = Grid.for_carrier(0.1, study)
         assert SHStepper([grid], [p]).padded.values.shape == (pad, 1, study)
 
