@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bands import DEFAULT_DELTA, amplitude_spectrum, band_symbols
+from .bands import DEFAULT_DELTA, band_symbols
 from .grid import DEFAULT_POINTS_PER_PERIOD, Grid, RealField
 from .sh import (CUBIC, QUINTIC, ModelParams, SHStepper, block_steps,
                  integrate, run_on_worker, shared, step_count)
@@ -36,12 +36,13 @@ class PairedDiagnostics:
     steps on the worker thread.
 
     A call, on the stepping thread, copies the step's v^ below ``top``,
-    band slice E of w and, with ``with_gl``, GL spectrum A^ of every row
-    into one side of a pair of block buffers.  A full block goes to the
-    worker as one job, ``_block``, while the stepping thread fills the
-    other side; the job before it is waited for first, so at most one
-    block is in flight.  ``finish`` hands over the last, partial block and
-    waits; ``wait`` re-raises the error of a failed job.
+    band slice E of w and, with ``with_gl``, the band's modes A^ of the
+    amplitude of every row into one side of a pair of block buffers.  A
+    full block goes to the worker as one job, ``_block``, while the
+    stepping thread fills the other side; the job before it is waited for
+    first, so at most one block is in flight.  ``finish`` hands over the
+    last, partial block and waits; ``wait`` re-raises the error of a
+    failed job.
 
     The averaging integrals are the running trapezoid rule, over time, of
 
@@ -67,10 +68,10 @@ class PairedDiagnostics:
 
     P1 v - w is the irfft of q1 v^ - E on the band slice, scattered into
     the half-spectrum up to the band's top (q1 is zero off the slice, and
-    irfft zero-pads the rest with the same bits), and demod(w) - A is
-    ifft(amplitude_spectrum(E)) - ifft(A^).  On step 0, w0 = P1 v0 and
-    A0 = demod(w0) are these same products, so both gaps are 0 and leave
-    the running max as it is.
+    irfft zero-pads the rest with the same bits), and |demod(w) - A| that
+    of the n-point ifft of E - A^ on the band slice, shifted by a phase.
+    On step 0, w0 = P1 v0 and A0 = demod(w0) are these same products, so
+    both gaps are 0 and leave the running max as it is.
 
     Each transform is one batched call over the block, and the other calls
     are few and large, so the job holds the GIL briefly; the rows of a
@@ -146,8 +147,8 @@ class PairedDiagnostics:
             "_gapspec": ((size, rows, self.band.stop), c),
             "_gap": ((size, rows, n), float)}
         if self.sup_diff_gl is not None:
-            blocks |= {"_gls": ((2, size, rows, n), c),
-                       "_amp": ((size, rows, n), c)}
+            # the amplitude's band modes have the band slice's shape
+            blocks |= {"_gls": blocks["_bands"], "_amp": ((size, rows, n), c)}
         return blocks
 
     def block_bytes(self, size: int) -> int:
@@ -225,14 +226,10 @@ class PairedDiagnostics:
         np.abs(gap, out=gap)
         np.maximum(self.sup_diff, gap.max(axis=(0, 2)), out=self.sup_diff)
         if self.sup_diff_gl is not None:
-            # the spectra of A are zero off the band's modes, as
-            # amplitude_spectrum leaves a fresh array
-            amp, gl = self._amp[:k], self._gls[side, :k]
-            amp.fill(0.0)
-            np.fft.ifft(amplitude_spectrum(bands, amp), out=amp)
-            np.fft.ifft(gl, out=gl)
-            np.subtract(amp, gl, out=amp)
-            np.abs(amp, out=gap)
+            # the gap spectra take E - A^ on the band, and stay zero below
+            np.subtract(bands, self._gls[side, :k], out=diff)
+            np.fft.ifft(self._gapspec[:k], n=self.n, out=self._amp[:k])
+            np.abs(self._amp[:k], out=gap)
             np.maximum(self.sup_diff_gl, gap.max(axis=(0, 2)),
                        out=self.sup_diff_gl)
 

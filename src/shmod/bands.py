@@ -131,17 +131,6 @@ def project(f: RealField, q: np.ndarray) -> RealField:
 
 # -- carrier modulation ------------------------------------------------------
 
-def amplitude_spectrum(E: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The fft of A, w = A e^{iX/eps} + c.c., written into ``out`` from the
-    P1 slice ``E = wspec[band]`` of w's half-spectrum (``BandSymbols.band``),
-    along the last axis: mode m+j of w is mode j of A.  The other entries
-    of ``out`` keep their values, zero for a fresh array."""
-    b, n = E.shape[-1] // 2, out.shape[-1]
-    out[..., : b + 1] = E[..., b:]
-    out[..., n - b:] = E[..., :b]
-    return out
-
-
 def demodulate(v1: RealField, delta: float = DEFAULT_DELTA,
                energy_tol: float = OFFBAND_ENERGY_TOL) -> ComplexField:
     """Complex amplitude A with v1 = A e^{iX/eps} + c.c., eps the grid's.

@@ -151,16 +151,59 @@ def dealiased_powers(rspec: np.ndarray, coeffs: dict, padded: PaddedGrid,
     return np.add.reduce(terms[: parts + len(products)], axis=0)
 
 
-def dealiased_powers_complex(spec: np.ndarray, n: int, coeffs: dict,
-                             pad_factor: int) -> np.ndarray:
-    """Full spectra of sum_e coeffs[e] A |A|^(e-1) for the complex rows A
-    of ``spec``; e in {3, 5}."""
-    n_pad, half = pad_factor * n, n // 2
-    zeros = np.zeros((*spec.shape[:-1], n_pad - n))
-    padded = np.concatenate([spec[..., :half], zeros, spec[..., half:]],
-                            axis=-1)
-    ap = np.fft.ifft(padded) * (n_pad / n)
-    abs2 = ap.real * ap.real + ap.imag * ap.imag
-    gain = _horner(abs2, {(e - 1) // 2: c for e, c in coeffs.items()})
-    ws = np.fft.fft(ap * gain) * (n / n_pad)
-    return np.concatenate([ws[..., :half], ws[..., n_pad - half:]], axis=-1)
+class EnvelopeGrid:
+    """Work arrays of :func:`envelope_powers` for a batch of ``rows`` rows
+    of ``width`` contiguous modes, filled in place on every call; a caller
+    owns its own instance and never shares it between threads.
+
+    A row's samples a are its w modes zero-padded at the end to ``ne``
+    points: A e^{ihX dk} for a run whose first mode is -h, a pure phase
+    that drops out of |a|^2.  a |a|^{2e} spans the shifts -e (w-1) ..
+    (e+1)(w-1), so its first w modes alias nothing once ne > (e+1)(w-1):
+    ``ne`` is the smallest power of two above 2 (w-1), or 3 (w-1) with
+    ``quintic``.  ``quadratic`` adds the work arrays of ``inv``.
+    """
+
+    def __init__(self, rows: int, width: int, quintic: bool,
+                 quadratic: bool = False):
+        self.ne = 1 << ((3 if quintic else 2) * (width - 1)).bit_length()
+        # a row each: a, |a|^2, |Im a|^2 and then p(|a|^2), the products
+        # and, with ``quadratic``, the spectra of the two squares
+        size = (rows, self.ne)
+        self.a, self.g = np.empty((2, *size), np.complex128)
+        self.abs2, self.poly = np.empty((2, *size))
+        if quadratic:
+            self.h = np.empty_like(self.g)
+            self.squares = np.empty((rows, 2, self.ne), np.complex128)
+
+
+def envelope_powers(E: np.ndarray, coeffs: dict, gain, env: EnvelopeGrid,
+                    inv: np.ndarray | None = None) -> np.ndarray:
+    """The first ``E.shape[-1]`` modes of ``gain`` times a p(|a|^2), p(y) =
+    sum_e coeffs[e] y^e, for the envelope samples a on ``env`` of each row
+    of ``E``, as a new array; with ``inv``, of a (p(|a|^2) + B0) + conj(a)
+    B2, B0 and B2 the inverse transforms of ``inv[:, 0]`` times the
+    spectrum of 2|a|^2 and ``inv[:, 1]`` times that of a^2.  2 batched
+    FFTs of ``ne`` points, 4 with ``inv``; a row has the bits of its call
+    alone."""
+    a, abs2, poly, g = env.a, env.abs2, env.poly, env.g
+    np.fft.ifft(E, n=env.ne, out=a)
+    np.multiply(a.real, a.real, out=abs2)
+    np.multiply(a.imag, a.imag, out=poly)
+    abs2 += poly
+    _horner(abs2, coeffs, out=poly)
+    if inv is not None:
+        squares, h = env.squares, env.h
+        np.multiply(2.0, abs2, out=squares[:, 0])
+        np.multiply(a, a, out=squares[:, 1])
+        np.fft.fft(squares, out=squares)
+        np.multiply(inv, squares, out=squares)
+        np.fft.ifft(squares, out=squares)
+        np.add(poly, squares[:, 0], out=g)
+        np.multiply(a, g, out=g)
+        np.multiply(np.conjugate(a, out=h), squares[:, 1], out=h)
+        g += h
+    else:
+        np.multiply(a, poly, out=g)
+    np.fft.fft(g, out=g)
+    return gain * g[:, : E.shape[-1]]

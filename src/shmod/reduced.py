@@ -19,10 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import PairedDiagnostics
-from .bands import DEFAULT_DELTA, amplitude_spectrum, band_symbols
+from .bands import DEFAULT_DELTA, band_symbols
 from .grid import ComplexField
 from .noise import NoiseConfig, SpectralNoise
-from .operators import _horner, dealiased_powers_complex
+from .operators import EnvelopeGrid, envelope_powers
 from .sh import (ModelParams, RunResult, SHStepper, etd_multipliers,
                  integrate, noise_draw, per_row, shared, step_count)
 
@@ -71,25 +71,18 @@ class ReducedStepper:
     3m +- 5c and -m +- 5c, off it only while 3c < m, so a quintic
     polynomial rejects a row with a wider P1 slice.
 
-    The products are taken on an envelope grid of ``ne`` points, the
-    smallest power of two above 4b, or 6b with a quintic term.  |A|^2 and
-    A^2 span the modes -2b .. 2b, |A|^2 A, A B0 and conj(A) B2 span -3b .. 3b
-    and |A|^4 A spans -5b .. 5b.  Mode k aliases onto k -+ ne, so the
-    squares are exact and the cubic (quintic) products keep their modes
-    -b .. b exact once ne > 4b (ne > 6b).  The envelope samples are those of
-    A e^{ibX dk}, E zero-padded at its end: the shift multiplies every
-    product by a pure phase, so the drift is the first 2b+1 modes of one
-    forward transform.  The factors ne/n of the two grid normalisations are
-    folded into ``gain`` and the quintic coefficient.
+    ``envelope_powers`` takes the products on an ``EnvelopeGrid`` of the
+    2b+1 modes of E, whose ne points, a power of two above 4b (6b with a
+    quintic term), keep the modes -b .. b of A B0 and conj(A) B2 exact too.
+    The factors ne/n of the two grid normalisations are folded into
+    ``gain`` and the quintic coefficient.
 
-    The stepper owns the work arrays of its drift, as ``SHStepper`` owns its
-    ``PaddedGrid``, and fills them in place on every step, so one stepper
-    serves one thread at a time.  ``step_spec`` returns a new array.
+    The stepper owns its ``EnvelopeGrid``, so one stepper serves one thread
+    at a time; ``step_spec`` returns a new array.
     """
 
     def __init__(self, grids, params, intensity: float = 1.0,
                  delta: float = DEFAULT_DELTA):
-        self.grids = grids
         syms = [band_symbols(g, delta) for g in grids]
         n = self.n = shared([g.n_points for g in grids], "grid size")
         m = shared([g.carrier_index for g in grids], "carrier index")
@@ -100,7 +93,10 @@ class ReducedStepper:
                              "the third harmonic of w^5 reaches P1")
         b = (m - 1) // (3 if quintic else 2)
         self.band = slice(m - b, m + b + 1)
-        self.ne = 1 << ((6 if quintic else 4) * b).bit_length()
+        nus = [c[2] for c in polys]
+        self.envelope = EnvelopeGrid(len(grids), 2 * b + 1, quintic,
+                                     any(nus))
+        self.ne = self.envelope.ne
         lam = np.array([sym.lam[self.band] for sym in syms])
         self.q1 = np.array([sym.q1[self.band] for sym in syms])
         self.decay, self.phi1dt, scale = etd_multipliers(
@@ -116,7 +112,6 @@ class ReducedStepper:
         # each mode of the band stands for a conjugate pair: see SHStepper
         self.bound_scale = 2.0 / n
         self.inv_b = None
-        nus = [c[2] for c in polys]
         if any(nus):
             # P0 and P2 have disjoint supports, so inv02 is inv0 or inv2 per
             # mode; past the half-spectrum it is zero
@@ -129,40 +124,12 @@ class ReducedStepper:
                     (inv02[np.minimum(k, self.ne - k)],
                      inv02[2 * (m - b) + k])))
             self.inv_b = np.array(rows).astype(np.complex128)
-        # work arrays, a row each: the envelope samples a, |a|^2, |Im a|^2
-        # and then the polynomial in |a|^2, the envelope products and the
-        # spectra of the two squares
-        size = (len(grids), self.ne)
-        self._a = np.empty(size, np.complex128)
-        self._abs2, self._poly = np.empty(size), np.empty(size)
-        self._g = np.empty(size, np.complex128)
-        self._h = np.empty_like(self._g)
-        self._squares = np.empty((len(grids), 2, self.ne), np.complex128)
 
     def drift(self, E: np.ndarray) -> np.ndarray:
         """Band slice of P1 of the band polynomial plus the quadratic
         correction, by rows: 4 batched FFTs of ``ne`` points, 2 if nu = 0."""
-        a, abs2, poly, g = self._a, self._abs2, self._poly, self._g
-        np.fft.ifft(E, n=self.ne, out=a)
-        np.multiply(a.real, a.real, out=abs2)
-        np.multiply(a.imag, a.imag, out=poly)
-        abs2 += poly
-        _horner(abs2, self.poly, out=poly)
-        if self.inv_b is not None:
-            squares, h = self._squares, self._h
-            np.multiply(2.0, abs2, out=squares[:, 0])
-            np.multiply(a, a, out=squares[:, 1])
-            np.fft.fft(squares, out=squares)
-            np.multiply(self.inv_b, squares, out=squares)
-            np.fft.ifft(squares, out=squares)
-            np.add(poly, squares[:, 0], out=g)
-            np.multiply(a, g, out=g)
-            np.multiply(np.conjugate(a, out=h), squares[:, 1], out=h)
-            g += h
-        else:
-            np.multiply(a, poly, out=g)
-        np.fft.fft(g, out=g)
-        return self.gain * g[:, : E.shape[-1]]
+        return envelope_powers(E, self.poly, self.gain, self.envelope,
+                               self.inv_b)
 
     def step_spec(self, E: np.ndarray, raw: np.ndarray | None) -> np.ndarray:
         drift = self.drift(E)
@@ -189,60 +156,76 @@ class GLStepper:
     """ETD2RK step of the amplitude equation for a batch of rows on periodic
     grids of one size, a row's multipliers from its grid and coefficients.
 
+    A row holds A as ``ReducedStepper`` holds w, a run of w modes -h ..
+    w-1-h, h = w // 2, of its n-point fft, picked from each step's noise
+    draw by ``band`` (a slice or an index array) and weighted by ``q``: a
+    paired run holds the P1 slice -b .. b of the real draw with q1 and
+    drops the products' modes outside it (README); ``simulate_gl`` all n
+    modes of the complex draw in ``fftshift`` order.
+
     Second order on the deterministic part (the Riccati oracle needs it);
     noise is an exact per-mode OU increment added after the deterministic
     update.
     """
 
-    def __init__(self, grids, coeffs, dt: float, intensity: float = 1.0):
-        self.n = shared([g.n_points for g in grids], "grid size")
+    def __init__(self, grids, coeffs, dt: float, intensity: float, band,
+                 q=1.0):
+        n = self.n = shared([g.n_points for g in grids], "grid size")
         quintic = shared([c.quintic for c in coeffs], "quintic coefficient")
-        lam = -GL_DIFFUSION * np.array([g.wavenumbers for g in grids]) ** 2
-        self.decay, self.phi1dt, self.noise_scale = etd_multipliers(
+        self.band, width = band, np.arange(n)[band].size
+        modes = np.arange(width) - width // 2
+        self.envelope = EnvelopeGrid(len(grids), width, bool(quintic))
+        lam = -GL_DIFFUSION * np.array([g.wavenumbers[modes]
+                                        for g in grids]) ** 2
+        self.decay, self.phi1dt, scale = etd_multipliers(
             grids, lam, [dt] * len(grids), intensity)
+        self.noise_scale = None if scale is None else scale * q
         z = lam * dt
         small = np.abs(z) < 1e-6
         zs = np.where(small, 1.0, z)
         phi2 = np.where(small, 0.5 + z / 6.0, (np.expm1(zs) - zs) / zs ** 2)
         self.phi2dt = dt * phi2
         self.noise = SpectralNoise(grids[0], intensity)
-        cubic = per_row([c.cubic for c in coeffs])
-        # a term that no row has is left out, unless no term is left
-        self.coeffs = {e: c for e, c in {3: cubic, 5: quintic}.items()
-                       if np.any(c)} or {3: cubic}
-        self.pad = 2 if quintic == 0.0 else 3
+        # |A|^2 A and |A|^4 A in |a|^2, the factors ne/n in the gain and
+        # the quintic coefficient; a term that no row has is left out,
+        # unless no term is left
+        self.gain = (self.envelope.ne / n) ** 2
+        poly = {1: per_row([c.cubic for c in coeffs]), 2: quintic * self.gain}
+        self.poly = {e: c for e, c in poly.items() if np.any(c)} or {
+            1: poly[1]}
         # Σ|ĉ|/n bounds the sup norm of the values (_blown_up)
-        self.bound_scale = 1.0 / self.n
-
-    def nonlinearity(self, aspec: np.ndarray) -> np.ndarray:
-        return dealiased_powers_complex(aspec, self.n, self.coeffs, self.pad)
+        self.bound_scale = 1.0 / n
 
     def step_spec(self, aspec: np.ndarray, raw: np.ndarray | None) -> np.ndarray:
-        n1 = self.nonlinearity(aspec)
+        nonlinearity = (self.poly, self.gain, self.envelope)
+        n1 = envelope_powers(aspec, *nonlinearity)
         a1 = self.decay * aspec + self.phi1dt * n1
-        out = a1 + self.phi2dt * (self.nonlinearity(a1) - n1)
+        out = a1 + self.phi2dt * (envelope_powers(a1, *nonlinearity) - n1)
         if raw is not None and self.noise_scale is not None:
-            out = out + raw * self.noise_scale
+            out += raw[:, self.band] * self.noise_scale
         return out
 
     def values(self, aspec: np.ndarray) -> np.ndarray:
-        return np.fft.ifft(aspec)
+        """The n samples of A e^{ihX dk}, whose modulus is |A|."""
+        return np.fft.ifft(aspec, n=self.n)
 
 
 def simulate_gl(A0: ComplexField, c: GLCoefficients, dt: float, t_end: float,
                 cfg: NoiseConfig | None = None) -> RunResult:
     """Integrate to t_end, or to the last step before blow-up, at ``cfg``'s
-    noise level, noise-free without a ``cfg``: a batch of one."""
+    noise level, noise-free without a ``cfg``: a batch of one, stepped in
+    ``fftshift`` order."""
     intensity = cfg.intensity if cfg is not None else 0.0
-    stepper = GLStepper([A0.grid], [c], dt, intensity)
+    shift = np.fft.fftshift(np.arange(A0.grid.n_points))
+    stepper = GLStepper([A0.grid], [c], dt, intensity, shift)
     n_steps = step_count(t_end, dt)
     (status,), (steps,), (aspec,) = integrate(
-        [stepper], [A0.spectrum()[None]], n_steps,
+        [stepper], [A0.spectrum()[None, shift]], n_steps,
         ModelParams.blowup_threshold,
         noise_draw(stepper.noise, None if cfg is None else [cfg], n_steps,
                    complex_rows=True))
-    return RunResult(ComplexField.from_spectrum(A0.grid, aspec[0]), status,
-                     steps * dt)
+    return RunResult(ComplexField.from_spectrum(
+        A0.grid, np.fft.ifftshift(aspec[0])), status, steps * dt)
 
 
 # -- paired runs for the approximation studies -------------------------------
@@ -257,25 +240,6 @@ class PairedResult:
     sup_diff_gl: list | None = None      # sup_T ||demod(w) - A||_inf
 
 
-class _BandGLStepper(GLStepper):
-    """GL stepper driven by the shared real draw: the amplitude of each
-    row's P1 band, q1 raw, scattered from the band slice of ``red``."""
-
-    def __init__(self, coeffs, dt: float, intensity: float,
-                 red: ReducedStepper):
-        super().__init__(red.grids, coeffs, dt, intensity)
-        self.red = red
-        self.raw_amplitude = np.zeros((len(coeffs), self.n),
-                                      dtype=np.complex128)
-
-    def step_spec(self, aspec: np.ndarray, raw: np.ndarray | None) -> np.ndarray:
-        if raw is not None:
-            red = self.red
-            raw = amplitude_spectrum(red.q1 * raw[:, red.band],
-                                     self.raw_amplitude)
-        return super().step_spec(aspec, raw)
-
-
 def simulate_paired(v0s, params, cfgs, delta: float = DEFAULT_DELTA,
                     with_gl: bool = False) -> list:
     """Drive the full equation and the band equation of a batch of rows,
@@ -286,9 +250,10 @@ def simulate_paired(v0s, params, cfgs, delta: float = DEFAULT_DELTA,
     quintic term or its absence, grid size and carrier index, and may
     differ in eps and polynomial (``ReducedStepper``'s slice depends on
     neither).  w starts from P1 v0.  If ``with_gl`` is set, a
-    Ginzburg-Landau amplitude on the same grid is driven by the demodulated
-    P1 noise band (same white realization, each mode with its own exact OU
-    variance) and compared against the demodulated w.  Every diagnostic,
+    Ginzburg-Landau amplitude on the band's modes starts from w's band
+    slice and is driven by the P1 noise band (same white realization, each
+    mode with its own exact OU variance), and compared against the
+    demodulated w.  Every diagnostic,
     the averaging residuals of v with the polynomial's nu among them, is
     taken over every step as the run goes by ``analysis.PairedDiagnostics``,
     in blocks of its ``size`` steps, as is the noise; no field is stored.
@@ -307,10 +272,9 @@ def simulate_paired(v0s, params, cfgs, delta: float = DEFAULT_DELTA,
     wband = red.q1 * vspec[:, red.band]
     steppers, specs = [sh, red], [vspec, wband]
     if with_gl:
-        steppers.append(_BandGLStepper(
-            [gl_coefficients(q) for q in params], p.dt, intensity, red))
-        specs.append(amplitude_spectrum(
-            wband, np.zeros((len(grids), red.n), dtype=np.complex128)))
+        steppers.append(GLStepper(grids, [gl_coefficients(q) for q in params],
+                                  p.dt, intensity, red.band, red.q1))
+        specs.append(wband)
     diagnostics = PairedDiagnostics(grids, [q.polynomial[2] for q in params],
                                     red.band, p.dt, delta, with_gl)
     diagnostics(0, specs)

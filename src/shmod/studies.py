@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import time
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
@@ -302,15 +303,19 @@ def study_cells(cfg: StudyConfig) -> list:
 
 def _run_batches(cfg: StudyConfig, cells: list):
     """Yield the records of ``cells``, run in :func:`study_batches`, as each
-    batch finishes: in ``cfg.threads`` worker processes, or in turn in this
-    one for one worker or batch.  Stopping early cancels those not begun.
+    batch finishes: in ``min(cfg.threads, batches, usable CPUs)`` worker
+    processes, or in turn in this one when that is one or none.  Stopping
+    early cancels those not begun.
 
     The forkserver that starts the workers imports ``__main__`` and this
     module once, so a worker does not import numpy and shmod afresh; this
     replaces any list that a caller set with ``set_forkserver_preload``,
     which takes effect only if the forkserver is not yet running."""
     batches = study_batches(cfg, cells)
-    if cfg.threads == 1 or len(batches) < 2:
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    workers = min(cfg.threads, len(batches), cpus)
+    if workers <= 1:
         for batch in batches:
             yield from _run_batch(cfg, batch)
         return
@@ -320,7 +325,7 @@ def _run_batches(cfg: StudyConfig, cells: list):
     from concurrent.futures import ProcessPoolExecutor, as_completed
     context = multiprocessing.get_context("forkserver")
     context.set_forkserver_preload(["__main__", __name__])
-    pool = ProcessPoolExecutor(cfg.threads, mp_context=context)
+    pool = ProcessPoolExecutor(workers, mp_context=context)
     try:
         for future in as_completed([pool.submit(_run_batch, cfg, batch)
                                     for batch in batches]):
@@ -495,9 +500,9 @@ class StudySpec:
     of at most ``max_batch``.
     ``summary(cfg, records)`` gives the fits and the gates, ``None`` for
     one not evaluated.  ``reads`` are the settings the cells read; every
-    study also accepts ``threads``, its number of worker processes, which
-    shapes no record.  Each of ``models(cfg)`` has a cell at every eps,
-    per seed if ``seeded``; ``check(cfg, grid(cfg, eps))`` raises
+    study also accepts ``threads``, its number of worker processes at most,
+    which shapes no record.  Each of ``models(cfg)`` has a cell at every
+    eps, per seed if ``seeded``; ``check(cfg, grid(cfg, eps))`` raises
     ValueError if they cannot run."""
 
     summary: Callable
@@ -584,9 +589,10 @@ def run_study(cfg: StudyConfig, progress=None) -> dict:
 
     Completed cells found in an existing ``records.csv`` are skipped, so a
     study interrupted between cells resumes where it stopped; the pending
-    cells run in batches (:func:`study_batches`), ``cfg.threads`` at a time
-    in as many worker processes, so a script that calls this with
-    ``threads > 1`` needs the ``if __name__ == "__main__":`` guard.
+    cells run in batches (:func:`study_batches`) in ``cfg.threads`` worker
+    processes at most, and no more than the batches or the usable CPUs, so
+    a script that calls this with ``threads > 1`` needs the
+    ``if __name__ == "__main__":`` guard.
     Returns the summary dict (also written to ``summary.json``).
     """
     cfg.validate()

@@ -3,10 +3,10 @@ import pytest
 
 from shmod import Grid, ModelParams, NoiseConfig, RealField, integrate
 from shmod.analysis import PairedDiagnostics
-from shmod.bands import amplitude_spectrum, band_symbols
+from shmod.bands import band_symbols
 from shmod.operators import _horner
-from shmod.reduced import ReducedStepper
-from shmod.sh import SHStepper, noise_draw
+from shmod.reduced import GL_DIFFUSION, GLStepper, ReducedStepper
+from shmod.sh import SHStepper, etd_multipliers, noise_draw
 
 
 @pytest.fixture
@@ -51,8 +51,8 @@ class FullGridReference:
     ``simulate_paired`` by the n-point arithmetic of shmod 0.10.0, one step
     at a time on the calling thread, with no batched transform: on step i,
     with v1 = irfft(q1 v^) and w the band stepper's ``values``, sup_diff is
-    the running max of |v1 - w| over the steps i >= 1, sup_diff_gl, if a
-    GL spectrum A^ follows, that of |ifft(amplitude_spectrum(E)) - ifft(A^)|
+    the running max of |v1 - w| over the steps i >= 1, sup_diff_gl, if the
+    band's modes A^ of a GL amplitude follow, that of ``gl_gap(E, A^)``
     with E the band slice of w, and the averaging integrands
 
         f = v1 * irfft(q_k/eps v^ + nu inv_k rfft(v1^2)),  k = 0, 2,
@@ -82,10 +82,8 @@ class FullGridReference:
             self.sup_diff = max(self.sup_diff, self.gap(vspec, v1, specs[1]))
         self.gl = len(specs) > 2
         if i and self.gl:
-            A = specs[2][0]
-            gap = np.abs(np.fft.ifft(amplitude_spectrum(
-                specs[1][0], np.zeros_like(A))) - np.fft.ifft(A))
-            self.sup_diff_gl = max(self.sup_diff_gl, float(np.max(gap)))
+            self.sup_diff_gl = max(self.sup_diff_gl,
+                                   self.gl_gap(specs[1][0], specs[2][0]))
         sq = np.fft.rfft(v1 * v1)
         f = v1 * np.fft.irfft(self.qk_eps * vspec + self.nu_inv * sq,
                               n=self.n)
@@ -93,6 +91,21 @@ class FullGridReference:
         if self.last is not None:
             self.total += (0.5 * (t - self.last[0])) * (self.last[1] + f)
         self.last = t, f
+
+    @staticmethod
+    def gl(red, grids, coeffs, dt: float, intensity: float, E):
+        """The GL stepper of a paired run of ``red``'s rows on ``grids``,
+        whose spectra ``gl_gap`` reads, and its initial spectra from the
+        band slice E."""
+        return GLStepper(grids, coeffs, dt, intensity, red.band, red.q1), E
+
+    def gl_gap(self, E, A) -> float:
+        """max |demod(w) - A| over the n grid: the n-point ifft of E - A^
+        placed on the band slice, a new array for each product."""
+        red = self.red
+        spec = np.zeros(red.band.stop, np.complex128)
+        spec[red.band] = E - A
+        return float(np.max(np.abs(np.fft.ifft(spec, n=red.n))))
 
     def totals(self) -> np.ndarray:
         """The P0 and the P2 integral on the n grid."""
@@ -136,6 +149,88 @@ class PairedReference(FullGridReference):
         spec = np.fft.rfft(self.total)
         spec[:, -1] = 0.0
         return np.fft.irfft(spec * (self.full / self.n), n=self.full)
+
+
+def amplitude_spectrum(E: np.ndarray, n: int) -> np.ndarray:
+    """The n-point fft of A, w = A e^{iX/eps} + c.c., from the rows of the
+    P1 slice ``E = wspec[band]`` of w's half-spectrum (``BandSymbols.band``):
+    mode m+j of w is mode j of A, the other modes zero."""
+    b = E.shape[-1] // 2
+    out = np.zeros((*E.shape[:-1], n), np.complex128)
+    out[..., : b + 1] = E[..., b:]
+    out[..., n - b:] = E[..., :b]
+    return out
+
+
+def dealiased_powers_complex(spec: np.ndarray, n: int, coeffs: dict,
+                             pad_factor: int) -> np.ndarray:
+    """Full spectra of sum_e coeffs[e] A |A|^(e-1) for the complex rows A
+    of ``spec``, e in {3, 5}, on the ``pad_factor·n`` point grid."""
+    n_pad, half = pad_factor * n, n // 2
+    zeros = np.zeros((*spec.shape[:-1], n_pad - n))
+    padded = np.concatenate([spec[..., :half], zeros, spec[..., half:]],
+                            axis=-1)
+    ap = np.fft.ifft(padded) * (n_pad / n)
+    abs2 = ap.real * ap.real + ap.imag * ap.imag
+    gain = _horner(abs2, {(e - 1) // 2: c for e, c in coeffs.items()})
+    ws = np.fft.fft(ap * gain) * (n / n_pad)
+    return np.concatenate([ws[..., :half], ws[..., n_pad - half:]], axis=-1)
+
+
+class FullGridGLStepper:
+    """The Ginzburg-Landau step of a paired run on all n modes of A, in fft
+    order, as shmod 0.12.0 took it: ETD2RK with the powers dealiased on the
+    2n (cubic) or 3n (quintic) point grid, driven by ``q1·raw`` of the band
+    slice scattered onto A's modes.  Its spectra start from
+    ``amplitude_spectrum(E, n)``."""
+
+    def __init__(self, red, grids, coeffs, dt: float, intensity: float):
+        self.red, self.n = red, red.n
+        quintic = coeffs[0].quintic
+        lam = -GL_DIFFUSION * np.array([g.wavenumbers for g in grids]) ** 2
+        self.decay, self.phi1dt, self.noise_scale = etd_multipliers(
+            grids, lam, [dt] * len(grids), intensity)
+        z = lam * dt
+        small = np.abs(z) < 1e-6
+        zs = np.where(small, 1.0, z)
+        self.phi2dt = dt * np.where(small, 0.5 + z / 6.0,
+                                    (np.expm1(zs) - zs) / zs ** 2)
+        cubic = np.array([[c.cubic] for c in coeffs])
+        self.coeffs = {e: c for e, c in {3: cubic, 5: quintic}.items()
+                       if np.any(c)} or {3: cubic}
+        self.pad = 2 if quintic == 0.0 else 3
+        self.bound_scale = 1.0 / self.n
+
+    def nonlinearity(self, aspec):
+        return dealiased_powers_complex(aspec, self.n, self.coeffs, self.pad)
+
+    def step_spec(self, aspec, raw):
+        n1 = self.nonlinearity(aspec)
+        a1 = self.decay * aspec + self.phi1dt * n1
+        out = a1 + self.phi2dt * (self.nonlinearity(a1) - n1)
+        if raw is not None and self.noise_scale is not None:
+            red = self.red
+            out = out + amplitude_spectrum(red.q1 * raw[:, red.band],
+                                           self.n) * self.noise_scale
+        return out
+
+    def values(self, aspec):
+        return np.fft.ifft(aspec)
+
+
+class FullGridGLReference(PairedReference):
+    """``PairedReference`` for the GL spectra of a ``FullGridGLStepper``:
+    sup_diff_gl is the running max of |ifft(amplitude_spectrum(E)) -
+    ifft(A^)| over the n grid."""
+
+    @staticmethod
+    def gl(red, grids, coeffs, dt: float, intensity: float, E):
+        return (FullGridGLStepper(red, grids, coeffs, dt, intensity),
+                amplitude_spectrum(E, red.n))
+
+    def gl_gap(self, E, A) -> float:
+        demod = np.fft.ifft(amplitude_spectrum(E, self.full))
+        return float(np.max(np.abs(demod - np.fft.ifft(A))))
 
 
 def paired_diagnostics(grids, nus, with_gl: bool = False,

@@ -15,7 +15,7 @@ from shmod import (Grid, ModelParams, NoiseConfig, StudyConfig, __version__,
                    run_study, simulate_paired)
 from shmod.studies import load_records
 
-GOLDEN_VERSION = "0.12.0"
+GOLDEN_VERSION = "0.13.0"
 
 TINY = dict(eps_list=(0.2,), nu_list=(0.5,), n_seeds=1, n_points=512,
             periods=32, dt=1e-3, t_end=0.05)
@@ -27,7 +27,7 @@ PAIRED = {"res_p0": "0x1.6a7a35139e312p-8",
 
 @pytest.mark.parametrize("study, extra, diagnostics", [
     ("theorem2", {}, PAIRED),
-    ("gl-limit", {}, dict(PAIRED, sup_diff_gl="0x1.4714764332a7ap-9")),
+    ("gl-limit", {}, dict(PAIRED, sup_diff_gl="0x1.4706e6638daebp-9")),
     ("averaging", {"intensity": 0.0},
      {"res_p0": "0x1.c318d1d523c34p-8", "res_p2": "0x1.ba44dd5fcda0bp-13",
       "sup_diff": "0x1.8bb483ca369ffp-8"}),
@@ -73,7 +73,7 @@ def test_quintic_paired_batch_matches_golden_record():
         "sup_diff": ["0x1.3eb5bc308a512p-10", "0x1.f5cb54aa92fb9p-9"],
         "res_p0": ["0x1.2efc9b0b85264p-10", "0x1.743ba2144d892p-9"],
         "res_p2": ["0x1.9744dacb1e71ap-12", "0x1.e96047c830f2ap-12"],
-        "sup_diff_gl": ["0x1.590deaa9f9197p-11", "0x1.17cacae7e690ap-11"]}
+        "sup_diff_gl": ["0x1.58b8de4f3d6d2p-11", "0x1.167dcb1b2390ep-11"]}
 
 
 def test_cubic_fit_matches_golden_record():

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import dataclasses
 import json
@@ -536,7 +537,8 @@ BATCHES = {"theorem2": dict(TINY, n_seeds=6), "attractivity": MIXED,
 
 
 @pytest.mark.parametrize("study", STUDY_NAMES)
-def test_study_is_deterministic_across_thread_counts(tmp_path, study):
+def test_study_is_deterministic_across_thread_counts(tmp_path, monkeypatch,
+                                                      study):
     # One worker process or two write the same records and summary, whose
     # cells run in batches: the paired seeds of one eps, and attractivity
     # batches in which some rows blow up.  The cells must raise no warning
@@ -547,6 +549,9 @@ def test_study_is_deterministic_across_thread_counts(tmp_path, study):
         study, out_dir=str(tmp_path / str(threads)), threads=threads,
         **BATCHES[study]) for threads in (1, 2)}
     assert len(study_batches(cfg[2], study_cells(cfg[2]))) > 1
+    # two real worker processes, even where one CPU would cap them
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         filters = list(warnings.filters)
@@ -564,6 +569,62 @@ def test_study_is_deterministic_across_thread_counts(tmp_path, study):
     if study == "attractivity":
         assert {row["status"] for row in _columns(cfg[1].out_dir)} == {
             "ok", "error: run ended with status 'blowup_stopped'"}
+
+
+class _InlinePool:
+    """A stand-in for ``ProcessPoolExecutor`` that records the
+    ``max_workers`` of each pool made and runs every batch as it is
+    submitted, in this process: no process starts."""
+
+    made = []
+
+    def __init__(self, max_workers, mp_context=None):
+        self.made.append(max_workers)
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, cancel_futures=False):
+        pass
+
+
+@pytest.mark.parametrize("threads, cpus, workers", [
+    (64, 2, 2), (64, 8, 3), (2, 8, 2), (64, 1, None), (1, 8, None)])
+def test_study_starts_no_more_workers_than_batches_or_cpus(
+        tmp_path, monkeypatch, threads, cpus, workers):
+    # threads=64 over 3 batches starts as many processes as the CPUs allow
+    # and the batches need, and none (a serial run) when that is one; the
+    # records are those of the serial run
+    monkeypatch.setattr(_InlinePool, "made", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        _InlinePool)
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)), raising=False)
+    cfg = {k: StudyConfig.for_study("theorem2", out_dir=str(tmp_path / k),
+                                    threads=t, **dict(TINY, n_seeds=11))
+           for k, t in (("serial", 1), ("pool", threads))}
+    assert len(study_batches(cfg["pool"], study_cells(cfg["pool"]))) == 3
+    run_study(cfg["pool"])
+    assert _InlinePool.made == ([] if workers is None else [workers])
+    run_study(cfg["serial"])
+    assert _columns(cfg["pool"].out_dir) == _columns(cfg["serial"].out_dir)
+
+
+@pytest.mark.parametrize("count, workers", [(2, 2), (None, None)])
+def test_study_without_an_affinity_set_counts_the_cpus(
+        tmp_path, monkeypatch, count, workers):
+    # where the platform has no affinity set the CPU count caps the
+    # workers, and an unknown count runs the study in this process
+    monkeypatch.setattr(_InlinePool, "made", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        _InlinePool)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    run_study(StudyConfig.for_study("theorem2", out_dir=str(tmp_path),
+                                    threads=64, **dict(TINY, n_seeds=11)))
+    assert _InlinePool.made == ([] if workers is None else [workers])
 
 
 def test_quintic_suite_repeats_across_worker_processes_and_blas_threads(

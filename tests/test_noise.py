@@ -60,8 +60,8 @@ def test_complex_white_increment_halves_variance_per_part():
     # that split the real rate dt/dx evenly
     grid = small_grid()
     dt = 0.01
-    noise = GLStepper([grid], [GLCoefficients(cubic=0.0)], dt,
-                      intensity=1.0).noise
+    noise = GLStepper([grid], [GLCoefficients(cubic=0.0)], dt, 1.0,
+                      np.fft.fftshift(np.arange(grid.n_points))).noise
     rng = np.random.default_rng(2)
     scale = noise.ou_scale(0.0, dt)
     vals = np.concatenate([np.fft.ifft(noise.raw_complex(rng) * scale)

@@ -15,7 +15,8 @@ from shmod import (
 )
 from shmod import bands, operators
 from shmod.grid import DEFAULT_POINTS_PER_PERIOD
-from shmod.operators import (DENSE_MAX, PaddedGrid, dealiased_powers,
+from shmod.operators import (DENSE_MAX, EnvelopeGrid, PaddedGrid,
+                             dealiased_powers, envelope_powers,
                              inv_symbol_scaled)
 from shmod.reduced import ReducedStepper
 from shmod.sh import SHStepper
@@ -186,6 +187,54 @@ def test_dense_batch_rows_keep_the_bits_of_their_runs_alone():
                                  for e, c in coeffs.items()},
                 padded, (decay[r:r + 1], rspec[r:r + 1]))
             assert row.tobytes() == first[r:r + 1].tobytes()
+
+
+def _envelope_reference(E, coeffs, ne):
+    """``ne`` times the Fourier coefficients of a p(|a|^2), p(y) = sum_e
+    coeffs[e] y^e, at the modes of the row ``E`` of a = (1/ne) sum_j E_j
+    e^{ijx} over its signed modes j = -h .. w-1-h, h = w // 2: unaliased
+    direct sums over the mode lists, by ``np.convolve``, no transform."""
+    w = E.size
+    modes = np.arange(w) - w // 2
+    a = E / ne
+    # conj(A) holds mode -j with conj(a_j); |A|^2 spans -(w-1) .. w-1
+    abs2, abs2_lo = np.convolve(a, np.conj(a[::-1])), 0 - (w - 1)
+    assert abs2_lo == modes[0] - modes[-1]
+    out, term, lo = np.zeros(w, np.complex128), a, modes[0]
+    for e in range(1, max(coeffs) + 1):
+        term, lo = np.convolve(term, abs2), lo + abs2_lo
+        start = modes[0] - lo
+        out += coeffs.get(e, 0.0) * term[start: start + w]
+    return ne * out
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("quintic", [False, True], ids=["cubic", "quintic"])
+@pytest.mark.parametrize("width", [31, 32], ids=["band-slice", "fftshift"])
+def test_envelope_powers_match_unaliased_reference(width, quintic, rows):
+    # a run of w modes, a band slice -15 .. 15 or the 32 modes of a full
+    # spectrum in fftshift order, each row with its own coefficients and
+    # gain: the first w modes of the products on the ne-point envelope
+    # grid are the direct sums, and each row has the bits of its call alone
+    rng = np.random.default_rng(8 + width + rows)
+    env = EnvelopeGrid(rows, width, quintic)
+    assert env.ne == (128 if quintic else 64)
+    E = (rng.standard_normal((rows, width))
+         + 1j * rng.standard_normal((rows, width))) * env.ne / np.sqrt(width)
+    coeffs = {1: rng.uniform(-2.0, 2.0, (rows, 1))}
+    if quintic:
+        coeffs[2] = rng.uniform(-2.0, 2.0, (rows, 1))
+    gain = rng.uniform(0.5, 1.5, (rows, width))
+    got = envelope_powers(E, coeffs, gain, env)
+    for r in range(rows):
+        own = {e: c[r, 0] for e, c in coeffs.items()}
+        ref = gain[r] * _envelope_reference(E[r], own, env.ne)
+        np.testing.assert_allclose(got[r], ref, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(ref)))
+        alone = envelope_powers(E[r:r + 1],
+                                {e: c[r:r + 1] for e, c in coeffs.items()},
+                                gain[r:r + 1], EnvelopeGrid(1, width, quintic))
+        assert alone.tobytes() == got[r:r + 1].tobytes()
 
 
 def test_study_and_landau_grids_fall_on_either_side_of_the_crossover():

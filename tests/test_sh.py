@@ -232,8 +232,12 @@ def _guarded_steppers():
     return {
         "sh": (SHStepper([grid], [p], intensity=0.0), grid.n_points // 2 + 1),
         "reduced": (red, red.band.stop - red.band.start),
-        "gl": (GLStepper([grid], [gl_coefficients(p)], 1e-3, intensity=0.0),
+        "gl": (GLStepper([grid], [gl_coefficients(p)], 1e-3, 0.0,
+                         np.fft.fftshift(np.arange(grid.n_points))),
                grid.n_points),
+        "gl-band": (GLStepper([grid], [gl_coefficients(p)], 1e-3, 0.0,
+                              red.band, red.q1),
+                    red.band.stop - red.band.start),
     }
 
 
