@@ -10,8 +10,8 @@ import numpy as np
 
 from .bands import DEFAULT_DELTA, band_symbols
 from .grid import DEFAULT_POINTS_PER_PERIOD, Grid, RealField
-from .sh import (CUBIC, QUINTIC, ModelParams, SHStepper, block_steps,
-                 integrate, run_on_worker, shared, step_count)
+from .sh import (CUBIC, QUINTIC, ModelParams, SHStepper, integrate, shared,
+                 step_count)
 
 
 def _band_top(q: np.ndarray) -> int:
@@ -32,17 +32,12 @@ def averaging_points(grid: Grid, delta: float = DEFAULT_DELTA) -> int:
 class PairedDiagnostics:
     """The diagnostics of a batch of paired runs over every step, by rows:
     sup_T ||P1 v - w||_inf, the averaging integrals of v and, with
-    ``with_gl``, sup_T ||demod(w) - A||_inf, computed in blocks of ``size``
-    steps on the worker thread.
+    ``with_gl``, sup_T ||demod(w) - A||_inf, as the job of ``integrate``.
 
-    A call, on the stepping thread, copies the step's v^ below ``top``,
+    ``take``, on the stepping thread, copies a step's v^ below ``top``,
     band slice E of w and, with ``with_gl``, the band's modes A^ of the
-    amplitude of every row into one side of a pair of block buffers.  A
-    full block goes to the worker as one job, ``_block``, while the
-    stepping thread fills the other side; the job before it is waited for
-    first, so at most one block is in flight.  ``finish`` hands over the
-    last, partial block and waits; ``wait`` re-raises the error of a
-    failed job.
+    amplitude of every row into one side of a pair of block buffers, and
+    ``run``, on the worker thread, takes the diagnostics of a full side.
 
     The averaging integrals are the running trapezoid rule, over time, of
 
@@ -76,17 +71,8 @@ class PairedDiagnostics:
     Each transform is one batched call over the block, and the other calls
     are few and large, so the job holds the GIL briefly; the rows of a
     batched transform, and the ``abs`` and ``max`` of its values, have the
-    bits of one step at a time.  A block holds the most steps, at most
-    ``block_steps`` of the batch, for which ``block_bytes`` stays within
-    ``BLOCK_BYTES``.
+    bits of one step at a time.
     """
-
-    #: bytes of a paired run's block at most: every array of this object
-    #: and the run's two live noise blocks.  A default theorem2 batch of 5
-    #: holds 2.76 MB in blocks of 4 steps and would hold 3.36 MB in blocks
-    #: of 5; in that batch, blocks of 7 steps peaked 1.8 MB above blocks
-    #: of 4
-    BLOCK_BYTES = 3 << 20
 
     def __init__(self, grids, nus, band: slice, dt: float,
                  delta: float = DEFAULT_DELTA, with_gl: bool = False):
@@ -117,12 +103,6 @@ class PairedDiagnostics:
         self.total = np.zeros((rows, 2, m))
         self.sup_diff = np.zeros(rows)
         self.sup_diff_gl = np.zeros(rows) if with_gl else None
-        self.size = max((k for k in range(1, block_steps(rows) + 1)
-                         if self.block_bytes(k) <= self.BLOCK_BYTES),
-                        default=1)
-        for name, (shape, dtype) in self._blocks(self.size).items():
-            setattr(self, name, np.zeros(shape, dtype))
-        self.side, self.filled, self.pending = 0, 0, None
 
     def _blocks(self, size: int) -> dict:
         """The shape and dtype of each block array, by attribute name, for
@@ -153,42 +133,26 @@ class PairedDiagnostics:
 
     def block_bytes(self, size: int) -> int:
         """The bytes of every array this object holds with blocks of
-        ``size`` steps, and of the run's two live noise blocks of as many
-        steps (``sh.noise_draw``)."""
+        ``size`` steps."""
         blocks = self._blocks(size)
         held = sum(a.nbytes for name, a in vars(self).items()
                    if isinstance(a, np.ndarray) and name not in blocks)
-        noise = 2 * size * self.rows * (self.n // 2 + 1) * 16
-        return (held + noise + sum(math.prod(shape) * np.dtype(dtype).itemsize
-                                   for shape, dtype in blocks.values()))
+        return held + sum(math.prod(shape) * np.dtype(dtype).itemsize
+                          for shape, dtype in blocks.values())
 
-    def __call__(self, i, specs):
-        side, row = self.side, self.filled
+    def allocate(self, size: int):
+        """Make the block arrays for blocks of ``size`` steps."""
+        for name, (shape, dtype) in self._blocks(size).items():
+            setattr(self, name, np.zeros(shape, dtype))
+
+    def take(self, side: int, row: int, i: int, specs):
         self._times[side, row] = i * self.dt
         self._vspecs[side, row] = specs[0][:, : self.top]
         self._bands[side, row] = specs[1]
         if self.sup_diff_gl is not None:
             self._gls[side, row] = specs[2]
-        self.filled += 1
-        if self.filled == self.size:
-            self._hand_over()
 
-    def _hand_over(self):
-        self.wait()
-        self.pending = run_on_worker(self._block, self.side, self.filled)
-        self.side, self.filled = 1 - self.side, 0
-
-    def wait(self):
-        pending, self.pending = self.pending, None
-        if pending is not None:
-            pending.result()
-
-    def finish(self):
-        if self.filled:
-            self._hand_over()
-        self.wait()
-
-    def _block(self, side: int, k: int):
+    def run(self, side: int, k: int):
         times, vspecs = self._times[side, :k], self._vspecs[side, :k]
         bands, m = self._bands[side, :k], self.m
         v1, sq, rhs = self._v1[:k], self._sq[:k], self._rhs[:k]
@@ -351,11 +315,9 @@ def estimate_landau_coefficient(eps: float, nu=0.0, variant: str = CUBIC,
     n_steps = step_count(t_end, dt)
     sampler = _CarrierAmplitude(grid.carrier_index, grid.n_points, dt,
                                 max(1, n_steps // 400), n_steps)
-    vspec = v0.spectrum()[None]
-    sampler(0, [vspec])
     (status,), _, _ = integrate([SHStepper([grid], [p], intensity=0.0)],
-                                [vspec], n_steps, p.blowup_threshold,
-                                observers=[sampler])
+                                [v0.spectrum()[None]], n_steps,
+                                p.blowup_threshold, observers=[sampler])
     if status != "completed":
         raise RuntimeError("deterministic run hit the blow-up guard")
 

@@ -222,7 +222,7 @@ def simulate_gl(A0: ComplexField, c: GLCoefficients, dt: float, t_end: float,
     (status,), (steps,), (aspec,) = integrate(
         [stepper], [A0.spectrum()[None, shift]], n_steps,
         ModelParams.blowup_threshold,
-        noise_draw(stepper.noise, None if cfg is None else [cfg], n_steps,
+        noise_draw(stepper.noise, None if cfg is None else [cfg],
                    complex_rows=True))
     return RunResult(ComplexField.from_spectrum(
         A0.grid, np.fft.ifftshift(aspec[0])), status, steps * dt)
@@ -256,7 +256,8 @@ def simulate_paired(v0s, params, cfgs, delta: float = DEFAULT_DELTA,
     demodulated w.  Every diagnostic,
     the averaging residuals of v with the polynomial's nu among them, is
     taken over every step as the run goes by ``analysis.PairedDiagnostics``,
-    in blocks of its ``size`` steps, as is the noise; no field is stored.
+    the job of ``integrate``, in blocks, as is the noise; no field is
+    stored.
     A row that blows up has status "blowup_stopped": alone, its
     diagnostics cover the steps before the blow-up; in a batch they also
     take in the rest the row is held at after it (see ``integrate``).
@@ -277,15 +278,7 @@ def simulate_paired(v0s, params, cfgs, delta: float = DEFAULT_DELTA,
         specs.append(wband)
     diagnostics = PairedDiagnostics(grids, [q.polynomial[2] for q in params],
                                     red.band, p.dt, delta, with_gl)
-    diagnostics(0, specs)
-    n_steps = step_count(p.t_end, p.dt)
-    try:
-        status, _, _ = integrate(steppers, specs, n_steps,
-                                 p.blowup_threshold,
-                                 noise_draw(sh.noise, cfgs, n_steps,
-                                            size=diagnostics.size),
-                                 [diagnostics])
-        diagnostics.finish()
-    finally:
-        diagnostics.wait()
+    status, _, _ = integrate(steppers, specs, step_count(p.t_end, p.dt),
+                             p.blowup_threshold, noise_draw(sh.noise, cfgs),
+                             job=diagnostics)
     return PairedResult(status=status, **diagnostics.results())

@@ -194,77 +194,126 @@ def _blown_up(stepper, spec: np.ndarray, threshold: float):
     return suspect
 
 
+#: steps per block of the worker's jobs at most: noise draws, and a
+#: run's job.  Fewer, larger jobs stall the stepping thread less, and one
+#: size for both keeps their hand-overs aligned.  Two noise blocks are
+#: live in ``integrate``, of about 16 kB a row at n = 2048, besides the
+#: 16 kB a row of normals drawn into the newest, so the 1 MB tracemalloc
+#: bound of an attractivity cell caps a batch of one: 0.93 MB at 12 steps
+BLOCK = 12
+
+#: bytes of a run's worker blocks at most: its two live noise blocks and
+#: every array of its job.  A default theorem2 batch of 5 holds 2.76 MB in
+#: blocks of 4 steps and would hold 3.36 MB in blocks of 5; in that batch,
+#: blocks of 7 steps peaked 1.8 MB above blocks of 4
+BLOCK_BYTES = 3 << 20
+
+
 def integrate(steppers, specs, n_steps: int, threshold: float,
-              draw=None, observers=()) -> tuple[list, list, list]:
+              draw=None, observers=(), job=None) -> tuple[list, list, list]:
     """Advance the batched spectra ``specs``, one array of rows per
     stepper, by up to ``n_steps`` steps.
 
-    Each step draws one raw increment per row shared by all steppers
-    (``draw()``, or None for a noise-free run); every stepper scales it
-    itself in ``step_spec(spec, raw)``.  A row whose field is non-finite
-    or reaches sup norm ``threshold`` in any stepper (``_blown_up``) is
-    frozen at its last completed step: its blown step is discarded, and
-    from then on it is stepped from rest, so it never overflows, and its
-    values are left for the observers to ignore.  The other rows go on.
-    After each step every observer is called as ``observer(i, specs)``,
-    and takes grid values itself if it needs them.  Returns each row's
-    status, "completed" or "blowup_stopped", the number of steps each row
-    completed and the spectra after the last of them (the inputs for a row
-    that completed none); the run ends early once every row is frozen.
+    Each step takes one raw increment per row shared by all steppers, none
+    without ``draw``; every stepper scales it itself in
+    ``step_spec(spec, raw)``.  A row whose field is non-finite or reaches
+    sup norm ``threshold`` in any stepper (``_blown_up``) is frozen at its
+    last completed step: its blown step is discarded, and from then on it
+    is stepped from rest, so it never overflows, and its values are left
+    for the observers to ignore.  The other rows go on.  On step 0, with
+    the inputs, and after each step every observer is called as
+    ``observer(i, specs)``, and takes grid values itself if it needs them.
+    Returns each row's status, "completed" or "blowup_stopped", the number
+    of steps each row completed and the spectra after the last of them
+    (the inputs for a row that completed none); the run ends early once
+    every row is frozen.
+
+    The worker thread (``run_on_worker``) takes the run's work in blocks of
+    the most steps, ``BLOCK`` at most, for which two noise blocks and the
+    job's ``block_bytes`` fit ``BLOCK_BYTES``.  ``draw`` is the pair of
+    ``noise_draw``: a job that draws the noise of k steps, and the bytes
+    of one step.  The noise is drawn one block ahead: block j + 1 is
+    submitted on the first step of block j.  The job is sized once by
+    ``job.allocate(k)``.  ``job.take(side, row, i, specs)`` copies each
+    observed step into one side of its buffers, and a full side goes to
+    the worker as ``job.run(side, k)`` while the other side fills, as does
+    the last partial one after the loop.  The job before it is waited for
+    first, so one block is in flight.  However the run ends, the job
+    and the noise block in flight are waited for, which re-raises the
+    error of a failed one, so no work of the run is left on the worker.
     """
+    draw, step_bytes = draw or (None, 0)
+    held = job.block_bytes if job is not None else lambda k: 0
+    size = max((k for k in range(1, BLOCK + 1)
+                if 2 * k * step_bytes + held(k) <= BLOCK_BYTES), default=1)
+    pending = ahead = None  # the job's block and the noise block in flight
+
+    def hand_over(i):
+        # the block of step i, the last it holds
+        nonlocal pending
+        if pending is not None:
+            pending.result()
+        pending = run_on_worker(job.run, i // size % 2, i % size + 1)
+
+    def observe(i, specs):
+        for observer in observers:
+            observer(i, specs)
+        if job is not None:
+            job.take(i // size % 2, i % size, i, specs)
+            if i % size == size - 1:
+                hand_over(i)
+
     rows = len(specs[0])
     steps = np.full(rows, n_steps)
     live, kept = np.ones(rows, dtype=bool), None
-    for i in range(1, n_steps + 1):
-        raw = draw() if draw is not None else None
-        new = [s.step_spec(spec, raw) for s, spec in zip(steppers, specs)]
-        raw = None  # the noise block goes as soon as its last row is used
-        blown = None
-        for s, spec in zip(steppers, new):
-            bad = _blown_up(s, spec, threshold)
-            if bad is not None:
-                blown = bad if blown is None else blown | bad
-        if blown is not None and (blown := blown & live).any():
-            if kept is None:
-                kept = [spec.copy() for spec in specs]
-            else:
-                for k, spec in zip(kept, specs):
-                    k[blown] = spec[blown]
-            steps[blown] = i - 1
-            live &= ~blown
-            if not live.any():
-                break
-        if kept is not None:
-            for spec in new:
-                spec[~live] = 0.0
-        specs = new
-        for observe in observers:
+    if job is not None:
+        job.allocate(size)
+    try:
+        observe(0, specs)
+        ahead = run_on_worker(draw, min(size, n_steps)) if draw else None
+        for i in range(1, n_steps + 1):
+            row = (i - 1) % size
+            if row == 0 and ahead is not None:
+                # block j + 1 is drawn while the steps of block j are taken
+                block, left = ahead.result(), n_steps - (i - 1) - size
+                ahead = (run_on_worker(draw, min(size, left)) if left > 0
+                         else None)
+            raw = block[row] if draw else None
+            new = [s.step_spec(spec, raw) for s, spec in zip(steppers, specs)]
+            raw = None  # the noise block goes as soon as its last row is used
+            blown = None
+            for s, spec in zip(steppers, new):
+                bad = _blown_up(s, spec, threshold)
+                if bad is not None:
+                    blown = bad if blown is None else blown | bad
+            if blown is not None and (blown := blown & live).any():
+                if kept is None:
+                    kept = [spec.copy() for spec in specs]
+                else:
+                    for k, spec in zip(kept, specs):
+                        k[blown] = spec[blown]
+                steps[blown] = i - 1
+                live &= ~blown
+                if not live.any():
+                    break
+            if kept is not None:
+                for spec in new:
+                    spec[~live] = 0.0
+            specs = new
             observe(i, specs)
+        # the last step observed is the last that any row completed
+        last = int(steps.max())
+        if job is not None and last % size != size - 1:
+            hand_over(last)
+    finally:
+        for future in (pending, ahead):
+            if future is not None:
+                future.result()
     if kept is not None:
         specs = [np.where(live[:, None], spec, k)
                  for k, spec in zip(kept, specs)]
     status = ["completed" if ok else "blowup_stopped" for ok in live]
     return status, steps.tolist(), specs
-
-
-#: steps per block of the worker's jobs at most: noise draws, and the
-#: paired run's diagnostics.  Fewer, larger jobs stall the stepping thread
-#: less, and one size for both keeps their hand-overs aligned.  Up to two
-#: noise blocks are live in ``integrate`` (``noise_draw``), of about 16 kB
-#: a row at n = 2048, besides the 16 kB a row of normals drawn into the
-#: newest, so the 1 MB tracemalloc bound of an attractivity cell caps a
-#: batch of one: 0.93 MB at 12 steps
-BLOCK = 12
-
-#: rows per block of a batch at most, summed over its rows, so a block's
-#: memory does not grow past this many rows with the batch size
-BLOCK_ROWS = 36
-
-
-def block_steps(rows: int) -> int:
-    """Steps per worker block of a batch of ``rows`` rows: ``BLOCK`` at
-    most, ``BLOCK_ROWS`` rows in all at most, one at least."""
-    return max(1, min(BLOCK, BLOCK_ROWS // rows))
 
 
 _worker = None
@@ -294,20 +343,17 @@ def run_on_worker(fn, *args):
     return _worker.submit(fn, *args)
 
 
-def noise_draw(noise: SpectralNoise, cfgs, n_steps: int,
-               complex_rows: bool = False, size: int | None = None):
-    """Exactly ``n_steps`` per-step draws for a batch, one row per config
-    in ``cfgs``: row r of a step is the ``noise.raw`` draw (``raw_complex``
-    with ``complex_rows``) of ``cfgs[r]``'s own stream, bit for bit; None
-    without noise (no ``cfgs``, or every intensity 0).  Rows that share a
-    stream, one ``(seed, stream_id)``, share its one generator: the first
-    of them draws and the others copy its rows.  They are drawn in
-    blocks of ``size`` steps, ``block_steps`` of the batch's rows by
-    default, one block ahead, on the worker, which
-    overlaps the stepping thread: Philox and pocketfft free the GIL.  Two
-    blocks are live, the one handed out and the one being drawn, and a
-    third while the caller holds the last row of the one before, which
-    ``integrate`` does not."""
+def noise_draw(noise: SpectralNoise, cfgs, complex_rows: bool = False):
+    """The noise of a batch, one row per config in ``cfgs``, for
+    ``integrate``: a block job ``draw(k)`` that draws the next k steps, as
+    an array of steps of rows, and the bytes of one step; None without
+    noise (no ``cfgs``, or every intensity 0).  Row r of a step is the
+    ``noise.raw`` draw (``raw_complex`` with ``complex_rows``) of
+    ``cfgs[r]``'s own stream, bit for bit, whatever the blocks.  Rows that
+    share a stream, one ``(seed, stream_id)``, share its one generator:
+    the first of them draws and the others copy its rows.  The job runs on
+    the worker, which overlaps the stepping thread: Philox and pocketfft
+    free the GIL."""
     if cfgs is None or all(cfg.intensity == 0 for cfg in cfgs):
         return None
     raw = noise.raw_complex if complex_rows else noise.raw
@@ -317,9 +363,8 @@ def noise_draw(noise: SpectralNoise, cfgs, n_steps: int,
     source = [first.setdefault((cfg.seed, cfg.stream_id), r)
               for r, cfg in enumerate(cfgs)]
     rngs = {r: cfgs[r].make_rng() for r in first.values()}
-    size = size or block_steps(len(cfgs))
 
-    def job(k):
+    def draw(k):
         block = np.empty((len(cfgs), k, width), dtype=np.complex128)
         for r, rng in rngs.items():
             raw(rng, (k,), out=block[r])
@@ -328,15 +373,7 @@ def noise_draw(noise: SpectralNoise, cfgs, n_steps: int,
                 block[r] = block[s]
         return block.swapaxes(0, 1)
 
-    def rows():
-        ahead = None  # the block being drawn
-        for start in range(0, n_steps + size, size):
-            block = ahead.result() if ahead else ()
-            k = min(size, n_steps - start)
-            ahead = run_on_worker(job, k) if k > 0 else None
-            yield from block
-
-    return rows().__next__
+    return draw, len(cfgs) * width * 16
 
 
 def simulate(v0: RealField, p: ModelParams,
@@ -348,7 +385,7 @@ def simulate(v0: RealField, p: ModelParams,
     n_steps = step_count(p.t_end, p.dt)
     (status,), (steps,), (vspec,) = integrate(
         [stepper], [v0.spectrum()[None]], n_steps, p.blowup_threshold,
-        noise_draw(stepper.noise, None if cfg is None else [cfg], n_steps))
+        noise_draw(stepper.noise, None if cfg is None else [cfg]))
     return RunResult(RealField.from_spectrum(v0.grid, vspec[0]), status,
                      steps * p.dt)
 

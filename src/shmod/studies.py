@@ -232,7 +232,7 @@ def _attractivity_batch(cfg: StudyConfig, grids, cells) -> list:
 
     status, _, _ = integrate(
         [stepper], [np.array([v0.spectrum() for v0 in v0s])], n_steps,
-        params[0].blowup_threshold, noise_draw(stepper.noise, ncfgs, n_steps),
+        params[0].blowup_threshold, noise_draw(stepper.noise, ncfgs),
         [observe])
     return [_outcome(st, {"offband_sup": float(s),
                           "offband_ratio": float(s) / g.eps})
@@ -636,7 +636,10 @@ def run_study(cfg: StudyConfig, progress=None) -> dict:
 
 
 def replay(out_dir, limit: int | None = None) -> dict:
-    """Re-run recorded cells and verify bit-identical diagnostics."""
+    """Re-run recorded cells, the first ``limit`` of them if given, and
+    verify bit-identical diagnostics."""
+    if limit is not None and limit < 1:
+        raise ConfigError(f"replay limit must be at least 1, not {limit}")
     out = Path(out_dir)
     manifest_path = out / "manifest.json"
     if not manifest_path.exists():

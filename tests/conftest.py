@@ -6,7 +6,7 @@ from shmod.analysis import PairedDiagnostics
 from shmod.bands import band_symbols
 from shmod.operators import _horner
 from shmod.reduced import GL_DIFFUSION, GLStepper, ReducedStepper
-from shmod.sh import SHStepper, etd_multipliers, noise_draw
+from shmod.sh import BLOCK, SHStepper, etd_multipliers, noise_draw
 
 
 @pytest.fixture
@@ -25,11 +25,26 @@ def random_field(grid, rng) -> RealField:
     return RealField(grid, rng.standard_normal(grid.n_points))
 
 
+@pytest.fixture
+def allocations(monkeypatch) -> list:
+    """The ``(job, block size)`` of every ``PairedDiagnostics`` that
+    ``integrate`` sizes during the test, in order."""
+    made, allocate = [], PairedDiagnostics.allocate
+
+    def recorded(self, size):
+        made.append((self, size))
+        allocate(self, size)
+
+    monkeypatch.setattr(PairedDiagnostics, "allocate", recorded)
+    return made
+
+
 class Snapshots:
     """Observer for ``integrate`` keeping the grid values of the first
     ``len(initial)`` fields of a batch of one, ``steppers[k].values`` of
     their spectra, on every ``stride``-th step and the last, with their
-    times; ``fields[k]`` starts from ``initial[k]`` at time 0."""
+    times; ``fields[k]`` starts from ``initial[k]`` at time 0, which stands
+    for step 0."""
 
     def __init__(self, steppers, initial, dt: float, stride: int,
                  n_steps: int):
@@ -39,7 +54,7 @@ class Snapshots:
         self.fields = [[f] for f in initial]
 
     def __call__(self, i, specs):
-        if i % self.stride == 0 or i == self.n_steps:
+        if i and (i % self.stride == 0 or i == self.n_steps):
             self.times.append(i * self.dt)
             for snaps, stepper, spec in zip(self.fields, self.steppers, specs):
                 snaps.append(type(snaps[0])(snaps[0].grid,
@@ -57,8 +72,8 @@ class FullGridReference:
 
         f = v1 * irfft(q_k/eps v^ + nu inv_k rfft(v1^2)),  k = 0, 2,
 
-    are summed by the trapezoid rule from step 0 on, all on the n grid.
-    Call it on step 0 first, then pass it to ``integrate``."""
+    are summed by the trapezoid rule from step 0 on, all on the n grid,
+    as ``integrate`` calls it from step 0 on."""
 
     def __init__(self, red, grid: Grid, nu: float, delta: float, dt: float):
         sym, eps = band_symbols(grid, delta), grid.eps
@@ -236,10 +251,13 @@ class FullGridGLReference(PairedReference):
 def paired_diagnostics(grids, nus, with_gl: bool = False,
                        delta: float = 0.125) -> PairedDiagnostics:
     """The ``PairedDiagnostics`` of ``simulate_paired`` for a batch of cubic
-    rows on ``grids`` with the nu of ``nus``."""
+    rows on ``grids`` with the nu of ``nus``, with blocks of ``BLOCK``
+    steps."""
     band = ReducedStepper(grids, [ModelParams(nu=nu) for nu in nus], 0.0,
                           delta).band
-    return PairedDiagnostics(grids, nus, band, 1e-3, delta, with_gl)
+    diagnostics = PairedDiagnostics(grids, nus, band, 1e-3, delta, with_gl)
+    diagnostics.allocate(BLOCK)
+    return diagnostics
 
 
 def band_step_reference(red, E: np.ndarray, raw) -> np.ndarray:
@@ -270,7 +288,7 @@ def simulate_snapshots(v0: RealField, p: ModelParams,
                         cfg.intensity if cfg is not None else 0.0)
     n_steps = int(round(p.t_end / p.dt))
     snaps = Snapshots([stepper], [v0], p.dt, stride, n_steps)
-    draw = noise_draw(stepper.noise, None if cfg is None else [cfg], n_steps)
+    draw = noise_draw(stepper.noise, None if cfg is None else [cfg])
     (status,), _, _ = integrate([stepper], [v0.spectrum()[None]], n_steps,
                                 p.blowup_threshold, draw, [snaps])
     return status, snaps

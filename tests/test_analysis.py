@@ -19,12 +19,12 @@ from shmod import (
     modulated_carrier_ic,
     project,
     simulate,
+    simulate_paired,
 )
-from shmod.analysis import (PairedDiagnostics, _CarrierAmplitude,
-                            averaging_points)
+from shmod.analysis import _CarrierAmplitude, averaging_points
 from shmod.operators import inv_symbol_scaled
 from shmod.reduced import ReducedStepper
-from shmod.sh import SHStepper, block_steps, noise_draw
+from shmod.sh import BLOCK, BLOCK_BYTES, SHStepper, noise_draw
 from shmod.studies import (ATTRACTIVITY_SKIP, DEFAULT_EPS_LADDER, STUDIES,
                            study_cells)
 
@@ -93,7 +93,7 @@ def test_averaging_accumulator_matches_stacked_trapezoid(seed, count, nu):
     start = 0
     while start < count:
         rows = slice(start,
-                     start + int(rng.integers(1, diagnostics.size + 1)))
+                     start + int(rng.integers(1, BLOCK + 1)))
         _feed_block(diagnostics, times[rows], specs[rows])
         for got, spec in zip(diagnostics._v1, specs[rows]):
             assert got.tobytes() == np.fft.irfft(q1 * spec, n=m).tobytes()
@@ -113,7 +113,7 @@ def _feed_block(diagnostics, times, vspecs):
     k = len(times)
     diagnostics._times[0, :k] = times
     diagnostics._vspecs[0, :k] = vspecs[..., : diagnostics.top]
-    diagnostics._block(0, k)
+    diagnostics.run(0, k)
 
 
 def _residuals_hex(diagnostics) -> list:
@@ -136,14 +136,14 @@ def _accumulator_feed(grid, times, specs, sizes, nu=0.5):
     return diagnostics.total.tobytes(), _residuals_hex(diagnostics)
 
 
-@pytest.mark.parametrize("size", range(1, block_steps(1) + 1))
+@pytest.mark.parametrize("size", range(1, BLOCK + 1))
 def test_averaging_accumulator_bits_do_not_depend_on_block_size(size):
     # the block's trapezoid pieces go into total by one reduction along
     # axis 0, which adds the steps in order: blocks of any size, uniform or
     # not, give the bits of one sample per call
     grid = Grid.for_carrier(0.2, 256, periods=16)
     rng = np.random.default_rng(size)
-    count = 2 * block_steps(1) + 3
+    count = 2 * BLOCK + 3
     times = np.cumsum(rng.uniform(0.05, 1.0, count))
     n_modes = 3 * grid.carrier_index
     specs = np.zeros((count, grid.n_points // 2 + 1), np.complex128)
@@ -205,7 +205,7 @@ def test_paired_cell_streams_residuals_in_small_memory(tmp_path):
 
     status, steps, _ = integrate([sh, red], [vspec, wband], 1000,
                                  p.blowup_threshold,
-                                 noise_draw(sh.noise, [ncfg], 1000),
+                                 noise_draw(sh.noise, [ncfg]),
                                  observers=[snaps, gap])
     assert (status, steps) == (["completed"], [1000])
     snaps_v, snaps_w = snaps.fields
@@ -248,7 +248,7 @@ def test_attractivity_cell_matches_snapshot_composition(tmp_path):
 
     (status,), _, _ = integrate([stepper], [v0.spectrum()[None]], n_steps,
                                 p.blowup_threshold,
-                                noise_draw(stepper.noise, [ncfg], n_steps),
+                                noise_draw(stepper.noise, [ncfg]),
                                 [keep])
     assert status == "completed"
     exact = max(np.max(np.abs(np.fft.irfft((1.0 - q1) * spec,
@@ -259,7 +259,7 @@ def test_attractivity_cell_matches_snapshot_composition(tmp_path):
 
     status, snaps = simulate_snapshots(v0, p, ncfg, stride=10)
     assert status == "completed"
-    assert snaps.times[1:] == list(specs)
+    assert snaps.times == list(specs)
     # simulate's result is this run's last step
     run = simulate(v0, p, ncfg)
     assert (run.status, run.time) == (status, snaps.times[-1])
@@ -295,7 +295,7 @@ def test_attractivity_cell_stores_no_field(tmp_path):
     # and the peak does not grow with the number of steps: twice the steps
     # add 100 samples, 1.6 MB as stored half-spectra, where the noise
     # blocks in flight move the peak by one noise block at most
-    block = block_steps(1) * (cfg.n_points // 2 + 1) * 16
+    block = BLOCK * (cfg.n_points // 2 + 1) * 16
     assert peaks[2.0] < peaks[1.0] + block
 
 
@@ -408,7 +408,7 @@ def test_averaging_accumulator_rows_match_their_solo_accumulators():
     grids = [Grid.for_carrier(eps, 256, periods=16) for eps in (0.2, 0.14)]
     nus = [0.5, -0.3]
     rng = np.random.default_rng(11)
-    count = 2 * block_steps(2) + 3
+    count = 2 * BLOCK + 3
     times = np.cumsum(rng.uniform(0.05, 1.0, count))
     n_modes = 3 * grids[0].carrier_index
     specs = np.zeros((count, 2, grids[0].n_points // 2 + 1), np.complex128)
@@ -418,10 +418,9 @@ def test_averaging_accumulator_rows_match_their_solo_accumulators():
     def feed(rows):
         diagnostics = paired_diagnostics([grids[r] for r in rows],
                                          [nus[r] for r in rows])
-        size = diagnostics.size
-        for start in range(0, count, size):
-            _feed_block(diagnostics, times[start:start + size],
-                        specs[start:start + size, rows])
+        for start in range(0, count, BLOCK):
+            _feed_block(diagnostics, times[start:start + BLOCK],
+                        specs[start:start + BLOCK, rows])
         return ([total.tobytes() for total in diagnostics.total],
                 _residuals_hex(diagnostics))
 
@@ -467,25 +466,28 @@ def test_averaging_accumulator_takes_the_largest_grid_of_its_rows():
 
 @pytest.mark.parametrize("with_gl", [False, True], ids=["paired", "with-gl"])
 @pytest.mark.parametrize("rows", [1, 3, 5])
-def test_paired_block_holds_at_most_its_byte_cap(rows, with_gl):
+def test_paired_block_holds_at_most_its_byte_cap(allocations, rows, with_gl):
     # every array of the paired job and the run's two live noise blocks of
     # a batch on the default grid stay within the cap, and a block of one
-    # step more than the cap or block_steps allows would not; the default
-    # theorem2 batch of 5 keeps its blocks of 4 steps
+    # step more would not, unless it is BLOCK steps; the default theorem2
+    # batch of 5 keeps its blocks of 4 steps
     grids = [Grid.for_carrier(eps, 2048, periods=128)
              for eps in DEFAULT_EPS_LADDER[:rows]]
-    diagnostics = paired_diagnostics(grids, [0.5] * rows, with_gl)
-    size, cap = diagnostics.size, PairedDiagnostics.BLOCK_BYTES
+    params = [ModelParams(nu=0.5, t_end=1e-3)] * rows
     cfgs = [NoiseConfig(seed=k, intensity=0.1) for k in range(rows)]
-    noise = SHStepper(grids, [ModelParams(nu=0.5)] * rows, 0.1).noise
-    noise_block = noise_draw(noise, cfgs, size, size=size)().base
+    simulate_paired([RealField(g, np.zeros(g.n_points)) for g in grids],
+                    params, cfgs, DELTA, with_gl)
+    ((diagnostics, size),) = allocations
+    draw, step_bytes = noise_draw(SHStepper(grids, params, 0.1).noise, cfgs)
+    noise_block = draw(size).base
     assert noise_block.shape[:2] == (rows, size)
+    assert noise_block.nbytes == size * step_bytes
     held = sum(a.nbytes for a in vars(diagnostics).values()
                if isinstance(a, np.ndarray))
-    assert held + 2 * noise_block.nbytes == diagnostics.block_bytes(size)
-    assert diagnostics.block_bytes(size) <= cap
-    assert (size == block_steps(rows)
-            or diagnostics.block_bytes(size + 1) > cap)
+    assert held == diagnostics.block_bytes(size)
+    assert held + 2 * noise_block.nbytes <= BLOCK_BYTES
+    assert (size == BLOCK or diagnostics.block_bytes(size + 1)
+            + 2 * (size + 1) * step_bytes > BLOCK_BYTES)
     if rows == 5 and not with_gl:
         assert size == 4
 

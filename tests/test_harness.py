@@ -38,7 +38,7 @@ from shmod import (
     simulate_paired,
 )
 from shmod import cli, studies
-from shmod.sh import SHStepper, block_steps
+from shmod.sh import BLOCK, SHStepper
 from shmod.studies import (SETTINGS, STUDIES, STUDY_NAMES,
                            _run_batch, append_record, load_records,
                            record_key, study_batches, study_cells, summarize)
@@ -462,7 +462,7 @@ def test_runs_that_blow_up_mid_block_leave_the_noise_worker_reusable(tmp_path):
         # the failing step lies inside a block, with the next one drawn ahead
         failed = round(run.time / p.dt) + 1
         assert run.status == "blowup_stopped"
-        assert failed % block_steps(1) and failed + block_steps(1) <= 40
+        assert failed % BLOCK and failed + BLOCK <= 40
     assert threading.active_count() == threads
     assert diagnostics("after") == before
 
@@ -802,6 +802,23 @@ def test_replay_reports_exactly_the_altered_diagnostic(tmp_path, threads,
     assert r.returncode == 3, r.stderr
     assert r.stdout.strip() == f"replayed={n_seeds} mismatches=1"
     assert altered in r.stderr
+
+
+@pytest.mark.parametrize("limit", [0, -1])
+def test_replay_refuses_a_limit_below_one_before_running_a_cell(
+        tmp_path, monkeypatch, limit):
+    out = tmp_path / "out"
+    run_study(tiny_cfg(out, n_seeds=3))
+
+    def no_cells(cfg, cells):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(studies, "_run_batches", no_cells)
+    with pytest.raises(ConfigError, match="limit"):
+        replay(str(out), limit=limit)
+    r = _cli("replay", "--out", str(out), "--limit", str(limit))
+    assert r.returncode == 2, r.stderr
+    assert r.stdout == "" and "limit" in r.stderr
 
 
 @pytest.mark.parametrize("moved, threads", [(False, 2), (True, 1)])

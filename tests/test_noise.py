@@ -1,3 +1,4 @@
+import threading
 import weakref
 
 import numpy as np
@@ -11,11 +12,10 @@ from shmod import (
     spectral_variance_rate,
     stochastic_convolution_sample,
 )
-from shmod import ModelParams, sh
+from shmod import ModelParams
 from shmod.noise import SpectralNoise
 from shmod.reduced import GLStepper
-from shmod.sh import (BLOCK, BLOCK_ROWS, SHStepper, block_steps, integrate,
-                      noise_draw)
+from shmod.sh import BLOCK, BLOCK_BYTES, SHStepper, integrate, noise_draw
 
 
 def small_grid():
@@ -90,20 +90,38 @@ class _CountingNoise(SpectralNoise):
         return super().raw_complex(rng, lead, out)
 
 
+class _RecordingStepper:
+    """Leaves its spectrum alone and keeps a copy of each step's noise."""
+
+    bound_scale = 1.0
+
+    def __init__(self):
+        self.raws = []
+
+    def step_spec(self, spec, raw):
+        self.raws.append(raw.copy())
+        return spec
+
+
 def _check_block_draw(n_steps, cfgs, complex_rows):
-    # row r of every step is the next draw of row r's own stream
+    # row r of every step integrate takes is the next draw of row r's own
+    # stream
     grid = small_grid()
     noise = _CountingNoise(grid)
-    draw = noise_draw(noise, cfgs, n_steps, complex_rows)
-    steps = [draw() for _ in range(n_steps)]
-    with pytest.raises(StopIteration):
-        draw()
+    draw = noise_draw(noise, cfgs, complex_rows)
+    # two noise blocks of BLOCK steps fit the cap, so integrate takes those
+    assert 2 * BLOCK * draw[1] <= BLOCK_BYTES
+    stepper = _RecordingStepper()
+    status, _, _ = integrate([stepper], [np.zeros((len(cfgs), 1))], n_steps,
+                             1.0, draw)
+    assert status == ["completed"] * len(cfgs)
+    steps = stepper.raws
+    assert len(steps) == n_steps
     # full blocks, then the rest, one draw of each distinct stream per
     # block: nothing is drawn past the last step
     streams = len({(cfg.seed, cfg.stream_id) for cfg in cfgs})
-    size = block_steps(len(cfgs))
-    full, rest = divmod(n_steps, size)
-    blocks = [(size,)] * full + [(rest,)] * (rest > 0)
+    full, rest = divmod(n_steps, BLOCK)
+    blocks = [(BLOCK,)] * full + [(rest,)] * (rest > 0)
     assert noise.leads == [lead for lead in blocks for _ in range(streams)]
     single = SpectralNoise(grid)
     single = single.raw_complex if complex_rows else single.raw
@@ -118,18 +136,18 @@ def _streams(rows):
     return [NoiseConfig(seed=5 + r, intensity=0.3) for r in range(rows)]
 
 
+BLOCK_EDGES = [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]
+
+
 @pytest.mark.parametrize("complex_rows", [False, True], ids=["real", "complex"])
-@pytest.mark.parametrize("n_steps", [1, BLOCK - 1, BLOCK,
-                                     BLOCK + 1, 2 * BLOCK + 3])
+@pytest.mark.parametrize("n_steps", BLOCK_EDGES)
 def test_block_draw_hands_out_exactly_the_sequential_draws(n_steps,
                                                           complex_rows):
     _check_block_draw(n_steps, _streams(1), complex_rows)
 
 
 @pytest.mark.parametrize("complex_rows", [False, True], ids=["real", "complex"])
-@pytest.mark.parametrize("n_steps", [1, block_steps(3) - 1, block_steps(3),
-                                     block_steps(3) + 1,
-                                     2 * block_steps(3) + 3])
+@pytest.mark.parametrize("n_steps", BLOCK_EDGES)
 def test_block_draw_of_a_batch_hands_out_each_streams_sequential_draws(
         n_steps, complex_rows):
     _check_block_draw(n_steps, _streams(3), complex_rows)
@@ -151,47 +169,46 @@ def test_block_draw_makes_one_generator_per_distinct_stream(monkeypatch,
     cfgs = [NoiseConfig(seed=5, intensity=0.3), NoiseConfig(seed=6),
             NoiseConfig(seed=5, intensity=0.1),
             NoiseConfig(seed=5, stream_id=1), NoiseConfig(seed=6)]
-    _check_block_draw(2 * block_steps(len(cfgs)) + 1, cfgs, complex_rows)
+    _check_block_draw(2 * BLOCK + 1, cfgs, complex_rows)
     # the draw's generators, then the check's own one per row
     assert made == [(5, 0), (6, 0), (5, 1)] + [
         (cfg.seed, cfg.stream_id) for cfg in cfgs]
 
 
 @pytest.mark.parametrize("rows", [1, 4], ids=["one-row", "batch"])
-def test_noise_rows_alive_at_once_stay_within_two_blocks(monkeypatch, rows):
-    # every block the worker draws is counted from the submission of its
-    # job, on the stepping thread, until its memory is freed: integrate
-    # drops each step's draw before the next, so the block handed out and
-    # the one being drawn are all that is alive, block_steps(rows)·rows
-    # rows each, whatever the timing
-    alive, peak = [0], [0]
+def test_noise_rows_alive_at_once_stay_within_two_blocks(rows):
+    # every block is counted from the start of its draw, on the worker,
+    # until its memory is freed: integrate drops each step's draw before
+    # the next, so the block handed out and the one being drawn are all
+    # that is alive, two blocks of BLOCK steps within the byte cap,
+    # whatever the timing
+    alive, peak, lock = [0], [0], threading.Lock()
 
-    def released(count):
-        alive[0] -= count
+    def released(k):
+        with lock:
+            alive[0] -= k
 
-    def job(fn, k, count):
-        block = fn(k)
-        weakref.finalize(block.base, released, count)
-        return block
-
-    def run_on_worker(fn, k, submit=sh.run_on_worker):
-        count = k * rows
-        alive[0] += count
-        peak[0] = max(peak[0], alive[0])
-        return submit(job, fn, k, count)
-
-    monkeypatch.setattr(sh, "run_on_worker", run_on_worker)
     grid = small_grid()
     p = ModelParams(nu=0.5, dt=1e-3)
     stepper = SHStepper([grid] * rows, [p] * rows, 0.1)
     cfgs = [NoiseConfig(seed=r, intensity=0.1) for r in range(rows)]
+    draw, step_bytes = noise_draw(stepper.noise, cfgs)
+
+    def counted(k):
+        with lock:
+            alive[0] += k
+            peak[0] = max(peak[0], alive[0])
+        block = draw(k)
+        weakref.finalize(block.base, released, k)
+        return block
+
     spec = np.zeros((rows, grid.n_points // 2 + 1), dtype=np.complex128)
-    n_steps = 5 * block_steps(rows) + 1
-    status, _, _ = integrate([stepper], [spec], n_steps, 1e4,
-                             noise_draw(stepper.noise, cfgs, n_steps))
+    status, _, _ = integrate([stepper], [spec], 5 * BLOCK + 1, 1e4,
+                             (counted, step_bytes))
     assert status == ["completed"] * rows
     assert alive[0] == 0
-    assert peak[0] == 2 * block_steps(rows) * rows <= 2 * max(BLOCK_ROWS, rows)
+    assert peak[0] == 2 * BLOCK
+    assert peak[0] * step_bytes <= BLOCK_BYTES
 
 
 @pytest.mark.parametrize("method", ["raw", "raw_complex"])
@@ -206,9 +223,8 @@ def test_stacked_draw_leaves_the_rng_where_sequential_draws_do(method):
 
 def test_no_draw_without_noise():
     noise = SpectralNoise(small_grid())
-    assert noise_draw(noise, None, 10) is None
-    assert noise_draw(noise, [NoiseConfig(seed=1, intensity=0.0)] * 2,
-                      10) is None
+    assert noise_draw(noise, None) is None
+    assert noise_draw(noise, [NoiseConfig(seed=1, intensity=0.0)] * 2) is None
 
 
 def test_ou_increment_variance_brownian_limit():

@@ -27,7 +27,7 @@ from shmod import (
 from shmod.analysis import PairedDiagnostics
 from shmod.grid import ComplexField
 from shmod.reduced import GLStepper, ReducedStepper
-from shmod.sh import BLOCK, SHStepper, block_steps, noise_draw
+from shmod.sh import BLOCK, SHStepper, noise_draw
 from shmod.studies import STUDIES, StudyConfig
 
 from conftest import (FullGridGLReference, FullGridReference,
@@ -329,7 +329,8 @@ def test_gl_noise_is_the_sequential_complex_draw():
         rng = cfg.make_rng()
         (status,), (steps,), (aspec,) = integrate(
             [stepper], [A0.spectrum()[None, shift]], n_steps, 1e4,
-            lambda: stepper.noise.raw_complex(rng)[None])
+            (lambda k: np.array([stepper.noise.raw_complex(rng)
+                                 for _ in range(k)])[:, None], 0))
         assert (run.status, run.time) == (status, steps * dt)
         assert (status, steps) == ("completed", n_steps)
         assert (run.final.values.tobytes()
@@ -448,11 +449,10 @@ def _paired_reference(v0, p, cfg, reference=PairedReference, with_gl=False):
         steppers.append(gl)
         specs.append(aspec)
     ref = reference(red, grid, p.nu, DELTA, p.dt)
-    ref(0, specs)
     n_steps = round(p.t_end / p.dt)
     (status,), (steps,), _ = integrate(
         steppers, specs, n_steps, p.blowup_threshold,
-        noise_draw(sh.noise, [cfg], n_steps), [ref])
+        noise_draw(sh.noise, [cfg]), [ref])
     return status, steps, [x.hex() for x in ref.results()]
 
 
@@ -477,14 +477,15 @@ WITH_GL = pytest.mark.parametrize("with_gl", [False, True],
 @WITH_GL
 @pytest.mark.parametrize("n_steps", [1, BLOCK - 1, BLOCK, BLOCK + 1,
                                      2 * BLOCK + 3])
-def test_paired_run_matches_the_per_step_reference(n_steps, with_gl):
+def test_paired_run_matches_the_per_step_reference(allocations, n_steps,
+                                                   with_gl):
     # the diagnostics, computed in blocks on the worker thread, are those
     # of one step at a time, bit for bit, across and between block edges
     v0, p, cfg = _paired_inputs(n_steps)
-    assert paired_diagnostics([v0.grid], [p.nu], with_gl).size == BLOCK
     status, steps, ref = _paired_reference(v0, p, cfg, with_gl=with_gl)
     assert (status, steps) == ("completed", n_steps)
     assert _paired_hex(v0, p, cfg, with_gl) == (status, ref)
+    assert [size for _, size in allocations] == [BLOCK]
 
 
 @pytest.mark.parametrize("eps, periods", [(0.2, 32), (0.05, 32), (0.2, 64)],
@@ -558,17 +559,18 @@ def test_paired_quintic_gl_step_allocates_no_n_point_array():
 
 
 @WITH_GL
-def test_paired_run_blown_up_mid_block_records_the_steps_before_it(with_gl):
+def test_paired_run_blown_up_mid_block_records_the_steps_before_it(
+        allocations, with_gl):
     # the guard trips on step 22 whatever the block size
     v0, p, cfg = _paired_inputs(60, threshold=0.62)
     status, steps, ref = _paired_reference(v0, p, cfg, with_gl=with_gl)
     threads = threading.active_count()
     assert (status, steps) == ("blowup_stopped", 21)
+    assert _paired_hex(v0, p, cfg, with_gl) == (status, ref)
     # steps 0 .. 21 are observed: at least one full block goes to the
     # worker, and the tripping step lies strictly inside a later block
-    observed, size = steps + 1, block_steps(1)
+    ((_, size),), observed = allocations, steps + 1
     assert observed > size and observed % size
-    assert _paired_hex(v0, p, cfg, with_gl) == (status, ref)
     assert threading.active_count() == threads
     # the worker takes the next run
     v0, p, cfg = _paired_inputs(2 * BLOCK + 3)
@@ -585,7 +587,7 @@ def test_paired_run_raises_the_error_of_a_failed_job(monkeypatch, with_gl):
     status, _, ref = _paired_reference(v0, p, cfg, with_gl=with_gl)
     threads = threading.active_count()
     with monkeypatch.context() as patch:
-        patch.setattr(PairedDiagnostics, "_block", fail)
+        patch.setattr(PairedDiagnostics, "run", fail)
         with pytest.raises(RuntimeError, match="job failed"):
             simulate_paired([v0], [p], [cfg], DELTA, with_gl)
     assert threading.active_count() == threads
@@ -630,7 +632,8 @@ def test_completed_paired_cell_takes_no_grid_values_on_the_stepping_thread(
     assert threading.get_ident() not in callers
 
 
-def test_gl_batch_takes_its_gaps_off_the_stepping_thread(monkeypatch):
+def test_gl_batch_takes_its_gaps_off_the_stepping_thread(monkeypatch,
+                                                          allocations):
     # the stepping thread's complex transforms are the band drift's and the
     # GL step's, both on the ne points of the envelope grid; the one
     # n-point transform of the gap to the amplitude equation runs on the
@@ -648,7 +651,7 @@ def test_gl_batch_takes_its_gaps_off_the_stepping_thread(monkeypatch):
     grids, main = [v0.grid for v0 in v0s], threading.get_ident()
     n, ne = grids[0].n_points, ReducedStepper(grids, params, 0.1, DELTA).ne
     assert {length for thread, _, length in calls if thread == main} == {ne}
-    size = paired_diagnostics(grids, [p.nu for p in params], True).size
+    ((_, size),) = allocations
     blocks = -(-(round(params[0].t_end / params[0].dt) + 1) // size)
     assert [(name, length) for thread, name, length in calls
             if thread != main and length == n] == [("ifft", n)] * blocks
@@ -779,7 +782,7 @@ def test_gl_batch_rows_match_their_solo_runs():
                             1e-3, 0.2, shift)
         status, steps, (aspec,) = integrate(
             [stepper], [np.fft.fft(a0[rows])[:, shift]], 30, 1e4,
-            noise_draw(stepper.noise, [cfgs[r] for r in rows], 30,
+            noise_draw(stepper.noise, [cfgs[r] for r in rows],
                        complex_rows=True))
         return list(zip(status, steps, (row.tobytes() for row in aspec)))
 

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -25,7 +26,8 @@ from shmod import NoiseConfig as Noise
 from shmod.grid import ComplexField
 from shmod.operators import dealiased_powers
 from shmod.reduced import GLStepper, ReducedStepper, gl_coefficients
-from shmod.sh import GUARD_MARGIN, SHStepper, noise_draw
+from shmod.sh import (BLOCK, BLOCK_BYTES, GUARD_MARGIN, SHStepper,
+                      noise_draw)
 
 DELTA = 0.125
 
@@ -114,7 +116,7 @@ def test_integrate_stops_at_blowup_guard():
         [SHStepper([grid], [p], intensity=0.0)], [vspec], 5,
         p.blowup_threshold, observers=[lambda i, specs: seen.append(i)])
     assert (status, steps) == (["blowup_stopped"], [0])
-    assert seen == []
+    assert seen == [0]
     # no step completed: the spectra handed back are the inputs
     assert len(specs) == 1 and specs[0].tobytes() == vspec.tobytes()
 
@@ -148,7 +150,7 @@ def test_guard_covers_every_field():
         [np.zeros((1, 4)), np.zeros((1, 4))],
         10, 1e4, observers=[lambda i, specs: seen.append(i)])
     assert (status, steps) == (["blowup_stopped"], [2])
-    assert seen == [1, 2]
+    assert seen == [0, 1, 2]
     # the third step, which tripped the guard on the second field only, is
     # discarded for both
     assert [s.tolist() for s in specs] == [[[2, 2, 2, 2]], [[2, 2, 2, 2]]]
@@ -165,7 +167,129 @@ def test_guard_freezes_only_the_row_that_blew_up():
         observers=[lambda i, specs: seen.append(specs[0][:, 0].tolist())])
     assert (status, steps) == (["completed", "blowup_stopped"], [5, 2])
     assert [s.tolist() for s in specs] == [[[5] * 3, [2] * 3]] * 2
-    assert seen == [[1, 1], [2, 2], [3, 0], [4, 0], [5, 0]]
+    assert seen == [[0, 0], [1, 1], [2, 2], [3, 0], [4, 0], [5, 0]]
+
+
+class _StepJob:
+    """A job of ``per_step`` bytes a step for ``integrate`` that keeps the
+    steps of each block it runs; a block's run waits for ``gate`` first,
+    if given."""
+
+    def __init__(self, per_step: int, gate=None):
+        self.per_step, self.gate = per_step, gate
+        self.blocks, self.running = [], 0
+
+    def block_bytes(self, size):
+        return size * self.per_step
+
+    def allocate(self, size):
+        self.steps = np.full((2, size), -1)
+
+    def take(self, side, row, i, specs):
+        self.steps[side, row] = i
+
+    def run(self, side, k):
+        self.running += 1
+        if self.gate is not None:
+            self.gate.wait(timeout=30)
+        self.blocks.append(self.steps[side, :k].tolist())
+        self.running -= 1
+
+
+def _runs(*lengths) -> list:
+    """Consecutive blocks of steps from step 0, of the given lengths."""
+    starts = np.cumsum((0,) + lengths)
+    return [list(range(a, b)) for a, b in zip(starts[:-1], starts[1:])]
+
+
+@pytest.mark.parametrize("n_steps, nan_at, blocks", [
+    (13, None, _runs(5, 5, 4)), (14, None, _runs(5, 5, 5)),
+    (20, 9, _runs(5, 4)), (20, 1, _runs(1))])
+def test_integrate_hands_the_job_every_observed_step_in_blocks(n_steps,
+                                                                nan_at,
+                                                                blocks):
+    # a job of a fifth of the cap a step takes blocks of 5 steps: every
+    # step from 0 to the last one completed, a full block as it fills and
+    # the last partial one after the loop, sides taken in turn
+    job = _StepJob(BLOCK_BYTES // 5)
+    status, steps, _ = integrate([_FakeStepper(nan_at)], [np.zeros((1, 4))],
+                                 n_steps, 1e4, job=job)
+    assert steps == [n_steps if nan_at is None else nan_at - 1]
+    assert job.blocks == blocks
+
+
+@pytest.mark.parametrize("step_bytes, per_step, size", [
+    (0, 0, BLOCK), (BLOCK_BYTES // 10, 0, 5),
+    (BLOCK_BYTES // 10, BLOCK_BYTES // 10, 3), (0, BLOCK_BYTES // 10, 10),
+    (BLOCK_BYTES, 0, 1)])
+def test_block_size_is_the_most_steps_whose_blocks_fit_the_cap(
+        step_bytes, per_step, size):
+    # two noise blocks and the job's arrays fit BLOCK_BYTES, at BLOCK steps
+    # a block at most and one at least; the noise and the job share it
+    drawn = []
+
+    def draw(k):
+        drawn.append(k)
+        return np.zeros((k, 1, 4))
+
+    job = _StepJob(per_step)
+    integrate([_FakeStepper()], [np.zeros((1, 4))], 2 * size + 1, 1e4,
+              (draw, step_bytes), job=job)
+    assert drawn == [size, size, 1]
+    observed = list(range(2 * size + 2))
+    assert job.blocks == [observed[j:j + size]
+                          for j in range(0, len(observed), size)]
+
+
+def test_integrate_raises_a_stepper_error_once_its_worker_jobs_are_done():
+    # step 7 fails inside the second block while the first block's job
+    # cannot finish before the failure, and the third noise block waits
+    # behind it: integrate hands over nothing more, waits for both and
+    # raises the stepper's error
+    gate = threading.Event()
+    job = _StepJob(BLOCK_BYTES // 5, gate)
+    drawn = []
+
+    def draw(k):
+        drawn.append(k)
+        return np.zeros((k, 1, 4))
+
+    class Failing(_FakeStepper):
+        def step_spec(self, spec, raw):
+            if self.steps == 6:
+                gate.set()
+                raise FloatingPointError("step 7 failed")
+            return super().step_spec(spec, raw)
+
+    with pytest.raises(FloatingPointError, match="step 7 failed"):
+        integrate([Failing()], [np.zeros((1, 4))], 20, 1e4, (draw, 0),
+                  job=job)
+    assert job.running == 0
+    assert job.blocks == _runs(5)
+    assert drawn == [5, 5, 5]
+
+
+def test_integrate_raises_the_error_of_a_failed_job():
+    # a failed block is raised at the next hand-over or after the loop,
+    # and the worker takes the next run
+    class Failed(_StepJob):
+        def run(self, side, k):
+            raise RuntimeError("job failed")
+
+    def run(job):
+        return integrate([_FakeStepper()], [np.zeros((1, 4))], 13, 1e4,
+                         job=job)
+
+    run(_StepJob(BLOCK_BYTES // 5))
+    threads = threading.active_count()
+    for n_steps in (3, 13):
+        with pytest.raises(RuntimeError, match="job failed"):
+            integrate([_FakeStepper()], [np.zeros((1, 4))], n_steps, 1e4,
+                      job=Failed(BLOCK_BYTES // 5))
+    assert threading.active_count() == threads
+    job = _StepJob(BLOCK_BYTES // 5)
+    assert run(job)[:2] == (["completed"], [13])
+    assert job.blocks == _runs(5, 5, 4)
 
 
 class _ValuesStepper:
@@ -415,7 +539,7 @@ def _solo_and_batch(grids, params, v0s, cfgs, n_steps, threshold):
         status, steps, (spec,) = integrate(
             [stepper], [np.array([v0s[r].spectrum() for r in rows])],
             n_steps, threshold,
-            noise_draw(stepper.noise, [cfgs[r] for r in rows], n_steps))
+            noise_draw(stepper.noise, [cfgs[r] for r in rows]))
         return list(zip(status, steps, (row.tobytes() for row in spec)))
 
     rows = range(len(grids))

@@ -155,7 +155,7 @@ def test_every_eps_is_read_from_the_grid(path):
 #: background thread making many small numpy calls was measured to slow
 #: the stepping thread 1.7 times, against 1.1 times for GIL-free FFT or
 #: Philox work, so a job takes each block in a few large calls
-WORKER_JOBS = [("analysis", "PairedDiagnostics", "_block")]
+WORKER_JOBS = [("analysis", "PairedDiagnostics", "run")]
 
 LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.comprehension)
 
@@ -197,6 +197,32 @@ def test_loop_scan_finds_loops_in_a_method():
 def test_worker_jobs_run_no_python_loop(module, cls, method):
     tree = ast.parse((SRC / f"{module}.py").read_text())
     assert _loops_in_method(tree, cls, method) == []
+
+
+def _names_the_worker(tree: ast.Module) -> list:
+    """Line numbers where ``run_on_worker`` is named: called, read or
+    imported.  ``integrate`` alone submits to the worker, so that the
+    block size, the look-ahead and the hand-over have one owner."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if "run_on_worker" in (getattr(node, "id", None),
+                                         getattr(node, "attr", None))
+                  or isinstance(node, ast.ImportFrom) and any(
+                      alias.name == "run_on_worker" for alias in node.names))
+
+
+def test_worker_scan_finds_calls_reads_and_imports():
+    tree = ast.parse("from .sh import integrate, run_on_worker\n"
+                     "from . import sh\n"
+                     "future = run_on_worker(job, 1)\n"
+                     "later = sh.run_on_worker(job)\n"
+                     "submit = run_on_worker\n"
+                     "run_on_worker_count = 0\n")
+    assert _names_the_worker(tree) == [1, 3, 4, 5]
+
+
+def test_only_integrate_submits_to_the_worker():
+    assert [p.name for p in MODULES
+            if _names_the_worker(ast.parse(p.read_text()))] == ["sh.py"]
 
 
 def _study_name_tests(tree: ast.Module, names) -> list:
