@@ -1,7 +1,7 @@
 """Pseudospectral laboratory for the stochastic Swift-Hohenberg equation and
 its Ginzburg-Landau amplitude reduction."""
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"
 
 from .grid import ComplexField, Grid, RealField, read_field, write_field
 from .operators import symbol_L_eps

@@ -215,6 +215,7 @@ class PairedDiagnostics:
                 "res_p0": res[:, 0].tolist(), "res_p2": res[:, 1].tolist(),
                 "sup_diff_gl": None if gl is None else gl.tolist()}
 
+
 def fit_scaling_exponent(pairs) -> float:
     """Least-squares slope of log(diagnostic) against log(eps)."""
     pairs = [(float(e), float(y)) for e, y in pairs]

@@ -39,70 +39,97 @@ def _horner(vp: np.ndarray, coeffs: dict, out: np.ndarray | None = None
     return poly
 
 
-#: largest n at which :class:`PaddedGrid` holds dense transform matrices;
-#: above it interleaved rows cost less (the crossover table in README)
+#: largest n at which :class:`PaddedGrid` holds dense matrices; above it
+#: interleaved rows cost less (the crossover table in README)
 DENSE_MAX = 32
 
-#: the terms that :func:`dealiased_powers` adds after the polynomial, at
-#: most: the linear flow and the noise of an SH step
-EXTRA_TERMS = 2
+
+def _power_chain(exponents) -> list:
+    """How to make v^e for each e of ``exponents`` (all 2 or more), in
+    increasing order: the exponents of the powers whose product it is,
+    each the largest power made before it that still fits, v itself
+    last.  ``{2, 3, 5}`` is v·v, v²·v and v³·v²: one product each."""
+    made, chain = [1], []
+    for e in sorted(exponents):
+        factors, left = [], e
+        while left:
+            factors.append(max(k for k in made if k <= left and k < e))
+            left -= factors[-1]
+        chain.append((e, factors))
+        made.append(e)
+    return chain
+
+
+def _float_matrices(m: np.ndarray) -> np.ndarray:
+    """The real matrices, one per row of the complex multipliers ``m``,
+    that take the float view of a row's half-spectrum x (re, im, re, ...)
+    to the float view of ``m·x``: a 2×2 block per mode."""
+    rows, modes = m.shape
+    out = np.zeros((rows, modes, 2, modes, 2))
+    k = np.arange(modes)
+    out[:, k, 0, k, 0] = out[:, k, 1, k, 1] = m.real
+    out[:, k, 0, k, 1] = m.imag
+    out[:, k, 1, k, 0] = -m.imag
+    return out.reshape(rows, 2 * modes, 2 * modes)
 
 
 class PaddedGrid:
-    """Work arrays of :func:`dealiased_powers` for a batch of rows on the
-    ``pad * n`` point grid, filled in place on every call, so a step
-    allocates no padded array; a caller owns its own instance and never
-    shares it between threads.
+    """The update of a batch of rows on the ``pad * n`` point grid: the
+    polynomial ``sum_e coeffs[e] v^e`` (exponents 2 and up; a coefficient
+    is a number or one per row, as a column), alias-free and times
+    ``gain``, plus ``decay·v̂`` and ``noise_scale·raw`` of each row when
+    given, with the work arrays of :func:`dealiased_powers`, filled in
+    place on every call, so a step allocates only its result; a caller
+    owns its own instance and never shares it between threads.
 
-    ``gain`` has one row per row of the batch (a scalar is a batch of
-    one).  Every array is indexed by part first and row second, so each
+    ``gain``, ``decay`` and ``noise_scale`` have one row per row of the
+    batch (a scalar gain is a batch of one) and broadcast against the
+    half-spectra.  Up to ``DENSE_MAX`` points a step is two stacked
+    per-row matrix products from and to the float view of the
+    half-spectrum (re, im, re, ...).  ``inverse`` maps it to the ``pad·n``
+    samples (its rows of the Nyquist mode and of the imaginary part of
+    the mean are zero); the powers that the polynomial needs are one
+    product each, into ``stacked``, which also holds the row's
+    half-spectrum and its raw noise; and each row's ``update_matrix``
+    maps its ``stacked`` to the new half-spectrum.  That matrix is built
+    once: a block per power, its coefficient times the forward transform
+    of the samples times ``gain/pad`` with the coarse Nyquist mode
+    dropped, then ``decay`` and ``noise_scale`` as a 2×2 block per mode
+    (a zero block without ``decay``).
+
+    Otherwise a row's padded grid is ``pad`` interleaved n-point parts,
+    and every array is indexed by part first and row second, so each
     part of the batch is one contiguous block: ``values`` holds the
     samples, ``poly`` the polynomial and ``terms`` the weighted parts,
-    cut to the coarse half-spectrum, and after them the extra terms of
-    the sum.  Each part's weights fold the scale, the dropped coarse
-    Nyquist mode and the row's ``gain`` into one product.
-
-    Up to ``DENSE_MAX`` points the grid is one *dense* part, taken by
-    matrix products from and to the float view of the half-spectrum:
-    ``inverse`` maps it to the ``pad·n`` samples (its rows of the Nyquist
-    mode and of the imaginary part of the mean are zero), and each row's
-    ``forward`` maps its samples to the weighted half-spectrum, times
-    ``gain/pad``.  Otherwise a row's padded grid is ``pad`` interleaved
-    n-point parts: part r holds the samples at ``pad·j + r``, the n-point
-    irfft of the first n/2 modes (``spec``) times the ``twiddle``
+    cut to the coarse half-spectrum, and after them ``decay·v̂`` and the
+    noise.  Part r holds the samples at ``pad·j + r``, the n-point irfft
+    of the first n/2 modes (``spec``) times the ``twiddle``
     ``exp(2πi·k·r/(pad·n))`` (none for part 0).  The fine half-spectrum
     is ``Σ_r weights_r·F_r`` over the parts' n-point spectra ``F_r``,
-    with ``weights`` ``exp(−2πi·k·r/(pad·n))·gain/pad``.
+    with ``weights`` ``exp(−2πi·k·r/(pad·n))·gain/pad``, which fold the
+    scale, the dropped coarse Nyquist mode and the gain into one product.
     """
 
-    def __init__(self, n: int, pad: int, gain: np.ndarray | float = 1.0):
+    def __init__(self, n: int, pad: int, coeffs: dict,
+                 gain: np.ndarray | float = 1.0,
+                 decay: np.ndarray | None = None,
+                 noise_scale: np.ndarray | None = None):
         self.n, half = n, n // 2
         gain = np.atleast_2d(gain)
         batch = gain.shape[0]
-        parts, size = (1, pad * n) if n <= DENSE_MAX else (pad, n)
-        self.values = np.empty((parts, batch, size))
-        self.poly = np.empty((parts, batch, size))
-        self.terms = np.empty((parts + EXTRA_TERMS, batch, half + 1),
-                              np.complex128)
-        if parts == 1:
-            # row f of ``inverse`` is the samples of the half-spectrum whose
-            # float f is 1, row j of ``fine`` the half-spectrum of sample j
-            unit = np.eye(2 * (half + 1)).view(np.complex128)
-            unit[:, half] = 0.0
-            self.inverse = np.fft.irfft(unit * pad, n=size)
-            fine = np.fft.rfft(np.eye(size))[:, : half + 1]
-            fine[:, half] = 0.0
-            self.forward = (fine * (gain / pad)[:, None]).view(np.float64)
-            # one product per row, of shape (1, floats) @ (floats, samples)
-            # and back, so a row has the bits of its run alone
-            self.row_values = self.values[0, :, None]
-            self.row_poly = self.poly[0, :, None]
-            self.row_terms = self.terms[0].view(np.float64)[:, None]
+        self.coeffs, self.noisy = coeffs, noise_scale is not None
+        if n <= DENSE_MAX:
+            self._dense(pad, gain, decay, noise_scale)
             return
         self.inverse = None
-        self.spec = np.zeros((parts, batch, half + 1), np.complex128)
-        # phases of the parts: exp(2πi·k·r/(pad·n)) for r = 0 .. parts - 1
-        phase = np.arange(half + 1) * np.arange(parts)[:, None] * (
+        self.decay, self.noise_scale = decay, noise_scale
+        extra = (decay is not None) + self.noisy
+        self.values = np.empty((pad, batch, n))
+        self.poly = np.empty((pad, batch, n))
+        self.terms = np.empty((pad + extra, batch, half + 1), np.complex128)
+        self.spec = np.zeros((pad, batch, half + 1), np.complex128)
+        # phases of the parts: exp(2πi·k·r/(pad·n)) for r = 0 .. pad - 1
+        phase = np.arange(half + 1) * np.arange(pad)[:, None] * (
             2.0 * np.pi / (pad * n))
         self.twiddle = np.exp(1j * phase[1:, None, :half])
         self.weights = np.exp(-1j * phase[:, None]) * (gain / pad)
@@ -111,44 +138,95 @@ class PaddedGrid:
         # and the parts' spectra, which are their own cut and are weighted
         # in place
         self.head = self.spec[:, :, :half]
-        self.weighted = self.terms[:parts]
+        self.weighted = self.terms[:pad]
+
+    def _dense(self, pad, gain, decay, noise_scale):
+        half, size = self.n // 2, pad * self.n
+        batch, floats = gain.shape[0], 2 * (half + 1)
+        # row f of ``inverse`` is the samples of the half-spectrum whose
+        # float f is 1, row j of ``fine`` the half-spectrum of sample j
+        unit = np.eye(floats).view(np.complex128)
+        unit[:, half] = 0.0
+        self.inverse = np.fft.irfft(unit * pad, n=size)
+        fine = np.fft.rfft(np.eye(size))[:, : half + 1]
+        fine[:, half] = 0.0
+        forward = (fine * (gain / pad)[:, None]).view(np.float64)
+        chain = _power_chain(self.coeffs)
+        blocks = [np.reshape(self.coeffs[e], (-1, 1, 1)) * forward
+                  for e, _ in chain]
+        # no decay is a zero block: the half-spectrum stays in ``stacked``
+        # as the operand of ``inverse``
+        blocks += [_float_matrices(np.broadcast_to(m, (batch, half + 1)))
+                   for m in (0.0 if decay is None else decay, noise_scale)
+                   if m is not None]
+        self.update_matrix = np.concatenate(blocks, axis=1)
+        # one row each of the powers, the half-spectrum and the raw noise;
+        # every product is per row, of shape (1, k) @ (k, m), so a row has
+        # the bits of its run alone
+        powers = len(chain) * size
+        self.stacked = np.empty((batch, 1, self.update_matrix.shape[1]))
+        self.values = np.empty((batch, 1, size))
+        self.floats = self.stacked[:, :, powers: powers + floats]
+        self.own = self.floats[:, 0].view(np.complex128)
+        self.raw = self.stacked[:, 0, powers + floats:].view(np.complex128)
+        # the products of each power, and the operands of a step without
+        # its noise
+        slots = {1: self.values}
+        self.chain = []
+        for i, (e, factors) in enumerate(chain):
+            slots[e] = self.stacked[:, :, i * size: (i + 1) * size]
+            self.chain.append((slots[e], *(slots[f] for f in factors)))
+        quiet = powers + floats
+        self.quiet = self.stacked[:, :, :quiet], self.update_matrix[:, :quiet]
 
 
-def dealiased_powers(rspec: np.ndarray, coeffs: dict, padded: PaddedGrid,
-                     *products) -> np.ndarray:
-    """Half-spectra of the polynomial sum_e coeffs[e] v^e of each row of
-    ``rspec``, alias-free and times ``padded``'s gain, plus the product
-    ``x * y`` of each pair ``(x, y)`` in ``products``, as a new array of
-    rows of ``padded.n // 2 + 1`` coefficients: the samples on the padded
-    grid (one matrix product per row, or one batched inverse FFT), the
-    polynomial there, its weighted spectrum (one matrix product per row,
-    or one batched forward FFT and one product) and one sum over the parts
-    of ``padded.terms``.  A pad factor of 2 is exact up to the cube, 3 up
-    to v^5.
+def dealiased_powers(rspec: np.ndarray, padded: PaddedGrid,
+                     raw: np.ndarray | None = None) -> np.ndarray:
+    """The update of ``padded`` of each row of ``rspec``, as a new array of
+    rows of ``padded.n // 2 + 1`` coefficients: the alias-free polynomial
+    times the gain, plus ``decay·v̂`` and, with ``raw`` on a grid that has
+    a noise scale, ``noise_scale·raw``.  A pad factor of 2 is exact up to
+    the cube, 3 up to v^5.
 
-    The weighted parts and then each product are written into the parts
-    of ``terms``, and ``np.add.reduce`` adds them along that axis in their
-    order, ``((f_0 + f_1) + x·y) + ...``, with no temporary.
+    On the dense layout that is the samples (one matrix product per row),
+    one product per power and one matrix product per row of
+    ``[powers | v̂ | raw]`` by its ``update_matrix``.  On the interleaved
+    one it is one batched inverse FFT, the polynomial by Horner's rule,
+    one batched forward FFT and one product with the weights, then
+    ``decay·v̂`` and the noise written after the weighted parts into
+    ``padded.terms``, which ``np.add.reduce`` adds along that axis in
+    their order, ``((f_0 + f_1) + decay·v̂) + noise``, with no temporary.
     """
-    terms, values = padded.terms, padded.values
+    noisy = raw is not None and padded.noisy
     if padded.inverse is not None:
-        floats = np.ascontiguousarray(rspec).view(np.float64)
-        np.matmul(floats[:, None], padded.inverse, out=padded.row_values)
-        _horner(values, coeffs, out=padded.poly)
-        np.matmul(padded.row_poly, padded.forward, out=padded.row_terms)
-    else:
-        head = padded.head
-        coarse = rspec[:, : head.shape[-1]]
-        head[0] = coarse
-        np.multiply(coarse, padded.twiddle, out=head[1:])
-        np.fft.irfft(padded.spec, n=values.shape[-1], out=values)
-        _horner(values, coeffs, out=padded.poly)
-        np.fft.rfft(padded.poly, out=padded.weighted)
-        np.multiply(padded.weighted, padded.weights, out=padded.weighted)
-    parts = len(values)
-    for part, (x, y) in enumerate(products, parts):
-        np.multiply(x, y, out=terms[part])
-    return np.add.reduce(terms[: parts + len(products)], axis=0)
+        padded.own[...] = rspec
+        np.matmul(padded.floats, padded.inverse, out=padded.values)
+        for out, first, second, *rest in padded.chain:
+            np.multiply(first, second, out=out)
+            for factor in rest:
+                out *= factor
+        if noisy:
+            padded.raw[...] = raw
+            stacked, update = padded.stacked, padded.update_matrix
+        else:
+            stacked, update = padded.quiet
+        return np.matmul(stacked, update)[:, 0].view(np.complex128)
+    values, terms, parts = padded.values, padded.terms, len(padded.values)
+    head = padded.head
+    coarse = rspec[:, : head.shape[-1]]
+    head[0] = coarse
+    np.multiply(coarse, padded.twiddle, out=head[1:])
+    np.fft.irfft(padded.spec, n=values.shape[-1], out=values)
+    _horner(values, padded.coeffs, out=padded.poly)
+    np.fft.rfft(padded.poly, out=padded.weighted)
+    np.multiply(padded.weighted, padded.weights, out=padded.weighted)
+    if padded.decay is not None:
+        np.multiply(padded.decay, rspec, out=terms[parts])
+        parts += 1
+    if noisy:
+        np.multiply(raw, padded.noise_scale, out=terms[parts])
+        parts += 1
+    return np.add.reduce(terms[:parts], axis=0)
 
 
 class EnvelopeGrid:

@@ -241,7 +241,7 @@ class PairedResult:
 
 
 def simulate_paired(v0s, params, cfgs, delta: float = DEFAULT_DELTA,
-                    with_gl: bool = False) -> list:
+                    with_gl: bool = False) -> PairedResult:
     """Drive the full equation and the band equation of a batch of rows,
     each row with its own noise path, and return their ``PairedResult``.
 

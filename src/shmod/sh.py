@@ -133,23 +133,21 @@ class SHStepper:
         self.noise = SpectralNoise(grids[0], intensity)
         coeffs = {e: per_row([c[e] for c in polys]) for e in (3, 5)}
         coeffs[2] = per_row([c[2] / g.eps for g, c in zip(grids, polys)])
-        # a term that no row has is left out
-        self.coeffs = {e: c for e, c in coeffs.items() if np.any(c)}
-        # the nonlinearity enters times dt*phi1(lam*dt), folded into the
-        # output weights of its padded grid
-        self.padded = PaddedGrid(self.n, 3 if quintic else 2, gain=gain.real)
+        # the padded grid takes the whole step: the nonlinearity (a term
+        # that no row has is left out) times dt*phi1(lam*dt), folded into
+        # its output weights, then the linear flow and the noise
+        self.padded = PaddedGrid(
+            self.n, 3 if quintic else 2,
+            {e: c for e, c in coeffs.items() if np.any(c)},
+            gain.real, self.decay, self.noise_scale)
         # each mode of the half-spectrum stands for a conjugate pair at
         # most, so 2·Σ|ĉ|/n bounds the sup norm of the values (_blown_up)
         self.bound_scale = 2.0 / self.n
 
     def step_spec(self, vspec: np.ndarray, raw: np.ndarray | None) -> np.ndarray:
-        """``N(v) + decay·v̂ + noise`` of every row, summed by
-        ``dealiased_powers`` in that order with no temporary."""
-        if raw is None or self.noise_scale is None:
-            return dealiased_powers(vspec, self.coeffs, self.padded,
-                                    (self.decay, vspec))
-        return dealiased_powers(vspec, self.coeffs, self.padded,
-                                (self.decay, vspec), (raw, self.noise_scale))
+        """``N(v) + decay·v̂ + noise`` of every row: the update of its
+        padded grid."""
+        return dealiased_powers(vspec, self.padded, raw)
 
     def values(self, vspec: np.ndarray) -> np.ndarray:
         return np.fft.irfft(vspec, n=self.n)

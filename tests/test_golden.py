@@ -15,7 +15,7 @@ from shmod import (Grid, ModelParams, NoiseConfig, StudyConfig, __version__,
                    run_study, simulate_paired)
 from shmod.studies import load_records
 
-GOLDEN_VERSION = "0.13.0"
+GOLDEN_VERSION = "0.14.0"
 
 TINY = dict(eps_list=(0.2,), nu_list=(0.5,), n_seeds=1, n_points=512,
             periods=32, dt=1e-3, t_end=0.05)

@@ -54,16 +54,16 @@ def test_semigroup_is_pointwise_exponential(grid):
                                atol=0)
 
 
-def _powers(rspec, coeffs, padded):
+def _powers(rspec, padded):
     """``dealiased_powers`` of one half-spectrum, a batch of one."""
-    return dealiased_powers(rspec[None], coeffs, padded)[0]
+    return dealiased_powers(rspec[None], padded)[0]
 
 
 def test_dealiased_square_of_single_mode_is_exact():
     g = Grid.for_carrier(0.1, 256, periods=16)
     k0 = 5 * g.dk
     f = RealField(g, np.cos(k0 * g.x))
-    sq_spec = _powers(f.spectrum(), {2: 1.0}, PaddedGrid(g.n_points, 2))
+    sq_spec = _powers(f.spectrum(), PaddedGrid(g.n_points, 2, {2: 1.0}))
     sq = np.fft.irfft(sq_spec, n=g.n_points)
     np.testing.assert_allclose(sq, 0.5 * (1.0 + np.cos(2 * k0 * g.x)), atol=1e-13)
 
@@ -72,7 +72,7 @@ def test_dealiased_cube_of_single_mode_is_exact():
     g = Grid.for_carrier(0.1, 256, periods=16)
     k0 = 5 * g.dk
     f = RealField(g, np.cos(k0 * g.x))
-    cube_spec = _powers(f.spectrum(), {3: 1.0}, PaddedGrid(g.n_points, 2))
+    cube_spec = _powers(f.spectrum(), PaddedGrid(g.n_points, 2, {3: 1.0}))
     cube = np.fft.irfft(cube_spec, n=g.n_points)
     np.testing.assert_allclose(
         cube, 0.75 * np.cos(k0 * g.x) + 0.25 * np.cos(3 * k0 * g.x), atol=1e-13
@@ -85,13 +85,13 @@ def test_dealiased_product_no_wraparound():
     j = g.n_points // 2 - 2
     k0 = j * g.dk
     f = RealField(g, np.cos(k0 * g.x))
-    prod_spec = _powers(f.spectrum(), {2: 1.0}, PaddedGrid(g.n_points, 2))
+    prod_spec = _powers(f.spectrum(), PaddedGrid(g.n_points, 2, {2: 1.0}))
     prod = np.fft.irfft(prod_spec, n=g.n_points)
     # true square has a 2*k0 component beyond Nyquist; dealiasing must drop
     # it, leaving only the constant 1/2
     np.testing.assert_allclose(prod, np.full(g.n_points, 0.5), atol=1e-13)
     # likewise the 3*k0 component of the cube, leaving 3/4 cos(k0 x)
-    cube_spec = _powers(f.spectrum(), {3: 1.0}, PaddedGrid(g.n_points, 2))
+    cube_spec = _powers(f.spectrum(), PaddedGrid(g.n_points, 2, {3: 1.0}))
     cube = np.fft.irfft(cube_spec, n=g.n_points)
     np.testing.assert_allclose(cube, 0.75 * np.cos(k0 * g.x), atol=1e-13)
 
@@ -109,11 +109,11 @@ def _powers_padded_to_8n(rspec, n, coeffs):
     return spec
 
 
-def _grid_in_layout(n, pad, dense, gain=1.0):
+def _grid_in_layout(n, pad, dense, *args):
     # the layout is chosen from n against DENSE_MAX when the grid is
     # built; a threshold of n or below it forces one layout at any n
     with mock.patch.object(operators, "DENSE_MAX", n if dense else n - 1):
-        return PaddedGrid(n, pad, gain)
+        return PaddedGrid(n, pad, *args)
 
 
 #: log2 n at most of a forced dense grid: its matrices hold about
@@ -143,9 +143,9 @@ def test_dealiased_powers_matches_unaliased_reference(dense, exponents, pad,
     rspec[0] = rspec[0].real
     rspec *= scale / np.max(np.abs(np.fft.irfft(rspec, n=n)))
     coeffs = {e: rng.uniform(-2.0, 2.0) for e in exponents}
-    padded = _grid_in_layout(n, pad, dense)
+    padded = _grid_in_layout(n, pad, dense, coeffs)
     assert (padded.inverse is not None) == dense
-    got = _powers(rspec, coeffs, padded)
+    got = _powers(rspec, padded)
     ref = _powers_padded_to_8n(rspec, n, coeffs)
     np.testing.assert_allclose(got, ref, rtol=1e-12,
                                atol=1e-12 * np.max(np.abs(ref)))
@@ -158,35 +158,42 @@ def test_dealiased_powers_applies_the_gain(dense, n):
     rng = np.random.default_rng(4)
     rspec = np.fft.rfft(0.3 * rng.standard_normal(n))
     gain = rng.uniform(0.5, 1.5, n // 2 + 1)
-    plain = _powers(rspec, {3: -1.0}, _grid_in_layout(n, 2, dense))
-    got = _powers(rspec, {3: -1.0}, _grid_in_layout(n, 2, dense, gain))
+    plain = _powers(rspec, _grid_in_layout(n, 2, dense, {3: -1.0}))
+    got = _powers(rspec, _grid_in_layout(n, 2, dense, {3: -1.0}, gain))
     np.testing.assert_allclose(got, gain * plain, rtol=1e-14, atol=0)
 
 
 def test_dense_batch_rows_keep_the_bits_of_their_runs_alone():
     # three rows of a 16-point batch, each with its own gain, polynomial
-    # coefficients and product term, are the bits of each row's call alone,
-    # on every call
+    # coefficients, decay and noise scale, are the bits of each row's
+    # call alone, on every call, with and without the noise
     n, pad, rows = 16, 3, 3
     rng = np.random.default_rng(11)
     gain = rng.uniform(0.5, 1.5, (rows, n // 2 + 1))
     rspec = np.fft.rfft(0.4 * rng.standard_normal((rows, n)))
-    decay = rng.uniform(0.5, 1.0, (rows, n // 2 + 1)).astype(np.complex128)
+    raw = np.fft.rfft(rng.standard_normal((rows, n)))
+    decay, scale = rng.uniform(0.5, 1.0, (2, rows, n // 2 + 1)).astype(
+        np.complex128)
     coeffs = {2: rng.uniform(-1.0, 1.0, (rows, 1)),
               3: rng.uniform(-1.0, 1.0, (rows, 1)), 5: -1.0}
-    batch = PaddedGrid(n, pad, gain)
+    batch = PaddedGrid(n, pad, coeffs, gain, decay, scale)
     assert batch.inverse is not None
-    alone = [PaddedGrid(n, pad, gain[r:r + 1]) for r in range(rows)]
-    first = dealiased_powers(rspec, coeffs, batch, (decay, rspec))
-    for _ in range(3):
-        assert (dealiased_powers(rspec, coeffs, batch, (decay, rspec))
-                .tobytes() == first.tobytes())
-        for r, padded in enumerate(alone):
-            row = dealiased_powers(
-                rspec[r:r + 1], {e: c if np.isscalar(c) else c[r:r + 1]
+    alone = [PaddedGrid(n, pad, {e: c if np.isscalar(c) else c[r:r + 1]
                                  for e, c in coeffs.items()},
-                padded, (decay[r:r + 1], rspec[r:r + 1]))
-            assert row.tobytes() == first[r:r + 1].tobytes()
+                        gain[r:r + 1], decay[r:r + 1], scale[r:r + 1])
+             for r in range(rows)]
+    for noise in (raw, None):
+        first = dealiased_powers(rspec, batch, noise)
+        for _ in range(3):
+            assert (dealiased_powers(rspec, batch, noise).tobytes()
+                    == first.tobytes())
+            for r, padded in enumerate(alone):
+                row = dealiased_powers(
+                    rspec[r:r + 1], padded,
+                    None if noise is None else noise[r:r + 1])
+                assert row.tobytes() == first[r:r + 1].tobytes()
+    # the noise block is in the update
+    assert not np.allclose(dealiased_powers(rspec, batch, raw), first)
 
 
 def _envelope_reference(E, coeffs, ne):
@@ -244,19 +251,18 @@ def test_study_and_landau_grids_fall_on_either_side_of_the_crossover():
     landau = Grid.for_carrier(0.1, DEFAULT_POINTS_PER_PERIOD, periods=1)
     assert (study, landau.n_points) == (2048, 16)
     assert landau.n_points <= DENSE_MAX < study
-    # the padded arrays are indexed by part, then by row of the batch
-    for n, parts in ((study, 2), (landau.n_points, 1)):
-        padded = PaddedGrid(n, 2)
-        assert padded.values.shape == (parts, 1, 2 * n // parts)
-        assert (padded.inverse is not None) == (parts == 1)
-    for variant, pad in (("cubic", 2), ("quintic", 3)):
-        p = ModelParams(variant)
-        padded = SHStepper([landau], [p]).padded
-        assert padded.values.shape == (1, 1, pad * 16)
-        # real matrices from and to the float view of the 9-mode
-        # half-spectrum
+    for n in (study, landau.n_points):
+        padded = PaddedGrid(n, 2, {3: -1.0})
+        assert (padded.inverse is not None) == (n == landau.n_points)
+    for p, pad, powers in ((ModelParams(nu=0.5), 2, 2),
+                           (ModelParams("quintic", nu2=1.0, nu3=0.5), 3, 3)):
+        padded = SHStepper([landau], [p], intensity=0.0).padded
+        # real matrices from the float view of the 9-mode half-spectrum to
+        # the samples, and from the powers and the half-spectrum back
         assert padded.inverse.shape == (18, pad * 16)
-        assert padded.forward.shape == (1, pad * 16, 18)
+        assert padded.update_matrix.shape == (1, powers * pad * 16 + 18, 18)
+        assert padded.stacked.shape == (1, 1, powers * pad * 16 + 18)
+        # the interleaved arrays are indexed by part, then by row
         grid = Grid.for_carrier(0.1, study)
         assert SHStepper([grid], [p]).padded.values.shape == (pad, 1, study)
 

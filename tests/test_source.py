@@ -225,6 +225,40 @@ def test_only_integrate_submits_to_the_worker():
             if _names_the_worker(ast.parse(p.read_text()))] == ["sh.py"]
 
 
+#: the dense layout's size limit and a ``PaddedGrid``'s dense matrices
+DENSE_NAMES = {"DENSE_MAX", "inverse", "update_matrix"}
+
+
+def _names_the_dense_layout(tree: ast.Module) -> list:
+    """Line numbers where a name of ``DENSE_NAMES`` is named: read,
+    written or imported.  ``operators`` alone decides the layout of the
+    padded grid and steps it, so that the dense matrices have one owner."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if {getattr(node, "id", None), getattr(node, "attr", None)}
+                  & DENSE_NAMES
+                  or isinstance(node, ast.ImportFrom) and any(
+                      alias.name in DENSE_NAMES for alias in node.names))
+
+
+def test_dense_layout_scan_finds_names_reads_and_imports():
+    tree = ast.parse("from .operators import DENSE_MAX, PaddedGrid\n"
+                     "from . import operators\n"
+                     "dense = n <= operators.DENSE_MAX\n"
+                     "m = stepper.padded.inverse\n"
+                     "u = padded.update_matrix[0]\n"
+                     "inverse_count = 0\n"
+                     "padded.inverse_of = m\n"
+                     "if n <= DENSE_MAX:\n"
+                     "    pass\n")
+    assert _names_the_dense_layout(tree) == [1, 3, 4, 5, 8]
+
+
+def test_only_operators_names_the_dense_layout():
+    assert [p.name for p in MODULES
+            if _names_the_dense_layout(ast.parse(p.read_text()))] == [
+        "operators.py"]
+
+
 def _study_name_tests(tree: ast.Module, names) -> list:
     """Line numbers of the comparisons with a study name, or with a tuple,
     list or set that holds one: each a study's behaviour decided outside
